@@ -15,7 +15,8 @@ Run as a script, this file is also the runtime-registry overhead gate::
 
     PYTHONPATH=src python benchmarks/bench_serving_throughput.py --check
 
-Every server dispatch now crosses ``repro.runtime``'s Substrate layer
+Every server wave crosses ``repro.runtime``'s Substrate layer
+(``map_groups``, which on in-process substrates calls ``run_group``)
 instead of calling the engine directly, so ``--check`` measures what
 that indirection costs: the same groups are traversed through
 ``substrate.run_group`` and through ``engine.run_group`` on the very

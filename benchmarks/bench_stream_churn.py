@@ -12,11 +12,11 @@ ways:
   the post-mutation graph.
 
 Both paths are asserted bit-identical to a from-scratch traversal
-before any number is trusted.  A second section runs the churn-capable
-serving loop (:func:`repro.stream.run_churn_loop`) and reports how the
-epoch machinery behaved end to end — rows repaired versus dropped
-(staleness that would have been served without invalidation-by-keying)
-and cache hit rate under churn.
+before any number is trusted.  A second section runs the closed-loop
+serving driver with churn (:func:`repro.service.run_closed_loop`) and
+reports how the epoch machinery behaved end to end — rows repaired
+versus dropped (staleness that would have been served without
+invalidation-by-keying) and cache hit rate under churn.
 
 Results land in ``BENCH_stream.json`` at the repo root (or
 ``--output``; ``BENCH_stream.quick.json`` in ``--quick`` mode).
@@ -49,15 +49,18 @@ import numpy as np
 from repro.core.engine import IBFS, IBFSConfig
 from repro.graph.csr import VERTEX_DTYPE
 from repro.graph.generators import rmat
-from repro.service import ServingConfig, WorkloadConfig
-from repro.stream import (
+from repro.service import (
     ChurnConfig,
+    ServingConfig,
+    WorkloadConfig,
+    run_closed_loop,
+)
+from repro.stream import (
     DynamicBFSServer,
     MutationBatch,
     apply_batch,
     plan_repair,
     repair_depth_matrix,
-    run_churn_loop,
 )
 
 BATCH_FRACTIONS = (0.001, 0.005, 0.01)
@@ -185,7 +188,7 @@ def main(argv=None):
         ServingConfig(batch_size=8, cache_capacity=1024),
     )
     try:
-        load, records = run_churn_loop(
+        load = run_closed_loop(
             server,
             WorkloadConfig(num_requests=churn_requests, num_clients=16,
                            seed=5),

@@ -364,8 +364,6 @@ def _serving_config(args: argparse.Namespace) -> "ServingConfig":
         cache_capacity=args.cache_capacity,
         num_devices=args.devices,
         groupby=not args.no_groupby,
-        partitions=getattr(args, "partitions", 0),
-        partition_layout=getattr(args, "layout", "1d"),
     )
 
 
@@ -400,9 +398,12 @@ def _print_load_result(label: str, result) -> None:
           f"({cache['hits']} hits, {cache['evictions']} evictions)")
 
 
-def _churn_config(args: argparse.Namespace) -> "ChurnConfig":
-    from repro.stream import ChurnConfig
+def _churn_config(args: argparse.Namespace) -> Optional["ChurnConfig"]:
+    """The ``--churn`` mutation stream, or None on a static graph."""
+    from repro.service import ChurnConfig
 
+    if args.churn <= 0:
+        return None
     return ChurnConfig(
         mutate_every=args.churn,
         inserts_per_batch=args.churn_inserts,
@@ -454,6 +455,7 @@ def _maybe_write_trace(args: argparse.Namespace, tracer) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import BFSServer, run_closed_loop
+    from repro.stream import DynamicBFSServer
 
     graph = _load_graph(args.graph)
     serving = _serving_config(args)
@@ -468,63 +470,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     slo_engine = _make_slo_engine(args)
     planner = make_policy(args.policy) if args.policy else None
-    if args.churn > 0 or spec.kind == "stream":
-        from repro.stream import DynamicBFSServer, run_churn_loop
-
-        server = DynamicBFSServer(
-            graph, serving, planner=planner, slo=slo_engine,
-            substrate=spec,
-        )
-        try:
-            result, _ = run_churn_loop(
-                server, _workload_config(args), _churn_config(args)
-            )
-            exec_stats = (
-                server.executor.last_stats
-                if server.executor is not None else None
-            )
-        finally:
-            server.close()
-        _print_load_result(
+    churn = _churn_config(args)
+    server_cls = DynamicBFSServer if spec.kind == "stream" else BFSServer
+    with server_cls(
+        graph, serving, planner=planner, slo=slo_engine, substrate=spec,
+    ) as server:
+        result = run_closed_loop(server, _workload_config(args), churn)
+        executor = server.substrate.executor
+        exec_stats = executor.last_stats if executor is not None else None
+    if churn is not None:
+        label = (
             f"served {args.requests} {args.kind} requests with churn "
             f"(mutation every {args.churn} completions: "
-            f"+{args.churn_inserts}/-{args.churn_deletes} edges)",
-            result,
+            f"+{args.churn_inserts}/-{args.churn_deletes} edges)"
         )
+    else:
+        label = (
+            f"served {args.requests} {args.kind} requests "
+            f"({args.clients} closed-loop clients, zipf {args.zipf})"
+        )
+    _print_load_result(label, result)
+    if "epochs" in result.metrics:
         _print_epoch_summary(result.metrics)
-        if exec_stats is not None:
-            print(f"  exec backend      : {exec_stats.backend} "
-                  f"({exec_stats.num_workers} workers, "
-                  f"{exec_stats.scheduler})")
-        _print_slo_summary(slo_engine)
-        if args.metrics_json:
-            import json
-
-            with open(args.metrics_json, "w") as fh:
-                json.dump(result.metrics, fh, indent=2)
-            print(f"  metrics json      : {args.metrics_json}")
-        _maybe_write_trace(args, tracer)
-        return 0
-    server = None
-    exec_stats = None
-    try:
-        server = BFSServer(
-            graph, serving, planner=planner, slo=slo_engine,
-            substrate=spec,
-        )
-        result = run_closed_loop(server, _workload_config(args))
-        exec_stats = (
-            server.executor.last_stats
-            if server.executor is not None else None
-        )
-    finally:
-        if server is not None:
-            server.close()
-    _print_load_result(
-        f"served {args.requests} {args.kind} requests "
-        f"({args.clients} closed-loop clients, zipf {args.zipf})",
-        result,
-    )
     if exec_stats is not None:
         print(f"  exec backend      : {exec_stats.backend} "
               f"({exec_stats.num_workers} workers, {exec_stats.scheduler})")
@@ -547,41 +514,21 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     spec = _substrate_spec(args)
     if spec is None:
         return 2
-    if args.churn > 0:
-        from repro.service.loadgen import naive_config
-        from repro.stream import DynamicBFSServer, run_churn_loop
-
-        serving = _serving_config(args)
-        results = {}
-        for label, config in (
-            ("batched", serving), ("naive", naive_config(serving))
-        ):
-            server = DynamicBFSServer(
-                graph, config, planner=planner, substrate=spec
-            )
-            try:
-                results[label], _ = run_churn_loop(
-                    server, _workload_config(args), _churn_config(args)
-                )
-            finally:
-                server.close()
-        _print_load_result("micro-batched serving under churn",
-                           results["batched"])
-        _print_epoch_summary(results["batched"].metrics)
-        _print_load_result("naive serving under churn", results["naive"])
-        naive_tput = results["naive"].throughput
-        speedup = (
-            results["batched"].throughput / naive_tput
-            if naive_tput > 0 else 0.0
-        )
-        print(f"throughput speedup  : {speedup:.2f}x")
-        return 0
+    churn = _churn_config(args)
     comparison = compare_serving(
-        graph, _workload_config(args), _serving_config(args), planner=planner
+        graph, _workload_config(args), _serving_config(args),
+        planner=planner, substrate=spec, churn=churn,
     )
-    _print_load_result("micro-batched serving", comparison["batched"])
-    _print_load_result("naive serving (one request, one traversal)",
-                       comparison["naive"])
+    if churn is None:
+        batched = "micro-batched serving"
+        naive = "naive serving (one request, one traversal)"
+    else:
+        batched = "micro-batched serving under churn"
+        naive = "naive serving under churn"
+    _print_load_result(batched, comparison["batched"])
+    if "epochs" in comparison["batched"].metrics:
+        _print_epoch_summary(comparison["batched"].metrics)
+    _print_load_result(naive, comparison["naive"])
     print(f"throughput speedup  : {comparison['speedup']:.2f}x")
     return 0
 
@@ -603,12 +550,8 @@ def _parse_edge_pairs(specs: List[str]) -> "tuple":
 
 def cmd_mutate(args: argparse.Namespace) -> int:
     from repro.graph import save_csr
-    from repro.stream import (
-        GraphOverlay,
-        plan_repair,
-        random_delete_batch,
-        random_insert_batch,
-    )
+    from repro.service import random_delete_batch, random_insert_batch
+    from repro.stream import GraphOverlay, plan_repair
 
     graph = _load_graph(args.graph)
     overlay = GraphOverlay(graph)

@@ -19,7 +19,7 @@ Three attribution tools, one per question the paper's analysis asks:
   child's, so the step seconds **telescope to exactly the root's
   duration**.
 * :func:`wave_attribution` — *how does one serving wave decompose?*
-  For every wave span (``serve.batch`` / ``serve.wave``), same-process
+  For every wave span (``serve.wave``), same-process
   subtree self-times are bucketed by category (batching, exec
   dispatch, exchange, kernel, ...).  Nested same-clock spans are
   sequential within their parent, so the buckets sum to the wave
@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import ObservabilityError
 
 #: Wave roots: the serving layer's per-launch spans.
-WAVE_NAMES = ("serve.batch", "serve.wave")
+WAVE_NAMES = ("serve.wave",)
 
 #: Detached spans that deliberately overlap their siblings (one per
 #: busy worker); their durations do not add up inside a parent and are
@@ -51,7 +51,6 @@ OVERLAPPING_NAMES = frozenset({"exec.dispatch", "worker.task"})
 #: the waterfall buckets: what a wave's time is attributed *as*.
 _CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
     ("serve.wave", "batching"),
-    ("serve.batch", "batching"),
     ("exec.dispatch", "dispatch"),
     ("worker.task", "dispatch"),
     ("exec.", "dispatch"),
@@ -309,30 +308,14 @@ class WaveAttribution:
         return sum(self.components.values())
 
 
-def detect_substrate(wave: SpanNode, trace_has_stream: bool) -> str:
+def detect_substrate(wave: SpanNode) -> str:
     """Which execution substrate served this wave.
 
     The server stamps the registered substrate name
     (:data:`repro.runtime.SUBSTRATE_NAMES` vocabulary) on every
-    ``serve.batch``/``serve.wave`` span, so a wave from the current
-    serving layer answers from its own attribute.  Traces recorded
-    before that attribute existed fall back to the structural
-    heuristics: ``serve.wave`` only exists on the executor path; a
-    subtree with dist/exchange spans ran partitioned; a trace that
-    published epochs is the stream substrate; everything else is the
-    serial engine.
+    ``serve.wave`` span; a wave without the attribute is ``"unknown"``.
     """
-    explicit = wave.attrs.get("substrate")
-    if explicit is not None:
-        return str(explicit)
-    if wave.name == "serve.wave":
-        return "executor"
-    for node in wave.walk():
-        if node.name.startswith(("dist.", "exchange.")):
-            return "partitioned"
-    if trace_has_stream:
-        return "stream"
-    return "serial"
+    return str(wave.attrs.get("substrate", "unknown"))
 
 
 def _accumulate_components(
@@ -350,9 +333,7 @@ def _accumulate_components(
         _accumulate_components(child, wave_process, acc)
 
 
-def wave_attribution(
-    wave: SpanNode, trace_has_stream: bool = False
-) -> WaveAttribution:
+def wave_attribution(wave: SpanNode) -> WaveAttribution:
     """Decompose one wave span into category buckets + waterfall rows.
 
     The buckets come from same-process subtree self-times (overlapping
@@ -382,7 +363,7 @@ def wave_attribution(
     return WaveAttribution(
         span_id=wave.span_id,
         name=wave.name,
-        substrate=detect_substrate(wave, trace_has_stream),
+        substrate=detect_substrate(wave),
         seconds=wave.duration,
         components=dict(sorted(components.items())),
         rows=rows,
@@ -407,18 +388,12 @@ def _depth_below(root: SpanNode, target: SpanNode) -> int:
 def analyze_waves(records: Sequence[dict]) -> List[WaveAttribution]:
     """Every serving wave in a record set, attribution attached, in
     deterministic (start, span id) order."""
-    forest = build_forest(records)
-    has_stream = any(
-        node.name.startswith("stream.")
-        for root in forest
+    return [
+        wave_attribution(node)
+        for root in build_forest(records)
         for node in root.walk()
-    )
-    waves: List[WaveAttribution] = []
-    for root in forest:
-        for node in root.walk():
-            if node.name in WAVE_NAMES:
-                waves.append(wave_attribution(node, has_stream))
-    return waves
+        if node.name in WAVE_NAMES
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -409,8 +409,9 @@ def replay_trace(
 ) -> List[SLOStatus]:
     """Re-derive SLO signals from a recorded trace and run the engine.
 
-    Wave spans (``serve.batch`` / ``serve.wave``) replay as latency,
-    error, and queue-depth samples at their end timestamps;
+    Wave spans (``serve.wave``) replay as latency, error, and
+    queue-depth samples at their end timestamps (a wave in error status
+    is an error sample);
     ``stream.mutate`` spans replay cache staleness from their repair
     attrs.  The engine evaluates after every sample, so the alert
     sequence matches what a live engine fed the same signals would
@@ -428,7 +429,7 @@ def replay_trace(
             continue
         duration = float(end) - float(start)
         attrs = record.get("attrs", {})
-        if name in ("serve.batch", "serve.wave"):
+        if name == "serve.wave":
             # Wave spans carry their *simulated* cost as an attr; span
             # start/end are wall clock, which the objectives are not
             # calibrated to.  Old traces without the attr fall back.

@@ -14,8 +14,8 @@ the work runs and what metrics it emits:
   per-epoch delegate.
 
 All of them present one :class:`Substrate` surface (``run_group``,
-``run``, ``effective_group_size``, ``metrics``, ``close``) plus
-capability flags, and all construction/validation funnels through
+``map_groups``, ``run``, ``effective_group_size``, ``metrics``,
+``close``) plus capability flags, and all construction/validation funnels through
 :func:`make_substrate` — the scattered per-consumer ``ServiceError``
 checks became capability checks here.  Epoch swap-on-mutate is the
 :meth:`Substrate.on_epoch_published` hook: substrates whose
@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Type, TYPE_CHECKING
 
 from repro.errors import (
     ExclusiveSubstrateError,
+    ReproError,
     SubstrateError,
     UnknownSubstrateError,
     UnsupportedMutationError,
@@ -65,7 +66,7 @@ class Substrate:
     supports_mutation: bool = False
     #: Splits the graph instead of replicating it.
     supports_partitions: bool = False
-    #: Runs on a worker-process pool (wave dispatch available).
+    #: Runs on a worker-process pool (a wave's groups run concurrently).
     supports_executor: bool = False
     #: Accepts recorded :class:`~repro.plan.types.RunPlan` replay.
     supports_replay: bool = True
@@ -97,12 +98,26 @@ class Substrate:
         raise NotImplementedError
 
     def map_groups(self, specs: Sequence[tuple], return_errors: bool = False):
-        """Concurrent wave dispatch; only executor-backed substrates
-        provide it (guard with :attr:`supports_executor`)."""
-        raise SubstrateError(
-            f"substrate {self.kind!r} has supports_executor=False: "
-            f"wave dispatch needs a worker pool"
-        )
+        """Run a wave of ``(group, max_depth, plan)`` specs; results come
+        back in spec order.
+
+        The default runs each spec in turn through :meth:`run_group`.
+        Under ``return_errors`` a spec that raises a
+        :class:`~repro.errors.ReproError` yields the error in its place
+        instead of aborting the wave.  Worker-pool substrates override
+        this to run the wave concurrently.
+        """
+        results = []
+        for group, max_depth, plan in specs:
+            try:
+                results.append(
+                    self.run_group(group, max_depth=max_depth, plan=plan)
+                )
+            except ReproError as exc:
+                if not return_errors:
+                    raise
+                results.append(exc)
+        return results
 
     # -- lifecycle ------------------------------------------------------
     def on_epoch_published(self, snapshot: "Snapshot") -> None:
@@ -522,8 +537,8 @@ class StreamSubstrate(Substrate):
     @property
     def telemetry_kind(self) -> str:
         # A stream placement over a non-serial delegate reports the
-        # delegate (what trace attribution would detect from the span
-        # tree); a serial delegate is the stream substrate proper.
+        # delegate, so its waves compare with that substrate's own; a
+        # serial delegate is the stream substrate proper.
         if self.inner.kind != "serial":
             return self.inner.telemetry_kind
         return self.kind
@@ -543,7 +558,11 @@ class StreamSubstrate(Substrate):
         return self.inner.effective_group_size()
 
     def map_groups(self, specs, return_errors: bool = False):
-        return self.inner.map_groups(specs, return_errors=return_errors)
+        if self.inner.supports_executor:
+            return self.inner.map_groups(specs, return_errors=return_errors)
+        # In-process delegates run each group through this substrate's
+        # own run_group.
+        return super().map_groups(specs, return_errors=return_errors)
 
     def close(self) -> None:
         self.inner.close()

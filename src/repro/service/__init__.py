@@ -16,7 +16,7 @@ shed load when the simulated device pool saturates.
 * :mod:`repro.service.server` — the discrete-event server and a
   synchronous in-process client;
 * :mod:`repro.service.loadgen` — closed-loop load generation with
-  Zipf-over-degree source skew.
+  Zipf-over-degree source skew and optional graph churn.
 """
 
 from repro.service.request import (
@@ -27,15 +27,18 @@ from repro.service.request import (
     STATUS_OK,
     STATUS_TIMEOUT,
 )
-from repro.service.cache import ResultCache, engine_cache_key, graph_cache_id
-from repro.service.metrics import BatchRecord, MetricsRegistry, percentile
+from repro.service.cache import ResultCache, graph_cache_id
+from repro.service.metrics import MetricsRegistry
 from repro.service.batcher import MicroBatcher
 from repro.service.server import BFSServer, InProcessClient, ServingConfig
 from repro.service.loadgen import (
+    ChurnConfig,
     LoadResult,
     WorkloadConfig,
     compare_serving,
     naive_config,
+    random_delete_batch,
+    random_insert_batch,
     run_closed_loop,
     sample_sources,
 )
@@ -48,19 +51,19 @@ __all__ = [
     "STATUS_TIMEOUT",
     "STATUS_FAILED",
     "ResultCache",
-    "engine_cache_key",
     "graph_cache_id",
-    "BatchRecord",
     "MetricsRegistry",
-    "percentile",
     "MicroBatcher",
     "BFSServer",
     "InProcessClient",
     "ServingConfig",
+    "ChurnConfig",
     "LoadResult",
     "WorkloadConfig",
     "compare_serving",
     "naive_config",
+    "random_delete_batch",
+    "random_insert_batch",
     "run_closed_loop",
     "sample_sources",
 ]

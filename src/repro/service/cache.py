@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
-from repro.core.engine import IBFSConfig
 from repro.plan.types import RunPlan
 
 
@@ -61,20 +60,6 @@ def graph_cache_id(graph: CSRGraph) -> str:
     if freeze is not None:
         freeze()
     return cache_id
-
-
-def engine_cache_key(
-    config: IBFSConfig, policy_name: Optional[str] = None
-) -> str:
-    """Stable fingerprint of the engine configuration.
-
-    Back-compat delegate: key derivation moved next to the placement
-    spec (:func:`repro.runtime.spec.engine_key`), which also owns the
-    substrate-suffix namespacing partitioned placements need.
-    """
-    from repro.runtime.spec import engine_key
-
-    return engine_key(config, policy_name)
 
 
 class LRUCache:

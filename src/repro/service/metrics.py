@@ -3,62 +3,34 @@
 Records what a production BFS service would export: request counts by
 outcome, latency percentiles, batch occupancy and realized sharing
 degree (the paper's figure 6 metric, observed per served batch), cache
-effectiveness, and queue depth.  Everything is a plain counter or a
-bounded reservoir over simulated seconds, so snapshots are
-deterministic and JSON-serializable.
+effectiveness, and queue depth.  Everything is a plain counter, a
+running aggregate, or the latency histogram's reservoir over simulated
+seconds, so snapshots are deterministic and JSON-serializable.
 
 Latency distribution math routes through
 :class:`repro.obs.metrics.Histogram` — the same fixed bucket
 boundaries and the same percentile implementation the executor's task
 wall-clock distribution uses — so serving and exec latencies are
-directly comparable.  :func:`repro.obs.metrics.percentile` is
-re-exported here for backward compatibility.
+directly comparable.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsHub,
-    get_hub,
-    percentile,
-)
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 
-__all__ = ["BatchRecord", "MetricsRegistry", "percentile"]
-
-
-@dataclass
-class BatchRecord:
-    """One executed batch (one joint kernel launch)."""
-
-    batch_id: int
-    launch_time: float
-    seconds: float
-    #: Requests served by the batch (>= num_sources when coalesced).
-    num_requests: int
-    #: Distinct traversal sources in the batch.
-    num_sources: int
-    #: Configured max batch size at launch.
-    batch_limit: int
-    #: Realized sharing degree of the joint kernel.
-    sharing_degree: float
-    #: Why the batch flushed: ``"size"``, ``"deadline"``, or ``"drain"``.
-    trigger: str = "size"
-
-    @property
-    def occupancy(self) -> float:
-        """Fill fraction of the batch slot, in (0, 1]."""
-        return self.num_sources / self.batch_limit if self.batch_limit else 0.0
+__all__ = ["MetricsRegistry"]
 
 
 @dataclass
 class MetricsRegistry:
-    """Accumulates serving metrics; snapshot with :meth:`snapshot`."""
+    """Accumulates serving metrics; snapshot with :meth:`snapshot`.
+
+    Batch and queue aggregates are running sums accumulated in arrival
+    order, so each mean is bit-identical to summing the full history.
+    """
 
     submitted: int = 0
     completed: int = 0
@@ -67,14 +39,24 @@ class MetricsRegistry:
     timeouts: int = 0
     failures: int = 0
     retries: int = 0
-    latencies: List[float] = field(default_factory=list)
-    batches: List[BatchRecord] = field(default_factory=list)
-    queue_depths: List[int] = field(default_factory=list)
+    #: Executed batches (one joint kernel launch each).
+    batch_count: int = 0
+    #: Sum over batches of the slot fill fraction (sources / limit).
+    occupancy_sum: float = 0.0
+    #: Sum over batches of the joint kernel's realized sharing degree.
+    sharing_degree_sum: float = 0.0
+    #: Requests served by batches (>= sources when coalesced).
+    batched_requests: int = 0
+    #: Batches per flush trigger (``"size"``, ``"deadline"``, ``"drain"``).
+    flush_triggers: Dict[str, int] = field(default_factory=dict)
+    #: Sum and max of the pending-queue depth seen at each submission.
+    queue_depth_sum: int = 0
+    queue_depth_max: int = 0
 
     def __post_init__(self) -> None:
-        #: Fixed-bucket latency distribution (simulated seconds); the
-        #: same bucket boundaries as ``exec_task_wall_seconds``, so the
-        #: two histograms diff bucket by bucket.
+        #: Fixed-bucket latency distribution (simulated seconds) and the
+        #: only latency store; the same bucket boundaries as
+        #: ``exec_task_wall_seconds``, so the two diff bucket by bucket.
         self.latency_histogram = Histogram(
             "serving_latency_seconds",
             "Per-request serving latency (simulated seconds)",
@@ -86,17 +68,33 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def record_submit(self, queue_depth: int) -> None:
         self.submitted += 1
-        self.queue_depths.append(queue_depth)
+        self.queue_depth_sum += queue_depth
+        self.queue_depth_max = max(self.queue_depth_max, queue_depth)
 
     def record_completion(self, latency: float, cached: bool) -> None:
         self.completed += 1
         if cached:
             self.cache_hits += 1
-        self.latencies.append(latency)
         self.latency_histogram.observe(latency)
 
-    def record_batch(self, record: BatchRecord) -> None:
-        self.batches.append(record)
+    def record_batch(
+        self,
+        num_requests: int,
+        num_sources: int,
+        batch_limit: int,
+        sharing_degree: float,
+        trigger: str,
+    ) -> None:
+        """One executed batch: ``num_sources`` distinct traversal
+        sources serving ``num_requests`` requests under a configured
+        limit of ``batch_limit``."""
+        self.batch_count += 1
+        self.occupancy_sum += (
+            num_sources / batch_limit if batch_limit else 0.0
+        )
+        self.sharing_degree_sum += sharing_degree
+        self.batched_requests += num_requests
+        self.flush_triggers[trigger] = self.flush_triggers.get(trigger, 0) + 1
 
     # ------------------------------------------------------------------
     # Derived metrics
@@ -116,23 +114,22 @@ class MetricsRegistry:
             "max": hist.max,
         }
 
+    def _per_batch(self, total: float) -> float:
+        return total / self.batch_count if self.batch_count else 0.0
+
     @property
     def mean_occupancy(self) -> float:
-        if not self.batches:
-            return 0.0
-        return sum(b.occupancy for b in self.batches) / len(self.batches)
+        return self._per_batch(self.occupancy_sum)
 
     @property
     def mean_sharing_degree(self) -> float:
-        if not self.batches:
-            return 0.0
-        return sum(b.sharing_degree for b in self.batches) / len(self.batches)
+        return self._per_batch(self.sharing_degree_sum)
 
     @property
     def mean_queue_depth(self) -> float:
-        if not self.queue_depths:
+        if not self.submitted:
             return 0.0
-        return sum(self.queue_depths) / len(self.queue_depths)
+        return self.queue_depth_sum / self.submitted
 
     def throughput(self, elapsed: float) -> float:
         """Completed requests per simulated second over ``elapsed``."""
@@ -145,9 +142,6 @@ class MetricsRegistry:
         self, elapsed: Optional[float] = None, cache_stats: Optional[dict] = None
     ) -> dict:
         """JSON-serializable summary of everything recorded so far."""
-        flush_triggers: Dict[str, int] = {}
-        for batch in self.batches:
-            flush_triggers[batch.trigger] = flush_triggers.get(batch.trigger, 0) + 1
         payload = {
             "requests": {
                 "submitted": self.submitted,
@@ -160,19 +154,17 @@ class MetricsRegistry:
             },
             "latency_seconds": self.latency_percentiles(),
             "batches": {
-                "count": len(self.batches),
+                "count": self.batch_count,
                 "mean_occupancy": self.mean_occupancy,
                 "mean_sharing_degree": self.mean_sharing_degree,
-                "flush_triggers": flush_triggers,
-                "mean_requests_per_batch": (
-                    sum(b.num_requests for b in self.batches) / len(self.batches)
-                    if self.batches
-                    else 0.0
+                "flush_triggers": dict(self.flush_triggers),
+                "mean_requests_per_batch": self._per_batch(
+                    self.batched_requests
                 ),
             },
             "queue": {
                 "mean_depth": self.mean_queue_depth,
-                "max_depth": max(self.queue_depths) if self.queue_depths else 0,
+                "max_depth": self.queue_depth_max,
             },
         }
         if elapsed is not None:
@@ -181,44 +173,3 @@ class MetricsRegistry:
         if cache_stats is not None:
             payload["cache"] = dict(cache_stats)
         return payload
-
-    def publish(self, hub: Optional[MetricsHub] = None) -> None:
-        """Register this registry's state into the process-wide hub so
-        one exporter (Prometheus text, trace JSONL) covers serving.
-
-        Counts are exported as gauges (they are totals-so-far, not
-        increments, so republishing after more traffic just refreshes
-        them); the latency histogram is adopted wholesale.
-        """
-        # Explicit None test: an empty MetricsHub is falsy (len 0).
-        hub = hub if hub is not None else get_hub()
-        totals = (
-            ("serving_requests_submitted", "Requests admitted", self.submitted),
-            ("serving_requests_completed", "Requests completed", self.completed),
-            ("serving_cache_hits", "Requests answered from cache",
-             self.cache_hits),
-            ("serving_requests_shed", "Requests shed by backpressure",
-             self.shed),
-            ("serving_requests_timeout", "Requests timed out", self.timeouts),
-            ("serving_requests_failed", "Requests failed", self.failures),
-            ("serving_retries", "Request retries", self.retries),
-            ("serving_batches", "Batches executed", len(self.batches)),
-            ("serving_mean_occupancy", "Mean batch occupancy",
-             self.mean_occupancy),
-            ("serving_mean_sharing_degree",
-             "Mean realized sharing degree per batch",
-             self.mean_sharing_degree),
-            ("serving_mean_queue_depth", "Mean pending-queue depth",
-             self.mean_queue_depth),
-        )
-        for name, help_text, value in totals:
-            hub.gauge(name, help_text).set(float(value))
-        if hub.get(self.latency_histogram.name) is None:
-            hub.register(self.latency_histogram)
-
-    def to_json(self, elapsed: Optional[float] = None,
-                cache_stats: Optional[dict] = None, indent: int = 2) -> str:
-        return json.dumps(
-            self.snapshot(elapsed=elapsed, cache_stats=cache_stats),
-            indent=indent,
-        )

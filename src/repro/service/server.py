@@ -13,10 +13,11 @@ pipeline per request:
    sources without traversal;
 3. **micro-batching** — misses pool in a :class:`MicroBatcher` that
    flushes GroupBy-formed batches on size or deadline;
-4. **execution** — each batch runs as one joint kernel on the least
-   loaded simulated device; a failed kernel is retried once per
-   request before a :data:`~repro.service.request.STATUS_FAILED`
-   response;
+4. **execution** — every batch launchable at one instant (one per free
+   simulated device) forms a wave that the substrate runs through
+   :meth:`~repro.runtime.Substrate.map_groups`, each batch as one joint
+   kernel; a failed kernel is retried once per request before a
+   :data:`~repro.service.request.STATUS_FAILED` response;
 5. **completion** — per-request latency, batch occupancy, sharing
    degree, and cache statistics land in a :class:`MetricsRegistry`.
 
@@ -57,7 +58,7 @@ from repro.service.cache import (
     ResultCache,
     graph_cache_id,
 )
-from repro.service.metrics import BatchRecord, MetricsRegistry
+from repro.service.metrics import MetricsRegistry
 from repro.service.request import (
     PendingRequest,
     Request,
@@ -109,15 +110,10 @@ class ServingConfig:
         batches; off, batches are FIFO chunks (the random baseline).
     return_depths:
         Attach full depth rows to ``"bfs"`` responses.
-    partitions:
-        When positive, batches traverse the
-        :class:`~repro.dist.engine.PartitionedEngine` over this many
-        graph partitions instead of the whole-graph engine — the path
-        for graphs too big for a single device.  Depths stay
-        bit-identical; only the execution substrate (and the exchange
-        metrics it emits) changes.  Incompatible with ``executor``.
-    partition_layout:
-        Partition layout (``"1d"`` or ``"2d"``) when ``partitions > 0``.
+
+    Placement (serial, executor, partitioned, stream) is not a serving
+    option: it comes only from the server's ``substrate=``
+    :class:`~repro.runtime.SubstrateSpec`.
     """
 
     batch_size: int = 32
@@ -131,8 +127,6 @@ class ServingConfig:
     cache_hit_latency: float = 1e-7
     groupby: bool = True
     return_depths: bool = False
-    partitions: int = 0
-    partition_layout: str = "1d"
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -153,17 +147,14 @@ class ServingConfig:
             raise ServiceError("max_attempts must be positive")
         if self.cache_hit_latency < 0:
             raise ServiceError("cache_hit_latency must be non-negative")
-        if self.partitions < 0:
-            raise ServiceError("partitions must be non-negative")
-        if self.partition_layout not in ("1d", "2d"):
-            raise ServiceError(
-                f"unknown partition_layout {self.partition_layout!r}; "
-                f"expected '1d' or '2d'"
-            )
 
 
 class BFSServer:
-    """Online serving front-end over one graph and one engine config."""
+    """Online serving front-end over one graph and one engine config.
+
+    ``substrate`` is the placement (default: the serial engine); a
+    caller-owned ``executor`` can back an ``executor`` placement.
+    """
 
     def __init__(
         self,
@@ -184,24 +175,14 @@ class BFSServer:
         engine_config = engine_config or IBFSConfig(
             group_size=self.serving.batch_size
         )
-        #: The placement decision.  An explicit spec wins; otherwise the
-        #: legacy knobs remain aliases — ``serving.partitions`` selects
-        #: the partitioned substrate, a caller-owned ``executor`` the
-        #: executor substrate, and the bare default is serial.
-        if substrate is None:
-            substrate = SubstrateSpec.from_flags(
-                kind="executor" if (
-                    executor is not None and self.serving.partitions == 0
-                ) else None,
-                partitions=self.serving.partitions,
-                layout=self.serving.partition_layout,
-            )
+        #: The placement decision; nothing else selects the substrate.
+        substrate = substrate or SubstrateSpec()
         self.substrate_spec = substrate
         if executor is not None and substrate.kind == "executor":
             # An executor over a different graph or engine config would
             # compute depths the server's cache keys misattribute.
             self._check_executor(executor, engine_config, planner)
-        #: The one execution substrate every batch dispatches through —
+        #: The one execution substrate every wave dispatches through —
         #: serial engine, worker-process executor, partitioned engine,
         #: or the epoch-swapping stream wrapper.  Bit-identical depths
         #: on all of them; only placement (and the metrics it emits)
@@ -249,26 +230,6 @@ class BFSServer:
         self._completed: List[Response] = []
         self._next_id = 0
         self._next_batch_id = 0
-
-    # ------------------------------------------------------------------
-    # Back-compat views of the substrate's internals
-    # ------------------------------------------------------------------
-    @property
-    def engine(self):
-        """The substrate's engine (read-only back-compat view)."""
-        return self.substrate.engine
-
-    @property
-    def partitioned(self):
-        """The PartitionedEngine when this server partitions, else None
-        (read-only back-compat view)."""
-        return self.substrate.partitioned_engine
-
-    @property
-    def executor(self):
-        """The GroupExecutor when this server pools workers, else None
-        (read-only back-compat view)."""
-        return self.substrate.executor
 
     def _check_executor(
         self,
@@ -423,33 +384,17 @@ class BFSServer:
         return max(min(deadline, expiry), free)
 
     def _dispatch(self, now: float, draining: bool = False) -> None:
-        """Launch batches while a device is free and a trigger holds."""
-        if self.substrate.supports_executor:
-            self._dispatch_wave(now, draining)
-            return
-        self._expire(now)
-        while len(self.batcher) > 0:
-            device = int(np.argmin(self._device_free))
-            if self._device_free[device] > now:
-                break
-            if self.batcher.size_ready():
-                trigger = "size"
-            elif self.batcher.deadline_ready(now):
-                trigger = "deadline"
-            elif draining:
-                trigger = "drain"
-            else:
-                break
-            self._launch(device, now, trigger)
-            self._expire(now)
+        """Launch batches while a device is free and a trigger holds.
 
-    def _dispatch_wave(self, now: float, draining: bool = False) -> None:
-        """Executor-backed dispatch: every batch that becomes launchable
-        at this instant (one per free device) executes as one concurrent
-        wave on the worker pool, then bookkeeping applies in formation
-        order — so batch ids, cache puts, responses, and metrics are
-        bit-identical to the inline path."""
+        Every batch that becomes launchable at this instant (one per
+        free device) joins one wave; the substrate runs the wave through
+        :meth:`~repro.runtime.Substrate.map_groups` (concurrently on a
+        worker pool, in order elsewhere), then bookkeeping applies in
+        formation order, so batch ids, cache puts, responses and
+        metrics are identical on every placement.
+        """
         self._expire(now)
+        tracer = obs_tracing.get_tracer()
         while True:
             queue_depth = len(self.batcher)
             wave = []
@@ -470,13 +415,21 @@ class BFSServer:
                 for item in batch:
                     item.attempts += 1
                 max_depth = batch[0].max_depth
-                # The chaos hook runs in the parent *during* formation so
-                # a failed batch's retries rejoin the pool before the
-                # next batch forms — exactly the inline ordering.
+                # The chaos hook runs *during* formation so a failed
+                # batch's retries rejoin the pool before the next batch
+                # forms; its launch still traces as a failed wave.
                 if self.fault_injector is not None:
                     try:
                         self.fault_injector(sources)
                     except ReproError as exc:
+                        tracer.finish_span(tracer.start_span(
+                            "serve.wave",
+                            substrate=self.substrate.telemetry_kind,
+                            batches=1,
+                            sources=len(sources),
+                            queue_depth=queue_depth,
+                            failed=1,
+                        ), status="error")
                         self._handle_failure(batch, exc)
                         self._expire(now)
                         progressed = True
@@ -500,7 +453,7 @@ class BFSServer:
                 )
                 for entry in wave
             ]
-            with obs_tracing.get_tracer().span(
+            with tracer.span(
                 "serve.wave",
                 substrate=self.substrate.telemetry_kind,
                 batches=len(wave),
@@ -509,14 +462,8 @@ class BFSServer:
                 queue_depth=queue_depth,
             ) as wave_span:
                 results = self.substrate.map_groups(specs, return_errors=True)
-                sims = [
-                    r.seconds for r in results
-                    if not isinstance(r, ReproError)
-                ]
-                if wave_span is not None and sims:
-                    # The wave's simulated makespan (devices run the
-                    # batches concurrently); see the inline-path note.
-                    wave_span.annotate(sim_seconds=max(sims))
+                if wave_span is not None:
+                    self._annotate_wave(wave_span, results)
             for entry, result in zip(wave, results):
                 device, prior_free, sources, batch, trigger, max_depth = entry
                 if isinstance(result, ReproError):
@@ -527,6 +474,24 @@ class BFSServer:
                     device, now, trigger, sources, batch, max_depth, result
                 )
             self._expire(now)
+
+    @staticmethod
+    def _annotate_wave(span, results) -> None:
+        """Stamp a wave's simulated makespan and failures on its span.
+
+        ``sim_seconds`` is the slowest batch (devices run the wave's
+        batches concurrently), so SLO replay from the trace sees the
+        latency signal the live engine did — span start/end are wall
+        clock, not simulated.  A wave with a failed batch ends in error
+        status, which replay counts as an error sample.
+        """
+        sims = [r.seconds for r in results if not isinstance(r, ReproError)]
+        if sims:
+            span.annotate(sim_seconds=max(sims))
+        failed = len(results) - len(sims)
+        if failed:
+            span.annotate(failed=failed)
+            span.status = "error"
 
     def _expire(self, now: float) -> None:
         """Time out requests whose deadline passed while still queued."""
@@ -548,45 +513,8 @@ class BFSServer:
                 )
 
     # ------------------------------------------------------------------
-    # Batch execution
+    # Batch bookkeeping
     # ------------------------------------------------------------------
-    def _launch(self, device: int, now: float, trigger: str) -> None:
-        queue_depth = len(self.batcher)
-        sources, batch = self.batcher.take_batch()
-        for item in batch:
-            item.attempts += 1
-        max_depth = batch[0].max_depth
-
-        try:
-            with obs_tracing.get_tracer().span(
-                "serve.batch",
-                substrate=self.substrate.telemetry_kind,
-                device=device,
-                trigger=trigger,
-                num_sources=len(sources),
-                num_requests=len(batch),
-                queue_depth=queue_depth,
-            ) as span:
-                if self.fault_injector is not None:
-                    self.fault_injector(sources)
-                # Looked up after the chaos hook so a fault-failed batch
-                # touches the plan cache exactly as the wave path does.
-                plan = self.plan_cache.get(self._plan_key(sources, max_depth))
-                if span is not None:
-                    span.annotate(plan_cached=plan is not None)
-                result = self.substrate.run_group(
-                    sources, max_depth=max_depth, plan=plan
-                )
-                if span is not None:
-                    # Simulated wave cost, so SLO replay from the trace
-                    # sees the same latency signal the live engine did
-                    # (span start/end are wall clock, not simulated).
-                    span.annotate(sim_seconds=result.seconds)
-        except ReproError as exc:
-            self._handle_failure(batch, exc)
-            return
-        self._commit_batch(device, now, trigger, sources, batch, max_depth, result)
-
     def _commit_batch(
         self,
         device: int,
@@ -605,16 +533,11 @@ class BFSServer:
         self._device_free[device] = completion
         stats = result.groups[0]
         self.metrics.record_batch(
-            BatchRecord(
-                batch_id=batch_id,
-                launch_time=now,
-                seconds=result.seconds,
-                num_requests=len(batch),
-                num_sources=len(sources),
-                batch_limit=self.batch_size,
-                sharing_degree=stats.sharing_degree,
-                trigger=trigger,
-            )
+            num_requests=len(batch),
+            num_sources=len(sources),
+            batch_limit=self.batch_size,
+            sharing_degree=stats.sharing_degree,
+            trigger=trigger,
         )
         self._observe_slo(SIGNAL_WAVE_LATENCY, result.seconds)
 

@@ -12,9 +12,9 @@ mutates while queries run.  Three layers:
   own content fingerprint so cache invalidation falls out of keying;
 * :mod:`repro.stream.repair` — incremental depth-matrix repair for
   insert-only batches, bit-identical to re-traversal;
-* :mod:`repro.stream.service` / :mod:`repro.stream.loadgen` — an
-  epoch-aware :class:`~repro.stream.service.DynamicBFSServer` and a
-  churn-capable load generator.
+* :mod:`repro.stream.service` — an epoch-aware
+  :class:`~repro.stream.service.DynamicBFSServer`; churn load comes
+  from :func:`repro.service.loadgen.run_closed_loop`.
 """
 
 from repro.stream.overlay import GraphOverlay, MutationBatch, apply_batch
@@ -29,12 +29,6 @@ from repro.stream.repair import (
     repair_depth_matrix,
 )
 from repro.stream.service import DynamicBFSServer, EpochRecord
-from repro.stream.loadgen import (
-    ChurnConfig,
-    random_delete_batch,
-    random_insert_batch,
-    run_churn_loop,
-)
 
 __all__ = [
     "GraphOverlay",
@@ -52,8 +46,4 @@ __all__ = [
     "repair_depth_matrix",
     "DynamicBFSServer",
     "EpochRecord",
-    "ChurnConfig",
-    "random_insert_batch",
-    "random_delete_batch",
-    "run_churn_loop",
 ]

@@ -34,8 +34,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from dataclasses import replace as dc_replace
-
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
 from repro.obs import metrics as obs_metrics
@@ -94,12 +92,11 @@ class EpochRecord:
 class DynamicBFSServer(BFSServer):
     """A :class:`BFSServer` whose graph mutates between queries.
 
-    Parameters beyond :class:`BFSServer`'s: ``share`` publishes each
-    epoch snapshot over POSIX shared memory (reclaimed when the epoch
-    is superseded and unpinned), and ``repair_config`` tunes the
-    repair-vs-recompute cost model.  The serving substrate is always
-    the epoch-swapping ``stream`` substrate; its delegate (serial,
-    executor, or partitioned) follows the spec.  A substrate-owned
+    The one parameter beyond :class:`BFSServer`'s, ``repair_config``,
+    tunes the repair-vs-recompute cost model.  The serving substrate is
+    always the epoch-swapping ``stream`` substrate; its delegate
+    (serial, executor, or partitioned) and epoch sharing over POSIX
+    shared memory (``share``) follow the spec.  A substrate-owned
     executor (``workers > 0`` in the spec) survives mutation — each
     epoch swap republishes the new graph to a fresh worker pool.  A
     *caller-owned* ``executor`` object is refused with a typed
@@ -112,25 +109,16 @@ class DynamicBFSServer(BFSServer):
         self,
         graph: CSRGraph,
         serving: Optional[ServingConfig] = None,
-        share: bool = False,
         repair_config: Optional[RepairConfig] = None,
         **kwargs,
     ) -> None:
         self._groupby_config = kwargs.get("groupby_config")
         self.repair_config = repair_config or RepairConfig()
         self.epoch_records: List[EpochRecord] = []
-        serving = serving or ServingConfig()
         # Force the epoch-swapping substrate: whatever placement the
         # caller asked for becomes the per-epoch delegate.
-        spec = kwargs.pop("substrate", None)
-        if spec is None:
-            spec = SubstrateSpec.from_flags(
-                partitions=serving.partitions,
-                layout=serving.partition_layout,
-                churn=True,
-                share=share,
-            )
-        elif spec.kind != "stream":
+        spec = kwargs.pop("substrate", None) or SubstrateSpec()
+        if spec.kind != "stream":
             spec = SubstrateSpec.from_flags(
                 kind=spec.kind,
                 workers=spec.workers,
@@ -138,17 +126,9 @@ class DynamicBFSServer(BFSServer):
                 layout=spec.layout,
                 scheduler=spec.scheduler,
                 churn=True,
-                share=share,
+                share=spec.share,
             )
-        elif share and not spec.share:
-            spec = dc_replace(spec, share=True)
         super().__init__(graph, serving=serving, substrate=spec, **kwargs)
-
-    @property
-    def epochs(self):
-        """The stream substrate's :class:`~repro.stream.epoch.EpochStore`
-        (read-only back-compat view)."""
-        return self.substrate.epochs
 
     # ------------------------------------------------------------------
     # Mutation surface
@@ -200,7 +180,7 @@ class DynamicBFSServer(BFSServer):
         batch = self.substrate.overlay.pending_batch()
         if batch.empty:
             return EpochRecord(
-                epoch=self.epochs.current_epoch,
+                epoch=self.substrate.epochs.current_epoch,
                 time=self.clock,
                 inserts=0,
                 deletes=0,
@@ -387,7 +367,7 @@ class DynamicBFSServer(BFSServer):
         payload = super().metrics_snapshot(elapsed=elapsed)
         records = self.epoch_records
         payload["epochs"] = {
-            "current_epoch": self.epochs.current_epoch,
+            "current_epoch": self.substrate.epochs.current_epoch,
             "published": sum(1 for r in records if r.decision != NOOP),
             "repairs": sum(1 for r in records if r.decision == REPAIR),
             "recomputes": sum(
@@ -396,7 +376,7 @@ class DynamicBFSServer(BFSServer):
             "rows_repaired": sum(r.rows_repaired for r in records),
             "rows_dropped": sum(r.rows_dropped for r in records),
             "plans_purged": sum(r.plans_purged for r in records),
-            "reclaimed_epochs": self.epochs.reclaimed_epochs,
+            "reclaimed_epochs": self.substrate.epochs.reclaimed_epochs,
             "history": [r.to_dict() for r in records],
         }
         return payload

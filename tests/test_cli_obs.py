@@ -61,7 +61,11 @@ def test_serve_trace_writes_spans_and_prints_slo(
                trace.read_text().splitlines() if line]
     kinds = {r.get("kind") for r in records}
     assert "span" in kinds and "metric" in kinds
-    assert any(r.get("name") == "serve.batch" for r in records)
+    waves = [r for r in records if r.get("name") == "serve.wave"]
+    assert waves and all(
+        w["attrs"]["substrate"] == "serial" for w in waves
+    )
+    assert not any(r.get("name") == "serve.batch" for r in records)
 
 
 def test_serve_slo_with_churn(tmp_path, saved_graph, capsys):
@@ -136,7 +140,7 @@ def test_slo_check_fails_on_seeded_breach(tmp_path, capsys):
     # objective, so --check must exit nonzero.
     trace = tmp_path / "breach.jsonl"
     record = {
-        "kind": "span", "name": "serve.batch", "span_id": "s1",
+        "kind": "span", "name": "serve.wave", "span_id": "s1",
         "trace_id": "t", "parent_id": None, "start": 0.0, "end": 10.0,
         "process": "serve", "attrs": {}, "status": "ok",
     }

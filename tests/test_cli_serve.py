@@ -65,6 +65,39 @@ class TestBenchServe:
         assert "naive serving" in out
         assert "throughput speedup" in out
 
+    @pytest.mark.parametrize("kind", ["executor", "partitioned"])
+    def test_bench_serve_serves_on_the_requested_substrate(
+        self, saved_graph, capsys, monkeypatch, kind
+    ):
+        # Both the batched and the naive server must be built on the
+        # --substrate placement, not silently on serial ones.
+        import repro.service.server as server_module
+
+        built = []
+        make_substrate = server_module.make_substrate
+
+        def spy(spec, graph, **kwargs):
+            built.append(spec.kind)
+            return make_substrate(spec, graph, **kwargs)
+
+        monkeypatch.setattr(server_module, "make_substrate", spy)
+        assert main([
+            "bench-serve", saved_graph, "--requests", "64", "--clients",
+            "16", "--batch-size", "8", "--substrate", kind,
+        ]) == 0
+        assert built == [kind, kind]
+        assert "throughput speedup" in capsys.readouterr().out
+
+    def test_bench_serve_under_churn(self, saved_graph, capsys):
+        assert main([
+            "bench-serve", saved_graph, "--requests", "64", "--clients",
+            "16", "--batch-size", "8", "--churn", "16",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "micro-batched serving under churn" in out
+        assert "naive serving under churn" in out
+        assert "epochs published" in out
+
 
 class TestConsoleEntryPoint:
     def test_pyproject_declares_the_script(self):

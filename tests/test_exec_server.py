@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import ServiceError, TraversalError
+from repro.errors import ServiceError, SubstrateError, TraversalError
 from repro.graph.generators import kronecker
 from repro.core.engine import IBFSConfig
+from repro.runtime import SubstrateSpec
 from repro.service import BFSServer, Request, ServingConfig
 from repro.exec import ExecConfig, GroupExecutor
 from repro.exec.shm import shared_memory_available
@@ -17,6 +18,8 @@ needs_shm = pytest.mark.skipif(
 
 CONFIG = IBFSConfig(group_size=8)
 SERVING = ServingConfig(batch_size=8, num_devices=3, return_depths=True)
+#: Placement of a server backed by a caller-owned executor.
+EXECUTOR = SubstrateSpec(kind="executor")
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,7 @@ def serve_all(graph, requests, executor=None, fault=None):
         engine_config=CONFIG,
         executor=executor,
         fault_injector=fault,
+        substrate=EXECUTOR if executor is not None else None,
     )
     t = 0.0
     for request in requests:
@@ -115,7 +119,7 @@ class TestWaveDispatch:
         ) as executor:
             server = BFSServer(
                 graph, serving=serving, engine_config=CONFIG,
-                executor=executor,
+                executor=executor, substrate=EXECUTOR,
             )
             plain = BFSServer(graph, serving=serving, engine_config=CONFIG)
             for request in requests[:20]:
@@ -137,6 +141,16 @@ class TestWaveDispatch:
 
 
 class TestExecutorGuards:
+    def test_executor_object_does_not_choose_placement(self, graph):
+        # Placement comes only from substrate=; a caller-owned executor
+        # under the default serial placement is a capability error.
+        executor = GroupExecutor(
+            graph, CONFIG, exec_config=ExecConfig(num_workers=0)
+        )
+        with pytest.raises(SubstrateError, match="cannot adopt"):
+            BFSServer(graph, serving=SERVING, engine_config=CONFIG,
+                      executor=executor)
+
     def test_mismatched_graph_rejected(self, graph):
         other = kronecker(scale=7, edge_factor=8, seed=99)
         executor = GroupExecutor(
@@ -144,7 +158,7 @@ class TestExecutorGuards:
         )
         with pytest.raises(ServiceError, match="graph does not match"):
             BFSServer(graph, serving=SERVING, engine_config=CONFIG,
-                      executor=executor)
+                      executor=executor, substrate=EXECUTOR)
 
     def test_mismatched_engine_config_rejected(self, graph):
         executor = GroupExecutor(
@@ -154,7 +168,7 @@ class TestExecutorGuards:
         )
         with pytest.raises(ServiceError, match="engine config"):
             BFSServer(graph, serving=SERVING, engine_config=CONFIG,
-                      executor=executor)
+                      executor=executor, substrate=EXECUTOR)
 
 
 @needs_shm

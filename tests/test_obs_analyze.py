@@ -31,13 +31,15 @@ from repro.obs.analyze import (
     wave_attribution,
 )
 from repro.obs.tracing import Tracer
+from repro.runtime import SubstrateSpec
 from repro.service import (
     BFSServer,
+    ChurnConfig,
     ServingConfig,
     WorkloadConfig,
     run_closed_loop,
 )
-from repro.stream import ChurnConfig, DynamicBFSServer, run_churn_loop
+from repro.stream import DynamicBFSServer
 
 
 class FakeClock:
@@ -117,7 +119,7 @@ class TestBuildForest:
 
     def test_cross_process_child_absorbed(self):
         records = [
-            span("serve.batch", "s1", start=0.0, end=4.0),
+            span("serve.wave", "s1", start=0.0, end=4.0),
             span("worker.task", "s2", parent="s1", start=0.0, end=3.0,
                  process="worker-0"),
         ]
@@ -127,7 +129,7 @@ class TestBuildForest:
 
 class TestCategorize:
     @pytest.mark.parametrize("name,expected", [
-        ("serve.batch", "batching"),
+        ("serve.batch", "other"),
         ("serve.wave", "batching"),
         ("exec.dispatch", "dispatch"),
         ("exchange.level", "exchange"),
@@ -190,7 +192,7 @@ class TestCriticalPath:
 class TestWaveAttributionSynthetic:
     def test_components_sum_to_wave_duration(self):
         records = [
-            span("serve.batch", "w1", start=0.0, end=10.0),
+            span("serve.wave", "w1", start=0.0, end=10.0),
             span("profile.engine.bitwise", "e1", parent="w1",
                  start=1.0, end=9.0),
             span("profile.level", "l1", parent="e1", start=1.0, end=5.0,
@@ -206,20 +208,23 @@ class TestWaveAttributionSynthetic:
         } or wave.components.get("level") == pytest.approx(8.0)
 
     def test_substrate_detection(self):
-        serial = build_forest([span("serve.batch", "w1")])[0]
-        assert detect_substrate(serial, trace_has_stream=False) == "serial"
-        assert detect_substrate(serial, trace_has_stream=True) == "stream"
-        executor = build_forest([span("serve.wave", "w2")])[0]
-        assert detect_substrate(executor, False) == "executor"
-        part = build_forest([
-            span("serve.batch", "w3", start=0.0, end=4.0),
-            span("dist.run_group", "d1", parent="w3", start=0.0, end=3.0),
+        # Every placement's waves are serve.wave spans, so only the
+        # stamped substrate attribute names the placement; structure
+        # (dist/exchange children, stream spans) is never guessed from.
+        for kind in ("serial", "executor", "partitioned", "stream"):
+            wave = build_forest([
+                span("serve.wave", "w1", attrs={"substrate": kind})
+            ])[0]
+            assert detect_substrate(wave) == kind
+        unstamped = build_forest([
+            span("serve.wave", "w2", start=0.0, end=4.0),
+            span("dist.run_group", "d1", parent="w2", start=0.0, end=3.0),
         ])[0]
-        assert detect_substrate(part, True) == "partitioned"
+        assert detect_substrate(unstamped) == "unknown"
 
     def test_level_waterfall_orders_by_depth(self):
         records = [
-            span("serve.batch", "w1", start=0.0, end=10.0),
+            span("serve.wave", "w1", start=0.0, end=10.0),
             span("profile.level", "l2", parent="w1", start=5.0, end=9.0,
                  attrs={"depth": 1}),
             span("profile.level", "l1", parent="w1", start=1.0, end=5.0,
@@ -233,9 +238,10 @@ class TestWaveAttributionSynthetic:
         assert rows[0].kernel_seconds == pytest.approx(2.0)
 
     def test_compare_substrates_rolls_up(self):
+        serial = {"substrate": "serial"}
         records = [
-            span("serve.batch", "w1", start=0.0, end=4.0),
-            span("serve.batch", "w2", start=4.0, end=10.0),
+            span("serve.wave", "w1", start=0.0, end=4.0, attrs=serial),
+            span("serve.wave", "w2", start=4.0, end=10.0, attrs=serial),
         ]
         waves = analyze_waves(records)
         (summary,) = compare_substrates(waves)
@@ -294,7 +300,10 @@ def _trace_executor(graph):
         IBFSConfig(group_size=serving.batch_size),
         exec_config=ExecConfig(num_workers=0),
     )
-    server = BFSServer(graph, serving, executor=executor)
+    server = BFSServer(
+        graph, serving, executor=executor,
+        substrate=SubstrateSpec(kind="executor"),
+    )
     try:
         run_closed_loop(server, WorkloadConfig(
             num_requests=24, num_clients=4, seed=3,
@@ -307,7 +316,10 @@ def _trace_executor(graph):
 
 def _trace_partitioned(graph):
     _install_tracer()
-    server = BFSServer(graph, ServingConfig(batch_size=8, partitions=2))
+    server = BFSServer(
+        graph, ServingConfig(batch_size=8),
+        substrate=SubstrateSpec(kind="partitioned", partitions=2),
+    )
     try:
         run_closed_loop(server, WorkloadConfig(
             num_requests=24, num_clients=4, seed=3,
@@ -321,7 +333,7 @@ def _trace_stream(graph):
     _install_tracer()
     server = DynamicBFSServer(graph, ServingConfig(batch_size=8))
     try:
-        run_churn_loop(
+        run_closed_loop(
             server,
             WorkloadConfig(num_requests=24, num_clients=4, seed=3),
             ChurnConfig(mutate_every=8, inserts_per_batch=4, seed=7),
@@ -367,7 +379,7 @@ def test_partitioned_waves_carry_exchange_levels(kron_graph):
     forest = build_forest(records)
     wave_nodes = [
         n for root in forest for n in root.walk()
-        if n.name == "serve.batch"
+        if n.name == "serve.wave"
     ]
     rows = [r for w in wave_nodes for r in level_waterfall(w)]
     assert any(r.source == "exchange" for r in rows)

@@ -8,7 +8,7 @@ the server wiring surfaces them in ``metrics_snapshot()["slo"]``.
 
 import pytest
 
-from repro.errors import ObservabilityError
+from repro.errors import ObservabilityError, TraversalError
 from repro.obs import tracing
 from repro.obs import profile as obs_profile
 from repro.obs.metrics import MetricsHub
@@ -28,11 +28,12 @@ from repro.obs.slo import (
 )
 from repro.service import (
     BFSServer,
+    ChurnConfig,
     ServingConfig,
     WorkloadConfig,
     run_closed_loop,
 )
-from repro.stream import ChurnConfig, DynamicBFSServer, run_churn_loop
+from repro.stream import DynamicBFSServer
 
 
 @pytest.fixture(autouse=True)
@@ -240,7 +241,7 @@ def _wave_record(sid, start, end, status="ok", queue_depth=None):
     if queue_depth is not None:
         attrs["queue_depth"] = queue_depth
     return {
-        "kind": "span", "name": "serve.batch", "span_id": sid,
+        "kind": "span", "name": "serve.wave", "span_id": sid,
         "parent_id": None, "start": start, "end": end,
         "process": "serve", "attrs": attrs, "status": status,
     }
@@ -307,6 +308,51 @@ class TestReplayTrace:
         record["end"] = None
         assert replay_trace([record], engine) == []
 
+    @pytest.mark.parametrize("where", ["injector", "substrate"])
+    def test_failed_batches_replay_as_error_samples(self, kron_graph, where):
+        # A batch failed by the chaos hook (during wave formation) or by
+        # the substrate (inside map_groups) traces as a serve.wave in
+        # error status, and replay counts each as an error sample.
+        calls = {"n": 0}
+
+        def fail_second(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise TraversalError("injected")
+
+        tracer = tracing.configure(process="serve")
+        server = BFSServer(
+            kron_graph, ServingConfig(batch_size=8),
+            fault_injector=fail_second if where == "injector" else None,
+        )
+        if where == "substrate":
+            run_group = server.substrate.run_group
+
+            def flaky_run_group(*args, **kwargs):
+                fail_second()
+                return run_group(*args, **kwargs)
+
+            server.substrate.run_group = flaky_run_group
+        try:
+            result = run_closed_loop(server, WorkloadConfig(
+                num_requests=24, num_clients=4, seed=3,
+            ))
+        finally:
+            server.close()
+        assert result.metrics["requests"]["retries"] > 0
+        records = tracer.export_dicts()
+        waves = [r for r in records if r["name"] == "serve.wave"]
+        failed = [w for w in waves if w["status"] == "error"]
+        assert len(failed) == 1
+        assert failed[0]["attrs"]["failed"] == 1
+        assert failed[0]["attrs"]["substrate"] == "serial"
+        engine = SLOEngine(specs=[SLOSpec(
+            name="err", signal=SIGNAL_ERROR_RATE, objective=1.0,
+            reduce="rate", window_seconds=1e9,
+        )])
+        (status,) = replay_trace(records, engine)
+        assert status.value == pytest.approx(1 / len(waves))
+
 
 # ----------------------------------------------------------------------
 # Server wiring
@@ -372,7 +418,7 @@ def test_churn_staleness_breach_in_snapshot(kron_graph):
         kron_graph, ServingConfig(batch_size=8), slo=engine
     )
     try:
-        result, _ = run_churn_loop(
+        run_closed_loop(
             server,
             WorkloadConfig(num_requests=48, num_clients=4, seed=3),
             ChurnConfig(mutate_every=8, inserts_per_batch=0,
@@ -397,7 +443,7 @@ def test_insert_only_churn_stays_healthy(kron_graph):
         kron_graph, ServingConfig(batch_size=8), slo=engine
     )
     try:
-        run_churn_loop(
+        run_closed_loop(
             server,
             WorkloadConfig(num_requests=48, num_clients=4, seed=3),
             ChurnConfig(mutate_every=8, inserts_per_batch=4, seed=7),

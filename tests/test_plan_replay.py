@@ -26,7 +26,7 @@ from repro.plan import (
     RunPlan,
 )
 from repro.service import BFSServer, Request, ServingConfig
-from repro.service.cache import engine_cache_key
+from repro.runtime.spec import engine_key
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(),
@@ -256,9 +256,9 @@ class TestServicePlanCache:
 
     def test_engine_key_carries_policy_name(self):
         config = IBFSConfig(group_size=8)
-        base = engine_cache_key(config)
-        heuristic = engine_cache_key(config, "heuristic")
-        adaptive = engine_cache_key(config, "adaptive")
+        base = engine_key(config)
+        heuristic = engine_key(config, "heuristic")
+        adaptive = engine_key(config, "adaptive")
         assert base != heuristic
         assert heuristic != adaptive
         assert heuristic.endswith("-polheuristic")

@@ -18,6 +18,7 @@ from repro.errors import (
     ServiceError,
     SubstrateCapabilityError,
     SubstrateError,
+    TraversalError,
     UnknownSubstrateError,
     UnsupportedMutationError,
 )
@@ -32,7 +33,6 @@ from repro.runtime import (
     engine_key,
     make_substrate,
 )
-from repro.service.cache import engine_cache_key
 
 CONFIG = IBFSConfig(group_size=8)
 SOURCES = list(range(0, 48, 2))
@@ -117,6 +117,54 @@ class TestBitIdentityMatrix:
             expected = IBFS(graph, CONFIG).run_group(group)
             result = substrate.run_group(group)
             assert np.array_equal(result.depths, expected.depths)
+        finally:
+            substrate.close()
+
+    @pytest.mark.parametrize("mutate", [False, True])
+    @pytest.mark.parametrize("kind", SUBSTRATE_NAMES)
+    def test_map_groups_matches_serial(self, graph, kind, mutate):
+        # The serving layer dispatches every wave through map_groups;
+        # results come back in spec order.
+        substrate = build(kind, graph, mutate=mutate)
+        try:
+            groups = IBFS(graph, CONFIG).make_groups(SOURCES)[:3]
+            results = substrate.map_groups([(g, None, None) for g in groups])
+            assert len(results) == len(groups)
+            for group, result in zip(groups, results):
+                expected = IBFS(graph, CONFIG).run_group(group)
+                assert np.array_equal(result.depths, expected.depths)
+        finally:
+            substrate.close()
+
+    @pytest.mark.parametrize("kind", ["serial", "partitioned", "stream"])
+    def test_default_map_groups_runs_each_spec_through_run_group(
+        self, graph, kind
+    ):
+        # In-process substrates run a wave spec by spec through their
+        # own run_group (the stream substrate's, not its delegate's);
+        # under return_errors a failing spec yields its error in place.
+        substrate = build(kind, graph)
+        groups = IBFS(graph, CONFIG).make_groups(SOURCES)[:3]
+        calls = []
+        run_group = substrate.run_group
+
+        def failing_run_group(group, max_depth=None, plan=None):
+            calls.append(list(group))
+            if list(group) == list(groups[1]):
+                raise TraversalError("injected")
+            return run_group(group, max_depth=max_depth, plan=plan)
+
+        substrate.run_group = failing_run_group
+        try:
+            specs = [(g, None, None) for g in groups]
+            results = substrate.map_groups(specs, return_errors=True)
+            assert calls == [list(g) for g in groups]
+            assert isinstance(results[1], TraversalError)
+            for i in (0, 2):
+                expected = IBFS(graph, CONFIG).run_group(groups[i])
+                assert np.array_equal(results[i].depths, expected.depths)
+            with pytest.raises(TraversalError):
+                substrate.map_groups(specs)
         finally:
             substrate.close()
 
@@ -218,10 +266,12 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 class TestEngineKey:
     def test_matches_legacy_cache_key(self):
-        assert engine_key(CONFIG, "heuristic") == engine_cache_key(
-            CONFIG, "heuristic"
+        # The serving caches have always been keyed by these strings;
+        # the derivation must not drift when it moves.
+        assert engine_key(CONFIG, "heuristic") == (
+            "bitwise-n8-gb1-et1-vw1-s0-polheuristic"
         )
-        assert engine_key(CONFIG) == engine_cache_key(CONFIG)
+        assert engine_key(CONFIG) == "bitwise-n8-gb1-et1-vw1-s0"
 
     def test_partitioned_suffix_namespaces(self, graph):
         serial = make_substrate(
@@ -259,9 +309,14 @@ class TestServingUnderChurn:
 
     @pytest.mark.parametrize("kind", ["serial", "executor", "partitioned"])
     def test_post_mutation_depths_correct(self, graph, kind):
-        from repro.service import Request, ServingConfig
-        from repro.stream import ChurnConfig, DynamicBFSServer, run_churn_loop
-        from repro.service.loadgen import WorkloadConfig
+        from repro.service import (
+            ChurnConfig,
+            Request,
+            ServingConfig,
+            WorkloadConfig,
+            run_closed_loop,
+        )
+        from repro.stream import DynamicBFSServer
 
         spec = SubstrateSpec.from_flags(
             kind=kind,
@@ -273,14 +328,14 @@ class TestServingUnderChurn:
             graph, ServingConfig(**self.SERVING_KW), substrate=spec
         )
         try:
-            result, records = run_churn_loop(
+            result = run_closed_loop(
                 server,
                 WorkloadConfig(num_requests=48, num_clients=8, seed=3),
                 ChurnConfig(mutate_every=16, inserts_per_batch=8, seed=4),
             )
             assert result.completed == 48
-            assert any(r.decision != "noop" for r in records)
-            assert server.epochs.current_epoch >= 1
+            assert any(r.decision != "noop" for r in server.epoch_records)
+            assert server.substrate.epochs.current_epoch >= 1
             # The acceptance check: a fresh request served after the
             # swaps must carry depths for the *mutated* graph.
             rid = server.submit(Request(source=0, kind="bfs"))

@@ -6,7 +6,8 @@ import pytest
 from repro.errors import ServiceError
 from repro.graph.generators import kronecker
 from repro.core.engine import IBFSConfig
-from repro.service.cache import ResultCache, engine_cache_key, graph_cache_id
+from repro.runtime.spec import engine_key
+from repro.service.cache import ResultCache, graph_cache_id
 
 
 def row(n):
@@ -83,11 +84,11 @@ class TestFingerprints:
         assert graph_cache_id(a) != graph_cache_id(c)
 
     def test_engine_key_tracks_config(self):
-        base = engine_cache_key(IBFSConfig())
-        assert engine_cache_key(IBFSConfig()) == base
-        assert engine_cache_key(IBFSConfig(mode="joint")) != base
-        assert engine_cache_key(IBFSConfig(group_size=16)) != base
-        assert engine_cache_key(IBFSConfig(early_termination=False)) != base
+        base = engine_key(IBFSConfig())
+        assert engine_key(IBFSConfig()) == base
+        assert engine_key(IBFSConfig(mode="joint")) != base
+        assert engine_key(IBFSConfig(group_size=16)) != base
+        assert engine_key(IBFSConfig(early_termination=False)) != base
 
     def test_stats_payload(self):
         cache = ResultCache(capacity=2)

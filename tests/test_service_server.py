@@ -185,7 +185,7 @@ class TestCachingAndAnswers:
         assert second.latency <= first.latency
         assert server.metrics.cache_hits == 1
         # Only the first request launched a batch.
-        assert len(server.metrics.batches) == 1
+        assert server.metrics.batch_count == 1
 
     def test_bfs_value_matches_reference(self, graph):
         client = InProcessClient(BFSServer(graph))
@@ -243,7 +243,7 @@ class TestMetricsAndDevices:
 
     def test_batch_size_clamped_by_device_capacity(self, graph):
         server = BFSServer(graph, ServingConfig(batch_size=10**9))
-        assert server.batch_size <= server.engine.effective_group_size()
+        assert server.batch_size <= server.substrate.effective_group_size()
 
     def test_multiple_devices_overlap_batches(self, graph):
         sources = list(range(16))

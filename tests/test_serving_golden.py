@@ -28,8 +28,14 @@ from repro.exec import ExecConfig, GroupExecutor
 from repro.exec.shm import shared_memory_available
 from repro.graph.generators import kronecker
 from repro.runtime import SubstrateSpec
-from repro.service import BFSServer, ServingConfig, WorkloadConfig, run_closed_loop
-from repro.stream import ChurnConfig, DynamicBFSServer, run_churn_loop
+from repro.service import (
+    BFSServer,
+    ChurnConfig,
+    ServingConfig,
+    WorkloadConfig,
+    run_closed_loop,
+)
+from repro.stream import DynamicBFSServer
 
 FIXTURE = Path(__file__).parent / "data" / "serving_golden.json"
 
@@ -53,10 +59,7 @@ def _graph():
 
 def _serve(server, churn=None) -> dict:
     with server:
-        if churn is None:
-            result = run_closed_loop(server, WORKLOAD)
-        else:
-            result, _ = run_churn_loop(server, WORKLOAD, churn)
+        result = run_closed_loop(server, WORKLOAD, churn)
         record = {
             "shed": result.shed,
             "elapsed": result.elapsed,
@@ -112,7 +115,8 @@ def run_executor_0(graph):
         graph, CONFIG, exec_config=ExecConfig(num_workers=0)
     ) as executor:
         return _serve(BFSServer(
-            graph, _serving(3), engine_config=CONFIG, executor=executor,
+            graph, _serving(3), engine_config=CONFIG,
+            substrate=SubstrateSpec(kind="executor"), executor=executor,
         ))
 
 

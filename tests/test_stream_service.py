@@ -5,9 +5,16 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.graph.generators import kronecker
-from repro.service import BFSServer, ServingConfig, WorkloadConfig
+from repro.runtime import SubstrateSpec
+from repro.service import (
+    BFSServer,
+    ChurnConfig,
+    ServingConfig,
+    WorkloadConfig,
+    run_closed_loop,
+)
 from repro.service.request import Request
-from repro.stream import ChurnConfig, DynamicBFSServer, run_churn_loop
+from repro.stream import DynamicBFSServer
 from repro.stream.repair import RECOMPUTE, REPAIR
 
 
@@ -53,7 +60,7 @@ class TestMutationBarrier:
             g, serving(batch_size=64, flush_deadline=10.0)
         ) as server:
             before = np.asarray(
-                BFSServer(g, serving()).engine.run_group([5]).depths[0]
+                BFSServer(g, serving()).substrate.run_group([5]).depths[0]
             )
             server.submit(Request(source=5, kind="bfs"))
             record = server.mutate(inserts=([5], [7]))
@@ -67,8 +74,9 @@ class TestMutationBarrier:
         with DynamicBFSServer(graph(), serving()) as server:
             record = server.mutate()
             assert record.decision == "noop"
-            assert server.epochs.current_epoch == 0
-            assert server._graph_id == server.epochs.current.graph_id
+            epochs = server.substrate.epochs
+            assert epochs.current_epoch == 0
+            assert server._graph_id == epochs.current.graph_id
 
     def test_mutation_before_clock_rejected(self):
         with DynamicBFSServer(graph(), serving()) as server:
@@ -99,7 +107,7 @@ class TestCacheAcrossEpochs:
             assert all(r.cached for r in responses.values())
             # ...and are bit-identical to a fresh server on the new graph.
             fresh = BFSServer(server.graph, serving())
-            scratch = fresh.engine.run_group(sources).depths
+            scratch = fresh.substrate.run_group(sources).depths
             for i, s in enumerate(sources):
                 assert np.array_equal(responses[s].depths, scratch[i])
 
@@ -162,7 +170,7 @@ class TestEpochMetrics:
         with DynamicBFSServer(graph(seed=10), serving()) as server:
             for v in range(3):
                 server.mutate(inserts=([v], [v + 1]))
-            assert server.epochs.live_epochs() == [3]
+            assert server.substrate.epochs.live_epochs() == [3]
             assert server.metrics_snapshot()["epochs"][
                 "reclaimed_epochs"] == 3
 
@@ -170,29 +178,34 @@ class TestEpochMetrics:
 class TestPartitionedEpochs:
     def test_partitioned_server_swaps_substrate(self):
         g = graph(seed=11)
-        with DynamicBFSServer(g, serving(partitions=2)) as server:
+        with DynamicBFSServer(
+            g, serving(),
+            substrate=SubstrateSpec(kind="partitioned", partitions=2),
+        ) as server:
             before = ask(server, 0).depths
             server.mutate(inserts=([0], [int(np.flatnonzero(
                 np.asarray(before) < 0)[0])] if (
                 np.asarray(before) < 0).any() else [1]))
             after = ask(server, 0).depths
-            scratch = BFSServer(server.graph, serving()).engine.run_group(
+            scratch = BFSServer(server.graph, serving()).substrate.run_group(
                 [0]
             ).depths[0]
             assert np.array_equal(after, scratch)
-            assert server.partitioned is not None
-            assert server.partitioned.graph is server.graph
+            partitioned = server.substrate.partitioned_engine
+            assert partitioned is not None
+            assert partitioned.graph is server.graph
 
 
 class TestChurnLoop:
     def test_churn_loop_completes_and_publishes(self):
         server = DynamicBFSServer(graph(seed=12), serving())
         try:
-            result, records = run_churn_loop(
+            result = run_closed_loop(
                 server,
                 WorkloadConfig(num_requests=96, num_clients=8, seed=1),
                 ChurnConfig(mutate_every=24, inserts_per_batch=4),
             )
+            records = server.epoch_records
         finally:
             server.close()
         assert result.completed == 96
@@ -204,12 +217,13 @@ class TestChurnLoop:
         def run():
             server = DynamicBFSServer(graph(seed=13), serving())
             try:
-                result, records = run_churn_loop(
+                result = run_closed_loop(
                     server,
                     WorkloadConfig(num_requests=64, num_clients=8, seed=2),
                     ChurnConfig(mutate_every=16, inserts_per_batch=4,
                                 deletes_per_batch=2, seed=5),
                 )
+                records = server.epoch_records
             finally:
                 server.close()
             depths = {
