@@ -434,6 +434,8 @@ class PartitionedEngine:
         self._out_degrees = graph.out_degrees()
         self._backend = None
         self._closed = False
+        #: Worker-pool rebuilds left over the engine's lifetime.
+        self._respawns_left = self.config.faults.respawn_limit
         #: Stats of the most recent run/run_group call.
         self.last_stats: Optional[DistStats] = None
 
@@ -485,7 +487,6 @@ class PartitionedEngine:
 
                 self._backend = ProcessBackend(
                     self.partitions,
-                    faults=self.config.faults,
                     fault_plan=self.config.fault_plan,
                     start_method=self.config.start_method,
                 )
@@ -580,7 +581,12 @@ class PartitionedEngine:
                         ) from None
                     stats.retries += 1
                     log.record("retry", task_id=0, attempt=attempt)
-                    if backend.respawn(crash.part_id):
+                    if self._respawns_left > 0:
+                        # A fresh pool on fresh queues: the dead worker
+                        # may have died holding the reply queue's lock.
+                        self._respawns_left -= 1
+                        backend.close()
+                        self._backend = None
                         stats.respawns += 1
                         log.record("respawn", worker_id=crash.part_id)
                     else:

@@ -15,10 +15,13 @@ and gathers one reply per partition per step off a shared result queue.
 ``epoch`` bumps on every group attempt, so stragglers from an aborted
 attempt are identified and dropped by epoch alone (the exec backend's
 staleness rule).  A worker death surfaces as :class:`PartitionCrash`;
-the engine retries the whole group from level 0 after respawning the
-partition's worker within the :class:`~repro.exec.faults.FaultPolicy`
+the engine closes the backend and retries the whole group from level 0
+on a fresh one within the :class:`~repro.exec.faults.FaultPolicy`
 respawn budget — restarts are safe because the traversal is
-deterministic, so a re-run is bit-identical.
+deterministic, so a re-run is bit-identical.  The whole pool is rebuilt
+rather than one worker respawned: a worker killed while its reply
+thread held the shared result queue's write lock leaves that lock held
+forever, and every live worker's replies would block behind it.
 
 :class:`DistFaultPlan` injects deterministic crashes for tests: worker
 ``part_id`` kills itself (``os._exit``) while expanding a given level
@@ -39,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ExecutorError
-from repro.exec.faults import CRASH_EXIT_CODE, FaultPolicy
+from repro.exec.faults import CRASH_EXIT_CODE
 from repro.exec.shm import shared_memory_available
 from repro.dist.partition import (
     PartitionHandle,
@@ -56,7 +59,7 @@ _POLL_SECONDS = 0.05
 
 class PartitionCrash(Exception):
     """Internal signal: a partition worker died mid-step.  The engine
-    translates it into retry/respawn/degrade per the fault policy."""
+    translates it into retry/rebuild/degrade per the fault policy."""
 
     def __init__(self, part_id: int, detail: str) -> None:
         super().__init__(f"partition {part_id} worker died ({detail})")
@@ -168,7 +171,6 @@ class ProcessBackend:
     def __init__(
         self,
         pset: PartitionSet,
-        faults: Optional[FaultPolicy] = None,
         fault_plan: Optional[DistFaultPlan] = None,
         start_method: Optional[str] = None,
     ) -> None:
@@ -177,9 +179,7 @@ class ProcessBackend:
                 "process backend needs multiprocessing.shared_memory"
             )
         self.pset = pset
-        self.faults = faults or FaultPolicy()
         self.fault_plan = fault_plan
-        self._respawns_left = self.faults.respawn_limit
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -196,11 +196,7 @@ class ProcessBackend:
 
     # -- lifecycle -----------------------------------------------------
     def _spawn(self, part_id: int) -> None:
-        task_queue = (
-            self._workers[part_id].task_queue
-            if part_id in self._workers
-            else self._ctx.Queue()
-        )
+        task_queue = self._ctx.Queue()
         process = self._ctx.Process(
             target=partition_worker_main,
             args=(
@@ -216,18 +212,6 @@ class ProcessBackend:
         )
         process.start()
         self._workers[part_id] = _PartitionWorker(part_id, process, task_queue)
-
-    def respawn(self, part_id: int) -> bool:
-        """Replace a dead partition worker within the respawn budget."""
-        if self._respawns_left <= 0:
-            return False
-        self._respawns_left -= 1
-        worker = self._workers.get(part_id)
-        if worker is not None and worker.alive():  # pragma: no cover
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
-        self._spawn(part_id)
-        return True
 
     def close(self) -> None:
         if self._closed:

@@ -6,13 +6,15 @@ crashes mid-expand, respawn-budget exhaustion — must end with the same
 depth matrix the serial engine produces.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.errors import WorkerCrashError
 from repro.graph.generators import kronecker
 from repro.core.engine import IBFS, IBFSConfig
-from repro.exec.faults import FaultPolicy
+from repro.exec.faults import CRASH_EXIT_CODE, FaultPolicy
 from repro.exec.shm import shared_memory_available
 from repro.dist.engine import DistConfig, PartitionedEngine
 from repro.dist.procs import DistFaultPlan
@@ -155,6 +157,66 @@ class TestCrashRecovery:
         assert stats.degraded
         assert stats.crashes == 1
         assert stats.respawns == 0
+
+    def test_crash_with_reply_lock_held_recovers(
+        self, graph, group, expected, monkeypatch
+    ):
+        """A worker killed while its reply thread holds the shared
+        result queue's write lock leaves that lock held forever.  The
+        engine must not retry on the wedged queue: the group finishes
+        bit-identical to serial, in bounded time."""
+        import multiprocessing
+        import threading
+
+        import repro.dist.procs as procs
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the wedging worker is installed through fork")
+        worker_main = procs.partition_worker_main
+
+        class WedgeThenDie:
+            """Partition 0, first attempt, level 1: take the reply
+            queue's write lock and die holding it."""
+
+            def __init__(self, result_queue):
+                self.result_queue = result_queue
+
+            def apply(self, part_id, level, attempt):
+                if (part_id, level, attempt) == (0, 1, 0):
+                    self.result_queue._wlock.acquire()
+                    os._exit(CRASH_EXIT_CODE)
+
+        def wedging_worker_main(part_id, handle, own_bounds, task_queue,
+                                result_queue, fault_plan):
+            worker_main(part_id, handle, own_bounds, task_queue,
+                        result_queue, WedgeThenDie(result_queue))
+
+        monkeypatch.setattr(
+            procs, "partition_worker_main", wedging_worker_main
+        )
+        engine = process_engine(
+            graph,
+            start_method="fork",
+            faults=FaultPolicy(max_retries=2, respawn_limit=2),
+        )
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = engine.run_group(group)
+            except BaseException as exc:  # pragma: no cover - reported
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive(), "group hung on a wedged reply queue"
+        engine.close()
+        assert "error" not in outcome, outcome.get("error")
+        assert np.array_equal(outcome["result"].depths, expected.depths)
+        stats = engine.last_stats
+        assert (stats.crashes, stats.retries, stats.respawns) == (1, 1, 1)
+        assert not stats.degraded
 
     def test_fault_events_logged(self, graph, group):
         with process_engine(
