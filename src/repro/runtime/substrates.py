@@ -15,11 +15,11 @@ the work runs and what metrics it emits:
 
 All of them present one :class:`Substrate` surface (``run_group``,
 ``map_groups``, ``run``, ``effective_group_size``, ``metrics``,
-``close``) plus capability flags, and all construction/validation funnels through
-:func:`make_substrate` — the scattered per-consumer ``ServiceError``
-checks became capability checks here.  Epoch swap-on-mutate is the
-:meth:`Substrate.on_epoch_published` hook: substrates whose
-``supports_mutation`` flag is False raise a typed
+``close``) plus capability flags, and all construction/validation
+funnels through :func:`make_substrate` — the scattered per-consumer
+``ServiceError`` checks became capability checks here.  Epoch
+swap-on-mutate is the :meth:`Substrate.on_epoch_published` hook:
+substrates whose ``supports_mutation`` flag is False raise a typed
 :class:`~repro.errors.UnsupportedMutationError` instead of ever
 serving a stale graph.
 """
@@ -561,7 +561,8 @@ class StreamSubstrate(Substrate):
         if self.inner.supports_executor:
             return self.inner.map_groups(specs, return_errors=return_errors)
         # In-process delegates run each group through this substrate's
-        # own run_group.
+        # own run_group, so every batch a stream placement serves
+        # passes one entry point whatever the delegate.
         return super().map_groups(specs, return_errors=return_errors)
 
     def close(self) -> None:

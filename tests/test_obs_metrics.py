@@ -44,6 +44,13 @@ class TestPercentile:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
+        with pytest.raises(ValueError):
+            percentile([1.0], -1)
+
+    def test_input_never_mutated(self):
+        values = [5.0, 1.0, 4.0]
+        percentile(values, 50)
+        assert values == [5.0, 1.0, 4.0]
 
 
 class TestCounterGauge:
