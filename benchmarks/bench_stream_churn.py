@@ -12,9 +12,9 @@ ways:
   the post-mutation graph.
 
 Both paths are asserted bit-identical to a from-scratch traversal
-before any number is trusted.  A second section runs the closed-loop
-serving driver with churn (:func:`repro.service.run_closed_loop`) and
-reports how the epoch machinery behaved end to end — rows repaired
+before any number is trusted.  A second section runs closed-loop
+serving with churn (:func:`repro.service.run_closed_loop`) and reports
+how the epoch machinery behaved end to end — rows repaired
 versus dropped (staleness that would have been served without
 invalidation-by-keying) and cache hit rate under churn.
 
