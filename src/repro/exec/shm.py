@@ -323,11 +323,13 @@ def attach_graph(handle: SharedGraphHandle) -> AttachedGraph:
     graph._out_degrees = mapped["out_degrees"]
     graph._cache_id = handle.graph_id
     if handle.has_reverse:
-        rev = CSRGraph(
-            mapped["rev_row_offsets"], mapped["rev_col_indices"], validate=False
+        graph.link_reverse(
+            CSRGraph(
+                mapped["rev_row_offsets"],
+                mapped["rev_col_indices"],
+                validate=False,
+            )
         )
-        rev._reverse = graph
-        graph._reverse = rev
     return AttachedGraph(graph=graph, segments=segments)
 
 

@@ -6,10 +6,16 @@ edges, and additionally stores the *reversed* edges of directed graphs so
 that bottom-up traversal can look up in-neighbors.  :class:`CSRGraph`
 mirrors that layout: a forward CSR (``row_offsets`` / ``col_indices``)
 and a lazily built reverse CSR over the same vertex set.
+
+A graph owns its reverse; the reverse refers back to it only weakly,
+so a forward/reverse pair is freed by reference counting as soon as the
+last reference to the forward graph goes, with no cycle left for the
+cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -45,6 +51,7 @@ class CSRGraph:
         "_reverse",
         "_out_degrees",
         "_cache_id",
+        "__weakref__",
     )
 
     def __init__(
@@ -55,7 +62,9 @@ class CSRGraph:
     ) -> None:
         self.row_offsets = np.ascontiguousarray(row_offsets, dtype=VERTEX_DTYPE)
         self.col_indices = np.ascontiguousarray(col_indices, dtype=VERTEX_DTYPE)
-        self._reverse: Optional["CSRGraph"] = None
+        #: The owned reverse CSR, or a weak reference to the graph this
+        #: one is the reverse of (see :meth:`link_reverse`).
+        self._reverse = None
         self._out_degrees: Optional[np.ndarray] = None
         #: Content fingerprint memo filled by the serving layer's
         #: ``graph_cache_id`` — the CSR arrays are treated as immutable,
@@ -183,24 +192,61 @@ class CSRGraph:
 
         The paper stores reversed edges alongside the forward CSR so that
         bottom-up traversal can scan in-neighbors; we materialize the same
-        structure lazily.
+        structure lazily.  Each in-neighbor row lists its sources in
+        ascending order.  ``graph.reverse().reverse() is graph`` for as
+        long as ``graph`` is alive.
         """
-        if self._reverse is None:
-            self._reverse = self._build_reverse()
-            # The reverse of the reverse is this graph; share it to avoid
-            # rebuilding when engines ping-pong between directions.
-            self._reverse._reverse = self
-        return self._reverse
+        rev = self._linked()
+        if rev is None:
+            rev = self.link_reverse(self._build_reverse())
+        return rev
+
+    @property
+    def cached_reverse(self) -> Optional["CSRGraph"]:
+        """The reverse CSR this graph owns, or ``None`` when it has not
+        been built (never builds one).  A graph that is itself the
+        reverse of a live graph owns no reverse."""
+        rev = self._reverse
+        return rev if isinstance(rev, CSRGraph) else None
+
+    def link_reverse(self, rev: "CSRGraph") -> "CSRGraph":
+        """Install ``rev`` as this graph's reverse CSR; returns ``rev``.
+
+        The one place the two directions are linked: this graph holds
+        ``rev`` strongly and ``rev`` points back through a weak
+        reference.  ``rev`` must be the transpose of this graph with
+        ascending rows (trusted, not checked).  The reverse of a frozen
+        graph is frozen too.
+        """
+        self._reverse = rev
+        rev._reverse = weakref.ref(self)
+        if self.frozen:
+            rev.freeze()
+        return rev
+
+    def _linked(self) -> Optional["CSRGraph"]:
+        """The linked transpose in either direction, if any is alive."""
+        rev = self._reverse
+        if isinstance(rev, weakref.ref):
+            return rev()
+        return rev
 
     def _build_reverse(self) -> "CSRGraph":
-        n = self.num_vertices
-        in_degrees = np.bincount(self.col_indices, minlength=n).astype(VERTEX_DTYPE)
+        # One sort of the (dst, src) pair keys: equal keys are equal
+        # edges, so no stable sort is needed for rows ascending by
+        # source.  Keys fit int64 while n * n < 2**63.
+        n = np.int64(self.num_vertices)
+        in_degrees = np.bincount(self.col_indices, minlength=n)
         rev_offsets = np.zeros(n + 1, dtype=VERTEX_DTYPE)
         np.cumsum(in_degrees, out=rev_offsets[1:])
-        sources, dests = self.edge_array()
-        order = np.argsort(dests, kind="stable")
-        rev_indices = sources[order]
-        return CSRGraph(rev_offsets, rev_indices, validate=False)
+        sources = np.repeat(
+            np.arange(n, dtype=VERTEX_DTYPE), self.out_degrees()
+        )
+        keys = self.col_indices * n
+        keys += sources
+        keys.sort()
+        keys %= n
+        return CSRGraph(rev_offsets, keys, validate=False)
 
     # ------------------------------------------------------------------
     # Convenience predicates
@@ -252,16 +298,18 @@ class CSRGraph:
         in-place mutation after fingerprinting would silently serve
         stale cached depth rows.  Freezing turns that bug into an
         immediate ``ValueError`` at the mutation site.  The cached
-        outdegree vector and an already-built reverse CSR are frozen
-        too (bottom-up traversal reads them); derived caches built
-        *after* the freeze stay writeable but are recomputed from the
-        frozen arrays, so they cannot drift.
+        outdegree vector and the linked reverse CSR are frozen too
+        (bottom-up traversal reads them), and so is a reverse built
+        later; an outdegree vector built after the freeze stays
+        writeable but is recomputed from the frozen arrays, so it
+        cannot drift.
         """
         for arr in (self.row_offsets, self.col_indices, self._out_degrees):
             if arr is not None:
                 arr.flags.writeable = False
-        if self._reverse is not None and self._reverse.row_offsets.flags.writeable:
-            self._reverse.freeze()
+        rev = self._linked()
+        if rev is not None and not rev.frozen:
+            rev.freeze()
         return self
 
     @property

@@ -40,13 +40,14 @@ def graph_cache_id(graph: CSRGraph) -> str:
 
     Memoized on the graph object: CSR arrays are immutable by contract,
     so the CRC pass over both arrays runs at most once per graph no
-    matter how many servers or caches fingerprint it.
+    matter how many servers or caches fingerprint it.  The CRC reads
+    the contiguous arrays in place, without a byte copy.
     """
     memo = getattr(graph, "_cache_id", None)
     if memo is not None:
         return memo
-    crc = zlib.crc32(graph.row_offsets.tobytes())
-    crc = zlib.crc32(graph.col_indices.tobytes(), crc)
+    crc = zlib.crc32(graph.row_offsets)
+    crc = zlib.crc32(graph.col_indices, crc)
     cache_id = f"csr-{graph.num_vertices}-{graph.num_edges}-{crc:08x}"
     try:
         graph._cache_id = cache_id
@@ -162,6 +163,11 @@ class ResultCache(LRUCache):
         return super().get(key)
 
     def put(self, key: Hashable, depth_row: np.ndarray) -> None:
+        """Store a depth row, copying it when it is a view: a row of a
+        batch's depth matrix would otherwise keep the whole matrix
+        alive for as long as the row stays cached."""
+        if depth_row.base is not None:
+            depth_row = depth_row.copy()
         super().put(key, depth_row)
 
 

@@ -120,67 +120,77 @@ def apply_batch(graph: CSRGraph, batch: MutationBatch) -> CSRGraph:
     Deletes remove every copy of each listed pair from the current
     edge multiset; inserts append per-source in submission order.  The
     result is bit-identical to a stable ``from_edge_arrays`` rebuild of
-    the equivalent edge list, but costs one O(|E| + batch) pass with no
-    O(|E| log |E|) sort.
+    the equivalent edge list.  When ``graph`` owns its reverse CSR the
+    batch is folded into that too, keeping each in-neighbor row
+    ascending by source exactly as :meth:`CSRGraph.reverse` builds it,
+    so an epoch swap never re-derives the reverse from scratch.
     """
-    n = graph.num_vertices
-    offsets = graph.row_offsets
-    cols = graph.col_indices
-
-    if batch.num_deletes:
-        src = np.repeat(
-            np.arange(n, dtype=VERTEX_DTYPE), np.diff(offsets)
+    deletes = (batch.delete_src, batch.delete_dst)
+    inserts = (batch.insert_src, batch.insert_dst)
+    folded = _fold_rows(graph, deletes, inserts, sorted_rows=False)
+    rev = graph.cached_reverse
+    if rev is not None:
+        folded.link_reverse(
+            _fold_rows(rev, deletes[::-1], inserts[::-1], sorted_rows=True)
         )
+    return folded
+
+
+def _fold_rows(
+    csr: CSRGraph,
+    deletes: Tuple[np.ndarray, np.ndarray],
+    inserts: Tuple[np.ndarray, np.ndarray],
+    sorted_rows: bool,
+) -> CSRGraph:
+    """Fold ``deletes`` and ``inserts``, ``(rows, cols)`` array pairs
+    in ``csr``'s own orientation, by rebuilding only the rows they touch.
+
+    A touched row drops every copy of its deleted pairs, keeps its
+    surviving entries in order and appends its inserts in submission
+    order — or, with ``sorted_rows``, is sorted ascending instead.
+    Untouched rows are copied as whole spans between the touched ones,
+    so the cost is one copy of the edge array plus work proportional
+    to the touched rows, with no |E|-sized index temporary or sort.
+    """
+    n = np.int64(csr.num_vertices)
+    offsets, cols = csr.row_offsets, csr.col_indices
+    rows = np.union1d(deletes[0], inserts[0])
+    starts = offsets[rows]
+    ends = offsets[rows + 1]
+    counts = ends - starts
+    # Gather the touched rows' entries, row by row.
+    row_of = np.repeat(rows, counts)
+    vals = cols[
+        np.arange(row_of.size, dtype=VERTEX_DTYPE)
+        + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    ]
+    if deletes[0].size:
         # Pair keys fit int64 as long as n * n < 2**63 — far beyond any
-        # laptop-scale graph; dst < n keeps the encoding collision-free.
-        keys = src * np.int64(n) + cols
-        del_keys = batch.delete_src * np.int64(n) + batch.delete_dst
-        keep = ~np.isin(keys, del_keys)
-        src = src[keep]
-        cols = cols[keep]
-        degrees = np.bincount(src, minlength=n).astype(VERTEX_DTYPE)
-    else:
-        degrees = np.diff(offsets)
-        cols = cols.copy()
-
-    if batch.num_inserts:
-        ins_src = batch.insert_src
-        ins_counts = np.bincount(ins_src, minlength=n).astype(VERTEX_DTYPE)
-        new_degrees = degrees + ins_counts
-        new_offsets = np.zeros(n + 1, dtype=VERTEX_DTYPE)
-        np.cumsum(new_degrees, out=new_offsets[1:])
-        new_cols = np.empty(int(new_offsets[-1]), dtype=VERTEX_DTYPE)
-        # Surviving old edges shift right by the number of inserts that
-        # land at smaller sources (inserts append *after* each source's
-        # existing edges).
-        ins_shift = np.zeros(n, dtype=VERTEX_DTYPE)
-        np.cumsum(ins_counts[:-1], out=ins_shift[1:])
-        if cols.size:
-            old_positions = (
-                np.arange(cols.size, dtype=VERTEX_DTYPE)
-                + np.repeat(ins_shift, degrees)
-            )
-            new_cols[old_positions] = cols
-        # Inserted edges: stable sort by source keeps submission order
-        # within each source; rank-within-source places them after the
-        # surviving old edges.
-        order = np.argsort(ins_src, kind="stable")
-        sorted_src = ins_src[order]
-        first = np.empty(sorted_src.size, dtype=bool)
-        first[0] = True
-        first[1:] = sorted_src[1:] != sorted_src[:-1]
-        group_starts = np.flatnonzero(first)
-        group_sizes = np.diff(np.append(group_starts, sorted_src.size))
-        rank = np.arange(sorted_src.size, dtype=VERTEX_DTYPE) - np.repeat(
-            group_starts, group_sizes
-        )
-        ins_positions = new_offsets[sorted_src] + degrees[sorted_src] + rank
-        new_cols[ins_positions] = batch.insert_dst[order]
-        return CSRGraph(new_offsets, new_cols, validate=False)
-
-    new_offsets = np.zeros(n + 1, dtype=VERTEX_DTYPE)
+        # laptop-scale graph; col < n keeps the encoding collision-free.
+        keep = ~np.isin(row_of * n + vals, deletes[0] * n + deletes[1])
+        row_of, vals = row_of[keep], vals[keep]
+    row_of = np.concatenate([row_of, inserts[0]])
+    vals = np.concatenate([vals, inserts[1]])
+    # A stable sort by row puts each row's survivors before its inserts;
+    # sorting by (row, col) key instead orders each row by value, and
+    # equal keys are equal entries.
+    order = np.argsort(row_of * n + vals if sorted_rows else row_of,
+                       kind="stable")
+    row_of, vals = row_of[order], vals[order]
+    # Every rebuilt entry belongs to a touched row, so row i's entries
+    # end where the next touched row's begin.
+    bounds = np.searchsorted(row_of, rows, side="right")
+    degrees = np.diff(offsets)
+    degrees[rows] = np.diff(bounds, prepend=0)
+    new_offsets = np.zeros_like(offsets)
     np.cumsum(degrees, out=new_offsets[1:])
-    return CSRGraph(new_offsets, cols, validate=False)
+    pieces = []
+    prev = lo = 0
+    for start, end, hi in zip(starts.tolist(), ends.tolist(), bounds.tolist()):
+        pieces += (cols[prev:start], vals[lo:hi])
+        prev, lo = end, hi
+    pieces.append(cols[prev:])
+    return CSRGraph(new_offsets, np.concatenate(pieces), validate=False)
 
 
 class GraphOverlay:

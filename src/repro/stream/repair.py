@@ -178,13 +178,12 @@ def repair_depth_matrix(
         )
     k = depths.shape[0]
     # A true shortest depth in an n-vertex graph is at most n - 1, so
-    # the uncapped case prunes at n - 1 and the INF sentinel (n + 1)
-    # still maps back to -1 at the end.
-    cap = (
-        np.int64(max_depth)
-        if max_depth is not None
-        else np.int64(max(n - 1, 0))
-    )
+    # pruning at n - 1 (or a lower max_depth) loses nothing and keeps
+    # the INF sentinel (n + 1) above the cap: it maps back to -1 at the
+    # end even when max_depth exceeds n.
+    cap = np.int64(max(n - 1, 0))
+    if max_depth is not None:
+        cap = min(cap, np.int64(max_depth))
     inf = np.int64(n + 1)
 
     # Unvisited (-1) becomes INF so min() treats it as "infinitely far";

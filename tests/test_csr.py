@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph, empty_graph
-from repro.graph.builders import from_edges
+from repro.graph.csr import CSRGraph, VERTEX_DTYPE, empty_graph
+from repro.graph.builders import from_edge_arrays, from_edges
+from repro.graph.generators import kronecker
 
 
 @pytest.fixture
@@ -110,6 +111,43 @@ class TestReverse:
     def test_reverse_preserves_multiplicity(self):
         g = from_edges([(0, 1), (0, 1)])
         assert g.reverse().out_degree(1) == 2
+
+
+def _edge_graph(edges, num_vertices):
+    src = np.asarray([u for u, _ in edges], dtype=VERTEX_DTYPE)
+    dst = np.asarray([v for _, v in edges], dtype=VERTEX_DTYPE)
+    return from_edge_arrays(src, dst, num_vertices=num_vertices)
+
+
+class TestBuildReverse:
+    """The one-key-sort transpose equals an independent stable rebuild
+    of the swapped edge list: rows ascending by source."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            _edge_graph([(2, 1), (0, 1), (2, 1), (1, 0), (0, 1), (2, 0)], 3),
+            _edge_graph([(1, 1), (0, 0), (1, 0), (0, 0), (1, 1)], 2),
+            _edge_graph([(4, 0), (0, 4), (4, 0)], 7),
+            _edge_graph([], 4),
+            empty_graph(0),
+            kronecker(scale=6, edge_factor=8, seed=5),
+        ],
+        ids=["multi-edges", "self-loops", "isolated", "no-edges",
+             "no-vertices", "kronecker"],
+    )
+    def test_matches_independent_rebuild(self, graph):
+        src, dst = graph.edge_array()
+        want = from_edge_arrays(dst, src, num_vertices=graph.num_vertices)
+        got = graph._build_reverse()
+        assert np.array_equal(got.row_offsets, want.row_offsets)
+        assert np.array_equal(got.col_indices, want.col_indices)
+        assert got.row_offsets.dtype == want.row_offsets.dtype
+        assert got.col_indices.dtype == want.col_indices.dtype
+
+    def test_reverse_of_frozen_graph_is_frozen(self, triangle):
+        triangle.freeze()
+        assert triangle.reverse().frozen
 
 
 class TestPredicatesAndCopies:

@@ -81,19 +81,36 @@ def reference_fold(graph, inserts, deletes):
     return from_edge_arrays(src, dst, num_vertices=n)
 
 
+def assert_same_csr(got, want):
+    assert np.array_equal(got.row_offsets, want.row_offsets)
+    assert np.array_equal(got.col_indices, want.col_indices)
+    assert got.row_offsets.dtype == want.row_offsets.dtype
+    assert got.col_indices.dtype == want.col_indices.dtype
+
+
 @SETTINGS
-@given(mutation_cases())
-def test_apply_batch_matches_scratch_rebuild(case):
+@given(mutation_cases(), st.booleans())
+def test_apply_batch_matches_scratch_rebuild(case, with_reverse):
     graph, inserts, deletes = case
+    if with_reverse:
+        graph.reverse()
     batch = MutationBatch.make(
         graph.num_vertices, inserts=inserts, deletes=deletes
     )
     folded = apply_batch(graph, batch)
     ref = reference_fold(graph, inserts, deletes)
-    assert np.array_equal(folded.row_offsets, ref.row_offsets)
-    assert np.array_equal(folded.col_indices, ref.col_indices)
-    assert folded.row_offsets.dtype == ref.row_offsets.dtype
-    assert folded.col_indices.dtype == ref.col_indices.dtype
+    assert_same_csr(folded, ref)
+    if with_reverse:
+        # The fold carries the reverse along; it must equal an
+        # independent transpose of the rebuilt edge list.
+        assert folded.cached_reverse is not None
+        ref_src, ref_dst = ref.edge_array()
+        assert_same_csr(
+            folded.cached_reverse,
+            from_edge_arrays(ref_dst, ref_src, num_vertices=graph.num_vertices),
+        )
+    else:
+        assert folded.cached_reverse is None
 
 
 @st.composite

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServiceError
+from repro.graph.builders import from_edge_arrays
 from repro.graph.generators import kronecker
 from repro.core.engine import IBFSConfig
 from repro.runtime.spec import engine_key
@@ -75,6 +76,22 @@ class TestEviction:
             ResultCache(capacity=-1)
 
 
+class TestCompactRows:
+    def test_put_copies_views(self):
+        cache = ResultCache(capacity=2)
+        matrix = np.arange(8, dtype=np.int32).reshape(2, 4)
+        cache.put(cache.key("g", 0, "e", None), matrix[0])
+        stored = cache.get(cache.key("g", 0, "e", None))
+        assert stored.base is None
+        assert np.array_equal(stored, matrix[0])
+
+    def test_put_keeps_owned_rows(self):
+        cache = ResultCache(capacity=2)
+        owned = row(3)
+        cache.put(cache.key("g", 0, "e", None), owned)
+        assert cache.get(cache.key("g", 0, "e", None)) is owned
+
+
 class TestFingerprints:
     def test_graph_id_is_content_stable(self):
         a = kronecker(scale=6, edge_factor=4, seed=9)
@@ -82,6 +99,16 @@ class TestFingerprints:
         c = kronecker(scale=6, edge_factor=4, seed=10)
         assert graph_cache_id(a) == graph_cache_id(b)
         assert graph_cache_id(a) != graph_cache_id(c)
+
+    def test_graph_id_is_pinned(self):
+        # Cache keys, shm segment names and recorded plans all carry
+        # this string; the CRC must not change with how it is computed.
+        graph = from_edge_arrays(
+            np.asarray([0, 0, 1, 2, 3, 3]),
+            np.asarray([1, 2, 2, 0, 3, 1]),
+            num_vertices=5,
+        )
+        assert graph_cache_id(graph) == "csr-5-6-5864e754"
 
     def test_engine_key_tracks_config(self):
         base = engine_key(IBFSConfig())

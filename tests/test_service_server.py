@@ -187,6 +187,18 @@ class TestCachingAndAnswers:
         # Only the first request launched a batch.
         assert server.metrics.batch_count == 1
 
+    def test_cached_rows_own_their_memory(self, graph):
+        # A view into the batch's depth matrix would keep the whole
+        # matrix alive for as long as any one of its rows stays cached.
+        server = BFSServer(graph, ServingConfig(batch_size=4))
+        for source in (1, 2, 3, 4):
+            server.submit(Request(source=source))
+        server.drain()
+        assert server.metrics.batch_count == 1
+        rows = [row for _, row in server.cache.items()]
+        assert len(rows) == 4
+        assert all(row.base is None for row in rows)
+
     def test_bfs_value_matches_reference(self, graph):
         client = InProcessClient(BFSServer(graph))
         depths = reference_bfs(graph, 5)

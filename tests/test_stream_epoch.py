@@ -1,14 +1,20 @@
-"""Epoch store lifecycle and the frozen-snapshot immutability contract."""
+"""Epoch store lifecycle, the frozen-snapshot immutability contract,
+and the freeing of reclaimed epochs by reference counting."""
+
+import contextlib
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.errors import StreamError
+from repro.exec import shm
 from repro.graph.builders import from_edge_arrays
 from repro.graph.csr import VERTEX_DTYPE
 from repro.graph.generators import kronecker
 from repro.service.cache import graph_cache_id
-from repro.stream import EpochStore
+from repro.stream import EpochStore, MutationBatch, apply_batch
 
 
 def small_graph(seed=3):
@@ -162,3 +168,113 @@ class TestFrozenSnapshots:
         )
         graph.col_indices[0] = 1  # never fingerprinted: still mutable
         assert not graph.frozen
+
+
+@contextlib.contextmanager
+def gc_disabled():
+    """Run the block with the cyclic collector off, so only reference
+    counting can free anything."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _linked_by_reverse(stack):
+    graph = small_graph(seed=14)
+    graph.reverse()
+    return graph
+
+
+def _linked_by_fold(stack):
+    base = small_graph(seed=14)
+    base.reverse()
+    batch = MutationBatch.make(
+        base.num_vertices, inserts=([0, 3], [1, 0]), deletes=([1], [2])
+    )
+    return apply_batch(base, batch)
+
+
+def _linked_by_shm_attach(stack):
+    handle = shm.publish_graph(small_graph(seed=14))
+    stack.callback(shm.release_graph, handle)
+    attached = shm.attach_graph(handle)
+    stack.callback(attached.close)
+    graph, attached.graph = attached.graph, None
+    return graph
+
+
+class TestEpochsFreedByRefcount:
+    """A forward graph owns its reverse and the reverse points back
+    weakly, so a superseded epoch is freed the moment the store
+    reclaims it — no forward/reverse cycle waits for the cyclic
+    collector."""
+
+    @pytest.mark.parametrize(
+        "link",
+        [
+            pytest.param(_linked_by_reverse, id="reverse"),
+            pytest.param(_linked_by_fold, id="fold"),
+            pytest.param(
+                _linked_by_shm_attach,
+                id="shm-attach",
+                marks=pytest.mark.skipif(
+                    not shm.shared_memory_available(),
+                    reason="multiprocessing.shared_memory unavailable",
+                ),
+            ),
+        ],
+    )
+    def test_reverse_holds_no_strong_reference_to_forward(self, link):
+        with contextlib.ExitStack() as stack, gc_disabled():
+            graph = link(stack)
+            rev = graph.reverse()
+            assert rev.reverse() is graph
+            forward = weakref.ref(graph)
+            del graph
+            assert forward() is None
+            del rev
+
+    def test_reclaimed_epoch_is_freed_without_cyclic_gc(self):
+        with gc_disabled():
+            base = small_graph(seed=15)
+            base.reverse()
+            with EpochStore(base) as store:
+                store.overlay.insert_edges([0], [1])
+                graph = store.publish().graph
+                fwd = weakref.ref(graph.col_indices)
+                rev = weakref.ref(graph.reverse().col_indices)
+                del graph
+                assert fwd() is not None and rev() is not None
+                store.overlay.insert_edges([1], [2])
+                store.publish()  # reclaims epoch 1
+                assert store.live_epochs() == [2]
+                assert fwd() is None
+                assert rev() is None
+
+    def test_published_reverse_matches_rebuild_and_is_frozen(self):
+        base = small_graph(seed=16)
+        n = base.num_vertices
+        rng = np.random.default_rng(16)
+        with EpochStore(base) as store:
+            # Serving builds the base reverse after the store has
+            # fingerprinted the base, as the engine constructor does.
+            assert base.reverse().frozen
+            for step in range(4):
+                store.overlay.insert_edges(
+                    rng.integers(0, n, 6), rng.integers(0, n, 6)
+                )
+                if step % 2:
+                    src, dst = store.current.graph.edge_array()
+                    pick = rng.integers(0, src.size, 3)
+                    store.overlay.delete_edges(src[pick], dst[pick])
+                graph = store.publish().graph
+                rev = graph.cached_reverse
+                assert rev is not None and rev.frozen
+                src, dst = graph.edge_array()
+                want = from_edge_arrays(dst, src, num_vertices=n)
+                assert np.array_equal(rev.row_offsets, want.row_offsets)
+                assert np.array_equal(rev.col_indices, want.col_indices)
