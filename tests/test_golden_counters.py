@@ -1,21 +1,40 @@
 """Golden regression tests on simulated counters.
 
 The cost model's *shapes* are asserted elsewhere; these tests pin the
-exact deterministic counter values for one fixed workload so that
+exact deterministic counter values for fixed workloads so that
 accidental changes to the accounting (a lost transaction term, a
-doubled instruction count) are caught immediately.  If a deliberate
-model change lands, regenerate the constants with the printed actuals.
+doubled instruction count) are caught immediately.  The pinned values
+include the request counts figure 19 divides by, and hold under the
+numpy kernels and under every loadable native provider.  If a
+deliberate model change lands, regenerate the constants with the
+printed actuals.
 """
 
 import pytest
 
-from repro.graph.generators import kronecker
+import repro.native as native
+from repro.graph.generators import kronecker, rmat
 from repro.bfs.sequential import SequentialConcurrentBFS
 from repro.core.engine import IBFS, IBFSConfig
 
 #: Fixed workload: one graph, one source set.
 GRAPH_SEED = 171
 SOURCES = list(range(0, 32, 2))
+
+
+def _backends():
+    names = ["off", "python"]
+    for name in ("cext", "numba"):
+        try:
+            native._load_backend(name)
+        except ImportError:
+            continue
+        names.append(name)
+    return names
+
+
+#: ``"off"`` is the numpy kernel path; the rest are native providers.
+BACKENDS = _backends()
 
 
 @pytest.fixture(scope="module")
@@ -103,17 +122,35 @@ class TestGoldenValues:
         assert actual == expected, f"actuals: {actual}"
 
     def test_ibfs_counters(self, ibfs):
-        c = ibfs.counters
-        actual = {
-            "levels": c.levels,
-            "inspections": c.inspections,
-            "edges": c.edges_traversed,
-            "loads": c.global_load_transactions,
-            "stores": c.global_store_transactions,
-            "early": c.early_terminations,
-            "atomics": c.atomic_operations,
-        }
+        actual = _ibfs_actual(ibfs.counters)
         assert actual == _IBFS_GOLDEN, f"actuals: {actual}"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workload", ["single-lane", "two-lane"])
+    def test_ibfs_counters_per_backend(self, workload, backend):
+        make_graph, config, sources, golden = _WORKLOADS[workload]
+        with native.force_backend(backend):
+            result = IBFS(make_graph(), config).run(
+                sources, store_depths=False
+            )
+        actual = _ibfs_actual(result.counters)
+        assert actual == golden, f"actuals: {actual}"
+
+
+def _ibfs_actual(c):
+    return {
+        "levels": c.levels,
+        "inspections": c.inspections,
+        "edges": c.edges_traversed,
+        "loads": c.global_load_transactions,
+        "stores": c.global_store_transactions,
+        "early": c.early_terminations,
+        "atomics": c.atomic_operations,
+        "global_load_requests": c.global_load_requests,
+        "global_store_requests": c.global_store_requests,
+        "shared_memory_accesses": c.shared_memory_accesses,
+        "bottom_up_inspections": c.bottom_up_inspections,
+    }
 
 
 #: Populated from a verified run; see module docstring.
@@ -125,4 +162,41 @@ _IBFS_GOLDEN = {
     "stores": 62,
     "early": 105,
     "atomics": 127,
+    "global_load_requests": 106,
+    "global_store_requests": 23,
+    "shared_memory_accesses": 296,
+    "bottom_up_inspections": 1558,
+}
+
+#: A two-lane group (96 instances) whose levels mix top-down and
+#: bottom-up instances, so the multi-lane scan and scatter paths and
+#: the probe pricing all reach the pinned totals.
+_TWO_LANE_GOLDEN = {
+    "levels": 7,
+    "inspections": 95750,
+    "edges": 844879,
+    "loads": 101513,
+    "stores": 2450,
+    "early": 3075,
+    "atomics": 4924,
+    "global_load_requests": 4846,
+    "global_store_requests": 549,
+    "shared_memory_accesses": 32229,
+    "bottom_up_inspections": 58597,
+}
+
+#: name -> (graph factory, config, sources, pinned counters).
+_WORKLOADS = {
+    "single-lane": (
+        lambda: kronecker(scale=7, edge_factor=8, seed=GRAPH_SEED),
+        IBFSConfig(group_size=16, groupby=False, seed=1),
+        SOURCES,
+        _IBFS_GOLDEN,
+    ),
+    "two-lane": (
+        lambda: rmat(11, edge_factor=8, seed=7),
+        IBFSConfig(group_size=96, groupby=False, seed=1),
+        list(range(0, 192, 2)),
+        _TWO_LANE_GOLDEN,
+    ),
 }
