@@ -494,23 +494,37 @@ class BitwiseTraversal:
             # BSA_k values: nothing has written this level yet.
             frontier_words = bsa[td_frontier] & td_lane_mask
             degrees = out_degrees[td_frontier]
-            _, neighbors = gather_neighbors(self.graph, td_frontier)
-            # One thread per frontier performs one OR per neighbor,
-            # regardless of how many instances share the frontier.
-            inspections_level += int(neighbors.size)
+            num_neighbors = int(degrees.sum())
             if native.effective(decision.kernel, lanes):
                 # Fused CSR edge-map: the compiled backend walks the
-                # frontier's adjacency directly (word row r covers the
-                # next degrees[r] targets), skipping the sort/reduceat
-                # scatter plan and the materialized np.repeat index.
-                unique_targets = native.unique_targets(
-                    neighbors, num_vertices
+                # frontier's adjacency in place twice — once to mark the
+                # unique targets and price the frontier, neighbor and
+                # target streams, once to scatter-OR — so no neighbor
+                # array, scatter plan or np.repeat index is built.
+                graph = self.graph
+                unique_targets, pricing = native.unique_targets(
+                    graph.row_offsets,
+                    graph.col_indices,
+                    td_frontier,
+                    word_bytes,
+                    mem.config.transaction_bytes,
+                    mem.config.warp_size,
                 )
                 workspace.stash_rows(bsa, unique_targets)
                 native.scatter_or(
-                    bsa, neighbors, frontier_words, repeats=degrees
+                    bsa,
+                    graph.row_offsets,
+                    graph.col_indices,
+                    td_frontier,
+                    frontier_words,
                 )
+                (
+                    (frontier_ld, frontier_req),
+                    (nb_ld, nb_req),
+                    (st_txn, st_req),
+                ) = pricing
             else:
+                _, neighbors = gather_neighbors(self.graph, td_frontier)
                 plan = scatter_plan(neighbors)
                 unique_targets = plan.unique_targets
                 workspace.stash_rows(bsa, unique_targets)
@@ -518,23 +532,29 @@ class BitwiseTraversal:
                     np.arange(td_frontier.size, dtype=np.int64), degrees
                 )
                 scatter_or(bsa, neighbors, frontier_words, plan, word_index)
-
+                frontier_ld, frontier_req = mem.coalesced_transactions(
+                    td_frontier, word_bytes
+                )
+                nb_ld, nb_req = mem.coalesced_transactions(
+                    neighbors, word_bytes
+                )
+                st_txn, st_req = mem.coalesced_transactions(
+                    unique_targets, word_bytes
+                )
+            # One thread per frontier performs one OR per neighbor,
+            # regardless of how many instances share the frontier.
+            inspections_level += num_neighbors
             loads += mem.stream_transactions(td_frontier.size * 8)
-            frontier_ld, frontier_req = mem.coalesced_transactions(
-                td_frontier, word_bytes
-            )
             loads += frontier_ld
             loads += mem.adjacency_transactions(degrees)
-            nb_ld, nb_req = mem.coalesced_transactions(neighbors, word_bytes)
             loads += nb_ld
             load_requests += frontier_req + nb_req
             # Shared-memory merging inside each CTA collapses duplicate
             # neighbor updates; only the merged words hit global atomics.
             atomics += int(unique_targets.size)
-            counters.shared_memory_accesses += int(
-                neighbors.size - unique_targets.size
+            counters.shared_memory_accesses += (
+                num_neighbors - int(unique_targets.size)
             )
-            st_txn, st_req = mem.coalesced_transactions(unique_targets, word_bytes)
             stores += st_txn
             store_requests += st_req
 
@@ -567,6 +587,7 @@ class BitwiseTraversal:
                 # stream; the fused kernel prices the identical stream.
                 probe_ld, probe_req = native.bottom_up_coalesced(
                     *self._probe_parts,
+                    num_vertices,
                     word_bytes,
                     mem.config.transaction_bytes,
                     mem.config.warp_size,

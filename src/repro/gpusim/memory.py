@@ -87,10 +87,9 @@ class MemoryModel:
         if warp == 1:
             # CPU model: every access is its own transaction-sized fetch.
             return int(indices.size), int(indices.size)
-        if warp <= 64 and native.enabled():
+        if native.enabled():
             # Same distinct-lines-per-warp count without materializing,
-            # padding, and sorting the line grid (this is a per-level
-            # hot path: the full neighbor/probe address streams).
+            # padding, and sorting the line grid, at O(1) per access.
             return native.coalesced_transactions(
                 indices, element_bytes, self.config.transaction_bytes, warp
             )

@@ -270,46 +270,72 @@ def _rows2d(words: np.ndarray) -> np.ndarray:
     return words.reshape(-1, 1) if words.ndim == 1 else words
 
 
-def unique_targets(targets: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Sorted unique targets — ``np.unique`` via flags, no argsort."""
+def unique_targets(
+    row_offsets: np.ndarray,
+    col_indices: np.ndarray,
+    frontier: np.ndarray,
+    element_bytes: int,
+    transaction_bytes: int,
+    warp_size: int,
+) -> Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]:
+    """First walk of the fused top-down edge map.
+
+    Walks the ``frontier`` rows of the CSR ``(row_offsets,
+    col_indices)`` in place and returns ``(targets, pricing)``:
+    ``targets`` are the sorted unique neighbors (``np.unique`` of the
+    :func:`~repro.util.gather_neighbors` stream, via flags and an
+    ascending sweep, no argsort), and ``pricing`` holds the
+    ``(transactions, requests)`` of the level's frontier, neighbor and
+    target streams — what
+    :meth:`MemoryModel.coalesced_transactions
+    <repro.gpusim.memory.MemoryModel.coalesced_transactions>` returns
+    for ``frontier``, the neighbor stream and ``targets`` with
+    ``element_bytes``-wide elements — each priced by the walk or sweep
+    that already touches it, at O(1) per access.
+    """
     provider = _require()
-    targets = _contig(targets, np.int64)
-    if targets.size == 0:
-        return np.empty(0, dtype=np.int64)
+    num_vertices = row_offsets.shape[0] - 1
     flags = _flag_cache.get(num_vertices)
     if flags is None:
         flags = np.zeros(num_vertices, dtype=np.uint8)
         _flag_cache[num_vertices] = flags
-    out = np.empty(targets.size, dtype=np.int64)
-    count = provider.unique_targets(targets, flags, out)
-    return out[:count]
+    out = np.empty(num_vertices, dtype=np.int64)
+    pricing = np.zeros((3, 2), dtype=np.int64)
+    count = provider.unique_targets(
+        _contig(row_offsets, np.int64),
+        _contig(col_indices, np.int64),
+        _contig(frontier, np.int64),
+        flags,
+        out,
+        int(element_bytes),
+        int(transaction_bytes),
+        int(warp_size),
+        pricing,
+    )
+    return out[:count], tuple(map(tuple, pricing.tolist()))
 
 
 def scatter_or(
     out: np.ndarray,
-    targets: np.ndarray,
+    row_offsets: np.ndarray,
+    col_indices: np.ndarray,
+    frontier: np.ndarray,
     words: np.ndarray,
-    word_index: Optional[np.ndarray] = None,
-    repeats: Optional[np.ndarray] = None,
 ) -> None:
-    """Fused in-place ``out[targets[i]] |= words[row(i)]``.
+    """Second walk of the fused top-down edge map, in place.
 
-    ``repeats`` spreads word row ``r`` over the next ``repeats[r]``
-    targets (the CSR edge-map, replacing a materialized ``np.repeat``);
-    ``word_index`` maps pair ``i`` to word row ``word_index[i]``;
-    with neither, pair ``i`` uses word row ``i``.
+    ``out[v] |= words[r]`` for every neighbor ``v`` of ``frontier[r]``
+    in the CSR ``(row_offsets, col_indices)`` — the scatter-OR without
+    a materialized neighbor array or ``np.repeat`` word index.
     """
     provider = _require()
-    out2d = _rows2d(out)
-    targets = _contig(targets, np.int64)
-    words2d = _rows2d(words)
-    if repeats is not None:
-        index, mode = _contig(repeats, np.int64), 2
-    elif word_index is not None:
-        index, mode = _contig(word_index, np.int64), 1
-    else:
-        index, mode = _EMPTY_I64, 0
-    provider.scatter_or(out2d, targets, words2d, index, mode)
+    provider.scatter_or(
+        _rows2d(out),
+        _contig(row_offsets, np.int64),
+        _contig(col_indices, np.int64),
+        _contig(frontier, np.int64),
+        _rows2d(words),
+    )
 
 
 def or_scan(
@@ -424,8 +450,9 @@ def coalesced_transactions(
     :meth:`repro.gpusim.memory.MemoryModel.coalesced_transactions` —
     distinct ``transaction_bytes`` segments per ``warp_size`` thread
     group — counting the same values without materializing, padding,
-    and sorting the per-warp line grid.  The C provider's warp buffer
-    is fixed at 64 threads; callers gate on ``warp_size <= 64``.
+    and sorting the per-warp line grid.  Indices are unbounded, so the
+    open warp's lines go in a hash set of at least ``2 * warp_size``
+    slots: O(1) per access for any warp size.
     """
     provider = _require()
     indices = _contig(element_indices, np.int64)
@@ -441,6 +468,7 @@ def bottom_up_coalesced(
     indices: np.ndarray,
     starts: np.ndarray,
     probes: np.ndarray,
+    num_vertices: int,
     element_bytes: int,
     transaction_bytes: int,
     warp_size: int,
@@ -451,8 +479,9 @@ def bottom_up_coalesced(
     :func:`round_major_probes` followed by
     :func:`coalesced_transactions` on its output — the stream is
     generated round-by-round inside the kernel and fed straight
-    through the warp accumulator.  ``warp_size == 1`` (the CPU model)
-    short-circuits to one transaction per probe, matching
+    through a warp set over the ``num_vertices`` vertices' lines, at
+    O(1) per probe.  ``warp_size == 1`` (the CPU model) short-circuits
+    to one transaction per probe, matching
     :meth:`MemoryModel.coalesced_transactions
     <repro.gpusim.memory.MemoryModel.coalesced_transactions>`.
     """
@@ -463,16 +492,15 @@ def bottom_up_coalesced(
         return 0, 0
     if warp_size == 1:
         return total, total
-    live = np.empty(probes.size, dtype=np.int64)
     out = np.zeros(2, dtype=np.int64)
     provider.round_coalesce(
         _contig(indices, np.int64),
         _contig(starts, np.int64),
         probes,
+        int(num_vertices),
         int(element_bytes),
         int(transaction_bytes),
         int(warp_size),
-        live,
         out,
     )
     return int(out[0]), int(out[1])
@@ -605,8 +633,10 @@ def warmup() -> float:
     bsa = np.zeros((4, 1), dtype=np.uint64)
     lane_mask = np.array([3], dtype=np.uint64)
     inspections = np.zeros(2, dtype=np.int64)
-    uniq = unique_targets(indices, 4)
-    scatter_or(bsa, indices, np.ones((4, 1), dtype=np.uint64), repeats=degrees)
+    offsets = np.append(starts, indices.size)
+    frontier = np.arange(4, dtype=np.int64)
+    unique_targets(offsets, indices, frontier, 8, 128, 2)
+    scatter_or(bsa, offsets, indices, frontier, np.ones((4, 1), dtype=np.uint64))
     for source in (
         ("direct", bsa),
         ("dirty", bsa, np.full(4, -1, dtype=np.int64), bsa.copy()),
@@ -618,7 +648,7 @@ def warmup() -> float:
             )
     round_major_probes(indices, starts, probes)
     coalesced_transactions(indices, 8, 128, 2)
-    bottom_up_coalesced(indices, starts, probes, 8, 128, 2)
+    bottom_up_coalesced(indices, starts, probes, 4, 8, 128, 2)
     for dtype in (np.int8, np.int16, np.int32):
         depth_update(
             np.full((4, 2), -1, dtype=dtype),
@@ -635,7 +665,6 @@ def warmup() -> float:
     )
     per_bit_counts(bsa, 2)
     per_bit_weighted(bsa, degrees, 2)
-    del uniq
     _warm_seconds = time.perf_counter() - began
     return _warm_seconds
 

@@ -34,22 +34,43 @@ def _p(arr: np.ndarray) -> int:
     return arr.ctypes.data
 
 
-def unique_targets(targets, flags, out):
-    return _lib.repro_unique_targets(
-        _p(targets), targets.shape[0], _p(flags), _p(out)
+def _checked(status: int) -> int:
+    # The pricing kernels allocate their warp sets; -1 means they could not.
+    if status < 0:
+        raise MemoryError("repro.native: warp set allocation failed")
+    return status
+
+
+def unique_targets(
+    offsets, cols, frontier, flags, out, element_bytes, txn_bytes, warp,
+    pricing,
+):
+    return _checked(
+        _lib.repro_unique_targets(
+            _p(offsets),
+            _p(cols),
+            _p(frontier),
+            frontier.shape[0],
+            flags.shape[0],
+            _p(flags),
+            _p(out),
+            int(element_bytes),
+            int(txn_bytes),
+            int(warp),
+            _p(pricing),
+        )
     )
 
 
-def scatter_or(out, targets, words, word_index, mode):
+def scatter_or(out, offsets, cols, frontier, words):
     _lib.repro_scatter_or(
         _p(out),
-        _p(targets),
+        _p(offsets),
+        _p(cols),
+        _p(frontier),
+        frontier.shape[0],
         _p(words),
-        _p(word_index),
-        targets.shape[0],
-        words.shape[0],
         out.shape[1],
-        mode,
     )
 
 
@@ -92,29 +113,34 @@ def or_scan(
 
 
 def coalesce(indices, element_bytes, txn_bytes, warp, out):
-    _lib.repro_coalesce(
-        _p(indices),
-        indices.shape[0],
-        int(element_bytes),
-        int(txn_bytes),
-        int(warp),
-        _p(out),
+    _checked(
+        _lib.repro_coalesce(
+            _p(indices),
+            indices.shape[0],
+            int(element_bytes),
+            int(txn_bytes),
+            int(warp),
+            _p(out),
+        )
     )
 
 
 def round_coalesce(
-    indices, starts, probes, element_bytes, txn_bytes, warp, live, out
+    indices, starts, probes, num_vertices, element_bytes, txn_bytes, warp,
+    out,
 ):
-    _lib.repro_round_coalesce(
-        _p(indices),
-        _p(starts),
-        _p(probes),
-        probes.shape[0],
-        int(element_bytes),
-        int(txn_bytes),
-        int(warp),
-        _p(live),
-        _p(out),
+    _checked(
+        _lib.repro_round_coalesce(
+            _p(indices),
+            _p(starts),
+            _p(probes),
+            probes.shape[0],
+            int(num_vertices),
+            int(element_bytes),
+            int(txn_bytes),
+            int(warp),
+            _p(out),
+        )
     )
 
 

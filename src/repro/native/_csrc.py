@@ -31,77 +31,216 @@ C_SOURCE = r"""
 #include <string.h>
 
 /* ------------------------------------------------------------------ */
-/* Sorted unique targets via a caller-owned flag array.                */
+/* Warp-coalesced transaction counting (gpusim/memory.py): thread i    */
+/* accesses element idx[i]; consecutive ``warp`` threads form one      */
+/* request, and accesses landing in the same ``txn_bytes`` segment     */
+/* coalesce.  Counts = distinct segment lines per warp (identical to   */
+/* the sort-based numpy formulation; indices are non-negative, so C    */
+/* truncating division equals floor division).                         */
 /*                                                                    */
-/* ``flags`` must be all-zero on entry; the function clears every flag */
-/* it sets before returning, so one zeroed buffer can be reused across */
-/* calls without re-zeroing (the numpy layer caches one per size).     */
-/* Output is emitted by sweeping the flag range in ascending order, so */
-/* it comes out sorted without any comparison sort.                    */
+/* The open warp's distinct lines live in a set whose lookup costs     */
+/* O(1) however many lines the warp has seen, for any warp size:       */
+/*   line_map  a bitmap over a bounded line range (streams of vertex   */
+/*             ids), zero between warps: closing a warp clears the     */
+/*             words holding its own list of new lines;                */
+/*   line_set  an open-addressing table of >= 2*warp slots for         */
+/*             unbounded streams; a slot is live only while its        */
+/*             generation is the open warp's, so closing a warp is     */
+/*             one increment.                                          */
 /* ------------------------------------------------------------------ */
-int64_t repro_unique_targets(const int64_t *targets, int64_t m,
-                             uint8_t *flags, int64_t *out) {
-    if (m == 0) return 0;
-    int64_t lo = targets[0], hi = targets[0];
-    for (int64_t i = 0; i < m; i++) {
-        int64_t t = targets[i];
-        flags[t] = 1;
-        if (t < lo) lo = t;
-        if (t > hi) hi = t;
+
+/* (idx * element_bytes) / txn_bytes is a per-element 64-bit division; */
+/* when element_bytes divides txn_bytes into a power of two (8-byte    */
+/* entries in 128-byte transactions — the only shapes the simulator    */
+/* uses) the quotient is a shift of the non-negative index.  Returns   */
+/* the shift, or -1 to keep the division.                              */
+static inline int line_shift(int64_t element_bytes, int64_t txn_bytes) {
+    if (element_bytes <= 0 || txn_bytes % element_bytes) return -1;
+    int64_t d = txn_bytes / element_bytes;
+    if (d & (d - 1)) return -1;
+    return __builtin_ctzll((uint64_t)d);
+}
+
+static inline int64_t line_of(int64_t idx, int shift, int64_t element_bytes,
+                              int64_t txn_bytes) {
+    return shift >= 0 ? idx >> shift : (idx * element_bytes) / txn_bytes;
+}
+
+typedef struct {
+    uint64_t *seen;  /* bit per line; set only for the open warp's lines */
+    int64_t *fresh;  /* the open warp's distinct lines */
+    int64_t nd;      /* distinct lines in the open warp */
+    int64_t k;       /* threads consumed in the open warp */
+    int64_t warp;
+    int64_t txns;
+    int64_t reqs;
+} line_map;
+
+static int map_open(line_map *a, int64_t lines, int64_t warp) {
+    a->seen = calloc((size_t)(lines / 64 + 1), sizeof(uint64_t));
+    a->fresh = malloc((size_t)warp * sizeof(int64_t));
+    a->nd = a->k = a->txns = a->reqs = 0;
+    a->warp = warp;
+    if (a->seen && a->fresh) return 0;
+    free(a->seen);
+    free(a->fresh);
+    return -1;
+}
+
+static inline void map_close_warp(line_map *a) {
+    for (int64_t j = 0; j < a->nd; j++) a->seen[a->fresh[j] >> 6] = 0;
+    a->txns += a->nd;
+    a->reqs++;
+    a->nd = 0;
+    a->k = 0;
+}
+
+static inline void map_push(line_map *a, int64_t line) {
+    if (a->k == a->warp) map_close_warp(a);
+    a->k++;
+    uint64_t *w = a->seen + (line >> 6);
+    uint64_t bit = (uint64_t)1 << (line & 63);
+    if (*w & bit) return;
+    *w |= bit;
+    a->fresh[a->nd++] = line;
+}
+
+/* Closes the stream: out = (transactions, requests); the map is ready */
+/* for the next stream.                                                */
+static void map_take(line_map *a, int64_t *out) {
+    if (a->k) map_close_warp(a);
+    out[0] = a->txns;
+    out[1] = a->reqs;
+    a->txns = a->reqs = 0;
+}
+
+static void map_free(line_map *a) {
+    free(a->seen);
+    free(a->fresh);
+}
+
+typedef struct {
+    int64_t *keys;
+    int64_t *gen;    /* keys[s] is live iff gen[s] == cur */
+    int64_t cur;
+    int64_t mask;
+    int shift;
+    int64_t nd, k, warp, txns, reqs;
+} line_set;
+
+/* Slot of a line: fold to 32 bits, multiply by the 32-bit golden      */
+/* ratio constant, keep the top bits (tables past 2**32 slots use the  */
+/* low 2**32; probing still reaches every slot).                       */
+static inline int64_t set_slot(int64_t line, int shift) {
+    uint64_t x = ((uint64_t)line ^ ((uint64_t)line >> 32)) & 0xFFFFFFFFu;
+    return (int64_t)(((x * 0x61C88647u) & 0xFFFFFFFFu) >> shift);
+}
+
+static int set_open(line_set *a, int64_t warp) {
+    int bits = 1;
+    while (((int64_t)1 << bits) < 2 * warp) bits++;
+    a->keys = malloc(sizeof(int64_t) << bits);
+    a->gen = calloc((size_t)1 << bits, sizeof(int64_t));
+    a->cur = 1;
+    a->mask = ((int64_t)1 << bits) - 1;
+    a->shift = bits < 32 ? 32 - bits : 0;
+    a->nd = a->k = a->txns = a->reqs = 0;
+    a->warp = warp;
+    if (a->keys && a->gen) return 0;
+    free(a->keys);
+    free(a->gen);
+    return -1;
+}
+
+static inline void set_push(line_set *a, int64_t line) {
+    if (a->k == a->warp) {
+        a->txns += a->nd;
+        a->reqs++;
+        a->nd = 0;
+        a->k = 0;
+        a->cur++;
     }
+    a->k++;
+    int64_t s = set_slot(line, a->shift);
+    while (a->gen[s] == a->cur) {
+        if (a->keys[s] == line) return;
+        s = (s + 1) & a->mask;
+    }
+    a->gen[s] = a->cur;
+    a->keys[s] = line;
+    a->nd++;
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused top-down edge map, first walk: mark the unique targets of     */
+/* the frontier's CSR rows and price the level's three access streams  */
+/* into ``pricing`` as (transactions, requests) pairs — frontier words */
+/* in frontier order, neighbor words in edge order (the                */
+/* gather_neighbors stream), and the unique target stores, priced in   */
+/* the ascending sweep that emits them (sorted without a comparison    */
+/* sort).  ``flags`` must be all-zero on entry and is left all-zero,   */
+/* so one zeroed buffer serves every call (the numpy layer caches one  */
+/* per size).  Returns the target count, or -1 when scratch cannot be  */
+/* allocated.                                                          */
+/* ------------------------------------------------------------------ */
+int64_t repro_unique_targets(const int64_t *offsets, const int64_t *cols,
+                             const int64_t *frontier, int64_t rows,
+                             int64_t n, uint8_t *flags, int64_t *out,
+                             int64_t element_bytes, int64_t txn_bytes,
+                             int64_t warp, int64_t *pricing) {
+    int shift = line_shift(element_bytes, txn_bytes);
+    line_map acc;
+    if (map_open(&acc, line_of(n, shift, element_bytes, txn_bytes), warp))
+        return -1;
+    for (int64_t r = 0; r < rows; r++)
+        map_push(&acc, line_of(frontier[r], shift, element_bytes, txn_bytes));
+    map_take(&acc, pricing);
+    int64_t lo = n, hi = -1;
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t *nb = cols + offsets[frontier[r]];
+        const int64_t *end = cols + offsets[frontier[r] + 1];
+        for (; nb < end; nb++) {
+            int64_t t = *nb;
+            flags[t] = 1;
+            if (t < lo) lo = t;
+            if (t > hi) hi = t;
+            map_push(&acc, line_of(t, shift, element_bytes, txn_bytes));
+        }
+    }
+    map_take(&acc, pricing + 2);
     int64_t count = 0;
     for (int64_t v = lo; v <= hi; v++) {
         if (flags[v]) {
             flags[v] = 0;
             out[count++] = v;
+            map_push(&acc, line_of(v, shift, element_bytes, txn_bytes));
         }
     }
+    map_take(&acc, pricing + 4);
+    map_free(&acc);
     return count;
 }
 
 /* ------------------------------------------------------------------ */
-/* Fused scatter-OR: out[targets[i]] |= words[row(i)].                 */
-/*                                                                    */
-/* mode 0: row(i) = i            (one word row per target)            */
-/* mode 1: row(i) = word_index[i]                                     */
-/* mode 2: words row r covers the next word_index[r] targets (CSR     */
-/*         edge-map: word_index is the frontier degree array)         */
+/* Fused top-down edge map, second walk: out[v] |= words[r] for every  */
+/* target v in frontier[r]'s CSR row.                                  */
 /* ------------------------------------------------------------------ */
-void repro_scatter_or(uint64_t *out, const int64_t *targets,
-                      const uint64_t *words, const int64_t *word_index,
-                      int64_t m, int64_t rows, int64_t lanes, int mode) {
-    if (lanes == 1) {
-        if (mode == 2) {
-            int64_t i = 0;
-            for (int64_t r = 0; r < rows; r++) {
-                uint64_t w = words[r];
-                for (int64_t k = 0; k < word_index[r]; k++, i++)
-                    out[targets[i]] |= w;
-            }
-        } else if (mode == 1) {
-            for (int64_t i = 0; i < m; i++)
-                out[targets[i]] |= words[word_index[i]];
-        } else {
-            for (int64_t i = 0; i < m; i++)
-                out[targets[i]] |= words[i];
+void repro_scatter_or(uint64_t *out, const int64_t *offsets,
+                      const int64_t *cols, const int64_t *frontier,
+                      int64_t rows, const uint64_t *words, int64_t lanes) {
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t *nb = cols + offsets[frontier[r]];
+        const int64_t *end = cols + offsets[frontier[r] + 1];
+        if (lanes == 1) {
+            uint64_t w = words[r];
+            for (; nb < end; nb++) out[*nb] |= w;
+            continue;
         }
-        return;
-    }
-    if (mode == 2) {
-        int64_t i = 0;
-        for (int64_t r = 0; r < rows; r++) {
-            const uint64_t *w = words + r * lanes;
-            for (int64_t k = 0; k < word_index[r]; k++, i++) {
-                uint64_t *dst = out + targets[i] * lanes;
-                for (int64_t l = 0; l < lanes; l++) dst[l] |= w[l];
-            }
+        const uint64_t *w = words + r * lanes;
+        for (; nb < end; nb++) {
+            uint64_t *dst = out + *nb * lanes;
+            for (int64_t l = 0; l < lanes; l++) dst[l] |= w[l];
         }
-        return;
-    }
-    for (int64_t i = 0; i < m; i++) {
-        const uint64_t *w = words + (mode ? word_index[i] : i) * lanes;
-        uint64_t *dst = out + targets[i] * lanes;
-        for (int64_t l = 0; l < lanes; l++) dst[l] |= w[l];
     }
 }
 
@@ -343,104 +482,79 @@ void repro_round_major(const int64_t *indices, const int64_t *starts,
 }
 
 /* ------------------------------------------------------------------ */
-/* Warp-coalesced transaction counting (gpusim/memory.py): thread i    */
-/* accesses element idx[i]; consecutive ``warp`` threads form one      */
-/* request, and accesses landing in the same ``txn_bytes`` segment     */
-/* coalesce.  Counts = distinct segment lines per warp (identical to   */
-/* the sort-based numpy formulation; indices are non-negative, so C    */
-/* truncating division equals floor division).  warp <= 64.            */
-/*                                                                    */
-/* Per warp, only *distinct* lines are kept in a small buffer scanned */
-/* newest-first: adjacency/probe streams are run-heavy, so duplicates */
-/* usually match immediately and each element costs O(distinct), not  */
-/* O(warp log warp).                                                  */
+/* Coalescing of an arbitrary access stream (MemoryModel's hot path):  */
+/* indices are unbounded, so the open warp's lines go in the table.    */
+/* Returns 0, or -1 when the table cannot be allocated.                */
 /* ------------------------------------------------------------------ */
-typedef struct {
-    int64_t dbuf[64];
-    int64_t nd;      /* distinct lines in the open warp */
-    int64_t k;       /* threads consumed in the open warp */
-    int64_t warp;
-    int64_t txns;
-    int64_t reqs;
-} warp_acc;
-
-static inline void warp_push(warp_acc *a, int64_t line) {
-    if (a->k == a->warp) {
-        a->txns += a->nd;
-        a->reqs++;
-        a->k = 0;
-        a->nd = 0;
-    }
-    a->k++;
-    for (int64_t j = a->nd - 1; j >= 0; j--)
-        if (a->dbuf[j] == line) return;
-    a->dbuf[a->nd++] = line;
-}
-
-static inline void warp_flush(warp_acc *a, int64_t *out) {
-    if (a->k) {
-        a->txns += a->nd;
-        a->reqs++;
-    }
-    out[0] = a->txns;
-    out[1] = a->reqs;
-}
-
-/* (idx * element_bytes) / txn_bytes is a per-element 64-bit division; */
-/* when element_bytes divides txn_bytes into a power of two (8-byte    */
-/* entries in 128-byte transactions — the only shapes the simulator    */
-/* uses) the quotient is a shift of the non-negative index.  Returns   */
-/* the shift, or -1 to keep the division.                              */
-static inline int line_shift(int64_t element_bytes, int64_t txn_bytes) {
-    if (element_bytes <= 0 || txn_bytes % element_bytes) return -1;
-    int64_t d = txn_bytes / element_bytes;
-    if (d & (d - 1)) return -1;
-    return __builtin_ctzll((uint64_t)d);
-}
-
-void repro_coalesce(const int64_t *idx, int64_t m, int64_t element_bytes,
-                    int64_t txn_bytes, int64_t warp, int64_t *out) {
-    warp_acc acc = {{0}, 0, 0, warp, 0, 0};
+int repro_coalesce(const int64_t *idx, int64_t m, int64_t element_bytes,
+                   int64_t txn_bytes, int64_t warp, int64_t *out) {
     int shift = line_shift(element_bytes, txn_bytes);
-    if (shift >= 0)
-        for (int64_t i = 0; i < m; i++)
-            warp_push(&acc, idx[i] >> shift);
-    else
-        for (int64_t i = 0; i < m; i++)
-            warp_push(&acc, (idx[i] * element_bytes) / txn_bytes);
-    warp_flush(&acc, out);
+    line_set acc;
+    if (set_open(&acc, warp)) return -1;
+    for (int64_t i = 0; i < m; i++)
+        set_push(&acc, line_of(idx[i], shift, element_bytes, txn_bytes));
+    if (acc.k) {
+        acc.txns += acc.nd;
+        acc.reqs++;
+    }
+    out[0] = acc.txns;
+    out[1] = acc.reqs;
+    free(acc.keys);
+    free(acc.gen);
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
 /* Fused bottom-up probe pricing: the round-major probed-neighbor      */
 /* stream (all round-0 probes in position order, then round 1, ...)    */
-/* fed straight through the warp accumulator, without materializing    */
-/* the stream.  ``live`` is caller-provided int64 scratch of size m.   */
+/* fed straight through a line map over the n vertices' lines, without */
+/* materializing the stream.  The live list holds (cursor, remaining)  */
+/* pairs, so a round touches only the positions still probing.         */
 /* Identical to repro_round_major + repro_coalesce over its output.    */
+/* Returns 0, or -1 when scratch cannot be allocated.                  */
 /* ------------------------------------------------------------------ */
-void repro_round_coalesce(const int64_t *indices, const int64_t *starts,
-                          const int64_t *probes, int64_t m,
-                          int64_t element_bytes, int64_t txn_bytes,
-                          int64_t warp, int64_t *live, int64_t *out) {
-    warp_acc acc = {{0}, 0, 0, warp, 0, 0};
+int repro_round_coalesce(const int64_t *indices, const int64_t *starts,
+                         const int64_t *probes, int64_t m, int64_t n,
+                         int64_t element_bytes, int64_t txn_bytes,
+                         int64_t warp, int64_t *out) {
     int shift = line_shift(element_bytes, txn_bytes);
+    line_map acc;
+    if (map_open(&acc, line_of(n, shift, element_bytes, txn_bytes), warp))
+        return -1;
+    int64_t *live = malloc((size_t)(2 * m + 2) * sizeof(int64_t));
+    if (!live) {
+        map_free(&acc);
+        return -1;
+    }
     int64_t nlive = 0;
-    for (int64_t i = 0; i < m; i++)
-        if (probes[i] > 0) live[nlive++] = i;
-    int64_t r = 0;
+    for (int64_t i = 0; i < m; i++) {
+        if (probes[i] > 0) {
+            live[2 * nlive] = starts[i];
+            live[2 * nlive + 1] = probes[i];
+            nlive++;
+        }
+    }
     while (nlive) {
         int64_t w = 0;
         for (int64_t li = 0; li < nlive; li++) {
-            int64_t i = live[li];
-            int64_t v = indices[starts[i] + r];
-            warp_push(&acc, shift >= 0 ? (v >> shift)
-                                       : (v * element_bytes) / txn_bytes);
-            if (probes[i] > r + 1) live[w++] = i;
+            int64_t cursor = live[2 * li], remaining = live[2 * li + 1];
+            /* Later rounds read the rows sparsely: fetch ahead. */
+            if (li + 16 < nlive)
+                __builtin_prefetch(indices + live[2 * (li + 16)]);
+            map_push(&acc, line_of(indices[cursor], shift, element_bytes,
+                                   txn_bytes));
+            if (remaining > 1) {
+                live[2 * w] = cursor + 1;
+                live[2 * w + 1] = remaining - 1;
+                w++;
+            }
         }
         nlive = w;
-        r++;
     }
-    warp_flush(&acc, out);
+    map_take(&acc, out);
+    map_free(&acc);
+    free(live);
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -592,7 +706,7 @@ void repro_per_bit_weighted(const uint64_t *words, const int64_t *weights,
 """
 
 #: Bump when the C ABI changes so stale cached libraries are rebuilt.
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 
 def _cache_dir() -> Path:
@@ -677,9 +791,11 @@ def load_library() -> Optional[ctypes.CDLL]:
     i64 = ctypes.c_int64
     p = ctypes.c_void_p
     lib.repro_unique_targets.restype = i64
-    lib.repro_unique_targets.argtypes = [p, i64, p, p]
+    lib.repro_unique_targets.argtypes = [
+        p, p, p, i64, i64, p, p, i64, i64, i64, p,
+    ]
     lib.repro_scatter_or.restype = None
-    lib.repro_scatter_or.argtypes = [p, p, p, p, i64, i64, i64, ctypes.c_int]
+    lib.repro_scatter_or.argtypes = [p, p, p, p, i64, p, i64]
     lib.repro_or_scan.restype = i64
     lib.repro_or_scan.argtypes = [
         p, p, p, i64, p, p, p, ctypes.c_int,
@@ -687,10 +803,10 @@ def load_library() -> Optional[ctypes.CDLL]:
     ]
     lib.repro_round_major.restype = None
     lib.repro_round_major.argtypes = [p, p, p, i64, i64, p, p]
-    lib.repro_coalesce.restype = None
+    lib.repro_coalesce.restype = ctypes.c_int
     lib.repro_coalesce.argtypes = [p, i64, i64, i64, i64, p]
-    lib.repro_round_coalesce.restype = None
-    lib.repro_round_coalesce.argtypes = [p, p, p, i64, i64, i64, i64, p, p]
+    lib.repro_round_coalesce.restype = ctypes.c_int
+    lib.repro_round_coalesce.argtypes = [p, p, p, i64, i64, i64, i64, i64, p]
     lib.repro_depth_update.restype = None
     lib.repro_depth_update.argtypes = [
         p, p, i64, i64, i64, p, i64, ctypes.c_int, i64,

@@ -33,51 +33,114 @@ _ONE = np.uint64(1)
 _ZERO = np.uint64(0)
 
 
-def unique_targets(targets, flags, out):
-    """Sorted unique values of ``targets`` into ``out``; returns count.
+def unique_targets(
+    offsets, cols, frontier, flags, out, element_bytes, txn_bytes, warp,
+    pricing,
+):
+    """First walk of the fused top-down edge map; returns the count.
 
-    ``flags`` (uint8, one slot per possible target) must be all-zero on
-    entry; every flag set here is cleared before returning so the
-    caller can cache one zeroed buffer across calls.
+    Writes the sorted unique targets of the ``frontier`` rows of the
+    CSR ``(offsets, cols)`` into ``out`` and prices the level's three
+    access streams into ``pricing`` rows as ``(transactions, requests)``
+    — 0: frontier words in frontier order, 1: neighbor words in edge
+    order (the ``gather_neighbors`` stream), 2: the unique target
+    stores, in the ascending order the flag sweep emits them.  Each
+    stream is counted exactly as :func:`coalesce` counts it, with the
+    open warp's distinct lines held in a bitmap over the ``n`` vertices'
+    lines, cleared from the warp's own list of new lines.
+
+    ``flags`` (uint8, one slot per vertex) must be all-zero on entry;
+    every flag set here is cleared before returning so the caller can
+    cache one zeroed buffer across calls.
     """
-    count = 0
-    for i in range(targets.shape[0]):
-        t = targets[i]
-        if flags[t] == 0:
+    n = flags.shape[0]
+    seen = np.zeros((n * element_bytes) // txn_bytes // 64 + 1, dtype=np.uint64)
+    fresh = np.empty(warp, dtype=np.int64)
+    nd = 0
+    k = 0
+    txns = 0
+    reqs = 0
+    lo = n
+    hi = -1
+    for r in range(frontier.shape[0]):
+        f = frontier[r]
+        for e in range(offsets[f], offsets[f + 1]):
+            t = cols[e]
             flags[t] = 1
-            out[count] = t
+            lo = min(lo, t)
+            hi = max(hi, t)
+            line = (t * element_bytes) // txn_bytes
+            if k == warp:
+                for j in range(nd):
+                    seen[fresh[j] >> 6] = _ZERO
+                txns += nd
+                reqs += 1
+                nd = 0
+                k = 0
+            k += 1
+            bit = _ONE << np.uint64(line & 63)
+            if seen[line >> 6] & bit == _ZERO:
+                seen[line >> 6] |= bit
+                fresh[nd] = line
+                nd += 1
+    if k > 0:
+        for j in range(nd):
+            seen[fresh[j] >> 6] = _ZERO
+        txns += nd
+        reqs += 1
+    pricing[1, 0] = txns
+    pricing[1, 1] = reqs
+    count = 0
+    for v in range(lo, hi + 1):
+        if flags[v] != 0:
+            flags[v] = 0
+            out[count] = v
             count += 1
-    for i in range(count):
-        flags[out[i]] = 0
-    out[:count].sort()
+    for s in range(2):
+        stream = frontier if s == 0 else out[:count]
+        nd = 0
+        k = 0
+        txns = 0
+        reqs = 0
+        for i in range(stream.shape[0]):
+            line = (stream[i] * element_bytes) // txn_bytes
+            if k == warp:
+                for j in range(nd):
+                    seen[fresh[j] >> 6] = _ZERO
+                txns += nd
+                reqs += 1
+                nd = 0
+                k = 0
+            k += 1
+            bit = _ONE << np.uint64(line & 63)
+            if seen[line >> 6] & bit == _ZERO:
+                seen[line >> 6] |= bit
+                fresh[nd] = line
+                nd += 1
+        if k > 0:
+            for j in range(nd):
+                seen[fresh[j] >> 6] = _ZERO
+            txns += nd
+            reqs += 1
+        pricing[2 * s, 0] = txns
+        pricing[2 * s, 1] = reqs
     return count
 
 
-def scatter_or(out, targets, words, word_index, mode):
-    """Fused ``out[targets[i]] |= words[row(i)]`` over uint64 rows.
+def scatter_or(out, offsets, cols, frontier, words):
+    """Second walk of the fused top-down edge map.
 
-    mode 0: ``row(i) = i`` — one word row per target.
-    mode 1: ``row(i) = word_index[i]`` — compact word table.
-    mode 2: word row ``r`` covers the next ``word_index[r]`` targets
-            (the CSR edge-map: ``word_index`` is the frontier degree
-            array, replacing the materialized ``np.repeat``).
+    ``out[v] |= words[r]`` over uint64 rows for every target ``v`` in
+    ``frontier[r]``'s row of the CSR ``(offsets, cols)`` — the edge map
+    without a materialized neighbor or ``np.repeat`` index array.
     """
     lanes = out.shape[1]
-    if mode == 2:
-        i = 0
-        for r in range(words.shape[0]):
-            reps = word_index[r]
-            for _ in range(reps):
-                t = targets[i]
-                for lane in range(lanes):
-                    out[t, lane] |= words[r, lane]
-                i += 1
-        return
-    for i in range(targets.shape[0]):
-        r = word_index[i] if mode == 1 else i
-        t = targets[i]
-        for lane in range(lanes):
-            out[t, lane] |= words[r, lane]
+    for r in range(frontier.shape[0]):
+        f = frontier[r]
+        for e in range(offsets[f], offsets[f + 1]):
+            t = cols[e]
+            for lane in range(lanes):
+                out[t, lane] |= words[r, lane]
 
 
 def or_scan(
@@ -172,28 +235,46 @@ def coalesce(indices, element_bytes, txn_bytes, warp, out):
     :meth:`repro.gpusim.memory.MemoryModel.coalesced_transactions`
     (indices are non-negative array offsets, so integer division
     matches numpy's floor division).
+
+    Indices are unbounded, so the open warp's distinct lines go in an
+    open-addressing table of at least ``2 * warp`` slots: slot ``s``
+    holds ``keys[s]`` while ``gen[s]`` is the open warp's number, so a
+    lookup costs O(1) for any warp size and closing a warp is one
+    increment.  A line's first slot folds it to 32 bits, multiplies by
+    the 32-bit golden-ratio constant and keeps the top ``bits`` bits.
     """
-    m = indices.shape[0]
-    dbuf = np.empty(warp, dtype=np.int64)
+    bits = 1
+    while (1 << bits) < 2 * warp:
+        bits += 1
+    mask = (1 << bits) - 1
+    shift = 32 - bits if bits < 32 else 0
+    keys = np.empty(mask + 1, dtype=np.int64)
+    gen = np.zeros(mask + 1, dtype=np.int64)
+    cur = 1
     nd = 0
     k = 0
     txns = 0
     reqs = 0
-    for i in range(m):
+    for i in range(indices.shape[0]):
         line = (indices[i] * element_bytes) // txn_bytes
         if k == warp:
             txns += nd
             reqs += 1
-            k = 0
             nd = 0
+            k = 0
+            cur += 1
         k += 1
+        x = (line ^ (line >> 32)) & 0xFFFFFFFF
+        s = ((x * 0x61C88647) & 0xFFFFFFFF) >> shift
         seen = False
-        for j in range(nd - 1, -1, -1):
-            if dbuf[j] == line:
+        while gen[s] == cur:
+            if keys[s] == line:
                 seen = True
                 break
+            s = (s + 1) & mask
         if not seen:
-            dbuf[nd] = line
+            gen[s] = cur
+            keys[s] = line
             nd += 1
     if k > 0:
         txns += nd
@@ -203,52 +284,61 @@ def coalesce(indices, element_bytes, txn_bytes, warp, out):
 
 
 def round_coalesce(
-    indices, starts, probes, element_bytes, txn_bytes, warp, live, out
+    indices, starts, probes, num_vertices, element_bytes, txn_bytes, warp,
+    out,
 ):
     """Fused bottom-up probe pricing without the materialized stream.
 
     Walks the round-major probed-neighbor stream — all round-0 probes
     in position order, then round 1, ... — feeding each address through
-    the same warp-coalescing count as :func:`coalesce`.  ``live`` is
-    int64 scratch of ``probes.shape[0]`` slots.  Identical to
-    :func:`round_major` followed by :func:`coalesce` on its output.
+    the same warp-coalescing count as :func:`coalesce`.  Probes are
+    vertex ids below ``num_vertices``, so the open warp's distinct
+    lines are bits of a map over those vertices' lines, cleared from
+    the warp's own list of new lines.  The live list carries
+    ``(cursor, remaining)`` pairs, so each round touches only the
+    positions still probing.  Identical to :func:`round_major`
+    followed by :func:`coalesce` on its output.
     """
     m = probes.shape[0]
-    dbuf = np.empty(warp, dtype=np.int64)
+    seen = np.zeros(
+        (num_vertices * element_bytes) // txn_bytes // 64 + 1, dtype=np.uint64
+    )
+    fresh = np.empty(warp, dtype=np.int64)
+    live = np.empty((m, 2), dtype=np.int64)
+    nlive = 0
+    for i in range(m):
+        if probes[i] > 0:
+            live[nlive, 0] = starts[i]
+            live[nlive, 1] = probes[i]
+            nlive += 1
     nd = 0
     k = 0
     txns = 0
     reqs = 0
-    nlive = 0
-    for i in range(m):
-        if probes[i] > 0:
-            live[nlive] = i
-            nlive += 1
-    r = 0
     while nlive > 0:
         w = 0
         for li in range(nlive):
-            i = live[li]
-            line = (indices[starts[i] + r] * element_bytes) // txn_bytes
+            cursor = live[li, 0]
+            remaining = live[li, 1]
+            line = (indices[cursor] * element_bytes) // txn_bytes
             if k == warp:
+                for j in range(nd):
+                    seen[fresh[j] >> 6] = _ZERO
                 txns += nd
                 reqs += 1
-                k = 0
                 nd = 0
+                k = 0
             k += 1
-            seen = False
-            for j in range(nd - 1, -1, -1):
-                if dbuf[j] == line:
-                    seen = True
-                    break
-            if not seen:
-                dbuf[nd] = line
+            bit = _ONE << np.uint64(line & 63)
+            if seen[line >> 6] & bit == _ZERO:
+                seen[line >> 6] |= bit
+                fresh[nd] = line
                 nd += 1
-            if probes[i] > r + 1:
-                live[w] = i
+            if remaining > 1:
+                live[w, 0] = cursor + 1
+                live[w, 1] = remaining - 1
                 w += 1
         nlive = w
-        r += 1
     if k > 0:
         txns += nd
         reqs += 1
