@@ -6,7 +6,7 @@ graphs and how sensitive the result is to the alpha threshold.
 """
 
 from repro import IBFS, IBFSConfig
-from repro.bfs.direction import DirectionPolicy
+from repro.plan import DirectionPolicy
 
 from harness import emit, format_table, load_graph, pick_sources, run_once
 

@@ -9,8 +9,8 @@ numbers are trusted — partitioning changes communication, never depths.
 
 Two things are measured per configuration:
 
-* real host wall seconds of the full multi-group run (the inline
-  backend executes partitions sequentially, so this prices the
+* real host wall seconds of the full multi-group run (the engine
+  executes partitions sequentially in one process, so this prices the
   partitioning *overhead*, not parallel speedup);
 * exact exchange accounting — per-level wire bytes and messages under
   the forced ``dense``/``sparse`` formats and the ``auto`` policy.

@@ -130,7 +130,6 @@ from repro.exec import (
 from repro.dist import (
     CommCostModel,
     DistConfig,
-    DistFaultPlan,
     DistStats,
     ExchangePolicy,
     GraphPartitioner,
@@ -231,7 +230,6 @@ __all__ = [
     "GroupExecutor",
     "CommCostModel",
     "DistConfig",
-    "DistFaultPlan",
     "DistStats",
     "ExchangePolicy",
     "GraphPartitioner",

@@ -212,8 +212,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{fmt}:{count}"
             for fmt, count in sorted(dist_stats.formats().items())
         )
-        print(f"dist backend      : {dist_stats.backend} "
-              f"({dist_stats.layout} x {dist_stats.num_partitions})")
+        print(f"dist partitions   : "
+              f"{dist_stats.layout} x {dist_stats.num_partitions}")
         print(f"exchange bytes    : {dist_stats.bytes_total:,} "
               f"({dist_stats.messages_total} messages)")
         print(f"exchange formats  : {formats or '-'}")

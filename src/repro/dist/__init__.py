@@ -6,9 +6,10 @@ across them with a per-level frontier exchange whose wire format —
 dense bitmask vs sparse list — is chosen per level and recorded into
 the run plan (:mod:`repro.dist.exchange`, :mod:`repro.dist.engine`),
 and prices the communication with the cost models of
-:mod:`repro.dist.comm`.  Depth matrices are bit-identical to serial
-:meth:`repro.core.engine.IBFS.run` under every layout, partition
-count, wire format, backend, and crash/retry interleaving.
+:mod:`repro.dist.comm`.  Every partition runs in this process, so the
+models price the exchange a real cluster would make.  Depth matrices
+are bit-identical to serial :meth:`repro.core.engine.IBFS.run` under
+every layout, partition count and wire format.
 """
 
 from repro.dist.comm import ClusterCommModel, CommCostModel, LevelCost
@@ -29,26 +30,18 @@ from repro.dist.exchange import (
 from repro.dist.partition import (
     BALANCE_MODES,
     LAYOUTS,
-    AttachedPartition,
     GraphPartition,
     GraphPartitioner,
-    PartitionHandle,
     PartitionSet,
-    attach_partition,
     check_partition_cover,
     grid_shape,
-    publish_partition,
-    release_partition,
 )
-from repro.dist.procs import DistFaultPlan, ProcessBackend
 
 __all__ = [
-    "AttachedPartition",
     "BALANCE_MODES",
     "ClusterCommModel",
     "CommCostModel",
     "DistConfig",
-    "DistFaultPlan",
     "DistStats",
     "ExchangePayload",
     "ExchangePolicy",
@@ -58,16 +51,11 @@ __all__ = [
     "LevelCost",
     "LevelTrace",
     "MAX_GROUP_SIZE",
-    "PartitionHandle",
     "PartitionSet",
     "PartitionState",
     "PartitionedEngine",
-    "ProcessBackend",
-    "attach_partition",
     "check_partition_cover",
     "encode_updates",
     "grid_shape",
     "merge_payload",
-    "publish_partition",
-    "release_partition",
 ]

@@ -18,13 +18,17 @@ level runs as
 
 Depths depend only on the edge set, so the merged ``(group, |V|)``
 matrix is bit-identical to serial :meth:`repro.core.engine.IBFS.run`
-for every layout, partition count, wire format, and crash/retry
-interleaving.  What the knobs change is the *communication*: per-level
-bytes and messages are accounted exactly and priced by the
-:mod:`repro.dist.comm` cost models, and the per-level format choice is
-recorded into the run's :class:`~repro.plan.types.RunPlan` (via the
-``exchange`` field of :class:`~repro.plan.types.LevelDecision`) so a
-replay re-sends exactly the recorded bytes.
+for every layout, partition count, and wire format.  What the knobs
+change is the *communication*: per-level bytes and messages are
+accounted exactly and priced by the :mod:`repro.dist.comm` cost models,
+and the per-level format choice is recorded into the run's
+:class:`~repro.plan.types.RunPlan` (via the ``exchange`` field of
+:class:`~repro.plan.types.LevelDecision`) so a replay re-sends exactly
+the recorded bytes.
+
+Every partition runs in this process, one after another, so host wall
+time prices the partitioning overhead, not parallel speed-up; the
+parallel cost of a level is what the comm models price.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.core.groupby import GroupByConfig, group_sources, random_groups
 from repro.core.result import ConcurrentResult, GroupStats
-from repro.exec.faults import FaultLog, FaultPolicy, crash_error
 from repro.plan.types import Direction, LevelDecision, RunPlan
 from repro.dist.comm import CommCostModel
 from repro.dist.exchange import (
@@ -68,8 +71,6 @@ UNVISITED = -1
 #: Hard instance cap: one uint64 status word per vertex.
 MAX_GROUP_SIZE = 64
 
-_BACKENDS = ("inline", "process")
-
 
 @dataclass(frozen=True)
 class DistConfig:
@@ -92,14 +93,6 @@ class DistConfig:
     groupby: bool = True
     groupby_config: GroupByConfig = GroupByConfig()
     seed: int = 0
-    #: ``"inline"`` runs every partition in this process; ``"process"``
-    #: spawns one worker per partition over shared-memory partitions.
-    backend: str = "inline"
-    faults: FaultPolicy = FaultPolicy()
-    #: Deterministic crash injection for the process backend
-    #: (:class:`repro.dist.procs.DistFaultPlan`).
-    fault_plan: Optional[object] = None
-    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.num_partitions <= 0:
@@ -113,10 +106,6 @@ class DistConfig:
                 f"balance must be one of {BALANCE_MODES}; "
                 f"got {self.balance!r}"
             )
-        if self.backend not in _BACKENDS:
-            raise TraversalError(
-                f"backend must be one of {_BACKENDS}; got {self.backend!r}"
-            )
         if self.group_size <= 0:
             raise TraversalError("group_size must be positive")
         # Delegate format/threshold validation.
@@ -124,14 +113,10 @@ class DistConfig:
 
 
 # ----------------------------------------------------------------------
-# Per-partition state and compute (shared by both backends)
+# Per-partition state and compute
 # ----------------------------------------------------------------------
 class PartitionState:
-    """One partition's vertex state plus its edge-block compute.
-
-    The same class backs the inline backend and the process workers, so
-    the two backends cannot diverge in results or byte accounting.
-    """
+    """One partition's vertex state plus its edge-block compute."""
 
     def __init__(self, part: GraphPartition, own_bounds: np.ndarray) -> None:
         self.part = part
@@ -240,49 +225,6 @@ class PartitionState:
         return self.depths
 
 
-class _InlineBackend:
-    """All partitions in this process — the reference backend."""
-
-    kind = "inline"
-
-    def __init__(self, pset: PartitionSet) -> None:
-        self.states = [
-            PartitionState(p, pset.own_bounds) for p in pset.parts
-        ]
-
-    def init_group(self, group_size: int, attempt: int) -> None:
-        for state in self.states:
-            state.init_group(group_size)
-
-    def expand(
-        self,
-        level: int,
-        attempt: int,
-        fmt: str,
-        frontier_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
-    ):
-        results = []
-        for state, (vertices, masks) in zip(self.states, frontier_slices):
-            results.append(state.expand(vertices, masks, fmt))
-        return results
-
-    def apply(
-        self,
-        level: int,
-        payloads_per_part: Sequence[List[ExchangePayload]],
-    ):
-        return [
-            state.apply(level, payloads)
-            for state, payloads in zip(self.states, payloads_per_part)
-        ]
-
-    def collect(self) -> List[np.ndarray]:
-        return [state.collect() for state in self.states]
-
-    def close(self) -> None:
-        pass
-
-
 # ----------------------------------------------------------------------
 # Stats
 # ----------------------------------------------------------------------
@@ -328,19 +270,13 @@ class LevelTrace:
 
 @dataclass
 class DistStats:
-    """Observability of one partitioned run (communication + faults)."""
+    """Observability of one partitioned run (communication)."""
 
-    backend: str
     layout: str
     num_partitions: int
     groups: int = 0
     levels: List[LevelTrace] = field(default_factory=list)
-    crashes: int = 0
-    respawns: int = 0
-    retries: int = 0
-    degraded: bool = False
     wall_seconds: float = 0.0
-    events: List[object] = field(default_factory=list)
 
     @property
     def bytes_total(self) -> int:
@@ -358,17 +294,12 @@ class DistStats:
 
     def to_dict(self) -> dict:
         return {
-            "backend": self.backend,
             "layout": self.layout,
             "num_partitions": self.num_partitions,
             "groups": self.groups,
             "bytes_total": self.bytes_total,
             "messages_total": self.messages_total,
             "formats": self.formats(),
-            "crashes": self.crashes,
-            "respawns": self.respawns,
-            "retries": self.retries,
-            "degraded": self.degraded,
             "wall_seconds": self.wall_seconds,
             "levels": [t.to_dict() for t in self.levels],
         }
@@ -384,12 +315,6 @@ class DistStats:
         hub.counter(
             "dist_levels_total", "Partitioned traversal levels executed"
         ).inc(len(self.levels))
-        hub.counter(
-            "dist_crashes_total", "Partition worker crashes observed"
-        ).inc(self.crashes)
-        hub.counter(
-            "dist_respawns_total", "Partition workers respawned"
-        ).inc(self.respawns)
         latency = hub.histogram(
             "exchange_level_seconds",
             "Modeled exchange seconds per traversal level",
@@ -432,10 +357,11 @@ class PartitionedEngine:
         )
         self._dense_bytes = self.partitions.dense_bytes_per_level()
         self._out_degrees = graph.out_degrees()
-        self._backend = None
+        self._states = [
+            PartitionState(p, self.partitions.own_bounds)
+            for p in self.partitions.parts
+        ]
         self._closed = False
-        #: Worker-pool rebuilds left over the engine's lifetime.
-        self._respawns_left = self.config.faults.respawn_limit
         #: Stats of the most recent run/run_group call.
         self.last_stats: Optional[DistStats] = None
 
@@ -446,10 +372,6 @@ class PartitionedEngine:
         return (
             f"dist-{self.config.layout}x{self.config.num_partitions}{suffix}"
         )
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
 
     def effective_group_size(self) -> int:
         """Configured N clamped by the one-status-word-per-vertex rule."""
@@ -465,42 +387,15 @@ class PartitionedEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
+        """Drop the partition states; the engine refuses to run after."""
         self._closed = True
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
+        self._states = []
 
     def __enter__(self) -> "PartitionedEngine":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _ensure_backend(self):
-        if self._closed:
-            raise TraversalError("engine is closed")
-        if self._backend is None:
-            if self.config.backend == "process":
-                from repro.dist.procs import ProcessBackend
-
-                self._backend = ProcessBackend(
-                    self.partitions,
-                    fault_plan=self.config.fault_plan,
-                    start_method=self.config.start_method,
-                )
-            else:
-                self._backend = _InlineBackend(self.partitions)
-        return self._backend
-
-    def _degrade_backend(self):
-        """Process pool lost: finish on the inline backend (results are
-        identical by construction)."""
-        if self._backend is not None:
-            self._backend.close()
-        self._backend = _InlineBackend(self.partitions)
-        return self._backend
 
     # ------------------------------------------------------------------
     def _validate_group(self, group: List[int]) -> None:
@@ -530,86 +425,28 @@ class PartitionedEngine:
         from the plan's ``exchange`` fields instead of the policy, so
         the exchange re-sends exactly the recorded bytes.
         """
+        if self._closed:
+            raise TraversalError("engine is closed")
         group = [int(s) for s in group]
         self._validate_group(group)
         stats = DistStats(
-            backend=self.config.backend,
             layout=self.config.layout,
             num_partitions=self.config.num_partitions,
         )
-        result = self._run_group_with_retry(
-            group, max_depth, plan, stats
-        )
+        wall_start = time.perf_counter()
+        result = self._run_group_once(group, max_depth, plan, stats)
+        stats.wall_seconds = time.perf_counter() - wall_start
         stats.groups = 1
         self.last_stats = stats
         stats.publish()
         return result
 
-    def _run_group_with_retry(
-        self,
-        group: List[int],
-        max_depth: Optional[int],
-        plan: Optional[RunPlan],
-        stats: DistStats,
-    ) -> ConcurrentResult:
-        from repro.dist.procs import PartitionCrash
-
-        policy = self.config.faults
-        log = FaultLog()
-        attempt = 0
-        wall_start = time.perf_counter()
-        try:
-            while True:
-                backend = self._ensure_backend()
-                try:
-                    return self._run_group_once(
-                        backend, group, max_depth, plan, attempt, stats
-                    )
-                except PartitionCrash as crash:
-                    stats.crashes += 1
-                    log.record(
-                        "crash",
-                        task_id=0,
-                        worker_id=crash.part_id,
-                        attempt=attempt,
-                        detail=crash.detail,
-                    )
-                    attempt += 1
-                    if policy.fail_fast or policy.exhausted(attempt):
-                        raise crash_error(
-                            0, crash.part_id, attempt - 1, crash.detail
-                        ) from None
-                    stats.retries += 1
-                    log.record("retry", task_id=0, attempt=attempt)
-                    if self._respawns_left > 0:
-                        # A fresh pool on fresh queues: the dead worker
-                        # may have died holding the reply queue's lock.
-                        self._respawns_left -= 1
-                        backend.close()
-                        self._backend = None
-                        stats.respawns += 1
-                        log.record("respawn", worker_id=crash.part_id)
-                    else:
-                        # Respawn budget exhausted: the remaining pool
-                        # cannot cover every partition — degrade.
-                        stats.degraded = True
-                        log.record(
-                            "degraded",
-                            detail="partition pool lost; finishing inline",
-                        )
-                        self._degrade_backend()
-        finally:
-            stats.wall_seconds += time.perf_counter() - wall_start
-            stats.events.extend(log.events)
-
     # ------------------------------------------------------------------
     def _run_group_once(
         self,
-        backend,
         group: List[int],
         max_depth: Optional[int],
         plan: Optional[RunPlan],
-        attempt: int,
         stats: DistStats,
     ) -> ConcurrentResult:
         pset = self.partitions
@@ -627,12 +464,11 @@ class PartitionedEngine:
             "dist.run_group",
             layout=self.config.layout,
             partitions=pset.num_partitions,
-            backend=backend.kind,
             group_size=group_size,
-            attempt=attempt,
             replay=plan is not None,
         ):
-            backend.init_group(group_size, attempt)
+            for state in self._states:
+                state.init_group(group_size)
 
             # Source injection: depth 0, not an exchange (no bytes).
             src_vertices = np.asarray(group, dtype=np.int64)
@@ -643,7 +479,10 @@ class PartitionedEngine:
             inject = self._bucket_by_owner(
                 src_vertices[order], src_masks[order]
             )
-            new_slices = backend.apply(-1, inject)
+            new_slices = [
+                state.apply(-1, payloads)
+                for state, payloads in zip(self._states, inject)
+            ]
 
             counters = ProfilerCounters()
             traces: List[LevelTrace] = []
@@ -665,7 +504,7 @@ class PartitionedEngine:
                     "exchange.level", level=level, fmt=fmt
                 ) as span:
                     trace, new_slices = self._run_level(
-                        backend, pset, level, attempt, fmt, new_slices
+                        pset, level, fmt, new_slices
                     )
                     cost = self.cost_model.price_level(
                         trace.edges_scanned, trace.nbytes, trace.messages
@@ -699,12 +538,9 @@ class PartitionedEngine:
                 td_sharing.append((new_bits, new_total))
                 level += 1
 
-            blocks = backend.collect()
             matrix = np.full((group_size, n), UNVISITED, dtype=np.int32)
-            for part, block in zip(pset.parts, blocks):
-                matrix[:, part.own_start : part.own_stop] = np.asarray(
-                    block, dtype=np.int32
-                ).T
+            for part, state in zip(pset.parts, self._states):
+                matrix[:, part.own_start : part.own_stop] = state.collect().T
 
         stats.levels.extend(traces)
         shared = [s for s in per_level_sharing if s > 0]
@@ -782,10 +618,8 @@ class PartitionedEngine:
 
     def _run_level(
         self,
-        backend,
         pset: PartitionSet,
         level: int,
-        attempt: int,
         fmt: str,
         new_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
     ) -> Tuple[LevelTrace, List[Tuple[np.ndarray, np.ndarray]]]:
@@ -830,7 +664,10 @@ class PartitionedEngine:
                     )
                 )
 
-        expanded = backend.expand(level, attempt, fmt, frontier_slices)
+        expanded = [
+            state.expand(vertices, masks, fmt)
+            for state, (vertices, masks) in zip(self._states, frontier_slices)
+        ]
 
         update_bytes = 0
         update_messages = 0
@@ -847,7 +684,10 @@ class PartitionedEngine:
                 update_messages += 1
                 entries += payload.entries
 
-        new_slices = backend.apply(level, per_owner)
+        new_slices = [
+            state.apply(level, payloads)
+            for state, payloads in zip(self._states, per_owner)
+        ]
         trace = LevelTrace(
             level=level,
             fmt=fmt,
@@ -861,7 +701,7 @@ class PartitionedEngine:
             compute_seconds=0.0,
             exchange_seconds=0.0,
         )
-        return trace, list(new_slices)
+        return trace, new_slices
 
     @staticmethod
     def _popcount_slices(
@@ -894,7 +734,6 @@ class PartitionedEngine:
         group_stats: List[GroupStats] = []
         depth_rows = {} if store_depths else None
         merged = DistStats(
-            backend=self.config.backend,
             layout=self.config.layout,
             num_partitions=self.config.num_partitions,
         )
@@ -905,12 +744,7 @@ class PartitionedEngine:
             run_stats = self.last_stats
             merged.groups += 1
             merged.levels.extend(run_stats.levels)
-            merged.crashes += run_stats.crashes
-            merged.respawns += run_stats.respawns
-            merged.retries += run_stats.retries
-            merged.degraded = merged.degraded or run_stats.degraded
             merged.wall_seconds += run_stats.wall_seconds
-            merged.events.extend(run_stats.events)
             if depth_rows is not None:
                 for row, source in enumerate(group):
                     depth_rows[source] = part.depths[row]

@@ -46,7 +46,7 @@ class ExchangePayload:
     ``start``/``stop`` bound the (global) destination vertices covered.
     Dense payloads carry ``words[stop - start]``; sparse payloads carry
     parallel ``vertices``/``masks`` arrays.  The payload *is* the wire
-    format: the process backend pickles these across the result queues.
+    format whose bytes the engine accounts.
     """
 
     fmt: str

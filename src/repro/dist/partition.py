@@ -18,13 +18,8 @@ decompositions:
     merged depth matrix bit-identical to the serial engine under either
     layout.
 
-Partitions are plain numpy slices for in-process use and are published
-into shared memory for the process backend through the *same*
-refcounted :mod:`repro.exec.shm` layer the group executor uses: each
-partition's local CSR is wrapped in a (trusted, unvalidated) ``CSRGraph``
-whose column indices stay global, so :func:`repro.exec.shm.publish_graph`
-fingerprints, refcounts, and unlinks partition segments exactly like
-whole-graph segments.
+Each partition is a pair of plain numpy arrays (its local CSR) plus
+the ranges it covers; the engine keeps them all in one process.
 """
 
 from __future__ import annotations
@@ -37,13 +32,6 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph, VERTEX_DTYPE
-from repro.exec.shm import (
-    AttachedGraph,
-    SharedGraphHandle,
-    attach_graph,
-    publish_graph,
-    release_graph,
-)
 
 #: Supported decompositions.
 LAYOUTS = ("1d", "2d")
@@ -125,11 +113,6 @@ class GraphPartition:
     def src_size(self) -> int:
         return self.src_stop - self.src_start
 
-    def local_graph(self) -> CSRGraph:
-        """The block's CSR as a (trusted) graph object for publication;
-        column ids remain global, so this is *not* a standalone graph."""
-        return CSRGraph(self.row_offsets, self.col_indices, validate=False)
-
     def memory_bytes(self) -> int:
         """Bytes a worker holding this partition must keep resident."""
         return int(
@@ -139,41 +122,6 @@ class GraphPartition:
             # BSA (one uint64 status word and an int32 depth row slot).
             + self.own_size * (8 + 4)
         )
-
-
-@dataclass(frozen=True)
-class PartitionHandle:
-    """Picklable description of one published partition: the shared
-    local-CSR handle plus the range metadata that cannot ride on it."""
-
-    part_id: int
-    row: int
-    col: int
-    src_start: int
-    src_stop: int
-    dst_start: int
-    dst_stop: int
-    own_start: int
-    own_stop: int
-    num_vertices: int
-    graph: SharedGraphHandle
-
-
-@dataclass
-class AttachedPartition:
-    """A worker's zero-copy view of one published partition."""
-
-    partition: GraphPartition
-    _attached: AttachedGraph
-
-    def close(self) -> None:
-        self._attached.close()
-
-    def __enter__(self) -> "AttachedPartition":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class PartitionSet:
@@ -341,52 +289,6 @@ class GraphPartitioner:
             row_bounds=row_bounds,
             col_bounds=col_bounds,
         )
-
-
-# ----------------------------------------------------------------------
-# Shared-memory publication (process backend)
-# ----------------------------------------------------------------------
-def publish_partition(part: GraphPartition) -> PartitionHandle:
-    """Publish one partition's local CSR through the refcounted shm
-    layer; pair every call with :func:`release_partition`."""
-    handle = publish_graph(part.local_graph(), include_reverse=False)
-    return PartitionHandle(
-        part_id=part.part_id,
-        row=part.row,
-        col=part.col,
-        src_start=part.src_start,
-        src_stop=part.src_stop,
-        dst_start=part.dst_start,
-        dst_stop=part.dst_stop,
-        own_start=part.own_start,
-        own_stop=part.own_stop,
-        num_vertices=part.num_vertices,
-        graph=handle,
-    )
-
-
-def release_partition(handle: PartitionHandle) -> None:
-    release_graph(handle.graph)
-
-
-def attach_partition(handle: PartitionHandle) -> AttachedPartition:
-    """Map a published partition read-only in the current process."""
-    attached = attach_graph(handle.graph)
-    part = GraphPartition(
-        part_id=handle.part_id,
-        row=handle.row,
-        col=handle.col,
-        src_start=handle.src_start,
-        src_stop=handle.src_stop,
-        dst_start=handle.dst_start,
-        dst_stop=handle.dst_stop,
-        own_start=handle.own_start,
-        own_stop=handle.own_stop,
-        num_vertices=handle.num_vertices,
-        row_offsets=attached.graph.row_offsets,
-        col_indices=attached.graph.col_indices,
-    )
-    return AttachedPartition(partition=part, _attached=attached)
 
 
 def check_partition_cover(

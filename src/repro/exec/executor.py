@@ -13,8 +13,9 @@ this module does.  The parent process
    work one task at a time — stealing from loaded peers' deques under
    the default policy,
 4. watches for worker crashes and hangs, retrying tasks within the
-   :class:`~repro.exec.faults.FaultPolicy` budget and respawning
-   workers, degrading to in-process execution when the pool is lost,
+   :class:`~repro.exec.faults.FaultPolicy` budget and rebuilding the
+   whole pool on fresh queues when a worker is lost, degrading to
+   in-process execution once the respawn budget is spent,
 5. merges per-group results *in group order*, which makes the final
    :class:`~repro.core.result.ConcurrentResult` bit-identical to a
    serial :meth:`IBFS.run` no matter how completion interleaved.
@@ -95,28 +96,16 @@ class ExecConfig:
         :class:`~repro.exec.faults.FaultPolicy`).
     fault_plan:
         Deterministic fault injection shipped to workers (tests/chaos).
-    start_method:
-        ``multiprocessing`` start method; default ``"fork"`` where
-        available (workers attach shared memory either way).
-    fallback:
-        When true (default), a pool that cannot be started degrades to
-        in-process execution instead of raising.
-    share_reverse:
-        Also publish the transpose CSR so workers skip the reverse
-        build (bottom-up traversal needs it).
-    shared_depths:
-        Ship depth matrices back through one-shot shared-memory
-        segments instead of the pickle pipe.
+
+    Workers start with ``fork`` where available, else ``spawn``, and
+    attach the shared graph either way.  A pool that cannot be started
+    degrades to in-process execution.
     """
 
     num_workers: int = 2
     scheduler: str = "steal"
     faults: FaultPolicy = FaultPolicy()
     fault_plan: Optional[FaultPlan] = None
-    start_method: Optional[str] = None
-    fallback: bool = True
-    share_reverse: bool = True
-    shared_depths: bool = True
 
     def __post_init__(self) -> None:
         if self.num_workers < 0:
@@ -182,7 +171,7 @@ class ExecStats:
             ("exec_timeouts_total", "Task watchdog timeouts", self.timeouts),
             ("exec_task_errors_total", "Task errors raised in workers",
              self.task_errors),
-            ("exec_respawns_total", "Workers respawned", self.respawns),
+            ("exec_respawns_total", "Worker pools rebuilt", self.respawns),
         )
         for name, help_text, value in pairs:
             hub.counter(name, help_text).inc(value)
@@ -386,32 +375,23 @@ class GroupExecutor:
             return True
         except ReproError:
             raise
-        except Exception as exc:
+        except Exception:
             self._pool_broken = True
             self._teardown_pool()
-            if self.exec_config.fallback:
-                return False
-            raise ExecutorError(f"could not start worker pool: {exc}") from exc
+            return False
 
     def _start_pool(self) -> None:
-        method = self.exec_config.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(method)
-        self._handle = publish_graph(
-            self.graph, include_reverse=self.exec_config.share_reverse
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
         )
+        self._handle = publish_graph(self.graph)
         self._result_queue = self._ctx.Queue()
         for worker_id in range(self.exec_config.num_workers):
             self._spawn_worker(worker_id)
 
     def _spawn_worker(self, worker_id: int) -> None:
-        task_queue = (
-            self._workers[worker_id].task_queue
-            if worker_id in self._workers
-            else self._ctx.Queue()
-        )
+        task_queue = self._ctx.Queue()
         spec = EngineSpec(
             config=self.engine.config,
             device_config=self._device_config,
@@ -428,7 +408,6 @@ class GroupExecutor:
                 task_queue,
                 self._result_queue,
                 self.exec_config.fault_plan,
-                self.exec_config.shared_depths,
                 ObsSpec(
                     profile=profile_config.enabled,
                     sample_every=profile_config.sample_every,
@@ -665,14 +644,14 @@ class GroupExecutor:
                 board.requeue(task_id)
 
         while pending:
-            self._reap_dead(busy, stats, log, task_failed)
-            self._watchdog(busy, policy, stats, log, task_failed)
+            self._reap_dead(busy, board, stats, log, task_failed)
+            self._watchdog(busy, board, policy, stats, log, task_failed)
             self._hand_out(board, busy, tasks, attempts, stats)
             if not pending:
                 break
             if not busy:
                 # Nothing in flight yet work remains: the pool is gone
-                # (all workers dead past the respawn budget).
+                # (a worker lost past the respawn budget).
                 self._degrade(tasks, pending, outcomes, stats, log)
                 break
             message = self._next_message()
@@ -713,7 +692,7 @@ class GroupExecutor:
             # and can be reclaimed after — a worker crash between
             # push_array and the reply.
             result_name = None
-            if task.want_depths and self.exec_config.shared_depths:
+            if task.want_depths:
                 result_name = result_segment_name()
                 self._pending_segments.add(result_name)
             self._workers[worker_id].task_queue.put(
@@ -760,8 +739,8 @@ class GroupExecutor:
         kind = message[0]
         tracer = obs_tracing.get_tracer()
         if kind == "ok":
-            (_, worker_id, epoch, task_id, attempt, depth_spec, depths,
-             counters, gstats, wall, spans) = message
+            (_, worker_id, epoch, task_id, attempt, depth_spec, counters,
+             gstats, wall, spans) = message
             stale = (
                 epoch != self._epoch
                 or task_id not in pending
@@ -775,6 +754,7 @@ class GroupExecutor:
                     self._pending_segments.discard(depth_spec.name)
                     discard_array(depth_spec)
                 return
+            depths = None
             if depth_spec is not None:
                 self._pending_segments.discard(depth_spec.name)
                 depths = pop_array(depth_spec)
@@ -817,42 +797,41 @@ class GroupExecutor:
                 ),
             )
 
-    def _reap_dead(self, busy, stats, log, task_failed) -> None:
-        for worker_id in list(self._workers):
-            worker = self._workers[worker_id]
-            if worker.alive():
-                continue
+    def _reap_dead(self, busy, board, stats, log, task_failed) -> None:
+        lost = [
+            worker_id
+            for worker_id, worker in sorted(self._workers.items())
+            if not worker.alive()
+        ]
+        for worker_id in lost:
             entry = busy.pop(worker_id, None)
-            if entry is not None:
-                task_id, attempt = entry[0], entry[1]
-                stats.crashes += 1
-                detail = f"exitcode {worker.process.exitcode}"
-                self._finish_dispatch(entry, status="error", error=detail)
-                # The worker may have pushed its result segment before
-                # dying; the parent named it, so it can be unlinked
-                # without ever seeing the reply.
-                self._reclaim_segment(entry[4])
-                event = log.record(
-                    "crash",
-                    task_id=task_id,
-                    worker_id=worker_id,
-                    attempt=attempt,
-                    detail=detail,
-                )
-                stats.last_words.append(event.last_words())
-                self._replace_worker(worker_id, stats, log)
-                task_failed(
-                    task_id,
-                    attempt,
-                    lambda: crash_error(task_id, worker_id, attempt, detail),
-                )
-            else:
-                self._replace_worker(worker_id, stats, log)
+            if entry is None:
+                continue
+            task_id, attempt = entry[0], entry[1]
+            stats.crashes += 1
+            detail = f"exitcode {self._workers[worker_id].process.exitcode}"
+            self._finish_dispatch(entry, status="error", error=detail)
+            event = log.record(
+                "crash",
+                task_id=task_id,
+                worker_id=worker_id,
+                attempt=attempt,
+                detail=detail,
+            )
+            stats.last_words.append(event.last_words())
+            task_failed(
+                task_id,
+                attempt,
+                lambda: crash_error(task_id, worker_id, attempt, detail),
+            )
+        if lost:
+            self._rebuild_pool(lost[0], busy, board, stats, log)
 
-    def _watchdog(self, busy, policy, stats, log, task_failed) -> None:
+    def _watchdog(self, busy, board, policy, stats, log, task_failed) -> None:
         if policy.task_timeout is None:
             return
         now = time.perf_counter()
+        killed = []
         for worker_id in list(busy):
             task_id, attempt, started = busy[worker_id][:3]
             if now - started <= policy.task_timeout:
@@ -872,14 +851,14 @@ class GroupExecutor:
             worker = self._workers[worker_id]
             worker.process.terminate()
             worker.process.join(timeout=1.0)
-            # Killed after a possible push: reclaim by name.
-            self._reclaim_segment(entry[4])
-            self._replace_worker(worker_id, stats, log)
+            killed.append(worker_id)
             task_failed(
                 task_id,
                 attempt,
                 lambda: timeout_error(task_id, worker_id, attempt),
             )
+        if killed:
+            self._rebuild_pool(killed[0], busy, board, stats, log)
 
     def _reclaim_segment(self, name: Optional[str]) -> None:
         """Unlink one pre-allocated result segment and forget it; a
@@ -892,20 +871,32 @@ class GroupExecutor:
         except Exception:  # pragma: no cover - best effort
             pass
 
-    def _replace_worker(self, worker_id: int, stats, log) -> None:
-        """Respawn a dead worker within budget; drop it otherwise."""
-        if self._respawns_left > 0:
-            self._respawns_left -= 1
-            stats.respawns += 1
-            log.record("respawn", worker_id=worker_id)
-            self._spawn_worker(worker_id)
-        else:
+    def _rebuild_pool(self, worker_id: int, busy, board, stats, log) -> None:
+        """Replace the whole pool after losing a worker.
+
+        A worker killed while its feeder thread holds the shared reply
+        queue's write lock leaves that lock held forever, and one killed
+        inside ``get()`` holds its task queue's read lock, so no worker
+        is respawned onto the old queues: every worker goes, and a fresh
+        pool starts on fresh queues.  Attempts in flight on the
+        survivors go back on the board without being charged.  Each
+        rebuild spends one unit of the respawn budget; once it is spent
+        the pool stays down and the run finishes in-process.  Result
+        segments of the discarded attempts are reclaimed by the
+        teardown.
+        """
+        for entry in busy.values():
+            self._finish_dispatch(entry, status="error", error="pool rebuilt")
+            board.requeue(entry[0])
+        busy.clear()
+        self._teardown_pool()
+        if self._respawns_left == 0:
             log.record("worker_lost", worker_id=worker_id)
-            worker = self._workers.pop(worker_id)
-            try:
-                worker.task_queue.close()
-            except Exception:  # pragma: no cover
-                pass
+            return
+        self._respawns_left -= 1
+        stats.respawns += 1
+        log.record("respawn", worker_id=worker_id)
+        self._ensure_pool()
 
     def _degrade(self, tasks, pending, outcomes, stats, log) -> None:
         """Pool lost: finish the remaining tasks in-process, correctly."""

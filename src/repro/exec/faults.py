@@ -9,9 +9,9 @@ Failure handling in the executor is deliberately split three ways:
   bit-identical results *through* a crash.
 * :class:`FaultPolicy` — the parent's tolerance budget: how many times
   a task may be rescheduled, how long a task may run before the worker
-  is presumed hung, how many worker respawns are allowed before the
-  executor degrades to in-process execution, and whether the first
-  failure should abort the run (``fail_fast``).
+  is presumed hung, how many pool rebuilds after a lost worker are
+  allowed before the executor degrades to in-process execution, and
+  whether the first failure should abort the run (``fail_fast``).
 * :class:`FaultLog` — an append-only record of every crash, timeout,
   task error, retry, and respawn, surfaced through
   :class:`~repro.exec.executor.ExecStats`.
@@ -92,8 +92,8 @@ class FaultPolicy:
     #: Wall seconds a task may run before its worker is presumed hung
     #: and killed (``None`` disables the watchdog).
     task_timeout: Optional[float] = None
-    #: Worker respawns allowed across the run before dead workers are
-    #: abandoned (and the run degrades to in-process if none are left).
+    #: Pool rebuilds allowed after lost workers; once spent, a lost
+    #: worker takes the pool down and the run finishes in-process.
     respawn_limit: int = 4
     #: Abort the whole run on the first task failure instead of
     #: retrying (the CLI's ``--fail-fast``).

@@ -169,15 +169,15 @@ _REGISTRY: Dict[str, _Publication] = {}
 _REGISTRY_LOCK = threading.Lock()
 
 
-def publish_graph(graph: CSRGraph, include_reverse: bool = True) -> SharedGraphHandle:
+def publish_graph(graph: CSRGraph) -> SharedGraphHandle:
     """Publish a graph's CSR arrays into shared memory (refcounted).
 
     Repeated publication of the same graph content returns the existing
     handle and bumps its refcount; every :func:`publish_graph` must be
     paired with one :func:`release_graph`.
 
-    ``include_reverse`` also publishes the transpose CSR so workers can
-    run bottom-up levels without an O(|E| log |E|) per-process rebuild.
+    The transpose CSR is published too, so workers can run bottom-up
+    levels without an O(|E| log |E|) per-process rebuild.
     """
     graph_id = graph_cache_id(graph)
     with _REGISTRY_LOCK:
@@ -186,15 +186,14 @@ def publish_graph(graph: CSRGraph, include_reverse: bool = True) -> SharedGraphH
             pub.refcount += 1
             return pub.handle
 
+        rev = graph.reverse()
         arrays: Dict[str, np.ndarray] = {
             "row_offsets": graph.row_offsets,
             "col_indices": graph.col_indices,
             "out_degrees": graph.out_degrees(),
+            "rev_row_offsets": rev.row_offsets,
+            "rev_col_indices": rev.col_indices,
         }
-        if include_reverse:
-            rev = graph.reverse()
-            arrays["rev_row_offsets"] = rev.row_offsets
-            arrays["rev_col_indices"] = rev.col_indices
 
         segments: List[object] = []
         specs: Dict[str, SharedArraySpec] = {}

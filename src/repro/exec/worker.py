@@ -6,7 +6,7 @@ same config, device model, and direction policy), and then loops on its
 task queue.  A task is ``(epoch, task_id, attempt, group, max_depth,
 want_depths, plan, trace_ctx, result_name)`` — ``result_name`` is the
 parent-allocated shared-memory segment name the depth matrix must be
-pushed under (``None`` when depths travel inline), so the parent can
+pushed under (``None`` when no depths are wanted), so the parent can
 reclaim the segment even if this worker dies before replying —
 ``plan`` is an optional recorded
 :class:`~repro.plan.types.RunPlan` replayed instead of re-running the
@@ -14,11 +14,10 @@ planner heuristics, and the :class:`~repro.core.result.GroupStats` in
 the reply carries the plan the engine actually executed.  The reply on
 the shared result queue is either
 
-``("ok", worker_id, epoch, task_id, attempt, depth_spec, depths,
-counters, stats, wall_seconds, spans)``
+``("ok", worker_id, epoch, task_id, attempt, depth_spec, counters,
+stats, wall_seconds, spans)``
     where ``depth_spec`` is a :class:`~repro.exec.shm.SharedArraySpec`
-    for the depth matrix (or ``None`` with ``depths`` carrying the
-    array inline when shared transport is disabled), or
+    for the depth matrix (``None`` when no depths are wanted), or
 
 ``("error", worker_id, epoch, task_id, attempt, message, traceback,
 spans)``
@@ -126,7 +125,6 @@ def worker_main(
     task_queue,
     result_queue,
     fault_plan: Optional[FaultPlan],
-    shared_depths: bool,
     obs_spec: Optional[ObsSpec] = None,
 ) -> None:
     """Run the worker loop until the ``None`` sentinel arrives."""
@@ -173,14 +171,8 @@ def worker_main(
                     )
                 wall = time.perf_counter() - start
                 depth_spec = None
-                depths = None
                 if want_depths:
-                    if shared_depths:
-                        depth_spec = push_array(
-                            result.depths, name=result_name
-                        )
-                    else:
-                        depths = result.depths
+                    depth_spec = push_array(result.depths, name=result_name)
                 plan.apply_after_result(task_id, attempt)
                 result_queue.put(
                     (
@@ -190,7 +182,6 @@ def worker_main(
                         task_id,
                         attempt,
                         depth_spec,
-                        depths,
                         result.counters,
                         result.groups[0],
                         wall,

@@ -26,7 +26,7 @@ from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph, VERTEX_DTYPE
 from repro.gpusim.counters import LevelRecord, RunRecord
 from repro.gpusim.device import Device
-from repro.bfs.direction import Direction, DirectionPolicy
+from repro.plan import Direction, DirectionPolicy
 from repro.bfs.single import SingleResult
 from repro.core.result import GroupStats
 from repro.core.sharing import SharingObserver

@@ -18,10 +18,10 @@ state machine (:class:`PolicySession`) that actually emits
   (``wants_stats = False``, so engines do not even materialize the
   per-level statistics).
 
-:class:`DirectionPolicy` — the original Beamer state machine from
-``repro.bfs.direction`` — lives here now as the heuristic's step
-function and as the legacy engine-constructor API (every engine still
-accepts one and wraps it into an equivalent :class:`HeuristicPolicy`).
+:class:`DirectionPolicy` — the Beamer state machine — lives here as
+the heuristic's step function and as the legacy engine-constructor
+API (every engine still accepts one and wraps it into an equivalent
+:class:`HeuristicPolicy`).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Direction-optimizing policy state machine."""
 
-from repro.bfs.direction import Direction, DirectionPolicy
+from repro.plan import Direction, DirectionPolicy
 
 
 def test_initial_is_top_down():

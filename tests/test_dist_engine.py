@@ -206,8 +206,6 @@ class TestValidation:
         with pytest.raises(TraversalError):
             DistConfig(exchange="brotli")
         with pytest.raises(TraversalError):
-            DistConfig(backend="thread")
-        with pytest.raises(TraversalError):
             DistConfig(exchange_threshold=0.0)
 
     def test_rejects_bad_groups(self, graph):
@@ -329,6 +327,6 @@ class TestStats:
         assert policy.decide(frontier_edges=10**9, dense_bytes=100) == "dense"
 
     def test_empty_stats(self):
-        stats = DistStats(backend="inline", layout="1d", num_partitions=1)
+        stats = DistStats(layout="1d", num_partitions=1)
         assert stats.bytes_total == 0
         assert stats.formats() == {}

@@ -2,8 +2,7 @@
 
 Every downstream bit-identity guarantee of :mod:`repro.dist` rests on
 two structural facts checked here — the edge blocks partition the edge
-set and the owner ranges partition the vertex set — plus the
-shared-memory publication round-trip the process backend relies on.
+set and the owner ranges partition the vertex set.
 """
 
 import numpy as np
@@ -11,19 +10,10 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph.generators import kronecker, rmat
-from repro.exec.shm import shared_memory_available
 from repro.dist.partition import (
     GraphPartitioner,
-    attach_partition,
     check_partition_cover,
     grid_shape,
-    publish_partition,
-    release_partition,
-)
-
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable",
 )
 
 
@@ -191,24 +181,3 @@ class TestCoverAudit:
         with pytest.raises(GraphError):
             check_partition_cover(other, pset)
 
-
-@needs_shm
-class TestPublication:
-    def test_publish_attach_round_trip(self, graph):
-        pset = GraphPartitioner(graph, 4, layout="2d").build()
-        for part in pset.parts:
-            handle = publish_partition(part)
-            try:
-                with attach_partition(handle) as attached:
-                    remote = attached.partition
-                    assert remote.part_id == part.part_id
-                    assert remote.own_start == part.own_start
-                    assert remote.own_stop == part.own_stop
-                    assert np.array_equal(
-                        remote.row_offsets, part.row_offsets
-                    )
-                    assert np.array_equal(
-                        remote.col_indices, part.col_indices
-                    )
-            finally:
-                release_partition(handle)

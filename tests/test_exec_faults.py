@@ -1,5 +1,9 @@
 """Fault model: injection plans, tolerance budgets, crash recovery."""
 
+import multiprocessing
+import os
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -18,6 +22,7 @@ from repro.exec import (
     FaultPolicy,
     GroupExecutor,
 )
+from repro.exec.faults import CRASH_EXIT_CODE
 from repro.exec.shm import shared_memory_available
 
 needs_shm = pytest.mark.skipif(
@@ -185,3 +190,68 @@ class TestCrashRecovery:
         assert_identical(result, serial)
         assert stats.degraded
         assert stats.respawns == 2
+
+    def test_crash_with_reply_lock_held_recovers(
+        self, graph, serial, monkeypatch
+    ):
+        """A worker killed while its feeder thread holds the shared
+        result queue's write lock leaves that lock held forever.  The
+        executor must not respawn onto the wedged queue: the run
+        finishes bit-identical to serial, in bounded time."""
+        import repro.exec.executor as executor_mod
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the wedging worker is installed through fork")
+        worker_main = executor_mod.worker_main
+
+        class WedgeThenDie:
+            """Task 1, first attempt: take the reply queue's write lock
+            and die holding it.  Keyed on the attempt, not the worker,
+            so the retry in a fresh worker runs clean."""
+
+            def __init__(self, result_queue):
+                self.result_queue = result_queue
+
+            def apply(self, task_id, attempt):
+                if (task_id, attempt) == (1, 0):
+                    self.result_queue._wlock.acquire()
+                    os._exit(CRASH_EXIT_CODE)
+
+            def apply_after_result(self, task_id, attempt):
+                pass
+
+        def wedging_worker_main(worker_id, handle, spec, task_queue,
+                                result_queue, fault_plan, *rest):
+            worker_main(worker_id, handle, spec, task_queue, result_queue,
+                        WedgeThenDie(result_queue), *rest)
+
+        monkeypatch.setattr(executor_mod, "worker_main", wedging_worker_main)
+        executor = GroupExecutor(
+            graph,
+            IBFSConfig(group_size=8),
+            exec_config=ExecConfig(
+                num_workers=2,
+                faults=FaultPolicy(max_retries=2, respawn_limit=2),
+            ),
+        )
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = executor.run(
+                    list(range(32)), store_depths=True
+                )
+            except BaseException as exc:  # pragma: no cover - reported
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60.0)
+        hung = runner.is_alive()
+        executor.close()
+        assert not hung, "run hung on a wedged reply queue"
+        assert "error" not in outcome, outcome.get("error")
+        assert_identical(outcome["result"], serial)
+        stats = executor.last_stats
+        assert (stats.crashes, stats.retries, stats.respawns) == (1, 1, 1)
+        assert not stats.degraded

@@ -71,13 +71,6 @@ class TestPublishAttach:
         finally:
             release_graph(handle)
 
-    def test_no_reverse_when_not_requested(self, graph):
-        handle = publish_graph(graph, include_reverse=False)
-        try:
-            assert not handle.has_reverse
-        finally:
-            release_graph(handle)
-
     def test_arrays_read_only(self, graph):
         handle = publish_graph(graph)
         try:

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import grid_2d, kronecker, uniform_random
-from repro.bfs.direction import DirectionPolicy
 from repro.bfs.reference import reference_bfs_multi
 from repro.bfs.single import SingleBFS
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.joint import JointTraversal
+from repro.plan import DirectionPolicy
 
 POLICIES = {
     "default": DirectionPolicy(),
