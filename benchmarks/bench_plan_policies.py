@@ -4,10 +4,10 @@
 Runs :class:`repro.core.engine.IBFS` over the same graph and sources
 under every planner policy (``heuristic``, ``adaptive``, ``td-only``,
 ``no-early-termination``) and reports the simulated cost-model seconds
-and hardware counters each policy pays.  Direction, kernel variant,
-vector width, and snapshot strategy are cost-only knobs, so every
-policy's depth matrix is asserted bit-identical to the heuristic
-reference before its numbers are trusted.
+and hardware counters each policy pays.  Direction and vector width are
+cost-only knobs, so every policy's depth matrix is asserted
+bit-identical to the heuristic reference before its numbers are
+trusted.
 
 A second section measures plan record/replay: the heuristic run's
 recorded :class:`~repro.plan.RunPlan` for each group is replayed and

@@ -148,8 +148,7 @@ class SingleBFS:
                 if unvisited.size == 0:
                     break
                 new_frontier = self._bottom_up_level(
-                    depths, unvisited, level, record,
-                    kernel=decision.kernel,
+                    depths, unvisited, level, record
                 )
                 run_plan.append(decision)
                 if new_frontier.size == 0:
@@ -256,7 +255,6 @@ class SingleBFS:
         unvisited: np.ndarray,
         level: int,
         record: RunRecord,
-        kernel: str = "auto",
     ) -> np.ndarray:
         assert self._reverse is not None
         mem = self.device.memory
@@ -287,7 +285,6 @@ class SingleBFS:
             parent_hit,
             depth_table=depths,
             level=level,
-            kernel=kernel,
         )
 
         discovered = active[found]

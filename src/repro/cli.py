@@ -59,7 +59,6 @@ from repro.graph import (
 from repro.graph.properties import degree_stats, gini_coefficient
 from repro.core.groupby import GroupByConfig, group_sources
 from repro.plan import POLICY_NAMES, make_policy
-from repro.plan.types import KERNEL_VARIANTS
 from repro.runtime import SUBSTRATE_NAMES, SubstrateSpec, make_substrate
 
 
@@ -139,11 +138,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         mode=args.mode,
         groupby=not args.no_groupby,
     )
-    planner = None
-    if args.policy:
-        planner = make_policy(args.policy, kernel=args.kernel)
-    elif args.kernel:
-        planner = make_policy("heuristic", kernel=args.kernel)
+    planner = make_policy(args.policy) if args.policy else None
     tracer = None
     if args.trace:
         from repro import obs
@@ -238,9 +233,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     count = min(args.sources, args.group_size)
     group = _pick_sources(graph, count, args.seed)
     config = IBFSConfig(group_size=args.group_size, mode=args.mode)
-    engine = IBFS(
-        graph, config, planner=make_policy(args.policy, kernel=args.kernel)
-    )
+    engine = IBFS(graph, config, planner=make_policy(args.policy))
 
     replay_plan = None
     if args.replay:
@@ -256,13 +249,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"policy      : {plan.policy}"
           + ("  (replayed)" if replay_plan is not None else ""))
     print(f"levels      : {len(plan)}")
-    print(f"{'level':<7}{'directions':<16}{'kernel':<9}{'vw':<4}"
-          f"{'snapshot':<10}{'early-term':<10}")
+    print(f"{'level':<7}{'directions':<16}{'vw':<4}{'early-term':<10}")
     for level, decision in enumerate(plan):
         print(
             f"{level:<7}{_summarize_directions(decision):<16}"
-            f"{decision.kernel:<9}{decision.vector_width:<4}"
-            f"{decision.snapshot:<10}"
+            f"{decision.vector_width:<4}"
             f"{'on' if decision.early_termination else 'off':<10}"
         )
     print(f"simulated runtime : {result.seconds * 1e3:.3f} ms")
@@ -667,7 +658,6 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     print(f"numba           : "
           f"{numba if numba is not None else 'not installed'}")
     print(f"c compiler      : {report['compiler'] or 'not found'}")
-    print(f"kernel='auto'   : resolves to {report['auto_kernel']!r}")
     print(f"warm-up         : "
           + (f"{warm * 1e3:.1f} ms" if warm is not None else
              "not run (pass --warmup)"))
@@ -745,9 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", choices=POLICY_NAMES, default=None,
                      help="traversal planner policy (default: the "
                           "engine's heuristic policy)")
-    run.add_argument("--kernel", choices=KERNEL_VARIANTS, default=None,
-                     help="bottom-up kernel variant (default: auto — "
-                          "the compiled backend when available)")
     run.set_defaults(func=cmd_run)
 
     plan = sub.add_parser(
@@ -761,8 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--mode", choices=("bitwise", "joint"),
                       default="bitwise")
     plan.add_argument("--policy", choices=POLICY_NAMES, default="heuristic")
-    plan.add_argument("--kernel", choices=KERNEL_VARIANTS, default=None,
-                      help="bottom-up kernel variant recorded in the plan")
     plan.add_argument("--seed", type=int, default=42)
     plan.add_argument("--max-depth", type=int, default=None)
     plan.add_argument("--export", default=None, metavar="PATH",

@@ -17,23 +17,24 @@ the property MS-BFS forfeits by resetting its status array each level.
 ``reset_per_level`` switches so the MS-BFS baseline can reuse this
 engine with the paper's described differences.
 
-Per-level choices — direction per instance, bottom-up kernel variant,
-vector load width, workspace snapshot strategy, early termination —
-come from the planner (:mod:`repro.plan`): each executed level consumes
-exactly one :class:`~repro.plan.types.LevelDecision` from the policy's
-session, and the sequence is recorded as a
+Per-level choices — direction per instance, vector load width, early
+termination — come from the planner (:mod:`repro.plan`): each executed
+level consumes exactly one :class:`~repro.plan.types.LevelDecision` from
+the policy's session, and the sequence is recorded as a
 :class:`~repro.plan.types.RunPlan` on the returned
 :class:`~repro.core.result.GroupStats`.  Passing ``plan=`` to
 :meth:`run_group` replays a recorded plan bit-identically, skipping the
 heuristic evaluation (the replay session never sees level statistics).
 
-Host-side execution runs on the :mod:`repro.kernels` primitives: the
-top-down scatter is a segmented reduction, ``BSA_k`` is kept as a
-dirty-row snapshot instead of a full copy, bottom-up scans are
-degree-bucketed vector passes, and per-instance bookkeeping is one
-vectorized pass over the depth matrix.  All simulated counters are
-bit-identical to the frozen reference implementation
-(:mod:`repro.kernels.reference`); the equivalence suite enforces it.
+Host-side execution runs on the compiled kernels (:mod:`repro.native`)
+when they resolve for the group's lane count, else on the numpy
+:mod:`repro.kernels` primitives: the top-down scatter is a segmented
+reduction, ``BSA_k`` is one whole-array copy per level into a reused
+buffer, bottom-up scans are degree-bucketed vector passes, and
+per-instance bookkeeping is one vectorized pass over the depth matrix.
+Plans never name the path.  All simulated counters are bit-identical to
+the frozen reference implementation (:mod:`repro.kernels.reference`);
+the equivalence suite enforces it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.core.result import GroupStats
 from repro.core.sharing import SharingObserver
 from repro.core.status_array import combine_masks, instance_masks, lanes_for
 from repro.kernels import (
-    FullSnapshotWorkspace,
     LevelWorkspace,
     bucketed_or_scan,
     per_bit_counts,
@@ -187,16 +187,9 @@ class BitwiseTraversal:
         #: loops used to look it up several times per level).
         self._out_degrees = graph.out_degrees()
         self._workspace: Optional[LevelWorkspace] = None
-        self._workspace_full: Optional[FullSnapshotWorkspace] = None
 
     # ------------------------------------------------------------------
-    def _get_workspace(self, n: int, lanes: int, strategy: str):
-        if strategy == "full":
-            ws = self._workspace_full
-            if ws is None or ws.num_vertices != n or ws.lanes != lanes:
-                ws = FullSnapshotWorkspace(n, lanes)
-                self._workspace_full = ws
-            return ws
+    def _get_workspace(self, n: int, lanes: int) -> LevelWorkspace:
         ws = self._workspace
         if ws is None or ws.num_vertices != n or ws.lanes != lanes:
             ws = LevelWorkspace(n, lanes)
@@ -268,8 +261,8 @@ class BitwiseTraversal:
         # Current frontier as (rows, diff-words): row i of the frontier
         # gained exactly the instance bits set in diff[i] last level, so
         # depth[j, v] == level iff bit j of the row's word is set.  Each
-        # level's dirty-row diff IS the next level's frontier — no dense
-        # (group_size, n) scan ever runs.
+        # level's changed-row diff IS the next level's frontier — no
+        # dense (group_size, n) scan ever runs.
         uniq_src, src_inv = np.unique(
             np.asarray(sources, dtype=np.int64), return_inverse=True
         )
@@ -321,7 +314,7 @@ class BitwiseTraversal:
                 # A replayed or adaptive plan may go bottom-up even when
                 # the construction-time policy never would have.
                 self._reverse = self.graph.reverse()
-            workspace = self._get_workspace(n, lanes, decision.snapshot)
+            workspace = self._get_workspace(n, lanes)
             # Per-level wall-clock profile span; a no-op flag test when
             # profiling is off (the <= 5% overhead budget boundary).
             with obs_profile.span(
@@ -329,9 +322,7 @@ class BitwiseTraversal:
                 depth=level,
                 td_instances=len(td_instances),
                 bu_instances=len(bu_instances),
-                kernel=decision.kernel,
                 vector_width=decision.vector_width,
-                snapshot=decision.snapshot,
                 early_termination=decision.early_termination,
                 policy=planner.name,
                 replay=not wants_stats,
@@ -405,7 +396,7 @@ class BitwiseTraversal:
         bsa: np.ndarray,
         depths_vm: np.ndarray,
         masks: np.ndarray,
-        workspace,
+        workspace: LevelWorkspace,
         td_instances: List[int],
         bu_instances: List[int],
         level: int,
@@ -495,7 +486,7 @@ class BitwiseTraversal:
             frontier_words = bsa[td_frontier] & td_lane_mask
             degrees = out_degrees[td_frontier]
             num_neighbors = int(degrees.sum())
-            if native.effective(decision.kernel, lanes):
+            if native.effective(lanes):
                 # Fused CSR edge-map: the compiled backend walks the
                 # frontier's adjacency in place twice — once to mark the
                 # unique targets and price the frontier, neighbor and
@@ -510,7 +501,6 @@ class BitwiseTraversal:
                     mem.config.transaction_bytes,
                     mem.config.warp_size,
                 )
-                workspace.stash_rows(bsa, unique_targets)
                 native.scatter_or(
                     bsa,
                     graph.row_offsets,
@@ -527,7 +517,6 @@ class BitwiseTraversal:
                 _, neighbors = gather_neighbors(self.graph, td_frontier)
                 plan = scatter_plan(neighbors)
                 unique_targets = plan.unique_targets
-                workspace.stash_rows(bsa, unique_targets)
                 word_index = np.repeat(
                     np.arange(td_frontier.size, dtype=np.int64), degrees
                 )
@@ -568,7 +557,6 @@ class BitwiseTraversal:
                 bu_lane_mask,
                 bu_inspections,
                 early_termination=decision.early_termination,
-                kernel=decision.kernel,
             )
             logical_edges += int(bu_inspections.sum()) - tally_before
             inspections_level += probes_total
@@ -605,8 +593,7 @@ class BitwiseTraversal:
             # avoiding atomics (section 6, Summary).
 
         # --- Depth extraction (frontier identification, Algorithm 2) --
-        # Only dirty rows can differ from BSA_k; the workspace hands back
-        # exactly the rows a full-array XOR would find, with their diffs.
+        # One XOR against BSA_k finds the changed rows and their diffs.
         # Bit j of a diff word is set iff vertex v first gained instance
         # j's bit this level, i.e. depth[j, v] == level + 1 — so the
         # vertex-major depth rows take one masked fill, the per-instance
@@ -615,19 +602,16 @@ class BitwiseTraversal:
         # next level's frontier.
         changed, diff = workspace.changed(bsa)
         if changed.size:
-            counts += per_bit_counts(
-                diff, group_size, kernel=decision.kernel
-            )
+            counts += per_bit_counts(diff, group_size)
             fdeg_next += per_bit_weighted(
-                diff, out_degrees[changed], group_size,
-                kernel=decision.kernel,
+                diff, out_degrees[changed], group_size
             )
             # A newly set bit's depth cell still holds UNVISITED (-1), so
             # adding (level + 2) exactly where bits are set rewrites it
             # to level + 1 with pure SIMD arithmetic — no boolean-where
             # pass.  Rows in ``changed`` are unique, so the fancy-indexed
             # in-place add is a plain gather/add/scatter.
-            if native.effective(decision.kernel, lanes):
+            if native.effective(lanes):
                 native.depth_update(depths_vm, changed, diff, level + 2)
             else:
                 upd = unpack_lane_bits(diff, group_size).astype(
@@ -685,12 +669,11 @@ class BitwiseTraversal:
     def _bottom_up_pass(
         self,
         bsa: np.ndarray,
-        workspace,
+        workspace: LevelWorkspace,
         bu_mask_vertices: np.ndarray,
         bu_lane_mask: np.ndarray,
         bu_inspections: np.ndarray,
         early_termination: bool = True,
-        kernel: str = "auto",
     ):
         """Scan in-neighbors of unvisited vertices, OR-ing their words.
 
@@ -715,7 +698,7 @@ class BitwiseTraversal:
         frontier = np.flatnonzero(bu_mask_vertices).astype(VERTEX_DTYPE)
         starts = offsets[frontier]
         ends = offsets[frontier + 1]
-        state = workspace.snapshot_rows(bsa, frontier)
+        state = workspace.snapshot_rows(frontier)
         state &= bu_lane_mask
         probes, acc, done, stream = bucketed_or_scan(
             indices,
@@ -725,29 +708,20 @@ class BitwiseTraversal:
             bu_lane_mask,
             bu_lane_mask,
             early_termination,
-            lambda rows: workspace.snapshot_rows(bsa, rows),
+            workspace.snapshot,
             bu_inspections,
-            kernel=kernel,
-            source=workspace.snapshot_source(bsa),
         )
 
         # "Updated" for the store model compares against BSA_k (the
-        # reference formula); the dirty stash tracks rows whose *live*
-        # value actually changes.
+        # reference formula).
         if bsa.shape[1] == 1:
             accf = acc.reshape(-1)
             statef = state.reshape(-1)
             bsaf = bsa.reshape(-1)
             updated = frontier[(accf | statef) != statef]
-            current = np.take(bsaf, frontier)
-            workspace.stash_rows(bsa, frontier[(current | accf) != current])
-            bsaf[frontier] = current | accf
+            bsaf[frontier] = np.take(bsaf, frontier) | accf
         else:
             updated = frontier[np.any((acc | state) != state, axis=1)]
-            current = bsa[frontier]
-            workspace.stash_rows(
-                bsa, frontier[np.any((current | acc) != current, axis=1)]
-            )
             bsa[frontier] |= acc
 
         early = int(np.count_nonzero(done & (probes < (ends - starts))))
@@ -757,7 +731,7 @@ class BitwiseTraversal:
         # except on the native path, where the caller prices the stream
         # through the fused round-major coalescing kernel instead of
         # materializing it.
-        if stream is None and native.effective(kernel, bsa.shape[1]):
+        if stream is None and native.effective(bsa.shape[1]):
             self._probe_parts = (indices, starts, probes)
         elif stream is None:
             stream = round_major_probes(indices, starts, probes)

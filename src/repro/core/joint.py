@@ -18,9 +18,8 @@ Per-level direction comes from the planner (:mod:`repro.plan`): each
 executed level consumes one :class:`~repro.plan.types.LevelDecision`
 and the sequence is recorded as a :class:`~repro.plan.types.RunPlan`
 on the returned stats; ``plan=`` replays a recording bit-identically.
-The JSA engine has no bitwise kernel variants, so a decision's
-``kernel``/``vector_width``/``snapshot`` fields are carried in the
-record but do not change execution here.
+The JSA engine has no vector loads, so a decision's ``vector_width``
+is carried in the record but does not change execution here.
 """
 
 from __future__ import annotations
@@ -156,7 +155,6 @@ class JointTraversal:
                 observer,
                 sharing_log,
                 bu_inspections,
-                kernel=decision.kernel,
             )
 
             # Per-instance bookkeeping: completion and the statistics the
@@ -218,7 +216,6 @@ class JointTraversal:
         observer: SharingObserver,
         sharing_log: dict,
         bu_inspections: np.ndarray,
-        kernel: str = "auto",
     ) -> np.ndarray:
         mem = self.device.memory
         counters = record.counters
@@ -299,7 +296,7 @@ class JointTraversal:
         # --- Bottom-up pass ------------------------------------------
         if bu_instances:
             probes, early, bu_discovered, vertex_rounds = self._bottom_up_pass(
-                depths, bu_instances, level, bu_inspections, kernel=kernel
+                depths, bu_instances, level, bu_inspections
             )
             progressed[bu_instances] |= bu_discovered > 0
             counters.early_terminations += early
@@ -366,7 +363,6 @@ class JointTraversal:
         bu_instances: List[int],
         level: int,
         bu_inspections: np.ndarray,
-        kernel: str = "auto",
     ):
         """Per-instance bottom-up probing with early termination.
 
@@ -402,7 +398,6 @@ class JointTraversal:
             depth_table=depths,
             inst=bu_rows[pair_row],
             level=level,
-            kernel=kernel,
         )
 
         discovered_idx = np.flatnonzero(found)

@@ -1,16 +1,16 @@
 """Vectorized traversal primitives shared by every engine.
 
 The simulated engines model GPU kernels, but their host-side hot loops
-originally ran the slow way: ``np.bitwise_or.at`` scatters, full status
-snapshots per level, per-instance Python bookkeeping, and one Python
-iteration per bottom-up round.  This package holds the vectorized
+originally ran the slow way: ``np.bitwise_or.at`` scatters, per-instance
+Python bookkeeping, and one Python iteration per bottom-up round.  This
+package holds the vectorized
 replacements — reformulations that are *bit-identical* in every depth,
 statistic, and simulated counter, just faster on the host:
 
 * :mod:`~repro.kernels.scatter` — scatter-OR as an argsort +
   ``bitwise_or.reduceat`` segmented reduction;
 * :mod:`~repro.kernels.workspace` — :class:`LevelWorkspace`, the
-  dirty-row snapshot that replaces per-level full-BSA copies;
+  per-level ``BSA_k`` snapshot on one reused buffer;
 * :mod:`~repro.kernels.bookkeeping` — one-pass per-instance frontier
   statistics and packed-bit column counts;
 * :mod:`~repro.kernels.bottomup` — degree-bucketed bottom-up scans and
@@ -35,10 +35,9 @@ from repro.kernels.bottomup import (
     round_major_probes,
 )
 from repro.kernels.scatter import ScatterPlan, scatter_or, scatter_plan
-from repro.kernels.workspace import FullSnapshotWorkspace, LevelWorkspace
+from repro.kernels.workspace import LevelWorkspace
 
 __all__ = [
-    "FullSnapshotWorkspace",
     "LevelWorkspace",
     "ScatterPlan",
     "bucketed_hit_scan",

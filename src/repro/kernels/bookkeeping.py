@@ -15,7 +15,7 @@ bit.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -48,9 +48,7 @@ _BYTE_BITS = ((np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1).astype(
 )
 
 
-def per_bit_counts(
-    words: np.ndarray, group_size: int, *, kernel: Optional[str] = None
-) -> np.ndarray:
+def per_bit_counts(words: np.ndarray, group_size: int) -> np.ndarray:
     """Column sums of the bit matrix encoded by ``(rows, lanes)`` words.
 
     ``out[j]`` is the number of rows whose instance-``j`` bit is set.
@@ -60,13 +58,12 @@ def per_bit_counts(
     bit matrix, so halving the element count by histogramming two bytes
     at a time wins as soon as the rows outweigh the 65536-bin reset.
 
-    ``kernel`` (a :data:`repro.plan.types.KERNEL_VARIANTS` entry) routes
-    the tally through the compiled backend when it resolves; bit-count
+    The tally runs on the compiled backend when one resolves; bit-count
     sums are order-free, so the result is bit-identical either way.
     """
     if words.size == 0:
         return np.zeros(group_size, dtype=np.int64)
-    if kernel is not None and native.effective(kernel):
+    if native.enabled():
         return native.per_bit_counts(words, group_size)
     rows = words.shape[0]
     contig = np.ascontiguousarray(words, dtype=np.uint64)
@@ -88,11 +85,7 @@ def per_bit_counts(
 
 
 def per_bit_weighted(
-    words: np.ndarray,
-    weights: np.ndarray,
-    group_size: int,
-    *,
-    kernel: Optional[str] = None,
+    words: np.ndarray, weights: np.ndarray, group_size: int
 ) -> np.ndarray:
     """Weighted column sums: ``out[j] = weights[bit j set].sum()``.
 
@@ -100,11 +93,11 @@ def per_bit_weighted(
     bins.  Float64 accumulation is exact for integer weights whose sums
     stay below 2**53 — true for any degree total bounded by the edge
     count, which also makes the compiled backend's int64 accumulation
-    (selected via ``kernel``) bit-identical.
+    (used whenever a provider resolves) bit-identical.
     """
     if words.size == 0:
         return np.zeros(group_size, dtype=np.int64)
-    if kernel is not None and native.effective(kernel):
+    if native.enabled():
         return native.per_bit_weighted(words, weights, group_size)
     rows = words.shape[0]
     as_bytes = np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)

@@ -145,51 +145,34 @@ def bucketed_or_scan(
     lane_mask: np.ndarray,
     target: np.ndarray,
     early_termination: bool,
-    fetch_rows: Callable[[np.ndarray], np.ndarray],
+    bsa_k: np.ndarray,
     inspections_out: np.ndarray,
-    *,
-    kernel: str = "auto",
-    source: Optional[Tuple] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Profiled entry point for :func:`_bucketed_or_scan_impl` (the
     docstring there is authoritative); emits one
     ``profile.kernels.bottomup_or_scan`` span per call when profiling
     is on, a single flag test when off.
 
-    ``kernel`` selects the host execution variant (the planner's
-    :data:`~repro.plan.types.KERNEL_VARIANTS`): ``"auto"`` and
-    ``"native"`` run the compiled backend when one resolves (an
-    explicit ``"native"`` with no backend falls back with a one-time
-    warning); ``"auto"`` and ``"flat"`` otherwise use the flat
-    single-lane specialization when the group fits one status word,
-    ``"generic"`` forces the row-wise multi-lane passes.  All variants
-    are bit-identical in outputs and counters.
-
-    ``source`` is the raw-array form of ``fetch_rows`` the compiled
-    backend needs (:meth:`LevelWorkspace.snapshot_source
-    <repro.kernels.workspace.LevelWorkspace.snapshot_source>`); without
-    it the native variant cannot run and the numpy passes execute.  The
-    native scan returns ``stream=None`` in both modes — callers
-    reconstruct it with :func:`round_major_probes`, which emits the
-    identical round-major order.
+    Runs the compiled scan (:func:`repro.native.or_scan`, same
+    signature) when the backend is :func:`~repro.native.effective` for
+    the group's lane count, else the numpy passes; both are
+    bit-identical in outputs and counters.  The native scan returns
+    ``stream=None`` in both modes — callers reconstruct it with
+    :func:`round_major_probes`, which emits the identical round-major
+    order.
     """
     with obs_profile.span(
         "kernels.bottomup_or_scan",
         positions=int(starts.size),
         early_termination=bool(early_termination),
-        kernel=kernel,
     ):
-        if source is not None and native.effective(kernel, state.shape[1]):
-            probes, acc, done = native.or_scan(
-                indices, starts, ends, state, lane_mask, target,
-                early_termination, source, inspections_out,
-            )
-            return probes, acc, done, None
-        return _bucketed_or_scan_impl(
+        args = (
             indices, starts, ends, state, lane_mask, target,
-            early_termination, fetch_rows, inspections_out,
-            kernel=kernel,
+            early_termination, bsa_k, inspections_out,
         )
+        if native.effective(state.shape[1]):
+            return native.or_scan(*args) + (None,)
+        return _bucketed_or_scan_impl(*args)
 
 
 def _bucketed_or_scan_impl(
@@ -200,21 +183,20 @@ def _bucketed_or_scan_impl(
     lane_mask: np.ndarray,
     target: np.ndarray,
     early_termination: bool,
-    fetch_rows: Callable[[np.ndarray], np.ndarray],
+    bsa_k: np.ndarray,
     inspections_out: np.ndarray,
-    *,
-    kernel: str = "auto",
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Per-vertex bottom-up OR scan with optional early termination.
 
     For frontier position ``i`` with in-neighbors ``nb_0..nb_{d-1}``,
-    accumulate ``acc |= fetch_rows(nb_r) & lane_mask`` round by round,
-    stopping (when ``early_termination``) at the first round after which
-    ``state | acc`` equals the ``(lanes,)`` row ``target`` (one word
-    shared by every position).  Per-instance inspection tallies — one
-    per (vertex, round, instance-with-unset-bit) triple — are added to
-    ``inspections_out`` exactly as the synchronized reference loop
-    counts them.
+    accumulate ``acc |= bsa_k[nb_r] & lane_mask`` round by round, where
+    ``bsa_k`` is the level's ``(num_vertices, lanes)`` status-array
+    snapshot, stopping (when ``early_termination``) at the first round
+    after which ``state | acc`` equals the ``(lanes,)`` row ``target``
+    (one word shared by every position).  Per-instance inspection
+    tallies — one per (vertex, round, instance-with-unset-bit) triple —
+    are added to ``inspections_out`` exactly as the synchronized
+    reference loop counts them.
 
     With early termination the scan runs one geometric work-list
     (widths 1, 2, 4, ... rounds per pass): most vertices fill within a
@@ -258,23 +240,8 @@ def _bucketed_or_scan_impl(
         # carried across passes.  Every live position has probed exactly
         # ``offset`` rounds, so retirement writes — probes, done, acc —
         # happen once per position instead of full-array fancy updates
-        # every pass.  Single-lane groups run entirely on flat scalar
-        # words (1-D selects and scatters are markedly cheaper than
-        # row-wise ones).
-        # "generic" opts out of the flat specialization; "flat" asks for
-        # it (honored only when the group fits one word — the flat pass
-        # is structurally single-lane).
-        flat = lanes == 1 and kernel != "generic"
-        if flat:
-            pass_fn = _et_pass_flat
-            pre = np.take(state.reshape(-1), positions)
-            acc_rows: np.ndarray = acc.reshape(-1)
-            fetch = lambda rows: fetch_rows(rows).reshape(-1)  # noqa: E731
-        else:
-            pass_fn = _et_pass
-            pre = state[positions]
-            acc_rows = acc
-            fetch = fetch_rows
+        # every pass.
+        pre = state[positions]
         offset = 0
         width = 1
         while positions.size:
@@ -282,11 +249,11 @@ def _bucketed_or_scan_impl(
             surv_pos: list = []
             surv_pre: list = []
             for rows in _row_slices(positions.size, width, lanes):
-                sp, spre = pass_fn(
+                sp, spre = _et_pass(
                     positions[rows], pre[rows], offset, width,
-                    probes, done, acc_rows, round_lists,
+                    probes, done, acc, round_lists,
                     indices, starts, degrees, lane_mask, mask_bits,
-                    target, fetch, inspections_out, group_size,
+                    target, bsa_k, inspections_out, group_size,
                 )
                 surv_pos.append(sp)
                 surv_pre.append(spre)
@@ -310,7 +277,7 @@ def _bucketed_or_scan_impl(
         acc,
         lane_mask,
         mask_bits,
-        fetch_rows,
+        bsa_k,
         inspections_out,
         group_size,
     )
@@ -323,113 +290,6 @@ def _bucketed_or_scan_impl(
             offset += width
             positions = positions[degrees[positions] > offset]
     return probes, acc, done, None
-
-
-def _et_pass_flat(
-    idx: np.ndarray,
-    pre: np.ndarray,
-    offset: int,
-    width: int,
-    probes: np.ndarray,
-    done: np.ndarray,
-    acc: np.ndarray,
-    round_lists: list,
-    indices: np.ndarray,
-    starts: np.ndarray,
-    degrees: np.ndarray,
-    lane_mask: np.ndarray,
-    mask_bits: np.ndarray,
-    target: np.ndarray,
-    fetch: Callable[[np.ndarray], np.ndarray],
-    inspections_out: np.ndarray,
-    group_size: int,
-):
-    """:func:`_et_pass` specialized to one lane: rows are flat scalars.
-
-    ``pre``, ``acc``, and everything ``fetch`` returns are 1-D here, so
-    the per-pass selects and retirement scatters run as plain element
-    indexing.  Logic is otherwise identical to the generic pass.
-    """
-    a = idx.size
-    base = starts[idx] + offset
-    target0 = target[0]
-    mask0 = lane_mask[0]
-
-    if width == 1:
-        nb = indices[base]
-        contrib = fetch(nb)
-        contrib &= mask0
-        np.add(
-            inspections_out,
-            mask_bits * (a - per_bit_counts(pre, group_size)),
-            out=inspections_out,
-        )
-        round_lists[0].append(nb)
-        new_pre = np.bitwise_or(pre, contrib, out=contrib)
-        full = new_pre == target0
-        survive = ~full
-        survive &= np.take(degrees, idx) > offset + 1
-        retire = ~survive
-        ret_idx = idx[retire]
-        probes[ret_idx] = offset + 1
-        done[idx[full]] = True
-        acc[ret_idx] = new_pre[retire]
-        return idx[survive], new_pre[survive]
-
-    deg = np.take(degrees, idx)
-    lim = np.minimum(deg - offset, width)
-    cols = np.arange(width, dtype=np.int64)
-    slot = base[:, None] + np.minimum(cols[None, :], lim[:, None] - 1)
-    nb = indices[slot]
-    contrib = fetch(nb.reshape(-1)).reshape(a, width)
-    contrib &= mask0
-    contrib[:, 0] |= pre
-    after = np.bitwise_or.accumulate(contrib, axis=1, out=contrib)
-
-    # The prefix is monotone and padded cells re-OR the last valid word,
-    # so a row fills somewhere iff its *last* column is full — one
-    # column compare finds the (typically few) full rows, and the
-    # per-row argmax runs only on those.
-    any_full = after[:, width - 1] == target0
-    first_full = np.zeros(a, dtype=np.int64)
-    full_rows = np.flatnonzero(any_full)
-    if full_rows.size:
-        first_full[full_rows] = np.argmax(
-            after[full_rows] == target0, axis=1
-        )
-    probes_c = np.where(any_full, np.minimum(first_full + 1, lim), lim)
-
-    col_counts = a - np.cumsum(np.bincount(probes_c, minlength=width + 1)[:width])
-    set_counts = np.zeros(group_size, dtype=np.int64)
-    total_cells = 0
-    for r in range(width):
-        c = int(col_counts[r])
-        if c == 0:
-            break
-        src = pre if r == 0 else after[:, r - 1]
-        if c == a:
-            sel_words = src
-            sel_nb = nb[:, r]
-        else:
-            live = probes_c > r
-            sel_words = src[live]
-            sel_nb = nb[live, r]
-        set_counts += per_bit_counts(sel_words, group_size)
-        total_cells += c
-        round_lists[r].append(sel_nb)
-    np.add(
-        inspections_out,
-        mask_bits * (total_cells - set_counts),
-        out=inspections_out,
-    )
-
-    survive = ~any_full & (deg > offset + width)
-    retire = ~survive
-    ret_idx = idx[retire]
-    probes[ret_idx] = offset + probes_c[retire]
-    done[ret_idx] = any_full[retire] & (first_full[retire] < lim[retire])
-    acc[ret_idx] = after[np.flatnonzero(retire), probes_c[retire] - 1]
-    return idx[survive], after[np.flatnonzero(survive), width - 1]
 
 
 def _et_pass(
@@ -447,7 +307,7 @@ def _et_pass(
     lane_mask: np.ndarray,
     mask_bits: np.ndarray,
     target: np.ndarray,
-    fetch_rows: Callable[[np.ndarray], np.ndarray],
+    bsa_k: np.ndarray,
     inspections_out: np.ndarray,
     group_size: int,
 ):
@@ -468,7 +328,7 @@ def _et_pass(
     if width == 1:
         # The dominant pass: one probe each, no padding, no accumulate.
         nb = indices[base]
-        contrib = fetch_rows(nb) & lane_mask
+        contrib = bsa_k[nb] & lane_mask
         # An instance's pending count over these rows is the rows whose
         # masked bit is unset: rows minus set bits, zeroed off-mask.
         np.add(
@@ -494,7 +354,7 @@ def _et_pass(
     # cell is ever read back — ``probes_c`` never exceeds ``lim``.
     slot = base[:, None] + np.minimum(cols[None, :], lim[:, None] - 1)
     nb = indices[slot]
-    contrib = fetch_rows(nb.reshape(-1)).reshape(a, width, lanes)
+    contrib = bsa_k[nb]
     contrib &= lane_mask
 
     # Seed round 0 with the running prefix and accumulate in place:
@@ -568,13 +428,12 @@ def _or_pass(
     acc: np.ndarray,
     lane_mask: np.ndarray,
     mask_bits: np.ndarray,
-    fetch_rows: Callable[[np.ndarray], np.ndarray],
+    bsa_k: np.ndarray,
     inspections_out: np.ndarray,
     group_size: int,
 ) -> None:
     """Full-scan rounds ``[offset, offset + width)`` (no early exit)."""
     a = idx.size
-    lanes = state.shape[1]
     base = starts[idx] + offset
 
     lim = np.minimum(degrees[idx] - offset, width)
@@ -584,7 +443,7 @@ def _or_pass(
     # OR result is unchanged by re-ORing a word already folded in.
     slot = base[:, None] + np.minimum(cols[None, :], lim[:, None] - 1)
     nb = indices[slot]
-    contrib = fetch_rows(nb.reshape(-1)).reshape(a, width, lanes)
+    contrib = bsa_k[nb]
     contrib &= lane_mask
 
     prefix0 = state[idx]
@@ -637,7 +496,6 @@ def bucketed_hit_scan(
     depth_table: Optional[np.ndarray] = None,
     inst: Optional[np.ndarray] = None,
     level: Optional[int] = None,
-    kernel: str = "auto",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Profiled entry point for :func:`_bucketed_hit_scan_impl` (the
     docstring there is authoritative); emits one
@@ -648,18 +506,17 @@ def bucketed_hit_scan(
     same depth-window test — neighbor visited at a level ``<= level``.
     Passing its raw form (``depth_table``, optional per-position row
     selector ``inst``, and ``level``) lets the compiled backend run the
-    scan as one fused loop when ``kernel`` resolves to it; the ``hit``
-    callable remains the numpy fallback and the semantics of record.
+    scan as one fused loop when it resolves; the ``hit`` callable
+    remains the numpy fallback and the semantics of record.
     """
     with obs_profile.span(
         "kernels.bottomup_hit_scan",
         positions=int(starts.size),
-        kernel=kernel,
     ):
         if (
             depth_table is not None
             and level is not None
-            and native.effective(kernel)
+            and native.effective()
         ):
             return native.hit_scan_depth(
                 indices, starts, degrees, depth_table, level, inst=inst

@@ -3,9 +3,9 @@
 ``repro.native`` gives the hottest :mod:`repro.kernels` primitives —
 the scatter-OR edge map, the bottom-up OR/hit scans, the round-major
 probe stream, and the per-bit bookkeeping tallies — fused scalar-loop
-implementations that run outside the interpreter, selected through the
-planner's existing per-level dispatch point
-(:data:`repro.plan.types.KERNEL_VARIANTS` gains ``"native"``).
+implementations that run outside the interpreter.  The engines run them
+whenever :func:`effective` says a provider resolves for the group's
+lane count, and the numpy kernels otherwise; plans never name the path.
 
 Three interchangeable providers implement one raw interface:
 
@@ -29,9 +29,8 @@ simulated counters — only host wall-clock differs.
 Environment knobs:
 
 ``REPRO_NATIVE=0``
-    Disable the native backend entirely (``kernel="auto"`` resolves to
-    the numpy variants; explicit ``kernel="native"`` plans fall back
-    with a one-time warning).
+    Disable the native backend entirely; every engine runs the numpy
+    kernels.
 ``REPRO_NATIVE_BACKEND={numba,cext,python}``
     Force one provider instead of the ``numba`` → ``cext`` default
     resolution order.
@@ -44,7 +43,6 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-import warnings
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -58,7 +56,6 @@ __all__ = [
     "refresh",
     "force_backend",
     "effective",
-    "resolve_kernel",
     "warmup",
     "capability_report",
     "unique_targets",
@@ -92,10 +89,8 @@ _override: Optional[str] = None
 #: Invariant: all-zero between calls (the kernels clear what they set).
 _flag_cache: Dict[int, np.ndarray] = {}
 _warm_seconds: Optional[float] = None
-_warned_fallback = False
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_U64 = np.empty((0, 1), dtype=np.uint64)
 
 
 def _truthy(value: str) -> bool:
@@ -185,9 +180,7 @@ def disabled_reason() -> Optional[str]:
 
 def refresh() -> None:
     """Drop the resolution cache (e.g. after changing REPRO_NATIVE)."""
-    global _warned_fallback
     _cache.clear()
-    _warned_fallback = False
 
 
 @contextlib.contextmanager
@@ -212,49 +205,18 @@ def force_backend(name: Optional[str]):
         _override = previous
 
 
-def _supports_lanes(lanes: int) -> bool:
-    # The C provider's scan prefix buffer is fixed at 64 lanes (4096
-    # instances); wider groups fall back to the numpy kernels.
+def effective(lanes: int = 1) -> bool:
+    """Whether a group of ``lanes`` status words runs natively here.
+
+    True when a provider resolves, except that the C provider's scan
+    prefix buffer is fixed at 64 lanes (4096 instances): wider groups
+    run the numpy kernels.  Either path gives bit-identical results and
+    simulated counters.
+    """
     provider = _provider()
     if provider is None:
         return False
     return provider.name != "cext" or lanes <= 64
-
-
-def effective(kernel: str, lanes: int = 1) -> bool:
-    """Whether this decision's ``kernel`` should run natively here.
-
-    ``"auto"`` resolves to native-when-available; an explicit
-    ``"native"`` that cannot run (plan recorded on a native host,
-    replayed on a numpy-only install) falls back with a one-time
-    warning — replay stays bit-identical because the variants are.
-    """
-    global _warned_fallback
-    if kernel == "native":
-        if _supports_lanes(lanes):
-            return True
-        if not _warned_fallback:
-            _warned_fallback = True
-            warnings.warn(
-                "plan requested kernel='native' but no native backend is "
-                "available ({}); falling back to the numpy kernels "
-                "(results are bit-identical)".format(
-                    disabled_reason() or "unsupported configuration"
-                ),
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return False
-    return kernel == "auto" and _supports_lanes(lanes)
-
-
-def resolve_kernel(kernel: str = "auto", lanes: int = 1) -> str:
-    """The variant name ``kernel`` executes as on this host."""
-    if effective(kernel, lanes):
-        return "native"
-    if kernel in ("auto", "native"):
-        return "flat" if lanes == 1 else "generic"
-    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -346,69 +308,39 @@ def or_scan(
     lane_mask: np.ndarray,
     target: np.ndarray,
     early_termination: bool,
-    source: Tuple,
+    bsa_k: np.ndarray,
     inspections_out: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fused bottom-up OR scan; returns ``(probes, acc, done)``.
 
-    ``source`` names the ``BSA_k`` fetch without a per-row callable:
-    ``("direct", base)`` reads rows of ``base`` (the live array when
-    nothing is dirty, or a full snapshot); ``("dirty", base,
-    dirty_pos, saved[, rows])`` patches rows with ``dirty_pos[v] >= 0``
-    from the stash — :meth:`LevelWorkspace.snapshot_source
-    <repro.kernels.workspace.LevelWorkspace.snapshot_source>` builds
-    both forms.  When the aligned ``rows`` list is present the stash is
-    bulk-swapped into ``base`` around a direct-mode scan (and restored
-    after); without it every probe gathers ``dirty_pos``.  Per-instance
+    Probes read rows of ``bsa_k``, the level's status-array snapshot
+    (:attr:`LevelWorkspace.snapshot
+    <repro.kernels.workspace.LevelWorkspace.snapshot>`).  Per-instance
     inspection tallies are added to ``inspections_out`` exactly as the
     numpy scan counts them.
     """
     provider = _require()
     state = _rows2d(state)
     lanes = state.shape[1]
-    base = _rows2d(source[1])
-    dirty_pos, saved, src_mode = _EMPTY_I64, _EMPTY_U64, 0
-    swap_rows = swap_old = None
-    if source[0] != "direct":
-        if len(source) > 4:
-            # Bulk-patch the stash into the live array for the scan's
-            # duration: pre-level values occupy exactly the dirty rows,
-            # so the scan runs in direct mode — one gather per probe
-            # instead of the dependent dirty_pos + stash pair — and the
-            # live values are restored afterwards.
-            swap_rows = _contig(source[4], np.int64)
-            swap_old = base[swap_rows].copy()
-            base[swap_rows] = _rows2d(source[3])
-        else:
-            dirty_pos = _contig(source[2], np.int64)
-            saved = _rows2d(source[3])
-            src_mode = 1
     m = starts.shape[0]
     probes = np.zeros(m, dtype=np.int64)
     acc = np.zeros((m, lanes), dtype=np.uint64)
     done = np.zeros(m, dtype=bool)
     pending = np.zeros(lanes * 64, dtype=np.int64)
-    try:
-        provider.or_scan(
-            _contig(indices, np.int64),
-            _contig(starts, np.int64),
-            _contig(ends, np.int64),
-            state,
-            _contig(lane_mask, np.uint64),
-            _contig(target, np.uint64),
-            1 if early_termination else 0,
-            base,
-            dirty_pos,
-            saved,
-            src_mode,
-            probes,
-            acc,
-            done,
-            pending,
-        )
-    finally:
-        if swap_rows is not None:
-            base[swap_rows] = swap_old
+    provider.or_scan(
+        _contig(indices, np.int64),
+        _contig(starts, np.int64),
+        _contig(ends, np.int64),
+        state,
+        _contig(lane_mask, np.uint64),
+        _contig(target, np.uint64),
+        1 if early_termination else 0,
+        _rows2d(bsa_k),
+        probes,
+        acc,
+        done,
+        pending,
+    )
     np.add(
         inspections_out,
         pending[: inspections_out.size],
@@ -637,15 +569,11 @@ def warmup() -> float:
     frontier = np.arange(4, dtype=np.int64)
     unique_targets(offsets, indices, frontier, 8, 128, 2)
     scatter_or(bsa, offsets, indices, frontier, np.ones((4, 1), dtype=np.uint64))
-    for source in (
-        ("direct", bsa),
-        ("dirty", bsa, np.full(4, -1, dtype=np.int64), bsa.copy()),
-    ):
-        for early_termination in (False, True):
-            probes, _, _ = or_scan(
-                indices, starts, ends, bsa.copy(), lane_mask, lane_mask,
-                early_termination, source, inspections,
-            )
+    for early_termination in (False, True):
+        probes, _, _ = or_scan(
+            indices, starts, ends, bsa.copy(), lane_mask, lane_mask,
+            early_termination, bsa, inspections,
+        )
     round_major_probes(indices, starts, probes)
     coalesced_transactions(indices, 8, 128, 2)
     bottom_up_coalesced(indices, starts, probes, 4, 8, 128, 2)
@@ -688,6 +616,5 @@ def capability_report() -> Dict[str, object]:
         "reason": None if provider is not None else disabled_reason(),
         "numba": numba_version,
         "compiler": _csrc._compiler(),
-        "auto_kernel": resolve_kernel("auto"),
         "warmup_seconds": _warm_seconds,
     }

@@ -82,10 +82,7 @@ def or_scan(
     lane_mask,
     target,
     early_termination,
-    base,
-    dirty_pos,
-    saved,
-    src_mode,
+    bsa_k,
     probes,
     acc,
     done,
@@ -100,10 +97,7 @@ def or_scan(
         _p(lane_mask),
         _p(target),
         int(early_termination),
-        _p(base),
-        _p(dirty_pos),
-        _p(saved),
-        int(src_mode),
+        _p(bsa_k),
         state.shape[1],
         _p(probes),
         _p(acc),

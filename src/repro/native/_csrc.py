@@ -244,26 +244,6 @@ void repro_scatter_or(uint64_t *out, const int64_t *offsets,
     }
 }
 
-/* ------------------------------------------------------------------ */
-/* BSA_k row fetch for the bottom-up scan.                             */
-/*                                                                    */
-/* src_mode 0: read ``base`` directly (live array when nothing is     */
-/*             dirty, or a full per-level snapshot).                  */
-/* src_mode 1: dirty-row patching — rows with dirty_pos[v] >= 0 read  */
-/*             their pre-level value from the stash.                  */
-/* ------------------------------------------------------------------ */
-static inline const uint64_t *fetch_row(const uint64_t *base,
-                                        const int64_t *dirty_pos,
-                                        const uint64_t *saved,
-                                        int src_mode, int64_t v,
-                                        int64_t lanes) {
-    if (src_mode == 1) {
-        int64_t p = dirty_pos[v];
-        if (p >= 0) return saved + p * lanes;
-    }
-    return base + v * lanes;
-}
-
 /* Per-instance pending tallies: for every tracked bit of ``mask``     */
 /* unset in the before-word, the owning instance inspected this probe  */
 /* (figure 11's balance attribution).  Incrementing one counter per    */
@@ -318,14 +298,14 @@ static inline void tally_pending_w(uint64_t pend, int64_t bit0,
 /*   probes[i] = rounds executed; acc[i] = state|contributions at      */
 /*   retirement; done[i] = reached the full target; inspections[b] +=  */
 /*   one per (position, executed round) whose before-word has bit b    */
-/*   unset (masked bits only).                                         */
+/*   unset (masked bits only).  Probes read rows of ``bsa_k``, the     */
+/*   level's status-array snapshot.                                    */
 /* ------------------------------------------------------------------ */
 int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
                       const int64_t *ends, int64_t m,
                       const uint64_t *state, const uint64_t *lane_mask,
                       const uint64_t *target, int early_termination,
-                      const uint64_t *base, const int64_t *dirty_pos,
-                      const uint64_t *saved, int src_mode, int64_t lanes,
+                      const uint64_t *bsa_k, int64_t lanes,
                       int64_t *probes, uint64_t *acc, uint8_t *done,
                       int64_t *inspections) {
     int64_t total = 0;
@@ -350,10 +330,7 @@ int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
             int64_t r = 0;
             for (; r < deg; r++) {
                 runw++;
-                int64_t v = nb[r];
-                int64_t p = (src_mode == 1) ? dirty_pos[v] : -1;
-                uint64_t w = (p >= 0) ? saved[p] : base[v];
-                uint64_t np = pre | (w & mask);
+                uint64_t np = pre | (bsa_k[nb[r]] & mask);
                 if (np != pre) {
                     if (pend) {
                         if (hist) bin_pending_w(pend, hist, runw);
@@ -407,8 +384,7 @@ int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
         int64_t r = 0;
         for (; r < deg; r++) {
             runw++;
-            const uint64_t *w = fetch_row(base, dirty_pos, saved, src_mode,
-                                          nb[r], lanes);
+            const uint64_t *w = bsa_k + nb[r] * lanes;
             int moved = 0;
             full = 1;
             for (int64_t l = 0; l < lanes; l++) {
@@ -706,7 +682,7 @@ void repro_per_bit_weighted(const uint64_t *words, const int64_t *weights,
 """
 
 #: Bump when the C ABI changes so stale cached libraries are rebuilt.
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 
 def _cache_dir() -> Path:
@@ -798,8 +774,7 @@ def load_library() -> Optional[ctypes.CDLL]:
     lib.repro_scatter_or.argtypes = [p, p, p, p, i64, p, i64]
     lib.repro_or_scan.restype = i64
     lib.repro_or_scan.argtypes = [
-        p, p, p, i64, p, p, p, ctypes.c_int,
-        p, p, p, ctypes.c_int, i64, p, p, p, p,
+        p, p, p, i64, p, p, p, ctypes.c_int, p, i64, p, p, p, p,
     ]
     lib.repro_round_major.restype = None
     lib.repro_round_major.argtypes = [p, p, p, i64, i64, p, p]

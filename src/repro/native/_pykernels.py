@@ -151,10 +151,7 @@ def or_scan(
     lane_mask,
     target,
     early_termination,
-    base,
-    dirty_pos,
-    saved,
-    src_mode,
+    bsa_k,
     probes,
     acc,
     done,
@@ -164,12 +161,10 @@ def or_scan(
 
     The fused restatement of the vectorized passes in
     :func:`repro.kernels.bottomup.bucketed_or_scan`: position ``i``
-    accumulates ``pre |= fetch(nb_r) & lane_mask`` neighbor by
-    neighbor, retiring on the first round whose prefix reaches
-    ``target`` (when ``early_termination``) or after its whole list.
-    ``src_mode`` selects the ``BSA_k`` fetch: 0 reads ``base`` rows
-    directly (live array or full snapshot), 1 patches rows with
-    ``dirty_pos[v] >= 0`` from the ``saved`` stash.
+    accumulates ``pre |= bsa_k[nb_r] & lane_mask`` neighbor by
+    neighbor (``bsa_k`` is the level's status-array snapshot), retiring
+    on the first round whose prefix reaches ``target`` (when
+    ``early_termination``) or after its whole list.
 
     Outputs match the numpy passes exactly: ``probes[i]`` rounds
     executed, ``acc[i]`` the full prefix at retirement (zeros for
@@ -206,11 +201,9 @@ def or_scan(
                     pend >>= _ONE
                     b += 1
             v = indices[s + r]
-            p = dirty_pos[v] if src_mode == 1 else -1
             full = True
             for lane in range(lanes):
-                w = saved[p, lane] if p >= 0 else base[v, lane]
-                pre[lane] |= w & lane_mask[lane]
+                pre[lane] |= bsa_k[v, lane] & lane_mask[lane]
                 if pre[lane] != target[lane]:
                     full = False
             r += 1

@@ -1,8 +1,8 @@
 """repro.plan — the unified per-level traversal planner.
 
-One layer owns every per-level choice the engines used to scatter:
-traversal direction, bottom-up kernel variant, vector load width,
-workspace snapshot strategy, and early termination.  Policies produce
+One layer owns every per-level choice that changes what the simulated
+device does: traversal direction, vector load width, early termination
+and the partitioned engine's exchange format.  Policies produce
 typed :class:`LevelDecision` objects; engines execute them and record
 the sequence as a :class:`RunPlan`, which replays bit-identically via
 :class:`RecordedPolicy`.
@@ -22,8 +22,6 @@ from repro.plan.policy import (
 from repro.plan.presets import POLICY_NAMES, make_policy
 from repro.plan.types import (
     EXCHANGE_FORMATS,
-    KERNEL_VARIANTS,
-    SNAPSHOT_STRATEGIES,
     VECTOR_WIDTHS,
     Direction,
     LevelDecision,
@@ -39,7 +37,6 @@ __all__ = [
     "EXCHANGE_FORMATS",
     "FixedPolicy",
     "HeuristicPolicy",
-    "KERNEL_VARIANTS",
     "LevelDecision",
     "LevelStats",
     "POLICY_NAMES",
@@ -47,7 +44,6 @@ __all__ = [
     "PolicySession",
     "RecordedPolicy",
     "RunPlan",
-    "SNAPSHOT_STRATEGIES",
     "VECTOR_WIDTHS",
     "make_policy",
     "planner_cache_name",

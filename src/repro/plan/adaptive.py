@@ -6,9 +6,7 @@ it compares the edges a top-down expansion would touch (the frontier's
 out-degree sum) against the inspections a bottom-up scan is expected to
 perform (unvisited vertices times the expected probes before an early
 hit), and directs each live instance down the cheaper side.  It also
-picks the vector width and kernel variant from the group's lane count
-and switches the workspace to full snapshots on dense levels, where a
-dirty-row stash would touch most rows anyway.
+picks the vector width from the group's lane count.
 
 All its choices affect *cost only* — depths and the simulated traversal
 counters that depend on direction differ from :class:`HeuristicPolicy`
@@ -22,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, List, Optional
 
-import repro.native as native
 from repro.errors import TraversalError
 from repro.plan.policy import Policy, PolicySession
 from repro.plan.types import Direction, LevelDecision, LevelStats
@@ -30,7 +27,7 @@ from repro.plan.types import Direction, LevelDecision, LevelStats
 
 @dataclass(frozen=True)
 class AdaptivePolicy(Policy):
-    """Pick direction/kernel/width per level from observed frontier stats.
+    """Pick direction and width per level from observed frontier stats.
 
     Parameters
     ----------
@@ -41,9 +38,6 @@ class AdaptivePolicy(Policy):
     margin:
         Bottom-up must beat top-down by this factor before switching —
         a hysteresis band so borderline levels don't flap.
-    snapshot_threshold:
-        Switch the workspace to full snapshots when the level's frontier
-        covers at least this fraction of the graph's vertices.
     allow_bottom_up:
         Disable to restrict the model to top-down costs.
     early_termination:
@@ -54,7 +48,6 @@ class AdaptivePolicy(Policy):
 
     probe_discount: float = 0.15
     margin: float = 1.25
-    snapshot_threshold: float = 0.20
     allow_bottom_up: bool = True
     early_termination: bool = True
 
@@ -67,22 +60,6 @@ class AdaptivePolicy(Policy):
             raise TraversalError(
                 f"margin must be >= 1.0; got {self.margin}"
             )
-        if not 0.0 < self.snapshot_threshold <= 1.0:
-            raise TraversalError(
-                "snapshot_threshold must be in (0, 1]; "
-                f"got {self.snapshot_threshold}"
-            )
-
-    @classmethod
-    def for_device(cls, device) -> "AdaptivePolicy":
-        """Tune the probe discount to a device's memory/compute balance.
-
-        Wider memory buses amortize the bottom-up scan's scattered
-        loads better, so high-bandwidth parts get a deeper discount.
-        """
-        bandwidth = float(getattr(device, "mem_bandwidth_gbps", 320.0))
-        discount = 0.25 - min(bandwidth, 1000.0) / 8000.0
-        return cls(probe_discount=max(0.05, min(0.25, discount)))
 
     def session(
         self, group_size: int, num_vertices: int, total_edges: int
@@ -110,19 +87,12 @@ class _AdaptiveSession(PolicySession):
             self._vector_width = 2
         else:
             self._vector_width = 1
-        # Resolve "auto" now so the recorded plan names the variant the
-        # host actually ran: the compiled backend when it loads, else
-        # the flat single-lane specialization / generic numpy passes.
-        self._kernel = native.resolve_kernel("auto", lanes)
         self._directions: List[Direction] = [Direction.TOP_DOWN] * group_size
-        self._snapshot = "dirty"
 
     def _decision(self) -> LevelDecision:
         return LevelDecision(
             directions=tuple(self._directions),
-            kernel=self._kernel,
             vector_width=self._vector_width,
-            snapshot=self._snapshot,
             early_termination=self._policy.early_termination,
         )
 
@@ -133,15 +103,10 @@ class _AdaptiveSession(PolicySession):
         assert stats is not None
         p = self._policy
         n = self._n
-        dense = 0
-        live = 0
         for j in range(self._group_size):
             if not stats.active[j]:
                 continue
-            live += 1
             frontier_vertices = int(stats.frontier_vertices[j])
-            if frontier_vertices >= p.snapshot_threshold * n:
-                dense += 1
             if not p.allow_bottom_up:
                 self._directions[j] = Direction.TOP_DOWN
                 continue
@@ -159,5 +124,4 @@ class _AdaptiveSession(PolicySession):
             elif bu_cost > td_cost * p.margin:
                 self._directions[j] = Direction.TOP_DOWN
             # Within the hysteresis band: keep the current direction.
-        self._snapshot = "full" if live and dense * 2 >= live else "dirty"
         return self._decision()

@@ -7,7 +7,7 @@ state machine (:class:`PolicySession`) that actually emits
 
 * :class:`HeuristicPolicy` — today's behavior, consolidated: the
   Beamer alpha/beta state machine per instance (or one per-group vote),
-  with fixed kernel/vector-width/snapshot choices.  Bit-identical to
+  with fixed vector-width and early-termination choices.  Bit-identical to
   the pre-planner engines; the equivalence suite pins it against
   :mod:`repro.kernels.reference`.
 * :class:`FixedPolicy` — constant decisions, optionally switching
@@ -31,8 +31,6 @@ from typing import ClassVar, List, Optional
 
 from repro.errors import TraversalError
 from repro.plan.types import (
-    KERNEL_VARIANTS,
-    SNAPSHOT_STRATEGIES,
     VECTOR_WIDTHS,
     Direction,
     LevelDecision,
@@ -154,18 +152,10 @@ class Policy:
         raise NotImplementedError
 
 
-def _validate_knobs(kernel: str, vector_width: int, snapshot: str) -> None:
-    if kernel not in KERNEL_VARIANTS:
-        raise TraversalError(
-            f"kernel must be one of {KERNEL_VARIANTS}; got {kernel!r}"
-        )
+def _validate_width(vector_width: int) -> None:
     if vector_width not in VECTOR_WIDTHS:
         raise TraversalError(
             f"vector_width must be one of {VECTOR_WIDTHS}; got {vector_width}"
-        )
-    if snapshot not in SNAPSHOT_STRATEGIES:
-        raise TraversalError(
-            f"snapshot must be one of {SNAPSHOT_STRATEGIES}; got {snapshot!r}"
         )
 
 
@@ -177,8 +167,8 @@ class HeuristicPolicy(Policy):
     either per instance (iBFS's mixed-direction kernel) or by one
     per-group vote over mean frontier statistics — exactly the two code
     paths :class:`~repro.core.bitwise.BitwiseTraversal` used to fork
-    internally.  Kernel variant, vector width, snapshot strategy, and
-    early termination are the constants the engines used to hard-code.
+    internally.  Vector width and early termination are the constants
+    the engines used to hard-code.
     """
 
     name: ClassVar[str] = "heuristic"
@@ -190,8 +180,6 @@ class HeuristicPolicy(Policy):
     direction_mode: str = "per-instance"
     early_termination: bool = True
     vector_width: int = 1
-    kernel: str = "auto"
-    snapshot: str = "dirty"
 
     def __post_init__(self) -> None:
         # Reuse DirectionPolicy's alpha/beta validation verbatim.
@@ -203,7 +191,7 @@ class HeuristicPolicy(Policy):
                 f"direction_mode must be one of {DIRECTION_MODES}; "
                 f"got {self.direction_mode!r}"
             )
-        _validate_knobs(self.kernel, self.vector_width, self.snapshot)
+        _validate_width(self.vector_width)
 
     @classmethod
     def from_direction_policy(
@@ -212,8 +200,6 @@ class HeuristicPolicy(Policy):
         direction_mode: str = "per-instance",
         early_termination: bool = True,
         vector_width: int = 1,
-        kernel: str = "auto",
-        snapshot: str = "dirty",
     ) -> "HeuristicPolicy":
         """Wrap a legacy :class:`DirectionPolicy` plus the engine
         constructor knobs into the equivalent planner policy."""
@@ -225,8 +211,6 @@ class HeuristicPolicy(Policy):
             direction_mode=direction_mode,
             early_termination=early_termination,
             vector_width=vector_width,
-            kernel=kernel,
-            snapshot=snapshot,
         )
 
     def session(
@@ -256,9 +240,7 @@ class _HeuristicSession(PolicySession):
         p = self._policy
         return LevelDecision(
             directions=tuple(self._directions),
-            kernel=p.kernel,
             vector_width=p.vector_width,
-            snapshot=p.snapshot,
             early_termination=p.early_termination,
         )
 
@@ -325,8 +307,6 @@ class FixedPolicy(Policy):
     switch_level: Optional[int] = None
     early_termination: bool = True
     vector_width: int = 1
-    kernel: str = "auto"
-    snapshot: str = "dirty"
 
     def __post_init__(self) -> None:
         if self.direction not in ("td", "bu"):
@@ -340,7 +320,7 @@ class FixedPolicy(Policy):
                 )
             if self.switch_level <= 0:
                 raise TraversalError("switch_level must be positive")
-        _validate_knobs(self.kernel, self.vector_width, self.snapshot)
+        _validate_width(self.vector_width)
 
     @property
     def allow_bottom_up(self) -> bool:  # type: ignore[override]
@@ -367,9 +347,7 @@ class _FixedSession(PolicySession):
             direction = Direction.BOTTOM_UP
         return LevelDecision(
             directions=(direction,) * self._group_size,
-            kernel=p.kernel,
             vector_width=p.vector_width,
-            snapshot=p.snapshot,
             early_termination=p.early_termination,
         )
 

@@ -22,31 +22,16 @@ from repro.plan.policy import FixedPolicy, HeuristicPolicy, Policy
 POLICY_NAMES = ("heuristic", "adaptive", "td-only", "no-early-termination")
 
 
-def make_policy(
-    name: str, device=None, kernel: Optional[str] = None
-) -> Policy:
-    """Build a policy from its CLI name.
-
-    ``kernel`` overrides the policy's kernel-variant knob (``--kernel``
-    on the CLI); the adaptive policy resolves the variant itself per
-    session, so an explicit override there is rejected.
-    """
+def make_policy(name: str) -> Policy:
+    """Build a policy from its CLI name."""
     if name == "adaptive":
-        if kernel is not None:
-            raise TraversalError(
-                "the adaptive policy resolves the kernel variant itself; "
-                "--kernel only applies to the fixed/heuristic policies"
-            )
-        if device is not None:
-            return AdaptivePolicy.for_device(device)
         return AdaptivePolicy()
-    knobs = {} if kernel is None else {"kernel": kernel}
     if name == "heuristic":
-        return HeuristicPolicy(**knobs)
+        return HeuristicPolicy()
     if name == "td-only":
-        return FixedPolicy(direction="td", **knobs)
+        return FixedPolicy(direction="td")
     if name == "no-early-termination":
-        return HeuristicPolicy(early_termination=False, **knobs)
+        return HeuristicPolicy(early_termination=False)
     raise TraversalError(
         f"unknown policy {name!r}; expected one of {POLICY_NAMES}"
     )

@@ -1,12 +1,15 @@
 """Typed per-level traversal decisions and recorded run plans.
 
 The planner layer (:mod:`repro.plan`) owns every choice the paper makes
-*per level*: traversal direction (section 2's top-down/bottom-up
-switch), the bottom-up scan kernel variant, the vector load width
-(section 6's ``long``/``long2``/``long4``), the workspace snapshot
-strategy, and whether bottom-up early termination is armed.  One level
-of one group executes exactly one :class:`LevelDecision`; the sequence
-of decisions a run actually executed is its :class:`RunPlan`.
+*per level* that changes what the simulated device does: traversal
+direction (section 2's top-down/bottom-up switch), the vector load width
+(section 6's ``long``/``long2``/``long4``), whether bottom-up early
+termination is armed, and the partitioned engine's frontier-exchange
+format.  How the host executes a level (compiled or numpy kernels) is
+not a decision: it follows from what the host can run, and never
+changes a result or a counter.  One level of one group executes exactly
+one :class:`LevelDecision`; the sequence of decisions a run actually
+executed is its :class:`RunPlan`.
 
 A :class:`RunPlan` is a first-class artifact:
 
@@ -27,25 +30,6 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import TraversalError
 
-#: Bottom-up scan kernel variants (:func:`repro.kernels.bottomup.bucketed_or_scan`):
-#: ``"auto"`` picks the compiled backend when one is available
-#: (:mod:`repro.native`), else the flat single-lane specialization when
-#: it applies; ``"flat"`` requests the flat numpy passes explicitly,
-#: ``"generic"`` forces the row-wise multi-lane numpy passes, and
-#: ``"native"`` requests the compiled backend (falling back to the
-#: numpy variants with a one-time warning when no backend resolves, so
-#: plans recorded on native hosts replay anywhere).  All variants are
-#: bit-identical in results and simulated counters; they differ in host
-#: execution only.
-KERNEL_VARIANTS = ("auto", "flat", "generic", "native")
-
-#: Workspace snapshot strategies for ``BSA_k`` bookkeeping:
-#: ``"dirty"`` keeps the dirty-row stash (:class:`~repro.kernels.workspace.LevelWorkspace`),
-#: ``"full"`` copies the whole status array each level
-#: (:class:`~repro.kernels.workspace.FullSnapshotWorkspace`).  Both
-#: produce identical frontiers and counters.
-SNAPSHOT_STRATEGIES = ("dirty", "full")
-
 #: CUDA vector data types of section 6 (long/long2/long4).
 VECTOR_WIDTHS = (1, 2, 4)
 
@@ -55,8 +39,7 @@ VECTOR_WIDTHS = (1, 2, 4)
 #: pairs for touched vertices only, and ``"auto"`` lets the exchange
 #: policy pick per level — the communication counterpart of the
 #: top-down/bottom-up direction switch.  Single-process engines ignore
-#: the field (like ``snapshot``, it never changes depths or simulated
-#: traversal counters).
+#: the field (it never changes depths or simulated traversal counters).
 EXCHANGE_FORMATS = ("auto", "dense", "sparse")
 
 
@@ -67,9 +50,30 @@ class Direction(enum.Enum):
     BOTTOM_UP = "bu"
 
 
+def _typed(payload: Dict, key: str, kind: type, default):
+    """``payload[key]`` (``default`` when absent), which must be a JSON
+    integer or boolean as ``kind`` says."""
+    value = payload.get(key, default)
+    # bool subclasses int, so an integer field rejects true/false itself.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        expected = "an integer" if kind is int else "a boolean"
+        raise TraversalError(
+            f"malformed plan payload: {key} must be {expected}; got {value!r}"
+        )
+    return value
+
+
+def _require_object(payload, what: str) -> None:
+    if not isinstance(payload, dict):
+        raise TraversalError(
+            f"malformed {what} payload: expected an object, "
+            f"got {type(payload).__name__}"
+        )
+
+
 @dataclass(frozen=True)
 class LevelDecision:
-    """Everything the engines need to execute one level of one group.
+    """Everything the simulated device does differently at one level.
 
     Attributes
     ----------
@@ -78,14 +82,8 @@ class LevelDecision:
         group's sources.  Engines intersect this with their own
         active-instance bookkeeping, so entries of completed instances
         are carried along but never executed.
-    kernel:
-        Bottom-up scan kernel variant (one of :data:`KERNEL_VARIANTS`).
     vector_width:
         Status words fetched per load instruction (1, 2, or 4).
-    snapshot:
-        ``BSA_k`` bookkeeping strategy (one of
-        :data:`SNAPSHOT_STRATEGIES`); a host-side choice with no effect
-        on simulated counters.
     early_termination:
         Arm bottom-up early termination for this level.
     exchange:
@@ -98,9 +96,7 @@ class LevelDecision:
     """
 
     directions: Tuple[Direction, ...]
-    kernel: str = "auto"
     vector_width: int = 1
-    snapshot: str = "dirty"
     early_termination: bool = True
     exchange: str = "auto"
 
@@ -112,19 +108,10 @@ class LevelDecision:
                 raise TraversalError(
                     f"directions must be Direction members; got {d!r}"
                 )
-        if self.kernel not in KERNEL_VARIANTS:
-            raise TraversalError(
-                f"kernel must be one of {KERNEL_VARIANTS}; got {self.kernel!r}"
-            )
         if self.vector_width not in VECTOR_WIDTHS:
             raise TraversalError(
                 f"vector_width must be one of {VECTOR_WIDTHS}; "
                 f"got {self.vector_width}"
-            )
-        if self.snapshot not in SNAPSHOT_STRATEGIES:
-            raise TraversalError(
-                f"snapshot must be one of {SNAPSHOT_STRATEGIES}; "
-                f"got {self.snapshot!r}"
             )
         if self.exchange not in EXCHANGE_FORMATS:
             raise TraversalError(
@@ -149,37 +136,38 @@ class LevelDecision:
     def to_dict(self) -> Dict:
         return {
             "directions": [d.value for d in self.directions],
-            "kernel": self.kernel,
             "vector_width": self.vector_width,
-            "snapshot": self.snapshot,
             "early_termination": self.early_termination,
             "exchange": self.exchange,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "LevelDecision":
-        try:
-            directions = tuple(
-                Direction(v) for v in payload["directions"]
-            )
-        except (KeyError, ValueError) as exc:
-            raise TraversalError(f"malformed LevelDecision payload: {exc}")
-        # Reject unknown kernels here with the constructor's exact typed
-        # error rather than relying on __post_init__ alone: the payload
-        # path is how plans from *newer* hosts arrive, so drift between
-        # the two validations would let an unknown variant slip into a
-        # decision some engines then dispatch on.
-        kernel = payload.get("kernel", "auto")
-        if kernel not in KERNEL_VARIANTS:
+        """Rebuild a decision from :meth:`to_dict` output.
+
+        Plans arrive from outside the program (``repro plan --replay``),
+        so every malformed payload raises
+        :class:`~repro.errors.TraversalError`.  Unknown keys are
+        ignored, which keeps plans exported with the former host-only
+        ``kernel`` and ``snapshot`` fields loadable.
+        """
+        _require_object(payload, "LevelDecision")
+        directions = payload.get("directions")
+        if not isinstance(directions, (list, tuple)):
             raise TraversalError(
-                f"kernel must be one of {KERNEL_VARIANTS}; got {kernel!r}"
+                "malformed LevelDecision payload: directions must be a "
+                f"list; got {directions!r}"
             )
+        try:
+            directions = tuple(Direction(v) for v in directions)
+        except (TypeError, ValueError) as exc:
+            raise TraversalError(f"malformed LevelDecision payload: {exc}")
         return cls(
             directions=directions,
-            kernel=kernel,
-            vector_width=int(payload.get("vector_width", 1)),
-            snapshot=payload.get("snapshot", "dirty"),
-            early_termination=bool(payload.get("early_termination", True)),
+            vector_width=_typed(payload, "vector_width", int, 1),
+            early_termination=_typed(
+                payload, "early_termination", bool, True
+            ),
             exchange=payload.get("exchange", "auto"),
         )
 
@@ -251,16 +239,25 @@ class RunPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "RunPlan":
+        """Rebuild a plan from :meth:`to_dict` output; every malformed
+        payload raises :class:`~repro.errors.TraversalError`."""
+        _require_object(payload, "RunPlan")
+        decisions = payload.get("decisions", [])
+        if not isinstance(decisions, list):
+            raise TraversalError(
+                "malformed RunPlan payload: decisions must be a list; "
+                f"got {decisions!r}"
+            )
         try:
             plan = cls(
                 policy=str(payload["policy"]),
                 engine=str(payload["engine"]),
-                group_size=int(payload["group_size"]),
+                group_size=_typed(payload, "group_size", int, None),
             )
-            for entry in payload.get("decisions", []):
-                plan.append(LevelDecision.from_dict(entry))
         except KeyError as exc:
             raise TraversalError(f"malformed RunPlan payload: missing {exc}")
+        for entry in decisions:
+            plan.append(LevelDecision.from_dict(entry))
         return plan
 
     def to_json(self, indent: int = 2) -> str:
