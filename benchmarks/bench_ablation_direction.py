@@ -6,7 +6,7 @@ graphs and how sensitive the result is to the alpha threshold.
 """
 
 from repro import IBFS, IBFSConfig
-from repro.plan import DirectionPolicy
+from repro.plan import HeuristicPolicy
 
 from harness import emit, format_table, load_graph, pick_sources, run_once
 
@@ -22,12 +22,12 @@ def test_ablation_direction(benchmark):
             sources = pick_sources(graph)
             config = IBFSConfig(group_size=32, groupby=False)
             td_only = IBFS(
-                graph, config, policy=DirectionPolicy(allow_bottom_up=False)
+                graph, config, planner=HeuristicPolicy(allow_bottom_up=False)
             ).run(sources, store_depths=False)
             alpha_times = []
             for alpha in ALPHAS:
                 result = IBFS(
-                    graph, config, policy=DirectionPolicy(alpha=alpha)
+                    graph, config, planner=HeuristicPolicy(alpha=alpha)
                 ).run(sources, store_depths=False)
                 alpha_times.append(result.seconds * 1e3)
             rows.append((name, td_only.seconds * 1e3, *alpha_times))

@@ -9,6 +9,7 @@ probes) or holds eager instances in top-down (extra inspections).
 
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.groupby import random_groups
+from repro.plan import HeuristicPolicy
 
 from harness import emit, format_table, load_graph, pick_sources, run_once
 
@@ -17,7 +18,9 @@ GRAPHS = ("FB", "KG0", "TW", "RD")
 
 
 def _run(graph, sources, mode):
-    engine = BitwiseTraversal(graph, direction_mode=mode)
+    engine = BitwiseTraversal(
+        graph, planner=HeuristicPolicy(direction_mode=mode)
+    )
     seconds = 0.0
     inspections = 0
     for group in random_groups(sources, GROUP_SIZE, seed=3):

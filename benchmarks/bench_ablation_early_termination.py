@@ -8,6 +8,7 @@ inspection count and the simulated runtime.
 
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.groupby import random_groups
+from repro.plan import HeuristicPolicy
 
 from harness import ALL_GRAPHS, emit, format_table, load_graph, pick_sources, run_once
 
@@ -15,7 +16,9 @@ GROUP_SIZE = 32
 
 
 def _run(graph, sources, early):
-    engine = BitwiseTraversal(graph, early_termination=early)
+    engine = BitwiseTraversal(
+        graph, planner=HeuristicPolicy(early_termination=early)
+    )
     seconds = 0.0
     inspections = 0
     for group in random_groups(sources, GROUP_SIZE, seed=1):

@@ -9,6 +9,7 @@ compute-bound.
 
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.groupby import random_groups
+from repro.plan import HeuristicPolicy
 
 from harness import emit, format_table, load_graph, pick_sources, run_once
 
@@ -25,7 +26,9 @@ def test_ablation_vector_width(benchmark):
             sources = pick_sources(graph, 128, seed=2)
             per_width = {}
             for width in WIDTHS:
-                engine = BitwiseTraversal(graph, vector_width=width)
+                engine = BitwiseTraversal(
+                    graph, planner=HeuristicPolicy(vector_width=width)
+                )
                 instructions = 0
                 requests = 0
                 seconds = 0.0

@@ -25,11 +25,11 @@ def _direction_sharing(graph, groups):
     group hits its shared hub (level 2), which would otherwise move the
     entire hub-collision effect into the bottom-up series.
     """
-    from repro.plan import DirectionPolicy
+    from repro.plan import HeuristicPolicy
 
     full = JointTraversal(graph)
     td_only = JointTraversal(
-        graph, policy=DirectionPolicy(allow_bottom_up=False)
+        graph, planner=HeuristicPolicy(allow_bottom_up=False)
     )
     td_fq = td_jfq = bu_fq = bu_jfq = 0
     for members in groups:

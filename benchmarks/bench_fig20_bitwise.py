@@ -12,6 +12,7 @@ from repro import IBFS, IBFSConfig
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.groupby import random_groups
 from repro.gpusim.device import Device
+from repro.plan import HeuristicPolicy
 
 from harness import ALL_GRAPHS, emit, format_table, load_graph, pick_sources, run_once
 
@@ -23,9 +24,9 @@ def _msbfs_style_seconds(graph, sources):
     engine = BitwiseTraversal(
         graph,
         Device(),
-        early_termination=False,
         reset_per_level=True,
         thread_per_instance=True,
+        planner=HeuristicPolicy(early_termination=False),
     )
     total = 0.0
     for group in random_groups(sources, GROUP_SIZE, seed=20):

@@ -57,6 +57,7 @@ from repro.kernels.reference import (
     ReferenceJointTraversal,
 )
 from repro.obs import metrics as obs_metrics
+from repro.plan import HeuristicPolicy
 
 SOURCE_SEED = 11
 
@@ -85,9 +86,9 @@ ENGINE_PAIRS = {
     "msbfs": (
         lambda g: BitwiseTraversal(
             g,
-            early_termination=False,
             reset_per_level=True,
             thread_per_instance=True,
+            planner=HeuristicPolicy(early_termination=False),
         ),
         lambda g: ReferenceBitwiseTraversal(
             g,

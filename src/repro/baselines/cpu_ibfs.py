@@ -20,7 +20,7 @@ from repro.core.result import ConcurrentResult
 from repro.graph.csr import CSRGraph
 from repro.gpusim.config import XEON_CPU
 from repro.gpusim.device import Device
-from repro.plan.policy import DirectionPolicy, Policy
+from repro.plan.policy import Policy
 
 
 class CPUiBFS:
@@ -32,7 +32,6 @@ class CPUiBFS:
         self,
         graph: CSRGraph,
         config: Optional[IBFSConfig] = None,
-        policy: Optional[DirectionPolicy] = None,
         planner: Optional[Policy] = None,
     ) -> None:
         self.graph = graph
@@ -40,7 +39,6 @@ class CPUiBFS:
             graph,
             config or IBFSConfig(group_size=64),
             device=Device(XEON_CPU),
-            policy=policy,
             planner=planner,
         )
 

@@ -27,7 +27,6 @@ from repro.core.result import ConcurrentResult
 from repro.graph.csr import CSRGraph
 from repro.gpusim.config import XEON_CPU
 from repro.gpusim.device import Device
-from repro.plan.policy import DirectionPolicy, HeuristicPolicy
 from repro.plan.presets import msbfs_policy
 
 
@@ -41,27 +40,18 @@ class MSBFS:
         graph: CSRGraph,
         group_size: int = 64,
         device: Optional[Device] = None,
-        policy: Optional[DirectionPolicy] = None,
         seed: int = 0,
     ) -> None:
         self.graph = graph
         self.group_size = group_size
         self.device = device or Device(XEON_CPU)
         self.seed = seed
-        if policy is None:
-            planner = msbfs_policy()
-        else:
-            planner = HeuristicPolicy.from_direction_policy(
-                policy, early_termination=False
-            )
         self._engine = BitwiseTraversal(
             graph,
             self.device,
-            policy,
-            early_termination=False,
             reset_per_level=True,
             thread_per_instance=True,
-            planner=planner,
+            planner=msbfs_policy(),
         )
 
     def run(

@@ -23,7 +23,7 @@ from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
 from repro.bfs.single import SingleBFS
 from repro.core.result import ConcurrentResult
-from repro.plan.policy import DirectionPolicy, Policy
+from repro.plan.policy import Policy
 
 
 class NaiveConcurrentBFS:
@@ -35,12 +35,11 @@ class NaiveConcurrentBFS:
         self,
         graph: CSRGraph,
         device: Optional[Device] = None,
-        policy: Optional[DirectionPolicy] = None,
         planner: Optional[Policy] = None,
     ) -> None:
         self.graph = graph
         self.device = device or Device()
-        self.engine = SingleBFS(graph, self.device, policy, planner=planner)
+        self.engine = SingleBFS(graph, self.device, planner=planner)
 
     def run(
         self,

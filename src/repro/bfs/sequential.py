@@ -16,7 +16,7 @@ from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
 from repro.bfs.single import SingleBFS
 from repro.core.result import ConcurrentResult
-from repro.plan.policy import DirectionPolicy, Policy
+from repro.plan.policy import Policy
 
 
 class SequentialConcurrentBFS:
@@ -28,12 +28,11 @@ class SequentialConcurrentBFS:
         self,
         graph: CSRGraph,
         device: Optional[Device] = None,
-        policy: Optional[DirectionPolicy] = None,
         planner: Optional[Policy] = None,
     ) -> None:
         self.graph = graph
         self.device = device or Device()
-        self.engine = SingleBFS(graph, self.device, policy, planner=planner)
+        self.engine = SingleBFS(graph, self.device, planner=planner)
 
     def run(
         self,

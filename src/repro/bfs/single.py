@@ -24,12 +24,7 @@ from repro.graph.csr import CSRGraph, VERTEX_DTYPE
 from repro.gpusim.counters import LevelRecord, RunRecord
 from repro.gpusim.device import Device
 from repro.kernels import bucketed_hit_scan, round_major_probes
-from repro.plan.policy import (
-    DirectionPolicy,
-    HeuristicPolicy,
-    Policy,
-    RecordedPolicy,
-)
+from repro.plan.policy import HeuristicPolicy, Policy, RecordedPolicy
 from repro.plan.types import Direction, LevelDecision, LevelStats, RunPlan
 from repro.util import gather_neighbors
 
@@ -77,25 +72,24 @@ class SingleBFS:
         Graph to traverse (its reverse CSR is used for bottom-up).
     device:
         Simulated execution target; defaults to a Kepler K40.
-    policy:
-        Direction-switch policy; pass ``allow_bottom_up=False`` for a
-        top-down-only engine (the B40C baseline).
+    planner:
+        The :class:`~repro.plan.policy.Policy` making every per-level
+        decision (default ``HeuristicPolicy()``); a top-down-only
+        policy gives the B40C baseline.
     """
 
     def __init__(
         self,
         graph: CSRGraph,
         device: Optional[Device] = None,
-        policy: Optional[DirectionPolicy] = None,
         planner: Optional[Policy] = None,
     ) -> None:
         self.graph = graph
         self.device = device or Device()
-        self.policy = policy or DirectionPolicy()
-        if planner is None:
-            planner = HeuristicPolicy.from_direction_policy(self.policy)
-        self.planner = planner
-        self._reverse = graph.reverse() if planner.allow_bottom_up else None
+        self.planner = planner or HeuristicPolicy()
+        self._reverse = (
+            graph.reverse() if self.planner.allow_bottom_up else None
+        )
 
     def run(
         self,

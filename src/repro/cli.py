@@ -42,6 +42,7 @@ import numpy as np
 
 from repro import (
     IBFS,
+    FaultPolicy,
     IBFSConfig,
     NaiveConcurrentBFS,
     SequentialConcurrentBFS,
@@ -148,17 +149,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = _substrate_spec(args)
     if spec is None:
         return 2
-    exec_config = None
-    if spec.kind == "executor" or (
-        spec.kind == "stream" and spec.inner_kind == "executor"
-    ):
-        from repro.exec import ExecConfig, FaultPolicy
-
-        exec_config = ExecConfig(
-            num_workers=spec.workers,
-            scheduler=spec.scheduler,
-            faults=FaultPolicy(fail_fast=args.fail_fast),
-        )
     exec_stats = None
     dist_stats = None
     root = tracer.start_span("run", graph=args.graph,
@@ -169,7 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             graph,
             engine_config=config,
             planner=planner,
-            exec_config=exec_config,
+            faults=FaultPolicy(fail_fast=args.fail_fast),
         ) as substrate:
             result = substrate.run(sources, store_depths=False)
             if substrate.supports_partitions:

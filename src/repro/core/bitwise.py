@@ -13,12 +13,12 @@ One *bit* per (vertex, instance) pair replaces the JSA's byte, and a
 
 Because bits are monotone (never reset), early termination is sound —
 the property MS-BFS forfeits by resetting its status array each level.
-:class:`BitwiseTraversal` exposes ``early_termination`` and
-``reset_per_level`` switches so the MS-BFS baseline can reuse this
-engine with the paper's described differences.
+The MS-BFS baseline reuses this engine with the paper's described
+differences: a planner with early termination off, plus the
+``reset_per_level`` and ``thread_per_instance`` machine switches.
 
 Per-level choices — direction per instance, vector load width, early
-termination — come from the planner (:mod:`repro.plan`): each executed
+termination — come only from the planner (:mod:`repro.plan`): each executed
 level consumes exactly one :class:`~repro.plan.types.LevelDecision` from
 the policy's session, and the sequence is recorded as a
 :class:`~repro.plan.types.RunPlan` on the returned
@@ -62,12 +62,7 @@ from repro.kernels import (
     scatter_plan,
     unpack_lane_bits,
 )
-from repro.plan.policy import (
-    DirectionPolicy,
-    HeuristicPolicy,
-    Policy,
-    RecordedPolicy,
-)
+from repro.plan.policy import HeuristicPolicy, Policy, RecordedPolicy
 from repro.plan.types import Direction, LevelDecision, LevelStats, RunPlan
 from repro.util import gather_neighbors
 
@@ -107,39 +102,18 @@ class BitwiseTraversal:
         Graph to traverse.
     device:
         Simulated execution target.
-    policy:
-        Legacy direction-switch policy shared by all instances; wrapped
-        together with the ``early_termination`` / ``vector_width`` /
-        ``direction_mode`` knobs into an equivalent
-        :class:`~repro.plan.policy.HeuristicPolicy` when no ``planner``
-        is given.
-    early_termination:
-        Stop a bottom-up scan once every tracked bit of the frontier is
-        set (iBFS); disable to model MS-BFS.
     reset_per_level:
         Model MS-BFS's per-level ``visit`` array reset: adds the reset
         traffic and disables the XOR-based identification discount.
     thread_per_instance:
         Model MS-BFS's one-software-thread-per-instance execution
         (thread demand = N) instead of iBFS's thread-per-frontier.
-    vector_width:
-        CUDA vector data types (section 6): a ``long2``/``long4`` load
-        fetches 2/4 status words per instruction, so multi-lane status
-        scans issue ``1/width`` as many load requests and instructions.
-        Bytes moved (transactions) are unchanged.
-    direction_mode:
-        ``"per-instance"`` (default — each instance switches direction
-        on its own Beamer state, as iBFS's mixed-direction kernel
-        allows) or ``"per-group"`` (all instances vote once on the
-        aggregate frontier statistics and switch together — simpler
-        kernels, but stragglers drag the group; the ablation benchmark
-        quantifies the difference).  Depths are exact either way.
     planner:
-        A :class:`~repro.plan.policy.Policy` that owns every per-level
-        decision.  When given, it overrides the legacy knobs above
-        (``reset_per_level`` and ``thread_per_instance`` stay engine
-        properties — they model a different machine, not a per-level
-        choice).
+        The :class:`~repro.plan.policy.Policy` that owns every per-level
+        decision — direction, vector width, early termination (default
+        ``HeuristicPolicy()``).  ``reset_per_level`` and
+        ``thread_per_instance`` stay engine properties: they model a
+        different machine, not a per-level choice.
     """
 
     name = "bitwise"
@@ -148,41 +122,18 @@ class BitwiseTraversal:
         self,
         graph: CSRGraph,
         device: Optional[Device] = None,
-        policy: Optional[DirectionPolicy] = None,
-        early_termination: bool = True,
         reset_per_level: bool = False,
         thread_per_instance: bool = False,
-        vector_width: int = 1,
-        direction_mode: str = "per-instance",
         planner: Optional[Policy] = None,
     ) -> None:
-        if vector_width not in (1, 2, 4):
-            raise TraversalError(
-                f"vector_width must be 1, 2, or 4 (long/long2/long4); "
-                f"got {vector_width}"
-            )
-        if direction_mode not in ("per-instance", "per-group"):
-            raise TraversalError(
-                f"direction_mode must be 'per-instance' or 'per-group'; "
-                f"got {direction_mode!r}"
-            )
         self.graph = graph
         self.device = device or Device()
-        self.policy = policy or DirectionPolicy()
-        self.early_termination = early_termination
         self.reset_per_level = reset_per_level
         self.thread_per_instance = thread_per_instance
-        self.vector_width = vector_width
-        self.direction_mode = direction_mode
-        if planner is None:
-            planner = HeuristicPolicy.from_direction_policy(
-                self.policy,
-                direction_mode=direction_mode,
-                early_termination=early_termination,
-                vector_width=vector_width,
-            )
-        self.planner = planner
-        self._reverse = graph.reverse() if planner.allow_bottom_up else None
+        self.planner = planner or HeuristicPolicy()
+        self._reverse = (
+            graph.reverse() if self.planner.allow_bottom_up else None
+        )
         #: Out-degree view, hoisted once per traversal object (the hot
         #: loops used to look it up several times per level).
         self._out_degrees = graph.out_degrees()

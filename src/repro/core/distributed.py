@@ -22,9 +22,8 @@ from repro.obs import tracing as obs_tracing
 from repro.gpusim.cluster import Cluster, Scheduler, schedule_lpt
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.device import Device
-from repro.core.engine import IBFSConfig
+from repro.core.engine import IBFS, IBFSConfig
 from repro.core.result import ConcurrentResult
-from repro.runtime import SubstrateSpec, make_substrate
 
 
 @dataclass
@@ -37,14 +36,6 @@ class DistributedResult:
     makespan: float
     device_times: np.ndarray
     assignment: np.ndarray
-    #: ``"sim"`` when groups executed serially in this process,
-    #: ``"process"`` when they ran on the real multi-process backend.
-    backend: str = "sim"
-    #: Real wall-clock seconds of group execution (``process`` backend).
-    wall_seconds: Optional[float] = None
-    #: Executor observability (``process`` backend):
-    #: :class:`repro.exec.executor.ExecStats`.
-    exec_stats: Optional[object] = None
 
     @property
     def teps(self) -> float:
@@ -88,24 +79,10 @@ class DistributedResult:
 class DistributedIBFS:
     """iBFS across a fleet of identical simulated GPUs.
 
-    ``backend`` selects how groups actually execute while the cluster
-    model prices them:
-
-    * ``"sim"`` (default) — groups run serially in this process and
-      only the *schedule* is simulated (the original behavior);
-    * ``"process"`` — groups run genuinely concurrently on the
-      :class:`repro.exec.executor.GroupExecutor` process pool (one
-      worker per simulated device unless ``num_workers`` overrides it),
-      with bit-identical results; the simulated makespan is computed
-      from the same per-group simulated times, and the real wall clock
-      plus executor stats land on the result.
-    * ``"partitioned"`` — the graph itself is split across the devices
-      (:class:`repro.dist.engine.PartitionedEngine`, one partition per
-      device), so graphs too big for any single device still run; every
-      group uses the whole cluster, the makespan is the sum of the
-      comm-model group times, ``assignment`` is the ``-1`` sentinel
-      (groups are not placed on single devices), and the per-level
-      exchange stats land in ``exec_stats``.
+    Groups run serially in this process on the single-device engine;
+    only the *schedule* across the devices is simulated.  Real
+    placements — worker processes, a partitioned graph — are chosen
+    with a :class:`~repro.runtime.SubstrateSpec` instead.
     """
 
     def __init__(
@@ -115,107 +92,20 @@ class DistributedIBFS:
         config: Optional[IBFSConfig] = None,
         device_config: Optional[DeviceConfig] = None,
         scheduler: Scheduler = schedule_lpt,
-        backend: str = "sim",
-        num_workers: Optional[int] = None,
-        exec_config: Optional[object] = None,
-        dist_config: Optional[object] = None,
     ) -> None:
         if num_devices <= 0:
             raise SimulationError("num_devices must be positive")
-        if backend not in ("sim", "process", "partitioned"):
-            raise SimulationError(
-                f"unknown backend {backend!r}; "
-                f"expected 'sim', 'process', or 'partitioned'"
-            )
         self.graph = graph
         self.num_devices = num_devices
         self.device_config = device_config or KEPLER_K20
         self.scheduler = scheduler
-        self.backend = backend
-        # Backends resolve through the substrate registry: ``sim`` is
-        # the serial substrate, ``process`` the executor substrate, and
-        # ``partitioned`` the partitioned substrate (each device holds
-        # one partition, so the whole-graph fits() check does not apply
-        # — that is the point of that backend).
-        if backend != "partitioned":
-            # Every device holds a full graph replica (paper's setup).
-            if not Device(self.device_config).fits(graph):
-                raise SimulationError(
-                    f"graph does not fit in {self.device_config.name} memory"
-                )
-        if backend == "process" and exec_config is None:
-            from repro.exec.executor import ExecConfig
-
-            workers = num_workers if num_workers is not None else num_devices
-            exec_config = ExecConfig(num_workers=workers)
-        spec = SubstrateSpec(
-            kind={
-                "sim": "serial",
-                "process": "executor",
-                "partitioned": "partitioned",
-            }[backend],
-            partitions=num_devices if backend == "partitioned" else 0,
-        )
-        self.substrate_spec = spec
-        self.substrate = make_substrate(
-            spec,
-            graph,
-            engine_config=config or IBFSConfig(),
-            device=Device(self.device_config),
-            device_config=self.device_config,
-            exec_config=exec_config,
-            dist_config=dist_config,
-        )
-
-    @property
-    def engine(self):
-        """The substrate's engine (read-only back-compat view)."""
-        return self.substrate.engine
-
-    @property
-    def _partitioned(self):
-        return self.substrate.partitioned_engine
-
-    @property
-    def _executor(self):
-        return self.substrate.executor
-
-    def close(self) -> None:
-        """Tear down the process/partitioned backends (no-op for ``sim``)."""
-        self.substrate.close()
-
-    def __enter__(self) -> "DistributedIBFS":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _run_local(
-        self,
-        sources: Sequence[int],
-        max_depth: Optional[int],
-        store_depths: bool,
-    ):
-        """Execute all groups; returns (result, wall, exec_stats)."""
-        if self.substrate.supports_partitions:
-            local = self.substrate.run(
-                sources, max_depth=max_depth, store_depths=store_depths
+        device = Device(self.device_config)
+        # Every device holds a full graph replica (paper's setup).
+        if not device.fits(graph):
+            raise SimulationError(
+                f"graph does not fit in {self.device_config.name} memory"
             )
-            stats = self.substrate.last_stats
-            return local, stats.wall_seconds, stats
-        if self.substrate.supports_executor:
-            import time
-
-            start = time.perf_counter()
-            local = self.substrate.run(
-                sources, max_depth=max_depth, store_depths=store_depths
-            )
-            wall = time.perf_counter() - start
-            return local, wall, self.substrate.last_stats
-        local = self.substrate.run(
-            sources, max_depth=max_depth, store_depths=store_depths
-        )
-        return local, None, None
+        self.engine = IBFS(graph, config or IBFSConfig(), device=device)
 
     def run(
         self,
@@ -227,45 +117,22 @@ class DistributedIBFS:
         sources = [int(s) for s in sources]
         with obs_tracing.get_tracer().span(
             "distributed.run",
-            backend=self.backend,
             num_devices=self.num_devices,
             num_sources=len(sources),
         ):
-            local, wall, exec_stats = self._run_local(
-                sources, max_depth, store_depths
+            local = self.engine.run(
+                sources, max_depth=max_depth, store_depths=store_depths
             )
-            if self._partitioned is not None:
-                # Groups execute one after another, each spanning every
-                # partition, so the makespan is the sum of group times
-                # and no group is placed on a single device.
-                return DistributedResult(
-                    local=local,
-                    num_devices=self.num_devices,
-                    makespan=local.seconds,
-                    device_times=np.full(
-                        self.num_devices, local.seconds, dtype=np.float64
-                    ),
-                    assignment=np.full(
-                        len(local.groups), -1, dtype=np.int64
-                    ),
-                    backend=self.backend,
-                    wall_seconds=wall,
-                    exec_stats=exec_stats,
-                )
-            durations = local.group_times()
             cluster = Cluster(
                 self.num_devices, self.device_config, self.scheduler
             )
-            outcome = cluster.run(durations)
+            outcome = cluster.run(local.group_times())
         return DistributedResult(
             local=local,
             num_devices=self.num_devices,
             makespan=outcome.makespan,
             device_times=outcome.device_times,
             assignment=outcome.assignment,
-            backend=self.backend,
-            wall_seconds=wall,
-            exec_stats=exec_stats,
         )
 
     def strong_scaling(
@@ -278,13 +145,7 @@ class DistributedIBFS:
         Runs the traversal once and re-schedules the measured group
         times, which is exactly what varying the cluster size does.
         """
-        if self._partitioned is not None:
-            raise SimulationError(
-                "strong_scaling re-schedules whole groups across devices; "
-                "the partitioned backend spans every device per group — "
-                "construct one DistributedIBFS per partition count instead"
-            )
-        local, wall, exec_stats = self._run_local(sources, None, False)
+        local = self.engine.run(sources, store_depths=False)
         durations = local.group_times()
         results = []
         for count in device_counts:
@@ -298,9 +159,6 @@ class DistributedIBFS:
                     makespan=outcome.makespan,
                     device_times=outcome.device_times,
                     assignment=outcome.assignment,
-                    backend=self.backend,
-                    wall_seconds=wall,
-                    exec_stats=exec_stats,
                 )
             )
         return results

@@ -24,7 +24,7 @@ from repro.core.bitwise import BitwiseTraversal
 from repro.core.groupby import GroupByConfig, group_sources, random_groups
 from repro.core.joint import JointTraversal
 from repro.core.result import ConcurrentResult, GroupStats
-from repro.plan.policy import DirectionPolicy, Policy
+from repro.plan.policy import Policy
 from repro.plan.types import RunPlan
 
 #: JSA stores one byte per instance-vertex; BSA one bit.
@@ -48,22 +48,18 @@ class IBFSConfig:
         formed randomly (the paper's "random grouping" baseline).
     groupby_config:
         Rule parameters (p sequence / q / seed).
-    early_termination:
-        Bottom-up early termination (bitwise mode only).
-    vector_width:
-        Status words fetched per load instruction (1, 2, or 4 — the
-        CUDA long/long2/long4 vector types of section 6; bitwise mode
-        only).
     seed:
         Seed for random grouping.
+
+    Per-level decisions — direction, early termination, the
+    long/long2/long4 vector width of section 6 — are not configuration:
+    :class:`IBFS` takes them from its ``planner``.
     """
 
     group_size: int = 128
     mode: str = "bitwise"
     groupby: bool = True
     groupby_config: GroupByConfig = GroupByConfig()
-    early_termination: bool = True
-    vector_width: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -71,17 +67,6 @@ class IBFSConfig:
             raise TraversalError("group_size must be positive")
         if self.mode not in ("joint", "bitwise"):
             raise TraversalError(f"unknown mode {self.mode!r}")
-        if self.vector_width not in (1, 2, 4):
-            raise TraversalError(
-                f"vector_width must be 1, 2, or 4 (long/long2/long4); "
-                f"got {self.vector_width!r}"
-            )
-        if self.mode == "joint" and self.vector_width != 1:
-            raise TraversalError(
-                "vector_width is a bitwise-mode knob (status-word vector "
-                "loads); joint mode has no packed status words to "
-                "vector-load — use mode='bitwise' or vector_width=1"
-            )
         if not isinstance(self.groupby_config, GroupByConfig):
             raise TraversalError(
                 f"groupby_config must be a GroupByConfig; "
@@ -96,35 +81,27 @@ class IBFSConfig:
 
 
 class IBFS:
-    """Concurrent BFS engine implementing the paper's full system."""
+    """Concurrent BFS engine implementing the paper's full system.
+
+    ``planner`` makes every per-level decision; ``None`` means
+    ``HeuristicPolicy()``.
+    """
 
     def __init__(
         self,
         graph: CSRGraph,
         config: Optional[IBFSConfig] = None,
         device: Optional[Device] = None,
-        policy: Optional[DirectionPolicy] = None,
         planner: Optional[Policy] = None,
     ) -> None:
         self.graph = graph
         self.config = config or IBFSConfig()
         self.device = device or Device()
-        self.policy = policy or DirectionPolicy()
-        if self.config.mode == "bitwise":
-            self._group_engine = BitwiseTraversal(
-                graph,
-                self.device,
-                self.policy,
-                early_termination=self.config.early_termination,
-                vector_width=self.config.vector_width,
-                planner=planner,
-            )
-        else:
-            self._group_engine = JointTraversal(
-                graph, self.device, self.policy, planner=planner
-            )
-        #: The policy actually making per-level decisions (the explicit
-        #: ``planner`` or the legacy knobs wrapped into a HeuristicPolicy).
+        engine_cls = (
+            BitwiseTraversal if self.config.mode == "bitwise" else JointTraversal
+        )
+        self._group_engine = engine_cls(graph, self.device, planner=planner)
+        #: The policy making per-level decisions (``planner`` resolved).
         self.planner = self._group_engine.planner
 
     @property

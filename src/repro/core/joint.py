@@ -35,12 +35,7 @@ from repro.gpusim.device import Device
 from repro.core.result import GroupStats
 from repro.core.sharing import SharingObserver
 from repro.kernels import bucketed_hit_scan, instance_frontier_stats
-from repro.plan.policy import (
-    DirectionPolicy,
-    HeuristicPolicy,
-    Policy,
-    RecordedPolicy,
-)
+from repro.plan.policy import HeuristicPolicy, Policy, RecordedPolicy
 from repro.plan.types import Direction, LevelDecision, LevelStats, RunPlan
 from repro.util import gather_neighbors
 
@@ -53,7 +48,11 @@ UNVISITED = -1
 
 
 class JointTraversal:
-    """Joint (JSA-based, non-bitwise) traversal of one group."""
+    """Joint (JSA-based, non-bitwise) traversal of one group.
+
+    ``planner`` makes every per-level decision (default
+    ``HeuristicPolicy()``).
+    """
 
     name = "joint"
 
@@ -61,16 +60,14 @@ class JointTraversal:
         self,
         graph: CSRGraph,
         device: Optional[Device] = None,
-        policy: Optional[DirectionPolicy] = None,
         planner: Optional[Policy] = None,
     ) -> None:
         self.graph = graph
         self.device = device or Device()
-        self.policy = policy or DirectionPolicy()
-        if planner is None:
-            planner = HeuristicPolicy.from_direction_policy(self.policy)
-        self.planner = planner
-        self._reverse = graph.reverse() if planner.allow_bottom_up else None
+        self.planner = planner or HeuristicPolicy()
+        self._reverse = (
+            graph.reverse() if self.planner.allow_bottom_up else None
+        )
 
     def run_group(
         self,

@@ -21,14 +21,16 @@ a set of candidate groups.  The test suite asserts both on real graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GroupingError
 from repro.graph.csr import CSRGraph
-from repro.plan.policy import DirectionPolicy
+from repro.plan.policy import HeuristicPolicy
 from repro.core.joint import JointTraversal
+
+_TOP_DOWN_ONLY = HeuristicPolicy(allow_bottom_up=False)
 
 
 @dataclass
@@ -48,25 +50,20 @@ class Lemma1Report:
         )
 
 
-def verify_lemma1(
-    graph: CSRGraph,
-    group: Sequence[int],
-    policy: Optional[DirectionPolicy] = None,
-) -> Lemma1Report:
+def verify_lemma1(graph: CSRGraph, group: Sequence[int]) -> Lemma1Report:
     """Measure both sides of Lemma 1 for one group.
 
     The lemma is exact when every vertex becomes a frontier exactly once
-    per instance (a fully reachable graph traversed top-down); our
-    measured quantities use the engine's actual per-level queues, so
-    direction switching and unreachable vertices introduce only small
-    deviations, which the report quantifies.
+    per instance (a fully reachable graph traversed top-down).  The
+    traversal runs top-down only; the measured quantities use the
+    engine's actual per-level queues, so unreachable vertices introduce
+    only small deviations, which the report quantifies.
     """
     if len(group) == 0:
         raise GroupingError("group must not be empty")
     # Top-down-only traversal matches the lemma's setting (every level's
     # JFQ is expanded and each frontier's full out-edge list inspected).
-    policy = policy or DirectionPolicy(allow_bottom_up=False)
-    engine = JointTraversal(graph, policy=policy)
+    engine = JointTraversal(graph, planner=_TOP_DOWN_ONLY)
     depths, record, stats = engine.run_group(group)
 
     out_degrees = graph.out_degrees()

@@ -41,7 +41,7 @@ from repro.gpusim.cluster import Cluster
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
-from repro.plan.policy import DirectionPolicy, Policy
+from repro.plan.policy import Policy
 from repro.plan.types import RunPlan
 from repro.core.engine import IBFS, IBFSConfig
 from repro.core.result import ConcurrentResult, GroupStats
@@ -219,20 +219,16 @@ class GroupExecutor:
         config: Optional[IBFSConfig] = None,
         exec_config: Optional[ExecConfig] = None,
         device_config: Optional[DeviceConfig] = None,
-        policy: Optional[DirectionPolicy] = None,
         planner: Optional[Policy] = None,
     ) -> None:
         self.graph = graph
         self.exec_config = exec_config or ExecConfig()
         self._device_config = device_config
-        self._policy_obj = policy
         self._planner = planner
         device = Device(device_config) if device_config else None
         #: Local engine: grouping, capacity checks, and the in-process
         #: execution path all run through it.
-        self.engine = IBFS(
-            graph, config, device=device, policy=policy, planner=planner
-        )
+        self.engine = IBFS(graph, config, device=device, planner=planner)
         self.cost_model = CostModel(graph)
         self._dispatch_policy = get_policy(self.exec_config.scheduler)
         self._handle = None
@@ -302,7 +298,6 @@ class GroupExecutor:
             graph,
             self.engine.config,
             device=device,
-            policy=self._policy_obj,
             planner=self._planner,
         )
         self.cost_model = CostModel(graph)
@@ -395,7 +390,6 @@ class GroupExecutor:
         spec = EngineSpec(
             config=self.engine.config,
             device_config=self._device_config,
-            policy=self._policy_obj,
             planner=self._planner,
         )
         profile_config = obs_profile.get_config()
@@ -591,9 +585,7 @@ class GroupExecutor:
             result = self.engine.run_group(
                 task.group, max_depth=task.max_depth, plan=task.plan
             )
-        wall = time.perf_counter() - wall_start
-        self.cost_model.observe(task.group, wall)
-        self._task_wall_histogram().observe(wall)
+        self._task_wall_histogram().observe(time.perf_counter() - wall_start)
         depths = result.depths if task.want_depths else None
         return depths, result.counters, result.groups[0]
 
@@ -762,7 +754,6 @@ class GroupExecutor:
             pending.discard(task_id)
             self._finish_dispatch(busy.pop(worker_id, None))
             tracer.ingest(spans)
-            self.cost_model.observe(tasks[task_id].group, wall)
             self._task_wall_histogram().observe(wall)
             return
         if kind == "error":

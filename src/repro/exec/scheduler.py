@@ -16,9 +16,9 @@ Scheduling happens in two stages, mirroring how the cluster study
 
 Costs come from :class:`CostModel`: the degree-sum heuristic (a group's
 joint kernel inspects the union of its sources' neighborhoods, so the
-sum of source outdegrees plus a per-level |V| term tracks its work),
-rescaled by an EWMA of observed wall time per predicted unit once real
-measurements exist.
+sum of source outdegrees plus a per-level |V| term tracks its work).
+Only the relative order of the predicted costs matters to the dispatch
+policies, so the model is never rescaled to wall-clock time.
 """
 
 from __future__ import annotations
@@ -37,55 +37,18 @@ SCHEDULER_NAMES = ("steal", "lpt", "round_robin")
 
 
 class CostModel:
-    """Predicts per-group execution cost; refines itself from feedback.
+    """Predicts per-group execution cost in abstract units."""
 
-    ``predict`` returns abstract cost units (relative ordering is what
-    the dispatch policies consume); ``predict_seconds`` scales them by
-    the learned seconds-per-unit rate, which starts at ``None`` (no
-    observation yet) and is refined by an exponentially weighted moving
-    average over observed (group, wall-time) pairs.
-    """
-
-    def __init__(self, graph: CSRGraph, smoothing: float = 0.3) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ExecutorError("smoothing must be in (0, 1]")
+    def __init__(self, graph: CSRGraph) -> None:
         self._degrees = graph.out_degrees()
         #: Per-level fixed cost: a joint kernel touches status words for
         #: every vertex regardless of frontier size.
         self._base = float(max(graph.num_vertices, 1))
-        self._smoothing = smoothing
-        self._rate: Optional[float] = None
-        self.observations = 0
 
     def predict(self, group: Sequence[int]) -> float:
         """Degree-sum heuristic cost of one group, in abstract units."""
         degree_sum = float(self._degrees[np.asarray(group, dtype=np.int64)].sum())
         return self._base + degree_sum
-
-    def predict_seconds(self, group: Sequence[int]) -> Optional[float]:
-        """Wall-clock estimate; ``None`` until the first observation."""
-        if self._rate is None:
-            return None
-        return self._rate * self.predict(group)
-
-    def observe(self, group: Sequence[int], wall_seconds: float) -> None:
-        """Fold one measured (group, wall time) pair into the rate."""
-        if wall_seconds < 0:
-            raise ExecutorError("wall_seconds must be non-negative")
-        units = self.predict(group)
-        if units <= 0:
-            return
-        rate = wall_seconds / units
-        if self._rate is None:
-            self._rate = rate
-        else:
-            a = self._smoothing
-            self._rate = a * rate + (1.0 - a) * self._rate
-        self.observations += 1
-
-    @property
-    def seconds_per_unit(self) -> Optional[float]:
-        return self._rate
 
 
 class DispatchPolicy:

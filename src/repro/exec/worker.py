@@ -2,7 +2,7 @@
 
 Each worker attaches the shared-memory graph once, builds its own
 :class:`~repro.core.engine.IBFS` engine (bit-identical to the parent's:
-same config, device model, and direction policy), and then loops on its
+same config, device model, and planner), and then loops on its
 task queue.  A task is ``(epoch, task_id, attempt, group, max_depth,
 want_depths, plan, trace_ctx, result_name)`` — ``result_name`` is the
 parent-allocated shared-memory segment name the depth matrix must be
@@ -50,7 +50,7 @@ from typing import List, Optional, Tuple
 
 import repro.native as native
 from repro.core.engine import IBFS, IBFSConfig
-from repro.plan.policy import DirectionPolicy, Policy
+from repro.plan.policy import Policy
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.device import Device
 from repro.exec.faults import FaultPlan
@@ -65,7 +65,6 @@ class EngineSpec:
 
     config: IBFSConfig
     device_config: Optional[DeviceConfig] = None
-    policy: Optional[DirectionPolicy] = None
     planner: Optional[Policy] = None
 
     def build(self, graph) -> IBFS:
@@ -81,7 +80,6 @@ class EngineSpec:
             graph,
             engine_config=self.config,
             device=device,
-            policy=self.policy,
             planner=self.planner,
         )
         return substrate.engine

@@ -14,8 +14,9 @@ two distributions recorded by different layers — serving latency and
 executor task wall time, say — are directly comparable bucket by
 bucket.  Each histogram also retains its raw observations (bounded by
 ``max_samples``), so percentile math is exact and shared: the
-:func:`percentile` here is the one authoritative implementation;
-:mod:`repro.service.metrics` re-exports it.
+:func:`percentile` here is the one authoritative implementation, and
+the serving layer's latency percentiles reach it through
+:meth:`Histogram.quantiles`.
 """
 
 from __future__ import annotations

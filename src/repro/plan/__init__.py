@@ -17,7 +17,6 @@ from repro.plan.policy import (
     Policy,
     PolicySession,
     RecordedPolicy,
-    planner_cache_name,
 )
 from repro.plan.presets import POLICY_NAMES, make_policy
 from repro.plan.types import (
@@ -46,5 +45,4 @@ __all__ = [
     "RunPlan",
     "VECTOR_WIDTHS",
     "make_policy",
-    "planner_cache_name",
 ]

@@ -5,9 +5,9 @@ decisions are made; :meth:`Policy.session` instantiates the per-run
 state machine (:class:`PolicySession`) that actually emits
 :class:`~repro.plan.types.LevelDecision` objects:
 
-* :class:`HeuristicPolicy` — today's behavior, consolidated: the
-  Beamer alpha/beta state machine per instance (or one per-group vote),
-  with fixed vector-width and early-termination choices.  Bit-identical to
+* :class:`HeuristicPolicy` — the default of every engine: the Beamer
+  alpha/beta state machine per instance (or one per-group vote), with
+  fixed vector-width and early-termination choices.  Bit-identical to
   the pre-planner engines; the equivalence suite pins it against
   :mod:`repro.kernels.reference`.
 * :class:`FixedPolicy` — constant decisions, optionally switching
@@ -18,10 +18,10 @@ state machine (:class:`PolicySession`) that actually emits
   (``wants_stats = False``, so engines do not even materialize the
   per-level statistics).
 
-:class:`DirectionPolicy` — the Beamer state machine — lives here as
-the heuristic's step function and as the legacy engine-constructor
-API (every engine still accepts one and wraps it into an equivalent
-:class:`HeuristicPolicy`).
+Every engine takes its policy as ``planner=`` and nothing else makes a
+per-level decision; ``None`` means ``HeuristicPolicy()``.
+:class:`DirectionPolicy` — the Beamer state machine — lives here only
+as the heuristic's step function.
 """
 
 from __future__ import annotations
@@ -163,12 +163,26 @@ def _validate_width(vector_width: int) -> None:
 class HeuristicPolicy(Policy):
     """The consolidated pre-planner heuristics, bit-identical.
 
-    Direction follows the Beamer state machine (:class:`DirectionPolicy`)
-    either per instance (iBFS's mixed-direction kernel) or by one
-    per-group vote over mean frontier statistics — exactly the two code
-    paths :class:`~repro.core.bitwise.BitwiseTraversal` used to fork
-    internally.  Vector width and early termination are the constants
-    the engines used to hard-code.
+    Parameters
+    ----------
+    alpha, beta, allow_bottom_up, sticky:
+        The Beamer switch rule, as :class:`DirectionPolicy` documents
+        them; ``allow_bottom_up=False`` models top-down-only systems.
+    direction_mode:
+        ``"per-instance"`` (each instance switches on its own Beamer
+        state, as iBFS's mixed-direction kernel allows) or
+        ``"per-group"`` (all live instances follow one vote over the
+        mean frontier statistics — simpler kernels, but stragglers drag
+        the group).  Depths are exact either way.
+    early_termination:
+        Stop a bottom-up scan once every tracked bit of the frontier is
+        set (iBFS); disable to model MS-BFS.
+    vector_width:
+        CUDA vector data types (section 6): a ``long2``/``long4`` load
+        fetches 2/4 status words per instruction, so multi-lane status
+        scans need ``1/width`` as many load requests and instructions.
+        Bytes moved (transactions) are unchanged, and the JSA engine,
+        which has no packed status words, ignores it.
     """
 
     name: ClassVar[str] = "heuristic"
@@ -192,26 +206,6 @@ class HeuristicPolicy(Policy):
                 f"got {self.direction_mode!r}"
             )
         _validate_width(self.vector_width)
-
-    @classmethod
-    def from_direction_policy(
-        cls,
-        policy: DirectionPolicy,
-        direction_mode: str = "per-instance",
-        early_termination: bool = True,
-        vector_width: int = 1,
-    ) -> "HeuristicPolicy":
-        """Wrap a legacy :class:`DirectionPolicy` plus the engine
-        constructor knobs into the equivalent planner policy."""
-        return cls(
-            alpha=policy.alpha,
-            beta=policy.beta,
-            allow_bottom_up=policy.allow_bottom_up,
-            sticky=policy.sticky,
-            direction_mode=direction_mode,
-            early_termination=early_termination,
-            vector_width=vector_width,
-        )
 
     def session(
         self, group_size: int, num_vertices: int, total_edges: int
@@ -418,14 +412,3 @@ class _RecordedSession(PolicySession):
     def next(self, stats: Optional[LevelStats]) -> LevelDecision:
         return self._pop()
 
-
-def planner_cache_name(planner: Optional[Policy]) -> str:
-    """The policy name an engine records into its cache key.
-
-    ``None`` resolves exactly as the engines do: the legacy
-    :class:`DirectionPolicy` knobs wrap into a :class:`HeuristicPolicy`,
-    so the default planner's cache name is ``"heuristic"``.  Cache-key
-    derivation (:meth:`repro.runtime.SubstrateSpec.engine_key`) uses
-    this instead of constructing a throwaway engine.
-    """
-    return planner.name if planner is not None else HeuristicPolicy.name

@@ -4,8 +4,8 @@ Four traversal substrates (serial, executor, partitioned, stream) sit
 behind one :class:`Substrate` protocol with capability flags; one
 :func:`make_substrate` factory owns construction, capability-driven
 validation, and epoch swap-on-mutate.  The serving layer, the
-distributed driver, the executor worker loop, and the CLI all resolve
-their backend through this registry instead of wiring engines by hand.
+executor worker loop, and the CLI all resolve their backend through
+this registry instead of wiring engines by hand.
 """
 
 from repro.runtime.spec import SUBSTRATE_NAMES, SubstrateSpec, engine_key

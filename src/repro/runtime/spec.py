@@ -2,23 +2,24 @@
 
 A :class:`SubstrateSpec` is the *placement decision*: which of the
 four registered substrates runs a workload, and with what substrate
-parameters (worker count, partition count and layout, epoch sharing).
+parameters (worker count and scheduler, partition count and layout).
 Everything a consumer used to wire by hand — ``--workers`` vs
 ``--partitions`` vs ``--churn``, the executor/partitions mutual
 exclusion, the partitioned cache-key suffix — derives from one spec.
 
-Engine-key derivation lives here too: the spec owns the cache
-namespace its substrate serves under, so the serving layer no longer
-builds a throwaway engine just to fingerprint its configuration.
+Engine-key derivation lives here too, and only here: the spec owns
+the cache namespace its substrate serves under, so the serving layer
+no longer builds a throwaway engine just to fingerprint its
+configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ExclusiveSubstrateError, SubstrateError, UnknownSubstrateError
-from repro.plan.policy import Policy, planner_cache_name
+from repro.plan.policy import HeuristicPolicy, Policy
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.engine import IBFSConfig
@@ -31,26 +32,31 @@ SUBSTRATE_NAMES = ("serial", "executor", "partitioned", "stream")
 
 def engine_key(
     config: "IBFSConfig",
-    policy_name: Optional[str] = None,
+    planner: Optional[Policy] = None,
     substrate_suffix: Optional[str] = None,
 ) -> str:
-    """Stable fingerprint of an engine configuration.
+    """Stable fingerprint of an engine: its configuration and planner.
 
-    ``policy_name`` (the planner policy's name) is appended when given:
-    two servers over the same config but different planner policies can
-    produce different traversal schedules, so their cached plans — and,
-    for policies that change results, depth rows — must not alias.
-    ``substrate_suffix`` namespaces substrates whose recorded plans a
-    whole-graph replay would misread (the partitioned engine's
+    The planner contributes its name and every parameter, ``None``
+    resolving to ``HeuristicPolicy()`` exactly as the engines resolve
+    it: planners that differ in any parameter can produce different
+    traversal schedules and counters, so their cached plans must not
+    alias.  ``substrate_suffix`` namespaces substrates whose recorded
+    plans a whole-graph replay would misread (the partitioned engine's
     exchange formats).
     """
+    planner = planner if planner is not None else HeuristicPolicy()
+    params = (
+        {f.name: getattr(planner, f.name) for f in fields(planner)}
+        if is_dataclass(planner)
+        else vars(planner)
+    )
+    signature = ",".join(f"{name}={value!r}" for name, value in params.items())
     key = (
         f"{config.mode}-n{config.group_size}"
-        f"-gb{int(config.groupby)}-et{int(config.early_termination)}"
-        f"-vw{config.vector_width}-s{config.seed}"
+        f"-gb{int(config.groupby)}-s{config.seed}"
+        f"-pol{planner.name}({signature})"
     )
-    if policy_name is not None:
-        key += f"-pol{policy_name}"
     if substrate_suffix is not None:
         key += f"+{substrate_suffix}"
     return key
@@ -68,7 +74,7 @@ class SubstrateSpec:
         fields (:attr:`inner_kind`).
     workers:
         Worker processes for the executor substrate (0 = the
-        executor's default pool size when the kind demands one).
+        executor's default pool of 2 when the kind demands one).
     scheduler:
         Executor dispatch policy (``steal`` / ``lpt`` / ``round_robin``).
     partitions:
@@ -76,9 +82,6 @@ class SubstrateSpec:
         engine's default when the kind demands partitions).
     layout:
         Partition layout, ``"1d"`` or ``"2d"``.
-    share:
-        Stream substrate only: publish each epoch snapshot over POSIX
-        shared memory.
     """
 
     kind: str = "serial"
@@ -86,7 +89,6 @@ class SubstrateSpec:
     scheduler: str = "steal"
     partitions: int = 0
     layout: str = "1d"
-    share: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in SUBSTRATE_NAMES:
@@ -120,7 +122,6 @@ class SubstrateSpec:
         layout: str = "1d",
         scheduler: str = "steal",
         churn: bool = False,
-        share: bool = False,
     ) -> "SubstrateSpec":
         """Derive a spec from the legacy CLI/serving flags.
 
@@ -142,11 +143,16 @@ class SubstrateSpec:
                 kind = "serial"
         elif churn and kind != "stream":
             # An explicit non-stream kind under churn still needs the
-            # epoch wrapper; the requested kind becomes the delegate.
+            # epoch wrapper; the requested kind becomes the delegate,
+            # with its substrate's default size.
             if kind == "partitioned" and partitions == 0:
-                partitions = 2
+                from repro.dist.engine import DistConfig
+
+                partitions = DistConfig().num_partitions
             if kind == "executor" and workers == 0:
-                workers = 2
+                from repro.exec.executor import ExecConfig
+
+                workers = ExecConfig().num_workers
             kind = "stream"
         return cls(
             kind=kind,
@@ -154,7 +160,6 @@ class SubstrateSpec:
             scheduler=scheduler,
             partitions=partitions,
             layout=layout,
-            share=share,
         )
 
     # ------------------------------------------------------------------
@@ -169,7 +174,7 @@ class SubstrateSpec:
 
     def inner(self) -> "SubstrateSpec":
         """The delegate spec a stream substrate builds per epoch."""
-        return replace(self, kind=self.inner_kind, share=False)
+        return replace(self, kind=self.inner_kind)
 
     # ------------------------------------------------------------------
     def engine_key(
@@ -178,17 +183,11 @@ class SubstrateSpec:
         planner: Optional[Policy] = None,
         substrate_suffix: Optional[str] = None,
     ) -> str:
-        """The cache namespace this placement serves under.
-
-        Same derivation the serving layer used to perform from its
-        inline engine — policy-name resolution comes from the plan
-        layer (:func:`~repro.plan.policy.planner_cache_name`), and
-        partitioned placements append their engine name so recorded
-        plans carrying exchange formats never alias whole-graph ones.
-        """
-        return engine_key(
-            config, planner_cache_name(planner), substrate_suffix
-        )
+        """The cache namespace this placement serves under
+        (:func:`engine_key`); partitioned placements append their
+        engine name so recorded plans carrying exchange formats never
+        alias whole-graph ones."""
+        return engine_key(config, planner, substrate_suffix)
 
     def describe(self) -> dict:
         payload = {"kind": self.kind}
@@ -204,5 +203,4 @@ class SubstrateSpec:
             payload["layout"] = self.layout
         if self.kind == "stream":
             payload["inner"] = self.inner_kind
-            payload["share"] = self.share
         return payload

@@ -208,17 +208,13 @@ class SerialSubstrate(Substrate):
         spec: SubstrateSpec,
         engine_config=None,
         device=None,
-        policy=None,
         planner=None,
     ) -> None:
         from repro.core.engine import IBFS
 
         self.graph = graph
         self.spec = spec
-        self.engine = IBFS(
-            graph, engine_config, device=device, policy=policy,
-            planner=planner,
-        )
+        self.engine = IBFS(graph, engine_config, device=device, planner=planner)
         self._planner = planner
         self.engine_key = spec.engine_key(self.engine.config, planner)
 
@@ -244,7 +240,6 @@ class SerialSubstrate(Substrate):
             snapshot.graph,
             self.engine.config,
             device=self.engine.device,
-            policy=self.engine.policy,
             planner=self._planner,
         )
 
@@ -260,7 +255,9 @@ class ExecutorSubstrate(Substrate):
     Owns its :class:`~repro.exec.executor.GroupExecutor` unless one is
     passed in; a caller-owned executor cannot be rebound across epochs
     (its other users would see the graph change under them), so the
-    instance drops ``supports_mutation``.
+    instance drops ``supports_mutation``.  An owned executor takes its
+    pool size and scheduler from the spec (``workers=0`` meaning the
+    executor's default pool) and its failure handling from ``faults``.
     """
 
     kind = "executor"
@@ -273,10 +270,9 @@ class ExecutorSubstrate(Substrate):
         spec: SubstrateSpec,
         engine_config=None,
         device_config=None,
-        policy=None,
         planner=None,
         executor=None,
-        exec_config=None,
+        faults=None,
     ) -> None:
         self.graph = graph
         self.spec = spec
@@ -287,18 +283,18 @@ class ExecutorSubstrate(Substrate):
             self.supports_mutation = False
         else:
             from repro.exec.executor import ExecConfig, GroupExecutor
+            from repro.exec.faults import FaultPolicy
 
-            if exec_config is None:
-                exec_config = ExecConfig(
-                    num_workers=spec.workers or ExecConfig().num_workers,
-                    scheduler=spec.scheduler,
-                )
+            exec_config = ExecConfig(
+                num_workers=spec.workers or ExecConfig().num_workers,
+                scheduler=spec.scheduler,
+                faults=faults or FaultPolicy(),
+            )
             self._executor = GroupExecutor(
                 graph,
                 engine_config,
                 exec_config=exec_config,
                 device_config=device_config,
-                policy=policy,
                 planner=planner,
             )
             self._owned = True
@@ -380,7 +376,6 @@ class PartitionedSubstrate(Substrate):
         spec: SubstrateSpec,
         engine_config=None,
         planner=None,
-        dist_config=None,
     ) -> None:
         from repro.core.engine import IBFSConfig
         from repro.dist.engine import DistConfig, PartitionedEngine
@@ -388,15 +383,14 @@ class PartitionedSubstrate(Substrate):
         self.graph = graph
         self.spec = spec
         engine_config = engine_config or IBFSConfig()
-        if dist_config is None:
-            dist_config = DistConfig(
-                num_partitions=spec.partitions or DistConfig().num_partitions,
-                layout=spec.layout,
-                group_size=engine_config.group_size,
-                groupby=engine_config.groupby,
-                groupby_config=engine_config.groupby_config,
-                seed=engine_config.seed,
-            )
+        dist_config = DistConfig(
+            num_partitions=spec.partitions or DistConfig().num_partitions,
+            layout=spec.layout,
+            group_size=engine_config.group_size,
+            groupby=engine_config.groupby,
+            groupby_config=engine_config.groupby_config,
+            seed=engine_config.seed,
+        )
         self.engine = PartitionedEngine(graph, dist_config)
         self._engine_config = engine_config
         self._planner = planner
@@ -485,7 +479,7 @@ class StreamSubstrate(Substrate):
                 "substrate owns (and rebinds) its executor"
             )
         self.spec = spec
-        self.epochs = EpochStore(graph, share=spec.share)
+        self.epochs = EpochStore(graph)
         self.graph = self.epochs.current.graph
         self.inner = make_substrate(spec.inner(), self.graph, **kwargs)
         if not self.inner.supports_mutation:
@@ -585,11 +579,9 @@ def make_substrate(
     engine_config=None,
     device=None,
     device_config=None,
-    policy=None,
     planner=None,
     executor=None,
-    exec_config=None,
-    dist_config=None,
+    faults=None,
 ) -> Substrate:
     """Build the substrate a spec places the workload on.
 
@@ -601,8 +593,9 @@ def make_substrate(
 
     ``device`` (a :class:`~repro.gpusim.device.Device`) serves the
     in-process engines; ``device_config`` ships to worker processes.
-    ``exec_config`` / ``dist_config`` override the spec-derived
-    defaults for the executor / partitioned substrates.
+    ``faults`` (a :class:`~repro.exec.faults.FaultPolicy`) is the retry
+    and timeout budget of an owned executor; every other substrate
+    parameter comes from the spec.
     """
     cls = SUBSTRATES.get(spec.kind)
     if cls is None:
@@ -623,7 +616,6 @@ def make_substrate(
             spec,
             engine_config=engine_config,
             device=device,
-            policy=policy,
             planner=planner,
         )
     if spec.kind == "executor":
@@ -634,10 +626,9 @@ def make_substrate(
             spec,
             engine_config=engine_config,
             device_config=device_config,
-            policy=policy,
             planner=planner,
             executor=executor,
-            exec_config=exec_config,
+            faults=faults,
         )
     if spec.kind == "partitioned":
         return PartitionedSubstrate(
@@ -645,11 +636,9 @@ def make_substrate(
             spec,
             engine_config=engine_config,
             planner=planner,
-            dist_config=dist_config,
         )
     kwargs = dict(
         engine_config=engine_config,
-        policy=policy,
         planner=planner,
     )
     inner_kind = spec.inner_kind
@@ -659,9 +648,7 @@ def make_substrate(
         if device_config is None and device is not None:
             device_config = device.config
         kwargs["device_config"] = device_config
-        kwargs["exec_config"] = exec_config
-    elif inner_kind == "partitioned":
-        kwargs["dist_config"] = dist_config
+        kwargs["faults"] = faults
     if executor is not None:
         kwargs["executor"] = executor
     return StreamSubstrate(graph, spec, **kwargs)

@@ -47,7 +47,7 @@ from repro.obs.slo import (
     SIGNAL_WAVE_LATENCY,
 )
 from repro.gpusim.device import Device
-from repro.plan.policy import DirectionPolicy, Policy, planner_cache_name
+from repro.plan.policy import Policy
 from repro.core.engine import IBFSConfig
 from repro.core.groupby import GroupByConfig
 from repro.runtime import SubstrateSpec, make_substrate
@@ -162,7 +162,6 @@ class BFSServer:
         serving: Optional[ServingConfig] = None,
         engine_config: Optional[IBFSConfig] = None,
         device: Optional[Device] = None,
-        policy: Optional[DirectionPolicy] = None,
         groupby_config: Optional[GroupByConfig] = None,
         fault_injector: Optional[Callable[[Sequence[int]], None]] = None,
         executor: Optional["GroupExecutor"] = None,
@@ -193,7 +192,6 @@ class BFSServer:
             graph,
             engine_config=engine_config,
             device=device,
-            policy=policy,
             planner=planner,
             executor=executor,
         )
@@ -245,10 +243,8 @@ class BFSServer:
                 "executor graph does not match the server graph"
             )
         if substrate_engine_key(
-            executor.engine.config, executor.engine.planner.name
-        ) != substrate_engine_key(
-            engine_config, planner_cache_name(planner)
-        ):
+            executor.engine.config, executor.engine.planner
+        ) != substrate_engine_key(engine_config, planner):
             raise ServiceError(
                 "executor engine config does not match the server's; "
                 "batches would traverse under a different configuration "

@@ -10,13 +10,15 @@ ever served against the new graph.
 
 Queries in flight on epoch N keep working unaffected: they hold a
 :class:`Snapshot` (and optionally a :class:`PinToken`) whose graph
-object and shm segments stay alive until the pin count drops to zero
-*and* the epoch is superseded.  The current epoch is never reclaimed.
+object stays alive until the pin count drops to zero *and* the epoch
+is superseded.  The current epoch is never reclaimed.  Worker
+processes never map a snapshot: the executor substrate republishes
+each new epoch's graph to its own pool.
 
 Crash safety: a pin can record its owner pid.  :meth:`EpochStore.gc`
 probes recorded pids with ``os.kill(pid, 0)`` and drops pins whose
-owner died, so a reader that crashed mid-query cannot leak the shm
-segments of a superseded epoch forever.
+owner died, so a reader that crashed mid-query cannot keep a
+superseded epoch's graph alive forever.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ class Snapshot:
     graph: CSRGraph
     graph_id: str
     batch: MutationBatch
-    #: shm handle when the store publishes to shared memory, else None.
-    shm_handle: object = None
     pins: Dict[int, PinToken] = field(default_factory=dict)
     reclaimed: bool = False
 
@@ -76,21 +76,14 @@ def _pid_alive(pid: int) -> bool:
 
 
 class EpochStore:
-    """Versioned snapshot store over a :class:`GraphOverlay`.
+    """Versioned snapshot store over a :class:`GraphOverlay`."""
 
-    ``share=True`` additionally publishes each snapshot's CSR arrays
-    into POSIX shared memory (:mod:`repro.exec.shm`); the publication is
-    released when the epoch is reclaimed, so superseded, unpinned epochs
-    give their segments back even while newer epochs keep serving.
-    """
-
-    def __init__(self, base: CSRGraph, share: bool = False) -> None:
+    def __init__(self, base: CSRGraph) -> None:
         self.overlay = GraphOverlay(base)
-        self.share = share
         self._token_ids = itertools.count(1)
         self._snapshots: Dict[int, Snapshot] = {}
         self._closed = False
-        #: Snapshots reclaimed so far (shm released, graph dropped).
+        #: Snapshots reclaimed so far (graph dropped).
         self.reclaimed_epochs = 0
         # Epoch 0 is the base graph, published eagerly so the store is
         # never empty and the base participates in the same lifecycle.
@@ -139,24 +132,13 @@ class EpochStore:
         self, epoch: int, graph: CSRGraph, batch: MutationBatch
     ) -> Snapshot:
         graph_id = graph_cache_id(graph)  # freezes as a side effect
-        handle = None
-        if self.share:
-            from repro.exec import shm
-
-            handle = shm.publish_graph(graph)
-        return Snapshot(
-            epoch=epoch,
-            graph=graph,
-            graph_id=graph_id,
-            batch=batch,
-            shm_handle=handle,
-        )
+        return Snapshot(epoch=epoch, graph=graph, graph_id=graph_id, batch=batch)
 
     def publish(self) -> Snapshot:
         """Fold pending mutations into a new epoch and make it current.
 
         With nothing pending this is a no-op returning the current
-        snapshot (no new epoch, no re-fingerprint, no shm churn).
+        snapshot (no new epoch, no re-fingerprint).
         After publishing, superseded unpinned epochs are reclaimed.
         """
         self._check_open()
@@ -202,9 +184,8 @@ class EpochStore:
         """Reclaim superseded epochs with no *live* pins.
 
         A pin whose recorded owner pid no longer exists counts as dead
-        and is dropped first — a crashed reader cannot keep a
-        superseded epoch's shm segments mapped, so holding its pin
-        forever would only leak them.  Returns the number of epochs
+        and is dropped first — a crashed reader will never unpin, so
+        holding its pin forever would only leak the epoch.  Returns the number of epochs
         reclaimed by this call.  The current epoch is never touched.
 
         Each call emits a ``stream.gc`` span (candidates scanned,
@@ -236,18 +217,13 @@ class EpochStore:
         return reclaimed
 
     def _reclaim(self, snap: Snapshot) -> None:
-        if snap.shm_handle is not None:
-            from repro.exec import shm
-
-            shm.release_graph(snap.shm_handle)
-            snap.shm_handle = None
         snap.reclaimed = True
         snap.graph = None  # type: ignore[assignment]
         self.reclaimed_epochs += 1
 
     def close(self) -> None:
-        """Release every remaining publication, including the current
-        epoch's.  The store is unusable afterwards."""
+        """Reclaim every remaining epoch, including the current one.
+        The store is unusable afterwards."""
         if self._closed:
             return
         self._closed = True
@@ -269,5 +245,5 @@ class EpochStore:
     def __repr__(self) -> str:
         return (
             f"EpochStore(current_epoch={self._current_epoch}, "
-            f"live={self.live_epochs()}, share={self.share})"
+            f"live={self.live_epochs()})"
         )

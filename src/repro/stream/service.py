@@ -126,7 +126,6 @@ class DynamicBFSServer(BFSServer):
                 layout=spec.layout,
                 scheduler=spec.scheduler,
                 churn=True,
-                share=spec.share,
             )
         super().__init__(graph, serving=serving, substrate=spec, **kwargs)
 

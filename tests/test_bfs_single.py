@@ -9,7 +9,7 @@ from repro.graph.generators import kronecker, path, star
 from repro.gpusim.device import Device
 from repro.bfs.reference import reference_bfs
 from repro.bfs.single import SingleBFS
-from repro.plan import DirectionPolicy
+from repro.plan import HeuristicPolicy
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,9 @@ class TestCorrectness:
             assert np.array_equal(result.depths, reference_bfs(kron, source))
 
     def test_matches_reference_top_down_only(self, kron):
-        engine = SingleBFS(kron, policy=DirectionPolicy(allow_bottom_up=False))
+        engine = SingleBFS(
+            kron, planner=HeuristicPolicy(allow_bottom_up=False)
+        )
         result = engine.run(3)
         assert np.array_equal(result.depths, reference_bfs(kron, 3))
 
@@ -101,7 +103,7 @@ class TestDirectionSwitching:
     def test_bottom_up_saves_inspections_on_dense_graphs(self, kron):
         optimized = SingleBFS(kron).run(0)
         plain = SingleBFS(
-            kron, policy=DirectionPolicy(allow_bottom_up=False)
+            kron, planner=HeuristicPolicy(allow_bottom_up=False)
         ).run(0)
         assert (
             optimized.record.counters.inspections

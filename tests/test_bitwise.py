@@ -8,6 +8,7 @@ from repro.graph.generators import kronecker
 from repro.bfs.reference import reference_bfs_multi
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.joint import JointTraversal
+from repro.plan import HeuristicPolicy
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ class TestCorrectness:
         sources = [1, 2, 3, 4]
         fast, _, _ = BitwiseTraversal(kron).run_group(sources)
         slow, _, _ = BitwiseTraversal(
-            kron, early_termination=False
+            kron, planner=HeuristicPolicy(early_termination=False)
         ).run_group(sources)
         assert np.array_equal(fast, slow)
 
@@ -54,7 +55,7 @@ class TestEarlyTermination:
         sources = list(range(32))
         _, rec_fast, _ = BitwiseTraversal(kron).run_group(sources)
         _, rec_slow, _ = BitwiseTraversal(
-            kron, early_termination=False
+            kron, planner=HeuristicPolicy(early_termination=False)
         ).run_group(sources)
         assert (
             rec_fast.counters.bottom_up_inspections
@@ -67,7 +68,9 @@ class TestEarlyTermination:
         sources = list(range(8))
         _, rec_ibfs, _ = BitwiseTraversal(kron).run_group(sources)
         _, rec_msbfs, _ = BitwiseTraversal(
-            kron, early_termination=False, reset_per_level=True
+            kron,
+            reset_per_level=True,
+            planner=HeuristicPolicy(early_termination=False),
         ).run_group(sources)
         assert (
             rec_msbfs.counters.global_store_transactions

@@ -7,6 +7,7 @@ from repro.errors import TraversalError
 from repro.graph.generators import kronecker, uniform_random
 from repro.bfs.reference import reference_bfs_multi
 from repro.core.bitwise import BitwiseTraversal
+from repro.plan import HeuristicPolicy
 
 
 @pytest.fixture(scope="module")
@@ -14,16 +15,21 @@ def kron():
     return kronecker(scale=8, edge_factor=8, seed=201)
 
 
+def per_mode(graph, mode):
+    return BitwiseTraversal(
+        graph, planner=HeuristicPolicy(direction_mode=mode)
+    )
+
+
 def test_invalid_mode_rejected(kron):
     with pytest.raises(TraversalError, match="direction_mode"):
-        BitwiseTraversal(kron, direction_mode="consensus")
+        HeuristicPolicy(direction_mode="consensus")
 
 
 @pytest.mark.parametrize("mode", ["per-instance", "per-group"])
 def test_depths_exact_in_both_modes(kron, mode):
     sources = list(range(0, 48, 3))
-    engine = BitwiseTraversal(kron, direction_mode=mode)
-    depths, _, _ = engine.run_group(sources)
+    depths, _, _ = per_mode(kron, mode).run_group(sources)
     assert np.array_equal(depths, reference_bfs_multi(kron, sources))
 
 
@@ -31,9 +37,7 @@ def test_depths_exact_in_both_modes(kron, mode):
 def test_uniform_graph_both_modes(mode):
     graph = uniform_random(300, 4, seed=202)
     sources = list(range(12))
-    depths, _, _ = BitwiseTraversal(
-        graph, direction_mode=mode
-    ).run_group(sources)
+    depths, _, _ = per_mode(graph, mode).run_group(sources)
     assert np.array_equal(depths, reference_bfs_multi(graph, sources))
 
 
@@ -41,9 +45,7 @@ def test_per_group_synchronizes_directions(kron):
     """With group voting, a level is never mixed-direction: the joint
     frontier is either all top-down or all bottom-up work."""
     sources = list(range(16))
-    _, record, stats = BitwiseTraversal(
-        kron, direction_mode="per-group"
-    ).run_group(sources)
+    _, record, stats = per_mode(kron, "per-group").run_group(sources)
     # In per-group mode every level's td/bu sharing entries cannot both
     # be populated after level 0 once the vote switches.
     mixed_levels = sum(
@@ -63,9 +65,7 @@ def test_per_instance_can_mix_directions(kron):
     leaves = nonzero[np.argsort(degrees[nonzero])][:8].tolist()
     sources = [*hubs, *leaves]
     assert len(set(sources)) == 16
-    _, record, stats = BitwiseTraversal(
-        kron, direction_mode="per-instance"
-    ).run_group(sources)
+    _, record, stats = per_mode(kron, "per-instance").run_group(sources)
     mixed_levels = sum(
         1
         for (td_fq, _), (bu_fq, _) in zip(stats.td_sharing, stats.bu_sharing)

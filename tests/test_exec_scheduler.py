@@ -34,30 +34,6 @@ class TestCostModel:
         model = CostModel(g)
         assert model.predict([0]) > model.predict([1])
 
-    def test_predict_seconds_needs_observation(self, graph):
-        model = CostModel(graph)
-        assert model.predict_seconds([0]) is None
-        model.observe([0], 0.5)
-        assert model.predict_seconds([0]) == pytest.approx(0.5)
-        assert model.observations == 1
-
-    def test_ewma_refinement(self, graph):
-        model = CostModel(graph, smoothing=0.5)
-        model.observe([0], 1.0)
-        first = model.seconds_per_unit
-        model.observe([0], 3.0)
-        # The rate moved toward the new observation but kept history.
-        assert model.seconds_per_unit > first
-        assert model.seconds_per_unit < 3.0 / model.predict([0])
-
-    def test_negative_wall_rejected(self, graph):
-        with pytest.raises(ExecutorError):
-            CostModel(graph).observe([0], -1.0)
-
-    def test_bad_smoothing_rejected(self, graph):
-        with pytest.raises(ExecutorError):
-            CostModel(graph, smoothing=0.0)
-
 
 class TestPolicies:
     def test_registry_round_trip(self):

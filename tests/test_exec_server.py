@@ -184,6 +184,18 @@ class TestCLIWorkers:
         assert "exec backend" in out
         assert "2 workers, lpt" in out
 
+    @needs_shm
+    def test_run_executor_substrate_uses_default_pool(self, capsys):
+        # Without --workers the executor placement gets the executor's
+        # default pool, as serve does, not an in-process run.
+        from repro.cli import main
+
+        assert main([
+            "run", "PK", "--sources", "16", "--group-size", "8",
+            "--substrate", "executor",
+        ]) == 0
+        assert "process (2 workers" in capsys.readouterr().out
+
     def test_serve_with_workers(self, capsys):
         from repro.cli import main
 

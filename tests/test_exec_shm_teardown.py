@@ -136,74 +136,3 @@ class TestCrashReclamation:
             result = executor.run(list(range(32)), store_depths=True)
         assert np.array_equal(result.depths, serial.depths)
         assert _repro_segments() - before == set()
-
-@needs_shm
-class TestEpochSegmentReclamation:
-    """Epoch lifecycle over shared memory: superseding an epoch must
-    give its segments back once no live reader pins it — even when a
-    reader crashed while still holding a pin."""
-
-    def test_superseded_unpinned_epoch_releases_segments(self, graph):
-        from repro.stream import EpochStore
-
-        before = _repro_segments()
-        with EpochStore(graph, share=True) as store:
-            assert _repro_segments() - before != set()
-            store.overlay.insert_edges([0], [1])
-            store.publish()
-            # Epoch 0 was unpinned: reclaimed at publish; only epoch
-            # 1's segments remain, and close() sweeps those.
-            assert store.live_epochs() == [1]
-            assert store.reclaimed_epochs == 1
-        assert _repro_segments() - before == set()
-
-    def test_pinned_epoch_keeps_segments_until_unpin(self, graph):
-        from repro.stream import EpochStore
-
-        before = _repro_segments()
-        with EpochStore(graph, share=True) as store:
-            token = store.pin()
-            epoch0_segments = _repro_segments() - before
-            store.overlay.insert_edges([0], [1])
-            store.publish()
-            # Pinned epoch 0 still holds its segments after supersession.
-            assert epoch0_segments <= _repro_segments()
-            store.unpin(token)
-            assert epoch0_segments - _repro_segments() == epoch0_segments
-        assert _repro_segments() - before == set()
-
-    def test_crashed_reader_pin_does_not_leak_segments(self, graph):
-        """The satellite regression: a reader that pinned epoch 0 and
-        then died must not keep the superseded epoch's segments alive;
-        gc() probes the recorded pid and reclaims."""
-        import multiprocessing
-        import time
-
-        from repro.stream import EpochStore
-
-        before = _repro_segments()
-        reader = multiprocessing.get_context("spawn").Process(
-            target=time.sleep, args=(60,)
-        )
-        reader.start()
-        try:
-            with EpochStore(graph, share=True) as store:
-                store.pin(pid=reader.pid)
-                epoch0_segments = _repro_segments() - before
-                store.overlay.insert_edges([0], [1])
-                store.publish()
-                # Reader alive: its pin holds epoch 0's segments.
-                assert epoch0_segments <= _repro_segments()
-                assert store.live_epochs() == [0, 1]
-
-                reader.terminate()
-                reader.join()
-                assert store.gc() == 1
-                assert store.live_epochs() == [1]
-                assert epoch0_segments - _repro_segments() \
-                    == epoch0_segments
-        finally:
-            if reader.is_alive():  # pragma: no cover - cleanup path
-                reader.terminate()
-                reader.join()
-        assert _repro_segments() - before == set()

@@ -16,6 +16,7 @@ from repro.bfs.bidirectional import bidirectional_distance
 from repro.bfs.reference import reference_bfs, reference_bfs_multi
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.joint import JointTraversal
+from repro.plan import HeuristicPolicy
 
 SETTINGS = settings(
     max_examples=20,
@@ -45,11 +46,16 @@ def cases(draw, max_vertices=28, max_edges=80, max_sources=6):
 
 ENGINE_VARIANTS = [
     dict(),
-    dict(early_termination=False),
-    dict(reset_per_level=True, early_termination=False),
-    dict(vector_width=4),
-    dict(direction_mode="per-group"),
-    dict(direction_mode="per-group", vector_width=2),
+    dict(planner=HeuristicPolicy(early_termination=False)),
+    dict(
+        reset_per_level=True,
+        planner=HeuristicPolicy(early_termination=False),
+    ),
+    dict(planner=HeuristicPolicy(vector_width=4)),
+    dict(planner=HeuristicPolicy(direction_mode="per-group")),
+    dict(
+        planner=HeuristicPolicy(direction_mode="per-group", vector_width=2)
+    ),
     dict(thread_per_instance=True),
 ]
 
@@ -92,7 +98,7 @@ def test_sharing_stats_consistent_across_variants(case):
     graph, sources = case
     _, _, plain = BitwiseTraversal(graph).run_group(sources)
     _, _, vectored = BitwiseTraversal(
-        graph, vector_width=4
+        graph, planner=HeuristicPolicy(vector_width=4)
     ).run_group(sources)
     assert plain.jfq_sizes == vectored.jfq_sizes
     assert plain.sharing_degree == vectored.sharing_degree

@@ -20,6 +20,7 @@ from repro.core.bitwise import BitwiseTraversal
 from repro.core.engine import IBFS, IBFSConfig
 from repro.core.groupby import GroupByConfig, group_sources
 from repro.core.joint import JointTraversal
+from repro.plan import HeuristicPolicy
 
 SETTINGS = settings(
     max_examples=25,
@@ -133,7 +134,7 @@ def test_early_termination_never_increases_work(case):
     graph, sources = case
     _, fast, _ = BitwiseTraversal(graph).run_group(sources)
     _, slow, _ = BitwiseTraversal(
-        graph, early_termination=False
+        graph, planner=HeuristicPolicy(early_termination=False)
     ).run_group(sources)
     assert (
         fast.counters.bottom_up_inspections

@@ -6,7 +6,9 @@ hot loops with vectorized reformulations that must be *bit-identical*
 sharing statistic.  This suite drives the live engines and the frozen
 pre-kernels copies (:mod:`repro.kernels.reference`) through the same
 traversals and compares everything, plus unit-level checks of the
-primitives themselves against their naive formulations.
+primitives themselves against their naive formulations.  The live
+engines take every per-level decision from ``planner=``; the frozen
+references keep the engine knobs they were written with.
 """
 
 import numpy as np
@@ -80,31 +82,73 @@ class TestBitwiseEquivalence:
     @pytest.mark.parametrize(
         "label,kwargs",
         [
-            ("no-earlyterm", dict(early_termination=False)),
+            # (live engine kwargs, frozen reference kwargs)
+            (
+                "no-earlyterm",
+                (
+                    dict(planner=HeuristicPolicy(early_termination=False)),
+                    dict(early_termination=False),
+                ),
+            ),
             (
                 "msbfs",
-                dict(
-                    early_termination=False,
-                    reset_per_level=True,
-                    thread_per_instance=True,
+                (
+                    dict(
+                        planner=HeuristicPolicy(early_termination=False),
+                        reset_per_level=True,
+                        thread_per_instance=True,
+                    ),
+                    dict(
+                        early_termination=False,
+                        reset_per_level=True,
+                        thread_per_instance=True,
+                    ),
                 ),
             ),
             (
                 "vec2-pergroup",
-                dict(vector_width=2, direction_mode="per-group"),
+                (
+                    dict(
+                        planner=HeuristicPolicy(
+                            vector_width=2, direction_mode="per-group"
+                        )
+                    ),
+                    dict(vector_width=2, direction_mode="per-group"),
+                ),
             ),
-            ("vec2", dict(vector_width=2)),
-            ("vec4", dict(vector_width=4)),
-            ("td-only", dict(policy=DirectionPolicy(allow_bottom_up=False))),
+            (
+                "vec2",
+                (
+                    dict(planner=HeuristicPolicy(vector_width=2)),
+                    dict(vector_width=2),
+                ),
+            ),
+            (
+                "vec4",
+                (
+                    dict(planner=HeuristicPolicy(vector_width=4)),
+                    dict(vector_width=4),
+                ),
+            ),
+            (
+                "td-only",
+                (
+                    dict(planner=HeuristicPolicy(allow_bottom_up=False)),
+                    dict(policy=DirectionPolicy(allow_bottom_up=False)),
+                ),
+            ),
         ],
     )
     @pytest.mark.parametrize("name", ["rmat9", "uni400", "star300", "path64"])
     def test_variant_configs(self, graphs, name, label, kwargs):
         graph = graphs[name]
+        live_kwargs, reference_kwargs = kwargs
         sources = RNG.integers(0, graph.num_vertices, size=64).tolist()
         assert_runs_equal(
-            BitwiseTraversal(graph, **kwargs).run_group(sources),
-            ReferenceBitwiseTraversal(graph, **kwargs).run_group(sources),
+            BitwiseTraversal(graph, **live_kwargs).run_group(sources),
+            ReferenceBitwiseTraversal(graph, **reference_kwargs).run_group(
+                sources
+            ),
             f"{name}/{label}",
         )
 
@@ -136,10 +180,11 @@ class TestJointEquivalence:
     def test_joint(self, graphs, name, bottom_up):
         graph = graphs[name]
         sources = RNG.integers(0, graph.num_vertices, size=16).tolist()
-        policy = dict(policy=DirectionPolicy(allow_bottom_up=bottom_up))
+        planner = HeuristicPolicy(allow_bottom_up=bottom_up)
+        policy = DirectionPolicy(allow_bottom_up=bottom_up)
         assert_runs_equal(
-            JointTraversal(graph, **policy).run_group(sources),
-            ReferenceJointTraversal(graph, **policy).run_group(sources),
+            JointTraversal(graph, planner=planner).run_group(sources),
+            ReferenceJointTraversal(graph, policy=policy).run_group(sources),
             f"{name}/joint/bu={bottom_up}",
         )
 
@@ -149,9 +194,10 @@ class TestSingleEquivalence:
     @pytest.mark.parametrize("bottom_up", [True, False])
     def test_single(self, graphs, name, bottom_up):
         graph = graphs[name]
+        planner = HeuristicPolicy(allow_bottom_up=bottom_up)
         policy = DirectionPolicy(allow_bottom_up=bottom_up)
         for source in RNG.integers(0, graph.num_vertices, size=4):
-            live = SingleBFS(graph, policy=policy).run(int(source))
+            live = SingleBFS(graph, planner=planner).run(int(source))
             ref = ReferenceSingleBFS(graph, policy=policy).run(int(source))
             label = f"{name}/single/{source}"
             assert np.array_equal(live.depths, ref.depths), label
@@ -164,9 +210,9 @@ class TestSingleEquivalence:
 # Planner-driven engines vs the frozen references
 # ----------------------------------------------------------------------
 class TestPlannerEquivalence:
-    """The planner path must reproduce the frozen oracles exactly: an
-    explicitly constructed :class:`HeuristicPolicy` is the same
-    traversal as the legacy knobs it consolidated."""
+    """The planner path must reproduce the frozen oracles exactly: a
+    :class:`HeuristicPolicy` is the same traversal as the engine knobs
+    it consolidated, and ``planner=None`` is ``HeuristicPolicy()``."""
 
     @pytest.mark.parametrize("name", ["rmat9", "uni400", "star300"])
     @pytest.mark.parametrize("vector_width", [2, 4])

@@ -5,6 +5,8 @@ configuration validation that rides this layer, and the decision
 semantics of every policy family.
 """
 
+import dataclasses
+
 import pytest
 
 import repro.native as native
@@ -54,19 +56,25 @@ class TestDirectionPolicyValidation:
 # IBFSConfig validation satellites
 # ----------------------------------------------------------------------
 class TestIBFSConfigValidation:
+    def test_has_no_decision_fields(self):
+        # Direction, early termination and vector width are planner
+        # decisions; the engine configuration carries none of them.
+        assert [f.name for f in dataclasses.fields(IBFSConfig)] == [
+            "group_size", "mode", "groupby", "groupby_config", "seed",
+        ]
+
     @pytest.mark.parametrize("width", [0, 3, 5, 8, -2])
     def test_rejects_bad_vector_width(self, width):
         with pytest.raises(TraversalError, match="vector_width"):
-            IBFSConfig(vector_width=width)
+            HeuristicPolicy(vector_width=width)
 
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_accepts_supported_vector_widths(self, width):
-        assert IBFSConfig(vector_width=width).vector_width == width
-
-    def test_rejects_vector_width_in_joint_mode(self):
-        with pytest.raises(TraversalError, match="joint"):
-            IBFSConfig(mode="joint", vector_width=2)
-        assert IBFSConfig(mode="joint", vector_width=1).mode == "joint"
+        engine = IBFS(
+            rmat(6, edge_factor=4, seed=1),
+            planner=HeuristicPolicy(vector_width=width),
+        )
+        assert engine.planner.vector_width == width
 
     def test_rejects_non_groupby_config_object(self):
         with pytest.raises(TraversalError, match="GroupByConfig"):
@@ -98,20 +106,6 @@ class TestHeuristicPolicy:
     def test_rejects_bad_knobs(self):
         with pytest.raises(TraversalError):
             HeuristicPolicy(vector_width=3)
-
-    def test_from_direction_policy_copies_fields(self):
-        legacy = DirectionPolicy(
-            alpha=7.0, beta=9.0, allow_bottom_up=False, sticky=False
-        )
-        wrapped = HeuristicPolicy.from_direction_policy(
-            legacy, early_termination=False, vector_width=2
-        )
-        assert wrapped.alpha == 7.0
-        assert wrapped.beta == 9.0
-        assert wrapped.allow_bottom_up is False
-        assert wrapped.sticky is False
-        assert wrapped.early_termination is False
-        assert wrapped.vector_width == 2
 
     def test_session_wants_stats(self):
         session = HeuristicPolicy().session(4, 100, 500)

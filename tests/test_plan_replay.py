@@ -21,7 +21,7 @@ from repro.core.joint import JointTraversal
 from repro.exec import ExecConfig, GroupExecutor
 from repro.exec.shm import shared_memory_available
 from repro.graph.generators import rmat, star
-from repro.plan import AdaptivePolicy, FixedPolicy, RunPlan
+from repro.plan import AdaptivePolicy, FixedPolicy, HeuristicPolicy, RunPlan
 from repro.service import BFSServer, Request, ServingConfig
 from repro.runtime.spec import engine_key
 
@@ -307,11 +307,12 @@ class TestServicePlanCache:
     def test_engine_key_carries_policy_name(self):
         config = IBFSConfig(group_size=8)
         base = engine_key(config)
-        heuristic = engine_key(config, "heuristic")
-        adaptive = engine_key(config, "adaptive")
-        assert base != heuristic
+        heuristic = engine_key(config, HeuristicPolicy())
+        adaptive = engine_key(config, AdaptivePolicy())
+        # No planner means the engines' default, HeuristicPolicy().
+        assert base == heuristic
         assert heuristic != adaptive
-        assert heuristic.endswith("-polheuristic")
+        assert "-polheuristic(" in heuristic
 
     def test_servers_with_different_policies_do_not_share_keys(self, graph):
         plain = BFSServer(graph, engine_config=IBFSConfig(group_size=4))

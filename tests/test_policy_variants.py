@@ -13,17 +13,17 @@ from repro.bfs.reference import reference_bfs_multi
 from repro.bfs.single import SingleBFS
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.joint import JointTraversal
-from repro.plan import DirectionPolicy
+from repro.plan import HeuristicPolicy
 
 POLICIES = {
-    "default": DirectionPolicy(),
-    "td-only": DirectionPolicy(allow_bottom_up=False),
-    "eager-bu": DirectionPolicy(alpha=1e9),
+    "default": HeuristicPolicy(),
+    "td-only": HeuristicPolicy(allow_bottom_up=False),
+    "eager-bu": HeuristicPolicy(alpha=1e9),
     # alpha must be positive (planner validation); a tiny alpha keeps
     # the switch rule unsatisfiable on any finite graph.
-    "reluctant-bu": DirectionPolicy(alpha=1e-12),
-    "non-sticky": DirectionPolicy(sticky=False),
-    "non-sticky-eager": DirectionPolicy(alpha=1e9, sticky=False, beta=2.0),
+    "reluctant-bu": HeuristicPolicy(alpha=1e-12),
+    "non-sticky": HeuristicPolicy(sticky=False),
+    "non-sticky-eager": HeuristicPolicy(alpha=1e9, sticky=False, beta=2.0),
 }
 
 GRAPHS = {
@@ -38,7 +38,7 @@ GRAPHS = {
 def test_single_bfs_exact_under_policy(policy_name, graph_name):
     graph = GRAPHS[graph_name]
     policy = POLICIES[policy_name]
-    engine = SingleBFS(graph, policy=policy)
+    engine = SingleBFS(graph, planner=policy)
     sources = [0, graph.num_vertices // 2]
     got = np.stack([engine.run(s).depths for s in sources])
     assert np.array_equal(got, reference_bfs_multi(graph, sources))
@@ -49,7 +49,7 @@ def test_bitwise_exact_under_policy(policy_name):
     graph = GRAPHS["kron"]
     policy = POLICIES[policy_name]
     sources = list(range(0, 24, 3))
-    depths, _, _ = BitwiseTraversal(graph, policy=policy).run_group(sources)
+    depths, _, _ = BitwiseTraversal(graph, planner=policy).run_group(sources)
     assert np.array_equal(depths, reference_bfs_multi(graph, sources))
 
 
@@ -58,14 +58,14 @@ def test_joint_exact_under_policy(policy_name):
     graph = GRAPHS["kron"]
     policy = POLICIES[policy_name]
     sources = list(range(0, 24, 3))
-    depths, _, _ = JointTraversal(graph, policy=policy).run_group(sources)
+    depths, _, _ = JointTraversal(graph, planner=policy).run_group(sources)
     assert np.array_equal(depths, reference_bfs_multi(graph, sources))
 
 
 def test_eager_switch_actually_goes_bottom_up():
     graph = GRAPHS["kron"]
     source = int(graph.out_degrees().argmax())  # non-isolated source
-    result = SingleBFS(graph, policy=DirectionPolicy(alpha=1e9)).run(source)
+    result = SingleBFS(graph, planner=HeuristicPolicy(alpha=1e9)).run(source)
     directions = [lv.direction for lv in result.record.levels]
     assert directions[0] == "td"
     assert directions[1] == "bu"  # switched right after level 0
@@ -74,7 +74,7 @@ def test_eager_switch_actually_goes_bottom_up():
 def test_reluctant_switch_defers_bottom_up():
     graph = GRAPHS["kron"]
     source = int(graph.out_degrees().argmax())
-    result = SingleBFS(graph, policy=DirectionPolicy(alpha=1e-12)).run(source)
+    result = SingleBFS(graph, planner=HeuristicPolicy(alpha=1e-12)).run(source)
     directions = [lv.direction for lv in result.record.levels]
     # A tiny alpha defers the switch until the unexplored edge mass is
     # exhausted: every level that still has edges to explore runs

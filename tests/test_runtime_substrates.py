@@ -24,7 +24,7 @@ from repro.errors import (
 )
 from repro.graph.generators import kronecker
 from repro.core.engine import IBFS, IBFSConfig
-from repro.plan import make_policy
+from repro.plan import HeuristicPolicy, make_policy
 from repro.runtime import (
     CAPABILITY_FLAGS,
     SUBSTRATES,
@@ -266,12 +266,14 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 class TestEngineKey:
     def test_matches_legacy_cache_key(self):
-        # The serving caches have always been keyed by these strings;
-        # the derivation must not drift when it moves.
-        assert engine_key(CONFIG, "heuristic") == (
-            "bitwise-n8-gb1-et1-vw1-s0-polheuristic"
+        # The serving caches are keyed by these strings; the derivation
+        # must not drift when it moves.
+        assert engine_key(CONFIG, HeuristicPolicy()) == (
+            "bitwise-n8-gb1-s0-polheuristic(alpha=14.0,beta=24.0,"
+            "allow_bottom_up=True,sticky=True,direction_mode='per-instance',"
+            "early_termination=True,vector_width=1)"
         )
-        assert engine_key(CONFIG) == "bitwise-n8-gb1-et1-vw1-s0"
+        assert engine_key(CONFIG) == engine_key(CONFIG, HeuristicPolicy())
 
     def test_partitioned_suffix_namespaces(self, graph):
         serial = make_substrate(
@@ -292,11 +294,33 @@ class TestEngineKey:
 
     def test_spec_key_resolves_default_planner(self):
         spec = SubstrateSpec()
-        assert spec.engine_key(CONFIG).endswith("-polheuristic")
-        planner = make_policy("td-only")
-        assert spec.engine_key(CONFIG, planner).endswith(
-            f"-pol{planner.name}"
+        assert spec.engine_key(CONFIG) == spec.engine_key(
+            CONFIG, HeuristicPolicy()
         )
+        assert "-polheuristic(" in spec.engine_key(CONFIG)
+        planner = make_policy("td-only")
+        assert f"-pol{planner.name}(" in spec.engine_key(CONFIG, planner)
+
+    @pytest.mark.parametrize(
+        "planner",
+        [
+            HeuristicPolicy(vector_width=4),
+            HeuristicPolicy(early_termination=False),
+            HeuristicPolicy(direction_mode="per-group"),
+            HeuristicPolicy(alpha=2.0),
+            HeuristicPolicy(allow_bottom_up=False),
+        ],
+        ids=["vw4", "no-et", "per-group", "alpha2", "td-only"],
+    )
+    def test_key_separates_planner_parameters(self, graph, planner):
+        # Planners that differ in any parameter run different schedules
+        # and counters, so their serving caches must not alias.
+        spec = SubstrateSpec()
+        assert spec.engine_key(CONFIG, planner) != spec.engine_key(CONFIG)
+        with make_substrate(
+            spec, graph, engine_config=CONFIG, planner=planner
+        ) as substrate:
+            assert substrate.engine_key == spec.engine_key(CONFIG, planner)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.errors import ServiceError
 from repro.graph.builders import from_edge_arrays
 from repro.graph.generators import kronecker
 from repro.core.engine import IBFSConfig
+from repro.plan import HeuristicPolicy
 from repro.runtime.spec import engine_key
 from repro.service.cache import ResultCache, graph_cache_id
 
@@ -115,7 +116,9 @@ class TestFingerprints:
         assert engine_key(IBFSConfig()) == base
         assert engine_key(IBFSConfig(mode="joint")) != base
         assert engine_key(IBFSConfig(group_size=16)) != base
-        assert engine_key(IBFSConfig(early_termination=False)) != base
+        assert engine_key(
+            IBFSConfig(), HeuristicPolicy(early_termination=False)
+        ) != base
 
     def test_stats_payload(self):
         cache = ResultCache(capacity=2)
