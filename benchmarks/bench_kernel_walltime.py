@@ -1,26 +1,17 @@
 #!/usr/bin/env python
-"""Wall-clock TEPS harness for the kernels-backed engines.
+"""Wall-clock TEPS harness: the compiled kernels against the numpy kernels.
 
 Unlike the ``bench_fig*`` suite, which reports *simulated* metrics,
 this harness measures real host wall time: each configuration runs the
-live engine (built on :mod:`repro.kernels`) and a baseline on the same
-graph and sources, takes the best of ``--repeats`` runs, and reports
-traversed edges per second for both plus the speedup.  The simulated
-counters of the two engines are asserted equal on every run, so a
-speedup can never come from doing different work.
-
-``--backend`` picks the comparison:
-
-``numpy`` (default)
-    live kernels engine vs the frozen pre-kernels reference engine
-    (:mod:`repro.kernels.reference`) — the PR 2 measurement, written to
-    ``BENCH_core.json``.
-``native``
-    live engine with the compiled backend (:mod:`repro.native`) vs the
-    same engine pinned to the numpy kernels — written to
-    ``BENCH_native.json``.  ``native.warmup()`` runs once before any
-    timing so JIT/compile cost is excluded, and the run fails outright
-    if native is slower than numpy on any configuration.
+same live engine twice on the same graph and sources — once with the
+compiled backend (:mod:`repro.native`), once pinned to the numpy
+kernels — takes the best of ``--repeats`` runs, and reports traversed
+edges per second for both plus the speedup.  The simulated counters of
+the two runs are asserted equal, so a speedup can never come from doing
+different work.  ``native.warmup()`` runs once before any timing so
+JIT/compile cost is excluded, and the run fails outright if native is
+slower than numpy on any configuration.  Results go to
+``BENCH_native.json`` (``BENCH_native.quick.json`` with ``--quick``).
 
 ``--check <baseline.json>`` re-runs the measurement and fails (exit 1)
 if any configuration's speedup dropped below half the committed value —
@@ -30,17 +21,13 @@ ratio so the check is machine-independent.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernel_walltime.py          # full
-    PYTHONPATH=src python benchmarks/bench_kernel_walltime.py --quick  # CI
     PYTHONPATH=src python benchmarks/bench_kernel_walltime.py --quick \
-        --check BENCH_core.json
-    PYTHONPATH=src python benchmarks/bench_kernel_walltime.py \
-        --backend native --quick --check BENCH_native.json
+        --check BENCH_native.json                                     # CI
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import time
@@ -52,18 +39,13 @@ import repro.native as native
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.joint import JointTraversal
 from repro.graph.generators import rmat
-from repro.kernels.reference import (
-    ReferenceBitwiseTraversal,
-    ReferenceJointTraversal,
-)
 from repro.obs import metrics as obs_metrics
 from repro.plan import HeuristicPolicy
 
 SOURCE_SEED = 11
 
 #: (name, scale, edge_factor, group_size, engine kind) per mode.  Low
-#: edge factor keeps diameters high, so per-level fixed costs — exactly
-#: what the kernels rewrite attacks — dominate the reference engine.
+#: edge factor keeps diameters high, so per-level fixed costs dominate.
 FULL_CONFIGS = [
     ("bitwise-rmat18-ef2-gs64", 18, 2, 64, "bitwise"),
     ("bitwise-rmat19-ef2-gs64", 19, 2, 64, "bitwise"),
@@ -78,79 +60,54 @@ QUICK_CONFIGS = [
 # carries entries --quick --check can match against in CI.
 FULL_CONFIGS = QUICK_CONFIGS + FULL_CONFIGS
 
-ENGINE_PAIRS = {
-    "bitwise": (
-        lambda g: BitwiseTraversal(g),
-        lambda g: ReferenceBitwiseTraversal(g),
+ENGINES = {
+    "bitwise": lambda g: BitwiseTraversal(g),
+    "msbfs": lambda g: BitwiseTraversal(
+        g,
+        reset_per_level=True,
+        thread_per_instance=True,
+        planner=HeuristicPolicy(early_termination=False),
     ),
-    "msbfs": (
-        lambda g: BitwiseTraversal(
-            g,
-            reset_per_level=True,
-            thread_per_instance=True,
-            planner=HeuristicPolicy(early_termination=False),
-        ),
-        lambda g: ReferenceBitwiseTraversal(
-            g,
-            early_termination=False,
-            reset_per_level=True,
-            thread_per_instance=True,
-        ),
-    ),
-    "joint": (
-        lambda g: JointTraversal(g),
-        lambda g: ReferenceJointTraversal(g),
-    ),
+    "joint": lambda g: JointTraversal(g),
 }
 
 
-def time_engine(make_engine, graph, sources, repeats, ctx=None):
-    """Best-of-``repeats`` wall time plus the run's traversed edges.
-
-    ``ctx`` is an optional context-manager factory entered around every
-    construction+run (the native harness pins the kernel backend with
-    it); engine setup stays inside the timed region as before.
-    """
-    ctx = ctx or contextlib.nullcontext
+def time_engine(make_engine, graph, sources, repeats, backend):
+    """Best-of-``repeats`` wall time plus the run's counters, with the
+    kernel backend pinned to ``backend`` (``None``: the resolved native
+    provider; ``"off"``: the numpy kernels).  Engine setup stays outside
+    the timed region."""
     best = float("inf")
-    edges = None
     counters = None
     for _ in range(repeats):
-        with ctx():
+        with native.force_backend(backend):
             engine = make_engine(graph)
             start = time.perf_counter()
             _, record, _ = engine.run_group(sources)
             elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-        edges = record.counters.edges_traversed
-        counters = record.counters.__dict__
-    return best, edges, counters
+        best = min(best, elapsed)
+        counters = record.counters
+    return best, counters
 
 
-def run_config(name, scale, edge_factor, group_size, kind, repeats,
-               backend="numpy"):
+def run_config(name, scale, edge_factor, group_size, kind, repeats):
     graph = rmat(scale, edge_factor=edge_factor, seed=3)
     rng = np.random.default_rng(SOURCE_SEED)
     sources = rng.integers(0, graph.num_vertices, size=group_size).tolist()
-    make_after, make_before = ENGINE_PAIRS[kind]
-    after_ctx = before_ctx = None
-    if backend == "native":
-        # Same live engine both sides; only the kernel backend differs.
-        make_before = make_after
-        before_ctx = lambda: native.force_backend("off")  # noqa: E731
+    make_engine = ENGINES[kind]
 
-    after_s, after_edges, after_counters = time_engine(
-        make_after, graph, sources, repeats, after_ctx
+    after_s, after_counters = time_engine(
+        make_engine, graph, sources, repeats, None
     )
-    before_s, before_edges, before_counters = time_engine(
-        make_before, graph, sources, repeats, before_ctx
+    before_s, before_counters = time_engine(
+        make_engine, graph, sources, repeats, "off"
     )
     if after_counters != before_counters:
         raise AssertionError(
-            f"{name}: kernels engine diverged from reference counters"
+            f"{name}: native kernels diverged from the numpy counters"
         )
 
+    edges = after_counters.edges_traversed
     return {
         "name": name,
         "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=3",
@@ -158,9 +115,9 @@ def run_config(name, scale, edge_factor, group_size, kind, repeats,
         "num_edges": graph.num_edges,
         "group_size": group_size,
         "engine": kind,
-        "edges_traversed": after_edges,
-        "before": {"seconds": before_s, "teps": before_edges / before_s},
-        "after": {"seconds": after_s, "teps": after_edges / after_s},
+        "edges_traversed": edges,
+        "before": {"seconds": before_s, "teps": edges / before_s},
+        "after": {"seconds": after_s, "teps": edges / after_s},
         "speedup": before_s / after_s,
     }
 
@@ -174,12 +131,12 @@ def publish(results, hub=None):
         labels = {"config": entry["name"]}
         hub.gauge(
             "bench_kernel_speedup",
-            "Kernels-engine speedup over the frozen reference",
+            "Native-kernel speedup over the numpy kernels",
             labels=labels,
         ).set(entry["speedup"])
         hub.gauge(
             "bench_kernel_teps",
-            "Kernels-engine wall-clock TEPS",
+            "Native-kernel wall-clock TEPS",
             labels=labels,
         ).set(entry["after"]["teps"])
     return hub
@@ -193,22 +150,14 @@ def main(argv=None):
         help="small graphs, fewer repeats (CI perf smoke)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("numpy", "native"),
-        default="numpy",
-        help="baseline: 'numpy' times the kernels engine against the "
-        "frozen reference; 'native' times the compiled backend against "
-        "the numpy kernels (warm-up excluded)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=None, help="timing repeats per engine"
     )
     parser.add_argument(
         "--output",
         type=Path,
         default=None,
-        help="result JSON path (default: BENCH_core.json at repo root; "
-        "BENCH_core.quick.json in --quick mode)",
+        help="result JSON path (default: BENCH_native.json at repo root; "
+        "BENCH_native.quick.json in --quick mode)",
     )
     parser.add_argument(
         "--check",
@@ -222,36 +171,33 @@ def main(argv=None):
     configs = QUICK_CONFIGS if args.quick else FULL_CONFIGS
     repeats = args.repeats or (2 if args.quick else 3)
     root = Path(__file__).resolve().parent.parent
-    stem = "BENCH_core" if args.backend == "numpy" else "BENCH_native"
     output = args.output or (
-        root / (f"{stem}.quick.json" if args.quick else f"{stem}.json")
+        root / ("BENCH_native.quick.json" if args.quick else "BENCH_native.json")
     )
 
-    warmup_seconds = None
-    if args.backend == "native":
-        if not native.available():
-            print(
-                "error: --backend native but no native backend resolved "
-                f"({native.disabled_reason()})",
-                file=sys.stderr,
-            )
-            return 2
-        warmup_seconds = native.warmup()
+    if not native.available():
         print(
-            f"native backend: {native.backend_name()} "
-            f"(warm-up {warmup_seconds * 1e3:.1f} ms, excluded from timings)",
-            flush=True,
+            "error: no native backend resolved "
+            f"({native.disabled_reason()})",
+            file=sys.stderr,
         )
+        return 2
+    warmup_seconds = native.warmup()
+    print(
+        f"native backend: {native.backend_name()} "
+        f"(warm-up {warmup_seconds * 1e3:.1f} ms, excluded from timings)",
+        flush=True,
+    )
 
     results = []
     for cfg in configs:
-        print(f"[{cfg[0]}] running ({repeats} repeats per engine)...", flush=True)
-        entry = run_config(*cfg, repeats, backend=args.backend)
+        print(f"[{cfg[0]}] running ({repeats} repeats per backend)...", flush=True)
+        entry = run_config(*cfg, repeats)
         results.append(entry)
         print(
-            f"  before {entry['before']['seconds']:.3f}s "
+            f"  numpy {entry['before']['seconds']:.3f}s "
             f"({entry['before']['teps'] / 1e6:.1f} MTEPS)  "
-            f"after {entry['after']['seconds']:.3f}s "
+            f"native {entry['after']['seconds']:.3f}s "
             f"({entry['after']['teps'] / 1e6:.1f} MTEPS)  "
             f"speedup {entry['speedup']:.2f}x",
             flush=True,
@@ -260,28 +206,25 @@ def main(argv=None):
     payload = {
         "benchmark": "kernel_walltime",
         "mode": "quick" if args.quick else "full",
-        "backend": args.backend,
         "repeats": repeats,
         "metric": "wall-clock TEPS (simulated-counter edges / host seconds)",
         "results": results,
+        "native_backend": native.backend_name(),
+        "warmup_seconds": warmup_seconds,
     }
-    if args.backend == "native":
-        payload["native_backend"] = native.backend_name()
-        payload["warmup_seconds"] = warmup_seconds
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
     publish(results)
 
-    if args.backend == "native":
-        slower = [r["name"] for r in results if r["speedup"] < 1.0]
-        if slower:
-            print(
-                "REGRESSION: native slower than the numpy kernels on "
-                + ", ".join(slower),
-                file=sys.stderr,
-            )
-            return 1
-        print("native gate passed: native >= numpy on every config")
+    slower = [r["name"] for r in results if r["speedup"] < 1.0]
+    if slower:
+        print(
+            "REGRESSION: native slower than the numpy kernels on "
+            + ", ".join(slower),
+            file=sys.stderr,
+        )
+        return 1
+    print("native gate passed: native >= numpy on every config")
 
     if args.check is not None:
         baseline = json.loads(args.check.read_text())

@@ -15,7 +15,8 @@ must reproduce the recorded depths, counters, and simulated seconds
 exactly; host wall-clock for record vs replay is reported (replay skips
 the per-level heuristic evaluation).
 
-Results land in ``BENCH_plan.json`` at the repo root (or ``--output``).
+Results land in ``BENCH_plan.json`` at the repo root (or ``--output``;
+``BENCH_plan.quick.json`` in ``--quick`` mode).
 ``--check`` gates:
 
 * every policy depth-identical to the heuristic reference (always
@@ -77,7 +78,8 @@ def main(argv=None):
                         help="smaller graph and fewer sources (CI smoke)")
     parser.add_argument("--output", type=Path, default=None,
                         help="result JSON path (default: BENCH_plan.json "
-                             "at repo root)")
+                             "at repo root; BENCH_plan.quick.json with "
+                             "--quick)")
     parser.add_argument("--check", action="store_true",
                         help="fail on replay divergence or an adaptive "
                              "policy outside its gates")
@@ -90,7 +92,9 @@ def main(argv=None):
         QUICK_SHAPE if args.quick else FULL_SHAPE
     )
     root = Path(__file__).resolve().parent.parent
-    output = args.output or root / "BENCH_plan.json"
+    output = args.output or (
+        root / ("BENCH_plan.quick.json" if args.quick else "BENCH_plan.json")
+    )
 
     graph = rmat(scale, edge_factor=edge_factor, seed=7)
     rng = np.random.default_rng(SOURCE_SEED)

@@ -32,9 +32,9 @@ when they resolve for the group's lane count, else on the numpy
 reduction, ``BSA_k`` is one whole-array copy per level into a reused
 buffer, bottom-up scans are degree-bucketed vector passes, and
 per-instance bookkeeping is one vectorized pass over the depth matrix.
-Plans never name the path.  All simulated counters are bit-identical to
-the frozen reference implementation (:mod:`repro.kernels.reference`);
-the equivalence suite enforces it.
+Plans never name the path.  Either path gives the same simulated
+counters, which the kernels equivalence suite pins against a recorded
+golden fixture.
 """
 
 from __future__ import annotations

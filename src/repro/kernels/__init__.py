@@ -14,12 +14,11 @@ statistic, and simulated counter, just faster on the host:
 * :mod:`~repro.kernels.bookkeeping` — one-pass per-instance frontier
   statistics and packed-bit column counts;
 * :mod:`~repro.kernels.bottomup` — degree-bucketed bottom-up scans and
-  round-major probe-stream reconstruction;
-* :mod:`~repro.kernels.reference` — frozen pre-kernels engines kept as
-  the equivalence oracle and wall-clock perf baseline.
+  round-major probe-stream reconstruction.
 
 ``docs/performance.md`` explains the transformations and how the
-equivalence suite and ``benchmarks/bench_kernel_walltime.py`` pin them.
+equivalence suite pins them: depths against the reference BFS, every
+simulated counter against a recorded golden fixture.
 """
 
 from repro.kernels.bookkeeping import (

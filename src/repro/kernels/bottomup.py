@@ -1,14 +1,14 @@
 """Degree-bucketed bottom-up scans.
 
-The reference engines run bottom-up as one synchronized Python loop
-over neighbor-list *positions*: round ``r`` probes the ``r``-th
-in-neighbor of every still-scanning vertex, so a skewed graph costs
-``max_degree`` Python-level iterations even when almost every vertex
-terminated rounds ago.  The key observation is that the scan is
-*per-vertex local*: whether (and when) a vertex stops depends only on
-its own neighbor prefix, and every per-round tally the engines need
-(probe counts, per-instance inspections, early terminations) can be
-re-derived from per-vertex quantities.
+The direct formulation — the *reference loop* below — runs bottom-up
+as one synchronized Python loop over neighbor-list *positions*: round
+``r`` probes the ``r``-th in-neighbor of every still-scanning vertex,
+so a skewed graph costs ``max_degree`` Python-level iterations even
+when almost every vertex terminated rounds ago.  The key observation is
+that the scan is *per-vertex local*: whether (and when) a vertex stops
+depends only on its own neighbor prefix, and every per-round tally the
+engines need (probe counts, per-instance inspections, early
+terminations) can be re-derived from per-vertex quantities.
 
 The scanners here therefore bucket vertices by in-degree (short /
 medium / long) and process each bucket in wide vectorized passes — a

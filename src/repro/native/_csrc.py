@@ -11,8 +11,9 @@ reports itself unavailable and the numpy kernels keep running.
 Semantics are locked to the numpy kernel layer: every function is a
 line-by-line restatement of the corresponding reformulation in
 ``repro/kernels`` (see the docstrings there), so simulated counters and
-depth matrices stay bit-identical — the equivalence suite enforces it
-against the frozen ``kernels/reference.py`` oracles.
+depth matrices stay bit-identical — the native equivalence suite holds
+every provider to the numpy kernels, and the kernels golden fixture
+pins the counters of both.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ state machine (:class:`PolicySession`) that actually emits
 * :class:`HeuristicPolicy` — the default of every engine: the Beamer
   alpha/beta state machine per instance (or one per-group vote), with
   fixed vector-width and early-termination choices.  Bit-identical to
-  the pre-planner engines; the equivalence suite pins it against
-  :mod:`repro.kernels.reference`.
+  the pre-planner engines; the equivalence suite's golden counter
+  fixture pins it.
 * :class:`FixedPolicy` — constant decisions, optionally switching
   direction at a fixed level.  The baselines reduce to presets over
   this (B40C and SpMM-BC are ``FixedPolicy(direction="td")``).

@@ -188,19 +188,3 @@ class SubstrateSpec:
         engine name so recorded plans carrying exchange formats never
         alias whole-graph ones."""
         return engine_key(config, planner, substrate_suffix)
-
-    def describe(self) -> dict:
-        payload = {"kind": self.kind}
-        if self.kind in ("executor",) or (
-            self.kind == "stream" and self.inner_kind == "executor"
-        ):
-            payload["workers"] = self.workers
-            payload["scheduler"] = self.scheduler
-        if self.kind in ("partitioned",) or (
-            self.kind == "stream" and self.inner_kind == "partitioned"
-        ):
-            payload["partitions"] = self.partitions
-            payload["layout"] = self.layout
-        if self.kind == "stream":
-            payload["inner"] = self.inner_kind
-        return payload
