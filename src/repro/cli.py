@@ -25,8 +25,8 @@ run:
   engine and report burn rates and breach/resolve alerts;
 * ``bench-diff`` — compare two benchmark ledgers (new-schema or
   legacy ``BENCH_*.json``) and flag regressions;
-* ``kernels`` — report which kernel backend (numba/cext/numpy) this
-  host resolves and its warm-up cost.
+* ``kernels`` — report whether this host runs the compiled kernels
+  (``cext``) or the numpy fallback, and the warm-up cost.
 
 Usage: ``python -m repro.cli <subcommand> --help`` (or the installed
 ``repro`` console script).
@@ -639,14 +639,11 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     if args.warmup:
         native.warmup()
     report = native.capability_report()
-    numba = report["numba"]
     warm = report["warmup_seconds"]
     print(f"native backend  : "
           f"{report['backend'] or 'unavailable'}")
     if not report["enabled"]:
         print(f"reason          : {report['reason']}")
-    print(f"numba           : "
-          f"{numba if numba is not None else 'not installed'}")
     print(f"c compiler      : {report['compiler'] or 'not found'}")
     print(f"warm-up         : "
           + (f"{warm * 1e3:.1f} ms" if warm is not None else
@@ -782,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kern = sub.add_parser(
         "kernels",
-        help="report the resolved kernel backend (numba/cext/numpy)",
+        help="report the kernel backend this host runs (cext or numpy)",
     )
     kern.add_argument("--warmup", action="store_true",
                       help="compile/load the backend and time the warm-up")

@@ -83,7 +83,7 @@ def _materialize_depths(depths_vm: np.ndarray) -> np.ndarray:
     fraction of that.  The compiled backend runs the same tiled
     widening transpose in C when resolved.
     """
-    if native.enabled():
+    if native.available():
         return native.materialize_depths(depths_vm)
     num_vertices, group_size = depths_vm.shape
     depths = np.empty((group_size, num_vertices), dtype=np.int32)

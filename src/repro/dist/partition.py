@@ -113,16 +113,6 @@ class GraphPartition:
     def src_size(self) -> int:
         return self.src_stop - self.src_start
 
-    def memory_bytes(self) -> int:
-        """Bytes a worker holding this partition must keep resident."""
-        return int(
-            self.row_offsets.nbytes
-            + self.col_indices.nbytes
-            # Vertex state: visited word + depth lanes, priced like the
-            # BSA (one uint64 status word and an int32 depth row slot).
-            + self.own_size * (8 + 4)
-        )
-
 
 class PartitionSet:
     """All partitions of one graph plus the routing tables the
@@ -165,13 +155,6 @@ class PartitionSet:
     def grid_row_of(self, vertices: np.ndarray) -> np.ndarray:
         """Grid row (row band) containing each vertex."""
         return np.searchsorted(self.row_bounds, vertices, side="right") - 1
-
-    def blocks_in_grid_row(self, grid_row: int) -> List[GraphPartition]:
-        """The edge blocks that expand vertices of one row band."""
-        return [p for p in self.parts if p.row == grid_row]
-
-    def max_partition_bytes(self) -> int:
-        return max(p.memory_bytes() for p in self.parts)
 
     def dense_bytes_per_level(self) -> int:
         """Wire bytes one dense-format exchange costs, independent of

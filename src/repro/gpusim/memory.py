@@ -87,7 +87,7 @@ class MemoryModel:
         if warp == 1:
             # CPU model: every access is its own transaction-sized fetch.
             return int(indices.size), int(indices.size)
-        if native.enabled():
+        if native.available():
             # Same distinct-lines-per-warp count without materializing,
             # padding, and sorting the line grid, at O(1) per access.
             return native.coalesced_transactions(

@@ -69,16 +69,6 @@ class WeightedCSRGraph:
         """True when any edge weight is negative (Dijkstra precondition)."""
         return bool(self.weights.size and self.weights.min() < 0)
 
-    def has_negative_cycle_reachable_from(self, source: int) -> bool:
-        """Bellman-Ford-style negative-cycle check from ``source``."""
-        from repro.bfs.sssp import bellman_ford
-
-        try:
-            bellman_ford(self, source)
-        except GraphError:
-            return True
-        return False
-
     # ------------------------------------------------------------------
     def reverse(self) -> "WeightedCSRGraph":
         """Transpose with weights carried along (cached)."""

@@ -63,7 +63,7 @@ def per_bit_counts(words: np.ndarray, group_size: int) -> np.ndarray:
     """
     if words.size == 0:
         return np.zeros(group_size, dtype=np.int64)
-    if native.enabled():
+    if native.available():
         return native.per_bit_counts(words, group_size)
     rows = words.shape[0]
     contig = np.ascontiguousarray(words, dtype=np.uint64)
@@ -93,11 +93,11 @@ def per_bit_weighted(
     bins.  Float64 accumulation is exact for integer weights whose sums
     stay below 2**53 — true for any degree total bounded by the edge
     count, which also makes the compiled backend's int64 accumulation
-    (used whenever a provider resolves) bit-identical.
+    (used whenever the library loads) bit-identical.
     """
     if words.size == 0:
         return np.zeros(group_size, dtype=np.int64)
-    if native.enabled():
+    if native.available():
         return native.per_bit_weighted(words, weights, group_size)
     rows = words.shape[0]
     as_bytes = np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)

@@ -100,7 +100,7 @@ def round_major_probes(
     total = int(probes.sum())
     if total == 0:
         return np.empty(0, dtype=indices.dtype)
-    if native.enabled():
+    if native.available():
         return native.round_major_probes(indices, starts, probes)
     m = np.int64(probes.size)
     v_rep = np.repeat(np.arange(probes.size, dtype=np.int64), probes)

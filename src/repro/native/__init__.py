@@ -1,41 +1,28 @@
-"""Optional compiled backend for the traversal hot loops.
+"""Compiled host loops for the traversal hot paths.
 
 ``repro.native`` gives the hottest :mod:`repro.kernels` primitives —
 the scatter-OR edge map, the bottom-up OR/hit scans, the round-major
 probe stream, and the per-bit bookkeeping tallies — fused scalar-loop
-implementations that run outside the interpreter.  The engines run them
-whenever :func:`effective` says a provider resolves for the group's
-lane count, and the numpy kernels otherwise; plans never name the path.
+implementations in C (:mod:`repro.native._csrc`), compiled on demand
+with the host C compiler into a cached shared library and called here
+through :mod:`ctypes`.  The engines run them whenever :func:`effective`
+says the library loaded for the group's lane count, and the numpy
+kernels otherwise; plans never name the path.
 
-Three interchangeable providers implement one raw interface:
-
-``numba``
-    :mod:`repro.native._numba` — ``@njit(cache=True)`` over the Python
-    kernels; preferred when Numba is installed.
-``cext``
-    :mod:`repro.native._cext` — the same loops as a C translation unit
-    compiled on demand with the host C compiler and bound via ctypes;
-    the fallback when Numba is absent but a compiler exists.
-``python``
-    :mod:`repro.native._pykernels` — the uncompiled Numba source;
-    never auto-selected (slower than numpy), but selectable for tests
-    so the exact loops the JIT compiles are exercised everywhere.
-
-Everything is *optional*: when no provider resolves (pure-python
-install, no compiler) the numpy kernels keep running with zero
-behavior change, and all variants are bit-identical in results and
-simulated counters — only host wall-clock differs.
+The library is *optional*: when it does not load (no C compiler, a
+failed compile, or the kill switch) the numpy kernels keep running
+with zero behavior change.  Both paths are bit-identical in results
+and simulated counters — only host wall-clock differs — and the numpy
+kernels are the reference every op here is tested against.  Importing
+this module compiles nothing; the first call that needs the library
+builds or loads it.
 
 Environment knobs:
 
 ``REPRO_NATIVE=0``
-    Disable the native backend entirely; every engine runs the numpy
-    kernels.
-``REPRO_NATIVE_BACKEND={numba,cext,python}``
-    Force one provider instead of the ``numba`` → ``cext`` default
-    resolution order.
+    Disable the compiled library; every engine runs the numpy kernels.
 ``REPRO_NATIVE_CACHE=<dir>``
-    Where the C provider caches its compiled shared library.
+    Where the compiled shared library is cached.
 """
 
 from __future__ import annotations
@@ -50,7 +37,6 @@ import numpy as np
 __all__ = [
     "NativeUnavailable",
     "available",
-    "enabled",
     "backend_name",
     "disabled_reason",
     "refresh",
@@ -73,105 +59,72 @@ __all__ = [
 
 
 class NativeUnavailable(RuntimeError):
-    """Raised when a native op is invoked with no resolved provider."""
+    """Raised when the compiled library cannot be built or loaded, or
+    when a native op is invoked without it."""
 
 
-_BACKENDS = ("numba", "cext", "python")
-
-#: Resolution state: ``_cache["provider"]`` is the resolved provider
-#: module (or None), ``_cache["reason"]`` explains a None.
+#: Resolution state: ``_cache["lib"]`` is the loaded library (or None),
+#: ``_cache["reason"]`` explains a None.
 _cache: Dict[str, object] = {}
-#: Loaded provider modules by name (independent of resolution).
-_loaded: Dict[str, object] = {}
-#: Test/bench override: None (resolve normally), ``"off"``, or a name.
+#: Test/bench override: None (resolve normally) or ``"off"``.
 _override: Optional[str] = None
 #: Zeroed uint8 scratch for unique-target flags, keyed by vertex count.
 #: Invariant: all-zero between calls (the kernels clear what they set).
 _flag_cache: Dict[int, np.ndarray] = {}
 _warm_seconds: Optional[float] = None
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-
 
 def _truthy(value: str) -> bool:
     return value.strip().lower() not in ("0", "false", "off", "no", "")
 
 
-def _load_backend(name: str):
-    if name in _loaded:
-        return _loaded[name]
-    if name == "numba":
-        from repro.native import _numba as mod
-    elif name == "cext":
-        from repro.native import _cext as mod
-    elif name == "python":
-        from repro.native import _pykernels as mod
-    else:
-        raise ImportError(f"unknown native backend {name!r}")
-    _loaded[name] = mod
-    return mod
-
-
 def _resolve():
-    if "provider" in _cache:
-        return _cache["provider"]
-    provider = None
+    if "lib" in _cache:
+        return _cache["lib"]
+    lib = None
     reason = None
     env = os.environ.get("REPRO_NATIVE")
     if env is not None and not _truthy(env):
         reason = f"disabled via REPRO_NATIVE={env}"
     else:
-        forced = os.environ.get("REPRO_NATIVE_BACKEND")
-        order = (forced,) if forced else ("numba", "cext")
-        errors = []
-        for name in order:
-            try:
-                provider = _load_backend(name)
-                break
-            except ImportError as exc:
-                errors.append(f"{name}: {exc}")
-        if provider is None:
-            reason = "no provider available ({})".format("; ".join(errors))
-    _cache["provider"] = provider
+        from repro.native import _csrc
+
+        try:
+            lib = _csrc.load_library()
+        except NativeUnavailable as exc:
+            reason = str(exc)
+    _cache["lib"] = lib
     _cache["reason"] = reason
-    return provider
+    return lib
 
 
-def _provider():
-    if _override is not None:
-        if _override == "off":
-            return None
-        return _load_backend(_override)
+def _library():
+    if _override == "off":
+        return None
     return _resolve()
 
 
 def _require():
-    provider = _provider()
-    if provider is None:
+    lib = _library()
+    if lib is None:
         raise NativeUnavailable(
-            disabled_reason() or "no native backend resolved"
+            disabled_reason() or "compiled library not loaded"
         )
-    return provider
+    return lib
 
 
 def available() -> bool:
-    """Whether a compiled provider resolved (env gates included)."""
-    return _provider() is not None
-
-
-#: ``enabled`` is the public name engines test; identical to
-#: :func:`available` (the env escape hatch folds into resolution).
-enabled = available
+    """Whether the compiled library loaded (env gates included)."""
+    return _library() is not None
 
 
 def backend_name() -> Optional[str]:
-    """Resolved provider name (``numba``/``cext``/``python``) or None."""
-    provider = _provider()
-    return provider.name if provider is not None else None
+    """``"cext"`` when the compiled library loaded, else None."""
+    return "cext" if _library() is not None else None
 
 
 def disabled_reason() -> Optional[str]:
-    """Why no provider resolved (None when one did)."""
+    """Why the compiled library is not in use (None when it is)."""
     if _override == "off":
         return "disabled via force_backend('off')"
     _resolve()
@@ -185,17 +138,16 @@ def refresh() -> None:
 
 @contextlib.contextmanager
 def force_backend(name: Optional[str]):
-    """Pin provider resolution for the enclosed block.
+    """Pin resolution for the enclosed block.
 
-    ``name`` is a provider (``"numba"``/``"cext"``/``"python"``),
-    ``"off"`` to disable the backend entirely (the numpy-only
-    behavior), or None to restore normal resolution.  Used by the
-    equivalence tests to run one suite per provider and by the
+    ``"off"`` disables the compiled library (the numpy-only behavior);
+    None restores normal resolution.  Used by the equivalence tests to
+    run the numpy reference beside the compiled ops and by the
     benchmark harness to time the numpy side without uninstalling
     anything.
     """
     global _override
-    if name is not None and name != "off" and name not in _BACKENDS:
+    if name is not None and name != "off":
         raise ValueError(f"unknown native backend {name!r}")
     previous = _override
     _override = name
@@ -208,19 +160,18 @@ def force_backend(name: Optional[str]):
 def effective(lanes: int = 1) -> bool:
     """Whether a group of ``lanes`` status words runs natively here.
 
-    True when a provider resolves, except that the C provider's scan
-    prefix buffer is fixed at 64 lanes (4096 instances): wider groups
-    run the numpy kernels.  Either path gives bit-identical results and
-    simulated counters.
+    True when the library loaded and ``lanes`` fits the C scan's
+    64-lane (4096-instance) buffer; wider groups run the numpy kernels.
+    Either path gives bit-identical results and simulated counters.
     """
-    provider = _provider()
-    if provider is None:
-        return False
-    return provider.name != "cext" or lanes <= 64
+    return lanes <= 64 and _library() is not None
 
 
 # ----------------------------------------------------------------------
-# Array-level ops (callers must have checked ``effective``/``enabled``)
+# Array-level ops (callers must have checked ``effective``/``available``)
+#
+# Every array handed to the library is bound to a local first: the
+# pointer ``_p`` takes is valid only while that array is alive.
 # ----------------------------------------------------------------------
 def _contig(arr: np.ndarray, dtype) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
@@ -230,6 +181,17 @@ def _rows2d(words: np.ndarray) -> np.ndarray:
     """``(rows, lanes)`` uint64 view (1-D inputs become one lane)."""
     words = _contig(words, np.uint64)
     return words.reshape(-1, 1) if words.ndim == 1 else words
+
+
+def _p(arr: np.ndarray) -> int:
+    return arr.ctypes.data
+
+
+def _checked(status: int) -> int:
+    # The pricing kernels allocate their warp sets; -1 means they could not.
+    if status < 0:
+        raise MemoryError("repro.native: warp set allocation failed")
+    return status
 
 
 def unique_targets(
@@ -255,24 +217,31 @@ def unique_targets(
     ``element_bytes``-wide elements — each priced by the walk or sweep
     that already touches it, at O(1) per access.
     """
-    provider = _require()
-    num_vertices = row_offsets.shape[0] - 1
+    lib = _require()
+    offsets = _contig(row_offsets, np.int64)
+    cols = _contig(col_indices, np.int64)
+    frontier = _contig(frontier, np.int64)
+    num_vertices = offsets.shape[0] - 1
     flags = _flag_cache.get(num_vertices)
     if flags is None:
         flags = np.zeros(num_vertices, dtype=np.uint8)
         _flag_cache[num_vertices] = flags
     out = np.empty(num_vertices, dtype=np.int64)
     pricing = np.zeros((3, 2), dtype=np.int64)
-    count = provider.unique_targets(
-        _contig(row_offsets, np.int64),
-        _contig(col_indices, np.int64),
-        _contig(frontier, np.int64),
-        flags,
-        out,
-        int(element_bytes),
-        int(transaction_bytes),
-        int(warp_size),
-        pricing,
+    count = _checked(
+        lib.repro_unique_targets(
+            _p(offsets),
+            _p(cols),
+            _p(frontier),
+            frontier.shape[0],
+            num_vertices,
+            _p(flags),
+            _p(out),
+            int(element_bytes),
+            int(transaction_bytes),
+            int(warp_size),
+            _p(pricing),
+        )
     )
     return out[:count], tuple(map(tuple, pricing.tolist()))
 
@@ -290,13 +259,20 @@ def scatter_or(
     in the CSR ``(row_offsets, col_indices)`` — the scatter-OR without
     a materialized neighbor array or ``np.repeat`` word index.
     """
-    provider = _require()
-    provider.scatter_or(
-        _rows2d(out),
-        _contig(row_offsets, np.int64),
-        _contig(col_indices, np.int64),
-        _contig(frontier, np.int64),
-        _rows2d(words),
+    lib = _require()
+    out = _rows2d(out)
+    offsets = _contig(row_offsets, np.int64)
+    cols = _contig(col_indices, np.int64)
+    frontier = _contig(frontier, np.int64)
+    words = _rows2d(words)
+    lib.repro_scatter_or(
+        _p(out),
+        _p(offsets),
+        _p(cols),
+        _p(frontier),
+        frontier.shape[0],
+        _p(words),
+        out.shape[1],
     )
 
 
@@ -319,27 +295,35 @@ def or_scan(
     inspection tallies are added to ``inspections_out`` exactly as the
     numpy scan counts them.
     """
-    provider = _require()
+    lib = _require()
+    indices = _contig(indices, np.int64)
+    starts = _contig(starts, np.int64)
+    ends = _contig(ends, np.int64)
     state = _rows2d(state)
+    lane_mask = _contig(lane_mask, np.uint64)
+    target = _contig(target, np.uint64)
+    bsa_k = _rows2d(bsa_k)
     lanes = state.shape[1]
     m = starts.shape[0]
     probes = np.zeros(m, dtype=np.int64)
     acc = np.zeros((m, lanes), dtype=np.uint64)
     done = np.zeros(m, dtype=bool)
     pending = np.zeros(lanes * 64, dtype=np.int64)
-    provider.or_scan(
-        _contig(indices, np.int64),
-        _contig(starts, np.int64),
-        _contig(ends, np.int64),
-        state,
-        _contig(lane_mask, np.uint64),
-        _contig(target, np.uint64),
+    lib.repro_or_scan(
+        _p(indices),
+        _p(starts),
+        _p(ends),
+        m,
+        _p(state),
+        _p(lane_mask),
+        _p(target),
         1 if early_termination else 0,
-        _rows2d(bsa_k),
-        probes,
-        acc,
-        done,
-        pending,
+        _p(bsa_k),
+        lanes,
+        _p(probes),
+        _p(acc),
+        _p(done),
+        _p(pending),
     )
     np.add(
         inspections_out,
@@ -353,19 +337,23 @@ def round_major_probes(
     indices: np.ndarray, starts: np.ndarray, probes: np.ndarray
 ) -> np.ndarray:
     """Round-major probed-neighbor stream (counting sort, no argsort)."""
-    provider = _require()
+    lib = _require()
     probes = _contig(probes, np.int64)
     total = int(probes.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
+    indices = _contig(indices, np.int64)
+    starts = _contig(starts, np.int64)
     out = np.empty(total, dtype=np.int64)
     round_base = np.zeros(int(probes.max()), dtype=np.int64)
-    provider.round_major(
-        _contig(indices, np.int64),
-        _contig(starts, np.int64),
-        probes,
-        round_base,
-        out,
+    lib.repro_round_major(
+        _p(indices),
+        _p(starts),
+        _p(probes),
+        probes.shape[0],
+        round_base.shape[0],
+        _p(round_base),
+        _p(out),
     )
     return out
 
@@ -386,12 +374,18 @@ def coalesced_transactions(
     open warp's lines go in a hash set of at least ``2 * warp_size``
     slots: O(1) per access for any warp size.
     """
-    provider = _require()
+    lib = _require()
     indices = _contig(element_indices, np.int64)
     out = np.zeros(2, dtype=np.int64)
-    provider.coalesce(
-        indices, int(element_bytes), int(transaction_bytes),
-        int(warp_size), out,
+    _checked(
+        lib.repro_coalesce(
+            _p(indices),
+            indices.shape[0],
+            int(element_bytes),
+            int(transaction_bytes),
+            int(warp_size),
+            _p(out),
+        )
     )
     return int(out[0]), int(out[1])
 
@@ -417,23 +411,28 @@ def bottom_up_coalesced(
     :meth:`MemoryModel.coalesced_transactions
     <repro.gpusim.memory.MemoryModel.coalesced_transactions>`.
     """
-    provider = _require()
+    lib = _require()
     probes = _contig(probes, np.int64)
     total = int(probes.sum())
     if total == 0:
         return 0, 0
     if warp_size == 1:
         return total, total
+    indices = _contig(indices, np.int64)
+    starts = _contig(starts, np.int64)
     out = np.zeros(2, dtype=np.int64)
-    provider.round_coalesce(
-        _contig(indices, np.int64),
-        _contig(starts, np.int64),
-        probes,
-        int(num_vertices),
-        int(element_bytes),
-        int(transaction_bytes),
-        int(warp_size),
-        out,
+    _checked(
+        lib.repro_round_coalesce(
+            _p(indices),
+            _p(starts),
+            _p(probes),
+            probes.shape[0],
+            int(num_vertices),
+            int(element_bytes),
+            int(transaction_bytes),
+            int(warp_size),
+            _p(out),
+        )
     )
     return int(out[0]), int(out[1])
 
@@ -450,11 +449,19 @@ def depth_update(
     materialized unpack/astype/multiply temporaries; ``depths_vm``
     stays on whatever rung of the narrow-dtype ladder it is on.
     """
-    provider = _require()
-    diff2d = _rows2d(diff)
+    lib = _require()
     rows = _contig(changed, np.int64)
-    provider.depth_update(
-        rows, diff2d, int(depths_vm.shape[1]), depths_vm, int(value)
+    diff = _rows2d(diff)
+    lib.repro_depth_update(
+        _p(rows),
+        _p(diff),
+        rows.shape[0],
+        diff.shape[1],
+        int(depths_vm.shape[1]),
+        _p(depths_vm),
+        depths_vm.shape[1],
+        depths_vm.dtype.itemsize,
+        int(value),
     )
 
 
@@ -465,10 +472,12 @@ def materialize_depths(depths_vm: np.ndarray) -> np.ndarray:
     matrix with ``out[g, v] = depths_vm[v, g]``, sign-extending
     whatever rung of the narrow-dtype ladder ``depths_vm`` is on.
     """
-    provider = _require()
+    lib = _require()
     src = np.ascontiguousarray(depths_vm)
     out = np.empty((src.shape[1], src.shape[0]), dtype=np.int32)
-    provider.transpose_i32(src, out)
+    lib.repro_transpose_i32(
+        _p(src), src.shape[0], src.shape[1], src.dtype.itemsize, _p(out)
+    )
     return out
 
 
@@ -486,39 +495,43 @@ def hit_scan_depth(
     level``.  ``depths`` is ``(group_size, n)`` with ``inst[i]``
     selecting position ``i``'s row, or 1-D for single-source tables.
     """
-    provider = _require()
+    lib = _require()
+    indices = _contig(indices, np.int64)
+    starts = _contig(starts, np.int64)
+    degrees = _contig(degrees, np.int64)
     depths = _contig(depths, np.int32)
     if depths.ndim == 1:
         depths = depths.reshape(1, -1)
-    if inst is None:
-        inst_arr, use_inst = _EMPTY_I64, 0
-    else:
-        inst_arr, use_inst = _contig(inst, np.int64), 1
+    if inst is not None:
+        inst = _contig(inst, np.int64)
     m = starts.shape[0]
     probes = np.zeros(m, dtype=np.int64)
     found = np.zeros(m, dtype=bool)
-    provider.hit_scan_depth(
-        _contig(indices, np.int64),
-        _contig(starts, np.int64),
-        _contig(degrees, np.int64),
-        depths,
-        inst_arr,
-        use_inst,
+    lib.repro_hit_scan_depth(
+        _p(indices),
+        _p(starts),
+        _p(degrees),
+        m,
+        _p(depths),
+        depths.shape[1],
+        None if inst is None else _p(inst),
         int(level),
-        probes,
-        found,
+        _p(probes),
+        _p(found),
     )
     return probes, found
 
 
 def per_bit_counts(words: np.ndarray, group_size: int) -> np.ndarray:
     """Column sums of the packed bit matrix (instance ``j`` → bit ``j``)."""
-    provider = _require()
+    lib = _require()
     if words.size == 0:
         return np.zeros(group_size, dtype=np.int64)
-    words2d = _rows2d(words)
-    out = np.zeros(words2d.shape[1] * 64, dtype=np.int64)
-    provider.per_bit_counts(words2d, out)
+    words = _rows2d(words)
+    rows, lanes = words.shape
+    hist = np.zeros(lanes * 8 * 256, dtype=np.int64)
+    out = np.zeros(lanes * 64, dtype=np.int64)
+    lib.repro_per_bit_counts(_p(words), rows, lanes, _p(hist), _p(out))
     return out[:group_size]
 
 
@@ -526,13 +539,16 @@ def per_bit_weighted(
     words: np.ndarray, weights: np.ndarray, group_size: int
 ) -> np.ndarray:
     """Weighted column sums: ``out[j] = weights[bit j set].sum()``."""
-    provider = _require()
+    lib = _require()
     if words.size == 0:
         return np.zeros(group_size, dtype=np.int64)
-    words2d = _rows2d(words)
-    out = np.zeros(words2d.shape[1] * 64, dtype=np.int64)
-    provider.per_bit_weighted(
-        words2d, _contig(weights, np.int64), out
+    words = _rows2d(words)
+    weights = _contig(weights, np.int64)
+    rows, lanes = words.shape
+    hist = np.zeros(lanes * 8 * 256, dtype=np.int64)
+    out = np.zeros(lanes * 64, dtype=np.int64)
+    lib.repro_per_bit_weighted(
+        _p(words), _p(weights), rows, lanes, _p(hist), _p(out)
     )
     return out[:group_size]
 
@@ -543,21 +559,19 @@ def per_bit_weighted(
 def warmup() -> float:
     """Exercise every native op once; returns (cached) elapsed seconds.
 
-    For the Numba provider this triggers (or loads from cache) the JIT
-    compilation of every kernel; for the C provider it compiles and
-    loads the shared library.  Call once per process before timing
-    anything — exec workers warm up on spawn, and the benchmark
-    harness excludes this cost explicitly.  Idempotent; a no-op when
-    no provider resolves.
+    Compiles (or loads from the cache) the shared library and runs each
+    op on a tiny input.  Call once per process before timing anything —
+    exec workers warm up on spawn, and the benchmark harness excludes
+    this cost explicitly.  Idempotent; a no-op when the library does
+    not load.
     """
     global _warm_seconds
-    if _provider() is None:
+    if _library() is None:
         return 0.0
     if _warm_seconds is not None:
         return _warm_seconds
     began = time.perf_counter()
-    # A 4-vertex cycle: enough structure to touch every code path's
-    # signature once (compilation is per-signature, not per-shape).
+    # A 4-vertex cycle: enough structure to touch every op once.
     indices = np.array([1, 3, 0, 2, 1, 3, 0, 2], dtype=np.int64)
     starts = np.array([0, 2, 4, 6], dtype=np.int64)
     ends = starts + 2
@@ -601,20 +615,11 @@ def capability_report() -> Dict[str, object]:
     """What the native backend resolved to on this host."""
     from repro.native import _csrc
 
-    try:
-        import numba  # noqa: F401
-
-        numba_version: Optional[str] = getattr(
-            numba, "__version__", "unknown"
-        )
-    except ImportError:
-        numba_version = None
-    provider = _provider()
+    enabled = available()
     return {
-        "enabled": provider is not None,
-        "backend": provider.name if provider is not None else None,
-        "reason": None if provider is not None else disabled_reason(),
-        "numba": numba_version,
+        "enabled": enabled,
+        "backend": backend_name(),
+        "reason": None if enabled else disabled_reason(),
         "compiler": _csrc._compiler(),
         "warmup_seconds": _warm_seconds,
     }

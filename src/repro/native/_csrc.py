@@ -1,19 +1,20 @@
-"""C source and build machinery for the compiled-kernel provider.
+"""C source and build machinery for :mod:`repro.native`.
 
-The C translation unit below implements the same primitives as
-:mod:`repro.native._pykernels` — one scalar inner loop per kernel, the
-shape a compiler turns into tight machine code.  It is compiled once
-per source revision with the host C compiler into a shared library
+The C translation unit below holds one scalar inner loop per kernel,
+the shape a compiler turns into tight machine code.  It is compiled
+once per source revision with the host C compiler into a shared library
 cached under ``~/.cache/repro-native`` (or ``REPRO_NATIVE_CACHE``) and
-bound through :mod:`ctypes`; if no compiler is available the provider
-reports itself unavailable and the numpy kernels keep running.
+bound through :mod:`ctypes`; when there is no compiler or the compile
+fails, :func:`load_library` raises
+:class:`~repro.native.NativeUnavailable` naming the cause, and the
+numpy kernels keep running.
 
 Semantics are locked to the numpy kernel layer: every function is a
 line-by-line restatement of the corresponding reformulation in
 ``repro/kernels`` (see the docstrings there), so simulated counters and
 depth matrices stay bit-identical — the native equivalence suite holds
-every provider to the numpy kernels, and the kernels golden fixture
-pins the counters of both.
+every op to the numpy kernels, and the kernels golden fixture pins the
+counters of both.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import subprocess
 import tempfile
 from pathlib import Path
 from typing import Optional
+
+from repro.native import NativeUnavailable
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -720,15 +723,20 @@ def _compiler() -> Optional[str]:
     return None
 
 
-def build_library(verbose: bool = False) -> Optional[Path]:
-    """Compile (or reuse) the cached shared library; None on failure."""
+def build_library() -> Path:
+    """Compile (or reuse) the cached shared library.
+
+    Raises :class:`~repro.native.NativeUnavailable` naming the cause
+    when there is no C compiler, the compile fails, or the cache
+    directory cannot be written.
+    """
     cache = _cache_dir()
     lib_path = cache / f"repro_native_{_source_tag()}.so"
     if lib_path.exists():
         return lib_path
     cc = _compiler()
     if cc is None:
-        return None
+        raise NativeUnavailable("no C compiler found ($CC, cc, gcc, clang)")
     try:
         cache.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=str(cache)) as tmp:
@@ -746,25 +754,33 @@ def build_library(verbose: bool = False) -> Optional[Path]:
                 if proc.returncode == 0:
                     break
             else:
-                if verbose:
-                    print(proc.stderr.decode(errors="replace"))
-                return None
+                errors = [
+                    line
+                    for line in proc.stderr.decode(errors="replace").splitlines()
+                    if "error" in line
+                ]
+                raise NativeUnavailable(
+                    f"{cc} failed to compile the kernels"
+                    + (f": {errors[0]}" if errors else "")
+                )
             # Atomic publish: another process may be building concurrently.
             os.replace(tmp_lib, lib_path)
-    except OSError:
-        return None
+    except OSError as exc:
+        raise NativeUnavailable(f"cannot build in {cache}: {exc}") from exc
     return lib_path
 
 
-def load_library() -> Optional[ctypes.CDLL]:
-    """Build if needed, load, and declare prototypes; None on failure."""
+def load_library() -> ctypes.CDLL:
+    """Build if needed, load, and declare prototypes.
+
+    Raises :class:`~repro.native.NativeUnavailable` when the library
+    cannot be built or loaded.
+    """
     lib_path = build_library()
-    if lib_path is None:
-        return None
     try:
         lib = ctypes.CDLL(str(lib_path))
-    except OSError:
-        return None
+    except OSError as exc:
+        raise NativeUnavailable(f"cannot load {lib_path}: {exc}") from exc
     i64 = ctypes.c_int64
     p = ctypes.c_void_p
     lib.repro_unique_targets.restype = i64

@@ -65,13 +65,6 @@ def configure(enabled: bool = True, sample_every: int = 1) -> ProfileConfig:
     return _config
 
 
-def set_config(config: ProfileConfig) -> ProfileConfig:
-    global _config
-    _config = config
-    _site_hits.clear()
-    return _config
-
-
 def get_config() -> ProfileConfig:
     return _config
 

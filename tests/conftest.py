@@ -1,10 +1,12 @@
-"""Shared fixtures: a zoo of small graphs and engine factories."""
+"""Shared fixtures: a zoo of small graphs, engine factories, and the
+compiled-library gate."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import repro.native as native
 from repro import (
     IBFS,
     IBFSConfig,
@@ -86,6 +88,19 @@ def engine_factories():
         ("spmm-bc", lambda g: SpMMBC(g, group_size=8)),
         ("cpu-ibfs", lambda g: CPUiBFS(g)),
     ]
+
+
+@pytest.fixture
+def compiled():
+    """Skip unless :mod:`repro.native`'s compiled library loaded.
+
+    Tests that hold the compiled ops to the numpy kernels take this
+    fixture, so with the library unavailable (``REPRO_NATIVE=0``, no C
+    compiler) they skip with the reason instead of comparing numpy with
+    numpy.
+    """
+    if not native.available():
+        pytest.skip(f"compiled library not loaded: {native.disabled_reason()}")
 
 
 @pytest.fixture(params=engine_factories(), ids=lambda p: p[0])

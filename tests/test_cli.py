@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.native as native
 from repro.cli import main
 from repro.graph.generators import kronecker
 from repro.graph.io import load_csr, save_csr
@@ -157,6 +158,27 @@ class TestTraceAndMetricsDump:
         empty.write_text("")
         assert main(["metrics-dump", str(empty)]) == 1
         assert "no metric records" in capsys.readouterr().err
+
+
+class TestKernels:
+    def test_reports_compiled_library(self, compiled, capsys):
+        assert main(["kernels"]) == 0
+        out = capsys.readouterr().out
+        assert "native backend  : cext" in out
+        labels = [line.split(":")[0].strip() for line in out.splitlines()]
+        assert labels == ["native backend", "c compiler", "warm-up"]
+
+    def test_reports_numpy_fallback_and_reason(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        native.refresh()
+        try:
+            assert main(["kernels"]) == 0
+        finally:
+            monkeypatch.undo()
+            native.refresh()
+        out = capsys.readouterr().out
+        assert "native backend  : unavailable" in out
+        assert "reason          : disabled via REPRO_NATIVE=0" in out
 
 
 def test_missing_subcommand_exits():

@@ -5,9 +5,9 @@ exact deterministic counter values for fixed workloads so that
 accidental changes to the accounting (a lost transaction term, a
 doubled instruction count) are caught immediately.  The pinned values
 include the request counts figure 19 divides by, and hold under the
-numpy kernels and under every loadable native provider.  If a
-deliberate model change lands, regenerate the constants with the
-printed actuals.
+numpy kernels, under the compiled library, and after a failed compile
+falls back to numpy.  If a deliberate model change lands, regenerate
+the constants with the printed actuals.
 """
 
 import pytest
@@ -16,25 +16,16 @@ import repro.native as native
 from repro.graph.generators import kronecker, rmat
 from repro.bfs.sequential import SequentialConcurrentBFS
 from repro.core.engine import IBFS, IBFSConfig
+from repro.native import _csrc
 
 #: Fixed workload: one graph, one source set.
 GRAPH_SEED = 171
 SOURCES = list(range(0, 32, 2))
 
 
-def _backends():
-    names = ["off", "python"]
-    for name in ("cext", "numba"):
-        try:
-            native._load_backend(name)
-        except ImportError:
-            continue
-        names.append(name)
-    return names
-
-
-#: ``"off"`` is the numpy kernel path; the rest are native providers.
-BACKENDS = _backends()
+#: ``"off"`` is the numpy kernel path, ``"cext"`` the compiled library
+#: (its cases skip when the library does not load).
+BACKENDS = ["off", "cext"]
 
 
 @pytest.fixture(scope="module")
@@ -127,13 +118,50 @@ class TestGoldenValues:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workload", ["single-lane", "two-lane"])
-    def test_ibfs_counters_per_backend(self, workload, backend):
+    def test_ibfs_counters_per_backend(self, request, workload, backend):
         make_graph, config, sources, golden = _WORKLOADS[workload]
-        with native.force_backend(backend):
+        if backend == "cext":
+            request.getfixturevalue("compiled")
+        with native.force_backend("off" if backend == "off" else None):
             result = IBFS(make_graph(), config).run(
                 sources, store_depths=False
             )
         actual = _ibfs_actual(result.counters)
+        assert actual == golden, f"actuals: {actual}"
+
+    @pytest.mark.parametrize("workload", ["single-lane", "two-lane"])
+    def test_ibfs_counters_after_compile_failure(
+        self, tmp_path, monkeypatch, workload
+    ):
+        # A C source the compiler rejects, built into an empty cache:
+        # resolution must report why and every engine must take the
+        # numpy kernels, with the pinned counters.
+        make_graph, config, sources, golden = _WORKLOADS[workload]
+        before = (native.available(), native.disabled_reason())
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(_csrc, "C_SOURCE", "this is not C;\n")
+        native.refresh()
+        try:
+            assert not native.available()
+            assert not native.effective()
+            assert not native.effective(2)
+            reason = native.disabled_reason()
+            assert reason and "compil" in reason, reason
+            assert not list(tmp_path.glob("*.so"))
+            result = IBFS(make_graph(), config).run(
+                sources, store_depths=False
+            )
+        finally:
+            monkeypatch.undo()
+            native.refresh()
+        assert (native.available(), native.disabled_reason()) == before
+        with native.force_backend("off"):
+            numpy_result = IBFS(make_graph(), config).run(
+                sources, store_depths=False
+            )
+        actual = _ibfs_actual(result.counters)
+        assert actual == _ibfs_actual(numpy_result.counters)
         assert actual == golden, f"actuals: {actual}"
 
 

@@ -1,11 +1,11 @@
 """Unit tests of the compiled kernel backend (:mod:`repro.native`).
 
-Covers provider resolution (env gates, forcing, lane limits),
-op-level bit-identity of every native primitive against its numpy
-formulation for each loadable provider, warm-up/capability reporting,
-and the bookkeeping edge cases (zero-width frontiers, group sizes not
-a multiple of 8, single-lane flat inputs) on both the numpy and native
-paths.
+Covers resolution (env gates, forcing, the lane limit), op-level
+bit-identity of every compiled primitive against its numpy
+formulation, warm-up/capability reporting, and the bookkeeping edge
+cases (zero-width frontiers, group sizes not a multiple of 8,
+single-lane flat inputs) on both the numpy and native paths.  Tests of
+the compiled ops skip when the library does not load.
 """
 
 import dataclasses
@@ -35,35 +35,19 @@ from repro.util import gather_neighbors
 RNG = np.random.default_rng(11)
 
 
-def _loadable_providers():
-    names = ["python"]
-    for name in ("cext", "numba"):
-        try:
-            native._load_backend(name)
-        except ImportError:
-            continue
-        names.append(name)
-    return names
-
-
-PROVIDERS = _loadable_providers()
+#: The compiled provider, run under default resolution.
+PROVIDERS = ["cext"]
 
 
 @pytest.fixture(params=PROVIDERS)
-def provider(request):
-    with native.force_backend(request.param):
-        yield request.param
+def provider(request, compiled):
+    return request.param
 
 
 # ----------------------------------------------------------------------
 # Resolution, gating, and reporting
 # ----------------------------------------------------------------------
 class TestResolution:
-    def test_python_provider_always_loads(self):
-        with native.force_backend("python"):
-            assert native.available()
-            assert native.backend_name() == "python"
-
     def test_off_disables_everything(self):
         with native.force_backend("off"):
             assert not native.available()
@@ -82,36 +66,22 @@ class TestResolution:
             monkeypatch.delenv("REPRO_NATIVE")
             native.refresh()
 
-    def test_env_backend_forcing(self, monkeypatch):
-        # The kill switch would override the backend selector (e.g. in
-        # the no-native CI lane); this test is about the selector.
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        monkeypatch.setenv("REPRO_NATIVE_BACKEND", "python")
-        native.refresh()
-        try:
-            assert native.backend_name() == "python"
-        finally:
-            monkeypatch.delenv("REPRO_NATIVE_BACKEND")
-            native.refresh()
-
     def test_force_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with native.force_backend("fortran"):
-                pass
+        # Only "off" and None pin resolution: with one compiled
+        # provider, no name selects one, not even a former one.
+        for name in ("fortran", "cext", "python"):
+            with pytest.raises(ValueError):
+                with native.force_backend(name):
+                    pass
 
     def test_effective_variants(self, provider):
         assert native.effective()
         assert native.effective(2)
         assert native.effective(64)
 
-    def test_cext_lane_limit(self):
-        if "cext" not in PROVIDERS:
-            pytest.skip("no C compiler on this host")
-        with native.force_backend("cext"):
-            assert native.effective(lanes=64)
-            assert not native.effective(lanes=65)
-        with native.force_backend("python"):
-            assert native.effective(lanes=65)
+    def test_cext_lane_limit(self, compiled):
+        assert native.effective(lanes=64)
+        assert not native.effective(lanes=65)
 
     def test_warmup_and_capability_report(self, provider):
         seconds = native.warmup()
@@ -155,7 +125,7 @@ def _random_graph(num_vertices, max_degree, zero_degree=0):
 
 def _set_slot(line, bits):
     """The warp set's first slot for ``line`` in a table of ``2**bits``
-    slots, as both providers compute it: fold to 32 bits, multiply by
+    slots, as the C library computes it: fold to 32 bits, multiply by
     the 32-bit golden-ratio constant, keep the top bits."""
     x = (line ^ (line >> 32)) & 0xFFFFFFFF
     return ((x * 0x61C88647) & 0xFFFFFFFF) >> (32 - bits)
@@ -453,7 +423,7 @@ class TestOps:
 
     @pytest.mark.parametrize("warp_size", [64, 128, 256])
     def test_wide_warps_price_like_numpy(self, provider, warp_size):
-        # Warps wider than 64 threads once overflowed the C provider's
+        # Warps wider than 64 threads once overflowed the C library's
         # fixed per-warp line buffer; a subprocess keeps a crash from
         # taking the test session down with it.
         import repro
@@ -468,11 +438,11 @@ class TestOps:
             "from repro.gpusim.config import KEPLER_K40\n"
             "from repro.gpusim.device import Device\n"
             "from repro.graph.generators import rmat\n"
-            "config = dataclasses.replace(KEPLER_K40, warp_size=int(sys.argv[2]))\n"
-            "with native.force_backend(sys.argv[1]):\n"
-            "    result = IBFS(rmat(12, edge_factor=16, seed=7),\n"
-            "                  IBFSConfig(group_size=32),\n"
-            "                  device=Device(config)).run(list(range(32)))\n"
+            "config = dataclasses.replace(KEPLER_K40, warp_size=int(sys.argv[1]))\n"
+            "assert native.effective(), native.disabled_reason()\n"
+            "result = IBFS(rmat(12, edge_factor=16, seed=7),\n"
+            "              IBFSConfig(group_size=32),\n"
+            "              device=Device(config)).run(list(range(32)))\n"
             "print(json.dumps(dataclasses.asdict(result.counters)))\n"
         )
         env = dict(os.environ)
@@ -481,7 +451,7 @@ class TestOps:
             + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, provider, str(warp_size)],
+            [sys.executable, "-c", script, str(warp_size)],
             capture_output=True,
             text=True,
             env=env,
@@ -598,10 +568,12 @@ BOOKKEEPING_BACKENDS = ["numpy"] + PROVIDERS
 
 @pytest.fixture(params=BOOKKEEPING_BACKENDS)
 def bookkeeping_backend(request):
-    """Pins the tallies to the numpy path or one provider."""
-    with native.force_backend(
-        "off" if request.param == "numpy" else request.param
-    ):
+    """Pins the tallies to the numpy path or the compiled library."""
+    if request.param == "numpy":
+        with native.force_backend("off"):
+            yield
+    else:
+        request.getfixturevalue("compiled")
         yield
 
 

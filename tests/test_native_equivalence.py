@@ -2,10 +2,12 @@
 
 The acceptance bar for :mod:`repro.native`: simulated counters, depth
 matrices and recorded plans identical between the numpy kernels and
-every loadable provider across engines (bitwise/joint/single), vector
-widths, and fresh or reused level workspaces — plus plans recorded with a provider replaying
-bit-identically without one, through the exec task protocol and the
-service-layer :class:`~repro.service.cache.PlanCache`.
+the compiled library across engines (bitwise/joint/single), vector
+widths, and fresh or reused level workspaces — plus plans recorded on
+the compiled library replaying bit-identically without it, through the
+exec task protocol and the service-layer
+:class:`~repro.service.cache.PlanCache`.  Every case skips when the
+library does not load.
 """
 
 import numpy as np
@@ -21,18 +23,8 @@ from repro.service.cache import PlanCache, graph_cache_id
 RNG = np.random.default_rng(23)
 
 
-def _loadable_providers():
-    names = ["python"]
-    for name in ("cext", "numba"):
-        try:
-            native._load_backend(name)
-        except ImportError:
-            continue
-        names.append(name)
-    return names
-
-
-PROVIDERS = _loadable_providers()
+#: The compiled provider, run under default resolution.
+PROVIDERS = ["cext"]
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +75,8 @@ class TestEngineMatrix:
     )
     @pytest.mark.parametrize("workspace", ["dirty", "full"])
     def test_group_engines(
-        self, graphs, provider, mode, group_size, vector_width, workspace
+        self, compiled, graphs, provider, mode, group_size, vector_width,
+        workspace,
     ):
         # "full": a fresh engine, whose first level snapshot fills a newly
         # allocated LevelWorkspace.  "dirty": the engine already ran
@@ -97,10 +90,7 @@ class TestEngineMatrix:
         ).tolist()
         with native.force_backend("off"):
             baseline = _run(graph, mode, group_size, vector_width, sources)
-        with native.force_backend(provider):
-            got = _run(
-                graph, mode, group_size, vector_width, sources, workspace
-            )
+        got = _run(graph, mode, group_size, vector_width, sources, workspace)
         _assert_identical(
             baseline, got,
             f"{mode}/gs{group_size}/vw{vector_width}/{workspace}/{provider}",
@@ -108,13 +98,12 @@ class TestEngineMatrix:
 
     @pytest.mark.parametrize("provider", PROVIDERS)
     @pytest.mark.parametrize("name", ["rmat9", "uni350"])
-    def test_single_source(self, graphs, provider, name):
+    def test_single_source(self, compiled, graphs, provider, name):
         graph = graphs[name]
         source = int(RNG.integers(0, graph.num_vertices))
         with native.force_backend("off"):
             baseline = SingleBFS(graph).run(source)
-        with native.force_backend(provider):
-            got = SingleBFS(graph).run(source)
+        got = SingleBFS(graph).run(source)
         assert np.array_equal(baseline.depths, got.depths)
         assert (
             baseline.record.counters.__dict__
@@ -123,7 +112,7 @@ class TestEngineMatrix:
         assert baseline.plan.to_json() == got.plan.to_json()
 
     @pytest.mark.parametrize("provider", PROVIDERS)
-    def test_msbfs_configuration(self, graphs, provider):
+    def test_msbfs_configuration(self, compiled, graphs, provider):
         # No early termination + per-level reset rides the same engine;
         # the native scan must honor early_termination=False exactly.
         graph = graphs["rmat9"]
@@ -132,24 +121,23 @@ class TestEngineMatrix:
         config = IBFSConfig(group_size=64, mode="bitwise", groupby=False)
         with native.force_backend("off"):
             baseline = IBFS(graph, config, planner=planner).run(sources)
-        with native.force_backend(provider):
-            got = IBFS(graph, config, planner=planner).run(sources)
+        got = IBFS(graph, config, planner=planner).run(sources)
         _assert_identical(baseline, got, f"msbfs/{provider}")
 
 
 # ----------------------------------------------------------------------
-# Plans recorded with a provider: replay, exec protocol, PlanCache
+# Plans recorded on the compiled library: replay, exec protocol, PlanCache
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("compiled")
 class TestNativePlanReplay:
     def _native_plan(self, graph, sources, group_size):
-        # The python provider always loads, so these run in the
-        # REPRO_NATIVE=0 job too; replays below run on the numpy kernels.
+        # Recorded on the compiled library; the in-process replays below
+        # run on the numpy kernels.
         engine = IBFS(
             graph,
             IBFSConfig(group_size=group_size, mode="bitwise", groupby=False),
         )
-        with native.force_backend("python"):
-            result = engine.run_group(sources)
+        result = engine.run_group(sources)
         return result, result.groups[0].plan
 
     def test_replay_identical_with_and_without_backend(self, graphs):
@@ -203,7 +191,7 @@ class TestNativePlanReplay:
 # Adaptive policy through a full run
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("provider", PROVIDERS)
-def test_adaptive_policy_identical_across_backends(graphs, provider):
+def test_adaptive_policy_identical_across_backends(compiled, graphs, provider):
     graph = graphs["rmat9"]
     sources = RNG.choice(graph.num_vertices, size=64, replace=False).tolist()
     config = IBFSConfig(group_size=64, mode="bitwise", groupby=False)
@@ -211,8 +199,5 @@ def test_adaptive_policy_identical_across_backends(graphs, provider):
         baseline = IBFS(
             graph, config, planner=make_policy("adaptive")
         ).run(sources)
-    with native.force_backend(provider):
-        got = IBFS(
-            graph, config, planner=make_policy("adaptive")
-        ).run(sources)
+    got = IBFS(graph, config, planner=make_policy("adaptive")).run(sources)
     _assert_identical(baseline, got, f"adaptive/{provider}")

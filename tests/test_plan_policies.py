@@ -199,11 +199,11 @@ class TestAdaptivePolicy:
     @pytest.mark.parametrize(
         "group_size,width", [(32, 1), (64, 1), (128, 2), (256, 4)]
     )
-    def test_width_follows_lane_count(self, group_size, width):
+    def test_width_follows_lane_count(self, compiled, group_size, width):
         # The host's kernels never enter the decision: a numpy-only and
         # a native session decide alike.
         decisions = []
-        for backend in ("off", "python"):
+        for backend in ("off", None):
             with native.force_backend(backend):
                 session = AdaptivePolicy().session(group_size, 1000, 8000)
                 decisions.append(session.initial())
@@ -214,11 +214,11 @@ class TestAdaptivePolicy:
 
     @pytest.mark.parametrize("group_size", [32, 128])
     def test_kernel_resolves_native_when_backend_loads(
-        self, group_size, monkeypatch
+        self, compiled, group_size, monkeypatch
     ):
         # The host picks its kernels outside the plan: an adaptive group
-        # runs the native depth update when a provider loads for its
-        # lane count, and the numpy path when none does.
+        # runs the native depth update when the library loads for its
+        # lane count, and the numpy path when it does not.
         graph = rmat(8, edge_factor=8, seed=2)
         sources = list(range(group_size))
         config = IBFSConfig(group_size=group_size, groupby=False)
@@ -231,18 +231,18 @@ class TestAdaptivePolicy:
 
         monkeypatch.setattr(native, "depth_update", counting)
         plans = {}
-        for backend in ("python", "off"):
+        for backend in (None, "off"):
             calls.clear()
             with native.force_backend(backend):
                 assert native.effective(-(-group_size // 64)) == (
-                    backend == "python"
+                    backend is None
                 )
                 result = IBFS(
                     graph, config, planner=AdaptivePolicy()
                 ).run_group(sources)
-            assert bool(calls) == (backend == "python")
+            assert bool(calls) == (backend is None)
             plans[backend] = result.groups[0].plan
-        assert plans["python"] == plans["off"]
+        assert plans[None] == plans["off"]
 
 
 # ----------------------------------------------------------------------
