@@ -16,12 +16,17 @@ Two things are measured per configuration:
   the forced ``dense``/``sparse`` formats and the ``auto`` policy.
 
 Results land in ``BENCH_dist.json`` at the repo root (or ``--output``;
-``BENCH_dist.quick.json`` in ``--quick`` mode).  ``--check`` gates:
+``BENCH_dist.quick.json`` in ``--quick`` mode) as a
+``repro.bench-ledger/v1`` ledger.  Each ``<layout>x<partitions>``
+entry's metrics are its wall time relative to serial and its exact
+exchange bytes, messages and modelled exchange seconds; each
+``format-level-<n>`` entry carries one level's update bytes under each
+wire format.  ``--check`` gates:
 
 * every configuration must be bit-identical (always enforced);
-* the 2-partition 1d wall time must stay within ``--max-slowdown``
-  (default 1.5x) of the 1-partition run — splitting the graph must not
-  blow up the per-level constant factors;
+* the 2-partition 1d wall time must stay within 1.5x of the
+  1-partition run — splitting the graph must not blow up the
+  per-level constant factors;
 * sparse must beat dense on low-frontier levels: the auto run's
   cheapest sparse level must cost fewer update bytes than the fixed
   dense broadcast, and auto must never price a level above both forced
@@ -36,17 +41,15 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
+from harness import run_bench
 from repro.core.engine import IBFS, IBFSConfig
 from repro.dist.engine import DistConfig, PartitionedEngine
 from repro.graph.generators import rmat
+from repro.obs.ledger import LOWER_IS_BETTER, BestOf, LedgerEntry, MetricPoint
 
 SOURCE_SEED = 17
 
@@ -62,44 +65,19 @@ PARTITION_CONFIGS = (
     (4, "2d"),
 )
 
-
-def time_run(run, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Allowed 2-partition / 1-partition wall ratio.
+MAX_SLOWDOWN = 1.5
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller graph and fewer sources (CI smoke)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repeats per configuration")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="result JSON path (default: BENCH_dist.json "
-                             "at repo root; BENCH_dist.quick.json with "
-                             "--quick)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail unless all configurations are "
-                             "bit-identical, 2 partitions stay within "
-                             "--max-slowdown of 1, and sparse beats dense "
-                             "on low-frontier levels")
-    parser.add_argument("--max-slowdown", type=float, default=1.5,
-                        help="allowed 2-partition / 1-partition wall "
-                             "ratio under --check")
-    args = parser.parse_args(argv)
+def lower(value, unit):
+    return MetricPoint(value, LOWER_IS_BETTER, unit)
 
+
+def measure(args, ledger):
     scale, edge_factor, group_size, num_sources = (
         QUICK_SHAPE if args.quick else FULL_SHAPE
     )
-    repeats = args.repeats or (2 if args.quick else 3)
-    root = Path(__file__).resolve().parent.parent
-    output = args.output or (
-        root / ("BENCH_dist.quick.json" if args.quick else "BENCH_dist.json")
-    )
+    repeats = 2 if args.quick else 3
 
     graph = rmat(scale, edge_factor=edge_factor, seed=3)
     rng = np.random.default_rng(SOURCE_SEED)
@@ -116,12 +94,12 @@ def main(argv=None):
     )
 
     reference = serial.run(sources, store_depths=True)
-    serial_seconds = time_run(
-        lambda: serial.run(sources, store_depths=False), repeats
-    )
-    print(f"[serial] {serial_seconds:.3f}s", flush=True)
+    serial_timer = BestOf()
+    for _ in range(repeats):
+        with serial_timer:
+            serial.run(sources, store_depths=False)
+    print(f"[serial] {serial_timer.seconds:.3f}s", flush=True)
 
-    results = []
     walls = {}
     for num_partitions, layout in PARTITION_CONFIGS:
         engine = PartitionedEngine(
@@ -137,27 +115,31 @@ def main(argv=None):
             raise AssertionError(
                 f"{layout}x{num_partitions} depths diverged from serial"
             )
-        seconds = time_run(
-            lambda: engine.run(sources, store_depths=False), repeats
-        )
+        timer = BestOf()
+        for _ in range(repeats):
+            with timer:
+                engine.run(sources, store_depths=False)
         stats = engine.last_stats
-        walls[(num_partitions, layout)] = seconds
-        entry = {
-            "partitions": num_partitions,
-            "layout": layout,
-            "seconds": seconds,
-            "vs_serial": seconds / serial_seconds,
-            "bit_identical": True,
-            "exchange_bytes": stats.bytes_total,
-            "exchange_messages": stats.messages_total,
-            "formats": stats.formats(),
-            "modeled_exchange_seconds": sum(
-                t.exchange_seconds for t in stats.levels
-            ),
-        }
-        results.append(entry)
+        walls[(num_partitions, layout)] = timer.seconds
+        ledger.entries.append(LedgerEntry(
+            name=f"{layout}x{num_partitions}",
+            metrics={
+                "vs_serial": lower(timer.seconds / serial_timer.seconds, "x"),
+                "exchange_bytes": lower(stats.bytes_total, "bytes"),
+                "exchange_messages": lower(stats.messages_total, "count"),
+                "modeled_exchange_seconds": lower(
+                    sum(t.exchange_seconds for t in stats.levels), "s"
+                ),
+            },
+            attrs={
+                "partitions": num_partitions,
+                "layout": layout,
+                "seconds": timer.seconds,
+                "formats": stats.formats(),
+            },
+        ))
         print(
-            f"[{layout}x{num_partitions}] {seconds:.3f}s  "
+            f"[{layout}x{num_partitions}] {timer.seconds:.3f}s  "
             f"bytes {stats.bytes_total}  formats {stats.formats()}",
             flush=True,
         )
@@ -182,86 +164,69 @@ def main(argv=None):
     dense_fixed = PartitionedEngine(
         graph, DistConfig(num_partitions=2, group_size=group_size)
     ).partitions.dense_bytes_per_level()
-    level_rows = []
+    failures = []
+    sparse_min = None
     for dense, sparse, auto in zip(
         format_levels["dense"], format_levels["sparse"], format_levels["auto"]
     ):
-        level_rows.append(
-            {
-                "level": dense.level,
+        ledger.entries.append(LedgerEntry(
+            name=f"format-level-{dense.level}",
+            metrics={
+                "dense_bytes": lower(dense.update_bytes, "bytes"),
+                "sparse_bytes": lower(sparse.update_bytes, "bytes"),
+                "auto_bytes": lower(auto.update_bytes, "bytes"),
+            },
+            attrs={
                 "frontier_edges": dense.frontier_edges,
-                "dense_bytes": dense.update_bytes,
-                "sparse_bytes": sparse.update_bytes,
                 "auto_fmt": auto.fmt,
-                "auto_bytes": auto.update_bytes,
-            }
-        )
+            },
+        ))
         print(
             f"[level {dense.level}] frontier_edges={dense.frontier_edges}  "
             f"dense={dense.update_bytes}B sparse={sparse.update_bytes}B "
             f"auto={auto.fmt}",
             flush=True,
         )
+        if sparse_min is None or sparse.update_bytes < sparse_min:
+            sparse_min = sparse.update_bytes
+        if auto.update_bytes > max(dense.update_bytes, sparse.update_bytes):
+            failures.append(
+                f"auto paid {auto.update_bytes}B on level {dense.level}, "
+                "above both forced formats"
+            )
 
-    payload = {
-        "benchmark": "dist_scaling",
-        "mode": "quick" if args.quick else "full",
-        "repeats": repeats,
-        "metric": "host wall-clock seconds per full run (best of repeats)",
+    slowdown = walls[(2, "1d")] / walls[(1, "1d")]
+    if slowdown > MAX_SLOWDOWN:
+        failures.append(
+            f"2-partition wall {slowdown:.2f}x single-partition "
+            f"> {MAX_SLOWDOWN:.1f}x"
+        )
+    if sparse_min >= dense_fixed:
+        failures.append(
+            f"sparse never beat dense: cheapest sparse level "
+            f"{sparse_min}B >= dense broadcast {dense_fixed}B"
+        )
+    ledger.meta.update({
+        "metric": "host wall seconds relative to serial (best of repeats) "
+                  "and exact exchange accounting",
         "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=3",
         "num_sources": num_sources,
         "group_size": group_size,
-        "serial_seconds": serial_seconds,
-        "results": results,
+        "repeats": repeats,
+        "serial_seconds": serial_timer.seconds,
+        "max_slowdown": MAX_SLOWDOWN,
+        "two_partition_slowdown": slowdown,
         "format_study": {
             "partitions": 2,
             "layout": "1d",
             "dense_bytes_per_level": dense_fixed,
-            "levels": level_rows,
         },
-    }
+    })
+    return failures
 
-    failures = []
-    if args.check:
-        slowdown = walls[(2, "1d")] / walls[(1, "1d")]
-        if slowdown > args.max_slowdown:
-            failures.append(
-                f"2-partition wall {slowdown:.2f}x single-partition "
-                f"> {args.max_slowdown:.1f}x"
-            )
-        sparse_min = min(r["sparse_bytes"] for r in level_rows)
-        if sparse_min >= dense_fixed:
-            failures.append(
-                f"sparse never beat dense: cheapest sparse level "
-                f"{sparse_min}B >= dense broadcast {dense_fixed}B"
-            )
-        for row in level_rows:
-            if row["auto_bytes"] > max(
-                row["dense_bytes"], row["sparse_bytes"]
-            ):
-                failures.append(
-                    f"auto paid {row['auto_bytes']}B on level "
-                    f"{row['level']}, above both forced formats"
-                )
-        payload["check"] = {
-            "max_slowdown": args.max_slowdown,
-            "two_partition_slowdown": slowdown,
-            "cheapest_sparse_bytes": sparse_min,
-            "dense_bytes_per_level": dense_fixed,
-            "passed": not failures,
-            "failures": failures,
-        }
 
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {output}")
-
-    if args.check:
-        for failure in failures:
-            print(f"CHECK FAILED: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("dist scaling check passed")
-    return 0
+def main(argv=None):
+    return run_bench("dist", "dist_scaling", measure, argv, __doc__)
 
 
 if __name__ == "__main__":

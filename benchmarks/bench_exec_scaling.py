@@ -11,35 +11,36 @@ result exactly — a speedup can never come from doing different or
 wrong work.
 
 Results land in ``BENCH_exec.json`` at the repo root (or ``--output``;
-``BENCH_exec.quick.json`` in ``--quick`` mode).  ``--check`` gates:
+``BENCH_exec.quick.json`` in ``--quick`` mode) as a
+``repro.bench-ledger/v1`` ledger: one ``workers-<n>`` entry per worker
+count whose metric is the speedup over serial; host seconds, steals and
+per-worker task counts are attrs.  ``--check`` gates:
 
 * the fault-injected run must be bit-identical (always enforced);
-* the 2-worker speedup must reach ``--min-speedup`` (default 1.3x) —
-  enforced only when the host has at least 2 CPU cores, since genuine
-  parallel speedup is physically impossible on a single core; such
-  hosts record ``"insufficient_cores": true`` instead.
+* the 2-worker speedup must reach 1.3x — enforced only when the host
+  has at least 2 CPU cores, since genuine parallel speedup is
+  physically impossible on a single core; ``meta`` records
+  ``cpu_count`` and whether the gate applied.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_exec_scaling.py          # full
-    PYTHONPATH=src python benchmarks/bench_exec_scaling.py --quick  # CI
+    PYTHONPATH=src python benchmarks/bench_exec_scaling.py --check  # CI
     PYTHONPATH=src python benchmarks/bench_exec_scaling.py --quick --check
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
+from harness import run_bench
 from repro.core.engine import IBFS, IBFSConfig
 from repro.exec import ExecConfig, FaultPlan, FaultPolicy, GroupExecutor
 from repro.graph.generators import rmat
+from repro.obs.ledger import HIGHER_IS_BETTER, BestOf, LedgerEntry, MetricPoint
 
 SOURCE_SEED = 11
 
@@ -51,6 +52,9 @@ QUICK_SHAPE = (13, 4, 8, 64)
 
 FULL_WORKER_COUNTS = (1, 2, 4, 8)
 QUICK_WORKER_COUNTS = (1, 2)
+
+#: Required 2-worker speedup on a host with at least 2 cores.
+MIN_SPEEDUP = 1.3
 
 
 def same_result(a, b) -> bool:
@@ -71,43 +75,12 @@ def same_result(a, b) -> bool:
     return True
 
 
-def time_run(run, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller graph, 1/2 workers only (CI smoke)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repeats per configuration")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="result JSON path (default: BENCH_exec.json "
-                             "at repo root; BENCH_exec.quick.json with "
-                             "--quick)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail unless the fault-injected run is "
-                             "bit-identical and (on multi-core hosts) the "
-                             "2-worker speedup reaches --min-speedup")
-    parser.add_argument("--min-speedup", type=float, default=1.3,
-                        help="required 2-worker speedup under --check")
-    args = parser.parse_args(argv)
-
+def measure(args, ledger):
     scale, edge_factor, group_size, num_sources = (
         QUICK_SHAPE if args.quick else FULL_SHAPE
     )
     worker_counts = QUICK_WORKER_COUNTS if args.quick else FULL_WORKER_COUNTS
-    repeats = args.repeats or (2 if args.quick else 3)
-    root = Path(__file__).resolve().parent.parent
-    output = args.output or (
-        root / ("BENCH_exec.quick.json" if args.quick else "BENCH_exec.json")
-    )
+    repeats = 2 if args.quick else 3
     cpu_count = os.cpu_count() or 1
 
     graph = rmat(scale, edge_factor=edge_factor, seed=3)
@@ -127,12 +100,13 @@ def main(argv=None):
     )
 
     reference = engine.run(sources, store_depths=True)
-    serial_seconds = time_run(
-        lambda: engine.run(sources, store_depths=False), repeats
-    )
-    print(f"[serial] {serial_seconds:.3f}s", flush=True)
+    serial = BestOf()
+    for _ in range(repeats):
+        with serial:
+            engine.run(sources, store_depths=False)
+    print(f"[serial] {serial.seconds:.3f}s", flush=True)
 
-    results = []
+    speedups = {}
     for workers in worker_counts:
         with GroupExecutor(
             graph, config, exec_config=ExecConfig(num_workers=workers)
@@ -144,23 +118,28 @@ def main(argv=None):
                 raise AssertionError(
                     f"{workers}-worker result diverged from serial"
                 )
-            seconds = time_run(
-                lambda: executor.run(sources, store_depths=False), repeats
-            )
+            timer = BestOf()
+            for _ in range(repeats):
+                with timer:
+                    executor.run(sources, store_depths=False)
             stats = executor.last_stats
-        entry = {
-            "workers": workers,
-            "seconds": seconds,
-            "speedup_vs_serial": serial_seconds / seconds,
-            "bit_identical": True,
-            "backend": stats.backend,
-            "steals": stats.steals,
-            "per_worker_tasks": dict(stats.per_worker_tasks),
-        }
-        results.append(entry)
+        speedups[workers] = serial.seconds / timer.seconds
+        ledger.entries.append(LedgerEntry(
+            name=f"workers-{workers}",
+            metrics={"speedup": MetricPoint(
+                speedups[workers], HIGHER_IS_BETTER, "x"
+            )},
+            attrs={
+                "workers": workers,
+                "seconds": timer.seconds,
+                "backend": stats.backend,
+                "steals": stats.steals,
+                "per_worker_tasks": dict(stats.per_worker_tasks),
+            },
+        ))
         print(
-            f"[{workers} workers] {seconds:.3f}s  "
-            f"speedup {entry['speedup_vs_serial']:.2f}x  "
+            f"[{workers} workers] {timer.seconds:.3f}s  "
+            f"speedup {speedups[workers]:.2f}x  "
             f"steals {stats.steals}",
             flush=True,
         )
@@ -179,14 +158,6 @@ def main(argv=None):
         faulted = executor.run(sources, store_depths=True)
         fault_stats = executor.last_stats
     fault_identical = same_result(reference, faulted)
-    fault_entry = {
-        "workers": 2,
-        "injected": "crash task 1 attempt 0",
-        "bit_identical": fault_identical,
-        "crashes": fault_stats.crashes,
-        "retries": fault_stats.retries,
-        "respawns": fault_stats.respawns,
-    }
     print(
         f"[fault-injected] crashes={fault_stats.crashes} "
         f"retries={fault_stats.retries} "
@@ -194,61 +165,49 @@ def main(argv=None):
         flush=True,
     )
 
-    two_worker = next(r for r in results if r["workers"] == 2)
-    insufficient_cores = cpu_count < 2
-    payload = {
-        "benchmark": "exec_scaling",
-        "mode": "quick" if args.quick else "full",
-        "repeats": repeats,
-        "metric": "host wall-clock seconds per full run (best of repeats)",
+    # The host facts travel with the numbers: a reader of the ledger
+    # sees how many cores ran it and whether the speedup gate applied.
+    gate_enforced = cpu_count >= 2
+    ledger.meta.update({
+        "metric": "speedup = serial / executor host wall seconds per full "
+                  "run (best of repeats)",
         "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=3",
         "num_sources": num_sources,
         "group_size": group_size,
+        "repeats": repeats,
         "cpu_count": cpu_count,
-        "insufficient_cores": insufficient_cores,
-        "serial_seconds": serial_seconds,
-        "results": results,
-        "fault_injected": fault_entry,
-    }
+        "serial_seconds": serial.seconds,
+        "min_speedup": MIN_SPEEDUP,
+        "speedup_gate_enforced": gate_enforced,
+        "fault_injected": {
+            "workers": 2,
+            "injected": "crash task 1 attempt 0",
+            "bit_identical": fault_identical,
+            "crashes": fault_stats.crashes,
+            "retries": fault_stats.retries,
+            "respawns": fault_stats.respawns,
+        },
+    })
 
     failures = []
-    if args.check:
-        if not fault_identical:
-            failures.append("fault-injected run diverged from serial")
-        if fault_stats.crashes < 1:
-            failures.append("injected crash never fired")
-        if insufficient_cores:
-            print(
-                f"check: host has {cpu_count} core(s); the "
-                f"{args.min_speedup:.1f}x 2-worker gate needs >= 2 and "
-                f"is skipped (recorded insufficient_cores)"
-            )
-        elif two_worker["speedup_vs_serial"] < args.min_speedup:
-            failures.append(
-                f"2-worker speedup {two_worker['speedup_vs_serial']:.2f}x "
-                f"< {args.min_speedup:.1f}x"
-            )
-        # The gate verdict travels with the numbers: a reader of the
-        # JSON sees what host ran it, whether the speedup gate applied,
-        # and what (if anything) failed — no CI log digging.
-        payload["check"] = {
-            "cpu_count": cpu_count,
-            "min_speedup": args.min_speedup,
-            "speedup_gate_enforced": not insufficient_cores,
-            "passed": not failures,
-            "failures": failures,
-        }
+    if not fault_identical:
+        failures.append("fault-injected run diverged from serial")
+    if fault_stats.crashes < 1:
+        failures.append("injected crash never fired")
+    if not gate_enforced:
+        print(
+            f"host has {cpu_count} core(s); the {MIN_SPEEDUP:.1f}x "
+            "2-worker gate needs >= 2 and is skipped"
+        )
+    elif speedups[2] < MIN_SPEEDUP:
+        failures.append(
+            f"2-worker speedup {speedups[2]:.2f}x < {MIN_SPEEDUP:.1f}x"
+        )
+    return failures
 
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {output}")
 
-    if args.check:
-        for failure in failures:
-            print(f"CHECK FAILED: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("exec scaling check passed")
-    return 0
+def main(argv=None):
+    return run_bench("exec", "exec_scaling", measure, argv, __doc__)
 
 
 if __name__ == "__main__":

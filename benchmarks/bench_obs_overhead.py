@@ -5,16 +5,18 @@
 tracing + per-level profiling may slow the hot path by at most
 ``OVERHEAD_BUDGET`` (5%).  This harness measures it: each configuration
 runs the bitwise engine with observability fully off and fully on
-(tracer installed, ``sample_every=1``), takes the best of ``--repeats``
-wall clocks for each, and reports the overhead ratio
+(tracer installed, ``sample_every=1``), takes the best of 3 (``--quick``)
+or 5 wall clocks for each, and reports the overhead ratio
 ``enabled/disabled - 1``.
 
 The gate is machine-independent (a ratio on the same host), so
 ``--check`` needs no committed baseline: it exits 1 if any
 configuration exceeds the budget.  Results go to ``BENCH_obs.json``
-(or ``BENCH_obs.quick.json`` with ``--quick``); ``--trace PATH``
-additionally writes the final instrumented run's spans and the
-harness's own hub metrics as a JSONL trace artifact.
+(or ``BENCH_obs.quick.json`` with ``--quick``) as a
+``repro.bench-ledger/v1`` ledger whose one metric per configuration is
+the overhead fraction; host seconds and graph facts are attrs.
+``--trace PATH`` additionally writes the final instrumented run's
+spans and the harness's own hub metrics as a JSONL trace artifact.
 
 Usage::
 
@@ -26,20 +28,19 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
+from harness import run_bench
 from repro.core.bitwise import BitwiseTraversal
 from repro.graph.generators import rmat
 from repro.obs import export as obs_export
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import tracing as obs_tracing
-from repro.obs.ledger import Ledger, save_ledger
+from repro.obs.ledger import LOWER_IS_BETTER, BestOf, LedgerEntry, MetricPoint
 from repro.obs.profile import OVERHEAD_BUDGET
 
 SOURCE_SEED = 23
@@ -69,12 +70,11 @@ def observability_on():
     return tracer
 
 
-def time_group(graph, sources):
-    """Wall seconds for one joint group run on a fresh engine."""
+def time_group(graph, sources, timer):
+    """One joint group run on a fresh engine; only the run is timed."""
     engine = BitwiseTraversal(graph)
-    start = time.perf_counter()
-    engine.run_group(sources)
-    return time.perf_counter() - start
+    with timer:
+        engine.run_group(sources)
 
 
 def run_config(name, scale, edge_factor, group_size, repeats):
@@ -91,148 +91,111 @@ def run_config(name, scale, edge_factor, group_size, repeats):
     # instead of biasing the enabled/disabled ratio; best-of-repeats
     # then strips the remaining one-sided noise.
     tracer = observability_on()
-    off_s = float("inf")
-    on_s = float("inf")
+    off, on = BestOf(), BestOf()
     for _ in range(repeats):
         observability_off()
-        off_s = min(off_s, time_group(graph, sources))
+        time_group(graph, sources, off)
         obs_tracing.set_tracer(tracer)
         obs_profile.configure(enabled=True, sample_every=1)
-        on_s = min(on_s, time_group(graph, sources))
+        time_group(graph, sources, on)
     span_count = len(tracer.finished)
     observability_off()
 
-    overhead = on_s / off_s - 1.0
-    return {
-        "name": name,
-        "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=5",
-        "num_vertices": graph.num_vertices,
-        "num_edges": graph.num_edges,
-        "group_size": group_size,
-        "disabled_seconds": off_s,
-        "enabled_seconds": on_s,
-        "spans_per_run": span_count // repeats,
-        "overhead": overhead,
-        "budget": OVERHEAD_BUDGET,
-    }, tracer
+    return LedgerEntry(
+        name=name,
+        metrics={"overhead": MetricPoint(
+            on.seconds / off.seconds - 1.0, LOWER_IS_BETTER, "fraction"
+        )},
+        attrs={
+            "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=5",
+            "num_vertices": graph.num_vertices,
+            "num_edges": graph.num_edges,
+            "group_size": group_size,
+            "disabled_seconds": off.seconds,
+            "enabled_seconds": on.seconds,
+            "spans_per_run": span_count // repeats,
+        },
+    ), tracer
 
 
-def publish(results, hub=None):
-    """Register the harness's measurements into the metrics hub, so the
+def publish(entries, hub):
+    """Register the harness's measurements into ``hub``, so the
     overhead gate's numbers export like any other layer's."""
-    hub = hub if hub is not None else obs_metrics.get_hub()
-    for entry in results:
-        labels = {"config": entry["name"]}
+    for entry in entries:
+        labels = {"config": entry.name}
         hub.gauge(
             "bench_obs_overhead_ratio",
             "Fully-enabled profiling slowdown (enabled/disabled - 1)",
             labels=labels,
-        ).set(entry["overhead"])
+        ).set(entry.metrics["overhead"].value)
         hub.gauge(
             "bench_obs_disabled_seconds",
             "Best-of-repeats wall seconds, observability off",
             labels=labels,
-        ).set(entry["disabled_seconds"])
+        ).set(entry.attrs["disabled_seconds"])
         hub.gauge(
             "bench_obs_enabled_seconds",
             "Best-of-repeats wall seconds, observability on",
             labels=labels,
-        ).set(entry["enabled_seconds"])
+        ).set(entry.attrs["enabled_seconds"])
     hub.gauge(
         "bench_obs_overhead_budget", "Documented overhead ceiling"
     ).set(OVERHEAD_BUDGET)
     return hub
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="one small config, fewer repeats (the CI gate)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing repeats per observability state",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=None,
-        help="result JSON path (default: BENCH_obs.json at repo root; "
-        "BENCH_obs.quick.json in --quick mode)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if any config's overhead exceeds the "
-        f"{OVERHEAD_BUDGET:.0%} budget (no baseline file needed — the "
-        "budget is an absolute ratio)",
-    )
-    parser.add_argument(
-        "--trace", type=Path, default=None,
-        help="write the last instrumented run's spans plus the "
-        "harness metrics as a JSONL trace artifact",
-    )
-    args = parser.parse_args(argv)
-
+def measure(args, ledger):
     configs = QUICK_CONFIGS if args.quick else FULL_CONFIGS
-    repeats = args.repeats or (3 if args.quick else 5)
-    root = Path(__file__).resolve().parent.parent
-    output = args.output or (
-        root / ("BENCH_obs.quick.json" if args.quick else "BENCH_obs.json")
-    )
+    repeats = 3 if args.quick else 5
+    ledger.meta.update({
+        "metric": "profiling overhead ratio (enabled/disabled - 1, best "
+                  "of interleaved repeats)",
+        "repeats": repeats,
+        "budget": OVERHEAD_BUDGET,
+    })
 
-    results = []
+    failures = []
     last_tracer = None
     for cfg in configs:
         print(f"[{cfg[0]}] running ({repeats} repeats per state)...",
               flush=True)
         entry, last_tracer = run_config(*cfg, repeats)
-        results.append(entry)
+        ledger.entries.append(entry)
+        overhead = entry.metrics["overhead"].value
         print(
-            f"  off {entry['disabled_seconds']:.3f}s  "
-            f"on {entry['enabled_seconds']:.3f}s  "
-            f"overhead {entry['overhead']:+.2%} "
+            f"  off {entry.attrs['disabled_seconds']:.3f}s  "
+            f"on {entry.attrs['enabled_seconds']:.3f}s  "
+            f"overhead {overhead:+.2%} "
             f"(budget {OVERHEAD_BUDGET:.0%}, "
-            f"{entry['spans_per_run']} spans/run)",
+            f"{entry.attrs['spans_per_run']} spans/run)",
             flush=True,
         )
-
-    payload = {
-        "benchmark": "obs_overhead",
-        "mode": "quick" if args.quick else "full",
-        "repeats": repeats,
-        "metric": "profiling overhead ratio (enabled/disabled - 1)",
-        "budget": OVERHEAD_BUDGET,
-        "results": results,
-    }
-    # Results land in the unified bench-ledger schema so `repro
-    # bench-diff` can gate run-over-run regressions directly.
-    ledger = Ledger.from_legacy(payload)
-    save_ledger(ledger, str(output))
-    print(f"wrote {output} (repro.bench-ledger/v1)")
+        if overhead > OVERHEAD_BUDGET:
+            failures.append(
+                f"{entry.name}: overhead {overhead:+.2%} > "
+                f"{OVERHEAD_BUDGET:.0%} budget"
+            )
 
     if args.trace is not None:
-        hub = publish(results, obs_metrics.MetricsHub())
+        hub = publish(ledger.entries, obs_metrics.MetricsHub())
         count = obs_export.write_jsonl(
             str(args.trace), obs_export.trace_records(last_tracer, hub)
         )
         print(f"wrote {args.trace} ({count} records)")
+    return failures
 
-    if args.check:
-        failed = False
-        for entry in results:
-            if entry["overhead"] > OVERHEAD_BUDGET:
-                print(
-                    f"OVER BUDGET {entry['name']}: overhead "
-                    f"{entry['overhead']:+.2%} > {OVERHEAD_BUDGET:.0%}",
-                    file=sys.stderr,
-                )
-                failed = True
-        if failed:
-            return 1
-        print(
-            f"overhead check passed: all configs within the "
-            f"{OVERHEAD_BUDGET:.0%} budget"
-        )
-    return 0
+
+def add_trace_argument(parser):
+    parser.add_argument(
+        "--trace", type=Path, default=None,
+        help="write the last instrumented run's spans plus the "
+        "harness metrics as a JSONL trace artifact",
+    )
+
+
+def main(argv=None):
+    return run_bench("obs", "obs_overhead", measure, argv, __doc__,
+                     add_arguments=add_trace_argument)
 
 
 if __name__ == "__main__":

@@ -16,15 +16,18 @@ exactly; host wall-clock for record vs replay is reported (replay skips
 the per-level heuristic evaluation).
 
 Results land in ``BENCH_plan.json`` at the repo root (or ``--output``;
-``BENCH_plan.quick.json`` in ``--quick`` mode).
+``BENCH_plan.quick.json`` in ``--quick`` mode) as a
+``repro.bench-ledger/v1`` ledger: one entry per policy whose metrics
+are its simulated seconds and counters, and a ``replay`` entry whose
+metric is the record/replay host wall ratio (host seconds are attrs).
 ``--check`` gates:
 
 * every policy depth-identical to the heuristic reference (always
   enforced, with or without ``--check``);
 * replay bit-identical for every group (depths, counters, seconds);
-* ``adaptive`` simulated seconds within ``--max-gap`` (default 1.5x)
-  of ``heuristic`` — the cost model driving it is coarser than the
-  frozen per-level heuristics, but it must stay in the same regime;
+* ``adaptive`` simulated seconds within 1.5x of ``heuristic`` — the
+  cost model driving it is coarser than the frozen per-level
+  heuristics, but it must stay in the same regime;
 * ``adaptive`` no slower than ``td-only`` — an adaptive planner that
   loses to never-switching is broken.
 
@@ -37,16 +40,20 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
+from harness import run_bench
 from repro.core.engine import IBFS, IBFSConfig
 from repro.graph.generators import rmat
+from repro.obs.ledger import (
+    HIGHER_IS_BETTER,
+    LOWER_IS_BETTER,
+    BestOf,
+    LedgerEntry,
+    MetricPoint,
+)
 from repro.plan import POLICY_NAMES, make_policy
 
 SOURCE_SEED = 17
@@ -55,45 +62,35 @@ SOURCE_SEED = 17
 FULL_SHAPE = (14, 8, 64, 256)
 QUICK_SHAPE = (12, 8, 32, 64)
 
+#: Max adaptive/heuristic simulated-seconds ratio.
+MAX_GAP = 1.5
 
-def policy_entry(name, result, reference_depths):
-    depths_ok = np.array_equal(result.depths, reference_depths)
-    counters = result.counters
-    return depths_ok, {
-        "policy": name,
-        "simulated_seconds": result.seconds,
-        "depth_identical": depths_ok,
-        "levels": counters.levels,
-        "inspections": counters.inspections,
-        "bottom_up_inspections": counters.bottom_up_inspections,
-        "edges_traversed": counters.edges_traversed,
-        "early_terminations": counters.early_terminations,
-        "global_load_transactions": counters.global_load_transactions,
+#: Simulated counters recorded per policy; an early termination is a
+#: skipped inspection, so more of them is better.
+COUNTERS = {
+    "levels": LOWER_IS_BETTER,
+    "inspections": LOWER_IS_BETTER,
+    "bottom_up_inspections": LOWER_IS_BETTER,
+    "edges_traversed": LOWER_IS_BETTER,
+    "early_terminations": HIGHER_IS_BETTER,
+    "global_load_transactions": LOWER_IS_BETTER,
+}
+
+
+def policy_entry(name, result):
+    metrics = {
+        "simulated_seconds": MetricPoint(result.seconds, LOWER_IS_BETTER, "s"),
     }
+    for counter, direction in COUNTERS.items():
+        metrics[counter] = MetricPoint(
+            getattr(result.counters, counter), direction, "count"
+        )
+    return LedgerEntry(name=name, metrics=metrics)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller graph and fewer sources (CI smoke)")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="result JSON path (default: BENCH_plan.json "
-                             "at repo root; BENCH_plan.quick.json with "
-                             "--quick)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on replay divergence or an adaptive "
-                             "policy outside its gates")
-    parser.add_argument("--max-gap", type=float, default=1.5,
-                        help="max adaptive/heuristic simulated-seconds "
-                             "ratio under --check")
-    args = parser.parse_args(argv)
-
+def measure(args, ledger):
     scale, edge_factor, group_size, num_sources = (
         QUICK_SHAPE if args.quick else FULL_SHAPE
-    )
-    root = Path(__file__).resolve().parent.parent
-    output = args.output or (
-        root / ("BENCH_plan.quick.json" if args.quick else "BENCH_plan.json")
     )
 
     graph = rmat(scale, edge_factor=edge_factor, seed=7)
@@ -114,20 +111,19 @@ def main(argv=None):
     # Policy comparison (simulated cost-model seconds)
     # ------------------------------------------------------------------
     reference = IBFS(graph, config).run(sources, store_depths=True)
-    results = []
     seconds_by_policy = {}
     all_identical = True
     for name in POLICY_NAMES:
         engine = IBFS(graph, config, planner=make_policy(name))
         result = engine.run(sources, store_depths=True)
-        depths_ok, entry = policy_entry(name, result, reference.depths)
+        depths_ok = np.array_equal(result.depths, reference.depths)
         all_identical &= depths_ok
         seconds_by_policy[name] = result.seconds
-        results.append(entry)
+        ledger.entries.append(policy_entry(name, result))
         print(
             f"[{name:>20}] sim {result.seconds:.4f}s  "
-            f"levels {entry['levels']:>5}  "
-            f"bu-inspections {entry['bottom_up_inspections']:>9}  "
+            f"levels {result.counters.levels:>5}  "
+            f"bu-inspections {result.counters.bottom_up_inspections:>9}  "
             f"depths {'ok' if depths_ok else 'DIVERGED'}",
             flush=True,
         )
@@ -141,15 +137,15 @@ def main(argv=None):
     engine = IBFS(graph, config)
     groups = [sources[i:i + group_size]
               for i in range(0, len(sources), group_size)]
-    record_start = time.perf_counter()
-    recorded = [engine.run_group(group) for group in groups]
-    record_seconds = time.perf_counter() - record_start
+    record = BestOf()
+    with record:
+        recorded = [engine.run_group(group) for group in groups]
     plans = [run.groups[0].plan for run in recorded]
 
-    replay_start = time.perf_counter()
-    replayed = [engine.run_group(group, plan=plan)
-                for group, plan in zip(groups, plans)]
-    replay_seconds = time.perf_counter() - replay_start
+    replay = BestOf()
+    with replay:
+        replayed = [engine.run_group(group, plan=plan)
+                    for group, plan in zip(groups, plans)]
 
     replay_identical = all(
         np.array_equal(a.depths, b.depths)
@@ -157,19 +153,23 @@ def main(argv=None):
         and a.seconds == b.seconds
         for a, b in zip(recorded, replayed)
     )
-    replay_entry = {
-        "groups": len(groups),
-        "bit_identical": replay_identical,
-        "record_host_seconds": record_seconds,
-        "replay_host_seconds": replay_seconds,
-        "replay_host_speedup": (
-            record_seconds / replay_seconds if replay_seconds else 0.0
-        ),
-        "plan_levels": [len(plan) for plan in plans],
-    }
+    ledger.entries.append(LedgerEntry(
+        name="replay",
+        metrics={"replay_host_speedup": MetricPoint(
+            record.seconds / replay.seconds if replay.seconds else 0.0,
+            HIGHER_IS_BETTER, "x",
+        )},
+        attrs={
+            "groups": len(groups),
+            "bit_identical": replay_identical,
+            "record_host_seconds": record.seconds,
+            "replay_host_seconds": replay.seconds,
+            "plan_levels": [len(plan) for plan in plans],
+        },
+    ))
     print(
         f"[replay] {len(groups)} groups  "
-        f"record {record_seconds:.3f}s  replay {replay_seconds:.3f}s  "
+        f"record {record.seconds:.3f}s  replay {replay.seconds:.3f}s  "
         f"bit_identical={replay_identical}",
         flush=True,
     )
@@ -177,43 +177,30 @@ def main(argv=None):
     adaptive_gap = (
         seconds_by_policy["adaptive"] / seconds_by_policy["heuristic"]
     )
-    payload = {
-        "benchmark": "plan_policies",
-        "mode": "quick" if args.quick else "full",
-        "metric": "simulated cost-model seconds per full run",
+    ledger.meta.update({
+        "metric": "simulated cost-model seconds and counters per full run",
         "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=7",
         "num_sources": num_sources,
         "group_size": group_size,
+        "max_gap": MAX_GAP,
         "adaptive_vs_heuristic": adaptive_gap,
-        "results": results,
-        "replay": replay_entry,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {output}")
+    })
 
-    if args.check:
-        failed = False
-        if not replay_identical:
-            print("CHECK FAILED: plan replay diverged from recording",
-                  file=sys.stderr)
-            failed = True
-        if adaptive_gap > args.max_gap:
-            print(
-                f"CHECK FAILED: adaptive is {adaptive_gap:.2f}x the "
-                f"heuristic simulated seconds (gate {args.max_gap:.1f}x)",
-                file=sys.stderr,
-            )
-            failed = True
-        if seconds_by_policy["adaptive"] > seconds_by_policy["td-only"]:
-            print(
-                "CHECK FAILED: adaptive is slower than the td-only preset",
-                file=sys.stderr,
-            )
-            failed = True
-        if failed:
-            return 1
-        print("plan policy check passed")
-    return 0
+    failures = []
+    if not replay_identical:
+        failures.append("plan replay diverged from recording")
+    if adaptive_gap > MAX_GAP:
+        failures.append(
+            f"adaptive is {adaptive_gap:.2f}x the heuristic simulated "
+            f"seconds (gate {MAX_GAP:.1f}x)"
+        )
+    if seconds_by_policy["adaptive"] > seconds_by_policy["td-only"]:
+        failures.append("adaptive is slower than the td-only preset")
+    return failures
+
+
+def main(argv=None):
+    return run_bench("plan", "plan_policies", measure, argv, __doc__)
 
 
 if __name__ == "__main__":

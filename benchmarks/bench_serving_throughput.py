@@ -20,22 +20,31 @@ Every server wave crosses ``repro.runtime``'s Substrate layer
 instead of calling the engine directly, so ``--check`` measures what
 that indirection costs: the same groups are traversed through
 ``substrate.run_group`` and through ``engine.run_group`` on the very
-same engine object, interleaved, best-of-repeats.  The registry/direct
-ratio must stay within ``--max-overhead`` (default 2%).  Results are
-written as a ``repro.bench-ledger/v1`` ledger (``BENCH_runtime.json``)
-whose gated metrics are machine-independent ratios — wall-clock
-seconds travel as attrs only — so ``repro bench-diff`` can compare
-runs across hosts.
+same engine object, interleaved, best of 3 (``--quick``) or 5 repeats.
+The registry/direct ratio must stay within 2%.  Results are written as
+a ``repro.bench-ledger/v1`` ledger (``BENCH_runtime.json``, or
+``BENCH_runtime.quick.json`` with ``--quick``) whose gated metrics are
+machine-independent ratios — wall-clock seconds travel as attrs only —
+so ``repro bench-diff`` can compare runs across hosts.
 """
+
+import os
+import sys
 
 import pytest
 
-from harness import emit, format_table, run_once
+from harness import emit, format_table, run_bench, run_once
+from repro.core.engine import IBFSConfig
 from repro.graph.generators import rmat
+from repro.obs.ledger import LOWER_IS_BETTER, BestOf, LedgerEntry, MetricPoint
+from repro.runtime import SubstrateSpec, make_substrate
 from repro.service import ServingConfig, WorkloadConfig, compare_serving
 
 #: >= 4x requests/sec over naive serving (the PR acceptance bar).
 MIN_SPEEDUP = 4.0
+
+#: Allowed fractional overhead of registry dispatch over direct calls.
+MAX_OVERHEAD = 0.02
 
 
 @pytest.fixture(scope="module")
@@ -120,76 +129,27 @@ def test_serving_throughput(benchmark, graph):
 # ----------------------------------------------------------------------
 # Registry dispatch overhead gate (script mode, ``--check``)
 # ----------------------------------------------------------------------
-def _time_best(fn, repeats):
-    import time
-
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _measure_overhead(direct, registry, repeats):
     """Interleaved best-of timing of two equivalent call paths.
 
     Alternating direct/registry inside one loop exposes both to the
     same thermal and cache conditions; best-of filters scheduler
-    noise.  Returns (direct_seconds, registry_seconds, ratio).
+    noise.  Returns (direct_seconds, registry_seconds).
     """
     direct()
     registry()  # warm both paths before trusting any timing
-    best_direct = best_registry = float("inf")
+    direct_timer, registry_timer = BestOf(), BestOf()
     for _ in range(repeats):
-        best_direct = min(best_direct, _time_best(direct, 1))
-        best_registry = min(best_registry, _time_best(registry, 1))
-    return best_direct, best_registry, best_registry / best_direct
+        with direct_timer:
+            direct()
+        with registry_timer:
+            registry()
+    return direct_timer.seconds, registry_timer.seconds
 
 
-def main(argv=None):
-    import argparse
-    import os
-    import sys
-    from pathlib import Path
-
-    from repro.core.engine import IBFSConfig
-    from repro.obs.ledger import (
-        LOWER_IS_BETTER,
-        Ledger,
-        LedgerEntry,
-        MetricPoint,
-        save_ledger,
-    )
-    from repro.runtime import SubstrateSpec, make_substrate
-
-    parser = argparse.ArgumentParser(
-        description="runtime-registry dispatch overhead gate"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller graph and fewer repeats (CI smoke)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="interleaved timing repeats (default 3 "
-                             "quick / 5 full)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail unless registry dispatch stays within "
-                             "--max-overhead of direct engine calls")
-    parser.add_argument("--max-overhead", type=float, default=0.02,
-                        help="allowed fractional overhead of registry "
-                             "dispatch under --check (default 0.02)")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="ledger path (default: BENCH_runtime.json at "
-                             "repo root; BENCH_runtime.quick.json with "
-                             "--quick)")
-    args = parser.parse_args(argv)
-
+def measure_dispatch(args, ledger):
     scale = 10 if args.quick else 11
-    repeats = args.repeats or (3 if args.quick else 5)
-    root = Path(__file__).resolve().parent.parent
-    output = args.output or (
-        root / ("BENCH_runtime.quick.json" if args.quick
-                else "BENCH_runtime.json")
-    )
+    repeats = 3 if args.quick else 5
 
     graph = rmat(scale=scale, edge_factor=16, seed=7)
     config = IBFSConfig(group_size=8)
@@ -201,21 +161,16 @@ def main(argv=None):
         f"{config.group_size}; repeats={repeats}",
         flush=True,
     )
-
-    ledger = Ledger(
-        benchmark="runtime_dispatch",
-        mode="quick" if args.quick else "full",
-        meta={
-            "graph": f"rmat scale={scale} edge_factor=16 seed=7",
-            "num_sources": len(sources),
-            "group_size": config.group_size,
-            "cpu_count": os.cpu_count() or 1,
-            "repeats": repeats,
-            "max_overhead": args.max_overhead,
-            "metric": "registry/direct wall-clock ratio "
-                      "(best of interleaved repeats)",
-        },
-    )
+    ledger.meta.update({
+        "graph": f"rmat scale={scale} edge_factor=16 seed=7",
+        "num_sources": len(sources),
+        "group_size": config.group_size,
+        "cpu_count": os.cpu_count() or 1,
+        "repeats": repeats,
+        "max_overhead": MAX_OVERHEAD,
+        "metric": "registry/direct wall-clock ratio "
+                  "(best of interleaved repeats)",
+    })
 
     failures = []
     with make_substrate(
@@ -235,56 +190,38 @@ def main(argv=None):
             ),
         }
         for name, (direct, registry) in cases.items():
-            direct_s, registry_s, ratio = _measure_overhead(
+            direct_s, registry_s = _measure_overhead(
                 direct, registry, repeats
             )
+            ratio = registry_s / direct_s
             print(
                 f"[{name}] direct {direct_s * 1e3:.2f}ms  "
                 f"registry {registry_s * 1e3:.2f}ms  "
                 f"ratio {ratio:.4f}",
                 flush=True,
             )
-            ledger.entries.append(
-                LedgerEntry(
-                    name=name,
-                    metrics={
-                        "overhead_ratio": MetricPoint(
-                            value=ratio,
-                            direction=LOWER_IS_BETTER,
-                            unit="x",
-                        ),
-                    },
-                    attrs={
-                        "direct_seconds": direct_s,
-                        "registry_seconds": registry_s,
-                    },
-                )
-            )
-            if args.check and ratio > 1.0 + args.max_overhead:
+            ledger.entries.append(LedgerEntry(
+                name=name,
+                metrics={"overhead_ratio": MetricPoint(
+                    ratio, LOWER_IS_BETTER, "x"
+                )},
+                attrs={
+                    "direct_seconds": direct_s,
+                    "registry_seconds": registry_s,
+                },
+            ))
+            if ratio > 1.0 + MAX_OVERHEAD:
                 failures.append(
                     f"{name}: registry dispatch {ratio:.4f}x direct "
-                    f"exceeds the {1.0 + args.max_overhead:.2f}x budget"
+                    f"exceeds the {1.0 + MAX_OVERHEAD:.2f}x budget"
                 )
+    return failures
 
-    if args.check:
-        ledger.meta["check"] = {
-            "passed": not failures,
-            "failures": failures,
-        }
 
-    save_ledger(ledger, str(output))
-    print(f"wrote {output}")
-
-    if args.check:
-        for failure in failures:
-            print(f"CHECK FAILED: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("runtime dispatch check passed")
-    return 0
+def main(argv=None):
+    return run_bench("runtime", "runtime_dispatch", measure_dispatch, argv,
+                     __doc__)
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main())

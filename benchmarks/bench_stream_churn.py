@@ -19,13 +19,16 @@ versus dropped (staleness that would have been served without
 invalidation-by-keying) and cache hit rate under churn.
 
 Results land in ``BENCH_stream.json`` at the repo root (or
-``--output``; ``BENCH_stream.quick.json`` in ``--quick`` mode).
+``--output``; ``BENCH_stream.quick.json`` in ``--quick`` mode) as a
+``repro.bench-ledger/v1`` ledger: one ``inserts-<fraction>`` entry per
+batch size whose metric is the recompute/repair wall ratio (host
+seconds are attrs), and a ``churn`` entry with the serving loop's
+simulated throughput, cache hit rate and rows repaired and dropped.
 ``--check`` gates:
 
 * every repair must be bit-identical to scratch (always enforced);
 * repair must beat full recomputation on every batch at or below 1%
-  of |E| by at least ``--min-speedup`` (default 1.0x — repair must
-  simply win);
+  of |E| by at least 1.0x — repair must simply win;
 * the churn loop must drop zero rows on insert-only churn (every
   cached row survives every epoch swap via repair).
 
@@ -38,17 +41,21 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
+from harness import run_bench
 from repro.core.engine import IBFS, IBFSConfig
 from repro.graph.csr import VERTEX_DTYPE
 from repro.graph.generators import rmat
+from repro.obs.ledger import (
+    HIGHER_IS_BETTER,
+    LOWER_IS_BETTER,
+    BestOf,
+    LedgerEntry,
+    MetricPoint,
+)
 from repro.service import (
     ChurnConfig,
     ServingConfig,
@@ -69,45 +76,15 @@ BATCH_FRACTIONS = (0.001, 0.005, 0.01)
 FULL_SHAPE = (13, 8, 32)
 QUICK_SHAPE = (11, 8, 16)
 
-
-def time_run(run, repeats):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+#: Required recompute/repair wall ratio on every batch.
+MIN_SPEEDUP = 1.0
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller graph and fewer sources (CI smoke)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repeats per batch size")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="result JSON path (default: BENCH_stream.json "
-                             "at repo root; BENCH_stream.quick.json with "
-                             "--quick)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail unless repair is bit-identical AND "
-                             "beats recomputation on every <=1%% insert "
-                             "batch AND insert-only churn drops no rows")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="required recompute/repair wall ratio under "
-                             "--check")
-    args = parser.parse_args(argv)
-
+def measure(args, ledger):
     scale, edge_factor, num_sources = (
         QUICK_SHAPE if args.quick else FULL_SHAPE
     )
-    repeats = args.repeats or (2 if args.quick else 3)
-    root = Path(__file__).resolve().parent.parent
-    output = args.output or (
-        root / ("BENCH_stream.quick.json" if args.quick
-                else "BENCH_stream.json")
-    )
+    repeats = 2 if args.quick else 3
 
     graph = rmat(scale, edge_factor=edge_factor, seed=7)
     n, m = graph.num_vertices, graph.num_edges
@@ -123,7 +100,6 @@ def main(argv=None):
         f"{m} edges; {num_sources} cached depth rows", flush=True,
     )
 
-    results = []
     failures = []
     for fraction in BATCH_FRACTIONS:
         count = max(1, int(round(fraction * m)))
@@ -139,45 +115,46 @@ def main(argv=None):
             new_graph, IBFSConfig(group_size=num_sources)
         ).run_group(sources).depths
 
-        repair_seconds, repaired = time_run(
-            lambda: repair_depth_matrix(new_graph, batch, cached)[0],
-            repeats,
-        )
+        repair = BestOf()
+        for _ in range(repeats):
+            with repair:
+                repaired = repair_depth_matrix(new_graph, batch, cached)[0]
         if not np.array_equal(repaired, scratch):
             raise AssertionError(
                 f"repair diverged from scratch at {fraction:.1%}"
             )
 
-        recompute_seconds, _ = time_run(
-            lambda: IBFS(
-                new_graph, IBFSConfig(group_size=num_sources)
-            ).run_group(sources).depths,
-            repeats,
-        )
+        recompute = BestOf()
+        for _ in range(repeats):
+            with recompute:
+                IBFS(
+                    new_graph, IBFSConfig(group_size=num_sources)
+                ).run_group(sources)
         speedup = (
-            recompute_seconds / repair_seconds
-            if repair_seconds > 0 else float("inf")
+            recompute.seconds / repair.seconds
+            if repair.seconds > 0 else float("inf")
         )
-        entry = {
-            "insert_fraction": fraction,
-            "insert_edges": count,
-            "plan_decision": plan.decision,
-            "repair_seconds": repair_seconds,
-            "recompute_seconds": recompute_seconds,
-            "speedup": speedup,
-            "bit_identical": True,
-        }
-        results.append(entry)
+        ledger.entries.append(LedgerEntry(
+            name=f"inserts-{fraction:.1%}",
+            metrics={"speedup": MetricPoint(speedup, HIGHER_IS_BETTER, "x")},
+            attrs={
+                "insert_fraction": fraction,
+                "insert_edges": count,
+                "plan_decision": plan.decision,
+                "repair_seconds": repair.seconds,
+                "recompute_seconds": recompute.seconds,
+            },
+        ))
         print(
-            f"[{fraction:.1%} = {count} edges] repair {repair_seconds:.4f}s"
-            f"  recompute {recompute_seconds:.4f}s  "
+            f"[{fraction:.1%} = {count} edges] repair {repair.seconds:.4f}s"
+            f"  recompute {recompute.seconds:.4f}s  "
             f"speedup {speedup:.2f}x  plan={plan.decision}",
             flush=True,
         )
-        if speedup < args.min_speedup:
+        if speedup < MIN_SPEEDUP:
             failures.append(
                 f"{fraction:.1%} batch: repair speedup {speedup:.2f}x "
-                f"below required {args.min_speedup:.2f}x"
+                f"below required {MIN_SPEEDUP:.2f}x"
             )
 
     # End-to-end churn serving: insert-only churn must keep every
@@ -198,12 +175,13 @@ def main(argv=None):
         epochs = load.metrics["epochs"]
     finally:
         server.close()
+    hit_rate = load.metrics["cache"]["hit_rate"]
     print(
         f"[churn] {load.completed} completed, "
         f"{epochs['published']} epochs, "
         f"{epochs['rows_repaired']} rows repaired, "
         f"{epochs['rows_dropped']} dropped, "
-        f"hit rate {load.metrics['cache']['hit_rate']:.2f}",
+        f"hit rate {hit_rate:.2f}",
         flush=True,
     )
     if epochs["rows_dropped"] != 0:
@@ -211,41 +189,44 @@ def main(argv=None):
             f"insert-only churn dropped {epochs['rows_dropped']} cached "
             "rows; repair should have kept them"
         )
-
-    check = {
-        "enforced": bool(args.check),
-        "min_speedup": args.min_speedup,
-        "failures": failures,
-        "passed": not failures,
-    }
-    payload = {
-        "benchmark": "stream_churn",
-        "mode": "quick" if args.quick else "full",
-        "repeats": repeats,
-        "metric": "host wall-clock seconds per cache refresh "
-                  "(best of repeats)",
-        "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=7",
-        "num_sources": num_sources,
-        "results": results,
-        "churn": {
+    ledger.entries.append(LedgerEntry(
+        name="churn",
+        metrics={
+            "sim_throughput": MetricPoint(
+                load.throughput, HIGHER_IS_BETTER, "1/s"
+            ),
+            "cache_hit_rate": MetricPoint(
+                hit_rate, HIGHER_IS_BETTER, "fraction"
+            ),
+            "rows_repaired": MetricPoint(
+                epochs["rows_repaired"], HIGHER_IS_BETTER, "count"
+            ),
+            "rows_dropped": MetricPoint(
+                epochs["rows_dropped"], LOWER_IS_BETTER, "count"
+            ),
+        },
+        attrs={
             "requests": churn_requests,
             "completed": load.completed,
-            "throughput": load.throughput,
-            "cache_hit_rate": load.metrics["cache"]["hit_rate"],
-            "epochs": {
-                k: v for k, v in epochs.items() if k != "history"
+            **{
+                k: v for k, v in epochs.items()
+                if k not in ("history", "rows_repaired", "rows_dropped")
             },
         },
-        "check": check,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {output}", flush=True)
+    ))
+    ledger.meta.update({
+        "metric": "recompute/repair host wall ratio per cache refresh "
+                  "(best of repeats); churn on the simulated clock",
+        "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=7",
+        "num_sources": num_sources,
+        "repeats": repeats,
+        "min_speedup": MIN_SPEEDUP,
+    })
+    return failures
 
-    if args.check and failures:
-        for failure in failures:
-            print(f"CHECK FAILED: {failure}", file=sys.stderr, flush=True)
-        return 1
-    return 0
+
+def main(argv=None):
+    return run_bench("stream", "stream_churn", measure, argv, __doc__)
 
 
 if __name__ == "__main__":

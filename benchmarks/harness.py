@@ -1,7 +1,10 @@
-"""Shared infrastructure for the per-figure benchmark harness.
+"""Shared infrastructure for the benchmark suite.
 
-Every ``bench_*.py`` file regenerates one table or figure from the
-paper's evaluation (section 8).  Conventions:
+Two kinds of benchmark live here.
+
+**Figure benches** (the ``bench_fig*``, ``bench_ablation_*`` and other
+pytest benches) each regenerate one table or figure from the paper's
+evaluation (section 8) from *simulated* metrics.  Conventions:
 
 * graphs come from :func:`repro.graph.benchmarks.benchmark_graph` at a
   scale controlled by the ``REPRO_BENCH_SCALE`` environment variable
@@ -14,13 +17,22 @@ paper's evaluation (section 8).  Conventions:
   EXPERIMENTS.md can reference stable artifacts;
 * pytest-benchmark measures harness wall time; the *simulated* metrics
   (TEPS, transactions) are attached as ``extra_info``.
+
+**Host wall-clock benches** (exec, dist, stream, plan, obs, native and
+the runtime dispatch gate) run as scripts.  Each times with
+:class:`repro.obs.BestOf`, fills a ``repro.bench-ledger/v1`` ledger and
+hands it to :func:`run_bench`, which owns their shared command line
+(``--quick``, ``--check``, ``--output``), the ``BENCH_<name>.json``
+path and the gate verdict.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +44,10 @@ from repro import (
     benchmark_graph,
 )
 from repro.graph.csr import CSRGraph
+from repro.obs.ledger import Ledger, save_ledger
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Graphs listed in the order the paper's figures use.
 ALL_GRAPHS = (
@@ -126,3 +140,58 @@ def run_once(benchmark, func):
     repeated timing rounds would only re-measure the harness itself.
     """
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def run_bench(
+    name: str,
+    benchmark: str,
+    measure: Callable[[argparse.Namespace, Ledger], List[str]],
+    argv: Optional[Sequence[str]] = None,
+    description: str = "",
+    add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None,
+) -> int:
+    """Command line of a host wall-clock bench; returns its exit status.
+
+    ``measure(args, ledger)`` runs the bench, fills ``ledger`` (whose
+    ``benchmark`` and ``mode`` are set here) and returns the gate
+    failures it found.  The ledger goes to ``--output`` or
+    ``BENCH_<name>.json`` at the repo root (``BENCH_<name>.quick.json``
+    with ``--quick``).  Under ``--check`` the verdict is recorded in
+    ``meta["check"]``, each failure is printed, and any failure makes
+    the exit status 1; without it failures are recorded nowhere and
+    the status is 0.  ``add_arguments`` adds a bench's own options.
+    """
+    parser = argparse.ArgumentParser(
+        description=description,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("--quick", action="store_true",
+                        help="the small CI shape")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless every gate passes")
+    parser.add_argument("--output", type=Path, default=None,
+                        help=f"ledger path (default: BENCH_{name}.json at "
+                             f"the repo root; BENCH_{name}.quick.json with "
+                             "--quick)")
+    if add_arguments is not None:
+        add_arguments(parser)
+    args = parser.parse_args(argv)
+
+    ledger = Ledger(benchmark=benchmark,
+                    mode="quick" if args.quick else "full")
+    failures = measure(args, ledger)
+    if args.check:
+        ledger.meta["check"] = {"passed": not failures, "failures": failures}
+    suffix = ".quick" if args.quick else ""
+    output = args.output or REPO_ROOT / f"BENCH_{name}{suffix}.json"
+    save_ledger(ledger, str(output))
+    print(f"wrote {output}")
+
+    if not args.check:
+        return 0
+    for failure in failures:
+        print(f"CHECK FAILED: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"{benchmark} check passed")
+    return 0

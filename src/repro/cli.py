@@ -23,8 +23,8 @@ run:
   waterfall + critical path, per-level rows, substrate comparison;
 * ``slo`` — replay a recorded trace through the declarative SLO
   engine and report burn rates and breach/resolve alerts;
-* ``bench-diff`` — compare two benchmark ledgers (new-schema or
-  legacy ``BENCH_*.json``) and flag regressions;
+* ``bench-diff`` — compare two ``repro.bench-ledger/v1`` benchmark
+  ledgers and flag regressions;
 * ``kernels`` — report whether this host runs the compiled kernels
   (``cext``) or the numpy fallback, and the warm-up cost.
 
@@ -618,18 +618,32 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 def cmd_bench_diff(args: argparse.Namespace) -> int:
     from repro import obs
+    from repro.errors import ObservabilityError
 
-    old = obs.load_ledger(args.old)
-    new = obs.load_ledger(args.new)
+    try:
+        old = obs.load_ledger(args.old)
+        new = obs.load_ledger(args.new)
+    except ObservabilityError as exc:
+        print(f"bench-diff: {exc}", file=sys.stderr)
+        return 1
     diff = obs.diff_ledgers(old, new, tolerance=args.tolerance)
     sys.stdout.write(
         obs.render_diff(diff, old_label=args.old, new_label=args.new)
     )
+    # Fail closed: a gate that compared nothing, or a candidate entry
+    # the baseline cannot vouch for, must not pass.
+    failures = []
     if diff.regressions:
-        print(f"bench-diff: {len(diff.regressions)} regression(s) "
-              f"beyond {args.tolerance:.0%} tolerance", file=sys.stderr)
-        return 1
-    return 0
+        failures.append(f"{len(diff.regressions)} regression(s) beyond "
+                        f"{args.tolerance:.0%} tolerance")
+    if diff.only_new:
+        failures.append("candidate entries missing from the baseline: "
+                        + ", ".join(diff.only_new))
+    if not diff.deltas:
+        failures.append("no metric was compared")
+    for failure in failures:
+        print(f"bench-diff: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_kernels(args: argparse.Namespace) -> int:
@@ -826,8 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bdiff = sub.add_parser(
         "bench-diff",
-        help="compare two benchmark ledgers (new-schema or legacy "
-             "BENCH_*.json) and flag regressions",
+        help="compare two repro.bench-ledger/v1 ledgers and flag "
+             "regressions",
     )
     bdiff.add_argument("old", help="baseline ledger path")
     bdiff.add_argument("new", help="candidate ledger path")

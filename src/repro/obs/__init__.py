@@ -24,9 +24,10 @@ decisions:
 * :mod:`repro.obs.slo` — declarative SLO specs evaluated as
   rolling-window burn rates with typed breach/resolve alerts
   (``repro slo``);
-* :mod:`repro.obs.ledger` — the ``repro.bench-ledger/v1`` schema over
-  the ``BENCH_*.json`` files and the regression diff behind
-  ``repro bench-diff``.
+* :mod:`repro.obs.ledger` — the ``repro.bench-ledger/v1`` schema every
+  ``BENCH_*.json`` is written in, the regression diff behind
+  ``repro bench-diff``, and the best-of timer the host benchmarks
+  measure with.
 
 See ``docs/observability.md`` for the span schema, metric naming
 conventions, exporter formats, and the analysis/SLO layers.
@@ -57,6 +58,7 @@ from repro.obs.export import (
 )
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
+    BestOf,
     Ledger,
     LedgerEntry,
     MetricPoint,
@@ -104,6 +106,7 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
+    "BestOf",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",

@@ -1,33 +1,27 @@
-"""A schema'd perf ledger over the ``BENCH_*.json`` zoo.
+"""The perf ledger every host benchmark writes, and its diff.
 
-Eight benchmark harnesses grew eight ad-hoc result payloads: same
-spirit (named configurations, numeric measurements, a mode and a
-metric string), no shared shape, so nothing could diff one run against
-another without bespoke parsing.  This module pins one schema —
-``repro.bench-ledger/v1`` — and two operations over it:
+One schema — ``repro.bench-ledger/v1`` — holds every ``BENCH_*.json``
+and every perfbench run: a benchmark name, a mode, free-form ``meta``,
+and named entries of ``{value, direction, unit}`` metric points plus
+free-form attrs.  A metric is a value worth comparing run to run (a
+ratio, a simulated quantity, an overhead fraction) and always states
+its direction; host seconds, configuration and other context live in
+attrs or meta.  On top of it:
 
-* **conversion** — :meth:`Ledger.from_legacy` lifts any of the
-  historical payloads into the schema mechanically: non-result
-  top-level fields become ledger ``meta``, each result's numeric
-  leaves (flattened by dotted path) become metric points, everything
-  else becomes entry attrs.  :func:`load_ledger` sniffs the schema
-  field, so ``repro bench-diff`` accepts old and new files alike.
-* **diffing** — :func:`diff_ledgers` matches entries by name and
-  metrics by key, classifies each delta against the metric's
-  *direction* (seconds regress upward, TEPS regress downward), and
-  flags changes beyond a tolerance — the regression gate CI runs via
-  ``repro bench-diff`` (nonzero exit on any flagged metric).
-
-Directions come from name heuristics (:func:`direction_for`) because
-the legacy payloads never recorded them; ledger-native writers may
-override per metric.
+* :func:`diff_ledgers` matches entries by name and metrics by key,
+  classifies each delta against the metric's recorded direction, and
+  flags changes beyond a tolerance — the regression gate behind
+  ``repro bench-diff``;
+* :class:`BestOf` is the one wall-clock timer the host benchmarks
+  measure with: the minimum over the regions it times.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ObservabilityError
 
@@ -36,26 +30,7 @@ LEDGER_SCHEMA = "repro.bench-ledger/v1"
 #: Metric directions.
 LOWER_IS_BETTER = "lower"
 HIGHER_IS_BETTER = "higher"
-
-#: Name fragments marking a metric where bigger numbers are wins.
-_HIGHER_TOKENS = (
-    "teps", "speedup", "throughput", "hit_rate", "hits", "qps",
-)
-
-
-def direction_for(metric_name: str) -> str:
-    """Heuristic direction for a metric name.
-
-    Anything smelling of rate-of-work (TEPS, speedup, throughput)
-    improves upward; everything else — seconds, overhead ratios,
-    bytes, rounds, counts — improves downward, which is the right
-    default for a benchmark ledger.
-    """
-    lowered = metric_name.lower()
-    for token in _HIGHER_TOKENS:
-        if token in lowered:
-            return HIGHER_IS_BETTER
-    return LOWER_IS_BETTER
+DIRECTIONS = (LOWER_IS_BETTER, HIGHER_IS_BETTER)
 
 
 @dataclass(frozen=True)
@@ -63,8 +38,15 @@ class MetricPoint:
     """One measured value with its improvement direction."""
 
     value: float
-    direction: str = LOWER_IS_BETTER
+    direction: str
     unit: str = ""
+
+    def __post_init__(self) -> None:
+        if self.direction not in DIRECTIONS:
+            raise ObservabilityError(
+                f"metric direction must be {LOWER_IS_BETTER!r} or "
+                f"{HIGHER_IS_BETTER!r}, got {self.direction!r}"
+            )
 
     def to_dict(self) -> dict:
         out = {"value": self.value, "direction": self.direction}
@@ -76,7 +58,7 @@ class MetricPoint:
     def from_dict(cls, payload: dict) -> "MetricPoint":
         return cls(
             value=float(payload["value"]),
-            direction=payload.get("direction", LOWER_IS_BETTER),
+            direction=payload.get("direction"),
             unit=payload.get("unit", ""),
         )
 
@@ -155,105 +137,41 @@ class Ledger:
             ],
         )
 
-    # ------------------------------------------------------------------
-    # Legacy conversion
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_legacy(cls, payload: dict) -> "Ledger":
-        """Lift a historical ``BENCH_*.json`` payload into the schema.
-
-        Top-level fields other than ``results`` become ``meta``; each
-        result's numeric leaves (ints and floats, flattened by dotted
-        path; bools excluded) become metric points with heuristic
-        directions, the rest entry attrs.  Entries without a ``name``
-        are named from their first scalar discriminator (the stream
-        bench keys results by ``insert_fraction``) or positionally.
-        """
-        results = payload.get("results", [])
-        if not isinstance(results, list):
-            raise ObservabilityError(
-                "legacy payload has no results list to convert"
-            )
-        meta = {
-            k: v for k, v in payload.items() if k != "results"
-        }
-        entries: List[LedgerEntry] = []
-        used_names: Dict[str, int] = {}
-        for index, result in enumerate(results):
-            if not isinstance(result, dict):
-                raise ObservabilityError(
-                    f"legacy result #{index} is not an object"
-                )
-            name = result.get("name")
-            if name is None:
-                name = _synthesize_name(result, index)
-            # De-duplicate defensively; diffing matches by name.
-            bump = used_names.get(name)
-            used_names[name] = (bump or 0) + 1
-            if bump:
-                name = f"{name}#{bump + 1}"
-            metrics: Dict[str, MetricPoint] = {}
-            attrs: Dict[str, object] = {}
-            for key, value in _flatten(result):
-                if key == "name":
-                    continue
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    attrs[key] = value
-                else:
-                    metrics[key] = MetricPoint(
-                        value=float(value),
-                        direction=direction_for(key),
-                    )
-            entries.append(
-                LedgerEntry(name=str(name), metrics=metrics, attrs=attrs)
-            )
-        return cls(
-            benchmark=str(payload.get("benchmark", "unknown")),
-            mode=str(payload.get("mode", "")),
-            meta=meta,
-            entries=entries,
-        )
-
-
-def _synthesize_name(result: dict, index: int) -> str:
-    for key in ("insert_fraction", "config", "id", "label"):
-        if key in result:
-            return f"{key}={result[key]}"
-    return f"entry-{index}"
-
-
-def _flatten(payload: dict, prefix: str = "") -> List[Tuple[str, object]]:
-    out: List[Tuple[str, object]] = []
-    for key, value in payload.items():
-        path = f"{prefix}{key}"
-        if isinstance(value, dict):
-            out.extend(_flatten(value, prefix=f"{path}."))
-        elif isinstance(value, list):
-            # Lists are opaque attrs; per-element metrics would explode
-            # the namespace without being diffable run to run.
-            out.append((path, value))
-        else:
-            out.append((path, value))
-    return out
-
 
 def load_ledger(path: str) -> Ledger:
-    """Read a ledger file, converting legacy payloads transparently."""
+    """Read a ``repro.bench-ledger/v1`` file; anything else is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
-        raise ObservabilityError(f"{path!r} is not a benchmark payload")
-    if payload.get("schema") == LEDGER_SCHEMA:
-        return Ledger.from_dict(payload)
-    return Ledger.from_legacy(payload)
+        raise ObservabilityError(f"{path!r} is not a bench ledger")
+    return Ledger.from_dict(payload)
 
 
 def save_ledger(ledger: Ledger, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(ledger.to_dict(), fh, indent=2)
         fh.write("\n")
+
+
+class BestOf:
+    """Minimum host wall seconds over the regions timed with it.
+
+    ``with timer: work()`` times one region; repeating it keeps the
+    best.  Setup written outside the ``with`` block stays untimed, and
+    two timers entered in turn time two interleaved paths under the
+    same host conditions.  ``seconds`` is ``inf`` until a region ends.
+    """
+
+    def __init__(self) -> None:
+        self.seconds = float("inf")
+        self._start = 0.0
+
+    def __enter__(self) -> "BestOf":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.seconds = min(self.seconds, time.perf_counter() - self._start)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +237,7 @@ def diff_ledgers(
             after = counterpart.metrics.get(metric_name)
             if after is None:
                 continue
-            direction = before.direction or direction_for(metric_name)
+            direction = before.direction
             change = (
                 (after.value - before.value) / abs(before.value)
                 if before.value != 0

@@ -202,6 +202,78 @@ def test_bench_diff_tolerance_silences_flags(capsys):
     assert "0 regressed" in capsys.readouterr().out
 
 
+def _write_ledger(path, entries):
+    path.write_text(json.dumps({
+        "schema": "repro.bench-ledger/v1",
+        "benchmark": "kernel_walltime",
+        "entries": entries,
+    }))
+    return str(path)
+
+
+def _speedup_entry(name, value):
+    return {"name": name,
+            "metrics": {"speedup": {"value": value, "direction": "higher"}}}
+
+
+def test_bench_diff_fails_on_renamed_candidate_entry(tmp_path, capsys):
+    """A renamed entry compares nothing; its collapsed speedup must not
+    slip through as a clean diff."""
+    old = _write_ledger(tmp_path / "old.json",
+                        [_speedup_entry("bitwise-rmat15-ef2-gs64", 2.4)])
+    new = _write_ledger(tmp_path / "new.json",
+                        [_speedup_entry("bitwise-rmat15-ef2-g64", 0.3)])
+    rc = main(["bench-diff", old, new])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "0 metrics compared" in captured.out
+    assert "missing from the baseline: bitwise-rmat15-ef2-g64" in captured.err
+    assert "no metric was compared" in captured.err
+
+
+def test_bench_diff_fails_when_no_metric_is_compared(tmp_path, capsys):
+    old = _write_ledger(tmp_path / "old.json",
+                        [{"name": "a", "metrics": {}}])
+    rc = main(["bench-diff", old, old])
+    assert rc == 1
+    assert "no metric was compared" in capsys.readouterr().err
+
+
+def test_bench_diff_allows_baseline_only_entries(tmp_path, capsys):
+    """A quick run covers a subset of the full baseline's entries."""
+    old = _write_ledger(tmp_path / "old.json", [
+        _speedup_entry("quick-config", 2.4),
+        _speedup_entry("full-only-config", 2.0),
+    ])
+    new = _write_ledger(tmp_path / "new.json",
+                        [_speedup_entry("quick-config", 2.3)])
+    rc = main(["bench-diff", old, new, "--tolerance", "0.5"])
+    assert rc == 0
+    assert "1 metrics compared" in capsys.readouterr().out
+
+
+def test_bench_diff_refuses_metric_without_direction(tmp_path, capsys):
+    old = _write_ledger(tmp_path / "old.json",
+                        [_speedup_entry("cfg", 2.4)])
+    new = _write_ledger(tmp_path / "new.json", [
+        {"name": "cfg", "metrics": {"speedup": {"value": 0.3}}},
+    ])
+    rc = main(["bench-diff", old, new])
+    assert rc == 1
+    assert "direction" in capsys.readouterr().err
+
+
+def test_bench_diff_refuses_legacy_payload(tmp_path, capsys):
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({
+        "benchmark": "kernel_walltime",
+        "results": [{"name": "cfg", "speedup": 2.4}],
+    }))
+    rc = main(["bench-diff", str(legacy), str(legacy)])
+    assert rc == 1
+    assert "not a bench ledger" in capsys.readouterr().err
+
+
 def test_metrics_dump_still_reads_serve_trace(serve_trace, capsys):
     rc = main(["metrics-dump", serve_trace])
     out = capsys.readouterr().out

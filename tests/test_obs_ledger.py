@@ -1,20 +1,27 @@
-"""The unified bench ledger: schema, legacy conversion, diffing."""
+"""The unified bench ledger: schema, directions, the committed
+ledgers, the best-of timer, diffing."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import repro.obs.ledger as ledger_module
 from repro.errors import ObservabilityError
 from repro.obs.ledger import (
     HIGHER_IS_BETTER,
     LEDGER_SCHEMA,
     LOWER_IS_BETTER,
+    BestOf,
     Ledger,
     LedgerEntry,
     MetricPoint,
     diff_ledgers,
-    direction_for,
     load_ledger,
     render_diff,
     save_ledger,
@@ -23,6 +30,12 @@ from repro.obs.ledger import (
 FIXTURES = str(Path(__file__).parent / "data")
 REPO_ROOT = str(Path(__file__).parent.parent)
 
+#: Directions of the metrics the diff tests build ledgers from.
+METRIC_DIRECTIONS = {
+    "run_seconds": LOWER_IS_BETTER,
+    "throughput_teps": HIGHER_IS_BETTER,
+}
+
 
 def make_ledger(**metrics):
     return Ledger(
@@ -30,24 +43,25 @@ def make_ledger(**metrics):
         mode="quick",
         entries=[LedgerEntry(
             name="e",
-            metrics={k: MetricPoint(value=v, direction=direction_for(k))
+            metrics={k: MetricPoint(v, METRIC_DIRECTIONS[k])
                      for k, v in metrics.items()},
         )],
     )
 
 
-class TestDirections:
-    @pytest.mark.parametrize("name", [
-        "throughput_teps", "speedup", "cache_hit_rate", "hits", "qps",
-    ])
-    def test_higher_is_better(self, name):
-        assert direction_for(name) == HIGHER_IS_BETTER
+def committed_ledger_paths():
+    return sorted(
+        p for p in Path(REPO_ROOT).glob("BENCH_*.json")
+        if not p.name.endswith(".quick.json")
+    )
 
-    @pytest.mark.parametrize("name", [
-        "run_seconds", "overhead", "nbytes", "rounds", "latency_p99",
-    ])
-    def test_lower_is_better(self, name):
-        assert direction_for(name) == LOWER_IS_BETTER
+
+def metric_shape(ledger):
+    """Entry names -> metric names -> directions."""
+    return {
+        e.name: {k: m.direction for k, m in e.metrics.items()}
+        for e in ledger.entries
+    }
 
 
 class TestSchema:
@@ -58,7 +72,7 @@ class TestSchema:
             meta={"repeats": 3},
             entries=[LedgerEntry(
                 name="a",
-                metrics={"run_seconds": MetricPoint(0.5, unit="s")},
+                metrics={"run_seconds": MetricPoint(0.5, LOWER_IS_BETTER, "s")},
                 attrs={"batch_size": 32},
             )],
         )
@@ -81,78 +95,101 @@ class TestSchema:
         with pytest.raises(ObservabilityError, match="unique"):
             Ledger.from_dict(payload)
 
+    @pytest.mark.parametrize("direction", ["", "up", "Higher", None])
+    def test_metric_point_accepts_only_lower_or_higher(self, direction):
+        with pytest.raises(ObservabilityError, match="direction"):
+            MetricPoint(1.0, direction)
 
-class TestLegacyConversion:
-    def test_numeric_leaves_become_metrics(self):
+    def test_from_dict_refuses_metric_without_direction(self):
         payload = {
-            "benchmark": "serve",
-            "mode": "quick",
-            "repeats": 3,
-            "results": [{
-                "name": "batch32",
-                "run_seconds": 0.5,
-                "throughput_teps": 1e6,
-                "engine": "bitwise",
-                "cache": {"hits": 10, "misses": 2},
-                "depths": [1, 2, 3],
-                "converged": True,
+            "schema": LEDGER_SCHEMA,
+            "entries": [{
+                "name": "bitwise-rmat15-ef2-gs64",
+                "metrics": {"speedup": {"value": 2.4}},
             }],
         }
-        ledger = Ledger.from_legacy(payload)
-        assert ledger.benchmark == "serve"
-        assert ledger.meta == {
-            "benchmark": "serve", "mode": "quick", "repeats": 3,
-        }
-        (entry,) = ledger.entries
-        assert entry.name == "batch32"
-        assert entry.metrics["run_seconds"].value == 0.5
-        assert entry.metrics["run_seconds"].direction == LOWER_IS_BETTER
-        assert entry.metrics["throughput_teps"].direction == HIGHER_IS_BETTER
-        # Nested dicts flatten by dotted path.
-        assert entry.metrics["cache.hits"].value == 10.0
-        # Non-numerics (and bools, and lists) land in attrs.
-        assert entry.attrs["engine"] == "bitwise"
-        assert entry.attrs["converged"] is True
-        assert entry.attrs["depths"] == [1, 2, 3]
+        with pytest.raises(ObservabilityError, match="direction"):
+            Ledger.from_dict(payload)
 
-    def test_nameless_entries_use_discriminator_then_position(self):
-        payload = {"results": [
-            {"insert_fraction": 0.5, "seconds": 1.0},
-            {"seconds": 2.0},
-        ]}
-        ledger = Ledger.from_legacy(payload)
-        assert [e.name for e in ledger.entries] == [
-            "insert_fraction=0.5", "entry-1",
-        ]
-
-    def test_duplicate_names_deduped(self):
-        payload = {"results": [
-            {"name": "a", "seconds": 1.0},
-            {"name": "a", "seconds": 2.0},
-        ]}
-        ledger = Ledger.from_legacy(payload)
-        assert [e.name for e in ledger.entries] == ["a", "a#2"]
-
-    def test_missing_results_rejected(self):
-        with pytest.raises(ObservabilityError, match="results"):
-            Ledger.from_legacy({"results": "nope"})
-
-    def test_load_ledger_sniffs_legacy(self, tmp_path):
+    def test_load_ledger_refuses_legacy(self, tmp_path):
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps({
             "benchmark": "old", "results": [{"name": "x", "seconds": 1.0}],
         }))
-        ledger = load_ledger(str(path))
-        assert ledger.benchmark == "old"
-        assert ledger.entry("x").metrics["seconds"].value == 1.0
+        with pytest.raises(ObservabilityError, match="not a bench ledger"):
+            load_ledger(str(path))
 
-    def test_repo_bench_obs_loads_as_ledger(self):
-        ledger = load_ledger(f"{REPO_ROOT}/BENCH_obs.json")
-        assert ledger.benchmark == "obs_overhead"
-        names = [e.name for e in ledger.entries]
-        assert len(names) == len(set(names)) and names
-        for entry in ledger.entries:
-            assert "overhead" in entry.metrics
+    def test_repo_bench_files_load_as_ledgers(self):
+        paths = committed_ledger_paths()
+        assert len(paths) >= 7
+        for path in paths:
+            payload = json.loads(path.read_text())
+            ledger = Ledger.from_dict(payload)
+            names = [e.name for e in ledger.entries]
+            assert names and len(names) == len(set(names)), path.name
+            for entry in payload["entries"]:
+                assert entry["metrics"], (path.name, entry["name"])
+                for key, metric in entry["metrics"].items():
+                    where = (path.name, entry["name"], key)
+                    assert metric["direction"] in (
+                        LOWER_IS_BETTER, HIGHER_IS_BETTER
+                    ), where
+                    assert metric["unit"], where
+
+    def test_plan_writer_matches_committed_ledger(self, tmp_path):
+        """The plan bench's metrics are simulated, so a quick run ties
+        the committed BENCH_plan.json to the code that writes it."""
+        output = tmp_path / "BENCH_plan.quick.json"
+        env = dict(os.environ, PYTHONPATH=f"{REPO_ROOT}/src")
+        completed = subprocess.run(
+            [sys.executable, f"{REPO_ROOT}/benchmarks/bench_plan_policies.py",
+             "--quick", "--output", str(output)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        written = load_ledger(str(output))
+        committed = load_ledger(f"{REPO_ROOT}/BENCH_plan.json")
+        assert written.benchmark == committed.benchmark
+        assert metric_shape(written) == metric_shape(committed)
+
+
+class TestBestOf:
+    def test_keeps_the_fastest_region(self, monkeypatch):
+        ticks = iter([0.0, 3.0, 10.0, 11.0, 20.0, 22.0])
+        monkeypatch.setattr(ledger_module, "time", SimpleNamespace(
+            perf_counter=lambda: next(ticks)
+        ))
+        timer = BestOf()
+        assert timer.seconds == float("inf")
+        for _ in range(3):
+            with timer:
+                pass
+        assert timer.seconds == 1.0
+
+    def test_interleaved_timers_time_only_their_own_regions(
+        self, monkeypatch
+    ):
+        # a: 0 -> 2 and 7 -> 8; b: 2 -> 7 and 8 -> 12; the untimed
+        # setup between regions (12 -> 30) is charged to neither.
+        ticks = iter([0.0, 2.0, 2.0, 7.0, 7.0, 8.0, 8.0, 12.0, 30.0, 33.0])
+        monkeypatch.setattr(ledger_module, "time", SimpleNamespace(
+            perf_counter=lambda: next(ticks)
+        ))
+        a, b = BestOf(), BestOf()
+        for _ in range(2):
+            with a:
+                pass
+            with b:
+                pass
+        with a:
+            pass
+        assert (a.seconds, b.seconds) == (1.0, 4.0)
+
+    def test_times_real_work(self):
+        timer = BestOf()
+        with timer:
+            time.sleep(0.01)
+        assert 0.01 <= timer.seconds < 5.0
 
 
 class TestDiff:
