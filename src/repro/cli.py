@@ -76,7 +76,6 @@ def _substrate_spec(args: argparse.Namespace) -> Optional[SubstrateSpec]:
             workers=getattr(args, "workers", 0),
             partitions=getattr(args, "partitions", 0),
             layout=getattr(args, "layout", "1d"),
-            scheduler=getattr(args, "scheduler", "steal"),
             churn=getattr(args, "churn", 0) > 0,
         )
     except SubstrateError as exc:
@@ -187,7 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"early terminations: {result.counters.early_terminations:,}")
     if exec_stats is not None:
         print(f"exec backend      : {exec_stats.backend} "
-              f"({exec_stats.num_workers} workers, {exec_stats.scheduler})")
+              f"({exec_stats.num_workers} workers)")
         print(f"wall clock        : {exec_stats.wall_seconds * 1e3:.1f} ms")
         print(f"steals/retries    : {exec_stats.steals}/{exec_stats.retries}")
         if exec_stats.degraded:
@@ -475,7 +474,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         _print_epoch_summary(result.metrics)
     if exec_stats is not None:
         print(f"  exec backend      : {exec_stats.backend} "
-              f"({exec_stats.num_workers} workers, {exec_stats.scheduler})")
+              f"({exec_stats.num_workers} workers)")
     _print_slo_summary(slo_engine)
     if args.metrics_json:
         import json
@@ -724,9 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(0 = whole-graph, the default)")
     run.add_argument("--layout", choices=("1d", "2d"), default="1d",
                      help="partition layout (with --partitions)")
-    run.add_argument("--scheduler", choices=("steal", "lpt", "round_robin"),
-                     default="steal",
-                     help="group dispatch policy (with --workers)")
     run.add_argument("--fail-fast", action="store_true",
                      help="raise on the first worker fault instead of "
                           "retrying within the fault budget")
@@ -895,10 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=0,
                        help="execute batches on a worker-process pool "
                             "(0 = in-process, the default)")
-    serve.add_argument("--scheduler",
-                       choices=("steal", "lpt", "round_robin"),
-                       default="steal",
-                       help="group dispatch policy (with --workers)")
     serve.add_argument("--partitions", type=int, default=0,
                        help="serve batches on the partitioned engine "
                             "over this many graph partitions (0 = "

@@ -36,7 +36,6 @@ from repro.core.frontier import (
 from repro.core.joint import JointTraversal
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.engine import IBFS, IBFSConfig
-from repro.core.distributed import DistributedIBFS, DistributedResult
 from repro.core.theory import (
     Lemma1Report,
     verify_lemma1,
@@ -65,8 +64,6 @@ __all__ = [
     "BitwiseTraversal",
     "IBFS",
     "IBFSConfig",
-    "DistributedIBFS",
-    "DistributedResult",
     "Lemma1Report",
     "verify_lemma1",
     "early_sharing_rank",

@@ -4,7 +4,8 @@
 them: sources are partitioned into groups of at most ``N`` (bounded by
 the device-memory capacity rule of section 3), each group runs as one
 joint kernel (JSA- or BSA-based), and groups execute serially on one
-device or are scheduled across a simulated cluster.
+device.  A multi-device schedule prices the result's per-group times:
+``Cluster(k).run(result.group_times())`` (section 8.3, figure 17).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cluster import Cluster
 from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
 from repro.obs import profile as obs_profile
@@ -196,14 +196,9 @@ class IBFS:
         sources: Sequence[int],
         max_depth: Optional[int] = None,
         store_depths: bool = True,
-        cluster: Optional[Cluster] = None,
     ) -> ConcurrentResult:
-        """Traverse from all sources.
-
-        Groups run serially on this engine's device; pass ``cluster`` to
-        instead schedule the groups across multiple simulated devices
-        (figure 17), in which case ``seconds`` is the cluster makespan.
-        """
+        """Traverse from all sources; groups run serially on this
+        engine's device, so ``seconds`` is the sum of group times."""
         sources = [int(s) for s in sources]
         if not sources:
             raise TraversalError("at least one source is required")
@@ -224,10 +219,7 @@ class IBFS:
                     for row, source in enumerate(group):
                         depth_rows[source] = part.depths[row]
 
-        if cluster is not None:
-            seconds = cluster.run([g.seconds for g in group_stats]).makespan
-        else:
-            seconds = sum(g.seconds for g in group_stats)
+        seconds = sum(g.seconds for g in group_stats)
 
         matrix = None
         if sole_depths is not None:
@@ -251,12 +243,10 @@ class IBFS:
         self,
         max_depth: Optional[int] = None,
         store_depths: bool = False,
-        cluster: Optional[Cluster] = None,
     ) -> ConcurrentResult:
         """All-pairs shortest path: traverse from every vertex (i = |V|)."""
         return self.run(
             range(self.graph.num_vertices),
             max_depth=max_depth,
             store_depths=store_depths,
-            cluster=cluster,
         )

@@ -5,14 +5,14 @@ Splits a CSR graph into 1D vertex-range or 2D edge-block partitions
 across them with a per-level frontier exchange whose wire format —
 dense bitmask vs sparse list — is chosen per level and recorded into
 the run plan (:mod:`repro.dist.exchange`, :mod:`repro.dist.engine`),
-and prices the communication with the cost models of
+and prices the communication with the cost model of
 :mod:`repro.dist.comm`.  Every partition runs in this process, so the
-models price the exchange a real cluster would make.  Depth matrices
+model prices the exchange a real cluster would make.  Depth matrices
 are bit-identical to serial :meth:`repro.core.engine.IBFS.run` under
 every layout, partition count and wire format.
 """
 
-from repro.dist.comm import ClusterCommModel, CommCostModel, LevelCost
+from repro.dist.comm import CommCostModel, LevelCost
 from repro.dist.engine import (
     MAX_GROUP_SIZE,
     DistConfig,
@@ -39,7 +39,6 @@ from repro.dist.partition import (
 
 __all__ = [
     "BALANCE_MODES",
-    "ClusterCommModel",
     "CommCostModel",
     "DistConfig",
     "DistStats",

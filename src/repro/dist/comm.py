@@ -8,21 +8,15 @@ measured.  A level costs
 ``max_p(compute_p) + messages * latency + bytes / bandwidth``
 
 — per-partition edge scans overlap, the exchange is a synchronous
-barrier.  :class:`ClusterCommModel` is the simulated-device variant: it
-schedules the per-partition compute durations on a
-:class:`repro.gpusim.cluster.Cluster`, so fewer physical devices than
-partitions (or a non-trivial scheduler) shows up as a longer simulated
-level, exactly like the group-level cluster model of section 8.3.
+barrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.errors import SimulationError
-from repro.gpusim.cluster import Cluster, Scheduler, schedule_lpt
-from repro.gpusim.config import DeviceConfig
 
 
 @dataclass(frozen=True)
@@ -85,48 +79,4 @@ class CommCostModel:
         return LevelCost(
             compute_seconds=compute,
             exchange_seconds=self.exchange_seconds(nbytes, messages),
-        )
-
-
-class ClusterCommModel:
-    """Simulated-device pricing: per-partition compute durations are
-    scheduled on a :class:`~repro.gpusim.cluster.Cluster` of
-    ``num_devices`` simulated GPUs (partitions share devices when there
-    are fewer devices than partitions) and the level's compute term is
-    the cluster makespan."""
-
-    def __init__(
-        self,
-        num_devices: int,
-        comm: Optional[CommCostModel] = None,
-        device_config: Optional[DeviceConfig] = None,
-        scheduler: Scheduler = schedule_lpt,
-    ) -> None:
-        if num_devices <= 0:
-            raise SimulationError("num_devices must be positive")
-        self.num_devices = num_devices
-        self.comm = comm or CommCostModel()
-        self.cluster = Cluster(num_devices, device_config, scheduler)
-        #: Per-device busy seconds accumulated across priced levels.
-        self.device_seconds: List[float] = [0.0] * num_devices
-
-    def price_level(
-        self,
-        per_partition_edges: Sequence[int],
-        nbytes: int,
-        messages: int,
-    ) -> LevelCost:
-        durations = [
-            self.comm.compute_seconds(e) for e in per_partition_edges
-        ]
-        if durations:
-            outcome = self.cluster.run(durations)
-            compute = float(outcome.makespan)
-            for device, busy in enumerate(outcome.device_times):
-                self.device_seconds[device] += float(busy)
-        else:
-            compute = 0.0
-        return LevelCost(
-            compute_seconds=compute,
-            exchange_seconds=self.comm.exchange_seconds(nbytes, messages),
         )

@@ -20,7 +20,7 @@ Depths depend only on the edge set, so the merged ``(group, |V|)``
 matrix is bit-identical to serial :meth:`repro.core.engine.IBFS.run`
 for every layout, partition count, and wire format.  What the knobs
 change is the *communication*: per-level bytes and messages are
-accounted exactly and priced by the :mod:`repro.dist.comm` cost models,
+accounted exactly and priced by the :mod:`repro.dist.comm` cost model,
 and the per-level format choice is recorded into the run's
 :class:`~repro.plan.types.RunPlan` (via the ``exchange`` field of
 :class:`~repro.plan.types.LevelDecision`) so a replay re-sends exactly
@@ -28,7 +28,7 @@ the recorded bytes.
 
 Every partition runs in this process, one after another, so host wall
 time prices the partitioning overhead, not parallel speed-up; the
-parallel cost of a level is what the comm models price.
+parallel cost of a level is what the comm model prices.
 """
 
 from __future__ import annotations
@@ -339,7 +339,6 @@ class PartitionedEngine:
         self,
         graph: CSRGraph,
         config: Optional[DistConfig] = None,
-        cost_model: Optional[object] = None,
     ) -> None:
         self.graph = graph
         self.config = config or DistConfig()
@@ -351,7 +350,7 @@ class PartitionedEngine:
         )
         self.partitions = self.partitioner.build()
         check_partition_cover(graph, self.partitions)
-        self.cost_model = cost_model or CommCostModel()
+        self.cost_model = CommCostModel()
         self.exchange_policy = ExchangePolicy(
             self.config.exchange, self.config.exchange_threshold
         )

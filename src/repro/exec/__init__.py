@@ -6,8 +6,8 @@ groups need no communication, so scaling is purely a placement problem
 
 * :mod:`repro.exec.shm` — zero-copy CSR graph publication over
   ``multiprocessing.shared_memory`` (refcounted, fingerprint-keyed);
-* :mod:`repro.exec.scheduler` — predicted-cost dispatch reusing the
-  cluster's LPT/round-robin policies plus a work-stealing task board;
+* :mod:`repro.exec.scheduler` — the degree-sum cost model and the
+  work-stealing task board the cluster's LPT pre-assignment fills;
 * :mod:`repro.exec.worker` — the persistent worker process loop;
 * :mod:`repro.exec.faults` — deterministic fault injection, the
   crash/timeout/retry budget, and the fault event log;
@@ -17,16 +17,7 @@ groups need no communication, so scaling is purely a placement problem
 
 from repro.exec.executor import ExecConfig, ExecStats, GroupExecutor
 from repro.exec.faults import FaultEvent, FaultLog, FaultPlan, FaultPolicy
-from repro.exec.scheduler import (
-    SCHEDULER_NAMES,
-    CostModel,
-    DispatchPolicy,
-    LPTDispatch,
-    RoundRobinDispatch,
-    TaskBoard,
-    WorkStealingDispatch,
-    get_policy,
-)
+from repro.exec.scheduler import CostModel, TaskBoard
 from repro.exec.shm import (
     AttachedGraph,
     SharedArraySpec,
@@ -47,14 +38,8 @@ __all__ = [
     "FaultLog",
     "FaultPlan",
     "FaultPolicy",
-    "SCHEDULER_NAMES",
     "CostModel",
-    "DispatchPolicy",
-    "LPTDispatch",
-    "RoundRobinDispatch",
     "TaskBoard",
-    "WorkStealingDispatch",
-    "get_policy",
     "AttachedGraph",
     "SharedArraySpec",
     "SharedGraphHandle",

@@ -8,10 +8,9 @@ this module does.  The parent process
 1. publishes the CSR graph into shared memory once
    (:mod:`repro.exec.shm`),
 2. forms groups with the *same* GroupBy code the serial engine uses,
-3. pre-assigns them to persistent worker processes through a pluggable
-   dispatch policy (:mod:`repro.exec.scheduler`) and hands idle workers
-   work one task at a time — stealing from loaded peers' deques under
-   the default policy,
+3. pre-assigns them to persistent worker processes by predicted cost
+   (LPT, :mod:`repro.exec.scheduler`) and hands idle workers work one
+   task at a time, stealing from loaded peers' deques,
 4. watches for worker crashes and hangs, retrying tasks within the
    :class:`~repro.exec.faults.FaultPolicy` budget and rebuilding the
    whole pool on fresh queues when a worker is lost, degrading to
@@ -21,7 +20,7 @@ this module does.  The parent process
    serial :meth:`IBFS.run` no matter how completion interleaved.
 
 ``seconds`` on returned results stays *simulated* time (identical to
-the serial engine); real wall-clock time and scheduler/fault behavior
+the serial engine); real wall-clock time and dispatch/fault behavior
 land in :class:`ExecStats` (``last_stats``).
 """
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from repro.errors import ExecutorError, ReproError, TraversalError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cluster import Cluster
+from repro.gpusim.cluster import schedule_lpt
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
@@ -57,12 +56,7 @@ from repro.exec.faults import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import tracing as obs_tracing
-from repro.exec.scheduler import (
-    SCHEDULER_NAMES,
-    CostModel,
-    TaskBoard,
-    get_policy,
-)
+from repro.exec.scheduler import CostModel, TaskBoard
 from repro.exec.shm import (
     discard_array,
     discard_segment,
@@ -88,9 +82,6 @@ class ExecConfig:
     num_workers:
         Persistent worker processes; ``0`` means execute in-process
         (no pool, no shared memory — the degraded mode, explicitly).
-    scheduler:
-        ``"steal"`` (LPT pre-assignment + work stealing, default),
-        ``"lpt"``, or ``"round_robin"``.
     faults:
         Retry/timeout/respawn budget (see
         :class:`~repro.exec.faults.FaultPolicy`).
@@ -103,18 +94,12 @@ class ExecConfig:
     """
 
     num_workers: int = 2
-    scheduler: str = "steal"
     faults: FaultPolicy = FaultPolicy()
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         if self.num_workers < 0:
             raise ExecutorError("num_workers must be non-negative")
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ExecutorError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"expected one of {SCHEDULER_NAMES}"
-            )
 
 
 @dataclass
@@ -123,7 +108,6 @@ class ExecStats:
 
     backend: str
     num_workers: int
-    scheduler: str
     tasks: int
     wall_seconds: float = 0.0
     steals: int = 0
@@ -144,7 +128,6 @@ class ExecStats:
         payload = {
             "backend": self.backend,
             "num_workers": self.num_workers,
-            "scheduler": self.scheduler,
             "tasks": self.tasks,
             "wall_seconds": self.wall_seconds,
             "steals": self.steals,
@@ -230,7 +213,6 @@ class GroupExecutor:
         #: execution path all run through it.
         self.engine = IBFS(graph, config, device=device, planner=planner)
         self.cost_model = CostModel(graph)
-        self._dispatch_policy = get_policy(self.exec_config.scheduler)
         self._handle = None
         self._ctx = None
         self._workers: Dict[int, _Worker] = {}
@@ -421,7 +403,6 @@ class GroupExecutor:
         sources: Sequence[int],
         max_depth: Optional[int] = None,
         store_depths: bool = True,
-        cluster: Optional[Cluster] = None,
     ) -> ConcurrentResult:
         """Traverse from all sources; same contract and bit-identical
         output as :meth:`repro.core.engine.IBFS.run`."""
@@ -442,10 +423,7 @@ class GroupExecutor:
                 for row, source in enumerate(task.group):
                     depth_rows[source] = depths[row]
 
-        if cluster is not None:
-            seconds = cluster.run([g.seconds for g in group_stats]).makespan
-        else:
-            seconds = sum(g.seconds for g in group_stats)
+        seconds = sum(g.seconds for g in group_stats)
         matrix = None
         if depth_rows is not None:
             matrix = np.stack([depth_rows[s] for s in sources])
@@ -539,14 +517,10 @@ class GroupExecutor:
         tracer = obs_tracing.get_tracer()
         if not self._ensure_pool():
             stats = ExecStats(
-                backend="inprocess",
-                num_workers=0,
-                scheduler=self.exec_config.scheduler,
-                tasks=len(tasks),
+                backend="inprocess", num_workers=0, tasks=len(tasks)
             )
             with tracer.span(
-                "exec.run", backend="inprocess", tasks=len(tasks),
-                scheduler=self.exec_config.scheduler,
+                "exec.run", backend="inprocess", tasks=len(tasks)
             ):
                 outcomes = [self._run_local(t) for t in tasks]
             stats.wall_seconds = time.perf_counter() - start
@@ -556,13 +530,11 @@ class GroupExecutor:
         stats = ExecStats(
             backend="process",
             num_workers=len(self._workers),
-            scheduler=self.exec_config.scheduler,
             tasks=len(tasks),
         )
         try:
             with tracer.span(
                 "exec.run", backend="process", tasks=len(tasks),
-                scheduler=self.exec_config.scheduler,
                 num_workers=len(self._workers),
             ):
                 outcomes = self._execute_pool(tasks, collect_errors, stats)
@@ -604,10 +576,9 @@ class GroupExecutor:
         n = len(tasks)
         costs = [self.cost_model.predict(t.group) for t in tasks]
         board = TaskBoard(
-            self._dispatch_policy.assign(costs, len(self._workers)),
+            schedule_lpt(costs, len(self._workers)),
             costs,
             len(self._workers),
-            self._dispatch_policy.allow_stealing,
         )
         outcomes: List[Optional[object]] = [None] * n
         attempts = [0] * n

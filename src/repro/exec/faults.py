@@ -4,8 +4,8 @@ Failure handling in the executor is deliberately split three ways:
 
 * :class:`FaultPlan` — a *deterministic* injection spec shipped to the
   workers.  Faults key on ``(task_id, attempt)``, so "crash the first
-  attempt of task 3" reproduces identically across schedulers, worker
-  counts, and reruns — which is what lets the determinism suite assert
+  attempt of task 3" reproduces identically across worker counts,
+  steals, and reruns — which is what lets the determinism suite assert
   bit-identical results *through* a crash.
 * :class:`FaultPolicy` — the parent's tolerance budget: how many times
   a task may be rescheduled, how long a task may run before the worker

@@ -68,7 +68,7 @@ class EngineSpec:
     planner: Optional[Policy] = None
 
     def build(self, graph) -> IBFS:
-        """Resolve the worker's engine through the substrate registry:
+        """Build the worker's engine through :func:`make_substrate`:
         the worker loop is a serial placement over the attached shm
         graph, so the spec builds one serial substrate and runs its
         engine — identical construction to the parent's."""

@@ -8,7 +8,6 @@ the same round trips for this reproduction's synthetic suites.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Union
 
 import numpy as np

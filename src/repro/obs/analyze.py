@@ -35,7 +35,7 @@ tracer clock, the same *run* — renders a byte-identical report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 

@@ -28,7 +28,7 @@ signals out of a recorded trace file via :func:`replay_trace`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError

@@ -1,11 +1,12 @@
-"""repro.runtime — the substrate registry behind every dispatch layer.
+"""repro.runtime — the traversal substrates behind every dispatch layer.
 
 Four traversal substrates (serial, executor, partitioned, stream) sit
 behind one :class:`Substrate` protocol with capability flags; one
-:func:`make_substrate` factory owns construction, capability-driven
-validation, and epoch swap-on-mutate.  The serving layer, the
-executor worker loop, and the CLI all resolve their backend through
-this registry instead of wiring engines by hand.
+:func:`make_substrate` factory builds the substrate a
+:class:`SubstrateSpec` names, and owns capability-driven validation
+and epoch swap-on-mutate.  The serving layer, the executor worker
+loop, and the CLI all build their backend through that factory
+instead of wiring engines by hand.
 """
 
 from repro.runtime.spec import SUBSTRATE_NAMES, SubstrateSpec, engine_key
@@ -16,7 +17,6 @@ from repro.runtime.substrates import (
     SerialSubstrate,
     StreamSubstrate,
     Substrate,
-    SUBSTRATES,
     make_substrate,
 )
 
@@ -24,7 +24,6 @@ __all__ = [
     "CAPABILITY_FLAGS",
     "ExecutorSubstrate",
     "PartitionedSubstrate",
-    "SUBSTRATES",
     "SUBSTRATE_NAMES",
     "SerialSubstrate",
     "StreamSubstrate",

@@ -1,16 +1,15 @@
 """Placement specs for the traversal substrates.
 
 A :class:`SubstrateSpec` is the *placement decision*: which of the
-four registered substrates runs a workload, and with what substrate
-parameters (worker count and scheduler, partition count and layout).
+four substrates runs a workload, and with what substrate parameters
+(worker count, partition count and layout).
 Everything a consumer used to wire by hand — ``--workers`` vs
 ``--partitions`` vs ``--churn``, the executor/partitions mutual
 exclusion, the partitioned cache-key suffix — derives from one spec.
 
-Engine-key derivation lives here too, and only here: the spec owns
-the cache namespace its substrate serves under, so the serving layer
-no longer builds a throwaway engine just to fingerprint its
-configuration.
+Engine-key derivation (:func:`engine_key`) lives here too, and only
+here, so the serving layer never builds a throwaway engine just to
+fingerprint its configuration.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from repro.plan.policy import HeuristicPolicy, Policy
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.engine import IBFSConfig
 
-#: Registered substrate names, in registry order.  The registry itself
-#: (name -> class) lives in :mod:`repro.runtime.substrates`; this tuple
-#: is the static surface the spec and the CLI validate against.
+#: Substrate names: what the spec and the CLI validate against, and
+#: the kinds :func:`repro.runtime.make_substrate` builds.
 SUBSTRATE_NAMES = ("serial", "executor", "partitioned", "stream")
 
 
@@ -75,18 +73,18 @@ class SubstrateSpec:
     workers:
         Worker processes for the executor substrate (0 = the
         executor's default pool of 2 when the kind demands one).
-    scheduler:
-        Executor dispatch policy (``steal`` / ``lpt`` / ``round_robin``).
     partitions:
         Partition count for the partitioned substrate (0 = the
         engine's default when the kind demands partitions).
     layout:
         Partition layout, ``"1d"`` or ``"2d"``.
+
+    A serial spec takes neither workers nor partitions: it would run
+    in-process whatever they say, so asking for them is an error.
     """
 
     kind: str = "serial"
     workers: int = 0
-    scheduler: str = "steal"
     partitions: int = 0
     layout: str = "1d"
 
@@ -107,6 +105,11 @@ class SubstrateSpec:
             )
         if self.workers > 0 and self.partitions > 0:
             raise ExclusiveSubstrateError()
+        if self.kind == "serial" and (self.workers or self.partitions):
+            raise SubstrateError(
+                "the serial substrate runs in-process: workers and "
+                "partitions need the executor or partitioned substrate"
+            )
         if self.kind == "executor" and self.partitions > 0:
             raise ExclusiveSubstrateError()
         if self.kind == "partitioned" and self.workers > 0:
@@ -120,7 +123,6 @@ class SubstrateSpec:
         workers: int = 0,
         partitions: int = 0,
         layout: str = "1d",
-        scheduler: str = "steal",
         churn: bool = False,
     ) -> "SubstrateSpec":
         """Derive a spec from the legacy CLI/serving flags.
@@ -143,8 +145,11 @@ class SubstrateSpec:
                 kind = "serial"
         elif churn and kind != "stream":
             # An explicit non-stream kind under churn still needs the
-            # epoch wrapper; the requested kind becomes the delegate,
-            # with its substrate's default size.
+            # epoch wrapper; the requested kind, checked as a placement
+            # of its own, becomes the delegate with its substrate's
+            # default size.
+            cls(kind=kind, workers=workers, partitions=partitions,
+                layout=layout)
             if kind == "partitioned" and partitions == 0:
                 from repro.dist.engine import DistConfig
 
@@ -157,7 +162,6 @@ class SubstrateSpec:
         return cls(
             kind=kind,
             workers=workers,
-            scheduler=scheduler,
             partitions=partitions,
             layout=layout,
         )
@@ -175,16 +179,3 @@ class SubstrateSpec:
     def inner(self) -> "SubstrateSpec":
         """The delegate spec a stream substrate builds per epoch."""
         return replace(self, kind=self.inner_kind)
-
-    # ------------------------------------------------------------------
-    def engine_key(
-        self,
-        config: "IBFSConfig",
-        planner: Optional[Policy] = None,
-        substrate_suffix: Optional[str] = None,
-    ) -> str:
-        """The cache namespace this placement serves under
-        (:func:`engine_key`); partitioned placements append their
-        engine name so recorded plans carrying exchange formats never
-        alias whole-graph ones."""
-        return engine_key(config, planner, substrate_suffix)

@@ -1,4 +1,4 @@
-"""The substrate registry: four ways to run one traversal.
+"""The traversal substrates: four ways to run one traversal.
 
 Every substrate executes the same iBFS group traversal with
 bit-identical depths and counters; what differs is *placement* — where
@@ -16,8 +16,9 @@ the work runs and what metrics it emits:
 All of them present one :class:`Substrate` surface (``run_group``,
 ``map_groups``, ``run``, ``effective_group_size``, ``metrics``,
 ``close``) plus capability flags, and all construction/validation
-funnels through :func:`make_substrate` — the scattered per-consumer
-``ServiceError`` checks became capability checks here.  Epoch
+funnels through :func:`make_substrate`, which branches on the spec's
+kind — the scattered per-consumer ``ServiceError`` checks became
+capability checks here.  Epoch
 swap-on-mutate is the :meth:`Substrate.on_epoch_published` hook:
 substrates whose ``supports_mutation`` flag is False raise a typed
 :class:`~repro.errors.UnsupportedMutationError` instead of ever
@@ -26,17 +27,16 @@ serving a stale graph.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import (
     ExclusiveSubstrateError,
     ReproError,
     SubstrateError,
-    UnknownSubstrateError,
     UnsupportedMutationError,
 )
 from repro.graph.csr import CSRGraph
-from repro.runtime.spec import SUBSTRATE_NAMES, SubstrateSpec
+from repro.runtime.spec import SubstrateSpec, engine_key
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.result import ConcurrentResult
@@ -163,10 +163,6 @@ class Substrate:
         :func:`repro.obs.analyze.detect_substrate`'s vocabulary."""
         return self.kind
 
-    @classmethod
-    def capabilities(cls) -> Dict[str, bool]:
-        return {flag: bool(getattr(cls, flag)) for flag in CAPABILITY_FLAGS}
-
     def describe(self) -> dict:
         return {
             "kind": self.kind,
@@ -180,22 +176,7 @@ class Substrate:
         return f"{type(self).__name__}(kind={self.kind!r})"
 
 
-#: The registry: substrate name -> substrate class.
-SUBSTRATES: Dict[str, Type[Substrate]] = {}
-
-
-def register_substrate(cls: Type[Substrate]) -> Type[Substrate]:
-    if cls.kind not in SUBSTRATE_NAMES:
-        raise UnknownSubstrateError(
-            f"substrate class {cls.__name__} registers unknown kind "
-            f"{cls.kind!r}"
-        )
-    SUBSTRATES[cls.kind] = cls
-    return cls
-
-
 # ----------------------------------------------------------------------
-@register_substrate
 class SerialSubstrate(Substrate):
     """The in-process single-device engine — the bit-identity oracle."""
 
@@ -216,7 +197,7 @@ class SerialSubstrate(Substrate):
         self.spec = spec
         self.engine = IBFS(graph, engine_config, device=device, planner=planner)
         self._planner = planner
-        self.engine_key = spec.engine_key(self.engine.config, planner)
+        self.engine_key = engine_key(self.engine.config, planner)
 
     def run_group(self, group, max_depth=None, plan=None):
         return self.engine.run_group(group, max_depth=max_depth, plan=plan)
@@ -248,7 +229,6 @@ class SerialSubstrate(Substrate):
 
 
 # ----------------------------------------------------------------------
-@register_substrate
 class ExecutorSubstrate(Substrate):
     """The worker-process pool over a shared-memory graph replica.
 
@@ -256,8 +236,8 @@ class ExecutorSubstrate(Substrate):
     passed in; a caller-owned executor cannot be rebound across epochs
     (its other users would see the graph change under them), so the
     instance drops ``supports_mutation``.  An owned executor takes its
-    pool size and scheduler from the spec (``workers=0`` meaning the
-    executor's default pool) and its failure handling from ``faults``.
+    pool size from the spec (``workers=0`` meaning the executor's
+    default pool) and its failure handling from ``faults``.
     """
 
     kind = "executor"
@@ -287,7 +267,6 @@ class ExecutorSubstrate(Substrate):
 
             exec_config = ExecConfig(
                 num_workers=spec.workers or ExecConfig().num_workers,
-                scheduler=spec.scheduler,
                 faults=faults or FaultPolicy(),
             )
             self._executor = GroupExecutor(
@@ -298,9 +277,7 @@ class ExecutorSubstrate(Substrate):
                 planner=planner,
             )
             self._owned = True
-        self.engine_key = spec.engine_key(
-            self._executor.engine.config, planner
-        )
+        self.engine_key = engine_key(self._executor.engine.config, planner)
 
     @property
     def executor(self):
@@ -362,7 +339,6 @@ class ExecutorSubstrate(Substrate):
 
 
 # ----------------------------------------------------------------------
-@register_substrate
 class PartitionedSubstrate(Substrate):
     """The 1D/2D partitioned engine for graphs too big for one device."""
 
@@ -396,7 +372,7 @@ class PartitionedSubstrate(Substrate):
         self._planner = planner
         # Partitioned plans carry exchange formats a whole-graph replay
         # would ignore; the suffix keeps the cache namespaces apart.
-        self.engine_key = spec.engine_key(
+        self.engine_key = engine_key(
             engine_config, planner, substrate_suffix=self.engine.name
         )
 
@@ -447,7 +423,6 @@ class PartitionedSubstrate(Substrate):
 
 
 # ----------------------------------------------------------------------
-@register_substrate
 class StreamSubstrate(Substrate):
     """The epoch-swapping wrapper: a mutable graph behind any delegate.
 
@@ -597,20 +572,14 @@ def make_substrate(
     and timeout budget of an owned executor; every other substrate
     parameter comes from the spec.
     """
-    cls = SUBSTRATES.get(spec.kind)
-    if cls is None:
-        raise UnknownSubstrateError(
-            f"unknown substrate {spec.kind!r}; "
-            f"expected one of {tuple(sorted(SUBSTRATES))}"
-        )
-    if executor is not None and not cls.supports_executor and cls.kind != "stream":
-        if cls.supports_partitions:
-            raise ExclusiveSubstrateError()
-        raise SubstrateError(
-            f"substrate {spec.kind!r} has supports_executor=False: "
-            f"it cannot adopt a GroupExecutor"
-        )
+    if executor is not None and spec.kind == "partitioned":
+        raise ExclusiveSubstrateError()
     if spec.kind == "serial":
+        if executor is not None:
+            raise SubstrateError(
+                "substrate 'serial' has supports_executor=False: "
+                "it cannot adopt a GroupExecutor"
+            )
         return SerialSubstrate(
             graph,
             spec,

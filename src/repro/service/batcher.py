@@ -21,7 +21,7 @@ same (source, depth limit) ride one traversal.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
@@ -60,6 +60,14 @@ class MicroBatcher:
 
     def add(self, item: PendingRequest) -> None:
         self._pending.append(item)
+
+    def requeue_front(self, items: Sequence[PendingRequest]) -> None:
+        """Put requests back at the head of the pool, oldest first, so
+        they flush before newer traffic.  Requests that arrived at the
+        same instant go back in the reverse of their given order."""
+        self._pending[:0] = sorted(
+            reversed(items), key=lambda p: p.arrival_time
+        )
 
     # ------------------------------------------------------------------
     # Flush triggers

@@ -605,10 +605,7 @@ class BFSServer:
                     ),
                     successful=False,
                 )
-        # Requeue at the head, oldest first, so the retry batch flushes
-        # before newer traffic.
-        for item in sorted(retry, key=lambda p: p.arrival_time, reverse=True):
-            self.batcher._pending.insert(0, item)
+        self.batcher.requeue_front(retry)
 
     # ------------------------------------------------------------------
     # Answers and bookkeeping

@@ -2,14 +2,14 @@
 
 The iBFS paper serves concurrent BFS over a static graph; this package
 grows the reproduction toward the online reality where the graph
-mutates while queries run.  Three layers:
+mutates while queries run.  Four layers:
 
 * :mod:`repro.stream.overlay` — batched edge inserts/deletes on a
   frozen CSR, folded into a fresh CSR bit-identically to a
   from-scratch rebuild;
-* :mod:`repro.stream.epoch` — refcounted, epoch-tagged immutable
-  snapshots (optionally published over shared memory), each with its
-  own content fingerprint so cache invalidation falls out of keying;
+* :mod:`repro.stream.epoch` — epoch-tagged immutable snapshots, each
+  with its own content fingerprint so cache invalidation falls out of
+  keying;
 * :mod:`repro.stream.repair` — incremental depth-matrix repair for
   insert-only batches, bit-identical to re-traversal;
 * :mod:`repro.stream.service` — an epoch-aware
@@ -18,7 +18,7 @@ mutates while queries run.  Three layers:
 """
 
 from repro.stream.overlay import GraphOverlay, MutationBatch, apply_batch
-from repro.stream.epoch import EpochStore, PinToken, Snapshot
+from repro.stream.epoch import EpochStore, Snapshot
 from repro.stream.repair import (
     NOOP,
     RECOMPUTE,
@@ -35,7 +35,6 @@ __all__ = [
     "MutationBatch",
     "apply_batch",
     "EpochStore",
-    "PinToken",
     "Snapshot",
     "NOOP",
     "RECOMPUTE",

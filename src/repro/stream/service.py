@@ -95,14 +95,13 @@ class DynamicBFSServer(BFSServer):
     The one parameter beyond :class:`BFSServer`'s, ``repair_config``,
     tunes the repair-vs-recompute cost model.  The serving substrate is
     always the epoch-swapping ``stream`` substrate; its delegate
-    (serial, executor, or partitioned) and epoch sharing over POSIX
-    shared memory (``share``) follow the spec.  A substrate-owned
-    executor (``workers > 0`` in the spec) survives mutation — each
-    epoch swap republishes the new graph to a fresh worker pool.  A
-    *caller-owned* ``executor`` object is refused with a typed
-    :class:`~repro.errors.UnsupportedMutationError`: its workers map
-    one published graph for their lifetime, which is exactly what an
-    epoch swap violates.
+    (serial, executor, or partitioned) follows the spec.  A
+    substrate-owned executor (``workers > 0`` in the spec) survives
+    mutation — each epoch swap republishes the new graph to a fresh
+    worker pool.  A *caller-owned* ``executor`` object is refused with
+    a typed :class:`~repro.errors.UnsupportedMutationError`: its
+    workers map one published graph for their lifetime, which is
+    exactly what an epoch swap violates.
     """
 
     def __init__(
@@ -124,7 +123,6 @@ class DynamicBFSServer(BFSServer):
                 workers=spec.workers,
                 partitions=spec.partitions,
                 layout=spec.layout,
-                scheduler=spec.scheduler,
                 churn=True,
             )
         super().__init__(graph, serving=serving, substrate=spec, **kwargs)

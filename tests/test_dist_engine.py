@@ -14,7 +14,7 @@ from repro.graph.generators import kronecker
 from repro.core.engine import IBFS, IBFSConfig
 from repro.obs.metrics import MetricsHub
 from repro.plan.types import LevelDecision, RunPlan
-from repro.dist.comm import ClusterCommModel, CommCostModel
+from repro.dist.comm import CommCostModel
 from repro.dist.engine import DistConfig, DistStats, PartitionedEngine
 from repro.dist.exchange import (
     DENSE_SLOT_BYTES,
@@ -256,29 +256,6 @@ class TestCostModels:
         assert cost.total_seconds == pytest.approx(
             cost.compute_seconds + cost.exchange_seconds
         )
-
-    def test_cluster_model_shares_devices(self, graph, group):
-        """Two devices for four partitions: the simulated compute term
-        roughly doubles versus four devices, while depths are
-        untouched."""
-        edges = [10**7] * 4
-        wide = ClusterCommModel(num_devices=4).price_level(edges, 0, 0)
-        narrow = ClusterCommModel(num_devices=2).price_level(edges, 0, 0)
-        assert narrow.compute_seconds > wide.compute_seconds
-
-    def test_cluster_model_accumulates_device_time(self, graph, group):
-        model = ClusterCommModel(num_devices=2)
-        engine = PartitionedEngine(
-            graph,
-            DistConfig(num_partitions=4, group_size=GROUP_SIZE),
-            cost_model=model,
-        )
-        result = engine.run_group(group)
-        expected = IBFS(graph, IBFSConfig(group_size=GROUP_SIZE)).run_group(
-            group
-        )
-        assert np.array_equal(result.depths, expected.depths)
-        assert sum(model.device_seconds) > 0.0
 
 
 class TestStats:

@@ -7,13 +7,7 @@ from repro.errors import ExecutorError, TraversalError
 from repro.graph.generators import kronecker
 from repro.gpusim.cluster import Cluster
 from repro.core.engine import IBFS, IBFSConfig
-from repro.exec import (
-    ExecConfig,
-    FaultPlan,
-    FaultPolicy,
-    GroupExecutor,
-    SCHEDULER_NAMES,
-)
+from repro.exec import ExecConfig, FaultPlan, FaultPolicy, GroupExecutor
 from repro.exec.shm import shared_memory_available
 
 needs_shm = pytest.mark.skipif(
@@ -50,29 +44,22 @@ def assert_identical(a, b):
 @needs_shm
 class TestDeterminism:
     """The tentpole contract: bit-identical to serial IBFS.run across
-    every scheduler, worker count, and injected fault."""
+    every worker count and injected fault."""
 
-    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_identical_across_schedulers_and_pool_sizes(
-        self, graph, serial, scheduler, workers
-    ):
+    def test_identical_across_pool_sizes(self, graph, serial, workers):
         with GroupExecutor(
-            graph,
-            CONFIG,
-            exec_config=ExecConfig(num_workers=workers, scheduler=scheduler),
+            graph, CONFIG, exec_config=ExecConfig(num_workers=workers)
         ) as executor:
             result = executor.run(SOURCES, store_depths=True)
         assert_identical(result, serial)
 
-    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
-    def test_identical_through_faults(self, graph, serial, scheduler):
+    def test_identical_through_faults(self, graph, serial):
         with GroupExecutor(
             graph,
             CONFIG,
             exec_config=ExecConfig(
                 num_workers=2,
-                scheduler=scheduler,
                 fault_plan=FaultPlan(crash={0: 1}, error={2: 1}),
             ),
         ) as executor:
@@ -105,14 +92,14 @@ class TestDeterminism:
 
     def test_cluster_pricing_matches_serial(self, graph):
         cluster = Cluster(2)
-        expected = IBFS(graph, CONFIG).run(
-            SOURCES, store_depths=False, cluster=cluster
+        expected = cluster.run(
+            IBFS(graph, CONFIG).run(SOURCES, store_depths=False).group_times()
         )
         with GroupExecutor(
             graph, CONFIG, exec_config=ExecConfig(num_workers=2)
         ) as executor:
-            result = executor.run(SOURCES, store_depths=False, cluster=cluster)
-        assert result.seconds == expected.seconds
+            result = executor.run(SOURCES, store_depths=False)
+        assert cluster.run(result.group_times()).makespan == expected.makespan
 
 
 @needs_shm
@@ -191,10 +178,6 @@ class TestLifecycle:
     def test_negative_workers_rejected(self):
         with pytest.raises(ExecutorError):
             ExecConfig(num_workers=-1)
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ExecutorError, match="unknown scheduler"):
-            ExecConfig(scheduler="fifo")
 
     @needs_shm
     def test_shared_segments_released_on_close(self, graph):

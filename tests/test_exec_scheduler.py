@@ -1,19 +1,12 @@
-"""Dispatch policies, the cost model, and the work-stealing board."""
+"""LPT pre-assignment, the cost model, and the work-stealing board."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ExecutorError
 from repro.graph.generators import kronecker, star
-from repro.exec.scheduler import (
-    SCHEDULER_NAMES,
-    CostModel,
-    LPTDispatch,
-    RoundRobinDispatch,
-    TaskBoard,
-    WorkStealingDispatch,
-    get_policy,
-)
+from repro.gpusim.cluster import schedule_lpt
+from repro.exec.scheduler import CostModel, TaskBoard
 
 
 @pytest.fixture(scope="module")
@@ -36,21 +29,11 @@ class TestCostModel:
 
 
 class TestPolicies:
-    def test_registry_round_trip(self):
-        for name in SCHEDULER_NAMES:
-            assert get_policy(name).name == name
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ExecutorError, match="unknown scheduler"):
-            get_policy("random")
-
-    def test_round_robin_stripes(self):
-        assignment = RoundRobinDispatch().assign([1.0] * 6, 2)
-        assert assignment.tolist() == [0, 1, 0, 1, 0, 1]
+    """The executor's pre-assignment is the cluster's LPT schedule."""
 
     def test_lpt_balances_skewed_costs(self):
         costs = [10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        assignment = LPTDispatch().assign(costs, 2)
+        assignment = schedule_lpt(costs, 2)
         loads = [
             sum(c for c, w in zip(costs, assignment) if w == d)
             for d in range(2)
@@ -58,16 +41,11 @@ class TestPolicies:
         # LPT isolates the heavy task; round-robin would not.
         assert max(loads) / min(loads) < 2.0
 
-    def test_only_steal_allows_stealing(self):
-        assert WorkStealingDispatch().allow_stealing
-        assert not LPTDispatch().allow_stealing
-        assert not RoundRobinDispatch().allow_stealing
-
 
 class TestTaskBoard:
-    def make_board(self, allow_stealing=True):
+    def make_board(self):
         # Worker 0 gets tasks 0,1,2; worker 1 gets task 3.
-        return TaskBoard([0, 0, 0, 1], [5.0, 3.0, 1.0, 2.0], 2, allow_stealing)
+        return TaskBoard([0, 0, 0, 1], [5.0, 3.0, 1.0, 2.0], 2)
 
     def test_own_deque_served_front_first(self):
         board = self.make_board()
@@ -83,14 +61,8 @@ class TestTaskBoard:
         assert board.steals == 1
         assert board.remaining() == 2
 
-    def test_no_stealing_when_disabled(self):
-        board = self.make_board(allow_stealing=False)
-        assert board.next_task(1) == 3
-        assert board.next_task(1) is None
-        assert board.steals == 0
-
     def test_empty_board_returns_none(self):
-        board = TaskBoard([], [], 2, True)
+        board = TaskBoard([], [], 2)
         assert board.next_task(0) is None
         assert board.remaining() == 0
 
@@ -108,8 +80,8 @@ class TestTaskBoard:
 
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ExecutorError):
-            TaskBoard([0, 0], [1.0], 2, True)
+            TaskBoard([0, 0], [1.0], 2)
         with pytest.raises(ExecutorError):
-            TaskBoard([0], [1.0], 0, True)
+            TaskBoard([0], [1.0], 0)
         with pytest.raises(ExecutorError):
-            TaskBoard([5], [1.0], 2, True)
+            TaskBoard([5], [1.0], 2)

@@ -178,11 +178,11 @@ class TestCLIWorkers:
 
         assert main([
             "run", "PK", "--sources", "16", "--group-size", "8",
-            "--workers", "2", "--scheduler", "lpt",
+            "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "exec backend" in out
-        assert "2 workers, lpt" in out
+        assert "2 workers" in out
 
     @needs_shm
     def test_run_executor_substrate_uses_default_pool(self, capsys):

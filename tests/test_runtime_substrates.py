@@ -1,11 +1,11 @@
 """The shared substrate bit-identity matrix.
 
 One parametrized suite replaces the per-package copies of the
-"matches serial" loop: every registered substrate × planner policy ×
+"matches serial" loop: every substrate × planner policy ×
 mutation must produce depths bit-identical to the serial engine (and
 identical traversal counters for the whole-graph placements — the
 partitioned substrate's counters price communication, so only its
-depths are contractual).  Plus the registry/capability surface:
+depths are contractual).  Plus the spec/capability surface:
 spec validation, engine-key namespacing, the epoch-swap hook, and
 executor-backed serving under the churn loadgen.
 """
@@ -27,8 +27,11 @@ from repro.core.engine import IBFS, IBFSConfig
 from repro.plan import HeuristicPolicy, make_policy
 from repro.runtime import (
     CAPABILITY_FLAGS,
-    SUBSTRATES,
     SUBSTRATE_NAMES,
+    ExecutorSubstrate,
+    PartitionedSubstrate,
+    SerialSubstrate,
+    StreamSubstrate,
     SubstrateSpec,
     engine_key,
     make_substrate,
@@ -170,16 +173,21 @@ class TestBitIdentityMatrix:
 
 
 # ----------------------------------------------------------------------
-# Registry and capability surface
+# Spec validation and capability surface
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_registry_matches_names(self):
-        assert tuple(sorted(SUBSTRATES)) == tuple(sorted(SUBSTRATE_NAMES))
-
     def test_capability_flags(self):
-        caps = {k: cls.capabilities() for k, cls in SUBSTRATES.items()}
-        for flags in caps.values():
-            assert tuple(flags) == CAPABILITY_FLAGS
+        classes = (
+            SerialSubstrate,
+            ExecutorSubstrate,
+            PartitionedSubstrate,
+            StreamSubstrate,
+        )
+        assert tuple(cls.kind for cls in classes) == SUBSTRATE_NAMES
+        caps = {
+            cls.kind: {flag: getattr(cls, flag) for flag in CAPABILITY_FLAGS}
+            for cls in classes
+        }
         assert caps["serial"]["supports_mutation"]
         assert caps["executor"]["supports_executor"]
         assert caps["partitioned"]["supports_partitions"]
@@ -221,6 +229,26 @@ class TestRegistry:
             SubstrateSpec(workers=-1)
         with pytest.raises(SubstrateError):
             SubstrateSpec(layout="3d")
+
+    def test_serial_spec_rejects_workers_and_partitions(self):
+        # A serial placement would run in-process whatever these say.
+        with pytest.raises(SubstrateError, match="serial"):
+            SubstrateSpec(workers=2)
+        with pytest.raises(SubstrateError, match="serial"):
+            SubstrateSpec(kind="serial", partitions=2)
+        with pytest.raises(SubstrateError, match="serial"):
+            SubstrateSpec.from_flags(kind="serial", workers=2, churn=True)
+
+    def test_cli_serial_substrate_with_workers_exits_2(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "run", "KG0", "--sources", "16", "--substrate", "serial",
+            "--workers", "2",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "serial" in captured.err
+        assert "exec backend" not in captured.out
 
     def test_caller_owned_executor_loses_mutation(self, graph):
         from repro.exec import ExecConfig, GroupExecutor
@@ -293,13 +321,10 @@ class TestEngineKey:
             part.close()
 
     def test_spec_key_resolves_default_planner(self):
-        spec = SubstrateSpec()
-        assert spec.engine_key(CONFIG) == spec.engine_key(
-            CONFIG, HeuristicPolicy()
-        )
-        assert "-polheuristic(" in spec.engine_key(CONFIG)
+        assert engine_key(CONFIG) == engine_key(CONFIG, HeuristicPolicy())
+        assert "-polheuristic(" in engine_key(CONFIG)
         planner = make_policy("td-only")
-        assert f"-pol{planner.name}(" in spec.engine_key(CONFIG, planner)
+        assert f"-pol{planner.name}(" in engine_key(CONFIG, planner)
 
     @pytest.mark.parametrize(
         "planner",
@@ -315,12 +340,11 @@ class TestEngineKey:
     def test_key_separates_planner_parameters(self, graph, planner):
         # Planners that differ in any parameter run different schedules
         # and counters, so their serving caches must not alias.
-        spec = SubstrateSpec()
-        assert spec.engine_key(CONFIG, planner) != spec.engine_key(CONFIG)
+        assert engine_key(CONFIG, planner) != engine_key(CONFIG)
         with make_substrate(
-            spec, graph, engine_config=CONFIG, planner=planner
+            SubstrateSpec(), graph, engine_config=CONFIG, planner=planner
         ) as substrate:
-            assert substrate.engine_key == spec.engine_key(CONFIG, planner)
+            assert substrate.engine_key == engine_key(CONFIG, planner)
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,21 @@ class TestBatchFormation:
         # Every taken request's source is in the announced group.
         assert {p.source for p in batch} <= set(sources)
 
+    def test_requeue_front_puts_retries_first_oldest_first(self, graph):
+        batcher = MicroBatcher(graph, batch_size=8, flush_deadline=1.0)
+        batcher.add(make_pending(9, 40, 5.0))
+        retry = [
+            make_pending(1, 11, 2.0),
+            make_pending(2, 12, 1.0),
+            make_pending(3, 13, 2.0),
+        ]
+        batcher.requeue_front(retry)
+        # Oldest first; the two arrivals at t=2.0 come back in the
+        # reverse of their given order, as the server's retry path has
+        # always queued them; newer pending traffic stays behind.
+        assert [p.request_id for p in batcher.pending] == [2, 3, 1, 9]
+        assert batcher.deadline_at() == pytest.approx(2.0)
+
     def test_drop_removes_request(self, graph):
         batcher = MicroBatcher(graph, batch_size=8, flush_deadline=1.0)
         item = make_pending(0, 1, 0.0)

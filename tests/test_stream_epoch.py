@@ -27,19 +27,18 @@ class TestEpochLifecycle:
         with EpochStore(base) as store:
             assert store.current_epoch == 0
             assert store.current.graph is base
-            assert store.live_epochs() == [0]
 
     def test_publish_advances_epoch_and_reclaims_old(self):
         with EpochStore(small_graph()) as store:
+            old = store.current
             store.overlay.insert_edges([0], [1])
             snap = store.publish()
             assert snap.epoch == 1
             assert store.current_epoch == 1
-            # Epoch 0 had no pins: reclaimed on publish.
-            assert store.live_epochs() == [1]
+            assert store.current is snap
+            # The replaced epoch is reclaimed on publish.
+            assert old.graph is None
             assert store.reclaimed_epochs == 1
-            with pytest.raises(StreamError):
-                store.snapshot(0)
 
     def test_publish_without_pending_is_noop(self):
         with EpochStore(small_graph()) as store:
@@ -55,58 +54,14 @@ class TestEpochLifecycle:
                 ids.add(store.publish().graph_id)
             assert len(ids) == 4
 
-    def test_pin_keeps_superseded_epoch_alive(self):
-        with EpochStore(small_graph()) as store:
-            token = store.pin()
-            old = store.current.graph
-            store.overlay.insert_edges([0], [1])
-            store.publish()
-            assert store.live_epochs() == [0, 1]
-            # The pinned snapshot still answers queries on the old graph.
-            snap = store.snapshot(0)
-            assert snap.graph is old
-            store.unpin(token)
-            assert store.live_epochs() == [1]
-
-    def test_unpin_unknown_epoch_is_noop(self):
-        with EpochStore(small_graph()) as store:
-            token = store.pin()
-            store.unpin(token)
-            store.unpin(token)  # double unpin tolerated
-
-    def test_pin_reclaimed_epoch_raises(self):
-        with EpochStore(small_graph()) as store:
-            store.overlay.insert_edges([0], [1])
-            store.publish()
-            with pytest.raises(StreamError):
-                store.pin(epoch=0)
-
-    def test_gc_drops_pins_of_dead_processes(self):
-        with EpochStore(small_graph()) as store:
-            # A pid that cannot exist: beyond pid_max on Linux.
-            store.pin(pid=2 ** 30)
-            store.overlay.insert_edges([0], [1])
-            store.publish()
-            assert store.live_epochs() == [1]
-            assert store.reclaimed_epochs == 1
-
-    def test_live_pid_pin_survives_gc(self):
-        import os
-
-        with EpochStore(small_graph()) as store:
-            store.pin(pid=os.getpid())
-            store.overlay.insert_edges([0], [1])
-            store.publish()
-            assert store.live_epochs() == [0, 1]
-
     def test_closed_store_refuses_use(self):
         store = EpochStore(small_graph())
         store.close()
-        with pytest.raises(StreamError):
-            store.pin()
+        assert store.current.graph is None
         with pytest.raises(StreamError):
             store.publish()
         store.close()  # idempotent
+        assert store.reclaimed_epochs == 1
 
 
 class TestFrozenSnapshots:
@@ -251,7 +206,7 @@ class TestEpochsFreedByRefcount:
                 assert fwd() is not None and rev() is not None
                 store.overlay.insert_edges([1], [2])
                 store.publish()  # reclaims epoch 1
-                assert store.live_epochs() == [2]
+                assert store.current_epoch == 2
                 assert fwd() is None
                 assert rev() is None
 

@@ -170,7 +170,7 @@ class TestEpochMetrics:
         with DynamicBFSServer(graph(seed=10), serving()) as server:
             for v in range(3):
                 server.mutate(inserts=([v], [v + 1]))
-            assert server.substrate.epochs.live_epochs() == [3]
+            assert server.substrate.epochs.current_epoch == 3
             assert server.metrics_snapshot()["epochs"][
                 "reclaimed_epochs"] == 3
 
