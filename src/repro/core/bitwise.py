@@ -26,15 +26,21 @@ the policy's session, and the sequence is recorded as a
 :meth:`run_group` replays a recorded plan bit-identically, skipping the
 heuristic evaluation (the replay session never sees level statistics).
 
-Host-side execution runs on the compiled kernels (:mod:`repro.native`)
-when they resolve for the group's lane count, else on the numpy
-:mod:`repro.kernels` primitives: the top-down scatter is a segmented
-reduction, ``BSA_k`` is one whole-array copy per level into a reused
-buffer, bottom-up scans are degree-bucketed vector passes, and
-per-instance bookkeeping is one vectorized pass over the depth matrix.
-Plans never name the path.  Either path gives the same simulated
-counters, which the kernels equivalence suite pins against a recorded
-golden fixture.
+The host runs a group one of two ways, chosen once per group.  When the
+compiled library runs the group's lane count
+(:func:`repro.native.effective`), each level is one call into it
+(:class:`repro.native.LevelKernel`): frontier-sparse identification,
+both directions' kernels, extraction from the kernels' touched rows and
+every pricing term, over buffers allocated once per ``(n, lanes)``
+shape, with ``BSA_k`` kept current by writing back only the changed
+rows.  Otherwise the numpy :mod:`repro.kernels` primitives run it, and
+are the reference the compiled level is tested against: the top-down
+scatter is a segmented reduction, ``BSA_k`` is one whole-array copy per
+level into a reused buffer, bottom-up scans are degree-bucketed vector
+passes, and per-instance bookkeeping is one vectorized pass over the
+changed rows.  Plans never name the path.  Either path gives the same
+depths and simulated counters, which the kernels equivalence suite pins
+against a recorded golden fixture.
 """
 
 from __future__ import annotations
@@ -137,13 +143,36 @@ class BitwiseTraversal:
         #: Out-degree view, hoisted once per traversal object (the hot
         #: loops used to look it up several times per level).
         self._out_degrees = graph.out_degrees()
-        self._workspace: Optional[LevelWorkspace] = None
+        self._workspace = None
 
     # ------------------------------------------------------------------
-    def _get_workspace(self, n: int, lanes: int) -> LevelWorkspace:
+    def _get_workspace(self, n: int, lanes: int):
+        """This group's level buffers, reused across groups of one shape:
+        a :class:`~repro.native.LevelKernel` when the compiled library
+        runs ``lanes`` natively, else the numpy path's
+        :class:`LevelWorkspace`."""
+        use_native = native.effective(lanes)
         ws = self._workspace
-        if ws is None or ws.num_vertices != n or ws.lanes != lanes:
-            ws = LevelWorkspace(n, lanes)
+        if (
+            ws is None
+            or ws.num_vertices != n
+            or ws.lanes != lanes
+            or isinstance(ws, native.LevelKernel) != use_native
+        ):
+            if use_native:
+                config = self.device.config
+                ws = native.LevelKernel(
+                    self.graph.row_offsets,
+                    self.graph.col_indices,
+                    self._out_degrees,
+                    lanes,
+                    config.transaction_bytes,
+                    config.warp_size,
+                    INSTRUCTIONS_PER_INSPECTION,
+                    INSTRUCTIONS_PER_VERTEX,
+                )
+            else:
+                ws = LevelWorkspace(n, lanes)
             self._workspace = ws
         return ws
 
@@ -226,6 +255,19 @@ class BitwiseTraversal:
         observer = SharingObserver(group_size)
         sharing_log = {"td": [], "bu": []}
         bu_inspections = np.zeros(group_size, dtype=np.int64)
+        workspace = self._get_workspace(n, lanes)
+        if isinstance(workspace, native.LevelKernel):
+            # The kernel keeps the frontier between levels itself.
+            workspace.begin_group(
+                bsa,
+                uniq_src,
+                init_diff,
+                frontier_counts,
+                frontier_deg,
+                bu_inspections,
+                self.reset_per_level,
+            )
+            frontier = None
 
         decision: Optional[LevelDecision] = None
         stats_prev: Optional[LevelStats] = None
@@ -265,7 +307,6 @@ class BitwiseTraversal:
                 # A replayed or adaptive plan may go bottom-up even when
                 # the construction-time policy never would have.
                 self._reverse = self.graph.reverse()
-            workspace = self._get_workspace(n, lanes)
             # Per-level wall-clock profile span; a no-op flag test when
             # profiling is off (the <= 5% overhead budget boundary).
             with obs_profile.span(
@@ -347,7 +388,7 @@ class BitwiseTraversal:
         bsa: np.ndarray,
         depths_vm: np.ndarray,
         masks: np.ndarray,
-        workspace: LevelWorkspace,
+        workspace,
         td_instances: List[int],
         bu_instances: List[int],
         level: int,
@@ -360,6 +401,29 @@ class BitwiseTraversal:
         frontier_counts: np.ndarray,
         decision: LevelDecision,
     ):
+        """Run one level on the path the group's workspace selected: one
+        library call (:meth:`_level_native`) or the numpy kernels below,
+        which are the reference the compiled level matches step for step.
+
+        Returns ``(progressed, counts, frontier_edges, frontier)``: per
+        instance, whether it reached any new vertex, the new frontier's
+        size and its out-degree sum, and the next level's ``(changed,
+        diff)`` frontier (None on the compiled path, whose kernel keeps
+        it).
+        """
+        if isinstance(workspace, native.LevelKernel):
+            return self._level_native(
+                workspace,
+                depths_vm,
+                masks,
+                td_instances,
+                bu_instances,
+                level,
+                record,
+                observer,
+                sharing_log,
+                decision,
+            )
         mem = self.device.memory
         counters = record.counters
         group_size = masks.shape[0]
@@ -437,50 +501,20 @@ class BitwiseTraversal:
             frontier_words = bsa[td_frontier] & td_lane_mask
             degrees = out_degrees[td_frontier]
             num_neighbors = int(degrees.sum())
-            if native.effective(lanes):
-                # Fused CSR edge-map: the compiled backend walks the
-                # frontier's adjacency in place twice — once to mark the
-                # unique targets and price the frontier, neighbor and
-                # target streams, once to scatter-OR — so no neighbor
-                # array, scatter plan or np.repeat index is built.
-                graph = self.graph
-                unique_targets, pricing = native.unique_targets(
-                    graph.row_offsets,
-                    graph.col_indices,
-                    td_frontier,
-                    word_bytes,
-                    mem.config.transaction_bytes,
-                    mem.config.warp_size,
-                )
-                native.scatter_or(
-                    bsa,
-                    graph.row_offsets,
-                    graph.col_indices,
-                    td_frontier,
-                    frontier_words,
-                )
-                (
-                    (frontier_ld, frontier_req),
-                    (nb_ld, nb_req),
-                    (st_txn, st_req),
-                ) = pricing
-            else:
-                _, neighbors = gather_neighbors(self.graph, td_frontier)
-                plan = scatter_plan(neighbors)
-                unique_targets = plan.unique_targets
-                word_index = np.repeat(
-                    np.arange(td_frontier.size, dtype=np.int64), degrees
-                )
-                scatter_or(bsa, neighbors, frontier_words, plan, word_index)
-                frontier_ld, frontier_req = mem.coalesced_transactions(
-                    td_frontier, word_bytes
-                )
-                nb_ld, nb_req = mem.coalesced_transactions(
-                    neighbors, word_bytes
-                )
-                st_txn, st_req = mem.coalesced_transactions(
-                    unique_targets, word_bytes
-                )
+            _, neighbors = gather_neighbors(self.graph, td_frontier)
+            plan = scatter_plan(neighbors)
+            unique_targets = plan.unique_targets
+            word_index = np.repeat(
+                np.arange(td_frontier.size, dtype=np.int64), degrees
+            )
+            scatter_or(bsa, neighbors, frontier_words, plan, word_index)
+            frontier_ld, frontier_req = mem.coalesced_transactions(
+                td_frontier, word_bytes
+            )
+            nb_ld, nb_req = mem.coalesced_transactions(neighbors, word_bytes)
+            st_txn, st_req = mem.coalesced_transactions(
+                unique_targets, word_bytes
+            )
             # One thread per frontier performs one OR per neighbor,
             # regardless of how many instances share the frontier.
             inspections_level += num_neighbors
@@ -501,7 +535,9 @@ class BitwiseTraversal:
         # --- Bottom-up pass: BSA[f] |= BSA_k[v], early termination ----
         if bu_instances:
             tally_before = int(bu_inspections.sum())
-            probes_total, early, updated = self._bottom_up_pass(
+            (
+                probes_total, early, updated, per_vertex_probes, probed
+            ) = self._bottom_up_pass(
                 bsa,
                 workspace,
                 bu_mask_vertices,
@@ -513,28 +549,10 @@ class BitwiseTraversal:
             inspections_level += probes_total
             counters.bottom_up_inspections += probes_total
             counters.early_terminations += early
-            bu_frontier = np.flatnonzero(bu_mask_vertices).astype(VERTEX_DTYPE)
-            loads += mem.stream_transactions(bu_frontier.size * 8)
+            loads += mem.stream_transactions(per_vertex_probes.size * 8)
             per_line = self.device.config.entries_per_transaction
-            loads += int(
-                np.sum(
-                    (self._per_vertex_probes + per_line - 1) // per_line
-                )
-            )
-            if self._probed_neighbors is None:
-                # Native scans never materialized the round-major
-                # stream; the fused kernel prices the identical stream.
-                probe_ld, probe_req = native.bottom_up_coalesced(
-                    *self._probe_parts,
-                    num_vertices,
-                    word_bytes,
-                    mem.config.transaction_bytes,
-                    mem.config.warp_size,
-                )
-            else:
-                probe_ld, probe_req = mem.coalesced_transactions(
-                    self._probed_neighbors, word_bytes
-                )
+            loads += int(np.sum((per_vertex_probes + per_line - 1) // per_line))
+            probe_ld, probe_req = mem.coalesced_transactions(probed, word_bytes)
             loads += probe_ld
             load_requests += probe_req
             st_txn, st_req = mem.coalesced_transactions(updated, word_bytes)
@@ -562,14 +580,9 @@ class BitwiseTraversal:
             # to level + 1 with pure SIMD arithmetic — no boolean-where
             # pass.  Rows in ``changed`` are unique, so the fancy-indexed
             # in-place add is a plain gather/add/scatter.
-            if native.effective(lanes):
-                native.depth_update(depths_vm, changed, diff, level + 2)
-            else:
-                upd = unpack_lane_bits(diff, group_size).astype(
-                    depths_vm.dtype
-                )
-                upd *= depths_vm.dtype.type(level + 2)
-                depths_vm[changed] += upd
+            upd = unpack_lane_bits(diff, group_size).astype(depths_vm.dtype)
+            upd *= depths_vm.dtype.type(level + 2)
+            depths_vm[changed] += upd
             progressed = counts > 0
 
         # Identification scans BSA_k and BSA_{k+1}; MS-BFS additionally
@@ -616,6 +629,75 @@ class BitwiseTraversal:
         )
         return progressed, counts, fdeg_next, (changed, diff)
 
+    def _level_native(
+        self,
+        kernel: "native.LevelKernel",
+        depths_vm: np.ndarray,
+        masks: np.ndarray,
+        td_instances: List[int],
+        bu_instances: List[int],
+        level: int,
+        record: RunRecord,
+        observer: SharingObserver,
+        sharing_log: dict,
+        decision: LevelDecision,
+    ):
+        """One level as one call into the compiled library."""
+        if bu_instances:
+            kernel.bind_reverse(
+                self._reverse.row_offsets, self._reverse.col_indices
+            )
+        (
+            fq_td, td_vertices, fq_bu, bu_vertices, jfq,
+            loads, stores, load_requests, store_requests, atomics,
+            instructions, inspections, edges, shared, bu_probes, early,
+        ) = kernel.run_level(
+            depths_vm,
+            combine_masks(masks, td_instances),
+            combine_masks(masks, bu_instances),
+            level,
+            decision.vector_width,
+            decision.early_termination,
+        )
+        observer.record_level(fq_td + fq_bu, jfq)
+        sharing_log["td"].append((fq_td, td_vertices))
+        sharing_log["bu"].append((fq_bu, bu_vertices))
+        counters = record.counters
+        counters.levels += 1
+        if jfq == 0:
+            record.append(LevelRecord(depth=level, direction="td"))
+        else:
+            counters.inspections += inspections
+            counters.edges_traversed += edges
+            counters.atomic_operations += atomics
+            counters.shared_memory_accesses += shared
+            counters.bottom_up_inspections += bu_probes
+            counters.early_terminations += early
+            counters.frontier_enqueues += jfq
+            counters.global_load_transactions += loads
+            counters.global_store_transactions += stores
+            counters.global_load_requests += load_requests
+            counters.global_store_requests += store_requests
+            counters.instructions += instructions
+            record.append(
+                LevelRecord(
+                    depth=level,
+                    direction=(
+                        "bu" if bu_instances and not td_instances else "td"
+                    ),
+                    load_transactions=loads,
+                    store_transactions=stores,
+                    atomics=atomics,
+                    instructions=instructions,
+                    threads=(
+                        masks.shape[0] if self.thread_per_instance else jfq
+                    ),
+                    frontier_size=jfq,
+                )
+            )
+        counts, frontier_edges = kernel.new_frontier()
+        return counts > 0, counts, frontier_edges, None
+
     # ------------------------------------------------------------------
     def _bottom_up_pass(
         self,
@@ -637,9 +719,10 @@ class BitwiseTraversal:
         metric) and the round-major probe stream for the transaction
         model come out identical to the synchronized round loop.
 
-        Returns ``(probes, early_terminations, updated_vertices)`` and
-        stashes per-vertex probe counts for the caller's transaction
-        accounting.
+        Returns ``(probes, early_terminations, updated_vertices,
+        per_vertex_probes, probed_neighbors)``; the last two feed the
+        caller's transaction accounting, the probed neighbors in
+        round-major order.
         """
         assert self._reverse is not None
         rev = self._reverse
@@ -676,15 +759,8 @@ class BitwiseTraversal:
             bsa[frontier] |= acc
 
         early = int(np.count_nonzero(done & (probes < (ends - starts))))
-        self._per_vertex_probes = probes
         # Early-termination scans emit the round-major stream directly;
-        # full scans (MS-BFS) reconstruct it from per-vertex counts —
-        # except on the native path, where the caller prices the stream
-        # through the fused round-major coalescing kernel instead of
-        # materializing it.
-        if stream is None and native.effective(bsa.shape[1]):
-            self._probe_parts = (indices, starts, probes)
-        elif stream is None:
+        # full scans (MS-BFS) reconstruct it from per-vertex counts.
+        if stream is None:
             stream = round_major_probes(indices, starts, probes)
-        self._probed_neighbors = stream
-        return int(probes.sum()), early, updated
+        return int(probes.sum()), early, updated, probes, stream

@@ -153,26 +153,18 @@ def bucketed_or_scan(
     ``profile.kernels.bottomup_or_scan`` span per call when profiling
     is on, a single flag test when off.
 
-    Runs the compiled scan (:func:`repro.native.or_scan`, same
-    signature) when the backend is :func:`~repro.native.effective` for
-    the group's lane count, else the numpy passes; both are
-    bit-identical in outputs and counters.  The native scan returns
-    ``stream=None`` in both modes — callers reconstruct it with
-    :func:`round_major_probes`, which emits the identical round-major
-    order.
+    This is the numpy bitwise level's scan; the compiled level runs the
+    same scan in C (:func:`repro.native.or_scan` is its per-op form).
     """
     with obs_profile.span(
         "kernels.bottomup_or_scan",
         positions=int(starts.size),
         early_termination=bool(early_termination),
     ):
-        args = (
+        return _bucketed_or_scan_impl(
             indices, starts, ends, state, lane_mask, target,
             early_termination, bsa_k, inspections_out,
         )
-        if native.effective(state.shape[1]):
-            return native.or_scan(*args) + (None,)
-        return _bucketed_or_scan_impl(*args)
 
 
 def _bucketed_or_scan_impl(

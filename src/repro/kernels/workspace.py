@@ -1,4 +1,5 @@
-"""Per-level ``BSA_k`` bookkeeping: one whole-array snapshot per level.
+"""Per-level ``BSA_k`` bookkeeping of the numpy bitwise level: one
+whole-array snapshot per level.
 
 Algorithm 2 identifies a level's frontiers by comparing the status
 array before the level (``BSA_k``) with the array after it.  A
@@ -7,6 +8,10 @@ buffer does: ``begin_level`` copies the live array into a preallocated
 buffer, bottom-up probes read rows of that buffer, and ``changed``
 compares the two arrays and XORs the rows that differ.  The buffer is
 reused across levels and groups of the same shape.
+
+This is the numpy path's workspace, and the reference for the compiled
+level (:class:`repro.native.LevelKernel`), which keeps its own
+``BSA_k`` current by writing back only the rows its kernels touched.
 """
 
 from __future__ import annotations

@@ -9,6 +9,14 @@ through :mod:`ctypes`.  The engines run them whenever :func:`effective`
 says the library loaded for the group's lane count, and the numpy
 kernels otherwise; plans never name the path.
 
+The bitwise engine runs each level as one call:
+:class:`LevelKernel` drives ``repro_bitwise_level``, which strings the
+same C loops the per-op functions here call (frontier identification,
+top-down edge map, bottom-up OR scan, extraction, tallies, depth write
+and pricing) over buffers allocated once per ``(n, lanes)`` shape.
+The per-op functions stay for the joint and single-source engines,
+the numpy path's shared helpers and the equivalence tests.
+
 The library is *optional*: when it does not load (no C compiler, a
 failed compile, or the kill switch) the numpy kernels keep running
 with zero behavior change.  Both paths are bit-identical in results
@@ -28,6 +36,7 @@ Environment knobs:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import os
 import time
 from typing import Dict, Optional, Tuple
@@ -55,6 +64,7 @@ __all__ = [
     "hit_scan_depth",
     "per_bit_counts",
     "per_bit_weighted",
+    "LevelKernel",
 ]
 
 
@@ -529,9 +539,8 @@ def per_bit_counts(words: np.ndarray, group_size: int) -> np.ndarray:
         return np.zeros(group_size, dtype=np.int64)
     words = _rows2d(words)
     rows, lanes = words.shape
-    hist = np.zeros(lanes * 8 * 256, dtype=np.int64)
     out = np.zeros(lanes * 64, dtype=np.int64)
-    lib.repro_per_bit_counts(_p(words), rows, lanes, _p(hist), _p(out))
+    lib.repro_per_bit_counts(_p(words), rows, lanes, _p(out))
     return out[:group_size]
 
 
@@ -545,12 +554,197 @@ def per_bit_weighted(
     words = _rows2d(words)
     weights = _contig(weights, np.int64)
     rows, lanes = words.shape
-    hist = np.zeros(lanes * 8 * 256, dtype=np.int64)
     out = np.zeros(lanes * 64, dtype=np.int64)
-    lib.repro_per_bit_weighted(
-        _p(words), _p(weights), rows, lanes, _p(hist), _p(out)
-    )
+    lib.repro_per_bit_weighted(_p(words), _p(weights), rows, lanes, _p(out))
     return out[:group_size]
+
+
+# ----------------------------------------------------------------------
+# The fused bitwise level
+# ----------------------------------------------------------------------
+#: Bottom-up probe rounds the compiled scan captures round-major for the
+#: probe pricing (n slots each); later rounds are priced by revisiting
+#: the adjacency rows.  With early termination most probes fall in the
+#: first 16 rounds.
+_HEAD_ROUNDS = 16
+
+
+class LevelKernel:
+    """One :class:`~repro.core.bitwise.BitwiseTraversal` level per call.
+
+    :meth:`run_level` runs a whole level — frontier identification, the
+    top-down edge map, the bottom-up OR scan, changed-row extraction,
+    the per-bit tallies, the depth write and every pricing term — as
+    one call into the library (``repro_bitwise_level``), built from the
+    same C loops as the per-op functions above.  Every buffer is
+    allocated here, once per ``(num_vertices, lanes)`` shape, and the C
+    struct holding their addresses is built once, so a level allocates
+    nothing and crosses ctypes once.
+
+    Between levels the kernel holds the traversal state the numpy path
+    recomputes: ``BSA_k``, kept equal to the live array by writing back
+    only the rows that changed; the last level's ``(changed, diff)``
+    frontier; and the bottom-up candidates, the vertices that may still
+    gain an active instance's bit, which shrink level by level.
+    Results and simulated counters are bit-identical to the numpy path.
+    """
+
+    def __init__(
+        self,
+        row_offsets: np.ndarray,
+        col_indices: np.ndarray,
+        out_degrees: np.ndarray,
+        lanes: int,
+        transaction_bytes: int,
+        warp_size: int,
+        instructions_per_inspection: int,
+        instructions_per_vertex: int,
+    ) -> None:
+        from repro.native._csrc import LEVEL_STATS, LevelState
+
+        _require()
+        n = row_offsets.shape[0] - 1
+        self.num_vertices = n
+        self.lanes = lanes
+        lines = n * 8 * lanes // transaction_bytes
+
+        def ints(size):
+            return np.zeros(size, dtype=np.int64)
+
+        def words(size):
+            return np.zeros(size, dtype=np.uint64)
+
+        self._buffers = buffers = {
+            "offsets": _contig(row_offsets, np.int64),
+            "cols": _contig(col_indices, np.int64),
+            "degrees": _contig(out_degrees, np.int64),
+            "bsa_k": words((n, lanes)),
+            "sel": words((2, lanes)),
+            "counts": ints(lanes * 64),
+            "fdeg": ints(lanes * 64),
+            "changed": ints(n),
+            "changed_next": ints(n),
+            "diff": words((n, lanes)),
+            "diff_next": words((n, lanes)),
+            "cand": ints(n),
+            "fq_td": ints(n),
+            "fq_bu": ints(n),
+            "targets": ints(n),
+            "starts": ints(n),
+            "ends": ints(n),
+            "probes": ints(n),
+            "updated": ints(n),
+            "weights": ints(n),
+            "live": ints(2 * n + 2),
+            "hist": ints(lanes * 8 * 256),
+            "pending": ints(lanes * 64),
+            "heads": ints(_HEAD_ROUNDS * n),
+            "head_len": ints(_HEAD_ROUNDS),
+            "fresh": ints(warp_size),
+            "words": words((n, lanes)),
+            "acc": words((n, lanes)),
+            "seen": words(lines // 64 + 1),
+            "flags": np.zeros(n, dtype=np.uint8),
+            "done": np.zeros(n, dtype=np.uint8),
+        }
+        self._state = LevelState(
+            n=n,
+            lanes=lanes,
+            txn_bytes=transaction_bytes,
+            warp=warp_size,
+            insn_per_inspection=instructions_per_inspection,
+            insn_per_vertex=instructions_per_vertex,
+            head_rounds=_HEAD_ROUNDS,
+            **{name: _p(array) for name, array in buffers.items()},
+        )
+        self._address = ctypes.addressof(self._state)
+        self._stats = np.zeros(len(LEVEL_STATS), dtype=np.int64)
+        self._stats_address = _p(self._stats)
+        self._group_size = 0
+        #: Arrays the struct points into besides the buffers above.
+        self._group: Tuple[np.ndarray, ...] = ()
+        self._reverse: Tuple[np.ndarray, ...] = ()
+
+    def bind_reverse(self, row_offsets: np.ndarray, col_indices: np.ndarray) -> None:
+        """Point the bottom-up scan at the reverse CSR (once per graph)."""
+        if self._reverse and self._reverse[0] is row_offsets:
+            return
+        offsets = _contig(row_offsets, np.int64)
+        cols = _contig(col_indices, np.int64)
+        self._reverse = (row_offsets, offsets, cols)
+        self._state.roffsets = _p(offsets)
+        self._state.rcols = _p(cols)
+
+    def begin_group(
+        self,
+        bsa: np.ndarray,
+        rows: np.ndarray,
+        diff: np.ndarray,
+        counts: np.ndarray,
+        frontier_edges: np.ndarray,
+        inspections: np.ndarray,
+        reset_per_level: bool,
+    ) -> None:
+        """Start a group on the live C-contiguous ``(n, lanes)`` uint64
+        ``bsa``: level 0's frontier is ``(rows, diff)`` with per-instance
+        sizes ``counts`` and degree sums ``frontier_edges``; bottom-up
+        inspections accumulate into the int64 ``inspections``."""
+        buffers = self._buffers
+        state = self._state
+        group_size = inspections.shape[0]
+        np.copyto(buffers["bsa_k"], bsa)
+        size = rows.shape[0]
+        buffers["changed"][:size] = rows
+        buffers["diff"][:size] = diff
+        buffers["counts"][:group_size] = counts
+        buffers["fdeg"][:group_size] = frontier_edges
+        for name in ("changed", "changed_next", "diff", "diff_next"):
+            setattr(state, name, _p(buffers[name]))
+        state.nchanged = size
+        state.ncand = -1
+        state.group_size = group_size
+        state.reset_per_level = int(reset_per_level)
+        state.bsa = _p(bsa)
+        state.inspections = _p(inspections)
+        self._group = (bsa, inspections)
+        self._group_size = group_size
+
+    def run_level(
+        self,
+        depths_vm: np.ndarray,
+        td_lanes: np.ndarray,
+        bu_lanes: np.ndarray,
+        level: int,
+        vector_width: int,
+        early_termination: bool,
+    ) -> list:
+        """Run level ``level`` with the top-down instances' lane mask
+        ``td_lanes`` and the bottom-up ones' ``bu_lanes``, writing new
+        depths into the C-contiguous ``(n, group)`` ``depths_vm`` on
+        whatever rung of the narrow-dtype ladder it is on.  Returns the
+        stats vector, named by ``repro.native._csrc.LEVEL_STATS``."""
+        sel = self._buffers["sel"]
+        sel[0] = td_lanes
+        sel[1] = bu_lanes
+        _require().repro_bitwise_level(
+            self._address,
+            _p(depths_vm),
+            depths_vm.dtype.itemsize,
+            level,
+            vector_width,
+            1 if early_termination else 0,
+            self._stats_address,
+        )
+        return self._stats.tolist()
+
+    def new_frontier(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-instance ``(sizes, degree sums)`` of the frontier the last
+        level found (fresh arrays)."""
+        size = self._group_size
+        return (
+            self._buffers["counts"][:size].copy(),
+            self._buffers["fdeg"][:size].copy(),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -607,6 +801,25 @@ def warmup() -> float:
     )
     per_bit_counts(bsa, 2)
     per_bit_weighted(bsa, degrees, 2)
+    # Two instances from vertices 0 and 1: a mixed level (instance 0
+    # top-down, 1 bottom-up), then an all-bottom-up one, on every rung.
+    kernel = LevelKernel(offsets, indices, degrees, 1, 128, 2, 6, 6)
+    kernel.bind_reverse(offsets, indices)
+    for dtype in (np.int8, np.int16, np.int32):
+        depths = np.full((4, 2), -1, dtype=dtype)
+        depths[[0, 1], [0, 1]] = 0
+        status = np.array([[1], [2], [0], [0]], dtype=np.uint64)
+        kernel.begin_group(
+            status, np.array([0, 1], dtype=np.int64), status[:2].copy(),
+            np.ones(2, dtype=np.int64), degrees[:2].copy(),
+            np.zeros(2, dtype=np.int64), False,
+        )
+        for level, td_lanes, bu_lanes in ((0, 1, 2), (1, 0, 3)):
+            kernel.run_level(
+                depths, np.array([td_lanes], dtype=np.uint64),
+                np.array([bu_lanes], dtype=np.uint64), level, 1, True,
+            )
+            kernel.new_frontier()
     _warm_seconds = time.perf_counter() - began
     return _warm_seconds
 

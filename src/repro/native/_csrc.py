@@ -78,13 +78,32 @@ typedef struct {
     int64_t warp;
     int64_t txns;
     int64_t reqs;
+    int shift;       /* line_shift of the stream's element shape */
+    int64_t element_bytes, txn_bytes;
 } line_map;
 
-static int map_open(line_map *a, int64_t lines, int64_t warp) {
-    a->seen = calloc((size_t)(lines / 64 + 1), sizeof(uint64_t));
-    a->fresh = malloc((size_t)warp * sizeof(int64_t));
+/* ``seen`` must be all-zero (it is again after every map_take) and     */
+/* hold a bit per line; ``fresh`` must hold ``warp`` slots.             */
+static void map_init(line_map *a, uint64_t *seen, int64_t *fresh,
+                     int64_t warp, int64_t element_bytes, int64_t txn_bytes) {
+    a->seen = seen;
+    a->fresh = fresh;
     a->nd = a->k = a->txns = a->reqs = 0;
     a->warp = warp;
+    a->shift = line_shift(element_bytes, txn_bytes);
+    a->element_bytes = element_bytes;
+    a->txn_bytes = txn_bytes;
+}
+
+/* Allocating form for the per-op exports: a map over the lines of     */
+/* ``n`` elements.                                                     */
+static int map_open(line_map *a, int64_t n, int64_t warp,
+                    int64_t element_bytes, int64_t txn_bytes) {
+    int64_t lines = line_of(n, line_shift(element_bytes, txn_bytes),
+                            element_bytes, txn_bytes);
+    map_init(a, calloc((size_t)(lines / 64 + 1), sizeof(uint64_t)),
+             malloc((size_t)warp * sizeof(int64_t)), warp, element_bytes,
+             txn_bytes);
     if (a->seen && a->fresh) return 0;
     free(a->seen);
     free(a->fresh);
@@ -99,7 +118,9 @@ static inline void map_close_warp(line_map *a) {
     a->k = 0;
 }
 
-static inline void map_push(line_map *a, int64_t line) {
+/* Element ``idx`` of the stream. */
+static inline void map_push(line_map *a, int64_t idx) {
+    int64_t line = line_of(idx, a->shift, a->element_bytes, a->txn_bytes);
     if (a->k == a->warp) map_close_warp(a);
     a->k++;
     uint64_t *w = a->seen + (line >> 6);
@@ -116,6 +137,25 @@ static void map_take(line_map *a, int64_t *out) {
     out[0] = a->txns;
     out[1] = a->reqs;
     a->txns = a->reqs = 0;
+}
+
+/* Hot loops push through a local copy of the map (taken on entry,    */
+/* stored back on exit): stores through the map's own arrays, or any   */
+/* byte store, could otherwise alias its counters and force a reload   */
+/* of each one on every push.                                          */
+
+/* Pushes a stream of element ids. */
+static void map_push_all(line_map *a, const int64_t *ids, int64_t m) {
+    line_map local = *a;
+    for (int64_t i = 0; i < m; i++) map_push(&local, ids[i]);
+    *a = local;
+}
+
+/* Prices a whole stream of element ids: out = (transactions, requests). */
+static void map_stream(line_map *a, const int64_t *ids, int64_t m,
+                       int64_t *out) {
+    map_push_all(a, ids, m);
+    map_take(a, out);
 }
 
 static void map_free(line_map *a) {
@@ -175,112 +215,168 @@ static inline void set_push(line_set *a, int64_t line) {
     a->nd++;
 }
 
+static inline int64_t ceil_div(int64_t a, int64_t b) {
+    return (a + b - 1) / b;
+}
+
+/* Transactions to load ``entries`` 8-byte entries, ``per_line`` to a  */
+/* transaction.  A transaction narrower than one entry has per_line 0, */
+/* which the numpy path's integer floor division prices at 0.          */
+static inline int64_t entry_lines(int64_t entries, int64_t per_line) {
+    return per_line ? ceil_div(entries, per_line) : 0;
+}
+
 /* ------------------------------------------------------------------ */
-/* Fused top-down edge map, first walk: mark the unique targets of     */
-/* the frontier's CSR rows and price the level's three access streams  */
-/* into ``pricing`` as (transactions, requests) pairs — frontier words */
-/* in frontier order, neighbor words in edge order (the                */
-/* gather_neighbors stream), and the unique target stores, priced in   */
-/* the ascending sweep that emits them (sorted without a comparison    */
-/* sort).  ``flags`` must be all-zero on entry and is left all-zero,   */
-/* so one zeroed buffer serves every call (the numpy layer caches one  */
-/* per size).  Returns the target count, or -1 when scratch cannot be  */
-/* allocated.                                                          */
+/* The top-down edge map's walk over the frontier's CSR rows in edge   */
+/* order (the gather_neighbors stream).  With ``out`` it scatter-ORs:  */
+/* out[t] |= words[r] for every target t of frontier[r]; with ``acc``  */
+/* it also marks flags[t], tracks the targets' range in [*lo, *hi] and */
+/* prices the neighbor stream.                                         */
 /* ------------------------------------------------------------------ */
+static void edge_walk(const int64_t *offsets, const int64_t *cols,
+                      const int64_t *frontier, int64_t rows,
+                      uint64_t *out, const uint64_t *words, int64_t lanes,
+                      line_map *acc, uint8_t *flags, int64_t *lo,
+                      int64_t *hi) {
+    line_map local;
+    int64_t low = 0, high = 0;
+    if (acc) {
+        local = *acc;
+        low = *lo;
+        high = *hi;
+    }
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t *nb = cols + offsets[frontier[r]];
+        const int64_t *end = cols + offsets[frontier[r] + 1];
+        const uint64_t *w = out ? words + r * lanes : NULL;
+        for (; nb < end; nb++) {
+            int64_t t = *nb;
+            if (out) {
+                if (lanes == 1) {
+                    out[t] |= w[0];
+                } else {
+                    uint64_t *dst = out + t * lanes;
+                    for (int64_t l = 0; l < lanes; l++) dst[l] |= w[l];
+                }
+            }
+            if (acc) {
+                flags[t] = 1;
+                if (t < low) low = t;
+                if (t > high) high = t;
+                map_push(&local, t);
+            }
+        }
+    }
+    if (acc) {
+        *acc = local;
+        *lo = low;
+        *hi = high;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused top-down edge map: mark the unique targets of the frontier's  */
+/* CSR rows (scatter-ORing ``words`` into ``status`` on the same walk  */
+/* when it is given) and price the level's three access streams into   */
+/* ``pricing`` as (transactions, requests) pairs — frontier words in   */
+/* frontier order, neighbor words in edge order, and the unique target */
+/* stores, priced in the ascending sweep that emits them (sorted       */
+/* without a comparison sort).  ``flags`` must be all-zero on entry    */
+/* and is left all-zero, so one zeroed buffer serves every call.       */
+/* Returns the target count.                                           */
+/* ------------------------------------------------------------------ */
+static int64_t unique_targets_walk(const int64_t *offsets,
+                                   const int64_t *cols,
+                                   const int64_t *frontier, int64_t rows,
+                                   int64_t n, uint8_t *flags, int64_t *out,
+                                   line_map *acc, int64_t *pricing,
+                                   uint64_t *status, const uint64_t *words,
+                                   int64_t lanes) {
+    map_stream(acc, frontier, rows, pricing);
+    int64_t lo = n, hi = -1;
+    edge_walk(offsets, cols, frontier, rows, status, words, lanes, acc,
+              flags, &lo, &hi);
+    map_take(acc, pricing + 2);
+    int64_t count = 0;
+    line_map local = *acc;
+    for (int64_t v = lo; v <= hi; v++) {
+        if (flags[v]) {
+            flags[v] = 0;
+            out[count++] = v;
+            map_push(&local, v);
+        }
+    }
+    *acc = local;
+    map_take(acc, pricing + 4);
+    return count;
+}
+
+/* Returns the target count, or -1 when scratch cannot be allocated.   */
 int64_t repro_unique_targets(const int64_t *offsets, const int64_t *cols,
                              const int64_t *frontier, int64_t rows,
                              int64_t n, uint8_t *flags, int64_t *out,
                              int64_t element_bytes, int64_t txn_bytes,
                              int64_t warp, int64_t *pricing) {
-    int shift = line_shift(element_bytes, txn_bytes);
     line_map acc;
-    if (map_open(&acc, line_of(n, shift, element_bytes, txn_bytes), warp))
-        return -1;
-    for (int64_t r = 0; r < rows; r++)
-        map_push(&acc, line_of(frontier[r], shift, element_bytes, txn_bytes));
-    map_take(&acc, pricing);
-    int64_t lo = n, hi = -1;
-    for (int64_t r = 0; r < rows; r++) {
-        const int64_t *nb = cols + offsets[frontier[r]];
-        const int64_t *end = cols + offsets[frontier[r] + 1];
-        for (; nb < end; nb++) {
-            int64_t t = *nb;
-            flags[t] = 1;
-            if (t < lo) lo = t;
-            if (t > hi) hi = t;
-            map_push(&acc, line_of(t, shift, element_bytes, txn_bytes));
-        }
-    }
-    map_take(&acc, pricing + 2);
-    int64_t count = 0;
-    for (int64_t v = lo; v <= hi; v++) {
-        if (flags[v]) {
-            flags[v] = 0;
-            out[count++] = v;
-            map_push(&acc, line_of(v, shift, element_bytes, txn_bytes));
-        }
-    }
-    map_take(&acc, pricing + 4);
+    if (map_open(&acc, n, warp, element_bytes, txn_bytes)) return -1;
+    int64_t count = unique_targets_walk(offsets, cols, frontier, rows, n,
+                                        flags, out, &acc, pricing, NULL,
+                                        NULL, 1);
     map_free(&acc);
     return count;
 }
 
-/* ------------------------------------------------------------------ */
-/* Fused top-down edge map, second walk: out[v] |= words[r] for every  */
-/* target v in frontier[r]'s CSR row.                                  */
-/* ------------------------------------------------------------------ */
+/* Scatter-OR alone: out[v] |= words[r] for every target v in          */
+/* frontier[r]'s CSR row.                                              */
 void repro_scatter_or(uint64_t *out, const int64_t *offsets,
                       const int64_t *cols, const int64_t *frontier,
                       int64_t rows, const uint64_t *words, int64_t lanes) {
-    for (int64_t r = 0; r < rows; r++) {
-        const int64_t *nb = cols + offsets[frontier[r]];
-        const int64_t *end = cols + offsets[frontier[r] + 1];
-        if (lanes == 1) {
-            uint64_t w = words[r];
-            for (; nb < end; nb++) out[*nb] |= w;
-            continue;
-        }
-        const uint64_t *w = words + r * lanes;
-        for (; nb < end; nb++) {
-            uint64_t *dst = out + *nb * lanes;
-            for (int64_t l = 0; l < lanes; l++) dst[l] |= w[l];
+    edge_walk(offsets, cols, frontier, rows, out, words, lanes, NULL, NULL,
+              NULL, NULL);
+}
+
+/* ------------------------------------------------------------------ */
+/* Per-instance pending tallies of the OR scan: for every tracked bit  */
+/* of ``mask`` unset in the before-word, the owning instance inspected */
+/* this probe (figure 11's balance attribution).  Incrementing one     */
+/* counter per pending bit per probe is the scan's dominant cost on    */
+/* early levels (most of 64 bits pending, every probe), so the hot     */
+/* loops bin the pending *bytes* into 256-wide histograms — 8          */
+/* increments per word per probe regardless of popcount — and          */
+/* ``fold_bins`` expands them into per-bit sums afterwards.  Integer   */
+/* sums are order-free, so the result is bit-identical to the direct   */
+/* tally.  ``hist`` holds lanes*8*256 int64 slots; it must be all-zero */
+/* before binning and ``fold_bins`` leaves it all-zero again.          */
+/* ------------------------------------------------------------------ */
+static inline void bin_word(uint64_t word, int64_t *hist, int64_t weight) {
+    for (int bp = 0; bp < 8; bp++)
+        hist[bp * 256 + (int)((word >> (bp * 8)) & 0xFF)] += weight;
+}
+
+/* out[j] += weighted number of binned words with bit j set. */
+static void fold_bins(int64_t *hist, int64_t lanes, int64_t *out) {
+    for (int64_t j = 0; j < lanes * 8; j++) {
+        int64_t *h = hist + j * 256;
+        int64_t *dst = out + j * 8;
+        h[0] = 0;
+        for (int v = 1; v < 256; v++) {
+            int64_t c = h[v];
+            if (!c) continue;
+            h[v] = 0;
+            for (int b = 0; b < 8; b++)
+                if ((v >> b) & 1) dst[b] += c;
         }
     }
 }
 
-/* Per-instance pending tallies: for every tracked bit of ``mask``     */
-/* unset in the before-word, the owning instance inspected this probe  */
-/* (figure 11's balance attribution).  Incrementing one counter per    */
-/* pending bit per probe is the scan's dominant cost on early levels   */
-/* (most of 64 bits pending, every probe), so the hot loops bin the    */
-/* pending *bytes* into 256-wide histograms — 8 increments per word    */
-/* per probe regardless of popcount — and ``fold_pending`` expands     */
-/* them into per-bit sums afterwards.  Integer sums are order-free,    */
-/* so the result is bit-identical to the direct tally.                 */
-/* The before-word changes only when a probe contributes new bits —    */
-/* rare on scale-free graphs — so the scan batches runs of unchanged   */
-/* ``pre`` and adds the run length once per histogram bin instead of   */
-/* binning every probe.  Weighted sums are still order-free.           */
-static inline void bin_pending_w(uint64_t pend, int64_t *hist,
-                                 int64_t weight) {
-    for (int bp = 0; bp < 8; bp++)
-        hist[bp * 256 + (int)((pend >> (bp * 8)) & 0xFF)] += weight;
-}
-
-static void fold_pending(const int64_t *hist, int64_t lanes,
-                         int64_t *insp) {
-    for (int64_t l = 0; l < lanes; l++)
-        for (int bp = 0; bp < 8; bp++) {
-            const int64_t *h = hist + (l * 8 + bp) * 256;
-            int64_t *dst = insp + l * 64 + bp * 8;
-            for (int v = 1; v < 256; v++) {
-                int64_t c = h[v];
-                if (!c) continue;
-                for (int b = 0; b < 8; b++)
-                    if ((v >> b) & 1) dst[b] += c;
-            }
-        }
-}
+/* The first ``rounds`` probe rounds of a scan, captured round-major  */
+/* while the scan runs: round r's probed neighbors, in position order, */
+/* are ids[r * stride .. + len[r]).  The pricing then reads those      */
+/* rounds sequentially instead of revisiting every row's adjacency.    */
+typedef struct {
+    int64_t *ids, *len;
+    int64_t rounds, stride;
+} round_heads;
 
 /* Fallback when the histogram buffer cannot be allocated. */
 static inline void tally_pending_w(uint64_t pend, int64_t bit0,
@@ -300,24 +396,41 @@ static inline void tally_pending_w(uint64_t pend, int64_t bit0,
 /*                                                                    */
 /* Outputs and tallies match the vectorized passes exactly:            */
 /*   probes[i] = rounds executed; acc[i] = state|contributions at      */
-/*   retirement; done[i] = reached the full target; inspections[b] +=  */
-/*   one per (position, executed round) whose before-word has bit b    */
-/*   unset (masked bits only).  Probes read rows of ``bsa_k``, the     */
-/*   level's status-array snapshot.                                    */
+/*   retirement (0 for a position that never probes); done[i] =        */
+/*   reached the full target; inspections[b] += one per (position,     */
+/*   executed round) whose before-word has bit b unset (masked bits    */
+/*   only).  Every position's outputs are written, so the buffers need */
+/*   no clearing.  Probes read rows of ``bsa_k``, the level's          */
+/*   status-array snapshot.                                            */
+/*                                                                    */
+/* The pending words are binned into ``hist`` and folded once at the   */
+/* end (``hist`` NULL tallies bit by bit instead).  The before-word    */
+/* changes only when a probe contributes new bits — rare on            */
+/* scale-free graphs — so the scan batches runs of unchanged ``pre``   */
+/* and adds the run length once per histogram bin instead of binning   */
+/* every probe.  ``heads`` (optional, its lengths zeroed) captures the */
+/* first rounds' probes for round_coalesce_rows.                       */
 /* ------------------------------------------------------------------ */
-int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
-                      const int64_t *ends, int64_t m,
-                      const uint64_t *state, const uint64_t *lane_mask,
-                      const uint64_t *target, int early_termination,
-                      const uint64_t *bsa_k, int64_t lanes,
-                      int64_t *probes, uint64_t *acc, uint8_t *done,
-                      int64_t *inspections) {
+static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
+                            const int64_t *ends, int64_t m,
+                            const uint64_t *state, const uint64_t *lane_mask,
+                            const uint64_t *target, int early_termination,
+                            const uint64_t *bsa_k, int64_t lanes,
+                            int64_t *probes, uint64_t *acc, uint8_t *done,
+                            int64_t *hist, int64_t *inspections,
+                            round_heads *heads) {
     int64_t total = 0;
-    int64_t *hist = calloc((size_t)(lanes * 8 * 256), sizeof(int64_t));
+    int64_t head_rounds = heads ? heads->rounds : 0;
+    int64_t *head_ids = heads ? heads->ids : NULL;
+    int64_t *head_len = heads ? heads->len : NULL;
+    int64_t head_stride = heads ? heads->stride : 0;
     if (lanes == 1) {
         uint64_t mask = lane_mask[0], tgt = target[0];
         for (int64_t i = 0; i < m; i++) {
             uint64_t pre = state[i];
+            probes[i] = 0;
+            acc[i] = 0;
+            done[i] = 0;
             if (early_termination && pre == tgt) {
                 done[i] = 1;
                 continue;
@@ -334,10 +447,12 @@ int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
             int64_t r = 0;
             for (; r < deg; r++) {
                 runw++;
+                if (r < head_rounds)
+                    head_ids[r * head_stride + head_len[r]++] = nb[r];
                 uint64_t np = pre | (bsa_k[nb[r]] & mask);
                 if (np != pre) {
                     if (pend) {
-                        if (hist) bin_pending_w(pend, hist, runw);
+                        if (hist) bin_word(pend, hist, runw);
                         else tally_pending_w(pend, 0, runw, inspections);
                     }
                     runw = 0;
@@ -351,27 +466,28 @@ int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
                 }
             }
             if (runw && pend) {
-                if (hist) bin_pending_w(pend, hist, runw);
+                if (hist) bin_word(pend, hist, runw);
                 else tally_pending_w(pend, 0, runw, inspections);
             }
             probes[i] = r;
             total += r;
             acc[i] = pre;
         }
-        if (hist) {
-            fold_pending(hist, 1, inspections);
-            free(hist);
-        }
+        if (hist) fold_bins(hist, 1, inspections);
         return total;
     }
     uint64_t prebuf[64];
     for (int64_t i = 0; i < m; i++) {
         const uint64_t *st = state + i * lanes;
+        uint64_t *dst = acc + i * lanes;
         int full = 1;
         for (int64_t l = 0; l < lanes; l++) {
             prebuf[l] = st[l];
+            dst[l] = 0;
             if (st[l] != target[l]) full = 0;
         }
+        probes[i] = 0;
+        done[i] = 0;
         if (early_termination && full) {
             done[i] = 1;
             continue;
@@ -388,6 +504,8 @@ int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
         int64_t r = 0;
         for (; r < deg; r++) {
             runw++;
+            if (r < head_rounds)
+                head_ids[r * head_stride + head_len[r]++] = nb[r];
             const uint64_t *w = bsa_k + nb[r] * lanes;
             int moved = 0;
             full = 1;
@@ -402,8 +520,7 @@ int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
             if (moved) {
                 for (int64_t l = 0; l < lanes; l++) {
                     if (!pendbuf[l]) continue;
-                    if (hist) bin_pending_w(pendbuf[l], hist + l * 8 * 256,
-                                            runw);
+                    if (hist) bin_word(pendbuf[l], hist + l * 8 * 256, runw);
                     else tally_pending_w(pendbuf[l], l * 64, runw,
                                          inspections);
                     pendbuf[l] = lane_mask[l] & ~prebuf[l];
@@ -419,20 +536,30 @@ int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
         if (runw) {
             for (int64_t l = 0; l < lanes; l++) {
                 if (!pendbuf[l]) continue;
-                if (hist) bin_pending_w(pendbuf[l], hist + l * 8 * 256,
-                                        runw);
+                if (hist) bin_word(pendbuf[l], hist + l * 8 * 256, runw);
                 else tally_pending_w(pendbuf[l], l * 64, runw, inspections);
             }
         }
         probes[i] = r;
         total += r;
-        uint64_t *dst = acc + i * lanes;
         for (int64_t l = 0; l < lanes; l++) dst[l] = prebuf[l];
     }
-    if (hist) {
-        fold_pending(hist, lanes, inspections);
-        free(hist);
-    }
+    if (hist) fold_bins(hist, lanes, inspections);
+    return total;
+}
+
+int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
+                      const int64_t *ends, int64_t m,
+                      const uint64_t *state, const uint64_t *lane_mask,
+                      const uint64_t *target, int early_termination,
+                      const uint64_t *bsa_k, int64_t lanes,
+                      int64_t *probes, uint64_t *acc, uint8_t *done,
+                      int64_t *inspections) {
+    int64_t *hist = calloc((size_t)(lanes * 8 * 256), sizeof(int64_t));
+    int64_t total = or_scan_rows(indices, starts, ends, m, state, lane_mask,
+                                 target, early_termination, bsa_k, lanes,
+                                 probes, acc, done, hist, inspections, NULL);
+    free(hist);
     return total;
 }
 
@@ -488,29 +615,26 @@ int repro_coalesce(const int64_t *idx, int64_t m, int64_t element_bytes,
 /* Fused bottom-up probe pricing: the round-major probed-neighbor      */
 /* stream (all round-0 probes in position order, then round 1, ...)    */
 /* fed straight through a line map over the n vertices' lines, without */
-/* materializing the stream.  The live list holds (cursor, remaining)  */
-/* pairs, so a round touches only the positions still probing.         */
-/* Identical to repro_round_major + repro_coalesce over its output.    */
-/* Returns 0, or -1 when scratch cannot be allocated.                  */
+/* materializing the stream.  Rounds the scan captured in ``heads``   */
+/* (optional) are read from there; for the rest, the live list         */
+/* (``live``: 2*m+2 slots) holds (cursor, remaining) pairs, so a round */
+/* touches only the positions still probing.  Identical to             */
+/* repro_round_major + repro_coalesce over its output.                 */
 /* ------------------------------------------------------------------ */
-int repro_round_coalesce(const int64_t *indices, const int64_t *starts,
-                         const int64_t *probes, int64_t m, int64_t n,
-                         int64_t element_bytes, int64_t txn_bytes,
-                         int64_t warp, int64_t *out) {
-    int shift = line_shift(element_bytes, txn_bytes);
-    line_map acc;
-    if (map_open(&acc, line_of(n, shift, element_bytes, txn_bytes), warp))
-        return -1;
-    int64_t *live = malloc((size_t)(2 * m + 2) * sizeof(int64_t));
-    if (!live) {
-        map_free(&acc);
-        return -1;
-    }
+static void round_coalesce_rows(const int64_t *indices,
+                                const int64_t *starts,
+                                const int64_t *probes, int64_t m,
+                                const round_heads *heads, line_map *acc,
+                                int64_t *live, int64_t *out) {
+    int64_t skip = heads ? heads->rounds : 0;
+    for (int64_t r = 0; r < skip; r++)
+        map_push_all(acc, heads->ids + r * heads->stride, heads->len[r]);
+    line_map local = *acc;
     int64_t nlive = 0;
     for (int64_t i = 0; i < m; i++) {
-        if (probes[i] > 0) {
-            live[2 * nlive] = starts[i];
-            live[2 * nlive + 1] = probes[i];
+        if (probes[i] > skip) {
+            live[2 * nlive] = starts[i] + skip;
+            live[2 * nlive + 1] = probes[i] - skip;
             nlive++;
         }
     }
@@ -521,8 +645,7 @@ int repro_round_coalesce(const int64_t *indices, const int64_t *starts,
             /* Later rounds read the rows sparsely: fetch ahead. */
             if (li + 16 < nlive)
                 __builtin_prefetch(indices + live[2 * (li + 16)]);
-            map_push(&acc, line_of(indices[cursor], shift, element_bytes,
-                                   txn_bytes));
+            map_push(&local, indices[cursor]);
             if (remaining > 1) {
                 live[2 * w] = cursor + 1;
                 live[2 * w + 1] = remaining - 1;
@@ -531,47 +654,76 @@ int repro_round_coalesce(const int64_t *indices, const int64_t *starts,
         }
         nlive = w;
     }
-    map_take(&acc, out);
+    *acc = local;
+    map_take(acc, out);
+}
+
+/* Returns 0, or -1 when scratch cannot be allocated. */
+int repro_round_coalesce(const int64_t *indices, const int64_t *starts,
+                         const int64_t *probes, int64_t m, int64_t n,
+                         int64_t element_bytes, int64_t txn_bytes,
+                         int64_t warp, int64_t *out) {
+    line_map acc;
+    if (map_open(&acc, n, warp, element_bytes, txn_bytes)) return -1;
+    int64_t *live = malloc((size_t)(2 * m + 2) * sizeof(int64_t));
+    if (!live) {
+        map_free(&acc);
+        return -1;
+    }
+    round_coalesce_rows(indices, starts, probes, m, NULL, &acc, live, out);
     map_free(&acc);
     free(live);
     return 0;
 }
 
 /* ------------------------------------------------------------------ */
-/* Vertex-major depth write: for every set bit j of diff row i,        */
-/* depths[rows[i], j] += add — the compiled form of the unpack /       */
-/* multiply / fancy-add sequence in core/bitwise.py's depth            */
-/* extraction.  elem_size selects the dtype rung of the narrow-depth   */
-/* ladder; unsigned arithmetic stores the same two's-complement bytes  */
-/* the numpy in-place add produces.                                    */
+/* One sweep over the set bits of packed rows: for every set bit       */
+/* j < group_size of diff row i,                                       */
+/*   depths[rows[i], j] += add   (when ``depths`` is given) — the      */
+/*     compiled form of the unpack / multiply / fancy-add sequence in  */
+/*     core/bitwise.py's depth extraction; elem_size selects the dtype */
+/*     rung of the narrow-depth ladder, and unsigned arithmetic stores */
+/*     the same two's-complement bytes the numpy in-place add makes;   */
+/*   counts[j] += 1              (when ``counts`` is given);           */
+/*   fdeg[j] += weights[i]       (when ``fdeg`` is given) — integer    */
+/*     sums match the numpy float64 tally exactly for any weight total */
+/*     below 2**53 (degree sums always are).                           */
 /* ------------------------------------------------------------------ */
-void repro_depth_update(const int64_t *rows, const uint64_t *diff,
-                        int64_t m, int64_t lanes, int64_t group_size,
-                        void *depths, int64_t stride, int elem_size,
-                        int64_t add) {
+static void bit_sweep(const int64_t *rows, const uint64_t *diff, int64_t m,
+                      int64_t lanes, int64_t group_size, void *depths,
+                      int64_t stride, int elem_size, int64_t add,
+                      int64_t *counts, const int64_t *weights,
+                      int64_t *fdeg) {
     for (int64_t i = 0; i < m; i++) {
-        int64_t row = rows[i];
+        int64_t base = depths ? rows[i] * stride : 0;
+        int64_t weight = fdeg ? weights[i] : 0;
         for (int64_t l = 0; l < lanes; l++) {
             uint64_t w = diff[i * lanes + l];
             int64_t b0 = l * 64;
             while (w) {
-                int b = __builtin_ctzll(w);
-                int64_t j = b0 + b;
-                if (j < group_size) {
-                    if (elem_size == 1)
-                        ((uint8_t *)depths)[row * stride + j] +=
-                            (uint8_t)add;
-                    else if (elem_size == 2)
-                        ((uint16_t *)depths)[row * stride + j] +=
-                            (uint16_t)add;
-                    else
-                        ((uint32_t *)depths)[row * stride + j] +=
-                            (uint32_t)add;
-                }
+                int64_t j = b0 + __builtin_ctzll(w);
                 w &= w - 1;
+                if (j >= group_size) break;
+                if (counts) counts[j]++;
+                if (fdeg) fdeg[j] += weight;
+                if (!depths) continue;
+                if (elem_size == 1)
+                    ((uint8_t *)depths)[base + j] += (uint8_t)add;
+                else if (elem_size == 2)
+                    ((uint16_t *)depths)[base + j] += (uint16_t)add;
+                else
+                    ((uint32_t *)depths)[base + j] += (uint32_t)add;
             }
         }
     }
+}
+
+void repro_depth_update(const int64_t *rows, const uint64_t *diff,
+                        int64_t m, int64_t lanes, int64_t group_size,
+                        void *depths, int64_t stride, int elem_size,
+                        int64_t add) {
+    bit_sweep(rows, diff, m, lanes, group_size, depths, stride, elem_size,
+              add, NULL, NULL, NULL);
 }
 
 /* ------------------------------------------------------------------ */
@@ -636,57 +788,357 @@ int64_t repro_hit_scan_depth(const int64_t *indices, const int64_t *starts,
 }
 
 /* ------------------------------------------------------------------ */
-/* Packed-bit column sums: out[j] += number of rows with bit j set.    */
-/* Byte-histogram formulation (one 256-bin histogram per byte          */
-/* position), the same transformation kernels/bookkeeping uses.        */
-/* ``hist`` must hold lanes*8*256 zeroed int64 slots.                  */
+/* Packed-bit column sums: out[j] += number of rows with bit j set,    */
+/* and the weighted variant: out[j] += sum of weights over rows with   */
+/* bit j set (``out`` holds lanes*64 slots).                           */
 /* ------------------------------------------------------------------ */
 void repro_per_bit_counts(const uint64_t *words, int64_t rows,
-                          int64_t lanes, int64_t *hist, int64_t *out) {
-    const uint8_t *bytes = (const uint8_t *)words;
-    int64_t width = lanes * 8;
-    for (int64_t i = 0; i < rows; i++) {
-        const uint8_t *row = bytes + i * width;
-        for (int64_t j = 0; j < width; j++) hist[j * 256 + row[j]]++;
-    }
-    for (int64_t j = 0; j < width; j++) {
-        const int64_t *h = hist + j * 256;
-        for (int b = 0; b < 8; b++) {
-            int64_t acc = 0;
-            for (int v = 0; v < 256; v++)
-                if ((v >> b) & 1) acc += h[v];
-            out[j * 8 + b] += acc;
-        }
-    }
+                          int64_t lanes, int64_t *out) {
+    bit_sweep(NULL, words, rows, lanes, lanes * 64, NULL, 0, 0, 0, out,
+              NULL, NULL);
 }
 
-/* Weighted variant: out[j] += sum of weights over rows with bit j     */
-/* set.  Integer accumulation matches the numpy float64 path exactly   */
-/* for any weight total below 2**53 (degree sums always are).          */
 void repro_per_bit_weighted(const uint64_t *words, const int64_t *weights,
-                            int64_t rows, int64_t lanes, int64_t *hist,
-                            int64_t *out) {
-    const uint8_t *bytes = (const uint8_t *)words;
-    int64_t width = lanes * 8;
-    for (int64_t i = 0; i < rows; i++) {
-        const uint8_t *row = bytes + i * width;
-        int64_t w = weights[i];
-        for (int64_t j = 0; j < width; j++) hist[j * 256 + row[j]] += w;
+                            int64_t rows, int64_t lanes, int64_t *out) {
+    bit_sweep(NULL, words, rows, lanes, lanes * 64, NULL, 0, 0, 0, NULL,
+              weights, out);
+}
+
+/* ------------------------------------------------------------------ */
+/* One whole BitwiseTraversal level (core/bitwise.py's _level) in one  */
+/* call, over buffers the caller allocates once per (n, lanes) shape:  */
+/*                                                                    */
+/*  1. identification — the top-down frontier is last level's changed  */
+/*     rows whose diff meets a top-down lane; the bottom-up frontier   */
+/*     is the candidates with unset bottom-up bits.  Candidates are    */
+/*     the vertices that may still gain an active instance's bit; the  */
+/*     list starts as every vertex and drops, at each bottom-up level, */
+/*     every row with no unset active bit (bits never clear and an     */
+/*     instance never turns active again), so it shrinks level by      */
+/*     level instead of being rescanned over all n rows;               */
+/*  2. top-down — unique_targets_walk: one edge walk marks the unique  */
+/*     targets, prices its three streams and scatter-ORs BSA_k's       */
+/*     frontier words;                                                 */
+/*  3. bottom-up — or_scan_rows over BSA_k, the round-major probe      */
+/*     pricing and the ``updated`` store stream;                       */
+/*  4. extraction — changed rows come from the kernels' touched sets   */
+/*     (unique targets merged with updated rows, both ascending), not  */
+/*     from a whole-array compare; their diffs feed the per-bit        */
+/*     tallies and the depth write, and only those rows are written    */
+/*     back, which keeps BSA_k equal to the live array between levels; */
+/*  5. the level-wide pricing terms (identification scans, JFQ,        */
+/*     instructions), as the numpy path prices them.                   */
+/*                                                                    */
+/* Every priced stream keeps the numpy path's order (ascending vertex  */
+/* ids; probes round-major), because the warp model depends on it.     */
+/* ------------------------------------------------------------------ */
+typedef struct {
+    /* Graph: forward CSR, out-degrees, reverse CSR (NULL until a      */
+    /* level goes bottom-up).                                          */
+    const int64_t *offsets, *cols, *degrees, *roffsets, *rcols;
+    int64_t n, lanes, group_size;
+    /* Pricing model. */
+    int64_t txn_bytes, warp, reset_per_level;
+    int64_t insn_per_inspection, insn_per_vertex;
+    /* Live status array, BSA_k, and this level's top-down and         */
+    /* bottom-up lane masks (two rows of ``lanes`` words).             */
+    uint64_t *bsa, *bsa_k;
+    const uint64_t *sel;
+    /* Per-instance tallies: counts and fdeg hold the previous level's */
+    /* new-frontier sizes and degree sums on entry and this level's on */
+    /* return (lanes*64 slots each); inspections accumulates the       */
+    /* group's bottom-up inspections (group_size slots).               */
+    int64_t *counts, *fdeg, *inspections;
+    /* Frontier double buffer: this level reads (changed, diff) and    */
+    /* writes the next pair, then swaps the pointers.                  */
+    int64_t *changed, *changed_next;
+    uint64_t *diff, *diff_next;
+    int64_t nchanged;
+    /* Bottom-up candidates; ncand < 0 means every vertex. */
+    int64_t *cand;
+    int64_t ncand;
+    /* Scratch: n slots each, ``live`` 2n+2, ``words`` and ``acc``     */
+    /* n*lanes, ``hist`` lanes*8*256 (zero between uses), ``pending``  */
+    /* lanes*64, ``heads`` head_rounds*n with ``head_len`` head_rounds */
+    /* (the scan's captured rounds), ``seen``/``fresh`` the line map's */
+    /* storage.                                                        */
+    int64_t head_rounds;
+    int64_t *fq_td, *fq_bu, *targets, *starts, *ends, *probes, *updated;
+    int64_t *weights, *live, *hist, *pending, *heads, *head_len, *fresh;
+    uint64_t *words, *acc, *seen;
+    uint8_t *flags, *done;
+} level_ws;
+
+int64_t repro_level_ws_bytes(void) { return (int64_t)sizeof(level_ws); }
+
+/* Indices of the stats vector the entry fills. */
+enum {
+    ST_FQ_TD, ST_TD_VERTICES, ST_FQ_BU, ST_BU_VERTICES, ST_JFQ,
+    ST_LOADS, ST_STORES, ST_LOAD_REQUESTS, ST_STORE_REQUESTS, ST_ATOMICS,
+    ST_INSTRUCTIONS, ST_INSPECTIONS, ST_EDGES, ST_SHARED, ST_BU_PROBES,
+    ST_EARLY, ST_COUNT
+};
+
+void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
+                         int64_t level, int64_t vector_width,
+                         int64_t early_termination, int64_t *st) {
+    const int64_t n = ws->n, lanes = ws->lanes, gs = ws->group_size;
+    const int64_t tb = ws->txn_bytes, warp = ws->warp;
+    const int64_t word_bytes = lanes * 8, per_line = tb / 8;
+    const uint64_t *td_sel = ws->sel, *bu_sel = ws->sel + lanes;
+    uint64_t *bsa = ws->bsa, *bsa_k = ws->bsa_k;
+    int64_t *fq_td = ws->fq_td, *fq_bu = ws->fq_bu;
+    line_map map;
+    map_init(&map, ws->seen, ws->fresh, warp, word_bytes, tb);
+    memset(st, 0, ST_COUNT * sizeof(int64_t));
+
+    /* --- 1. Frontier identification ------------------------------- */
+    int any_td = 0, any_bu = 0;
+    for (int64_t l = 0; l < lanes; l++) {
+        any_td |= td_sel[l] != 0;
+        any_bu |= bu_sel[l] != 0;
     }
-    for (int64_t j = 0; j < width; j++) {
-        const int64_t *h = hist + j * 256;
-        for (int b = 0; b < 8; b++) {
-            int64_t acc = 0;
-            for (int v = 0; v < 256; v++)
-                if ((v >> b) & 1) acc += h[v];
-            out[j * 8 + b] += acc;
+    int64_t edges = 0, ntd = 0, nbu = 0;
+    if (any_td) {
+        /* Last level's per-instance frontier sizes and degree sums. */
+        for (int64_t j = 0; j < gs; j++) {
+            if ((td_sel[j >> 6] >> (j & 63)) & 1) {
+                st[ST_FQ_TD] += ws->counts[j];
+                edges += ws->fdeg[j];
+            }
+        }
+        for (int64_t i = 0; i < ws->nchanged; i++) {
+            const uint64_t *d = ws->diff + i * lanes;
+            uint64_t hit = 0;
+            for (int64_t l = 0; l < lanes; l++) hit |= d[l] & td_sel[l];
+            if (hit) fq_td[ntd++] = ws->changed[i];
         }
     }
+    if (any_bu) {
+        if (ws->ncand < 0) {
+            for (int64_t v = 0; v < n; v++) ws->cand[v] = v;
+            ws->ncand = n;
+        }
+        int64_t keep = 0;
+        for (int64_t c = 0; c < ws->ncand; c++) {
+            int64_t v = ws->cand[c];
+            const uint64_t *row = bsa_k + v * lanes;
+            uint64_t active = 0;
+            int64_t unset = 0;
+            for (int64_t l = 0; l < lanes; l++) {
+                uint64_t u = ~row[l];
+                active |= u & (td_sel[l] | bu_sel[l]);
+                unset += __builtin_popcountll(u & bu_sel[l]);
+            }
+            if (unset) {
+                fq_bu[nbu++] = v;
+                st[ST_FQ_BU] += unset;
+            }
+            if (active) ws->cand[keep++] = v;
+        }
+        ws->ncand = keep;
+    }
+    /* The joint frontier queue: |td ∪ bu| over two ascending lists. */
+    int64_t jfq = ntd + nbu;
+    for (int64_t i = 0, j = 0; i < ntd && j < nbu;) {
+        if (fq_td[i] < fq_bu[j]) i++;
+        else if (fq_td[i] > fq_bu[j]) j++;
+        else {
+            jfq--;
+            i++;
+            j++;
+        }
+    }
+    st[ST_TD_VERTICES] = ntd;
+    st[ST_BU_VERTICES] = nbu;
+    st[ST_JFQ] = jfq;
+    memset(ws->counts, 0, (size_t)lanes * 64 * sizeof(int64_t));
+    memset(ws->fdeg, 0, (size_t)lanes * 64 * sizeof(int64_t));
+    if (jfq == 0) {
+        ws->nchanged = 0;
+        return;
+    }
+
+    int64_t loads = 0, stores = 0, load_requests = 0, store_requests = 0;
+    int64_t inspections = 0, ntargets = 0, nupd = 0;
+    int64_t pricing[6];
+
+    /* --- 2. Top-down: BSA[v] |= BSA_k[f] ---------------------------- */
+    if (ntd) {
+        uint64_t *words = ws->words;
+        int64_t neighbors = 0, adjacency = 0;
+        for (int64_t r = 0; r < ntd; r++) {
+            int64_t f = fq_td[r];
+            for (int64_t l = 0; l < lanes; l++)
+                words[r * lanes + l] = bsa_k[f * lanes + l] & td_sel[l];
+            neighbors += ws->degrees[f];
+            adjacency += entry_lines(ws->degrees[f], per_line);
+        }
+        ntargets = unique_targets_walk(ws->offsets, ws->cols, fq_td, ntd, n,
+                                       ws->flags, ws->targets, &map,
+                                       pricing, bsa, words, lanes);
+        inspections += neighbors;
+        loads += ceil_div(ntd * 8, tb) + pricing[0] + adjacency + pricing[2];
+        load_requests += pricing[1] + pricing[3];
+        /* Shared-memory merging collapses duplicate neighbor updates; */
+        /* only the merged words hit global atomics.                   */
+        st[ST_ATOMICS] = ntargets;
+        st[ST_SHARED] = neighbors - ntargets;
+        stores += pricing[4];
+        store_requests += pricing[5];
+    }
+
+    /* --- 3. Bottom-up: BSA[f] |= BSA_k[v], early termination -------- */
+    if (nbu) {
+        uint64_t *state = ws->words, *acc = ws->acc;
+        int64_t *starts = ws->starts, *ends = ws->ends, *probes = ws->probes;
+        for (int64_t i = 0; i < nbu; i++) {
+            int64_t v = fq_bu[i];
+            starts[i] = ws->roffsets[v];
+            ends[i] = ws->roffsets[v + 1];
+            for (int64_t l = 0; l < lanes; l++)
+                state[i * lanes + l] = bsa_k[v * lanes + l] & bu_sel[l];
+        }
+        memset(ws->pending, 0, (size_t)lanes * 64 * sizeof(int64_t));
+        memset(ws->head_len, 0, (size_t)ws->head_rounds * sizeof(int64_t));
+        round_heads heads = {ws->heads, ws->head_len, ws->head_rounds, n};
+        int64_t probed = or_scan_rows(ws->rcols, starts, ends, nbu, state,
+                                      bu_sel, bu_sel, (int)early_termination,
+                                      bsa_k, lanes, probes, acc, ws->done,
+                                      ws->hist, ws->pending, &heads);
+        for (int64_t j = 0; j < gs; j++) {
+            ws->inspections[j] += ws->pending[j];
+            edges += ws->pending[j];
+        }
+        int64_t early = 0, probe_lines = 0;
+        for (int64_t i = 0; i < nbu; i++) {
+            if (ws->done[i] && probes[i] < ends[i] - starts[i]) early++;
+            probe_lines += entry_lines(probes[i], per_line);
+            /* "Updated" compares against BSA_k's masked word. */
+            const uint64_t *a = acc + i * lanes, *s = state + i * lanes;
+            uint64_t moved = 0;
+            for (int64_t l = 0; l < lanes; l++) moved |= a[l] & ~s[l];
+            if (moved) {
+                int64_t v = fq_bu[i];
+                ws->updated[nupd++] = v;
+                for (int64_t l = 0; l < lanes; l++) bsa[v * lanes + l] |= a[l];
+            }
+        }
+        inspections += probed;
+        st[ST_BU_PROBES] = probed;
+        st[ST_EARLY] = early;
+        loads += ceil_div(nbu * 8, tb) + probe_lines;
+        round_coalesce_rows(ws->rcols, starts, probes, nbu, &heads, &map,
+                            ws->live, pricing);
+        loads += pricing[0];
+        load_requests += pricing[1];
+        map_stream(&map, ws->updated, nupd, pricing);
+        stores += pricing[0];
+        store_requests += pricing[1];
+    }
+
+    /* --- 4. Extraction over the touched rows ------------------------ */
+    int64_t *cn = ws->changed_next, *targets = ws->targets;
+    uint64_t *dn = ws->diff_next;
+    int64_t m = 0;
+    for (int64_t i = 0, j = 0; i < ntargets || j < nupd;) {
+        int64_t v;
+        if (j == nupd || (i < ntargets && targets[i] < ws->updated[j])) {
+            v = targets[i++];
+        } else {
+            v = ws->updated[j++];
+            if (i < ntargets && targets[i] == v) i++;
+        }
+        uint64_t *live_row = bsa + v * lanes, *k_row = bsa_k + v * lanes;
+        uint64_t *d = dn + m * lanes;
+        uint64_t any = 0;
+        for (int64_t l = 0; l < lanes; l++) {
+            d[l] = live_row[l] ^ k_row[l];
+            any |= d[l];
+        }
+        if (!any) continue;
+        for (int64_t l = 0; l < lanes; l++) k_row[l] = live_row[l];
+        cn[m] = v;
+        ws->weights[m] = ws->degrees[v];
+        m++;
+    }
+    bit_sweep(cn, dn, m, lanes, gs, depths, gs, (int)elem_size, level + 2,
+              ws->counts, ws->weights, ws->fdeg);
+    ws->changed_next = ws->changed;
+    ws->changed = cn;
+    ws->diff_next = ws->diff;
+    ws->diff = dn;
+    ws->nchanged = m;
+
+    /* --- 5. Level-wide pricing -------------------------------------- */
+    /* Identification scans BSA_k and BSA_{k+1} (the device does, even */
+    /* though the host no longer does); MS-BFS also rewrites its       */
+    /* per-level visit array.  Vector loads fetch several lanes per    */
+    /* instruction: same bytes, fewer requests and scan instructions.  */
+    int64_t words_per_vertex = ceil_div(lanes, vector_width);
+    int64_t scan_ops = n * words_per_vertex;
+    int64_t sweep = ceil_div(n * word_bytes, tb);
+    loads += 2 * sweep;
+    load_requests += 2 * ceil_div(scan_ops, warp);
+    if (ws->reset_per_level) {
+        stores += sweep;
+        store_requests += ceil_div(scan_ops, warp);
+    }
+    stores += ceil_div(jfq * 8, tb);
+    store_requests += ceil_div(jfq, warp);
+    st[ST_LOADS] = loads;
+    st[ST_STORES] = stores;
+    st[ST_LOAD_REQUESTS] = load_requests;
+    st[ST_STORE_REQUESTS] = store_requests;
+    st[ST_INSPECTIONS] = inspections;
+    st[ST_EDGES] = edges;
+    st[ST_INSTRUCTIONS] =
+        inspections * ws->insn_per_inspection * words_per_vertex +
+        (jfq + scan_ops) * ws->insn_per_vertex;
 }
 """
 
 #: Bump when the C ABI changes so stale cached libraries are rebuilt.
-_ABI_VERSION = 4
+_ABI_VERSION = 5
+
+
+class LevelState(ctypes.Structure):
+    """The C ``level_ws`` struct of :c:func:`repro_bitwise_level`, field
+    for field (every field is 8 bytes, so there is no padding to
+    mirror); :func:`load_library` checks the two sizes agree."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p if kind == "p" else ctypes.c_int64)
+        for name, kind in (
+            ("offsets", "p"), ("cols", "p"), ("degrees", "p"),
+            ("roffsets", "p"), ("rcols", "p"),
+            ("n", "i"), ("lanes", "i"), ("group_size", "i"),
+            ("txn_bytes", "i"), ("warp", "i"), ("reset_per_level", "i"),
+            ("insn_per_inspection", "i"), ("insn_per_vertex", "i"),
+            ("bsa", "p"), ("bsa_k", "p"), ("sel", "p"),
+            ("counts", "p"), ("fdeg", "p"), ("inspections", "p"),
+            ("changed", "p"), ("changed_next", "p"),
+            ("diff", "p"), ("diff_next", "p"), ("nchanged", "i"),
+            ("cand", "p"), ("ncand", "i"), ("head_rounds", "i"),
+            ("fq_td", "p"), ("fq_bu", "p"), ("targets", "p"),
+            ("starts", "p"), ("ends", "p"), ("probes", "p"),
+            ("updated", "p"), ("weights", "p"), ("live", "p"),
+            ("hist", "p"), ("pending", "p"), ("heads", "p"),
+            ("head_len", "p"), ("fresh", "p"),
+            ("words", "p"), ("acc", "p"), ("seen", "p"),
+            ("flags", "p"), ("done", "p"),
+        )
+    ]
+
+
+#: Length of the stats vector :c:func:`repro_bitwise_level` fills (its
+#: ``ST_*`` enum, in that order).
+LEVEL_STATS = (
+    "fq_td", "td_vertices", "fq_bu", "bu_vertices", "jfq",
+    "loads", "stores", "load_requests", "store_requests", "atomics",
+    "instructions", "inspections", "edges", "shared", "bu_probes",
+    "early",
+)
 
 
 def _cache_dir() -> Path:
@@ -808,7 +1260,16 @@ def load_library() -> ctypes.CDLL:
     lib.repro_hit_scan_depth.restype = i64
     lib.repro_hit_scan_depth.argtypes = [p, p, p, i64, p, i64, p, i64, p, p]
     lib.repro_per_bit_counts.restype = None
-    lib.repro_per_bit_counts.argtypes = [p, i64, i64, p, p]
+    lib.repro_per_bit_counts.argtypes = [p, i64, i64, p]
     lib.repro_per_bit_weighted.restype = None
-    lib.repro_per_bit_weighted.argtypes = [p, p, i64, i64, p, p]
+    lib.repro_per_bit_weighted.argtypes = [p, p, i64, i64, p]
+    lib.repro_level_ws_bytes.restype = i64
+    lib.repro_level_ws_bytes.argtypes = []
+    lib.repro_bitwise_level.restype = None
+    lib.repro_bitwise_level.argtypes = [p, p, i64, i64, i64, i64, p]
+    if lib.repro_level_ws_bytes() != ctypes.sizeof(LevelState):
+        raise NativeUnavailable(
+            f"{lib_path}: level_ws is {lib.repro_level_ws_bytes()} bytes, "
+            f"LevelState {ctypes.sizeof(LevelState)}"
+        )
     return lib

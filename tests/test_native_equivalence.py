@@ -10,12 +10,18 @@ exec task protocol and the service-layer
 library does not load.
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import repro.native as native
 from repro.bfs.single import SingleBFS
+from repro.core.bitwise import BitwiseTraversal
 from repro.core.engine import IBFS, IBFSConfig
+from repro.gpusim.config import KEPLER_K40
+from repro.gpusim.device import Device
 from repro.graph.generators import rmat, uniform_random
 from repro.plan import HeuristicPolicy, make_policy
 from repro.service.cache import PlanCache, graph_cache_id
@@ -201,3 +207,30 @@ def test_adaptive_policy_identical_across_backends(compiled, graphs, provider):
         ).run(sources)
     got = IBFS(graph, config, planner=make_policy("adaptive")).run(sources)
     _assert_identical(baseline, got, f"adaptive/{provider}")
+
+
+# ----------------------------------------------------------------------
+# Device shapes the compiled level prices like numpy
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("transaction_bytes", [4, 64])
+def test_bitwise_level_on_narrow_transactions(compiled, graphs, transaction_bytes):
+    # A transaction narrower than one 8-byte entry prices adjacency and
+    # probe lines at 0 on the numpy path (integer division by zero); the
+    # compiled level must match it rather than divide by zero.
+    graph = graphs["rmat9"]
+    device_config = dataclasses.replace(
+        KEPLER_K40, transaction_bytes=transaction_bytes
+    )
+    planner = HeuristicPolicy(alpha=1e-9, beta=1e9)  # every level bottom-up
+    sources = list(range(0, 150, 3))
+    with native.force_backend("off"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = BitwiseTraversal(
+            graph, device=Device(device_config), planner=planner
+        ).run_group(sources)
+    got = BitwiseTraversal(
+        graph, device=Device(device_config), planner=planner
+    ).run_group(sources)
+    assert np.array_equal(got[0], expected[0])
+    assert got[1].counters == expected[1].counters
+    assert got[1].levels == expected[1].levels

@@ -217,19 +217,19 @@ class TestAdaptivePolicy:
         self, compiled, group_size, monkeypatch
     ):
         # The host picks its kernels outside the plan: an adaptive group
-        # runs the native depth update when the library loads for its
-        # lane count, and the numpy path when it does not.
+        # runs the compiled level when the library loads for its lane
+        # count, and the numpy path when it does not.
         graph = rmat(8, edge_factor=8, seed=2)
         sources = list(range(group_size))
         config = IBFSConfig(group_size=group_size, groupby=False)
         calls = []
-        depth_update = native.depth_update
+        run_level = native.LevelKernel.run_level
 
-        def counting(*args):
-            calls.append(len(args[1]))
-            return depth_update(*args)
+        def counting(self, *args):
+            calls.append(args[3])
+            return run_level(self, *args)
 
-        monkeypatch.setattr(native, "depth_update", counting)
+        monkeypatch.setattr(native.LevelKernel, "run_level", counting)
         plans = {}
         for backend in (None, "off"):
             calls.clear()
