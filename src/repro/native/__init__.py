@@ -14,8 +14,11 @@ The bitwise engine runs each level as one call:
 same C loops the per-op functions here call (frontier identification,
 top-down edge map, bottom-up OR scan, extraction, tallies, depth write
 and pricing) over buffers allocated once per ``(n, lanes)`` shape.
-The per-op functions stay for the joint and single-source engines,
-the numpy path's shared helpers and the equivalence tests.
+:func:`unique_targets`, :func:`scatter_or`, :func:`or_scan`,
+:func:`depth_update` and :func:`bottom_up_coalesced` have no engine
+caller any more: they are kept because the repository benchmark's
+layer trace resolves them by name and the per-op equivalence tests
+call them, and :func:`warmup` does not run them.
 
 The library is *optional*: when it does not load (no C compiler, a
 failed compile, or the kill switch) the numpy kernels keep running
@@ -562,13 +565,6 @@ def per_bit_weighted(
 # ----------------------------------------------------------------------
 # The fused bitwise level
 # ----------------------------------------------------------------------
-#: Bottom-up probe rounds the compiled scan captures round-major for the
-#: probe pricing (n slots each); later rounds are priced by revisiting
-#: the adjacency rows.  With early termination most probes fall in the
-#: first 16 rounds.
-_HEAD_ROUNDS = 16
-
-
 class LevelKernel:
     """One :class:`~repro.core.bitwise.BitwiseTraversal` level per call.
 
@@ -638,8 +634,6 @@ class LevelKernel:
             "live": ints(2 * n + 2),
             "hist": ints(lanes * 8 * 256),
             "pending": ints(lanes * 64),
-            "heads": ints(_HEAD_ROUNDS * n),
-            "head_len": ints(_HEAD_ROUNDS),
             "fresh": ints(warp_size),
             "words": words((n, lanes)),
             "acc": words((n, lanes)),
@@ -654,7 +648,6 @@ class LevelKernel:
             warp=warp_size,
             insn_per_inspection=instructions_per_inspection,
             insn_per_vertex=instructions_per_vertex,
-            head_rounds=_HEAD_ROUNDS,
             **{name: _p(array) for name, array in buffers.items()},
         )
         self._address = ctypes.addressof(self._state)
@@ -751,13 +744,14 @@ class LevelKernel:
 # Warm-up and capability reporting
 # ----------------------------------------------------------------------
 def warmup() -> float:
-    """Exercise every native op once; returns (cached) elapsed seconds.
+    """Exercise the ops the engines call; returns (cached) elapsed seconds.
 
     Compiles (or loads from the cache) the shared library and runs each
-    op on a tiny input.  Call once per process before timing anything —
-    exec workers warm up on spawn, and the benchmark harness excludes
-    this cost explicitly.  Idempotent; a no-op when the library does
-    not load.
+    op an engine calls on a tiny input (not the per-op forms of the
+    fused level, which only the tests call).  Call once per process
+    before timing anything — exec workers warm up on spawn, and the
+    benchmark harness excludes this cost explicitly.  Idempotent; a
+    no-op when the library does not load.
     """
     global _warm_seconds
     if _library() is None:
@@ -768,30 +762,12 @@ def warmup() -> float:
     # A 4-vertex cycle: enough structure to touch every op once.
     indices = np.array([1, 3, 0, 2, 1, 3, 0, 2], dtype=np.int64)
     starts = np.array([0, 2, 4, 6], dtype=np.int64)
-    ends = starts + 2
     degrees = np.full(4, 2, dtype=np.int64)
     bsa = np.zeros((4, 1), dtype=np.uint64)
-    lane_mask = np.array([3], dtype=np.uint64)
-    inspections = np.zeros(2, dtype=np.int64)
     offsets = np.append(starts, indices.size)
-    frontier = np.arange(4, dtype=np.int64)
-    unique_targets(offsets, indices, frontier, 8, 128, 2)
-    scatter_or(bsa, offsets, indices, frontier, np.ones((4, 1), dtype=np.uint64))
-    for early_termination in (False, True):
-        probes, _, _ = or_scan(
-            indices, starts, ends, bsa.copy(), lane_mask, lane_mask,
-            early_termination, bsa, inspections,
-        )
-    round_major_probes(indices, starts, probes)
+    round_major_probes(indices, starts, np.array([1, 2, 0, 2], dtype=np.int64))
     coalesced_transactions(indices, 8, 128, 2)
-    bottom_up_coalesced(indices, starts, probes, 4, 8, 128, 2)
     for dtype in (np.int8, np.int16, np.int32):
-        depth_update(
-            np.full((4, 2), -1, dtype=dtype),
-            np.array([0, 2], dtype=np.int64),
-            np.array([[1], [2]], dtype=np.uint64),
-            3,
-        )
         materialize_depths(np.full((4, 2), -1, dtype=dtype))
     depth_rows = np.zeros((2, 4), dtype=np.int32)
     hit_scan_depth(indices, starts, degrees, depth_rows, 0)

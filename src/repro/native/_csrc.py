@@ -139,22 +139,10 @@ static void map_take(line_map *a, int64_t *out) {
     a->txns = a->reqs = 0;
 }
 
-/* Hot loops push through a local copy of the map (taken on entry,    */
-/* stored back on exit): stores through the map's own arrays, or any   */
-/* byte store, could otherwise alias its counters and force a reload   */
-/* of each one on every push.                                          */
-
-/* Pushes a stream of element ids. */
-static void map_push_all(line_map *a, const int64_t *ids, int64_t m) {
-    line_map local = *a;
-    for (int64_t i = 0; i < m; i++) map_push(&local, ids[i]);
-    *a = local;
-}
-
 /* Prices a whole stream of element ids: out = (transactions, requests). */
 static void map_stream(line_map *a, const int64_t *ids, int64_t m,
                        int64_t *out) {
-    map_push_all(a, ids, m);
+    for (int64_t i = 0; i < m; i++) map_push(a, ids[i]);
     map_take(a, out);
 }
 
@@ -238,10 +226,8 @@ static void edge_walk(const int64_t *offsets, const int64_t *cols,
                       uint64_t *out, const uint64_t *words, int64_t lanes,
                       line_map *acc, uint8_t *flags, int64_t *lo,
                       int64_t *hi) {
-    line_map local;
     int64_t low = 0, high = 0;
     if (acc) {
-        local = *acc;
         low = *lo;
         high = *hi;
     }
@@ -263,12 +249,11 @@ static void edge_walk(const int64_t *offsets, const int64_t *cols,
                 flags[t] = 1;
                 if (t < low) low = t;
                 if (t > high) high = t;
-                map_push(&local, t);
+                map_push(acc, t);
             }
         }
     }
     if (acc) {
-        *acc = local;
         *lo = low;
         *hi = high;
     }
@@ -298,15 +283,13 @@ static int64_t unique_targets_walk(const int64_t *offsets,
               flags, &lo, &hi);
     map_take(acc, pricing + 2);
     int64_t count = 0;
-    line_map local = *acc;
     for (int64_t v = lo; v <= hi; v++) {
         if (flags[v]) {
             flags[v] = 0;
             out[count++] = v;
-            map_push(&local, v);
+            map_push(acc, v);
         }
     }
-    *acc = local;
     map_take(acc, pricing + 4);
     return count;
 }
@@ -369,15 +352,6 @@ static void fold_bins(int64_t *hist, int64_t lanes, int64_t *out) {
     }
 }
 
-/* The first ``rounds`` probe rounds of a scan, captured round-major  */
-/* while the scan runs: round r's probed neighbors, in position order, */
-/* are ids[r * stride .. + len[r]).  The pricing then reads those      */
-/* rounds sequentially instead of revisiting every row's adjacency.    */
-typedef struct {
-    int64_t *ids, *len;
-    int64_t rounds, stride;
-} round_heads;
-
 /* Fallback when the histogram buffer cannot be allocated. */
 static inline void tally_pending_w(uint64_t pend, int64_t bit0,
                                    int64_t weight, int64_t *insp) {
@@ -408,8 +382,7 @@ static inline void tally_pending_w(uint64_t pend, int64_t bit0,
 /* changes only when a probe contributes new bits — rare on            */
 /* scale-free graphs — so the scan batches runs of unchanged ``pre``   */
 /* and adds the run length once per histogram bin instead of binning   */
-/* every probe.  ``heads`` (optional, its lengths zeroed) captures the */
-/* first rounds' probes for round_coalesce_rows.                       */
+/* every probe.                                                        */
 /* ------------------------------------------------------------------ */
 static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
                             const int64_t *ends, int64_t m,
@@ -417,13 +390,8 @@ static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
                             const uint64_t *target, int early_termination,
                             const uint64_t *bsa_k, int64_t lanes,
                             int64_t *probes, uint64_t *acc, uint8_t *done,
-                            int64_t *hist, int64_t *inspections,
-                            round_heads *heads) {
+                            int64_t *hist, int64_t *inspections) {
     int64_t total = 0;
-    int64_t head_rounds = heads ? heads->rounds : 0;
-    int64_t *head_ids = heads ? heads->ids : NULL;
-    int64_t *head_len = heads ? heads->len : NULL;
-    int64_t head_stride = heads ? heads->stride : 0;
     if (lanes == 1) {
         uint64_t mask = lane_mask[0], tgt = target[0];
         for (int64_t i = 0; i < m; i++) {
@@ -447,8 +415,6 @@ static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
             int64_t r = 0;
             for (; r < deg; r++) {
                 runw++;
-                if (r < head_rounds)
-                    head_ids[r * head_stride + head_len[r]++] = nb[r];
                 uint64_t np = pre | (bsa_k[nb[r]] & mask);
                 if (np != pre) {
                     if (pend) {
@@ -504,8 +470,6 @@ static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
         int64_t r = 0;
         for (; r < deg; r++) {
             runw++;
-            if (r < head_rounds)
-                head_ids[r * head_stride + head_len[r]++] = nb[r];
             const uint64_t *w = bsa_k + nb[r] * lanes;
             int moved = 0;
             full = 1;
@@ -558,7 +522,7 @@ int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
     int64_t *hist = calloc((size_t)(lanes * 8 * 256), sizeof(int64_t));
     int64_t total = or_scan_rows(indices, starts, ends, m, state, lane_mask,
                                  target, early_termination, bsa_k, lanes,
-                                 probes, acc, done, hist, inspections, NULL);
+                                 probes, acc, done, hist, inspections);
     free(hist);
     return total;
 }
@@ -615,26 +579,20 @@ int repro_coalesce(const int64_t *idx, int64_t m, int64_t element_bytes,
 /* Fused bottom-up probe pricing: the round-major probed-neighbor      */
 /* stream (all round-0 probes in position order, then round 1, ...)    */
 /* fed straight through a line map over the n vertices' lines, without */
-/* materializing the stream.  Rounds the scan captured in ``heads``   */
-/* (optional) are read from there; for the rest, the live list         */
-/* (``live``: 2*m+2 slots) holds (cursor, remaining) pairs, so a round */
-/* touches only the positions still probing.  Identical to             */
-/* repro_round_major + repro_coalesce over its output.                 */
+/* materializing the stream.  The live list (``live``: 2*m+2 slots)    */
+/* holds (cursor, remaining) pairs, so a round touches only the        */
+/* positions still probing.  Identical to repro_round_major +          */
+/* repro_coalesce over its output.                                     */
 /* ------------------------------------------------------------------ */
 static void round_coalesce_rows(const int64_t *indices,
                                 const int64_t *starts,
                                 const int64_t *probes, int64_t m,
-                                const round_heads *heads, line_map *acc,
-                                int64_t *live, int64_t *out) {
-    int64_t skip = heads ? heads->rounds : 0;
-    for (int64_t r = 0; r < skip; r++)
-        map_push_all(acc, heads->ids + r * heads->stride, heads->len[r]);
-    line_map local = *acc;
+                                line_map *acc, int64_t *live, int64_t *out) {
     int64_t nlive = 0;
     for (int64_t i = 0; i < m; i++) {
-        if (probes[i] > skip) {
-            live[2 * nlive] = starts[i] + skip;
-            live[2 * nlive + 1] = probes[i] - skip;
+        if (probes[i] > 0) {
+            live[2 * nlive] = starts[i];
+            live[2 * nlive + 1] = probes[i];
             nlive++;
         }
     }
@@ -645,7 +603,7 @@ static void round_coalesce_rows(const int64_t *indices,
             /* Later rounds read the rows sparsely: fetch ahead. */
             if (li + 16 < nlive)
                 __builtin_prefetch(indices + live[2 * (li + 16)]);
-            map_push(&local, indices[cursor]);
+            map_push(acc, indices[cursor]);
             if (remaining > 1) {
                 live[2 * w] = cursor + 1;
                 live[2 * w + 1] = remaining - 1;
@@ -654,7 +612,6 @@ static void round_coalesce_rows(const int64_t *indices,
         }
         nlive = w;
     }
-    *acc = local;
     map_take(acc, out);
 }
 
@@ -670,7 +627,7 @@ int repro_round_coalesce(const int64_t *indices, const int64_t *starts,
         map_free(&acc);
         return -1;
     }
-    round_coalesce_rows(indices, starts, probes, m, NULL, &acc, live, out);
+    round_coalesce_rows(indices, starts, probes, m, &acc, live, out);
     map_free(&acc);
     free(live);
     return 0;
@@ -859,12 +816,9 @@ typedef struct {
     int64_t ncand;
     /* Scratch: n slots each, ``live`` 2n+2, ``words`` and ``acc``     */
     /* n*lanes, ``hist`` lanes*8*256 (zero between uses), ``pending``  */
-    /* lanes*64, ``heads`` head_rounds*n with ``head_len`` head_rounds */
-    /* (the scan's captured rounds), ``seen``/``fresh`` the line map's */
-    /* storage.                                                        */
-    int64_t head_rounds;
+    /* lanes*64, ``seen``/``fresh`` the line map's storage.            */
     int64_t *fq_td, *fq_bu, *targets, *starts, *ends, *probes, *updated;
-    int64_t *weights, *live, *hist, *pending, *heads, *head_len, *fresh;
+    int64_t *weights, *live, *hist, *pending, *fresh;
     uint64_t *words, *acc, *seen;
     uint8_t *flags, *done;
 } level_ws;
@@ -1000,12 +954,10 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
                 state[i * lanes + l] = bsa_k[v * lanes + l] & bu_sel[l];
         }
         memset(ws->pending, 0, (size_t)lanes * 64 * sizeof(int64_t));
-        memset(ws->head_len, 0, (size_t)ws->head_rounds * sizeof(int64_t));
-        round_heads heads = {ws->heads, ws->head_len, ws->head_rounds, n};
         int64_t probed = or_scan_rows(ws->rcols, starts, ends, nbu, state,
                                       bu_sel, bu_sel, (int)early_termination,
                                       bsa_k, lanes, probes, acc, ws->done,
-                                      ws->hist, ws->pending, &heads);
+                                      ws->hist, ws->pending);
         for (int64_t j = 0; j < gs; j++) {
             ws->inspections[j] += ws->pending[j];
             edges += ws->pending[j];
@@ -1028,8 +980,8 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
         st[ST_BU_PROBES] = probed;
         st[ST_EARLY] = early;
         loads += ceil_div(nbu * 8, tb) + probe_lines;
-        round_coalesce_rows(ws->rcols, starts, probes, nbu, &heads, &map,
-                            ws->live, pricing);
+        round_coalesce_rows(ws->rcols, starts, probes, nbu, &map, ws->live,
+                            pricing);
         loads += pricing[0];
         load_requests += pricing[1];
         map_stream(&map, ws->updated, nupd, pricing);
@@ -1119,12 +1071,11 @@ class LevelState(ctypes.Structure):
             ("counts", "p"), ("fdeg", "p"), ("inspections", "p"),
             ("changed", "p"), ("changed_next", "p"),
             ("diff", "p"), ("diff_next", "p"), ("nchanged", "i"),
-            ("cand", "p"), ("ncand", "i"), ("head_rounds", "i"),
+            ("cand", "p"), ("ncand", "i"),
             ("fq_td", "p"), ("fq_bu", "p"), ("targets", "p"),
             ("starts", "p"), ("ends", "p"), ("probes", "p"),
             ("updated", "p"), ("weights", "p"), ("live", "p"),
-            ("hist", "p"), ("pending", "p"), ("heads", "p"),
-            ("head_len", "p"), ("fresh", "p"),
+            ("hist", "p"), ("pending", "p"), ("fresh", "p"),
             ("words", "p"), ("acc", "p"), ("seen", "p"),
             ("flags", "p"), ("done", "p"),
         )
