@@ -10,13 +10,10 @@ per-group stats into a :class:`~repro.core.result.ConcurrentResult`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.core.groupby import random_groups
-from repro.core.result import ConcurrentResult, GroupStats
-from repro.gpusim.counters import ProfilerCounters
+from repro.core.result import ConcurrentResult
 
 
 def run_random_groups(
@@ -37,26 +34,12 @@ def run_random_groups(
     simulated seconds add up.
     """
     sources = [int(s) for s in sources]
-    groups = random_groups(sources, group_size, seed)
-    counters = ProfilerCounters()
-    group_stats: List[GroupStats] = []
-    depth_rows = {} if store_depths else None
-    for group in groups:
+    parts = []
+    for group in random_groups(sources, group_size, seed):
         depths, record, stats = engine.run_group(group, max_depth=max_depth)
-        counters.merge(record.counters)
-        group_stats.append(stats)
-        if depth_rows is not None:
-            for row, source in enumerate(group):
-                depth_rows[source] = depths[row]
-    matrix = None
-    if depth_rows is not None:
-        matrix = np.stack([depth_rows[s] for s in sources])
-    return ConcurrentResult(
-        engine=engine_name,
-        sources=sources,
-        seconds=sum(g.seconds for g in group_stats),
-        counters=counters,
-        depths=matrix,
-        num_vertices=num_vertices,
-        groups=group_stats,
+        parts.append((
+            group, depths if store_depths else None, record.counters, stats
+        ))
+    return ConcurrentResult.from_groups(
+        engine_name, sources, num_vertices, parts
     )

@@ -11,24 +11,45 @@ device.  A multi-device schedule prices the result's per-group times:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence
 
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
 from repro.obs import profile as obs_profile
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.groupby import GroupByConfig, group_sources, random_groups
 from repro.core.joint import JointTraversal
-from repro.core.result import ConcurrentResult, GroupStats
+from repro.core.result import ConcurrentResult
 from repro.plan.policy import Policy
 from repro.plan.types import RunPlan
 
 #: JSA stores one byte per instance-vertex; BSA one bit.
 _STATUS_BYTES_PER_INSTANCE = {"joint": 1.0, "bitwise": 0.125}
+
+
+def check_group(
+    group: Sequence[int], num_vertices: int, capacity: Callable[[], int]
+) -> List[int]:
+    """``group`` as ints, after the checks every engine's ``run_group``
+    makes before it runs anything: at least one source, no repeats,
+    every source a vertex, and no more sources than ``capacity()`` (the
+    engine's effective group size, asked last).  Raises
+    :class:`TraversalError`."""
+    group = [int(s) for s in group]
+    if not group:
+        raise TraversalError("a group needs at least one source")
+    if len(set(group)) != len(group):
+        raise TraversalError("group sources must be distinct")
+    for s in group:
+        if not 0 <= s < num_vertices:
+            raise TraversalError(f"source {s} out of range")
+    limit = capacity()
+    if len(group) > limit:
+        raise TraversalError(
+            f"group of {len(group)} exceeds the effective group size {limit}"
+        )
+    return group
 
 
 @dataclass(frozen=True)
@@ -154,20 +175,9 @@ class IBFS:
         :class:`~repro.plan.types.RunPlan` bit-identically, skipping
         all per-level heuristic evaluation.
         """
-        group = [int(s) for s in group]
-        if not group:
-            raise TraversalError("a group needs at least one source")
-        if len(set(group)) != len(group):
-            raise TraversalError("group sources must be distinct")
-        for s in group:
-            if not 0 <= s < self.graph.num_vertices:
-                raise TraversalError(f"source {s} out of range")
-        capacity = self.effective_group_size()
-        if len(group) > capacity:
-            raise TraversalError(
-                f"group of {len(group)} exceeds the effective group size "
-                f"{capacity}"
-            )
+        group = check_group(
+            group, self.graph.num_vertices, self.effective_group_size
+        )
         with obs_profile.span(
             "engine.run_group",
             group_size=len(group),
@@ -178,16 +188,11 @@ class IBFS:
             depths, record, stats = self._group_engine.run_group(
                 group, max_depth=max_depth, plan=plan
             )
-        counters = ProfilerCounters()
-        counters.merge(record.counters)
-        return ConcurrentResult(
-            engine=self.name,
-            sources=group,
-            seconds=stats.seconds,
-            counters=counters,
-            depths=np.asarray(depths),
-            num_vertices=self.graph.num_vertices,
-            groups=[stats],
+        return ConcurrentResult.from_groups(
+            self.name,
+            group,
+            self.graph.num_vertices,
+            [(group, depths, record.counters, stats)],
         )
 
     # ------------------------------------------------------------------
@@ -202,40 +207,17 @@ class IBFS:
         sources = [int(s) for s in sources]
         if not sources:
             raise TraversalError("at least one source is required")
-        groups = self.make_groups(sources)
-        counters = ProfilerCounters()
-        group_stats: List[GroupStats] = []
-        depth_rows = {} if store_depths else None
-        sole_depths = None
-
-        for group in groups:
+        parts = []
+        for group in self.make_groups(sources):
             part = self.run_group(group, max_depth=max_depth)
-            counters.merge(part.counters)
-            group_stats.append(part.groups[0])
-            if depth_rows is not None:
-                if len(groups) == 1 and group == sources:
-                    sole_depths = part.depths
-                else:
-                    for row, source in enumerate(group):
-                        depth_rows[source] = part.depths[row]
-
-        seconds = sum(g.seconds for g in group_stats)
-
-        matrix = None
-        if sole_depths is not None:
-            # One group in source order: the group's matrix IS the
-            # result — stacking row views would copy it verbatim.
-            matrix = sole_depths
-        elif depth_rows is not None:
-            matrix = np.stack([depth_rows[s] for s in sources])
-        return ConcurrentResult(
-            engine=self.name,
-            sources=sources,
-            seconds=seconds,
-            counters=counters,
-            depths=matrix,
-            num_vertices=self.graph.num_vertices,
-            groups=group_stats,
+            parts.append((
+                group,
+                part.depths if store_depths else None,
+                part.counters,
+                part.groups[0],
+            ))
+        return ConcurrentResult.from_groups(
+            self.name, sources, self.graph.num_vertices, parts
         )
 
     # ------------------------------------------------------------------

@@ -20,23 +20,27 @@ and the sequence is recorded as a :class:`~repro.plan.types.RunPlan`
 on the returned stats; ``plan=`` replays a recording bit-identically.
 The JSA engine has no vector loads, so a decision's ``vector_width``
 is carried in the record but does not change execution here.
+
+The level loop — decisions, retirement, level statistics and one
+``profile.level`` span per level — is
+:class:`~repro.core.traversal.GroupTraversal`'s, shared with the BSA
+engine; this module supplies the JSA level, which reports each
+instance's new frontier through
+:func:`~repro.kernels.bookkeeping.new_frontier_stats` while the loop
+keeps the visited-degree totals.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.errors import TraversalError
-from repro.graph.csr import CSRGraph, VERTEX_DTYPE
+from repro.graph.csr import VERTEX_DTYPE
 from repro.gpusim.counters import LevelRecord, RunRecord
-from repro.gpusim.device import Device
-from repro.core.result import GroupStats
-from repro.core.sharing import SharingObserver
-from repro.kernels import bucketed_hit_scan, instance_frontier_stats
-from repro.plan.policy import HeuristicPolicy, Policy, RecordedPolicy
-from repro.plan.types import Direction, LevelDecision, LevelStats, RunPlan
+from repro.core.traversal import GroupTraversal
+from repro.kernels import bucketed_hit_scan, new_frontier_stats
+from repro.plan.types import LevelDecision
 from repro.util import gather_neighbors
 
 #: One status byte per (vertex, instance) pair, as in figure 4.
@@ -47,7 +51,7 @@ INSTRUCTIONS_PER_VERTEX = 6
 UNVISITED = -1
 
 
-class JointTraversal:
+class JointTraversal(GroupTraversal):
     """Joint (JSA-based, non-bitwise) traversal of one group.
 
     ``planner`` makes every per-level decision (default
@@ -56,169 +60,34 @@ class JointTraversal:
 
     name = "joint"
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        device: Optional[Device] = None,
-        planner: Optional[Policy] = None,
-    ) -> None:
-        self.graph = graph
-        self.device = device or Device()
-        self.planner = planner or HeuristicPolicy()
-        self._reverse = (
-            graph.reverse() if self.planner.allow_bottom_up else None
-        )
-
-    def run_group(
-        self,
-        sources: Sequence[int],
-        max_depth: Optional[int] = None,
-        plan: Optional[RunPlan] = None,
-    ):
-        """Traverse all sources jointly.
-
-        Returns
-        -------
-        (depths, record, stats):
-            ``depths`` is an ``(N, |V|)`` int32 matrix; ``record`` the
-            per-level cost records; ``stats`` a :class:`GroupStats`.
-        """
-        sources = [int(s) for s in sources]
-        n = self.graph.num_vertices
+    def _begin_group(self, sources: List[int], inspections: np.ndarray):
         group_size = len(sources)
-        if group_size == 0:
-            raise TraversalError("group must contain at least one source")
-        for s in sources:
-            if not 0 <= s < n:
-                raise TraversalError(f"source {s} out of range [0, {n})")
-
-        if plan is not None:
-            planner: Policy = RecordedPolicy(plan)
-        else:
-            planner = self.planner
-        total_edges = self.graph.num_edges
-        session = planner.session(group_size, n, total_edges)
-        wants_stats = session.wants_stats
-        run_plan = RunPlan(
-            policy=planner.name, engine=self.name, group_size=group_size
+        depths = np.full(
+            (group_size, self.graph.num_vertices), UNVISITED, dtype=np.int32
         )
-
-        depths = np.full((group_size, n), UNVISITED, dtype=np.int32)
         depths[np.arange(group_size), sources] = 0
-        active = np.ones(group_size, dtype=bool)
-        out_degrees = self.graph.out_degrees()
-        visited_count = np.ones(group_size, dtype=np.int64)
+        return depths, inspections
 
-        record = RunRecord()
-        observer = SharingObserver(group_size)
-        sharing_log = {"td": [], "bu": []}
-        bu_inspections = np.zeros(group_size, dtype=np.int64)
-
-        decision: Optional[LevelDecision] = None
-        stats_prev: Optional[LevelStats] = None
-        level = 0
-        while active.any():
-            if max_depth is not None and level >= max_depth:
-                break
-            if level > n + 1:
-                raise TraversalError("traversal failed to converge")
-            if decision is None:
-                decision = session.initial()
-            else:
-                decision = session.next(stats_prev)
-            if decision.num_instances != group_size:
-                raise TraversalError(
-                    f"planner decided {decision.num_instances} instances "
-                    f"for a group of {group_size}"
-                )
-            run_plan.append(decision)
-            directions = decision.directions
-            td_instances = [
-                j for j in range(group_size)
-                if active[j] and directions[j] is Direction.TOP_DOWN
-            ]
-            bu_instances = [
-                j for j in range(group_size)
-                if active[j] and directions[j] is Direction.BOTTOM_UP
-            ]
-            if bu_instances and self._reverse is None:
-                self._reverse = self.graph.reverse()
-            progressed = self._level(
-                depths,
-                td_instances,
-                bu_instances,
-                level,
-                record,
-                observer,
-                sharing_log,
-                bu_inspections,
-            )
-
-            # Per-instance bookkeeping: completion and the statistics the
-            # policy feeds on.  All instances' statistics come from one
-            # vectorized pass over the depth matrix instead of
-            # group_size dense scans.
-            counts, frontier_edges, unexplored = instance_frontier_stats(
-                depths, level, out_degrees, total_edges
-            )
-            visited_count += counts
-            for j in range(group_size):
-                if not active[j]:
-                    continue
-                if directions[j] is Direction.TOP_DOWN:
-                    if counts[j] == 0:
-                        active[j] = False
-                else:
-                    if not progressed[j]:
-                        active[j] = False
-            if wants_stats:
-                stats_prev = LevelStats(
-                    level=level,
-                    num_vertices=n,
-                    total_edges=total_edges,
-                    frontier_vertices=tuple(int(c) for c in counts),
-                    frontier_edges=tuple(int(e) for e in frontier_edges),
-                    unexplored_edges=tuple(int(u) for u in unexplored),
-                    visited_vertices=tuple(int(v) for v in visited_count),
-                    active=tuple(bool(a) for a in active),
-                )
-            level += 1
-
-        record.counters.kernel_launches += 1
-        seconds = self.device.cost.kernel_time(record.levels)
-        stats = GroupStats(
-            sources=sources,
-            seconds=seconds,
-            sharing_degree=observer.degree(),
-            sharing_ratio=observer.ratio(),
-            jfq_sizes=list(observer.jfq_sizes),
-            per_level_sharing=observer.per_level_degree(),
-            td_sharing=sharing_log["td"],
-            bu_sharing=sharing_log["bu"],
-            bottom_up_inspections=bu_inspections.tolist(),
-            plan=run_plan,
-        )
-        return depths, record, stats
+    def _depths(self, state) -> np.ndarray:
+        return state[0]
 
     # ------------------------------------------------------------------
     # One synchronized level of the joint kernel
     # ------------------------------------------------------------------
     def _level(
         self,
-        depths: np.ndarray,
+        state,
         td_instances: List[int],
         bu_instances: List[int],
         level: int,
+        decision: LevelDecision,
         record: RunRecord,
-        observer: SharingObserver,
-        sharing_log: dict,
-        bu_inspections: np.ndarray,
-    ) -> np.ndarray:
+    ):
+        depths, bu_inspections = state
         mem = self.device.memory
         counters = record.counters
         group_size = depths.shape[0]
         num_vertices = depths.shape[1]
-        progressed = np.zeros(group_size, dtype=bool)
 
         # Joint frontier queue for this level (each shared frontier once).
         td_mask = (
@@ -238,13 +107,18 @@ class JointTraversal:
         fq_bu = sum(
             int(np.count_nonzero(depths[j] == UNVISITED)) for j in bu_instances
         )
-        observer.record_level(fq_td + fq_bu, jfq_size)
-        sharing_log["td"].append((fq_td, int(np.count_nonzero(td_mask))))
-        sharing_log["bu"].append((fq_bu, int(np.count_nonzero(bu_mask))))
+        sizes = (
+            fq_td,
+            int(np.count_nonzero(td_mask)),
+            fq_bu,
+            int(np.count_nonzero(bu_mask)),
+            jfq_size,
+        )
         if jfq_size == 0:
             record.append(LevelRecord(depth=level, direction="td"))
             counters.levels += 1
-            return progressed
+            empty = np.zeros(group_size, dtype=np.int64)
+            return sizes, empty, empty
 
         loads = 0
         stores = 0
@@ -257,7 +131,7 @@ class JointTraversal:
         td_frontier = np.flatnonzero(td_mask).astype(VERTEX_DTYPE)
         discovered_any = np.zeros(num_vertices, dtype=bool)
         if td_frontier.size:
-            degrees = self.graph.out_degrees()[td_frontier]
+            degrees = self._out_degrees[td_frontier]
             pair_count = int(degrees.sum())
             # Adjacency of each joint frontier is loaded once and cached
             # in shared memory for all instances.
@@ -276,7 +150,6 @@ class JointTraversal:
                 if fresh.size:
                     depths[j, fresh] = level + 1
                     discovered_any[fresh] = True
-                    progressed[j] = True
             # N contiguous threads inspect each (frontier, neighbor)
             # pair's N contiguous status bytes: one coalesced transaction
             # per pair instead of one per instance.
@@ -295,7 +168,6 @@ class JointTraversal:
             probes, early, bu_discovered, vertex_rounds = self._bottom_up_pass(
                 depths, bu_instances, level, bu_inspections
             )
-            progressed[bu_instances] |= bu_discovered > 0
             counters.early_terminations += early
             counters.bottom_up_inspections += probes
             inspections_level += probes
@@ -352,7 +224,12 @@ class JointTraversal:
                 frontier_size=jfq_size,
             )
         )
-        return progressed
+        # A vertex first reached this level holds depth level + 1; the
+        # level loop keeps the visited-degree sums incrementally.
+        counts, frontier_edges = new_frontier_stats(
+            depths, level, self._out_degrees
+        )
+        return sizes, counts, frontier_edges
 
     def _bottom_up_pass(
         self,

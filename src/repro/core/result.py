@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,49 @@ class ConcurrentResult:
 
     def __post_init__(self) -> None:
         self._index: Dict[int, int] = {s: i for i, s in enumerate(self.sources)}
+
+    @classmethod
+    def from_groups(
+        cls,
+        engine: str,
+        sources: Sequence[int],
+        num_vertices: int,
+        parts: Sequence[tuple],
+    ) -> "ConcurrentResult":
+        """One result from per-group parts, in run order.
+
+        Each part is ``(group, depths, counters, stats)``: the group's
+        sources, its ``(len(group), |V|)`` depth matrix (None when the
+        caller keeps no depths), its :class:`ProfilerCounters` and its
+        :class:`GroupStats`.  Counters and simulated seconds add up, as
+        groups run serially; depth rows stack in ``sources`` order, and
+        the result stores no depths when a part has none.  One group
+        equal to ``sources`` in order keeps its matrix as the result:
+        stacking its row views would copy it verbatim.
+        """
+        sources = list(sources)
+        counters = ProfilerCounters()
+        for part in parts:
+            counters.merge(part[2])
+        groups = [part[3] for part in parts]
+        depths = None
+        if all(part[1] is not None for part in parts):
+            if len(parts) == 1 and list(parts[0][0]) == sources:
+                depths = np.asarray(parts[0][1])
+            else:
+                depth_rows = {}
+                for group, matrix, _, _ in parts:
+                    depth_rows.update(zip(group, matrix))
+                depths = np.stack([depth_rows[s] for s in sources])
+        return cls(
+            engine=engine,
+            sources=sources,
+            seconds=sum(g.seconds for g in groups),
+            counters=counters,
+            num_vertices=num_vertices,
+            depths=depths,
+            groups=groups,
+        )
 
     # ------------------------------------------------------------------
     # Depth queries

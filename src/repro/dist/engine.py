@@ -45,6 +45,7 @@ from repro.gpusim.counters import ProfilerCounters
 from repro.kernels.bookkeeping import unpack_lane_bits
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
+from repro.core.engine import check_group
 from repro.core.groupby import GroupByConfig, group_sources, random_groups
 from repro.core.result import ConcurrentResult, GroupStats
 from repro.plan.types import Direction, LevelDecision, RunPlan
@@ -397,21 +398,6 @@ class PartitionedEngine:
         self.close()
 
     # ------------------------------------------------------------------
-    def _validate_group(self, group: List[int]) -> None:
-        if not group:
-            raise TraversalError("a group needs at least one source")
-        if len(set(group)) != len(group):
-            raise TraversalError("group sources must be distinct")
-        for s in group:
-            if not 0 <= s < self.graph.num_vertices:
-                raise TraversalError(f"source {s} out of range")
-        capacity = self.effective_group_size()
-        if len(group) > capacity:
-            raise TraversalError(
-                f"group of {len(group)} exceeds the effective group size "
-                f"{capacity}"
-            )
-
     def run_group(
         self,
         group: Sequence[int],
@@ -426,8 +412,9 @@ class PartitionedEngine:
         """
         if self._closed:
             raise TraversalError("engine is closed")
-        group = [int(s) for s in group]
-        self._validate_group(group)
+        group = check_group(
+            group, self.graph.num_vertices, self.effective_group_size
+        )
         stats = DistStats(
             layout=self.config.layout,
             num_partitions=self.config.num_partitions,
@@ -728,35 +715,24 @@ class PartitionedEngine:
         sources = [int(s) for s in sources]
         if not sources:
             raise TraversalError("at least one source is required")
-        groups = self.make_groups(sources)
-        counters = ProfilerCounters()
-        group_stats: List[GroupStats] = []
-        depth_rows = {} if store_depths else None
+        parts = []
         merged = DistStats(
             layout=self.config.layout,
             num_partitions=self.config.num_partitions,
         )
-        for group in groups:
+        for group in self.make_groups(sources):
             part = self.run_group(group, max_depth=max_depth)
-            counters.merge(part.counters)
-            group_stats.append(part.groups[0])
+            parts.append((
+                group,
+                part.depths if store_depths else None,
+                part.counters,
+                part.groups[0],
+            ))
             run_stats = self.last_stats
             merged.groups += 1
             merged.levels.extend(run_stats.levels)
             merged.wall_seconds += run_stats.wall_seconds
-            if depth_rows is not None:
-                for row, source in enumerate(group):
-                    depth_rows[source] = part.depths[row]
         self.last_stats = merged
-        matrix = None
-        if depth_rows is not None:
-            matrix = np.stack([depth_rows[s] for s in sources])
-        return ConcurrentResult(
-            engine=self.name,
-            sources=sources,
-            seconds=sum(g.seconds for g in group_stats),
-            counters=counters,
-            depths=matrix,
-            num_vertices=self.graph.num_vertices,
-            groups=group_stats,
+        return ConcurrentResult.from_groups(
+            self.name, sources, self.graph.num_vertices, parts
         )

@@ -32,18 +32,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.errors import ExecutorError, ReproError, TraversalError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.cluster import schedule_lpt
 from repro.gpusim.config import DeviceConfig
-from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
 from repro.plan.policy import Policy
 from repro.plan.types import RunPlan
-from repro.core.engine import IBFS, IBFSConfig
-from repro.core.result import ConcurrentResult, GroupStats
+from repro.core.engine import IBFS, IBFSConfig, check_group
+from repro.core.result import ConcurrentResult
 from repro.exec.faults import (
     FaultEvent,
     FaultLog,
@@ -412,29 +409,11 @@ class GroupExecutor:
         groups = self.engine.make_groups(sources)
         tasks = [_Task(list(g), max_depth, store_depths) for g in groups]
         outcomes = self._execute(tasks, collect_errors=False)
-
-        counters = ProfilerCounters()
-        group_stats: List[GroupStats] = []
-        depth_rows = {} if store_depths else None
-        for task, (depths, task_counters, stats) in zip(tasks, outcomes):
-            counters.merge(task_counters)
-            group_stats.append(stats)
-            if depth_rows is not None:
-                for row, source in enumerate(task.group):
-                    depth_rows[source] = depths[row]
-
-        seconds = sum(g.seconds for g in group_stats)
-        matrix = None
-        if depth_rows is not None:
-            matrix = np.stack([depth_rows[s] for s in sources])
-        return ConcurrentResult(
-            engine=self.engine.name,
-            sources=sources,
-            seconds=seconds,
-            counters=counters,
-            depths=matrix,
-            num_vertices=self.graph.num_vertices,
-            groups=group_stats,
+        return ConcurrentResult.from_groups(
+            self.engine.name,
+            sources,
+            self.graph.num_vertices,
+            [(task.group, *outcome) for task, outcome in zip(tasks, outcomes)],
         )
 
     def run_group(
@@ -469,8 +448,13 @@ class GroupExecutor:
         for spec in specs:
             group, max_depth = spec[0], spec[1]
             replay = spec[2] if len(spec) > 2 else None
-            group = [int(s) for s in group]
-            self._validate_group(group)
+            # The serial engine's checks, in the parent: a malformed
+            # group fails with the same typed error, untried.
+            group = check_group(
+                group,
+                self.graph.num_vertices,
+                self.engine.effective_group_size,
+            )
             tasks.append(_Task(group, max_depth, True, replay))
         outcomes = self._execute(tasks, collect_errors=return_errors)
         results: List[Union[ConcurrentResult, ReproError]] = []
@@ -478,36 +462,15 @@ class GroupExecutor:
             if isinstance(outcome, ReproError):
                 results.append(outcome)
                 continue
-            depths, task_counters, stats = outcome
             results.append(
-                ConcurrentResult(
-                    engine=self.engine.name,
-                    sources=task.group,
-                    seconds=stats.seconds,
-                    counters=task_counters,
-                    depths=np.asarray(depths),
-                    num_vertices=self.graph.num_vertices,
-                    groups=[stats],
+                ConcurrentResult.from_groups(
+                    self.engine.name,
+                    task.group,
+                    self.graph.num_vertices,
+                    [(task.group, *outcome)],
                 )
             )
         return results
-
-    def _validate_group(self, group: List[int]) -> None:
-        """Mirror the serial engine's run_group validation in the parent
-        so malformed groups fail with the same typed error, untried."""
-        if not group:
-            raise TraversalError("a group needs at least one source")
-        if len(set(group)) != len(group):
-            raise TraversalError("group sources must be distinct")
-        for s in group:
-            if not 0 <= s < self.graph.num_vertices:
-                raise TraversalError(f"source {s} out of range")
-        capacity = self.engine.effective_group_size()
-        if len(group) > capacity:
-            raise TraversalError(
-                f"group of {len(group)} exceeds the effective group size "
-                f"{capacity}"
-            )
 
     # ------------------------------------------------------------------
     # Execution core

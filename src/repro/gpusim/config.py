@@ -85,6 +85,11 @@ class DeviceConfig:
     def __post_init__(self) -> None:
         if self.warp_size <= 0 or self.transaction_bytes <= 0:
             raise SimulationError("warp_size and transaction_bytes must be positive")
+        if self.transaction_bytes < 8:
+            raise SimulationError(
+                "transaction_bytes must hold at least one 8-byte entry; "
+                f"got {self.transaction_bytes}"
+            )
         if self.memory_bandwidth <= 0 or self.clock_hz <= 0:
             raise SimulationError("bandwidth and clock must be positive")
         if self.max_resident_threads <= 0:

@@ -104,16 +104,6 @@ class MemoryModel:
         distinct &= grid >= 0
         return int(distinct.sum()), requests
 
-    def scattered_transactions(self, count: int) -> int:
-        """Worst-case scattered accesses: one transaction per access.
-
-        Used when addresses are not materialized (e.g. modeling private
-        per-instance status arrays whose accesses never coalesce).
-        """
-        if count < 0:
-            raise SimulationError("count must be non-negative")
-        return count
-
     # ------------------------------------------------------------------
     # Derived helpers
     # ------------------------------------------------------------------
@@ -127,21 +117,3 @@ class MemoryModel:
         """
         per_vertex = math.ceil(status_bytes / self.config.transaction_bytes)
         return num_vertices_touched * max(per_vertex, 1)
-
-    def capacity_group_size(
-        self,
-        graph_bytes: int,
-        status_bytes_per_vertex: int,
-        num_vertices: int,
-        jfq_bytes: int,
-    ) -> int:
-        """Maximum group size N from the section 3 capacity rule:
-        ``N <= (M - S - |JFQ|) / |SA|``.
-        """
-        available = self.config.global_memory_bytes - graph_bytes - jfq_bytes
-        per_instance = status_bytes_per_vertex * num_vertices
-        if per_instance <= 0:
-            raise SimulationError("per-instance status storage must be positive")
-        if available <= 0:
-            return 0
-        return int(available // per_instance)

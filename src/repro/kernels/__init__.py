@@ -9,8 +9,9 @@ statistic, and simulated counter, just faster on the host:
 
 * :mod:`~repro.kernels.scatter` — scatter-OR as an argsort +
   ``bitwise_or.reduceat`` segmented reduction;
-* :mod:`~repro.kernels.workspace` — :class:`LevelWorkspace`, the
-  per-level ``BSA_k`` snapshot on one reused buffer;
+* :mod:`~repro.kernels.workspace` — :class:`LevelWorkspace`, the numpy
+  bitwise level's frontier between levels and its per-level ``BSA_k``
+  snapshot on one reused buffer;
 * :mod:`~repro.kernels.bookkeeping` — one-pass per-instance frontier
   statistics and packed-bit column counts;
 * :mod:`~repro.kernels.bottomup` — degree-bucketed bottom-up scans and
@@ -22,7 +23,6 @@ simulated counter against a recorded golden fixture.
 """
 
 from repro.kernels.bookkeeping import (
-    instance_frontier_stats,
     new_frontier_stats,
     per_bit_counts,
     per_bit_weighted,
@@ -41,7 +41,6 @@ __all__ = [
     "ScatterPlan",
     "bucketed_hit_scan",
     "bucketed_or_scan",
-    "instance_frontier_stats",
     "new_frontier_stats",
     "per_bit_counts",
     "per_bit_weighted",

@@ -1,16 +1,17 @@
 """Instance-vectorized per-level bookkeeping.
 
 Joint engines need, at the end of every level and for every instance
-``j``: the new-frontier count, the sum of out-degrees over the new
-frontier, and the count of still-unexplored edges.  Computing these with
-a per-``j`` Python loop costs ``group_size`` full passes over the depth
-matrix per level; the helpers here produce all instances' values in one
-vectorized pass each.
+``j``: the new-frontier count and the sum of out-degrees over the new
+frontier (the shared level loop keeps the visited-edge totals from
+them).  Computing these with a per-``j`` Python loop costs
+``group_size`` full passes over the depth matrix per level; the helpers
+here produce all instances' values in one vectorized pass each.
 
 The bit-matrix helpers translate between packed uint64 status lanes and
 per-instance columns: uint64 lanes are little-endian on every supported
 platform, so unpacked bit ``j`` of a row is exactly instance ``j``'s
-bit.
+bit.  They serve the numpy bitwise level; the compiled level tallies
+the same bits inside its one call.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-import repro.native as native
 
 
 def unpack_lane_bits(
@@ -57,14 +56,9 @@ def per_bit_counts(words: np.ndarray, group_size: int) -> np.ndarray:
     input element once instead of materializing the 8x-larger unpacked
     bit matrix, so halving the element count by histogramming two bytes
     at a time wins as soon as the rows outweigh the 65536-bin reset.
-
-    The tally runs on the compiled backend when one resolves; bit-count
-    sums are order-free, so the result is bit-identical either way.
     """
     if words.size == 0:
         return np.zeros(group_size, dtype=np.int64)
-    if native.available():
-        return native.per_bit_counts(words, group_size)
     rows = words.shape[0]
     contig = np.ascontiguousarray(words, dtype=np.uint64)
     if rows >= 1 << 15:
@@ -92,13 +86,11 @@ def per_bit_weighted(
     Same byte-histogram scheme as :func:`per_bit_counts` with weighted
     bins.  Float64 accumulation is exact for integer weights whose sums
     stay below 2**53 — true for any degree total bounded by the edge
-    count, which also makes the compiled backend's int64 accumulation
-    (used whenever the library loads) bit-identical.
+    count, which also makes the compiled level's int64 accumulation
+    bit-identical.
     """
     if words.size == 0:
         return np.zeros(group_size, dtype=np.int64)
-    if native.available():
-        return native.per_bit_weighted(words, weights, group_size)
     rows = words.shape[0]
     as_bytes = np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)
     as_bytes = as_bytes.reshape(rows, -1)
@@ -115,53 +107,18 @@ def new_frontier_stats(
     level: int,
     out_degrees: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-instance new-frontier count and out-degree sum, sparsely.
-
-    Scans the ``(group_size, n)`` depth matrix once for vertices first
-    reached at ``level + 1`` and tallies them per instance.  Engines
-    that track visited-edge totals incrementally (each vertex enters the
-    frontier exactly once) pair this with a running sum instead of the
-    dense re-scan in :func:`instance_frontier_stats`.
-
-    Float64 bincount weights are exact here: degree sums are bounded by
-    the edge count, far below 2**53.
-    """
-    group_size = depths.shape[0]
-    rows, cols = np.nonzero(depths == np.int32(level + 1))
-    counts = np.bincount(rows, minlength=group_size).astype(np.int64)
-    if rows.size:
-        frontier_edges = np.bincount(
-            rows,
-            weights=np.asarray(out_degrees)[cols].astype(np.float64),
-            minlength=group_size,
-        ).astype(np.int64)
-    else:
-        frontier_edges = np.zeros(group_size, dtype=np.int64)
-    return counts, frontier_edges
-
-
-def instance_frontier_stats(
-    depths: np.ndarray,
-    level: int,
-    out_degrees: np.ndarray,
-    total_edges: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All per-instance end-of-level statistics in one vectorized pass.
+    """Per-instance new-frontier count and out-degree sum in one pass.
 
     For every instance ``j`` of the ``(group_size, n)`` depth matrix:
-
-    * ``counts[j]``          — vertices first reached at ``level + 1``;
-    * ``frontier_edges[j]``  — out-degree sum over that new frontier;
-    * ``unexplored[j]``      — ``total_edges`` minus the out-degree sum
-      over every visited vertex.
-
-    These are exactly the inputs of the Beamer direction switch, with
-    integer arithmetic identical to the per-instance formulation.
+    ``counts[j]`` is the number of vertices first reached at ``level +
+    1`` and ``frontier_edges[j]`` their out-degree sum — one compare of
+    the matrix, a row count and an integer matrix-vector product.  The
+    level loop (:class:`repro.core.traversal.GroupTraversal`) keeps the
+    visited-edge totals as a running sum of these degree sums (each
+    vertex enters a frontier exactly once), so the visited set is never
+    re-scanned.
     """
     new_frontier = depths == np.int32(level + 1)
     counts = np.count_nonzero(new_frontier, axis=1)
     degrees = np.asarray(out_degrees, dtype=np.int64)
-    frontier_edges = new_frontier.astype(np.int64) @ degrees
-    visited_edges = (depths >= 0).astype(np.int64) @ degrees
-    unexplored = total_edges - visited_edges
-    return counts, frontier_edges, unexplored
+    return counts, new_frontier.astype(np.int64) @ degrees

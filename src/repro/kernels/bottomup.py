@@ -508,7 +508,7 @@ def bucketed_hit_scan(
         if (
             depth_table is not None
             and level is not None
-            and native.effective()
+            and native.available()
         ):
             return native.hit_scan_depth(
                 indices, starts, degrees, depth_table, level, inst=inst

@@ -1,13 +1,13 @@
 """Compiled host loops for the traversal hot paths.
 
 ``repro.native`` gives the hottest :mod:`repro.kernels` primitives —
-the scatter-OR edge map, the bottom-up OR/hit scans, the round-major
-probe stream, and the per-bit bookkeeping tallies — fused scalar-loop
-implementations in C (:mod:`repro.native._csrc`), compiled on demand
-with the host C compiler into a cached shared library and called here
-through :mod:`ctypes`.  The engines run them whenever :func:`effective`
-says the library loaded for the group's lane count, and the numpy
-kernels otherwise; plans never name the path.
+the scatter-OR edge map, the bottom-up OR/hit scans and the round-major
+probe stream — fused scalar-loop implementations in C
+(:mod:`repro.native._csrc`), compiled on demand with the host C
+compiler into a cached shared library and called here through
+:mod:`ctypes`.  The engines run them whenever the library loaded
+(:func:`available`), for any group width, and the numpy kernels
+otherwise; plans never name the path.
 
 The bitwise engine runs each level as one call:
 :class:`LevelKernel` drives ``repro_bitwise_level``, which strings the
@@ -33,7 +33,9 @@ Environment knobs:
 ``REPRO_NATIVE=0``
     Disable the compiled library; every engine runs the numpy kernels.
 ``REPRO_NATIVE_CACHE=<dir>``
-    Where the compiled shared library is cached.
+    Where the compiled shared library is cached.  Publishing a new
+    build there removes other source revisions' libraries that no
+    build or load has touched for 7 days.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "disabled_reason",
     "refresh",
     "force_backend",
-    "effective",
     "warmup",
     "capability_report",
     "unique_targets",
@@ -65,8 +66,6 @@ __all__ = [
     "depth_update",
     "materialize_depths",
     "hit_scan_depth",
-    "per_bit_counts",
-    "per_bit_weighted",
     "LevelKernel",
 ]
 
@@ -170,18 +169,8 @@ def force_backend(name: Optional[str]):
         _override = previous
 
 
-def effective(lanes: int = 1) -> bool:
-    """Whether a group of ``lanes`` status words runs natively here.
-
-    True when the library loaded and ``lanes`` fits the C scan's
-    64-lane (4096-instance) buffer; wider groups run the numpy kernels.
-    Either path gives bit-identical results and simulated counters.
-    """
-    return lanes <= 64 and _library() is not None
-
-
 # ----------------------------------------------------------------------
-# Array-level ops (callers must have checked ``effective``/``available``)
+# Array-level ops (callers must have checked ``available``)
 #
 # Every array handed to the library is bound to a local first: the
 # pointer ``_p`` takes is valid only while that array is alive.
@@ -322,6 +311,7 @@ def or_scan(
     acc = np.zeros((m, lanes), dtype=np.uint64)
     done = np.zeros(m, dtype=bool)
     pending = np.zeros(lanes * 64, dtype=np.int64)
+    scratch = np.zeros(2 * lanes, dtype=np.uint64)
     lib.repro_or_scan(
         _p(indices),
         _p(starts),
@@ -337,6 +327,7 @@ def or_scan(
         _p(acc),
         _p(done),
         _p(pending),
+        _p(scratch),
     )
     np.add(
         inspections_out,
@@ -535,33 +526,6 @@ def hit_scan_depth(
     return probes, found
 
 
-def per_bit_counts(words: np.ndarray, group_size: int) -> np.ndarray:
-    """Column sums of the packed bit matrix (instance ``j`` → bit ``j``)."""
-    lib = _require()
-    if words.size == 0:
-        return np.zeros(group_size, dtype=np.int64)
-    words = _rows2d(words)
-    rows, lanes = words.shape
-    out = np.zeros(lanes * 64, dtype=np.int64)
-    lib.repro_per_bit_counts(_p(words), rows, lanes, _p(out))
-    return out[:group_size]
-
-
-def per_bit_weighted(
-    words: np.ndarray, weights: np.ndarray, group_size: int
-) -> np.ndarray:
-    """Weighted column sums: ``out[j] = weights[bit j set].sum()``."""
-    lib = _require()
-    if words.size == 0:
-        return np.zeros(group_size, dtype=np.int64)
-    words = _rows2d(words)
-    weights = _contig(weights, np.int64)
-    rows, lanes = words.shape
-    out = np.zeros(lanes * 64, dtype=np.int64)
-    lib.repro_per_bit_weighted(_p(words), _p(weights), rows, lanes, _p(out))
-    return out[:group_size]
-
-
 # ----------------------------------------------------------------------
 # The fused bitwise level
 # ----------------------------------------------------------------------
@@ -577,12 +541,15 @@ class LevelKernel:
     struct holding their addresses is built once, so a level allocates
     nothing and crosses ctypes once.
 
-    Between levels the kernel holds the traversal state the numpy path
-    recomputes: ``BSA_k``, kept equal to the live array by writing back
-    only the rows that changed; the last level's ``(changed, diff)``
-    frontier; and the bottom-up candidates, the vertices that may still
-    gain an active instance's bit, which shrink level by level.
-    Results and simulated counters are bit-identical to the numpy path.
+    Between levels the kernel holds the group's traversal state:
+    ``BSA_k``, kept equal to the live array by writing back only the
+    rows that changed (the numpy path copies the whole array per
+    level); the last level's ``(changed, diff)`` frontier with each
+    instance's frontier size and degree sum, as
+    :class:`~repro.kernels.workspace.LevelWorkspace` holds them; and the
+    bottom-up candidates, the vertices that may still gain an active
+    instance's bit, which shrink level by level.  Results and simulated
+    counters are bit-identical to the numpy path.
     """
 
     def __init__(
@@ -637,6 +604,7 @@ class LevelKernel:
             "fresh": ints(warp_size),
             "words": words((n, lanes)),
             "acc": words((n, lanes)),
+            "scan": words(2 * lanes),
             "seen": words(lines // 64 + 1),
             "flags": np.zeros(n, dtype=np.uint8),
             "done": np.zeros(n, dtype=np.uint8),
@@ -763,7 +731,6 @@ def warmup() -> float:
     indices = np.array([1, 3, 0, 2, 1, 3, 0, 2], dtype=np.int64)
     starts = np.array([0, 2, 4, 6], dtype=np.int64)
     degrees = np.full(4, 2, dtype=np.int64)
-    bsa = np.zeros((4, 1), dtype=np.uint64)
     offsets = np.append(starts, indices.size)
     round_major_probes(indices, starts, np.array([1, 2, 0, 2], dtype=np.int64))
     coalesced_transactions(indices, 8, 128, 2)
@@ -775,8 +742,6 @@ def warmup() -> float:
         indices, starts, degrees, depth_rows, 0,
         inst=np.zeros(4, dtype=np.int64),
     )
-    per_bit_counts(bsa, 2)
-    per_bit_weighted(bsa, degrees, 2)
     # Two instances from vertices 0 and 1: a mixed level (instance 0
     # top-down, 1 bottom-up), then an all-bottom-up one, on every rung.
     kernel = LevelKernel(offsets, indices, degrees, 1, 128, 2, 6, 6)

@@ -24,6 +24,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -207,13 +208,6 @@ static inline int64_t ceil_div(int64_t a, int64_t b) {
     return (a + b - 1) / b;
 }
 
-/* Transactions to load ``entries`` 8-byte entries, ``per_line`` to a  */
-/* transaction.  A transaction narrower than one entry has per_line 0, */
-/* which the numpy path's integer floor division prices at 0.          */
-static inline int64_t entry_lines(int64_t entries, int64_t per_line) {
-    return per_line ? ceil_div(entries, per_line) : 0;
-}
-
 /* ------------------------------------------------------------------ */
 /* The top-down edge map's walk over the frontier's CSR rows in edge   */
 /* order (the gather_neighbors stream).  With ``out`` it scatter-ORs:  */
@@ -382,7 +376,8 @@ static inline void tally_pending_w(uint64_t pend, int64_t bit0,
 /* changes only when a probe contributes new bits — rare on            */
 /* scale-free graphs — so the scan batches runs of unchanged ``pre``   */
 /* and adds the run length once per histogram bin instead of binning   */
-/* every probe.                                                        */
+/* every probe.  Wider rows keep their before-word and pending words   */
+/* in ``scratch`` (2*lanes words), so any lane count scans.            */
 /* ------------------------------------------------------------------ */
 static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
                             const int64_t *ends, int64_t m,
@@ -390,7 +385,8 @@ static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
                             const uint64_t *target, int early_termination,
                             const uint64_t *bsa_k, int64_t lanes,
                             int64_t *probes, uint64_t *acc, uint8_t *done,
-                            int64_t *hist, int64_t *inspections) {
+                            int64_t *hist, int64_t *inspections,
+                            uint64_t *scratch) {
     int64_t total = 0;
     if (lanes == 1) {
         uint64_t mask = lane_mask[0], tgt = target[0];
@@ -442,7 +438,7 @@ static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
         if (hist) fold_bins(hist, 1, inspections);
         return total;
     }
-    uint64_t prebuf[64];
+    uint64_t *prebuf = scratch, *pendbuf = scratch + lanes;
     for (int64_t i = 0; i < m; i++) {
         const uint64_t *st = state + i * lanes;
         uint64_t *dst = acc + i * lanes;
@@ -463,7 +459,6 @@ static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
         const int64_t *nb = indices + starts[i];
         /* Same run batching as the single-lane loop: pending words are */
         /* recomputed (and flushed with the run length) only on change. */
-        uint64_t pendbuf[64];
         for (int64_t l = 0; l < lanes; l++)
             pendbuf[l] = lane_mask[l] & ~prebuf[l];
         int64_t runw = 0;
@@ -512,17 +507,19 @@ static int64_t or_scan_rows(const int64_t *indices, const int64_t *starts,
     return total;
 }
 
+/* ``scratch`` holds 2*lanes words. */
 int64_t repro_or_scan(const int64_t *indices, const int64_t *starts,
                       const int64_t *ends, int64_t m,
                       const uint64_t *state, const uint64_t *lane_mask,
                       const uint64_t *target, int early_termination,
                       const uint64_t *bsa_k, int64_t lanes,
                       int64_t *probes, uint64_t *acc, uint8_t *done,
-                      int64_t *inspections) {
+                      int64_t *inspections, uint64_t *scratch) {
     int64_t *hist = calloc((size_t)(lanes * 8 * 256), sizeof(int64_t));
     int64_t total = or_scan_rows(indices, starts, ends, m, state, lane_mask,
                                  target, early_termination, bsa_k, lanes,
-                                 probes, acc, done, hist, inspections);
+                                 probes, acc, done, hist, inspections,
+                                 scratch);
     free(hist);
     return total;
 }
@@ -745,23 +742,6 @@ int64_t repro_hit_scan_depth(const int64_t *indices, const int64_t *starts,
 }
 
 /* ------------------------------------------------------------------ */
-/* Packed-bit column sums: out[j] += number of rows with bit j set,    */
-/* and the weighted variant: out[j] += sum of weights over rows with   */
-/* bit j set (``out`` holds lanes*64 slots).                           */
-/* ------------------------------------------------------------------ */
-void repro_per_bit_counts(const uint64_t *words, int64_t rows,
-                          int64_t lanes, int64_t *out) {
-    bit_sweep(NULL, words, rows, lanes, lanes * 64, NULL, 0, 0, 0, out,
-              NULL, NULL);
-}
-
-void repro_per_bit_weighted(const uint64_t *words, const int64_t *weights,
-                            int64_t rows, int64_t lanes, int64_t *out) {
-    bit_sweep(NULL, words, rows, lanes, lanes * 64, NULL, 0, 0, 0, NULL,
-              weights, out);
-}
-
-/* ------------------------------------------------------------------ */
 /* One whole BitwiseTraversal level (core/bitwise.py's _level) in one  */
 /* call, over buffers the caller allocates once per (n, lanes) shape:  */
 /*                                                                    */
@@ -816,10 +796,11 @@ typedef struct {
     int64_t ncand;
     /* Scratch: n slots each, ``live`` 2n+2, ``words`` and ``acc``     */
     /* n*lanes, ``hist`` lanes*8*256 (zero between uses), ``pending``  */
-    /* lanes*64, ``seen``/``fresh`` the line map's storage.            */
+    /* lanes*64, ``scan`` 2*lanes (the OR scan's row words),           */
+    /* ``seen``/``fresh`` the line map's storage.                      */
     int64_t *fq_td, *fq_bu, *targets, *starts, *ends, *probes, *updated;
     int64_t *weights, *live, *hist, *pending, *fresh;
-    uint64_t *words, *acc, *seen;
+    uint64_t *words, *acc, *scan, *seen;
     uint8_t *flags, *done;
 } level_ws;
 
@@ -926,7 +907,7 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
             for (int64_t l = 0; l < lanes; l++)
                 words[r * lanes + l] = bsa_k[f * lanes + l] & td_sel[l];
             neighbors += ws->degrees[f];
-            adjacency += entry_lines(ws->degrees[f], per_line);
+            adjacency += ceil_div(ws->degrees[f], per_line);
         }
         ntargets = unique_targets_walk(ws->offsets, ws->cols, fq_td, ntd, n,
                                        ws->flags, ws->targets, &map,
@@ -957,7 +938,7 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
         int64_t probed = or_scan_rows(ws->rcols, starts, ends, nbu, state,
                                       bu_sel, bu_sel, (int)early_termination,
                                       bsa_k, lanes, probes, acc, ws->done,
-                                      ws->hist, ws->pending);
+                                      ws->hist, ws->pending, ws->scan);
         for (int64_t j = 0; j < gs; j++) {
             ws->inspections[j] += ws->pending[j];
             edges += ws->pending[j];
@@ -965,7 +946,7 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
         int64_t early = 0, probe_lines = 0;
         for (int64_t i = 0; i < nbu; i++) {
             if (ws->done[i] && probes[i] < ends[i] - starts[i]) early++;
-            probe_lines += entry_lines(probes[i], per_line);
+            probe_lines += ceil_div(probes[i], per_line);
             /* "Updated" compares against BSA_k's masked word. */
             const uint64_t *a = acc + i * lanes, *s = state + i * lanes;
             uint64_t moved = 0;
@@ -1051,7 +1032,11 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
 """
 
 #: Bump when the C ABI changes so stale cached libraries are rebuilt.
-_ABI_VERSION = 5
+_ABI_VERSION = 6
+
+#: A new build evicts the cache's other libraries once nothing has
+#: built or loaded them for this long.
+_STALE_SECONDS = 7 * 24 * 3600
 
 
 class LevelState(ctypes.Structure):
@@ -1076,14 +1061,15 @@ class LevelState(ctypes.Structure):
             ("starts", "p"), ("ends", "p"), ("probes", "p"),
             ("updated", "p"), ("weights", "p"), ("live", "p"),
             ("hist", "p"), ("pending", "p"), ("fresh", "p"),
-            ("words", "p"), ("acc", "p"), ("seen", "p"),
+            ("words", "p"), ("acc", "p"), ("scan", "p"), ("seen", "p"),
             ("flags", "p"), ("done", "p"),
         )
     ]
 
 
-#: Length of the stats vector :c:func:`repro_bitwise_level` fills (its
-#: ``ST_*`` enum, in that order).
+#: The stats vector of one bitwise level: what
+#: :c:func:`repro_bitwise_level` fills (its ``ST_*`` enum, in that
+#: order) and what the numpy level returns.
 LEVEL_STATS = (
     "fq_td", "td_vertices", "fq_bu", "bu_vertices", "jfq",
     "loads", "stores", "load_requests", "store_requests", "atomics",
@@ -1126,16 +1112,37 @@ def _compiler() -> Optional[str]:
     return None
 
 
+def _evict_stale(cache: Path, keep: Path) -> None:
+    """Unlink the cache's other ``repro_native_*.so`` libraries that no
+    build or load has touched for :data:`_STALE_SECONDS`.  Best effort:
+    a process that already loaded one keeps its mapping."""
+    cutoff = time.time() - _STALE_SECONDS
+    for path in cache.glob("repro_native_*.so"):
+        if path == keep:
+            continue
+        try:
+            if path.stat().st_mtime < cutoff:
+                path.unlink()
+        except OSError:
+            pass
+
+
 def build_library() -> Path:
     """Compile (or reuse) the cached shared library.
 
-    Raises :class:`~repro.native.NativeUnavailable` naming the cause
-    when there is no C compiler, the compile fails, or the cache
-    directory cannot be written.
+    Reusing a library refreshes its mtime; publishing a new one evicts
+    superseded libraries (:func:`_evict_stale`).  Raises
+    :class:`~repro.native.NativeUnavailable` naming the cause when there
+    is no C compiler, the compile fails, or the cache directory cannot
+    be written.
     """
     cache = _cache_dir()
     lib_path = cache / f"repro_native_{_source_tag()}.so"
     if lib_path.exists():
+        try:
+            os.utime(lib_path)
+        except OSError:
+            pass
         return lib_path
     cc = _compiler()
     if cc is None:
@@ -1170,6 +1177,7 @@ def build_library() -> Path:
             os.replace(tmp_lib, lib_path)
     except OSError as exc:
         raise NativeUnavailable(f"cannot build in {cache}: {exc}") from exc
+    _evict_stale(cache, lib_path)
     return lib_path
 
 
@@ -1194,7 +1202,7 @@ def load_library() -> ctypes.CDLL:
     lib.repro_scatter_or.argtypes = [p, p, p, p, i64, p, i64]
     lib.repro_or_scan.restype = i64
     lib.repro_or_scan.argtypes = [
-        p, p, p, i64, p, p, p, ctypes.c_int, p, i64, p, p, p, p,
+        p, p, p, i64, p, p, p, ctypes.c_int, p, i64, p, p, p, p, p,
     ]
     lib.repro_round_major.restype = None
     lib.repro_round_major.argtypes = [p, p, p, i64, i64, p, p]
@@ -1210,10 +1218,6 @@ def load_library() -> ctypes.CDLL:
     lib.repro_transpose_i32.argtypes = [p, i64, i64, ctypes.c_int, p]
     lib.repro_hit_scan_depth.restype = i64
     lib.repro_hit_scan_depth.argtypes = [p, p, p, i64, p, i64, p, i64, p, p]
-    lib.repro_per_bit_counts.restype = None
-    lib.repro_per_bit_counts.argtypes = [p, i64, i64, p]
-    lib.repro_per_bit_weighted.restype = None
-    lib.repro_per_bit_weighted.argtypes = [p, p, i64, i64, p]
     lib.repro_level_ws_bytes.restype = i64
     lib.repro_level_ws_bytes.argtypes = []
     lib.repro_bitwise_level.restype = None

@@ -82,11 +82,6 @@ class TestCoalescing:
 
 
 class TestDerived:
-    def test_scattered_transactions(self, mem):
-        assert mem.scattered_transactions(10) == 10
-        with pytest.raises(SimulationError):
-            mem.scattered_transactions(-1)
-
     def test_status_group_transactions_jsa(self, mem):
         # 128 one-byte statuses fit one 128 B line.
         assert mem.status_group_transactions(10, 128) == 10
@@ -94,28 +89,3 @@ class TestDerived:
         assert mem.status_group_transactions(10, 256) == 20
         # Small groups still cost one transaction.
         assert mem.status_group_transactions(10, 4) == 10
-
-    def test_capacity_rule(self, mem):
-        # M = 12 GiB; graph 2 GiB; JFQ 8 MiB; per-instance 16 MiB.
-        n = mem.capacity_group_size(
-            graph_bytes=2 * 1024**3,
-            status_bytes_per_vertex=1,
-            num_vertices=16 * 1024**2,
-            jfq_bytes=8 * 1024**2,
-        )
-        assert n == (12 * 1024**3 - 2 * 1024**3 - 8 * 1024**2) // (16 * 1024**2)
-
-    def test_capacity_rule_no_room(self, mem):
-        assert (
-            mem.capacity_group_size(
-                graph_bytes=KEPLER_K40.global_memory_bytes,
-                status_bytes_per_vertex=1,
-                num_vertices=100,
-                jfq_bytes=0,
-            )
-            == 0
-        )
-
-    def test_capacity_rule_invalid_status_size(self, mem):
-        with pytest.raises(SimulationError):
-            mem.capacity_group_size(0, 0, 0, 0)

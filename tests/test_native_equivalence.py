@@ -11,7 +11,6 @@ library does not load.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ import repro.native as native
 from repro.bfs.single import SingleBFS
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.engine import IBFS, IBFSConfig
+from repro.errors import SimulationError
 from repro.gpusim.config import KEPLER_K40
 from repro.gpusim.device import Device
 from repro.graph.generators import rmat, uniform_random
@@ -214,17 +214,19 @@ def test_adaptive_policy_identical_across_backends(compiled, graphs, provider):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("transaction_bytes", [4, 64])
 def test_bitwise_level_on_narrow_transactions(compiled, graphs, transaction_bytes):
-    # A transaction narrower than one 8-byte entry prices adjacency and
-    # probe lines at 0 on the numpy path (integer division by zero); the
-    # compiled level must match it rather than divide by zero.
+    # A transaction narrower than one 8-byte entry is no device: the
+    # config refuses it, so no level prices a zero-entry line.
+    if transaction_bytes < 8:
+        with pytest.raises(SimulationError, match="8-byte entry"):
+            dataclasses.replace(KEPLER_K40, transaction_bytes=transaction_bytes)
+        return
     graph = graphs["rmat9"]
     device_config = dataclasses.replace(
         KEPLER_K40, transaction_bytes=transaction_bytes
     )
     planner = HeuristicPolicy(alpha=1e-9, beta=1e9)  # every level bottom-up
     sources = list(range(0, 150, 3))
-    with native.force_backend("off"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with native.force_backend("off"):
         expected = BitwiseTraversal(
             graph, device=Device(device_config), planner=planner
         ).run_group(sources)

@@ -1,10 +1,11 @@
 """The compiled bitwise level crosses into the library once per level.
 
-A native-effective :meth:`BitwiseTraversal.run_group` of L levels must
-call ``repro_bitwise_level`` exactly L times, ``repro_transpose_i32``
-once for the final depth matrix, and no per-op export.  The loaded
-library is wrapped in a counting proxy through ``native._cache["lib"]``,
-the handle every op resolves.  Skips when the library does not load.
+With the library loaded, :meth:`BitwiseTraversal.run_group` of L
+levels must call ``repro_bitwise_level`` exactly L times,
+``repro_transpose_i32`` once for the final depth matrix, and no per-op
+export, at any lane count.  The loaded library is wrapped in a
+counting proxy through ``native._cache["lib"]``, the handle every op
+resolves.  Skips when the library does not load.
 """
 
 from collections import Counter
@@ -47,9 +48,11 @@ def graph():
     return rmat(9, edge_factor=8, seed=1)
 
 
-@pytest.mark.parametrize("group_size, lanes", [(3, 1), (70, 2)])
+# 4,100 sources take 65 lanes, past the 64-lane cap the C scan once
+# had; the bitwise engine accepts repeated sources.
+@pytest.mark.parametrize("group_size, lanes", [(3, 1), (70, 2), (4100, 65)])
 def test_one_library_call_per_level(counting_library, graph, group_size, lanes):
-    sources = list(range(0, 5 * group_size, 5))
+    sources = [s % graph.num_vertices for s in range(0, 5 * group_size, 5)]
     engine = BitwiseTraversal(graph)
     # A second group reuses the engine's level buffers.
     for _ in range(2):

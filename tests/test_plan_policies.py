@@ -217,8 +217,8 @@ class TestAdaptivePolicy:
         self, compiled, group_size, monkeypatch
     ):
         # The host picks its kernels outside the plan: an adaptive group
-        # runs the compiled level when the library loads for its lane
-        # count, and the numpy path when it does not.
+        # runs the compiled level when the library loads, and the numpy
+        # path when it does not.
         graph = rmat(8, edge_factor=8, seed=2)
         sources = list(range(group_size))
         config = IBFSConfig(group_size=group_size, groupby=False)
@@ -234,9 +234,7 @@ class TestAdaptivePolicy:
         for backend in (None, "off"):
             calls.clear()
             with native.force_backend(backend):
-                assert native.effective(-(-group_size // 64)) == (
-                    backend is None
-                )
+                assert native.available() == (backend is None)
                 result = IBFS(
                     graph, config, planner=AdaptivePolicy()
                 ).run_group(sources)

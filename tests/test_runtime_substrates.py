@@ -92,23 +92,36 @@ class TestBitIdentityMatrix:
                 assert snap.epoch == 1
                 ref_graph = snap.graph
             planner = make_policy(planner_name) if planner_name else None
-            expected = IBFS(ref_graph, CONFIG, planner=planner).run(
-                SOURCES, store_depths=True
-            )
-            # Two runs per cell: identity and repeat-determinism.
-            for _ in range(2):
-                result = substrate.run(SOURCES, store_depths=True)
-                assert np.array_equal(result.depths, expected.depths)
-                assert result.depths.dtype == expected.depths.dtype
-                assert result.sources == expected.sources
-                if not substrate.supports_partitions:
-                    # Whole-graph placements replicate the traversal
-                    # exactly; partitioned counters price communication.
-                    assert (
-                        result.counters.__dict__
-                        == expected.counters.__dict__
-                    )
-                    assert result.seconds == expected.seconds
+            serial = IBFS(ref_graph, CONFIG, planner=planner)
+            # Several groups, then one group in source order: serial
+            # keeps that group's matrix as the result, unstacked.
+            group = serial.make_groups(SOURCES)[0]
+            assert serial.make_groups(group) == [group]
+            for sources in (SOURCES, group):
+                expected = serial.run(sources, store_depths=True)
+                # Two runs per input: identity and repeat-determinism;
+                # then one that stores no depths.
+                for store_depths in (True, True, False):
+                    result = substrate.run(sources, store_depths=store_depths)
+                    if store_depths:
+                        assert np.array_equal(result.depths, expected.depths)
+                        assert result.depths.dtype == expected.depths.dtype
+                    else:
+                        assert result.depths is None
+                    assert result.sources == expected.sources
+                    if not substrate.supports_partitions:
+                        # Whole-graph placements replicate the traversal
+                        # exactly; partitioned counters price
+                        # communication.
+                        assert (
+                            result.counters.__dict__
+                            == expected.counters.__dict__
+                        )
+                        assert result.seconds == expected.seconds
+                        assert result.groups == expected.groups
+                        assert [g.sources for g in result.groups] == (
+                            serial.make_groups(sources)
+                        )
         finally:
             substrate.close()
 
