@@ -3,7 +3,13 @@
 
 Measures real host wall time of :class:`repro.exec.GroupExecutor` over
 1/2/4/8 workers against the serial :class:`repro.core.engine.IBFS`
-baseline on the same graph and sources.  Every worker count's result is
+baseline on the same graph and sources.  The baseline runs with this
+process pinned to one CPU (built, verified and timed there, and unpinned
+before any executor forks), so its engine runs every level on one
+thread and the speedup keeps meaning processes over one core; the
+unpinned in-process engine, which runs its levels on
+:func:`repro.native.level_threads` threads, is timed too and recorded
+beside it (``meta["inprocess_seconds"]``).  Every worker count's result is
 asserted bit-identical to the serial engine (depths, counters, group
 stats) before its timing is trusted, and one fault-injected
 configuration (a worker crashed mid-run) must also reproduce the serial
@@ -18,7 +24,7 @@ per-worker task counts are attrs.  ``--check`` gates:
 
 * the fault-injected run must be bit-identical (always enforced);
 * the 2-worker speedup must reach 1.3x — enforced only when the host
-  has at least 2 CPU cores, since genuine parallel speedup is
+  has at least 2 usable CPUs, since genuine parallel speedup is
   physically impossible on a single core; ``meta`` records
   ``cpu_count`` and whether the gate applied.
 
@@ -31,12 +37,14 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 
 import numpy as np
 
-from harness import run_bench
+import repro.native as native
+from harness import run_bench, usable_cpus
 from repro.core.engine import IBFS, IBFSConfig
 from repro.exec import ExecConfig, FaultPlan, FaultPolicy, GroupExecutor
 from repro.graph.generators import rmat
@@ -75,13 +83,28 @@ def same_result(a, b) -> bool:
     return True
 
 
+@contextlib.contextmanager
+def one_cpu():
+    """Run the enclosed block with this process pinned to one of its
+    CPUs (a no-op where the platform cannot pin)."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def measure(args, ledger):
     scale, edge_factor, group_size, num_sources = (
         QUICK_SHAPE if args.quick else FULL_SHAPE
     )
     worker_counts = QUICK_WORKER_COUNTS if args.quick else FULL_WORKER_COUNTS
     repeats = 2 if args.quick else 3
-    cpu_count = os.cpu_count() or 1
+    cpu_count = usable_cpus()
 
     graph = rmat(scale, edge_factor=edge_factor, seed=3)
     rng = np.random.default_rng(SOURCE_SEED)
@@ -89,22 +112,37 @@ def measure(args, ledger):
         rng.choice(graph.num_vertices, size=num_sources, replace=False).tolist()
     )
     config = IBFSConfig(group_size=group_size)
-    engine = IBFS(graph, config)
 
     print(
         f"graph rmat scale={scale} ef={edge_factor}: "
         f"{graph.num_vertices} vertices, {graph.num_edges} edges; "
         f"{num_sources} sources in groups of {group_size}; "
-        f"{cpu_count} host cores",
+        f"{cpu_count} usable CPUs",
         flush=True,
     )
 
-    reference = engine.run(sources, store_depths=True)
-    serial = BestOf()
+    # The engine reads its level-thread budget when it first runs, so
+    # building it pinned gives one level thread.
+    with one_cpu():
+        engine = IBFS(graph, config)
+        reference = engine.run(sources, store_depths=True)
+        serial = BestOf()
+        for _ in range(repeats):
+            with serial:
+                engine.run(sources, store_depths=False)
+    print(f"[serial, one CPU] {serial.seconds:.3f}s", flush=True)
+    threaded_engine = IBFS(graph, config)
+    if not same_result(reference, threaded_engine.run(sources, store_depths=True)):
+        raise AssertionError("threaded in-process result diverged from serial")
+    inprocess = BestOf()
     for _ in range(repeats):
-        with serial:
-            engine.run(sources, store_depths=False)
-    print(f"[serial] {serial.seconds:.3f}s", flush=True)
+        with inprocess:
+            threaded_engine.run(sources, store_depths=False)
+    print(
+        f"[in-process, {native.level_threads()} level threads] "
+        f"{inprocess.seconds:.3f}s",
+        flush=True,
+    )
 
     speedups = {}
     for workers in worker_counts:
@@ -169,14 +207,15 @@ def measure(args, ledger):
     # sees how many cores ran it and whether the speedup gate applied.
     gate_enforced = cpu_count >= 2
     ledger.meta.update({
-        "metric": "speedup = serial / executor host wall seconds per full "
-                  "run (best of repeats)",
+        "metric": "speedup = serial (one CPU) / executor host wall seconds "
+                  "per full run (best of repeats)",
         "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=3",
         "num_sources": num_sources,
         "group_size": group_size,
         "repeats": repeats,
-        "cpu_count": cpu_count,
         "serial_seconds": serial.seconds,
+        "serial_pinned_cpus": 1,
+        "inprocess_seconds": inprocess.seconds,
         "min_speedup": MIN_SPEEDUP,
         "speedup_gate_enforced": gate_enforced,
         "fault_injected": {

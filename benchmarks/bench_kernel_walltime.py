@@ -31,7 +31,6 @@ Usage::
 
 from __future__ import annotations
 
-import os
 import sys
 
 import numpy as np
@@ -147,7 +146,6 @@ def measure(args, ledger):
         "metric": "speedup = numpy / native host wall seconds per group "
                   "run (best of repeats)",
         "repeats": repeats,
-        "cpu_count": os.cpu_count() or 1,
         "native_backend": native.backend_name(),
         "warmup_seconds": warmup_seconds,
     })

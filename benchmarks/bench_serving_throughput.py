@@ -28,7 +28,6 @@ machine-independent ratios — wall-clock seconds travel as attrs only —
 so ``repro bench-diff`` can compare runs across hosts.
 """
 
-import os
 import sys
 
 import pytest
@@ -165,7 +164,6 @@ def measure_dispatch(args, ledger):
         "graph": f"rmat scale={scale} edge_factor=16 seed=7",
         "num_sources": len(sources),
         "group_size": config.group_size,
-        "cpu_count": os.cpu_count() or 1,
         "repeats": repeats,
         "max_overhead": MAX_OVERHEAD,
         "metric": "registry/direct wall-clock ratio "

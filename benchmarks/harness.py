@@ -43,6 +43,7 @@ from repro import (
     SequentialConcurrentBFS,
     benchmark_graph,
 )
+import repro.native as native
 from repro.graph.csr import CSRGraph
 from repro.obs.ledger import Ledger, save_ledger
 
@@ -64,6 +65,15 @@ def scale_delta() -> int:
 def source_count() -> int:
     """Concurrent instances per experiment (env ``REPRO_BENCH_SOURCES``)."""
     return int(os.environ.get("REPRO_BENCH_SOURCES", "128"))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the
+    platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def load_graph(name: str) -> CSRGraph:
@@ -156,7 +166,10 @@ def run_bench(
     ``benchmark`` and ``mode`` are set here) and returns the gate
     failures it found.  The ledger goes to ``--output`` or
     ``BENCH_<name>.json`` at the repo root (``BENCH_<name>.quick.json``
-    with ``--quick``).  Under ``--check`` the verdict is recorded in
+    with ``--quick``).  Every ledger records the host's usable CPUs
+    (``meta["cpu_count"]``) and the level-thread budget the engines got
+    (``meta["level_threads"]``, :func:`repro.native.level_threads`).
+    Under ``--check`` the verdict is recorded in
     ``meta["check"]``, each failure is printed, and any failure makes
     the exit status 1; without it failures are recorded nowhere and
     the status is 0.  ``add_arguments`` adds a bench's own options.
@@ -179,6 +192,10 @@ def run_bench(
 
     ledger = Ledger(benchmark=benchmark,
                     mode="quick" if args.quick else "full")
+    ledger.meta.update({
+        "cpu_count": usable_cpus(),
+        "level_threads": native.level_threads(),
+    })
     failures = measure(args, ledger)
     if args.check:
         ledger.meta["check"] = {"passed": not failures, "failures": failures}

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import repro.native as native
 from repro.errors import ExecutorError, ReproError, TraversalError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.cluster import schedule_lpt
@@ -87,7 +88,10 @@ class ExecConfig:
 
     Workers start with ``fork`` where available, else ``spawn``, and
     attach the shared graph either way.  A pool that cannot be started
-    degrades to in-process execution.
+    degrades to in-process execution.  Each worker runs its bitwise
+    levels on ``max(1, repro.native.level_threads() // num_workers)``
+    threads, so the workers together never ask for more level threads
+    than the parent process would use alone.
     """
 
     num_workers: int = 2
@@ -385,6 +389,7 @@ class GroupExecutor:
                     profile=profile_config.enabled,
                     sample_every=profile_config.sample_every,
                 ),
+                max(1, native.level_threads() // self.exec_config.num_workers),
             ),
             daemon=True,
             name=f"repro-exec-{worker_id}",

@@ -124,9 +124,16 @@ def worker_main(
     result_queue,
     fault_plan: Optional[FaultPlan],
     obs_spec: Optional[ObsSpec] = None,
+    level_threads: Optional[int] = None,
 ) -> None:
-    """Run the worker loop until the ``None`` sentinel arrives."""
+    """Run the worker loop until the ``None`` sentinel arrives.
+
+    ``level_threads`` is this worker's share of the parent's level-thread
+    budget (:func:`repro.native.level_threads`); the engine's level
+    kernels, built below, read it."""
     plan = fault_plan or FaultPlan()
+    if level_threads is not None:
+        native.LEVEL_THREADS = level_threads
     if obs_spec is not None:
         obs_profile.configure(
             enabled=obs_spec.profile, sample_every=obs_spec.sample_every

@@ -70,8 +70,25 @@ def from_edge_arrays(
     degrees = np.bincount(src, minlength=num_vertices).astype(VERTEX_DTYPE)
     offsets = np.zeros(num_vertices + 1, dtype=VERTEX_DTYPE)
     np.cumsum(degrees, out=offsets[1:])
-    order = np.argsort(src, kind="stable")
+    order = _stable_order(src, num_vertices)
     return CSRGraph(offsets, dst[order], validate=False)
+
+
+def _stable_order(src: np.ndarray, num_vertices: int) -> np.ndarray:
+    """``np.argsort(src, kind="stable")`` for ids below ``num_vertices``.
+
+    numpy sorts 16-bit keys stably by radix sort and wider ones by
+    timsort, so ids that fit 16 bits sort as one ``uint16`` key and ids
+    below 2**32 as two stable ``uint16`` passes, low half then high
+    half; the permutation is the same.
+    """
+    if num_vertices <= 1 << 16:
+        return np.argsort(src.astype(np.uint16), kind="stable")
+    if num_vertices <= 1 << 32:
+        low = np.argsort((src & 0xFFFF).astype(np.uint16), kind="stable")
+        high = (src[low] >> 16).astype(np.uint16)
+        return low[np.argsort(high, kind="stable")]
+    return np.argsort(src, kind="stable")
 
 
 def from_adjacency(adjacency: Sequence[Sequence[int]]) -> CSRGraph:

@@ -14,6 +14,13 @@ The bitwise engine runs each level as one call:
 same C loops the per-op functions here call (frontier identification,
 top-down edge map, bottom-up OR scan, extraction, tallies, depth write
 and pricing) over buffers allocated once per ``(n, lanes)`` shape.
+Inside that call each large phase runs on the level threads: one
+pthreads pool per process inside the library, started by the first
+phase whose work crosses :data:`LEVEL_GRAIN`, with the calling thread
+working as thread 0.  A kernel gets :func:`level_threads` threads when
+it is built (the usable CPUs, at most :data:`MAX_LEVEL_THREADS`; a
+:class:`~repro.exec.GroupExecutor` worker gets its share).  Results and
+simulated counters do not depend on the thread count.
 :func:`unique_targets`, :func:`scatter_or`, :func:`or_scan`,
 :func:`depth_update` and :func:`bottom_up_coalesced` have no engine
 caller any more: they are kept because the repository benchmark's
@@ -67,6 +74,9 @@ __all__ = [
     "materialize_depths",
     "hit_scan_depth",
     "LevelKernel",
+    "level_threads",
+    "MAX_LEVEL_THREADS",
+    "LEVEL_GRAIN",
 ]
 
 
@@ -84,6 +94,18 @@ _override: Optional[str] = None
 #: Invariant: all-zero between calls (the kernels clear what they set).
 _flag_cache: Dict[int, np.ndarray] = {}
 _warm_seconds: Optional[float] = None
+
+#: Most level threads one kernel runs, however many CPUs the host has.
+MAX_LEVEL_THREADS = 8
+#: The level-thread budget: None means the usable CPUs, at most
+#: :data:`MAX_LEVEL_THREADS`.  A :class:`~repro.exec.GroupExecutor`
+#: worker process sets its share of the parent's budget here before it
+#: builds its engine.
+LEVEL_THREADS: Optional[int] = None
+#: Work items (frontier rows, edges, candidates or probes, by phase)
+#: each task of a level phase must get: a phase with less than twice
+#: this much runs on the calling thread and wakes no other.
+LEVEL_GRAIN = 4096
 
 
 def _truthy(value: str) -> bool:
@@ -143,6 +165,19 @@ def disabled_reason() -> Optional[str]:
     return _cache.get("reason")  # type: ignore[return-value]
 
 
+def level_threads() -> int:
+    """Threads a :class:`LevelKernel` built now runs its level phases on:
+    :data:`LEVEL_THREADS`, or else the CPUs this process may run on
+    (``os.sched_getaffinity``), at most :data:`MAX_LEVEL_THREADS`."""
+    if LEVEL_THREADS is not None:
+        return max(1, int(LEVEL_THREADS))
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return max(1, min(usable, MAX_LEVEL_THREADS))
+
+
 def refresh() -> None:
     """Drop the resolution cache (e.g. after changing REPRO_NATIVE)."""
     _cache.clear()
@@ -187,6 +222,19 @@ def _rows2d(words: np.ndarray) -> np.ndarray:
 
 def _p(arr: np.ndarray) -> int:
     return arr.ctypes.data
+
+
+def _slots(count: int, items: int, dtype) -> np.ndarray:
+    """``count`` zeroed per-thread slots of ``items`` elements each, every
+    slot rounded up to whole 64-byte lines and the first one starting
+    on a line, so no two threads write one cache line (the C ``SLOT``
+    and ``SLOT_BYTES`` strides)."""
+    itemsize = np.dtype(dtype).itemsize
+    per_line = 64 // itemsize
+    stride = -(-max(items, 1) // per_line) * per_line
+    raw = np.zeros(count * stride + per_line, dtype=dtype)
+    skip = (-raw.ctypes.data % 64) // itemsize
+    return raw[skip : skip + count * stride]
 
 
 def _checked(status: int) -> int:
@@ -541,6 +589,13 @@ class LevelKernel:
     struct holding their addresses is built once, so a level allocates
     nothing and crosses ctypes once.
 
+    The kernel reads :func:`level_threads` and :data:`LEVEL_GRAIN` when
+    it is built and sizes one slot of per-task scratch (line maps, scan
+    tallies, probe live lists and histograms, partial sums) per thread.
+    Each phase of a level splits into one task per ``LEVEL_GRAIN``
+    items, up to that many tasks; priced streams are cut only at
+    multiples of the warp size, so every counter is the serial one.
+
     Between levels the kernel holds the group's traversal state:
     ``BSA_k``, kept equal to the live array by writing back only the
     rows that changed (the numpy path copies the whole array per
@@ -563,13 +618,16 @@ class LevelKernel:
         instructions_per_inspection: int,
         instructions_per_vertex: int,
     ) -> None:
-        from repro.native._csrc import LEVEL_STATS, LevelState
+        from repro.native._csrc import LEVEL_STATS, TASK_SUMS, LevelState
 
         _require()
         n = row_offsets.shape[0] - 1
         self.num_vertices = n
         self.lanes = lanes
-        lines = n * 8 * lanes // transaction_bytes
+        #: Level threads, hence slots of per-task scratch.
+        self.threads = threads = level_threads()
+        seen_words = n * 8 * lanes // transaction_bytes // 64 + 1
+        helpers = threads - 1
 
         def ints(size):
             return np.zeros(size, dtype=np.int64)
@@ -598,16 +656,23 @@ class LevelKernel:
             "probes": ints(n),
             "updated": ints(n),
             "weights": ints(n),
-            "live": ints(2 * n + 2),
-            "hist": ints(lanes * 8 * 256),
-            "pending": ints(lanes * 64),
-            "fresh": ints(warp_size),
+            "prefix": ints(n + 1),
             "words": words((n, lanes)),
             "acc": words((n, lanes)),
-            "scan": words(2 * lanes),
-            "seen": words(lines // 64 + 1),
             "flags": np.zeros(n, dtype=np.uint8),
             "done": np.zeros(n, dtype=np.uint8),
+            # One slot per thread each; the walk's private targets only
+            # for the threads besides the caller.
+            "tsum": _slots(threads, TASK_SUMS, np.int64),
+            "tcounts": _slots(threads, 2 * lanes * 64, np.int64),
+            "hist": _slots(threads, lanes * 8 * 256, np.int64),
+            "pending": _slots(threads, lanes * 64, np.int64),
+            "live": _slots(threads, 2 * n + 2, np.int64),
+            "fresh": _slots(threads, warp_size, np.int64),
+            "scan": _slots(threads, 2 * lanes, np.uint64),
+            "seen": _slots(threads, seen_words, np.uint64),
+            "tout": _slots(helpers, n * lanes, np.uint64),
+            "tflags": _slots(helpers, n, np.uint8),
         }
         self._state = LevelState(
             n=n,
@@ -616,6 +681,9 @@ class LevelKernel:
             warp=warp_size,
             insn_per_inspection=instructions_per_inspection,
             insn_per_vertex=instructions_per_vertex,
+            nthreads=threads,
+            grain=max(1, int(LEVEL_GRAIN)),
+            seen_words=seen_words,
             **{name: _p(array) for name, array in buffers.items()},
         )
         self._address = ctypes.addressof(self._state)
@@ -627,14 +695,20 @@ class LevelKernel:
         self._reverse: Tuple[np.ndarray, ...] = ()
 
     def bind_reverse(self, row_offsets: np.ndarray, col_indices: np.ndarray) -> None:
-        """Point the bottom-up scan at the reverse CSR (once per graph)."""
+        """Point the bottom-up scan at the reverse CSR (once per graph),
+        with a probe-count histogram per thread: a vertex probes at
+        most its in-degree."""
         if self._reverse and self._reverse[0] is row_offsets:
             return
         offsets = _contig(row_offsets, np.int64)
         cols = _contig(col_indices, np.int64)
-        self._reverse = (row_offsets, offsets, cols)
+        stride = int(np.diff(offsets).max(initial=0)) + 1
+        histograms = _slots(self.threads, stride, np.int64)
+        self._reverse = (row_offsets, offsets, cols, histograms)
         self._state.roffsets = _p(offsets)
         self._state.rcols = _p(cols)
+        self._state.rhist = _p(histograms)
+        self._state.rstride = stride
 
     def begin_group(
         self,
@@ -776,4 +850,6 @@ def capability_report() -> Dict[str, object]:
         "reason": None if enabled else disabled_reason(),
         "compiler": _csrc._compiler(),
         "warmup_seconds": _warm_seconds,
+        "level_threads": level_threads(),
+        "level_grain": LEVEL_GRAIN,
     }

@@ -31,9 +31,15 @@ from typing import Optional
 from repro.native import NativeUnavailable
 
 C_SOURCE = r"""
+/* -std=c99 hides struct timespec and the pthread declarations. */
+#define _POSIX_C_SOURCE 200809L
+#include <pthread.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
+#include <unistd.h>
 
 /* ------------------------------------------------------------------ */
 /* Warp-coalesced transaction counting (gpusim/memory.py): thread i    */
@@ -209,25 +215,211 @@ static inline int64_t ceil_div(int64_t a, int64_t b) {
 }
 
 /* ------------------------------------------------------------------ */
+/* Level threads: one pool per process, started by the first level    */
+/* phase whose work crosses its kernel's grain.  A job is ``nt`` tasks */
+/* fn(ctx, t, nt); of a pool of P threads, thread i runs tasks i,      */
+/* i + P, ... and the calling thread is thread 0.  What a task computes */
+/* depends on (t, nt) alone, so a job's result does not depend on how  */
+/* many threads ran it, and a caller that finds the pool owned by      */
+/* another thread runs every task itself.  Idle workers spin on the    */
+/* job counter for SPIN_NS, then sleep on a condition variable.  The   */
+/* pool is keyed by pid: a forked child never waits on its parent's    */
+/* threads (it does not have them) and starts its own pool.            */
+/* ------------------------------------------------------------------ */
+typedef void (*task_fn)(void *ctx, int64_t t, int64_t nt);
+
+#define POOL_MAX 64
+#define SPIN_NS 50000
+
+typedef struct {
+    pid_t pid;
+    int busy;              /* atomic: a caller owns the pool */
+    int64_t workers;       /* threads besides the caller */
+    pthread_mutex_t mu;
+    pthread_cond_t wake, done;
+    int64_t gen;           /* atomic: moves once per job */
+    int64_t pending;       /* atomic: workers still in the job */
+    int64_t sleepers;      /* under mu */
+    int caller_waits;      /* under mu */
+    task_fn fn;            /* the job, written before gen moves */
+    void *ctx;
+    int64_t nt, stride;
+} pool;
+
+typedef struct {
+    pool *p;
+    int64_t id, gen;
+} pool_arg;
+
+static pool *the_pool;
+
+static int64_t now_ns(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* Spins until (*word == value) == equal; gives up after SPIN_NS.     */
+static int spin_for(int64_t *word, int64_t value, int equal) {
+    int64_t start = now_ns();
+    for (int64_t i = 1;; i++) {
+        if ((__atomic_load_n(word, __ATOMIC_ACQUIRE) == value) == equal)
+            return 1;
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+        if (!(i & 63) && now_ns() - start > SPIN_NS) return 0;
+    }
+}
+
+static void *pool_main(void *arg) {
+    pool_arg a = *(pool_arg *)arg;
+    free(arg);
+    pool *p = a.p;
+    for (;;) {
+        if (!spin_for(&p->gen, a.gen, 0)) {
+            pthread_mutex_lock(&p->mu);
+            p->sleepers++;
+            while (__atomic_load_n(&p->gen, __ATOMIC_ACQUIRE) == a.gen)
+                pthread_cond_wait(&p->wake, &p->mu);
+            p->sleepers--;
+            pthread_mutex_unlock(&p->mu);
+        }
+        a.gen++;
+        for (int64_t t = a.id; t < p->nt; t += p->stride)
+            p->fn(p->ctx, t, p->nt);
+        if (__atomic_sub_fetch(&p->pending, 1, __ATOMIC_ACQ_REL) == 0) {
+            pthread_mutex_lock(&p->mu);
+            if (p->caller_waits) pthread_cond_signal(&p->done);
+            pthread_mutex_unlock(&p->mu);
+        }
+    }
+    return NULL;
+}
+
+/* This process's pool, grown towards ``want`` threads and owned by    */
+/* the caller until pool_release; NULL when another thread owns it.    */
+static pool *pool_acquire(int64_t want) {
+    pid_t pid = getpid();
+    pool *p = __atomic_load_n(&the_pool, __ATOMIC_ACQUIRE);
+    if (!p || p->pid != pid) {
+        pool *fresh = calloc(1, sizeof *fresh);
+        if (!fresh) return NULL;
+        fresh->pid = pid;
+        pthread_mutex_init(&fresh->mu, NULL);
+        pthread_cond_init(&fresh->wake, NULL);
+        pthread_cond_init(&fresh->done, NULL);
+        /* A parent's pool is left as it is: its threads are not ours. */
+        if (__atomic_compare_exchange_n(&the_pool, &p, fresh, 0,
+                                        __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE)) {
+            p = fresh;
+        } else {
+            free(fresh);
+            if (!p || p->pid != pid) return NULL;
+        }
+    }
+    if (__atomic_exchange_n(&p->busy, 1, __ATOMIC_ACQUIRE)) return NULL;
+    if (want > POOL_MAX) want = POOL_MAX;
+    if (p->workers + 1 < want) {
+        /* Workers block every signal, so the interpreter's main thread */
+        /* keeps receiving them.                                       */
+        sigset_t all, old;
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+        while (p->workers + 1 < want) {
+            pool_arg *a = malloc(sizeof *a);
+            if (!a) break;
+            a->p = p;
+            a->id = p->workers + 1;
+            a->gen = __atomic_load_n(&p->gen, __ATOMIC_RELAXED);
+            pthread_t thread;
+            if (pthread_create(&thread, &attr, pool_main, a)) {
+                free(a);
+                break;
+            }
+            p->workers++;
+        }
+        pthread_attr_destroy(&attr);
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+    }
+    return p;
+}
+
+static void pool_release(pool *p) {
+    __atomic_store_n(&p->busy, 0, __ATOMIC_RELEASE);
+}
+
+/* Runs the job on the owned pool and returns when every task is done. */
+static void pool_run(pool *p, int64_t nt, task_fn fn, void *ctx) {
+    p->fn = fn;
+    p->ctx = ctx;
+    p->nt = nt;
+    p->stride = p->workers + 1;
+    __atomic_store_n(&p->pending, p->workers, __ATOMIC_RELAXED);
+    pthread_mutex_lock(&p->mu);
+    __atomic_store_n(&p->gen, __atomic_load_n(&p->gen, __ATOMIC_RELAXED) + 1,
+                     __ATOMIC_RELEASE);
+    if (p->sleepers) pthread_cond_broadcast(&p->wake);
+    pthread_mutex_unlock(&p->mu);
+    for (int64_t t = 0; t < nt; t += p->stride) fn(ctx, t, nt);
+    if (spin_for(&p->pending, 0, 1)) return;
+    pthread_mutex_lock(&p->mu);
+    p->caller_waits = 1;
+    while (__atomic_load_n(&p->pending, __ATOMIC_ACQUIRE))
+        pthread_cond_wait(&p->done, &p->mu);
+    p->caller_waits = 0;
+    pthread_mutex_unlock(&p->mu);
+}
+
+/* Chunk t of nt over ``total`` items; wcut keeps every cut but the    */
+/* last on a multiple of ``warp``, so a chunk of a priced stream holds */
+/* whole warp windows of the serial stream.                            */
+static inline int64_t cut(int64_t total, int64_t t, int64_t nt) {
+    return total * t / nt;
+}
+
+static inline int64_t wcut(int64_t total, int64_t t, int64_t nt,
+                           int64_t warp) {
+    return t == nt ? total : cut(total, t, nt) / warp * warp;
+}
+
+/* First index i in [0, m) with a[i] >= key (m when none). */
+static int64_t lower_bound(const int64_t *a, int64_t m, int64_t key) {
+    int64_t lo = 0, hi = m;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (a[mid] < key) lo = mid + 1;
+        else hi = mid;
+    }
+    return lo;
+}
+
+/* ------------------------------------------------------------------ */
 /* The top-down edge map's walk over the frontier's CSR rows in edge   */
-/* order (the gather_neighbors stream).  With ``out`` it scatter-ORs:  */
+/* order (the gather_neighbors stream), from edge ``skip`` of row      */
+/* ``r`` for at most ``items`` edges.  With ``out`` it scatter-ORs:    */
 /* out[t] |= words[r] for every target t of frontier[r]; with ``acc``  */
 /* it also marks flags[t], tracks the targets' range in [*lo, *hi] and */
 /* prices the neighbor stream.                                         */
 /* ------------------------------------------------------------------ */
 static void edge_walk(const int64_t *offsets, const int64_t *cols,
-                      const int64_t *frontier, int64_t rows,
-                      uint64_t *out, const uint64_t *words, int64_t lanes,
-                      line_map *acc, uint8_t *flags, int64_t *lo,
-                      int64_t *hi) {
+                      const int64_t *frontier, int64_t rows, int64_t r,
+                      int64_t skip, int64_t items, uint64_t *out,
+                      const uint64_t *words, int64_t lanes, line_map *acc,
+                      uint8_t *flags, int64_t *lo, int64_t *hi) {
     int64_t low = 0, high = 0;
     if (acc) {
         low = *lo;
         high = *hi;
     }
-    for (int64_t r = 0; r < rows; r++) {
-        const int64_t *nb = cols + offsets[frontier[r]];
+    for (; r < rows && items > 0; r++, skip = 0) {
+        const int64_t *nb = cols + offsets[frontier[r]] + skip;
         const int64_t *end = cols + offsets[frontier[r] + 1];
+        if (end - nb > items) end = nb + items;
+        items -= end - nb;
         const uint64_t *w = out ? words + r * lanes : NULL;
         for (; nb < end; nb++) {
             int64_t t = *nb;
@@ -253,42 +445,30 @@ static void edge_walk(const int64_t *offsets, const int64_t *cols,
     }
 }
 
-/* ------------------------------------------------------------------ */
-/* Fused top-down edge map: mark the unique targets of the frontier's  */
-/* CSR rows (scatter-ORing ``words`` into ``status`` on the same walk  */
-/* when it is given) and price the level's three access streams into   */
-/* ``pricing`` as (transactions, requests) pairs — frontier words in   */
-/* frontier order, neighbor words in edge order, and the unique target */
-/* stores, priced in the ascending sweep that emits them (sorted       */
-/* without a comparison sort).  ``flags`` must be all-zero on entry    */
-/* and is left all-zero, so one zeroed buffer serves every call.       */
-/* Returns the target count.                                           */
-/* ------------------------------------------------------------------ */
-static int64_t unique_targets_walk(const int64_t *offsets,
-                                   const int64_t *cols,
-                                   const int64_t *frontier, int64_t rows,
-                                   int64_t n, uint8_t *flags, int64_t *out,
-                                   line_map *acc, int64_t *pricing,
-                                   uint64_t *status, const uint64_t *words,
-                                   int64_t lanes) {
-    map_stream(acc, frontier, rows, pricing);
-    int64_t lo = n, hi = -1;
-    edge_walk(offsets, cols, frontier, rows, status, words, lanes, acc,
-              flags, &lo, &hi);
-    map_take(acc, pricing + 2);
+/* The marked vertices of [v0, v1), ascending, into ``out``; clears    */
+/* their flags.  Returns the count.                                    */
+static int64_t sweep_flags(uint8_t *flags, int64_t v0, int64_t v1,
+                           int64_t *out) {
     int64_t count = 0;
-    for (int64_t v = lo; v <= hi; v++) {
+    for (int64_t v = v0; v < v1; v++) {
         if (flags[v]) {
             flags[v] = 0;
             out[count++] = v;
-            map_push(acc, v);
         }
     }
-    map_take(acc, pricing + 4);
     return count;
 }
 
-/* Returns the target count, or -1 when scratch cannot be allocated.   */
+/* ------------------------------------------------------------------ */
+/* Fused top-down edge map: mark the unique targets of the frontier's  */
+/* CSR rows and price the level's three access streams into            */
+/* ``pricing`` as (transactions, requests) pairs — frontier words in   */
+/* frontier order, neighbor words in edge order, and the unique target */
+/* stores in the ascending sweep that emits them (sorted without a     */
+/* comparison sort).  ``flags`` must be all-zero on entry and is left  */
+/* all-zero, so one zeroed buffer serves every call.  Returns the      */
+/* target count, or -1 when scratch cannot be allocated.               */
+/* ------------------------------------------------------------------ */
 int64_t repro_unique_targets(const int64_t *offsets, const int64_t *cols,
                              const int64_t *frontier, int64_t rows,
                              int64_t n, uint8_t *flags, int64_t *out,
@@ -296,9 +476,13 @@ int64_t repro_unique_targets(const int64_t *offsets, const int64_t *cols,
                              int64_t warp, int64_t *pricing) {
     line_map acc;
     if (map_open(&acc, n, warp, element_bytes, txn_bytes)) return -1;
-    int64_t count = unique_targets_walk(offsets, cols, frontier, rows, n,
-                                        flags, out, &acc, pricing, NULL,
-                                        NULL, 1);
+    map_stream(&acc, frontier, rows, pricing);
+    int64_t lo = n, hi = -1;
+    edge_walk(offsets, cols, frontier, rows, 0, 0, INT64_MAX, NULL, NULL, 1,
+              &acc, flags, &lo, &hi);
+    map_take(&acc, pricing + 2);
+    int64_t count = sweep_flags(flags, lo, hi + 1, out);
+    map_stream(&acc, out, count, pricing + 4);
     map_free(&acc);
     return count;
 }
@@ -308,8 +492,8 @@ int64_t repro_unique_targets(const int64_t *offsets, const int64_t *cols,
 void repro_scatter_or(uint64_t *out, const int64_t *offsets,
                       const int64_t *cols, const int64_t *frontier,
                       int64_t rows, const uint64_t *words, int64_t lanes) {
-    edge_walk(offsets, cols, frontier, rows, out, words, lanes, NULL, NULL,
-              NULL, NULL);
+    edge_walk(offsets, cols, frontier, rows, 0, 0, INT64_MAX, out, words,
+              lanes, NULL, NULL, NULL, NULL);
 }
 
 /* ------------------------------------------------------------------ */
@@ -578,29 +762,37 @@ int repro_coalesce(const int64_t *idx, int64_t m, int64_t element_bytes,
 /* fed straight through a line map over the n vertices' lines, without */
 /* materializing the stream.  The live list (``live``: 2*m+2 slots)    */
 /* holds (cursor, remaining) pairs, so a round touches only the        */
-/* positions still probing.  Identical to repro_round_major +          */
-/* repro_coalesce over its output.                                     */
+/* positions still probing.  Prices ``quota`` items from item ``skip`` */
+/* of round ``round``: the live list of that round is built in one     */
+/* pass over the positions, and its first ``skip`` entries only        */
+/* advance.  From round 0 with no quota it is identical to             */
+/* repro_round_major + repro_coalesce over its output.                 */
 /* ------------------------------------------------------------------ */
 static void round_coalesce_rows(const int64_t *indices,
                                 const int64_t *starts,
                                 const int64_t *probes, int64_t m,
+                                int64_t round, int64_t skip, int64_t quota,
                                 line_map *acc, int64_t *live, int64_t *out) {
     int64_t nlive = 0;
     for (int64_t i = 0; i < m; i++) {
-        if (probes[i] > 0) {
-            live[2 * nlive] = starts[i];
-            live[2 * nlive + 1] = probes[i];
+        if (probes[i] > round) {
+            live[2 * nlive] = starts[i] + round;
+            live[2 * nlive + 1] = probes[i] - round;
             nlive++;
         }
     }
-    while (nlive) {
+    while (nlive && quota) {
         int64_t w = 0;
         for (int64_t li = 0; li < nlive; li++) {
             int64_t cursor = live[2 * li], remaining = live[2 * li + 1];
-            /* Later rounds read the rows sparsely: fetch ahead. */
-            if (li + 16 < nlive)
-                __builtin_prefetch(indices + live[2 * (li + 16)]);
-            map_push(acc, indices[cursor]);
+            if (li >= skip) {
+                if (!quota) break;
+                /* Later rounds read the rows sparsely: fetch ahead. */
+                if (li + 16 < nlive)
+                    __builtin_prefetch(indices + live[2 * (li + 16)]);
+                map_push(acc, indices[cursor]);
+                quota--;
+            }
             if (remaining > 1) {
                 live[2 * w] = cursor + 1;
                 live[2 * w + 1] = remaining - 1;
@@ -608,6 +800,7 @@ static void round_coalesce_rows(const int64_t *indices,
             }
         }
         nlive = w;
+        skip = 0;
     }
     map_take(acc, out);
 }
@@ -624,7 +817,8 @@ int repro_round_coalesce(const int64_t *indices, const int64_t *starts,
         map_free(&acc);
         return -1;
     }
-    round_coalesce_rows(indices, starts, probes, m, &acc, live, out);
+    round_coalesce_rows(indices, starts, probes, m, 0, 0, INT64_MAX, &acc,
+                        live, out);
     map_free(&acc);
     free(live);
     return 0;
@@ -753,9 +947,9 @@ int64_t repro_hit_scan_depth(const int64_t *indices, const int64_t *starts,
 /*     every row with no unset active bit (bits never clear and an     */
 /*     instance never turns active again), so it shrinks level by      */
 /*     level instead of being rescanned over all n rows;               */
-/*  2. top-down — unique_targets_walk: one edge walk marks the unique  */
-/*     targets, prices its three streams and scatter-ORs BSA_k's       */
-/*     frontier words;                                                 */
+/*  2. top-down — one edge walk marks the unique targets, prices the   */
+/*     neighbor stream and scatter-ORs BSA_k's frontier words; an      */
+/*     ascending sweep of the marks lists the targets;                 */
 /*  3. bottom-up — or_scan_rows over BSA_k, the round-major probe      */
 /*     pricing and the ``updated`` store stream;                       */
 /*  4. extraction — changed rows come from the kernels' touched sets   */
@@ -768,6 +962,25 @@ int64_t repro_hit_scan_depth(const int64_t *indices, const int64_t *starts,
 /*                                                                    */
 /* Every priced stream keeps the numpy path's order (ascending vertex  */
 /* ids; probes round-major), because the warp model depends on it.     */
+/*                                                                    */
+/* Each large phase runs as ``nt`` tasks on the level threads: nt is   */
+/* the phase's work over ``grain``, capped at ``nthreads``, so a phase */
+/* below the grain runs on the calling thread.  Tasks write disjoint   */
+/* outputs or their own scratch slot (``tsum`` sums, line maps, scan   */
+/* tallies, histograms), which the calling thread adds up: integer     */
+/* sums are order-free.  A list a phase compacts (frontiers,           */
+/* candidates, targets, updated rows, changed rows) keeps ascending    */
+/* order through per-task counts and their prefix sum.  A priced       */
+/* stream is cut only at item offsets that are multiples of ``warp``,  */
+/* so each task prices whole warp windows of the serial stream and the */
+/* summed (transactions, requests) are the serial ones: the neighbor   */
+/* stream finds its cuts through a prefix sum of frontier degrees, the */
+/* probe stream through per-round offsets from a histogram of probe    */
+/* counts.  No two tasks write one location: walk task t > 0          */
+/* scatter-ORs and marks targets into its own copies (``tout``,        */
+/* ``tflags``), which the sweep folds into the live array, and BSA_k   */
+/* is a read-only snapshot throughout.  Counters are therefore         */
+/* bit-identical at any thread count.                                  */
 /* ------------------------------------------------------------------ */
 typedef struct {
     /* Graph: forward CSR, out-degrees, reverse CSR (NULL until a      */
@@ -777,6 +990,9 @@ typedef struct {
     /* Pricing model. */
     int64_t txn_bytes, warp, reset_per_level;
     int64_t insn_per_inspection, insn_per_vertex;
+    /* Threads: at most ``nthreads`` tasks per phase (the slots of the */
+    /* per-task scratch below), one per ``grain`` items of work.       */
+    int64_t nthreads, grain;
     /* Live status array, BSA_k, and this level's top-down and         */
     /* bottom-up lane masks (two rows of ``lanes`` words).             */
     uint64_t *bsa, *bsa_k;
@@ -794,14 +1010,26 @@ typedef struct {
     /* Bottom-up candidates; ncand < 0 means every vertex. */
     int64_t *cand;
     int64_t ncand;
-    /* Scratch: n slots each, ``live`` 2n+2, ``words`` and ``acc``     */
-    /* n*lanes, ``hist`` lanes*8*256 (zero between uses), ``pending``  */
-    /* lanes*64, ``scan`` 2*lanes (the OR scan's row words),           */
-    /* ``seen``/``fresh`` the line map's storage.                      */
+    /* Scratch: n slots each, ``prefix`` n+1, ``words`` and ``acc``    */
+    /* n*lanes.                                                        */
     int64_t *fq_td, *fq_bu, *targets, *starts, *ends, *probes, *updated;
-    int64_t *weights, *live, *hist, *pending, *fresh;
-    uint64_t *words, *acc, *scan, *seen;
+    int64_t *weights, *prefix;
+    uint64_t *words, *acc;
     uint8_t *flags, *done;
+    /* Per-task scratch, ``nthreads`` slots of: ``tsum`` TSUM sums;    */
+    /* ``tcounts`` 2*lanes*64 (per-bit counts, then degree sums);      */
+    /* ``hist`` lanes*8*256 and ``pending`` lanes*64 (the OR scan's    */
+    /* tallies; ``hist`` zero between uses); ``scan`` 2*lanes (its row */
+    /* words); ``live`` 2n+2; ``rhist`` rstride (probe-count           */
+    /* histogram, zero between uses; bound with the reverse CSR);      */
+    /* ``seen`` seen_words and ``fresh`` warp (a line map); and, for   */
+    /* tasks 1.., ``tout`` n*lanes and ``tflags`` n bytes (a walk's    */
+    /* private targets, zero between uses).  Each slot is rounded up   */
+    /* to whole 64-byte lines (SLOT), so no two tasks share a line.    */
+    int64_t *tsum, *tcounts, *hist, *pending, *live, *rhist, *fresh;
+    uint64_t *scan, *seen, *tout;
+    uint8_t *tflags;
+    int64_t rstride, seen_words;
 } level_ws;
 
 int64_t repro_level_ws_bytes(void) { return (int64_t)sizeof(level_ws); }
@@ -814,17 +1042,424 @@ enum {
     ST_EARLY, ST_COUNT
 };
 
+/* int64 sums per task slot. */
+#define TSUM 16
+
+/* A per-task slot of ``words`` 8-byte words (or bytes, SLOT_BYTES),   */
+/* rounded up to whole 64-byte lines.                                  */
+#define SLOT(words) (((words) + 7) & ~(int64_t)7)
+#define SLOT_BYTES(bytes) (((bytes) + 63) & ~(int64_t)63)
+
+/* One level call: the workspace, the pool once a phase takes it, and  */
+/* the arguments of the phase being run.                               */
+typedef struct {
+    level_ws *ws;
+    pool *pool;
+    int pool_tried;
+    void *depths;
+    int elem_size;
+    int64_t add, early_termination;
+    const int64_t *ids;
+    int64_t m;
+    int64_t ntd, nbu, ntargets, nupd, total, lo, walkers;
+} level_run;
+
+static inline int64_t *task_sums(const level_ws *ws, int64_t t) {
+    return ws->tsum + t * TSUM;
+}
+
+static void task_map(const level_ws *ws, int64_t t, line_map *map) {
+    map_init(map, ws->seen + t * SLOT(ws->seen_words),
+             ws->fresh + t * SLOT(ws->warp), ws->warp, ws->lanes * 8,
+             ws->txn_bytes);
+}
+
+static int64_t tasks_for(const level_ws *ws, int64_t work) {
+    int64_t nt = work / ws->grain;
+    if (nt > ws->nthreads) nt = ws->nthreads;
+    return nt < 1 ? 1 : nt;
+}
+
+static int64_t sum_slot(const level_ws *ws, int64_t nt, int slot) {
+    int64_t total = 0;
+    for (int64_t t = 0; t < nt; t++) total += task_sums(ws, t)[slot];
+    return total;
+}
+
+static void run_tasks(level_run *lr, int64_t nt, task_fn fn) {
+    if (nt > 1 && !lr->pool_tried) {
+        lr->pool_tried = 1;
+        lr->pool = pool_acquire(lr->ws->nthreads);
+    }
+    if (nt > 1 && lr->pool && lr->pool->workers) {
+        pool_run(lr->pool, nt, fn, lr);
+    } else {
+        for (int64_t t = 0; t < nt; t++) fn(lr, t, nt);
+    }
+}
+
+/* Task t of a compaction over ``m`` items wrote its sums[slot] kept   */
+/* items from list[cut(m, t, nt)]: close the gaps, keeping order, and  */
+/* return the kept count.                                              */
+static int64_t close_gaps(const level_ws *ws, int64_t *list, int64_t m,
+                          int64_t nt, int slot) {
+    int64_t kept = 0;
+    for (int64_t t = 0; t < nt; t++) {
+        int64_t from = cut(m, t, nt), count = task_sums(ws, t)[slot];
+        if (from != kept)
+            memmove(list + kept, list + from, (size_t)count * sizeof(int64_t));
+        kept += count;
+    }
+    return kept;
+}
+
+/* --- Pricing a materialized stream ids[0..m) ----------------------- */
+static void price_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    line_map map;
+    task_map(ws, t, &map);
+    int64_t a = wcut(lr->m, t, nt, ws->warp);
+    int64_t b = wcut(lr->m, t + 1, nt, ws->warp);
+    map_stream(&map, lr->ids + a, b - a, task_sums(ws, t));
+}
+
+static void price_ids(level_run *lr, const int64_t *ids, int64_t m,
+                      int64_t *out) {
+    lr->ids = ids;
+    lr->m = m;
+    int64_t nt = tasks_for(lr->ws, m);
+    run_tasks(lr, nt, price_task);
+    out[0] = sum_slot(lr->ws, nt, 0);
+    out[1] = sum_slot(lr->ws, nt, 1);
+}
+
+/* --- 1. Identification -------------------------------------------- */
+static void td_ident_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    const int64_t lanes = ws->lanes;
+    const uint64_t *td_sel = ws->sel;
+    int64_t a = cut(ws->nchanged, t, nt), b = cut(ws->nchanged, t + 1, nt);
+    int64_t k = a;
+    for (int64_t i = a; i < b; i++) {
+        const uint64_t *d = ws->diff + i * lanes;
+        uint64_t hit = 0;
+        for (int64_t l = 0; l < lanes; l++) hit |= d[l] & td_sel[l];
+        if (hit) ws->fq_td[k++] = ws->changed[i];
+    }
+    task_sums(ws, t)[0] = k - a;
+}
+
+static void bu_ident_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    const int64_t lanes = ws->lanes;
+    const uint64_t *td_sel = ws->sel, *bu_sel = ws->sel + lanes;
+    const int every = ws->ncand < 0;
+    int64_t m = every ? ws->n : ws->ncand;
+    int64_t a = cut(m, t, nt), b = cut(m, t + 1, nt);
+    int64_t found = a, keep = a, unset_total = 0;
+    for (int64_t c = a; c < b; c++) {
+        int64_t v = every ? c : ws->cand[c];
+        const uint64_t *row = ws->bsa_k + v * lanes;
+        uint64_t active = 0;
+        int64_t unset = 0;
+        for (int64_t l = 0; l < lanes; l++) {
+            uint64_t u = ~row[l];
+            active |= u & (td_sel[l] | bu_sel[l]);
+            unset += __builtin_popcountll(u & bu_sel[l]);
+        }
+        if (unset) {
+            ws->fq_bu[found++] = v;
+            unset_total += unset;
+        }
+        if (active) ws->cand[keep++] = v;
+    }
+    int64_t *s = task_sums(ws, t);
+    s[0] = found - a;
+    s[1] = keep - a;
+    s[2] = unset_total;
+}
+
+/* --- 2. Top-down ---------------------------------------------------- */
+/* words[r] = BSA_k[fq_td[r]] & td_sel; prefix[r + 1] = its degree.    */
+static void td_gather_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    const int64_t lanes = ws->lanes, per_line = ws->txn_bytes / 8;
+    int64_t a = cut(lr->ntd, t, nt), b = cut(lr->ntd, t + 1, nt);
+    int64_t adjacency = 0;
+    for (int64_t r = a; r < b; r++) {
+        int64_t f = ws->fq_td[r];
+        for (int64_t l = 0; l < lanes; l++)
+            ws->words[r * lanes + l] = ws->bsa_k[f * lanes + l] & ws->sel[l];
+        ws->prefix[r + 1] = ws->degrees[f];
+        adjacency += ceil_div(ws->degrees[f], per_line);
+    }
+    task_sums(ws, t)[0] = adjacency;
+}
+
+/* Walk task t's targets: the live array and ``flags`` for task 0,    */
+/* its own copies for the others.                                      */
+static uint64_t *walk_out(const level_ws *ws, int64_t t) {
+    return t ? ws->tout + (t - 1) * SLOT(ws->n * ws->lanes) : ws->bsa;
+}
+
+static uint8_t *walk_flags(const level_ws *ws, int64_t t) {
+    return t ? ws->tflags + (t - 1) * SLOT_BYTES(ws->n) : ws->flags;
+}
+
+static void td_walk_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    int64_t a = wcut(lr->total, t, nt, ws->warp);
+    int64_t b = wcut(lr->total, t + 1, nt, ws->warp);
+    int64_t *s = task_sums(ws, t);
+    line_map map;
+    task_map(ws, t, &map);
+    s[2] = ws->n;
+    s[3] = -1;
+    if (a < b) {
+        /* The row holding edge a: the last r with prefix[r] <= a. */
+        int64_t r = lower_bound(ws->prefix, lr->ntd + 1, a + 1) - 1;
+        edge_walk(ws->offsets, ws->cols, ws->fq_td, lr->ntd, r,
+                  a - ws->prefix[r], b - a, walk_out(ws, t), ws->words,
+                  ws->lanes, &map, walk_flags(ws, t), s + 2, s + 3);
+    }
+    map_take(&map, s);
+}
+
+/* The marked vertices of the task's share of [lo, lo + m), ascending; */
+/* the other walkers' marks and words fold into ``flags`` and the live */
+/* array first, and their copies are cleared.                          */
+static void td_sweep_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    const int64_t lanes = ws->lanes;
+    int64_t a = lr->lo + cut(lr->m, t, nt), b = lr->lo + cut(lr->m, t + 1, nt);
+    for (int64_t w = 1; w < lr->walkers; w++) {
+        uint8_t *flags = walk_flags(ws, w);
+        uint64_t *out = walk_out(ws, w);
+        for (int64_t v = a; v < b; v++) {
+            if (!flags[v]) continue;
+            flags[v] = 0;
+            ws->flags[v] = 1;
+            for (int64_t l = 0; l < lanes; l++) {
+                ws->bsa[v * lanes + l] |= out[v * lanes + l];
+                out[v * lanes + l] = 0;
+            }
+        }
+    }
+    task_sums(ws, t)[0] =
+        sweep_flags(ws->flags, a, b, ws->targets + (a - lr->lo));
+}
+
+/* --- 3. Bottom-up --------------------------------------------------- */
+/* Scan bounds and masked words of the bottom-up frontier;             */
+/* prefix[i + 1] = its in-degree.                                      */
+static void bu_gather_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    const int64_t lanes = ws->lanes;
+    const uint64_t *bu_sel = ws->sel + lanes;
+    int64_t a = cut(lr->nbu, t, nt), b = cut(lr->nbu, t + 1, nt);
+    for (int64_t i = a; i < b; i++) {
+        int64_t v = ws->fq_bu[i];
+        ws->starts[i] = ws->roffsets[v];
+        ws->ends[i] = ws->roffsets[v + 1];
+        ws->prefix[i + 1] = ws->ends[i] - ws->starts[i];
+        for (int64_t l = 0; l < lanes; l++)
+            ws->words[i * lanes + l] = ws->bsa_k[v * lanes + l] & bu_sel[l];
+    }
+}
+
+/* Positions [a, b) of task t: equal shares of the frontier's in-degree */
+/* sum, the scan's upper bound on probes.                               */
+static int64_t scan_cut(const level_run *lr, int64_t t, int64_t nt) {
+    if (t == nt) return lr->nbu;
+    return lower_bound(lr->ws->prefix, lr->nbu + 1, cut(lr->total, t, nt));
+}
+
+static void or_scan_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    const int64_t lanes = ws->lanes;
+    const uint64_t *bu_sel = ws->sel + lanes;
+    int64_t a = scan_cut(lr, t, nt), b = scan_cut(lr, t + 1, nt);
+    int64_t *pending = ws->pending + t * lanes * 64;
+    memset(pending, 0, (size_t)lanes * 64 * sizeof(int64_t));
+    task_sums(ws, t)[0] = or_scan_rows(
+        ws->rcols, ws->starts + a, ws->ends + a, b - a,
+        ws->words + a * lanes, bu_sel, bu_sel, (int)lr->early_termination,
+        ws->bsa_k, lanes, ws->probes + a, ws->acc + a * lanes, ws->done + a,
+        ws->hist + t * lanes * 8 * 256, pending, ws->scan + t * SLOT(2 * lanes));
+}
+
+/* Early exits, probe lines, the probe-count histogram, and the rows   */
+/* whose bottom-up bits moved: listed in ``updated`` and written back. */
+static void bu_post_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    const int64_t lanes = ws->lanes, per_line = ws->txn_bytes / 8;
+    int64_t a = cut(lr->nbu, t, nt), b = cut(lr->nbu, t + 1, nt);
+    int64_t *hist = ws->rhist + t * SLOT(ws->rstride);
+    int64_t k = a, early = 0, probe_lines = 0, most = 0;
+    for (int64_t i = a; i < b; i++) {
+        int64_t p = ws->probes[i];
+        if (ws->done[i] && p < ws->ends[i] - ws->starts[i]) early++;
+        probe_lines += ceil_div(p, per_line);
+        hist[p]++;
+        if (p > most) most = p;
+        /* "Updated" compares against BSA_k's masked word. */
+        const uint64_t *acc = ws->acc + i * lanes, *s = ws->words + i * lanes;
+        uint64_t moved = 0;
+        for (int64_t l = 0; l < lanes; l++) moved |= acc[l] & ~s[l];
+        if (moved) {
+            int64_t v = ws->fq_bu[i];
+            ws->updated[k++] = v;
+            for (int64_t l = 0; l < lanes; l++) ws->bsa[v * lanes + l] |= acc[l];
+        }
+    }
+    int64_t *sums = task_sums(ws, t);
+    sums[0] = k - a;
+    sums[1] = early;
+    sums[2] = probe_lines;
+    sums[3] = most;
+}
+
+/* Task t prices items [wcut(total, t), wcut(total, t + 1)) of the     */
+/* round-major probe stream: sums[4] is the round holding its first    */
+/* item and sums[5] that item's index within the round.                */
+static void round_price_task(void *ctx, int64_t t, int64_t nt) {
+    level_run *lr = ctx;
+    const level_ws *ws = lr->ws;
+    int64_t *s = task_sums(ws, t);
+    int64_t quota = wcut(lr->total, t + 1, nt, ws->warp) -
+                    wcut(lr->total, t, nt, ws->warp);
+    line_map map;
+    task_map(ws, t, &map);
+    round_coalesce_rows(ws->rcols, ws->starts, ws->probes, lr->nbu, s[4],
+                        s[5], quota, &map, ws->live + t * SLOT(2 * ws->n + 2),
+                        s);
+}
+
+/* Sums the tasks' probe-count histograms (zeroing them), then places  */
+/* each pricing task's first item: round r holds live(r) items, one   */
+/* per position with more than r probes.                               */
+static void round_cuts(level_run *lr, int64_t nt_post, int64_t nt) {
+    const level_ws *ws = lr->ws;
+    int64_t most = 0;
+    for (int64_t t = 0; t < nt_post; t++)
+        if (task_sums(ws, t)[3] > most) most = task_sums(ws, t)[3];
+    int64_t *hist = ws->rhist;
+    for (int64_t t = 1; t < nt_post; t++) {
+        int64_t *h = ws->rhist + t * SLOT(ws->rstride);
+        for (int64_t p = 0; p <= most; p++) {
+            hist[p] += h[p];
+            h[p] = 0;
+        }
+    }
+    int64_t round = 0, before = 0, live = lr->nbu - hist[0];
+    for (int64_t t = 0; t < nt; t++) {
+        int64_t first = wcut(lr->total, t, nt, ws->warp);
+        while (round < most && before + live <= first) {
+            before += live;
+            round++;
+            live -= hist[round];
+        }
+        task_sums(ws, t)[4] = round;
+        task_sums(ws, t)[5] = first - before;
+    }
+    memset(hist, 0, (size_t)(most + 1) * sizeof(int64_t));
+}
+
+/* --- 4. Extraction --------------------------------------------------- */
+/* Task t takes the vertices in [pivot(t), pivot(t + 1)) of the union   */
+/* of targets and updated rows, cut at equal shares of the longer list. */
+static int64_t pivot(const level_run *lr, int64_t t, int64_t nt) {
+    if (t == 0) return 0;
+    if (t == nt) return lr->ws->n;
+    const int64_t *list = lr->ntargets >= lr->nupd ? lr->ws->targets
+                                                   : lr->ws->updated;
+    int64_t len = lr->ntargets >= lr->nupd ? lr->ntargets : lr->nupd;
+    return list[cut(len, t, nt)];
+}
+
+/* Pass ``write`` = 0 counts the task's changed rows into sums[0]; pass */
+/* 1 writes them from row sums[1] on (diff, id, degree), writes them   */
+/* back into BSA_k and sweeps their bits into the depths and the       */
+/* task's per-bit tallies.                                             */
+static void extract_rows(level_run *lr, int64_t t, int64_t nt, int write) {
+    level_ws *ws = lr->ws;
+    const int64_t lanes = ws->lanes;
+    int64_t v0 = pivot(lr, t, nt), v1 = pivot(lr, t + 1, nt);
+    const int64_t *targets = ws->targets, *updated = ws->updated;
+    int64_t i = lower_bound(targets, lr->ntargets, v0);
+    int64_t iend = lower_bound(targets, lr->ntargets, v1);
+    int64_t j = lower_bound(updated, lr->nupd, v0);
+    int64_t jend = lower_bound(updated, lr->nupd, v1);
+    int64_t *s = task_sums(ws, t);
+    int64_t first = write ? s[1] : 0, m = first;
+    while (i < iend || j < jend) {
+        int64_t v;
+        if (j == jend || (i < iend && targets[i] < updated[j])) {
+            v = targets[i++];
+        } else {
+            v = updated[j++];
+            if (i < iend && targets[i] == v) i++;
+        }
+        const uint64_t *live_row = ws->bsa + v * lanes;
+        uint64_t *k_row = ws->bsa_k + v * lanes;
+        uint64_t any = 0;
+        for (int64_t l = 0; l < lanes; l++) any |= live_row[l] ^ k_row[l];
+        if (!any) continue;
+        if (write) {
+            uint64_t *d = ws->diff_next + m * lanes;
+            for (int64_t l = 0; l < lanes; l++) {
+                d[l] = live_row[l] ^ k_row[l];
+                k_row[l] = live_row[l];
+            }
+            ws->changed_next[m] = v;
+            ws->weights[m] = ws->degrees[v];
+        }
+        m++;
+    }
+    if (!write) {
+        s[0] = m;
+        return;
+    }
+    int64_t *counts = ws->tcounts + t * 2 * lanes * 64;
+    int64_t *fdeg = counts + lanes * 64;
+    memset(counts, 0, (size_t)2 * lanes * 64 * sizeof(int64_t));
+    bit_sweep(ws->changed_next + first, ws->diff_next + first * lanes,
+              m - first, lanes, ws->group_size, lr->depths, ws->group_size,
+              lr->elem_size, lr->add, counts, ws->weights + first, fdeg);
+}
+
+static void extract_count_task(void *ctx, int64_t t, int64_t nt) {
+    extract_rows(ctx, t, nt, 0);
+}
+
+static void extract_write_task(void *ctx, int64_t t, int64_t nt) {
+    extract_rows(ctx, t, nt, 1);
+}
+
 void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
                          int64_t level, int64_t vector_width,
                          int64_t early_termination, int64_t *st) {
     const int64_t n = ws->n, lanes = ws->lanes, gs = ws->group_size;
     const int64_t tb = ws->txn_bytes, warp = ws->warp;
-    const int64_t word_bytes = lanes * 8, per_line = tb / 8;
+    const int64_t word_bytes = lanes * 8;
     const uint64_t *td_sel = ws->sel, *bu_sel = ws->sel + lanes;
-    uint64_t *bsa = ws->bsa, *bsa_k = ws->bsa_k;
     int64_t *fq_td = ws->fq_td, *fq_bu = ws->fq_bu;
-    line_map map;
-    map_init(&map, ws->seen, ws->fresh, warp, word_bytes, tb);
+    level_run lr = {0};
+    lr.ws = ws;
+    lr.depths = depths;
+    lr.elem_size = (int)elem_size;
+    lr.add = level + 2;
+    lr.early_termination = early_termination;
+    int64_t nt;
     memset(st, 0, ST_COUNT * sizeof(int64_t));
 
     /* --- 1. Frontier identification ------------------------------- */
@@ -842,36 +1477,17 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
                 edges += ws->fdeg[j];
             }
         }
-        for (int64_t i = 0; i < ws->nchanged; i++) {
-            const uint64_t *d = ws->diff + i * lanes;
-            uint64_t hit = 0;
-            for (int64_t l = 0; l < lanes; l++) hit |= d[l] & td_sel[l];
-            if (hit) fq_td[ntd++] = ws->changed[i];
-        }
+        nt = tasks_for(ws, ws->nchanged);
+        run_tasks(&lr, nt, td_ident_task);
+        ntd = close_gaps(ws, fq_td, ws->nchanged, nt, 0);
     }
     if (any_bu) {
-        if (ws->ncand < 0) {
-            for (int64_t v = 0; v < n; v++) ws->cand[v] = v;
-            ws->ncand = n;
-        }
-        int64_t keep = 0;
-        for (int64_t c = 0; c < ws->ncand; c++) {
-            int64_t v = ws->cand[c];
-            const uint64_t *row = bsa_k + v * lanes;
-            uint64_t active = 0;
-            int64_t unset = 0;
-            for (int64_t l = 0; l < lanes; l++) {
-                uint64_t u = ~row[l];
-                active |= u & (td_sel[l] | bu_sel[l]);
-                unset += __builtin_popcountll(u & bu_sel[l]);
-            }
-            if (unset) {
-                fq_bu[nbu++] = v;
-                st[ST_FQ_BU] += unset;
-            }
-            if (active) ws->cand[keep++] = v;
-        }
-        ws->ncand = keep;
+        int64_t m = ws->ncand < 0 ? n : ws->ncand;
+        nt = tasks_for(ws, m);
+        run_tasks(&lr, nt, bu_ident_task);
+        nbu = close_gaps(ws, fq_bu, m, nt, 0);
+        ws->ncand = close_gaps(ws, ws->cand, m, nt, 1);
+        st[ST_FQ_BU] = sum_slot(ws, nt, 2);
     }
     /* The joint frontier queue: |td ∪ bu| over two ascending lists. */
     int64_t jfq = ntd + nbu;
@@ -891,112 +1507,110 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
     memset(ws->fdeg, 0, (size_t)lanes * 64 * sizeof(int64_t));
     if (jfq == 0) {
         ws->nchanged = 0;
+        if (lr.pool) pool_release(lr.pool);
         return;
     }
 
     int64_t loads = 0, stores = 0, load_requests = 0, store_requests = 0;
     int64_t inspections = 0, ntargets = 0, nupd = 0;
-    int64_t pricing[6];
+    int64_t pricing[2];
 
     /* --- 2. Top-down: BSA[v] |= BSA_k[f] ---------------------------- */
     if (ntd) {
-        uint64_t *words = ws->words;
-        int64_t neighbors = 0, adjacency = 0;
-        for (int64_t r = 0; r < ntd; r++) {
-            int64_t f = fq_td[r];
-            for (int64_t l = 0; l < lanes; l++)
-                words[r * lanes + l] = bsa_k[f * lanes + l] & td_sel[l];
-            neighbors += ws->degrees[f];
-            adjacency += ceil_div(ws->degrees[f], per_line);
+        lr.ntd = ntd;
+        nt = tasks_for(ws, ntd);
+        run_tasks(&lr, nt, td_gather_task);
+        int64_t adjacency = sum_slot(ws, nt, 0);
+        ws->prefix[0] = 0;
+        for (int64_t r = 0; r < ntd; r++) ws->prefix[r + 1] += ws->prefix[r];
+        int64_t neighbors = ws->prefix[ntd];
+        price_ids(&lr, fq_td, ntd, pricing);
+        loads += ceil_div(ntd * 8, tb) + pricing[0] + adjacency;
+        load_requests += pricing[1];
+        lr.total = neighbors;
+        nt = tasks_for(ws, neighbors);
+        lr.walkers = nt;
+        run_tasks(&lr, nt, td_walk_task);
+        int64_t lo = n, hi = -1;
+        for (int64_t t = 0; t < nt; t++) {
+            const int64_t *s = task_sums(ws, t);
+            if (s[2] < lo) lo = s[2];
+            if (s[3] > hi) hi = s[3];
         }
-        ntargets = unique_targets_walk(ws->offsets, ws->cols, fq_td, ntd, n,
-                                       ws->flags, ws->targets, &map,
-                                       pricing, bsa, words, lanes);
+        loads += sum_slot(ws, nt, 0);
+        load_requests += sum_slot(ws, nt, 1);
+        /* The sweep splits as the walk did: its span follows the edges. */
+        lr.lo = lo;
+        lr.m = hi - lo + 1 > 0 ? hi - lo + 1 : 0;
+        run_tasks(&lr, nt, td_sweep_task);
+        ntargets = close_gaps(ws, ws->targets, lr.m, nt, 0);
+        price_ids(&lr, ws->targets, ntargets, pricing);
         inspections += neighbors;
-        loads += ceil_div(ntd * 8, tb) + pricing[0] + adjacency + pricing[2];
-        load_requests += pricing[1] + pricing[3];
         /* Shared-memory merging collapses duplicate neighbor updates; */
         /* only the merged words hit global atomics.                   */
         st[ST_ATOMICS] = ntargets;
         st[ST_SHARED] = neighbors - ntargets;
-        stores += pricing[4];
-        store_requests += pricing[5];
+        stores += pricing[0];
+        store_requests += pricing[1];
     }
 
     /* --- 3. Bottom-up: BSA[f] |= BSA_k[v], early termination -------- */
     if (nbu) {
-        uint64_t *state = ws->words, *acc = ws->acc;
-        int64_t *starts = ws->starts, *ends = ws->ends, *probes = ws->probes;
-        for (int64_t i = 0; i < nbu; i++) {
-            int64_t v = fq_bu[i];
-            starts[i] = ws->roffsets[v];
-            ends[i] = ws->roffsets[v + 1];
-            for (int64_t l = 0; l < lanes; l++)
-                state[i * lanes + l] = bsa_k[v * lanes + l] & bu_sel[l];
-        }
-        memset(ws->pending, 0, (size_t)lanes * 64 * sizeof(int64_t));
-        int64_t probed = or_scan_rows(ws->rcols, starts, ends, nbu, state,
-                                      bu_sel, bu_sel, (int)early_termination,
-                                      bsa_k, lanes, probes, acc, ws->done,
-                                      ws->hist, ws->pending, ws->scan);
+        lr.nbu = nbu;
+        nt = tasks_for(ws, nbu);
+        run_tasks(&lr, nt, bu_gather_task);
+        ws->prefix[0] = 0;
+        for (int64_t i = 0; i < nbu; i++) ws->prefix[i + 1] += ws->prefix[i];
+        lr.total = ws->prefix[nbu];
+        nt = tasks_for(ws, lr.total);
+        run_tasks(&lr, nt, or_scan_task);
+        int64_t probed = sum_slot(ws, nt, 0);
         for (int64_t j = 0; j < gs; j++) {
-            ws->inspections[j] += ws->pending[j];
-            edges += ws->pending[j];
+            int64_t sum = 0;
+            for (int64_t t = 0; t < nt; t++) sum += ws->pending[t * lanes * 64 + j];
+            ws->inspections[j] += sum;
+            edges += sum;
         }
-        int64_t early = 0, probe_lines = 0;
-        for (int64_t i = 0; i < nbu; i++) {
-            if (ws->done[i] && probes[i] < ends[i] - starts[i]) early++;
-            probe_lines += ceil_div(probes[i], per_line);
-            /* "Updated" compares against BSA_k's masked word. */
-            const uint64_t *a = acc + i * lanes, *s = state + i * lanes;
-            uint64_t moved = 0;
-            for (int64_t l = 0; l < lanes; l++) moved |= a[l] & ~s[l];
-            if (moved) {
-                int64_t v = fq_bu[i];
-                ws->updated[nupd++] = v;
-                for (int64_t l = 0; l < lanes; l++) bsa[v * lanes + l] |= a[l];
-            }
-        }
+        int64_t nt_post = tasks_for(ws, nbu);
+        run_tasks(&lr, nt_post, bu_post_task);
+        nupd = close_gaps(ws, ws->updated, nbu, nt_post, 0);
         inspections += probed;
         st[ST_BU_PROBES] = probed;
-        st[ST_EARLY] = early;
-        loads += ceil_div(nbu * 8, tb) + probe_lines;
-        round_coalesce_rows(ws->rcols, starts, probes, nbu, &map, ws->live,
-                            pricing);
-        loads += pricing[0];
-        load_requests += pricing[1];
-        map_stream(&map, ws->updated, nupd, pricing);
+        st[ST_EARLY] = sum_slot(ws, nt_post, 1);
+        loads += ceil_div(nbu * 8, tb) + sum_slot(ws, nt_post, 2);
+        lr.total = probed;
+        nt = tasks_for(ws, probed);
+        round_cuts(&lr, nt_post, nt);
+        run_tasks(&lr, nt, round_price_task);
+        loads += sum_slot(ws, nt, 0);
+        load_requests += sum_slot(ws, nt, 1);
+        price_ids(&lr, ws->updated, nupd, pricing);
         stores += pricing[0];
         store_requests += pricing[1];
     }
 
     /* --- 4. Extraction over the touched rows ------------------------ */
-    int64_t *cn = ws->changed_next, *targets = ws->targets;
-    uint64_t *dn = ws->diff_next;
+    lr.ntargets = ntargets;
+    lr.nupd = nupd;
+    nt = tasks_for(ws, ntargets + nupd);
+    run_tasks(&lr, nt, extract_count_task);
     int64_t m = 0;
-    for (int64_t i = 0, j = 0; i < ntargets || j < nupd;) {
-        int64_t v;
-        if (j == nupd || (i < ntargets && targets[i] < ws->updated[j])) {
-            v = targets[i++];
-        } else {
-            v = ws->updated[j++];
-            if (i < ntargets && targets[i] == v) i++;
-        }
-        uint64_t *live_row = bsa + v * lanes, *k_row = bsa_k + v * lanes;
-        uint64_t *d = dn + m * lanes;
-        uint64_t any = 0;
-        for (int64_t l = 0; l < lanes; l++) {
-            d[l] = live_row[l] ^ k_row[l];
-            any |= d[l];
-        }
-        if (!any) continue;
-        for (int64_t l = 0; l < lanes; l++) k_row[l] = live_row[l];
-        cn[m] = v;
-        ws->weights[m] = ws->degrees[v];
-        m++;
+    for (int64_t t = 0; t < nt; t++) {
+        int64_t *s = task_sums(ws, t);
+        s[1] = m;
+        m += s[0];
     }
-    bit_sweep(cn, dn, m, lanes, gs, depths, gs, (int)elem_size, level + 2,
-              ws->counts, ws->weights, ws->fdeg);
+    run_tasks(&lr, nt, extract_write_task);
+    for (int64_t t = 0; t < nt; t++) {
+        const int64_t *c = ws->tcounts + t * 2 * lanes * 64;
+        for (int64_t j = 0; j < gs; j++) {
+            ws->counts[j] += c[j];
+            ws->fdeg[j] += c[lanes * 64 + j];
+        }
+    }
+    if (lr.pool) pool_release(lr.pool);
+    int64_t *cn = ws->changed_next;
+    uint64_t *dn = ws->diff_next;
     ws->changed_next = ws->changed;
     ws->changed = cn;
     ws->diff_next = ws->diff;
@@ -1032,7 +1646,7 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
 """
 
 #: Bump when the C ABI changes so stale cached libraries are rebuilt.
-_ABI_VERSION = 6
+_ABI_VERSION = 7
 
 #: A new build evicts the cache's other libraries once nothing has
 #: built or loaded them for this long.
@@ -1052,6 +1666,7 @@ class LevelState(ctypes.Structure):
             ("n", "i"), ("lanes", "i"), ("group_size", "i"),
             ("txn_bytes", "i"), ("warp", "i"), ("reset_per_level", "i"),
             ("insn_per_inspection", "i"), ("insn_per_vertex", "i"),
+            ("nthreads", "i"), ("grain", "i"),
             ("bsa", "p"), ("bsa_k", "p"), ("sel", "p"),
             ("counts", "p"), ("fdeg", "p"), ("inspections", "p"),
             ("changed", "p"), ("changed_next", "p"),
@@ -1059,12 +1674,18 @@ class LevelState(ctypes.Structure):
             ("cand", "p"), ("ncand", "i"),
             ("fq_td", "p"), ("fq_bu", "p"), ("targets", "p"),
             ("starts", "p"), ("ends", "p"), ("probes", "p"),
-            ("updated", "p"), ("weights", "p"), ("live", "p"),
-            ("hist", "p"), ("pending", "p"), ("fresh", "p"),
-            ("words", "p"), ("acc", "p"), ("scan", "p"), ("seen", "p"),
-            ("flags", "p"), ("done", "p"),
+            ("updated", "p"), ("weights", "p"), ("prefix", "p"),
+            ("words", "p"), ("acc", "p"), ("flags", "p"), ("done", "p"),
+            ("tsum", "p"), ("tcounts", "p"), ("hist", "p"),
+            ("pending", "p"), ("live", "p"), ("rhist", "p"), ("fresh", "p"),
+            ("scan", "p"), ("seen", "p"), ("tout", "p"), ("tflags", "p"),
+            ("rstride", "i"), ("seen_words", "i"),
         )
     ]
+
+
+#: int64 sums per task slot of ``level_ws.tsum`` (the C ``TSUM``).
+TASK_SUMS = 16
 
 
 #: The stats vector of one bitwise level: what
@@ -1153,7 +1774,7 @@ def build_library() -> Path:
             src = Path(tmp) / "repro_native.c"
             src.write_text(C_SOURCE)
             tmp_lib = Path(tmp) / lib_path.name
-            base_cmd = [cc, "-O3", "-shared", "-fPIC", "-std=c99"]
+            base_cmd = [cc, "-O3", "-shared", "-fPIC", "-std=c99", "-pthread"]
             for extra in (["-march=native"], []):
                 cmd = base_cmd + extra + ["-o", str(tmp_lib), str(src)]
                 proc = subprocess.run(

@@ -68,6 +68,21 @@ class TestFromEdgeArrays:
         with pytest.raises(GraphError):
             from_edge_arrays(np.zeros((2, 2)), np.zeros((2, 2)))
 
+    # One 16-bit sort key up to 2**16 vertices, two above.
+    @pytest.mark.parametrize("num_vertices", [1, 300, 1 << 16, (1 << 16) + 1, 200_000])
+    def test_rows_keep_input_edge_order(self, num_vertices):
+        rng = np.random.default_rng(num_vertices)
+        src = rng.integers(0, num_vertices, size=50_000)
+        src[:2] = [0, num_vertices - 1]
+        dst = rng.integers(0, num_vertices, size=50_000)
+        graph = from_edge_arrays(src, dst, num_vertices=num_vertices)
+        order = np.argsort(src.astype(np.int64), kind="stable")
+        np.testing.assert_array_equal(graph.col_indices, dst[order])
+        np.testing.assert_array_equal(
+            graph.row_offsets,
+            np.concatenate([[0], np.cumsum(np.bincount(src, minlength=num_vertices))]),
+        )
+
 
 class TestFromAdjacency:
     def test_round_trip(self):

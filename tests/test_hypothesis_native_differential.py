@@ -8,8 +8,11 @@ the depths, every ``LevelRecord``, the counters and the ``GroupStats``
 (sharing, JFQ sizes, bottom-up inspections, plan), also when each
 recorded plan is replayed.  Each path keeps one engine across an
 example's groups and replays, so its level buffers are reused across
-groups of one shape and rebuilt when the lane count changes.  Skips
-when the library does not load.
+groups of one shape and rebuilt when the lane count changes.  The
+same cases run again at 1, 2 and 4 level threads with the grain forced
+to 1, so every phase of every level splits into tasks (the graphs have
+at most 45 vertices, so at the real grain nothing would).  Skips when
+the library does not load.
 """
 
 import dataclasses
@@ -104,10 +107,7 @@ def _assert_same(native_run, numpy_run, label):
         assert x == y, f"{label}: {name}\n{x}\n{y}"
 
 
-@pytest.mark.usefixtures("compiled")
-@SETTINGS
-@given(cases())
-def test_compiled_level_matches_numpy(case):
+def _differential(case):
     graph, groups, options, max_depth = case
     native_engine = BitwiseTraversal(graph, **options)
     numpy_engine = BitwiseTraversal(graph, **options)
@@ -131,3 +131,21 @@ def test_compiled_level_matches_numpy(case):
             )
         _assert_same(replayed, compiled, f"group {i} native replay")
         _assert_same(numpy_replayed, compiled, f"group {i} numpy replay")
+
+
+@pytest.mark.usefixtures("compiled")
+@SETTINGS
+@given(cases())
+def test_compiled_level_matches_numpy(case):
+    _differential(case)
+
+
+@pytest.mark.usefixtures("compiled")
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@SETTINGS
+@given(case=cases())
+def test_threaded_level_matches_numpy(threads, case):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "LEVEL_THREADS", threads)
+        patch.setattr(native, "LEVEL_GRAIN", 1)
+        _differential(case)
