@@ -661,16 +661,17 @@ class LevelKernel:
             "acc": words((n, lanes)),
             "flags": np.zeros(n, dtype=np.uint8),
             "done": np.zeros(n, dtype=np.uint8),
-            # One slot per thread each; the walk's private targets only
-            # for the threads besides the caller.
-            "tsum": _slots(threads, TASK_SUMS, np.int64),
+            # One slot per thread each (two of the sums and line maps:
+            # the probe pricing runs beside other phases); the walk's
+            # private targets only for the threads besides the caller.
+            "tsum": _slots(2 * threads, TASK_SUMS, np.int64),
             "tcounts": _slots(threads, 2 * lanes * 64, np.int64),
             "hist": _slots(threads, lanes * 8 * 256, np.int64),
             "pending": _slots(threads, lanes * 64, np.int64),
             "live": _slots(threads, 2 * n + 2, np.int64),
-            "fresh": _slots(threads, warp_size, np.int64),
+            "fresh": _slots(2 * threads, warp_size, np.int64),
             "scan": _slots(threads, 2 * lanes, np.uint64),
-            "seen": _slots(threads, seen_words, np.uint64),
+            "seen": _slots(2 * threads, seen_words, np.uint64),
             "tout": _slots(helpers, n * lanes, np.uint64),
             "tflags": _slots(helpers, n, np.uint8),
         }

@@ -217,19 +217,25 @@ static inline int64_t ceil_div(int64_t a, int64_t b) {
 /* ------------------------------------------------------------------ */
 /* Level threads: one pool per process, started by the first level    */
 /* phase whose work crosses its kernel's grain.  A job is ``nt`` tasks */
-/* fn(ctx, t, nt); of a pool of P threads, thread i runs tasks i,      */
-/* i + P, ... and the calling thread is thread 0.  What a task computes */
-/* depends on (t, nt) alone, so a job's result does not depend on how  */
-/* many threads ran it, and a caller that finds the pool owned by      */
-/* another thread runs every task itself.  Idle workers spin on the    */
-/* job counter for SPIN_NS, then sleep on a condition variable.  The   */
-/* pool is keyed by pid: a forked child never waits on its parent's    */
-/* threads (it does not have them) and starts its own pool.            */
+/* fn(ctx, t, nt).  The calling thread and the workers claim tasks     */
+/* from the job's claim word (generation, nt, next task) until none is */
+/* left, so a caller never waits for a worker that has not started,   */
+/* only for tasks already claimed.  Besides the job the caller waits   */
+/* on, one background job may run: workers with no job task claim its */
+/* tasks, and the caller claims what is left when it joins it.  What a */
+/* task computes depends on (t, nt) alone, so a job's result does not  */
+/* depend on which or how many threads ran it, and a caller that finds */
+/* the pool owned by another thread runs every task itself.  Idle      */
+/* workers spin on the job generation for SPIN_NS, then sleep on a     */
+/* condition variable.  The pool is keyed by pid: a forked child never */
+/* waits on its parent's threads (it does not have them) and starts    */
+/* its own pool.                                                       */
 /* ------------------------------------------------------------------ */
 typedef void (*task_fn)(void *ctx, int64_t t, int64_t nt);
 
 #define POOL_MAX 64
-#define SPIN_NS 50000
+#define SPIN_NS 20000
+#define GEN_MASK 0x7FFFFFFF
 
 typedef struct {
     pid_t pid;
@@ -238,17 +244,20 @@ typedef struct {
     pthread_mutex_t mu;
     pthread_cond_t wake, done;
     int64_t gen;           /* atomic: moves once per job */
-    int64_t pending;       /* atomic: workers still in the job */
     int64_t sleepers;      /* under mu */
     int caller_waits;      /* under mu */
-    task_fn fn;            /* the job, written before gen moves */
-    void *ctx;
-    int64_t nt, stride;
+    /* The job [0] and the background job [1]: claim words             */
+    /* (generation << 32 | nt << 16 | next task, atomic), tasks done   */
+    /* (atomic), and the task function with its context, written       */
+    /* before the claim word.                                          */
+    int64_t claim[2], finished[2];
+    task_fn fn[2];
+    void *ctx[2];
 } pool;
 
 typedef struct {
     pool *p;
-    int64_t id, gen;
+    int64_t gen;
 } pool_arg;
 
 static pool *the_pool;
@@ -272,6 +281,44 @@ static int spin_for(int64_t *word, int64_t value, int equal) {
     }
 }
 
+/* Claims the next task of job ``j`` of generation ``gen`` (any        */
+/* generation when gen < 0): its index, or -1 when the job has none    */
+/* left; reads the job's size.                                         */
+static int64_t pool_claim(pool *p, int j, int64_t gen, int64_t *nt) {
+    int64_t word = __atomic_load_n(&p->claim[j], __ATOMIC_ACQUIRE);
+    for (;;) {
+        int64_t next = word & 0xFFFF;
+        *nt = (word >> 16) & 0xFFFF;
+        if ((gen >= 0 && (word >> 32) != gen) || next >= *nt) return -1;
+        if (__atomic_compare_exchange_n(&p->claim[j], &word, word + 1, 1,
+                                        __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE))
+            return next;
+    }
+}
+
+/* Runs one claimed task of job j; a worker wakes the caller when it   */
+/* finishes the job's last task.                                       */
+static void pool_task(pool *p, int j, int64_t t, int64_t nt, int worker) {
+    p->fn[j](p->ctx[j], t, nt);
+    if (__atomic_add_fetch(&p->finished[j], 1, __ATOMIC_ACQ_REL) == nt &&
+        worker) {
+        pthread_mutex_lock(&p->mu);
+        if (p->caller_waits) pthread_cond_signal(&p->done);
+        pthread_mutex_unlock(&p->mu);
+    }
+}
+
+/* Waits until job j has finished ``nt`` tasks. */
+static void pool_wait(pool *p, int j, int64_t nt) {
+    if (spin_for(&p->finished[j], nt, 1)) return;
+    pthread_mutex_lock(&p->mu);
+    p->caller_waits = 1;
+    while (__atomic_load_n(&p->finished[j], __ATOMIC_ACQUIRE) != nt)
+        pthread_cond_wait(&p->done, &p->mu);
+    p->caller_waits = 0;
+    pthread_mutex_unlock(&p->mu);
+}
+
 static void *pool_main(void *arg) {
     pool_arg a = *(pool_arg *)arg;
     free(arg);
@@ -285,13 +332,16 @@ static void *pool_main(void *arg) {
             p->sleepers--;
             pthread_mutex_unlock(&p->mu);
         }
-        a.gen++;
-        for (int64_t t = a.id; t < p->nt; t += p->stride)
-            p->fn(p->ctx, t, p->nt);
-        if (__atomic_sub_fetch(&p->pending, 1, __ATOMIC_ACQ_REL) == 0) {
-            pthread_mutex_lock(&p->mu);
-            if (p->caller_waits) pthread_cond_signal(&p->done);
-            pthread_mutex_unlock(&p->mu);
+        a.gen = __atomic_load_n(&p->gen, __ATOMIC_ACQUIRE);
+        /* Tasks of the job first, then of the background job. */
+        for (;;) {
+            int64_t t, nt;
+            int j = 0;
+            if ((t = pool_claim(p, 0, a.gen, &nt)) < 0) {
+                j = 1;
+                if ((t = pool_claim(p, 1, -1, &nt)) < 0) break;
+            }
+            pool_task(p, j, t, nt, 1);
         }
     }
     return NULL;
@@ -333,7 +383,6 @@ static pool *pool_acquire(int64_t want) {
             pool_arg *a = malloc(sizeof *a);
             if (!a) break;
             a->p = p;
-            a->id = p->workers + 1;
             a->gen = __atomic_load_n(&p->gen, __ATOMIC_RELAXED);
             pthread_t thread;
             if (pthread_create(&thread, &attr, pool_main, a)) {
@@ -352,26 +401,35 @@ static void pool_release(pool *p) {
     __atomic_store_n(&p->busy, 0, __ATOMIC_RELEASE);
 }
 
-/* Runs the job on the owned pool and returns when every task is done. */
-static void pool_run(pool *p, int64_t nt, task_fn fn, void *ctx) {
-    p->fn = fn;
-    p->ctx = ctx;
-    p->nt = nt;
-    p->stride = p->workers + 1;
-    __atomic_store_n(&p->pending, p->workers, __ATOMIC_RELAXED);
+/* Publishes ``nt`` tasks of fn as job j (nt = 0: none) and wakes the  */
+/* workers; returns the new generation.                                */
+static int64_t pool_post(pool *p, int j, int64_t nt, task_fn fn, void *ctx) {
+    int64_t gen = (__atomic_load_n(&p->gen, __ATOMIC_RELAXED) + 1) & GEN_MASK;
+    p->fn[j] = fn;
+    p->ctx[j] = ctx;
+    __atomic_store_n(&p->finished[j], 0, __ATOMIC_RELAXED);
+    __atomic_store_n(&p->claim[j], gen << 32 | nt << 16, __ATOMIC_RELEASE);
+    if (j) __atomic_store_n(&p->claim[0], gen << 32, __ATOMIC_RELEASE);
     pthread_mutex_lock(&p->mu);
-    __atomic_store_n(&p->gen, __atomic_load_n(&p->gen, __ATOMIC_RELAXED) + 1,
-                     __ATOMIC_RELEASE);
+    __atomic_store_n(&p->gen, gen, __ATOMIC_RELEASE);
     if (p->sleepers) pthread_cond_broadcast(&p->wake);
     pthread_mutex_unlock(&p->mu);
-    for (int64_t t = 0; t < nt; t += p->stride) fn(ctx, t, nt);
-    if (spin_for(&p->pending, 0, 1)) return;
-    pthread_mutex_lock(&p->mu);
-    p->caller_waits = 1;
-    while (__atomic_load_n(&p->pending, __ATOMIC_ACQUIRE))
-        pthread_cond_wait(&p->done, &p->mu);
-    p->caller_waits = 0;
-    pthread_mutex_unlock(&p->mu);
+    return gen;
+}
+
+/* Runs the job on the owned pool and returns when every task is done. */
+static void pool_run(pool *p, int64_t nt, task_fn fn, void *ctx) {
+    int64_t gen = pool_post(p, 0, nt, fn, ctx), t;
+    while ((t = pool_claim(p, 0, gen, &nt)) >= 0) pool_task(p, 0, t, nt, 0);
+    pool_wait(p, 0, nt);
+}
+
+/* Joins the background job: runs its unclaimed tasks, then waits for  */
+/* the claimed ones.                                                   */
+static void pool_join(pool *p) {
+    int64_t t, nt;
+    while ((t = pool_claim(p, 1, -1, &nt)) >= 0) pool_task(p, 1, t, nt, 0);
+    pool_wait(p, 1, (__atomic_load_n(&p->claim[1], __ATOMIC_ACQUIRE) >> 16) & 0xFFFF);
 }
 
 /* Chunk t of nt over ``total`` items; wcut keeps every cut but the    */
@@ -1062,6 +1120,7 @@ typedef struct {
     const int64_t *ids;
     int64_t m;
     int64_t ntd, nbu, ntargets, nupd, total, lo, walkers;
+    int background;
 } level_run;
 
 static inline int64_t *task_sums(const level_ws *ws, int64_t t) {
@@ -1086,13 +1145,31 @@ static int64_t sum_slot(const level_ws *ws, int64_t nt, int slot) {
     return total;
 }
 
-static void run_tasks(level_run *lr, int64_t nt, task_fn fn) {
-    if (nt > 1 && !lr->pool_tried) {
+/* The level's pool, once a phase needs threads (NULL without one). */
+static pool *level_pool(level_run *lr) {
+    if (!lr->pool_tried && lr->ws->nthreads > 1) {
         lr->pool_tried = 1;
         lr->pool = pool_acquire(lr->ws->nthreads);
     }
-    if (nt > 1 && lr->pool && lr->pool->workers) {
-        pool_run(lr->pool, nt, fn, lr);
+    return lr->pool && lr->pool->workers ? lr->pool : NULL;
+}
+
+static void run_tasks(level_run *lr, int64_t nt, task_fn fn) {
+    pool *p = nt > 1 ? level_pool(lr) : NULL;
+    if (p) {
+        pool_run(p, nt, fn, lr);
+    } else {
+        for (int64_t t = 0; t < nt; t++) fn(lr, t, nt);
+    }
+}
+
+/* Starts fn's nt tasks as the pool's background job, which the level */
+/* joins before it returns; without a pool they run here and now.     */
+static void run_background(level_run *lr, int64_t nt, task_fn fn) {
+    pool *p = level_pool(lr);
+    if (p) {
+        pool_post(p, 1, nt, fn, lr);
+        lr->background = 1;
     } else {
         for (int64_t t = 0; t < nt; t++) fn(lr, t, nt);
     }
@@ -1328,19 +1405,20 @@ static void bu_post_task(void *ctx, int64_t t, int64_t nt) {
     sums[3] = most;
 }
 
-/* Task t prices items [wcut(total, t), wcut(total, t + 1)) of the     */
-/* round-major probe stream: sums[4] is the round holding its first    */
-/* item and sums[5] that item's index within the round.                */
+/* Background task t prices items [wcut(probed, t), wcut(probed, t+1)) */
+/* of the round-major probe stream.  It runs beside the level's later  */
+/* phases, so it keeps to slot nthreads + t of the sums and line maps  */
+/* (sums[4]: the round holding its first item; sums[5]: that item's    */
+/* index within the round; sums[6]: its item count) and to live slot t. */
 static void round_price_task(void *ctx, int64_t t, int64_t nt) {
+    (void)nt;
     level_run *lr = ctx;
     const level_ws *ws = lr->ws;
-    int64_t *s = task_sums(ws, t);
-    int64_t quota = wcut(lr->total, t + 1, nt, ws->warp) -
-                    wcut(lr->total, t, nt, ws->warp);
+    int64_t *s = task_sums(ws, ws->nthreads + t);
     line_map map;
-    task_map(ws, t, &map);
+    task_map(ws, ws->nthreads + t, &map);
     round_coalesce_rows(ws->rcols, ws->starts, ws->probes, lr->nbu, s[4],
-                        s[5], quota, &map, ws->live + t * SLOT(2 * ws->n + 2),
+                        s[5], s[6], &map, ws->live + t * SLOT(2 * ws->n + 2),
                         s);
 }
 
@@ -1368,8 +1446,10 @@ static void round_cuts(level_run *lr, int64_t nt_post, int64_t nt) {
             round++;
             live -= hist[round];
         }
-        task_sums(ws, t)[4] = round;
-        task_sums(ws, t)[5] = first - before;
+        int64_t *s = task_sums(ws, ws->nthreads + t);
+        s[4] = round;
+        s[5] = first - before;
+        s[6] = wcut(lr->total, t + 1, nt, ws->warp) - first;
     }
     memset(hist, 0, (size_t)(most + 1) * sizeof(int64_t));
 }
@@ -1512,7 +1592,7 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
     }
 
     int64_t loads = 0, stores = 0, load_requests = 0, store_requests = 0;
-    int64_t inspections = 0, ntargets = 0, nupd = 0;
+    int64_t inspections = 0, ntargets = 0, nupd = 0, nt_probe = 0;
     int64_t pricing[2];
 
     /* --- 2. Top-down: BSA[v] |= BSA_k[f] ---------------------------- */
@@ -1578,12 +1658,12 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
         st[ST_BU_PROBES] = probed;
         st[ST_EARLY] = sum_slot(ws, nt_post, 1);
         loads += ceil_div(nbu * 8, tb) + sum_slot(ws, nt_post, 2);
+        /* The probe stream is priced in the background, on about half */
+        /* the threads, while the rest run the level's remaining phases. */
         lr.total = probed;
-        nt = tasks_for(ws, probed);
-        round_cuts(&lr, nt_post, nt);
-        run_tasks(&lr, nt, round_price_task);
-        loads += sum_slot(ws, nt, 0);
-        load_requests += sum_slot(ws, nt, 1);
+        nt_probe = (tasks_for(ws, probed) + 1) / 2;
+        round_cuts(&lr, nt_post, nt_probe);
+        run_background(&lr, nt_probe, round_price_task);
         price_ids(&lr, ws->updated, nupd, pricing);
         stores += pricing[0];
         store_requests += pricing[1];
@@ -1607,6 +1687,11 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
             ws->counts[j] += c[j];
             ws->fdeg[j] += c[lanes * 64 + j];
         }
+    }
+    if (lr.background) pool_join(lr.pool);
+    for (int64_t t = 0; t < nt_probe; t++) {
+        loads += task_sums(ws, ws->nthreads + t)[0];
+        load_requests += task_sums(ws, ws->nthreads + t)[1];
     }
     if (lr.pool) pool_release(lr.pool);
     int64_t *cn = ws->changed_next;
