@@ -17,10 +17,11 @@ and pricing) over buffers allocated once per ``(n, lanes)`` shape.
 Inside that call each large phase runs on the level threads: one
 pthreads pool per process inside the library, started by the first
 phase whose work crosses :data:`LEVEL_GRAIN`, with the calling thread
-working as thread 0.  A kernel gets :func:`level_threads` threads when
-it is built (the usable CPUs, at most :data:`MAX_LEVEL_THREADS`; a
-:class:`~repro.exec.GroupExecutor` worker gets its share).  Results and
-simulated counters do not depend on the thread count.
+taking tasks beside the workers.  A kernel gets :func:`level_threads`
+threads when it is built (the usable CPUs, at most
+:data:`MAX_LEVEL_THREADS`; a :class:`~repro.exec.GroupExecutor` worker
+gets its share).  Results and simulated counters do not depend on the
+thread count.
 :func:`unique_targets`, :func:`scatter_or`, :func:`or_scan`,
 :func:`depth_update` and :func:`bottom_up_coalesced` have no engine
 caller any more: they are kept because the repository benchmark's

@@ -1034,11 +1034,14 @@ int64_t repro_hit_scan_depth(const int64_t *indices, const int64_t *starts,
 /* summed (transactions, requests) are the serial ones: the neighbor   */
 /* stream finds its cuts through a prefix sum of frontier degrees, the */
 /* probe stream through per-round offsets from a histogram of probe    */
-/* counts.  No two tasks write one location: walk task t > 0          */
-/* scatter-ORs and marks targets into its own copies (``tout``,        */
-/* ``tflags``), which the sweep folds into the live array, and BSA_k   */
-/* is a read-only snapshot throughout.  Counters are therefore         */
-/* bit-identical at any thread count.                                  */
+/* counts.  The probe stream, which nothing later in the level reads,  */
+/* is priced as the pool's background job while the updated-row        */
+/* pricing and the extraction run.  No two tasks write one location:   */
+/* walk task t > 0 scatter-ORs and marks targets into its own copies   */
+/* (``tout``, ``tflags``), which the sweep folds into the live array,  */
+/* the background tasks keep to their own slots, and BSA_k is a        */
+/* read-only snapshot throughout.  Counters are therefore bit-identical */
+/* at any thread count.                                                */
 /* ------------------------------------------------------------------ */
 typedef struct {
     /* Graph: forward CSR, out-degrees, reverse CSR (NULL until a      */
@@ -1119,7 +1122,7 @@ typedef struct {
     int64_t add, early_termination;
     const int64_t *ids;
     int64_t m;
-    int64_t ntd, nbu, ntargets, nupd, total, lo, walkers;
+    int64_t ntd, nbu, ntargets, nupd, total, lo, walkers, probe_tasks;
     int background;
 } level_run;
 
@@ -1164,9 +1167,11 @@ static void run_tasks(level_run *lr, int64_t nt, task_fn fn) {
 }
 
 /* Starts fn's nt tasks as the pool's background job, which the level */
-/* joins before it returns; without a pool they run here and now.     */
-static void run_background(level_run *lr, int64_t nt, task_fn fn) {
-    pool *p = level_pool(lr);
+/* joins before it returns, when their ``work`` crosses the grain;     */
+/* otherwise (or without a pool) they run here and now.                */
+static void run_background(level_run *lr, int64_t nt, int64_t work,
+                           task_fn fn) {
+    pool *p = tasks_for(lr->ws, work) > 1 ? level_pool(lr) : NULL;
     if (p) {
         pool_post(p, 1, nt, fn, lr);
         lr->background = 1;
@@ -1386,8 +1391,10 @@ static void bu_post_task(void *ctx, int64_t t, int64_t nt) {
         int64_t p = ws->probes[i];
         if (ws->done[i] && p < ws->ends[i] - ws->starts[i]) early++;
         probe_lines += ceil_div(p, per_line);
-        hist[p]++;
-        if (p > most) most = p;
+        if (lr->probe_tasks > 1) {
+            hist[p]++;
+            if (p > most) most = p;
+        }
         /* "Updated" compares against BSA_k's masked word. */
         const uint64_t *acc = ws->acc + i * lanes, *s = ws->words + i * lanes;
         uint64_t moved = 0;
@@ -1467,9 +1474,10 @@ static int64_t pivot(const level_run *lr, int64_t t, int64_t nt) {
 }
 
 /* Pass ``write`` = 0 counts the task's changed rows into sums[0]; pass */
-/* 1 writes them from row sums[1] on (diff, id, degree), writes them   */
-/* back into BSA_k and sweeps their bits into the depths and the       */
-/* task's per-bit tallies.                                             */
+/* 1 writes them from row sums[1] on (diff, id, degree), counting them */
+/* into sums[0] again, writes them back into BSA_k and sweeps their    */
+/* bits into the depths and the task's per-bit tallies.  A single task */
+/* needs no counting pass: it writes from row 0.                       */
 static void extract_rows(level_run *lr, int64_t t, int64_t nt, int write) {
     level_ws *ws = lr->ws;
     const int64_t lanes = ws->lanes;
@@ -1505,10 +1513,8 @@ static void extract_rows(level_run *lr, int64_t t, int64_t nt, int write) {
         }
         m++;
     }
-    if (!write) {
-        s[0] = m;
-        return;
-    }
+    s[0] = m - first;
+    if (!write) return;
     int64_t *counts = ws->tcounts + t * 2 * lanes * 64;
     int64_t *fdeg = counts + lanes * 64;
     memset(counts, 0, (size_t)2 * lanes * 64 * sizeof(int64_t));
@@ -1651,6 +1657,12 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
             ws->inspections[j] += sum;
             edges += sum;
         }
+        /* The probe stream is priced in the background, on about half */
+        /* the threads, while the rest run the level's remaining phases; */
+        /* the post pass histograms probe counts only when it splits.   */
+        lr.total = probed;
+        nt_probe = (tasks_for(ws, probed) + 1) / 2;
+        lr.probe_tasks = nt_probe;
         int64_t nt_post = tasks_for(ws, nbu);
         run_tasks(&lr, nt_post, bu_post_task);
         nupd = close_gaps(ws, ws->updated, nbu, nt_post, 0);
@@ -1658,12 +1670,8 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
         st[ST_BU_PROBES] = probed;
         st[ST_EARLY] = sum_slot(ws, nt_post, 1);
         loads += ceil_div(nbu * 8, tb) + sum_slot(ws, nt_post, 2);
-        /* The probe stream is priced in the background, on about half */
-        /* the threads, while the rest run the level's remaining phases. */
-        lr.total = probed;
-        nt_probe = (tasks_for(ws, probed) + 1) / 2;
         round_cuts(&lr, nt_post, nt_probe);
-        run_background(&lr, nt_probe, round_price_task);
+        run_background(&lr, nt_probe, probed, round_price_task);
         price_ids(&lr, ws->updated, nupd, pricing);
         stores += pricing[0];
         store_requests += pricing[1];
@@ -1673,14 +1681,15 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
     lr.ntargets = ntargets;
     lr.nupd = nupd;
     nt = tasks_for(ws, ntargets + nupd);
-    run_tasks(&lr, nt, extract_count_task);
+    if (nt > 1) run_tasks(&lr, nt, extract_count_task);
     int64_t m = 0;
     for (int64_t t = 0; t < nt; t++) {
         int64_t *s = task_sums(ws, t);
         s[1] = m;
-        m += s[0];
+        m += nt > 1 ? s[0] : 0;
     }
     run_tasks(&lr, nt, extract_write_task);
+    m = sum_slot(ws, nt, 0);
     for (int64_t t = 0; t < nt; t++) {
         const int64_t *c = ws->tcounts + t * 2 * lanes * 64;
         for (int64_t j = 0; j < gs; j++) {
