@@ -3,12 +3,11 @@
 
 Measures real host wall time of :class:`repro.exec.GroupExecutor` over
 1/2/4/8 workers against the serial :class:`repro.core.engine.IBFS`
-baseline on the same graph and sources.  The baseline runs with this
-process pinned to one CPU (built, verified and timed there, and unpinned
-before any executor forks), so its engine runs every level on one
-thread and the speedup keeps meaning processes over one core; the
-unpinned in-process engine, which runs its levels on
-:func:`repro.native.level_threads` threads, is timed too and recorded
+baseline on the same graph and sources.  The baseline engine runs every
+level on one thread (it is built and timed with
+``repro.native.LEVEL_THREADS = 1``), so the speedup keeps meaning
+processes over one core; the in-process engine on
+:func:`repro.native.level_threads` threads is timed too and recorded
 beside it (``meta["inprocess_seconds"]``).  Every worker count's result is
 asserted bit-identical to the serial engine (depths, counters, group
 stats) before its timing is trusted, and one fault-injected
@@ -37,14 +36,12 @@ Usage::
 
 from __future__ import annotations
 
-import contextlib
-import os
 import sys
 
 import numpy as np
 
 import repro.native as native
-from harness import run_bench, usable_cpus
+from harness import run_bench
 from repro.core.engine import IBFS, IBFSConfig
 from repro.exec import ExecConfig, FaultPlan, FaultPolicy, GroupExecutor
 from repro.graph.generators import rmat
@@ -83,28 +80,13 @@ def same_result(a, b) -> bool:
     return True
 
 
-@contextlib.contextmanager
-def one_cpu():
-    """Run the enclosed block with this process pinned to one of its
-    CPUs (a no-op where the platform cannot pin)."""
-    if not hasattr(os, "sched_setaffinity"):
-        yield
-        return
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, cpus)
-
-
 def measure(args, ledger):
     scale, edge_factor, group_size, num_sources = (
         QUICK_SHAPE if args.quick else FULL_SHAPE
     )
     worker_counts = QUICK_WORKER_COUNTS if args.quick else FULL_WORKER_COUNTS
     repeats = 2 if args.quick else 3
-    cpu_count = usable_cpus()
+    cpu_count = native.usable_cpus()
 
     graph = rmat(scale, edge_factor=edge_factor, seed=3)
     rng = np.random.default_rng(SOURCE_SEED)
@@ -121,16 +103,18 @@ def measure(args, ledger):
         flush=True,
     )
 
-    # The engine reads its level-thread budget when it first runs, so
-    # building it pinned gives one level thread.
-    with one_cpu():
+    # The engine reads its level-thread budget when it first runs.
+    budget, native.LEVEL_THREADS = native.LEVEL_THREADS, 1
+    try:
         engine = IBFS(graph, config)
         reference = engine.run(sources, store_depths=True)
         serial = BestOf()
         for _ in range(repeats):
             with serial:
                 engine.run(sources, store_depths=False)
-    print(f"[serial, one CPU] {serial.seconds:.3f}s", flush=True)
+    finally:
+        native.LEVEL_THREADS = budget
+    print(f"[serial, one level thread] {serial.seconds:.3f}s", flush=True)
     threaded_engine = IBFS(graph, config)
     if not same_result(reference, threaded_engine.run(sources, store_depths=True)):
         raise AssertionError("threaded in-process result diverged from serial")
@@ -207,14 +191,14 @@ def measure(args, ledger):
     # sees how many cores ran it and whether the speedup gate applied.
     gate_enforced = cpu_count >= 2
     ledger.meta.update({
-        "metric": "speedup = serial (one CPU) / executor host wall seconds "
-                  "per full run (best of repeats)",
+        "metric": "speedup = serial (one level thread) / executor host "
+                  "wall seconds per full run (best of repeats)",
         "graph": f"rmat scale={scale} edge_factor={edge_factor} seed=3",
         "num_sources": num_sources,
         "group_size": group_size,
         "repeats": repeats,
         "serial_seconds": serial.seconds,
-        "serial_pinned_cpus": 1,
+        "serial_level_threads": 1,
         "inprocess_seconds": inprocess.seconds,
         "min_speedup": MIN_SPEEDUP,
         "speedup_gate_enforced": gate_enforced,

@@ -67,15 +67,6 @@ def source_count() -> int:
     return int(os.environ.get("REPRO_BENCH_SOURCES", "128"))
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, where the
-    platform has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def load_graph(name: str) -> CSRGraph:
     """The named benchmark graph at the configured scale."""
     return benchmark_graph(name, scale_delta=scale_delta())
@@ -167,7 +158,8 @@ def run_bench(
     failures it found.  The ledger goes to ``--output`` or
     ``BENCH_<name>.json`` at the repo root (``BENCH_<name>.quick.json``
     with ``--quick``).  Every ledger records the host's usable CPUs
-    (``meta["cpu_count"]``) and the level-thread budget the engines got
+    (``meta["cpu_count"]``, :func:`repro.native.usable_cpus`) and the
+    level-thread budget the engines got
     (``meta["level_threads"]``, :func:`repro.native.level_threads`).
     Under ``--check`` the verdict is recorded in
     ``meta["check"]``, each failure is printed, and any failure makes
@@ -193,7 +185,7 @@ def run_bench(
     ledger = Ledger(benchmark=benchmark,
                     mode="quick" if args.quick else "full")
     ledger.meta.update({
-        "cpu_count": usable_cpus(),
+        "cpu_count": native.usable_cpus(),
         "level_threads": native.level_threads(),
     })
     failures = measure(args, ledger)

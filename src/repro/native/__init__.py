@@ -20,8 +20,9 @@ phase whose work crosses :data:`LEVEL_GRAIN`, with the calling thread
 taking tasks beside the workers.  A kernel gets :func:`level_threads`
 threads when it is built (the usable CPUs, at most
 :data:`MAX_LEVEL_THREADS`; a :class:`~repro.exec.GroupExecutor` worker
-gets its share).  Results and simulated counters do not depend on the
-thread count.
+gets its share), or one on a graph with fewer than
+:data:`LEVEL_MIN_EDGES` edges.  Results and simulated counters do not
+depend on the thread count.
 :func:`unique_targets`, :func:`scatter_or`, :func:`or_scan`,
 :func:`depth_update` and :func:`bottom_up_coalesced` have no engine
 caller any more: they are kept because the repository benchmark's
@@ -75,9 +76,11 @@ __all__ = [
     "materialize_depths",
     "hit_scan_depth",
     "LevelKernel",
+    "usable_cpus",
     "level_threads",
     "MAX_LEVEL_THREADS",
     "LEVEL_GRAIN",
+    "LEVEL_MIN_EDGES",
 ]
 
 
@@ -97,7 +100,9 @@ _flag_cache: Dict[int, np.ndarray] = {}
 _warm_seconds: Optional[float] = None
 
 #: Most level threads one kernel runs, however many CPUs the host has.
-MAX_LEVEL_THREADS = 8
+#: Throughput and peak RSS were measured at 2 threads only (per-kernel
+#: scratch grows with the count); raise this once more were measured.
+MAX_LEVEL_THREADS = 2
 #: The level-thread budget: None means the usable CPUs, at most
 #: :data:`MAX_LEVEL_THREADS`.  A :class:`~repro.exec.GroupExecutor`
 #: worker process sets its share of the parent's budget here before it
@@ -107,6 +112,11 @@ LEVEL_THREADS: Optional[int] = None
 #: each task of a level phase must get: a phase with less than twice
 #: this much runs on the calling thread and wakes no other.
 LEVEL_GRAIN = 4096
+#: Fewest edges a graph needs for its kernels to run on more than one
+#: thread.  On smaller graphs (the 2**15-edge R-MAT of the dispatch
+#: gate, groups of 8) a level's phases are too short for a worker's
+#: wake-up (10-30 us on a 2-vCPU host) to pay; threads only add jitter.
+LEVEL_MIN_EDGES = 1 << 17
 
 
 def _truthy(value: str) -> bool:
@@ -166,17 +176,23 @@ def disabled_reason() -> Optional[str]:
     return _cache.get("reason")  # type: ignore[return-value]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the host's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def level_threads() -> int:
-    """Threads a :class:`LevelKernel` built now runs its level phases on:
-    :data:`LEVEL_THREADS`, or else the CPUs this process may run on
-    (``os.sched_getaffinity``), at most :data:`MAX_LEVEL_THREADS`."""
+    """Threads a :class:`LevelKernel` built now runs its level phases on
+    (on a graph of at least :data:`LEVEL_MIN_EDGES` edges):
+    :data:`LEVEL_THREADS`, or else :func:`usable_cpus`, at most
+    :data:`MAX_LEVEL_THREADS`."""
     if LEVEL_THREADS is not None:
         return max(1, int(LEVEL_THREADS))
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        usable = os.cpu_count() or 1
-    return max(1, min(usable, MAX_LEVEL_THREADS))
+    return max(1, min(usable_cpus(), MAX_LEVEL_THREADS))
 
 
 def refresh() -> None:
@@ -590,12 +606,15 @@ class LevelKernel:
     struct holding their addresses is built once, so a level allocates
     nothing and crosses ctypes once.
 
-    The kernel reads :func:`level_threads` and :data:`LEVEL_GRAIN` when
-    it is built and sizes one slot of per-task scratch (line maps, scan
-    tallies, probe live lists and histograms, partial sums) per thread.
-    Each phase of a level splits into one task per ``LEVEL_GRAIN``
-    items, up to that many tasks; priced streams are cut only at
-    multiples of the warp size, so every counter is the serial one.
+    The kernel reads :func:`level_threads`, :data:`LEVEL_GRAIN` and
+    :data:`LEVEL_MIN_EDGES` when it is built and sizes one slot of
+    per-task scratch (line maps, scan tallies, probe histograms,
+    partial sums) per thread, plus sums, line maps and a probe live
+    list for each of the at most half as many background pricing
+    tasks.  Each phase of a level splits into one task per
+    ``LEVEL_GRAIN`` items, up to that many tasks; priced streams are
+    cut only at multiples of the warp size, so every counter is the
+    serial one.
 
     Between levels the kernel holds the group's traversal state:
     ``BSA_k``, kept equal to the live array by writing back only the
@@ -626,9 +645,12 @@ class LevelKernel:
         self.num_vertices = n
         self.lanes = lanes
         #: Level threads, hence slots of per-task scratch.
-        self.threads = threads = level_threads()
+        self.threads = threads = (
+            level_threads() if row_offsets[-1] >= LEVEL_MIN_EDGES else 1
+        )
         seen_words = n * 8 * lanes // transaction_bytes // 64 + 1
         helpers = threads - 1
+        background = (threads + 1) // 2
 
         def ints(size):
             return np.zeros(size, dtype=np.int64)
@@ -662,17 +684,18 @@ class LevelKernel:
             "acc": words((n, lanes)),
             "flags": np.zeros(n, dtype=np.uint8),
             "done": np.zeros(n, dtype=np.uint8),
-            # One slot per thread each (two of the sums and line maps:
-            # the probe pricing runs beside other phases); the walk's
-            # private targets only for the threads besides the caller.
-            "tsum": _slots(2 * threads, TASK_SUMS, np.int64),
+            # One slot per thread each, and sums, line maps and live
+            # lists for the background probe pricing, which runs beside
+            # other phases; the walk's private targets only for the
+            # threads besides the caller.
+            "tsum": _slots(threads + background, TASK_SUMS, np.int64),
             "tcounts": _slots(threads, 2 * lanes * 64, np.int64),
             "hist": _slots(threads, lanes * 8 * 256, np.int64),
             "pending": _slots(threads, lanes * 64, np.int64),
-            "live": _slots(threads, 2 * n + 2, np.int64),
-            "fresh": _slots(2 * threads, warp_size, np.int64),
+            "live": _slots(background, 2 * n + 2, np.int64),
+            "fresh": _slots(threads + background, warp_size, np.int64),
             "scan": _slots(threads, 2 * lanes, np.uint64),
-            "seen": _slots(2 * threads, seen_words, np.uint64),
+            "seen": _slots(threads + background, seen_words, np.uint64),
             "tout": _slots(helpers, n * lanes, np.uint64),
             "tflags": _slots(helpers, n, np.uint8),
         }
@@ -854,4 +877,5 @@ def capability_report() -> Dict[str, object]:
         "warmup_seconds": _warm_seconds,
         "level_threads": level_threads(),
         "level_grain": LEVEL_GRAIN,
+        "level_min_edges": LEVEL_MIN_EDGES,
     }

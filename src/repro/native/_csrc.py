@@ -1081,12 +1081,15 @@ typedef struct {
     /* ``tcounts`` 2*lanes*64 (per-bit counts, then degree sums);      */
     /* ``hist`` lanes*8*256 and ``pending`` lanes*64 (the OR scan's    */
     /* tallies; ``hist`` zero between uses); ``scan`` 2*lanes (its row */
-    /* words); ``live`` 2n+2; ``rhist`` rstride (probe-count           */
-    /* histogram, zero between uses; bound with the reverse CSR);      */
-    /* ``seen`` seen_words and ``fresh`` warp (a line map); and, for   */
-    /* tasks 1.., ``tout`` n*lanes and ``tflags`` n bytes (a walk's    */
-    /* private targets, zero between uses).  Each slot is rounded up   */
-    /* to whole 64-byte lines (SLOT), so no two tasks share a line.    */
+    /* words); ``rhist`` rstride (probe-count histogram, zero between  */
+    /* uses; bound with the reverse CSR); ``seen`` seen_words and      */
+    /* ``fresh`` warp (a line map); and, for tasks 1.., ``tout``       */
+    /* n*lanes and ``tflags`` n bytes (a walk's private targets, zero  */
+    /* between uses).  The probe pricing's background tasks, at most   */
+    /* (nthreads + 1) / 2, have ``tsum``, ``seen`` and ``fresh`` slots */
+    /* of their own after those, and ``live`` (2n+2 each) is theirs    */
+    /* alone.  Each slot is rounded up to whole 64-byte lines (SLOT),  */
+    /* so no two tasks share a line.                                   */
     int64_t *tsum, *tcounts, *hist, *pending, *live, *rhist, *fresh;
     uint64_t *scan, *seen, *tout;
     uint8_t *tflags;

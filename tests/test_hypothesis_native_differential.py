@@ -10,9 +10,9 @@ recorded plan is replayed.  Each path keeps one engine across an
 example's groups and replays, so its level buffers are reused across
 groups of one shape and rebuilt when the lane count changes.  The
 same cases run again at 1, 2 and 4 level threads with the grain forced
-to 1, so every phase of every level splits into tasks (the graphs have
-at most 45 vertices, so at the real grain nothing would).  Skips when
-the library does not load.
+to 1 and no edge floor, so every phase of every level splits into tasks
+(the graphs have at most 45 vertices, so at the real settings nothing
+would).  Skips when the library does not load.
 """
 
 import dataclasses
@@ -148,4 +148,5 @@ def test_threaded_level_matches_numpy(threads, case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(native, "LEVEL_THREADS", threads)
         patch.setattr(native, "LEVEL_GRAIN", 1)
+        patch.setattr(native, "LEVEL_MIN_EDGES", 0)
         _differential(case)

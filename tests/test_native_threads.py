@@ -5,7 +5,8 @@ on a per-process thread pool.  Whatever the thread count, depths,
 counters, level records and ``GroupStats`` must equal the numpy
 level's; the pool must survive ``fork`` (the executor forks its
 workers) and stay one pool per process however many engines come and
-go.  The thread budget and the grain are set by monkeypatching
+go.  The thread budget, the grain and the edge floor below which a
+graph's levels stay on one thread are set by monkeypatching
 :mod:`repro.native`, which a :class:`~repro.native.LevelKernel` reads
 when it is built.  Skips when the library does not load.
 """
@@ -65,8 +66,20 @@ def test_budget_follows_the_module_settings(monkeypatch):
     assert native.level_threads() == 3
     assert native.capability_report()["level_threads"] == 3
     monkeypatch.setattr(native, "LEVEL_THREADS", None)
-    usable = len(os.sched_getaffinity(0))
-    assert native.level_threads() == min(usable, native.MAX_LEVEL_THREADS)
+    assert native.usable_cpus() == len(os.sched_getaffinity(0))
+    assert native.level_threads() == min(
+        native.usable_cpus(), native.MAX_LEVEL_THREADS
+    )
+
+
+def test_graphs_below_the_edge_floor_stay_on_one_thread(monkeypatch, rmat12):
+    monkeypatch.setattr(native, "LEVEL_THREADS", 2)
+    monkeypatch.setattr(native, "LEVEL_MIN_EDGES", rmat12.num_edges)
+    small = rmat(10, edge_factor=16, seed=7)
+    assert _assert_matches_numpy(small, [[0, 1, 2]])._workspace.threads == 1
+    assert _assert_matches_numpy(rmat12, [[0, 1, 2]])._workspace.threads == 2
+    monkeypatch.setattr(native, "LEVEL_MIN_EDGES", 0)
+    assert _assert_matches_numpy(small, [[0, 1, 2]])._workspace.threads == 2
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -92,9 +105,11 @@ def test_rmat12_groups_match_numpy_at_the_real_grain(
 
 def test_a_forked_executor_matches_serial_after_threaded_levels(monkeypatch):
     # Each of the two workers gets 4 // 2 = 2 level threads; grain 1
-    # makes every level of the parent and the workers use the pool.
+    # and no edge floor make every level of the parent and the workers
+    # use the pool.
     monkeypatch.setattr(native, "LEVEL_THREADS", 4)
     monkeypatch.setattr(native, "LEVEL_GRAIN", 1)
+    monkeypatch.setattr(native, "LEVEL_MIN_EDGES", 0)
     graph = kronecker(scale=8, edge_factor=8, seed=5)
     config = IBFSConfig(group_size=16)
     sources = list(range(0, graph.num_vertices, 4))
@@ -121,6 +136,7 @@ def test_epoch_swaps_keep_one_pool(monkeypatch):
     # they run on are the process's one pool.
     monkeypatch.setattr(native, "LEVEL_THREADS", 4)
     monkeypatch.setattr(native, "LEVEL_GRAIN", 1)
+    monkeypatch.setattr(native, "LEVEL_MIN_EDGES", 0)
     graph = kronecker(scale=7, edge_factor=6, seed=3)
     serving = ServingConfig(batch_size=8, cache_capacity=0, return_depths=True)
     counts = []
