@@ -101,7 +101,7 @@ _warm_seconds: Optional[float] = None
 
 #: Most level threads one kernel runs, however many CPUs the host has.
 #: Throughput and peak RSS were measured at 2 threads only (per-kernel
-#: scratch grows with the count); raise this once more were measured.
+#: scratch grows with the count); raise it once larger counts are measured.
 MAX_LEVEL_THREADS = 2
 #: The level-thread budget: None means the usable CPUs, at most
 #: :data:`MAX_LEVEL_THREADS`.  A :class:`~repro.exec.GroupExecutor`
