@@ -14,13 +14,16 @@ The bitwise engine runs each level as one call:
 same C loops the per-op functions here call (frontier identification,
 top-down edge map, bottom-up OR scan, extraction, tallies, depth write
 and pricing) over buffers allocated once per ``(n, lanes)`` shape.
-Inside that call each large phase runs on the level threads: one
-pthreads pool per process inside the library, started by the first
-phase whose work crosses :data:`LEVEL_GRAIN`, with the calling thread
-taking tasks beside the workers.  A kernel gets :func:`level_threads`
-threads when it is built (the usable CPUs, at most
-:data:`MAX_LEVEL_THREADS`; a :class:`~repro.exec.GroupExecutor` worker
-gets its share), or one on a graph with fewer than
+Inside that call each large threaded phase (identification, the
+gathers, the OR scan and its post pass, stream pricing) runs on the
+level threads: one pthreads pool per process inside the library,
+started by the first phase whose work crosses :data:`LEVEL_GRAIN`,
+with the calling thread taking tasks beside the workers.  The
+top-down edge walk and the extraction stay on the calling thread, and
+the probe stream is priced as one background task.  A kernel gets
+:func:`level_threads` threads when it is built (the usable CPUs, at
+most :data:`MAX_LEVEL_THREADS`; a :class:`~repro.exec.GroupExecutor`
+worker gets its share), or one on a graph with fewer than
 :data:`LEVEL_MIN_EDGES` edges.  Results and simulated counters do not
 depend on the thread count.
 :func:`unique_targets`, :func:`scatter_or`, :func:`or_scan`,
@@ -100,8 +103,9 @@ _flag_cache: Dict[int, np.ndarray] = {}
 _warm_seconds: Optional[float] = None
 
 #: Most level threads one kernel runs, however many CPUs the host has.
-#: Throughput and peak RSS were measured at 2 threads only (per-kernel
-#: scratch grows with the count); raise it once larger counts are measured.
+#: Throughput and peak RSS were measured at 2 threads only; raise it
+#: once larger counts are measured.  Each thread adds about 17 KiB of
+#: scratch per 64 sources of a group, whatever the graph.
 MAX_LEVEL_THREADS = 2
 #: The level-thread budget: None means the usable CPUs, at most
 #: :data:`MAX_LEVEL_THREADS`.  A :class:`~repro.exec.GroupExecutor`
@@ -245,7 +249,7 @@ def _slots(count: int, items: int, dtype) -> np.ndarray:
     """``count`` zeroed per-thread slots of ``items`` elements each, every
     slot rounded up to whole 64-byte lines and the first one starting
     on a line, so no two threads write one cache line (the C ``SLOT``
-    and ``SLOT_BYTES`` strides)."""
+    stride)."""
     itemsize = np.dtype(dtype).itemsize
     per_line = 64 // itemsize
     stride = -(-max(items, 1) // per_line) * per_line
@@ -608,13 +612,14 @@ class LevelKernel:
 
     The kernel reads :func:`level_threads`, :data:`LEVEL_GRAIN` and
     :data:`LEVEL_MIN_EDGES` when it is built and sizes one slot of
-    per-task scratch (line maps, scan tallies, probe histograms,
-    partial sums) per thread, plus sums, line maps and a probe live
-    list for each of the at most half as many background pricing
-    tasks.  Each phase of a level splits into one task per
-    ``LEVEL_GRAIN`` items, up to that many tasks; priced streams are
-    cut only at multiples of the warp size, so every counter is the
-    serial one.
+    per-task scratch (a line map, scan tallies, partial sums: about
+    17 KiB per 64 sources of a group) per thread, of which only the line
+    map grows with n, by a bit per 128-byte line of the status array;
+    plus sums, a line map and a probe live list for the background
+    probe pricing.  Each threaded phase of a
+    level splits into one task per ``LEVEL_GRAIN`` items, up to that
+    many tasks; priced streams are cut only at multiples of the warp
+    size, so every counter is the serial one.
 
     Between levels the kernel holds the group's traversal state:
     ``BSA_k``, kept equal to the live array by writing back only the
@@ -649,8 +654,6 @@ class LevelKernel:
             level_threads() if row_offsets[-1] >= LEVEL_MIN_EDGES else 1
         )
         seen_words = n * 8 * lanes // transaction_bytes // 64 + 1
-        helpers = threads - 1
-        background = (threads + 1) // 2
 
         def ints(size):
             return np.zeros(size, dtype=np.int64)
@@ -684,20 +687,16 @@ class LevelKernel:
             "acc": words((n, lanes)),
             "flags": np.zeros(n, dtype=np.uint8),
             "done": np.zeros(n, dtype=np.uint8),
-            # One slot per thread each, and sums, line maps and live
-            # lists for the background probe pricing, which runs beside
-            # other phases; the walk's private targets only for the
-            # threads besides the caller.
-            "tsum": _slots(threads + background, TASK_SUMS, np.int64),
-            "tcounts": _slots(threads, 2 * lanes * 64, np.int64),
+            # One slot per thread each, and sums, a line map and the
+            # live list for the background probe pricing, which runs
+            # beside other phases.
+            "tsum": _slots(threads + 1, TASK_SUMS, np.int64),
             "hist": _slots(threads, lanes * 8 * 256, np.int64),
             "pending": _slots(threads, lanes * 64, np.int64),
-            "live": _slots(background, 2 * n + 2, np.int64),
-            "fresh": _slots(threads + background, warp_size, np.int64),
+            "live": ints(2 * n + 2),
+            "fresh": _slots(threads + 1, warp_size, np.int64),
             "scan": _slots(threads, 2 * lanes, np.uint64),
-            "seen": _slots(threads + background, seen_words, np.uint64),
-            "tout": _slots(helpers, n * lanes, np.uint64),
-            "tflags": _slots(helpers, n, np.uint8),
+            "seen": _slots(threads + 1, seen_words, np.uint64),
         }
         self._state = LevelState(
             n=n,
@@ -720,20 +719,14 @@ class LevelKernel:
         self._reverse: Tuple[np.ndarray, ...] = ()
 
     def bind_reverse(self, row_offsets: np.ndarray, col_indices: np.ndarray) -> None:
-        """Point the bottom-up scan at the reverse CSR (once per graph),
-        with a probe-count histogram per thread: a vertex probes at
-        most its in-degree."""
+        """Point the bottom-up scan at the reverse CSR (once per graph)."""
         if self._reverse and self._reverse[0] is row_offsets:
             return
         offsets = _contig(row_offsets, np.int64)
         cols = _contig(col_indices, np.int64)
-        stride = int(np.diff(offsets).max(initial=0)) + 1
-        histograms = _slots(self.threads, stride, np.int64)
-        self._reverse = (row_offsets, offsets, cols, histograms)
+        self._reverse = (row_offsets, offsets, cols)
         self._state.roffsets = _p(offsets)
         self._state.rcols = _p(cols)
-        self._state.rhist = _p(histograms)
-        self._state.rstride = stride
 
     def begin_group(
         self,

@@ -457,27 +457,24 @@ static int64_t lower_bound(const int64_t *a, int64_t m, int64_t key) {
 
 /* ------------------------------------------------------------------ */
 /* The top-down edge map's walk over the frontier's CSR rows in edge   */
-/* order (the gather_neighbors stream), from edge ``skip`` of row      */
-/* ``r`` for at most ``items`` edges.  With ``out`` it scatter-ORs:    */
+/* order (the gather_neighbors stream).  With ``out`` it scatter-ORs:  */
 /* out[t] |= words[r] for every target t of frontier[r]; with ``acc``  */
 /* it also marks flags[t], tracks the targets' range in [*lo, *hi] and */
 /* prices the neighbor stream.                                         */
 /* ------------------------------------------------------------------ */
 static void edge_walk(const int64_t *offsets, const int64_t *cols,
-                      const int64_t *frontier, int64_t rows, int64_t r,
-                      int64_t skip, int64_t items, uint64_t *out,
-                      const uint64_t *words, int64_t lanes, line_map *acc,
-                      uint8_t *flags, int64_t *lo, int64_t *hi) {
+                      const int64_t *frontier, int64_t rows,
+                      uint64_t *out, const uint64_t *words, int64_t lanes,
+                      line_map *acc, uint8_t *flags, int64_t *lo,
+                      int64_t *hi) {
     int64_t low = 0, high = 0;
     if (acc) {
         low = *lo;
         high = *hi;
     }
-    for (; r < rows && items > 0; r++, skip = 0) {
-        const int64_t *nb = cols + offsets[frontier[r]] + skip;
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t *nb = cols + offsets[frontier[r]];
         const int64_t *end = cols + offsets[frontier[r] + 1];
-        if (end - nb > items) end = nb + items;
-        items -= end - nb;
         const uint64_t *w = out ? words + r * lanes : NULL;
         for (; nb < end; nb++) {
             int64_t t = *nb;
@@ -503,15 +500,25 @@ static void edge_walk(const int64_t *offsets, const int64_t *cols,
     }
 }
 
-/* The marked vertices of [v0, v1), ascending, into ``out``; clears    */
-/* their flags.  Returns the count.                                    */
-static int64_t sweep_flags(uint8_t *flags, int64_t v0, int64_t v1,
-                           int64_t *out) {
+/* The walk with ``acc`` (scatter-ORing into ``out`` when given), then */
+/* an ascending sweep of the marks: the unique targets into            */
+/* ``targets`` with their flags cleared again, and the neighbor        */
+/* stream's (transactions, requests) into ``pricing``.  Returns the    */
+/* target count.                                                       */
+static int64_t walk_targets(const int64_t *offsets, const int64_t *cols,
+                            const int64_t *frontier, int64_t rows, int64_t n,
+                            uint64_t *out, const uint64_t *words,
+                            int64_t lanes, line_map *acc, uint8_t *flags,
+                            int64_t *targets, int64_t *pricing) {
+    int64_t lo = n, hi = -1;
+    edge_walk(offsets, cols, frontier, rows, out, words, lanes, acc, flags,
+              &lo, &hi);
+    map_take(acc, pricing);
     int64_t count = 0;
-    for (int64_t v = v0; v < v1; v++) {
+    for (int64_t v = lo; v <= hi; v++) {
         if (flags[v]) {
             flags[v] = 0;
-            out[count++] = v;
+            targets[count++] = v;
         }
     }
     return count;
@@ -535,11 +542,8 @@ int64_t repro_unique_targets(const int64_t *offsets, const int64_t *cols,
     line_map acc;
     if (map_open(&acc, n, warp, element_bytes, txn_bytes)) return -1;
     map_stream(&acc, frontier, rows, pricing);
-    int64_t lo = n, hi = -1;
-    edge_walk(offsets, cols, frontier, rows, 0, 0, INT64_MAX, NULL, NULL, 1,
-              &acc, flags, &lo, &hi);
-    map_take(&acc, pricing + 2);
-    int64_t count = sweep_flags(flags, lo, hi + 1, out);
+    int64_t count = walk_targets(offsets, cols, frontier, rows, n, NULL, NULL,
+                                 1, &acc, flags, out, pricing + 2);
     map_stream(&acc, out, count, pricing + 4);
     map_free(&acc);
     return count;
@@ -550,8 +554,8 @@ int64_t repro_unique_targets(const int64_t *offsets, const int64_t *cols,
 void repro_scatter_or(uint64_t *out, const int64_t *offsets,
                       const int64_t *cols, const int64_t *frontier,
                       int64_t rows, const uint64_t *words, int64_t lanes) {
-    edge_walk(offsets, cols, frontier, rows, 0, 0, INT64_MAX, out, words,
-              lanes, NULL, NULL, NULL, NULL);
+    edge_walk(offsets, cols, frontier, rows, out, words, lanes, NULL, NULL,
+              NULL, NULL);
 }
 
 /* ------------------------------------------------------------------ */
@@ -820,37 +824,29 @@ int repro_coalesce(const int64_t *idx, int64_t m, int64_t element_bytes,
 /* fed straight through a line map over the n vertices' lines, without */
 /* materializing the stream.  The live list (``live``: 2*m+2 slots)    */
 /* holds (cursor, remaining) pairs, so a round touches only the        */
-/* positions still probing.  Prices ``quota`` items from item ``skip`` */
-/* of round ``round``: the live list of that round is built in one     */
-/* pass over the positions, and its first ``skip`` entries only        */
-/* advance.  From round 0 with no quota it is identical to             */
-/* repro_round_major + repro_coalesce over its output.                 */
+/* positions still probing.  Identical to repro_round_major +          */
+/* repro_coalesce over its output.                                     */
 /* ------------------------------------------------------------------ */
 static void round_coalesce_rows(const int64_t *indices,
                                 const int64_t *starts,
                                 const int64_t *probes, int64_t m,
-                                int64_t round, int64_t skip, int64_t quota,
                                 line_map *acc, int64_t *live, int64_t *out) {
     int64_t nlive = 0;
     for (int64_t i = 0; i < m; i++) {
-        if (probes[i] > round) {
-            live[2 * nlive] = starts[i] + round;
-            live[2 * nlive + 1] = probes[i] - round;
+        if (probes[i] > 0) {
+            live[2 * nlive] = starts[i];
+            live[2 * nlive + 1] = probes[i];
             nlive++;
         }
     }
-    while (nlive && quota) {
+    while (nlive) {
         int64_t w = 0;
         for (int64_t li = 0; li < nlive; li++) {
             int64_t cursor = live[2 * li], remaining = live[2 * li + 1];
-            if (li >= skip) {
-                if (!quota) break;
-                /* Later rounds read the rows sparsely: fetch ahead. */
-                if (li + 16 < nlive)
-                    __builtin_prefetch(indices + live[2 * (li + 16)]);
-                map_push(acc, indices[cursor]);
-                quota--;
-            }
+            /* Later rounds read the rows sparsely: fetch ahead. */
+            if (li + 16 < nlive)
+                __builtin_prefetch(indices + live[2 * (li + 16)]);
+            map_push(acc, indices[cursor]);
             if (remaining > 1) {
                 live[2 * w] = cursor + 1;
                 live[2 * w + 1] = remaining - 1;
@@ -858,7 +854,6 @@ static void round_coalesce_rows(const int64_t *indices,
             }
         }
         nlive = w;
-        skip = 0;
     }
     map_take(acc, out);
 }
@@ -875,8 +870,7 @@ int repro_round_coalesce(const int64_t *indices, const int64_t *starts,
         map_free(&acc);
         return -1;
     }
-    round_coalesce_rows(indices, starts, probes, m, 0, 0, INT64_MAX, &acc,
-                        live, out);
+    round_coalesce_rows(indices, starts, probes, m, &acc, live, out);
     map_free(&acc);
     free(live);
     return 0;
@@ -1007,7 +1001,8 @@ int64_t repro_hit_scan_depth(const int64_t *indices, const int64_t *starts,
 /*     level instead of being rescanned over all n rows;               */
 /*  2. top-down — one edge walk marks the unique targets, prices the   */
 /*     neighbor stream and scatter-ORs BSA_k's frontier words; an      */
-/*     ascending sweep of the marks lists the targets;                 */
+/*     ascending sweep of the marks lists the targets (walk_targets,   */
+/*     as repro_unique_targets runs it);                               */
 /*  3. bottom-up — or_scan_rows over BSA_k, the round-major probe      */
 /*     pricing and the ``updated`` store stream;                       */
 /*  4. extraction — changed rows come from the kernels' touched sets   */
@@ -1021,27 +1016,26 @@ int64_t repro_hit_scan_depth(const int64_t *indices, const int64_t *starts,
 /* Every priced stream keeps the numpy path's order (ascending vertex  */
 /* ids; probes round-major), because the warp model depends on it.     */
 /*                                                                    */
-/* Each large phase runs as ``nt`` tasks on the level threads: nt is   */
+/* The phases that pay for threads run as ``nt`` tasks on the level   */
+/* threads: identification, the two gathers, the OR scan, its post     */
+/* pass and the pricing of materialized streams (price_ids).  nt is    */
 /* the phase's work over ``grain``, capped at ``nthreads``, so a phase */
 /* below the grain runs on the calling thread.  Tasks write disjoint   */
 /* outputs or their own scratch slot (``tsum`` sums, line maps, scan   */
-/* tallies, histograms), which the calling thread adds up: integer     */
-/* sums are order-free.  A list a phase compacts (frontiers,           */
-/* candidates, targets, updated rows, changed rows) keeps ascending    */
-/* order through per-task counts and their prefix sum.  A priced       */
-/* stream is cut only at item offsets that are multiples of ``warp``,  */
-/* so each task prices whole warp windows of the serial stream and the */
-/* summed (transactions, requests) are the serial ones: the neighbor   */
-/* stream finds its cuts through a prefix sum of frontier degrees, the */
-/* probe stream through per-round offsets from a histogram of probe    */
-/* counts.  The probe stream, which nothing later in the level reads,  */
-/* is priced as the pool's background job while the updated-row        */
-/* pricing and the extraction run.  No two tasks write one location:   */
-/* walk task t > 0 scatter-ORs and marks targets into its own copies   */
-/* (``tout``, ``tflags``), which the sweep folds into the live array,  */
-/* the background tasks keep to their own slots, and BSA_k is a        */
-/* read-only snapshot throughout.  Counters are therefore bit-identical */
-/* at any thread count.                                                */
+/* tallies), which the calling thread adds up: integer sums are        */
+/* order-free.  A list a phase compacts (frontiers, candidates,        */
+/* updated rows) keeps ascending order through per-task counts and     */
+/* their prefix sum.  A priced stream is cut only at item offsets that */
+/* are multiples of ``warp``, so each task prices whole warp windows   */
+/* of the serial stream and the summed (transactions, requests) are    */
+/* the serial ones.  The top-down walk with its sweep and the          */
+/* extraction run on the calling thread: split, they saved nothing on  */
+/* a 2-core host.  The probe stream, which nothing later in the level  */
+/* reads, is priced whole as one background task, in its own slots,   */
+/* while the updated-row pricing and the extraction run; it reads     */
+/* nothing they write.  Threaded tasks only read BSA_k, so no two      */
+/* tasks write one location and counters are bit-identical at any     */
+/* thread count.                                                       */
 /* ------------------------------------------------------------------ */
 typedef struct {
     /* Graph: forward CSR, out-degrees, reverse CSR (NULL until a      */
@@ -1078,22 +1072,16 @@ typedef struct {
     uint64_t *words, *acc;
     uint8_t *flags, *done;
     /* Per-task scratch, ``nthreads`` slots of: ``tsum`` TSUM sums;    */
-    /* ``tcounts`` 2*lanes*64 (per-bit counts, then degree sums);      */
     /* ``hist`` lanes*8*256 and ``pending`` lanes*64 (the OR scan's    */
     /* tallies; ``hist`` zero between uses); ``scan`` 2*lanes (its row */
-    /* words); ``rhist`` rstride (probe-count histogram, zero between  */
-    /* uses; bound with the reverse CSR); ``seen`` seen_words and      */
-    /* ``fresh`` warp (a line map); and, for tasks 1.., ``tout``       */
-    /* n*lanes and ``tflags`` n bytes (a walk's private targets, zero  */
-    /* between uses).  The probe pricing's background tasks, at most   */
-    /* (nthreads + 1) / 2, have ``tsum``, ``seen`` and ``fresh`` slots */
-    /* of their own after those, and ``live`` (2n+2 each) is theirs    */
-    /* alone.  Each slot is rounded up to whole 64-byte lines (SLOT),  */
-    /* so no two tasks share a line.                                   */
-    int64_t *tsum, *tcounts, *hist, *pending, *live, *rhist, *fresh;
-    uint64_t *scan, *seen, *tout;
-    uint8_t *tflags;
-    int64_t rstride, seen_words;
+    /* words); ``seen`` seen_words and ``fresh`` warp (a line map).    */
+    /* The background probe pricing has slot ``nthreads`` of ``tsum``, */
+    /* ``seen`` and ``fresh``, and ``live`` (2n+2).  Each slot is      */
+    /* rounded up to whole 64-byte lines (SLOT), so no two tasks share */
+    /* a line.                                                         */
+    int64_t *tsum, *hist, *pending, *live, *fresh;
+    uint64_t *scan, *seen;
+    int64_t seen_words;
 } level_ws;
 
 int64_t repro_level_ws_bytes(void) { return (int64_t)sizeof(level_ws); }
@@ -1109,10 +1097,9 @@ enum {
 /* int64 sums per task slot. */
 #define TSUM 16
 
-/* A per-task slot of ``words`` 8-byte words (or bytes, SLOT_BYTES),   */
-/* rounded up to whole 64-byte lines.                                  */
+/* A per-task slot of ``words`` 8-byte words, rounded up to whole     */
+/* 64-byte lines.                                                      */
 #define SLOT(words) (((words) + 7) & ~(int64_t)7)
-#define SLOT_BYTES(bytes) (((bytes) + 63) & ~(int64_t)63)
 
 /* One level call: the workspace, the pool once a phase takes it, and  */
 /* the arguments of the phase being run.                               */
@@ -1125,7 +1112,7 @@ typedef struct {
     int64_t add, early_termination;
     const int64_t *ids;
     int64_t m;
-    int64_t ntd, nbu, ntargets, nupd, total, lo, walkers, probe_tasks;
+    int64_t ntd, nbu, total;
     int background;
 } level_run;
 
@@ -1169,17 +1156,16 @@ static void run_tasks(level_run *lr, int64_t nt, task_fn fn) {
     }
 }
 
-/* Starts fn's nt tasks as the pool's background job, which the level */
-/* joins before it returns, when their ``work`` crosses the grain;     */
-/* otherwise (or without a pool) they run here and now.                */
-static void run_background(level_run *lr, int64_t nt, int64_t work,
-                           task_fn fn) {
+/* Starts fn as the pool's background job, one task the level joins   */
+/* before it returns, when its ``work`` crosses the grain; otherwise   */
+/* (or without a pool) it runs here and now.                           */
+static void run_background(level_run *lr, int64_t work, task_fn fn) {
     pool *p = tasks_for(lr->ws, work) > 1 ? level_pool(lr) : NULL;
     if (p) {
-        pool_post(p, 1, nt, fn, lr);
+        pool_post(p, 1, 1, fn, lr);
         lr->background = 1;
     } else {
-        for (int64_t t = 0; t < nt; t++) fn(lr, t, nt);
+        fn(lr, 0, 1);
     }
 }
 
@@ -1268,76 +1254,23 @@ static void bu_ident_task(void *ctx, int64_t t, int64_t nt) {
 }
 
 /* --- 2. Top-down ---------------------------------------------------- */
-/* words[r] = BSA_k[fq_td[r]] & td_sel; prefix[r + 1] = its degree.    */
+/* words[r] = BSA_k[fq_td[r]] & td_sel; sums: adjacency lines, edges.  */
 static void td_gather_task(void *ctx, int64_t t, int64_t nt) {
     level_run *lr = ctx;
     const level_ws *ws = lr->ws;
     const int64_t lanes = ws->lanes, per_line = ws->txn_bytes / 8;
     int64_t a = cut(lr->ntd, t, nt), b = cut(lr->ntd, t + 1, nt);
-    int64_t adjacency = 0;
+    int64_t adjacency = 0, neighbors = 0;
     for (int64_t r = a; r < b; r++) {
         int64_t f = ws->fq_td[r];
         for (int64_t l = 0; l < lanes; l++)
             ws->words[r * lanes + l] = ws->bsa_k[f * lanes + l] & ws->sel[l];
-        ws->prefix[r + 1] = ws->degrees[f];
+        neighbors += ws->degrees[f];
         adjacency += ceil_div(ws->degrees[f], per_line);
     }
-    task_sums(ws, t)[0] = adjacency;
-}
-
-/* Walk task t's targets: the live array and ``flags`` for task 0,    */
-/* its own copies for the others.                                      */
-static uint64_t *walk_out(const level_ws *ws, int64_t t) {
-    return t ? ws->tout + (t - 1) * SLOT(ws->n * ws->lanes) : ws->bsa;
-}
-
-static uint8_t *walk_flags(const level_ws *ws, int64_t t) {
-    return t ? ws->tflags + (t - 1) * SLOT_BYTES(ws->n) : ws->flags;
-}
-
-static void td_walk_task(void *ctx, int64_t t, int64_t nt) {
-    level_run *lr = ctx;
-    const level_ws *ws = lr->ws;
-    int64_t a = wcut(lr->total, t, nt, ws->warp);
-    int64_t b = wcut(lr->total, t + 1, nt, ws->warp);
     int64_t *s = task_sums(ws, t);
-    line_map map;
-    task_map(ws, t, &map);
-    s[2] = ws->n;
-    s[3] = -1;
-    if (a < b) {
-        /* The row holding edge a: the last r with prefix[r] <= a. */
-        int64_t r = lower_bound(ws->prefix, lr->ntd + 1, a + 1) - 1;
-        edge_walk(ws->offsets, ws->cols, ws->fq_td, lr->ntd, r,
-                  a - ws->prefix[r], b - a, walk_out(ws, t), ws->words,
-                  ws->lanes, &map, walk_flags(ws, t), s + 2, s + 3);
-    }
-    map_take(&map, s);
-}
-
-/* The marked vertices of the task's share of [lo, lo + m), ascending; */
-/* the other walkers' marks and words fold into ``flags`` and the live */
-/* array first, and their copies are cleared.                          */
-static void td_sweep_task(void *ctx, int64_t t, int64_t nt) {
-    level_run *lr = ctx;
-    const level_ws *ws = lr->ws;
-    const int64_t lanes = ws->lanes;
-    int64_t a = lr->lo + cut(lr->m, t, nt), b = lr->lo + cut(lr->m, t + 1, nt);
-    for (int64_t w = 1; w < lr->walkers; w++) {
-        uint8_t *flags = walk_flags(ws, w);
-        uint64_t *out = walk_out(ws, w);
-        for (int64_t v = a; v < b; v++) {
-            if (!flags[v]) continue;
-            flags[v] = 0;
-            ws->flags[v] = 1;
-            for (int64_t l = 0; l < lanes; l++) {
-                ws->bsa[v * lanes + l] |= out[v * lanes + l];
-                out[v * lanes + l] = 0;
-            }
-        }
-    }
-    task_sums(ws, t)[0] =
-        sweep_flags(ws->flags, a, b, ws->targets + (a - lr->lo));
+    s[0] = adjacency;
+    s[1] = neighbors;
 }
 
 /* --- 3. Bottom-up --------------------------------------------------- */
@@ -1381,23 +1314,18 @@ static void or_scan_task(void *ctx, int64_t t, int64_t nt) {
         ws->hist + t * lanes * 8 * 256, pending, ws->scan + t * SLOT(2 * lanes));
 }
 
-/* Early exits, probe lines, the probe-count histogram, and the rows   */
-/* whose bottom-up bits moved: listed in ``updated`` and written back. */
+/* Early exits, probe lines, and the rows whose bottom-up bits moved:  */
+/* listed in ``updated`` and written back.                             */
 static void bu_post_task(void *ctx, int64_t t, int64_t nt) {
     level_run *lr = ctx;
     const level_ws *ws = lr->ws;
     const int64_t lanes = ws->lanes, per_line = ws->txn_bytes / 8;
     int64_t a = cut(lr->nbu, t, nt), b = cut(lr->nbu, t + 1, nt);
-    int64_t *hist = ws->rhist + t * SLOT(ws->rstride);
-    int64_t k = a, early = 0, probe_lines = 0, most = 0;
+    int64_t k = a, early = 0, probe_lines = 0;
     for (int64_t i = a; i < b; i++) {
         int64_t p = ws->probes[i];
         if (ws->done[i] && p < ws->ends[i] - ws->starts[i]) early++;
         probe_lines += ceil_div(p, per_line);
-        if (lr->probe_tasks > 1) {
-            hist[p]++;
-            if (p > most) most = p;
-        }
         /* "Updated" compares against BSA_k's masked word. */
         const uint64_t *acc = ws->acc + i * lanes, *s = ws->words + i * lanes;
         uint64_t moved = 0;
@@ -1412,126 +1340,58 @@ static void bu_post_task(void *ctx, int64_t t, int64_t nt) {
     sums[0] = k - a;
     sums[1] = early;
     sums[2] = probe_lines;
-    sums[3] = most;
 }
 
-/* Background task t prices items [wcut(probed, t), wcut(probed, t+1)) */
-/* of the round-major probe stream.  It runs beside the level's later  */
-/* phases, so it keeps to slot nthreads + t of the sums and line maps  */
-/* (sums[4]: the round holding its first item; sums[5]: that item's    */
-/* index within the round; sums[6]: its item count) and to live slot t. */
+/* The round-major probe stream's pricing, as one background task: it  */
+/* runs beside the level's later phases, so it keeps to slot nthreads  */
+/* of the sums and line maps, and to ``live``.                         */
 static void round_price_task(void *ctx, int64_t t, int64_t nt) {
+    (void)t;
     (void)nt;
     level_run *lr = ctx;
     const level_ws *ws = lr->ws;
-    int64_t *s = task_sums(ws, ws->nthreads + t);
     line_map map;
-    task_map(ws, ws->nthreads + t, &map);
-    round_coalesce_rows(ws->rcols, ws->starts, ws->probes, lr->nbu, s[4],
-                        s[5], s[6], &map, ws->live + t * SLOT(2 * ws->n + 2),
-                        s);
-}
-
-/* Sums the tasks' probe-count histograms (zeroing them), then places  */
-/* each pricing task's first item: round r holds live(r) items, one   */
-/* per position with more than r probes.                               */
-static void round_cuts(level_run *lr, int64_t nt_post, int64_t nt) {
-    const level_ws *ws = lr->ws;
-    int64_t most = 0;
-    for (int64_t t = 0; t < nt_post; t++)
-        if (task_sums(ws, t)[3] > most) most = task_sums(ws, t)[3];
-    int64_t *hist = ws->rhist;
-    for (int64_t t = 1; t < nt_post; t++) {
-        int64_t *h = ws->rhist + t * SLOT(ws->rstride);
-        for (int64_t p = 0; p <= most; p++) {
-            hist[p] += h[p];
-            h[p] = 0;
-        }
-    }
-    int64_t round = 0, before = 0, live = lr->nbu - hist[0];
-    for (int64_t t = 0; t < nt; t++) {
-        int64_t first = wcut(lr->total, t, nt, ws->warp);
-        while (round < most && before + live <= first) {
-            before += live;
-            round++;
-            live -= hist[round];
-        }
-        int64_t *s = task_sums(ws, ws->nthreads + t);
-        s[4] = round;
-        s[5] = first - before;
-        s[6] = wcut(lr->total, t + 1, nt, ws->warp) - first;
-    }
-    memset(hist, 0, (size_t)(most + 1) * sizeof(int64_t));
+    task_map(ws, ws->nthreads, &map);
+    round_coalesce_rows(ws->rcols, ws->starts, ws->probes, lr->nbu, &map,
+                        ws->live, task_sums(ws, ws->nthreads));
 }
 
 /* --- 4. Extraction --------------------------------------------------- */
-/* Task t takes the vertices in [pivot(t), pivot(t + 1)) of the union   */
-/* of targets and updated rows, cut at equal shares of the longer list. */
-static int64_t pivot(const level_run *lr, int64_t t, int64_t nt) {
-    if (t == 0) return 0;
-    if (t == nt) return lr->ws->n;
-    const int64_t *list = lr->ntargets >= lr->nupd ? lr->ws->targets
-                                                   : lr->ws->updated;
-    int64_t len = lr->ntargets >= lr->nupd ? lr->ntargets : lr->nupd;
-    return list[cut(len, t, nt)];
-}
-
-/* Pass ``write`` = 0 counts the task's changed rows into sums[0]; pass */
-/* 1 writes them from row sums[1] on (diff, id, degree), counting them */
-/* into sums[0] again, writes them back into BSA_k and sweeps their    */
-/* bits into the depths and the task's per-bit tallies.  A single task */
-/* needs no counting pass: it writes from row 0.                       */
-static void extract_rows(level_run *lr, int64_t t, int64_t nt, int write) {
+/* The changed rows of the union of targets and updated rows (both     */
+/* ascending): their diffs, ids and degrees become the next frontier,  */
+/* they are written back into BSA_k, and their bits are swept into the */
+/* depths and the per-bit tallies.  Returns their count.               */
+static int64_t extract_rows(level_run *lr, int64_t ntargets, int64_t nupd) {
     level_ws *ws = lr->ws;
     const int64_t lanes = ws->lanes;
-    int64_t v0 = pivot(lr, t, nt), v1 = pivot(lr, t + 1, nt);
     const int64_t *targets = ws->targets, *updated = ws->updated;
-    int64_t i = lower_bound(targets, lr->ntargets, v0);
-    int64_t iend = lower_bound(targets, lr->ntargets, v1);
-    int64_t j = lower_bound(updated, lr->nupd, v0);
-    int64_t jend = lower_bound(updated, lr->nupd, v1);
-    int64_t *s = task_sums(ws, t);
-    int64_t first = write ? s[1] : 0, m = first;
-    while (i < iend || j < jend) {
+    int64_t i = 0, j = 0, m = 0;
+    while (i < ntargets || j < nupd) {
         int64_t v;
-        if (j == jend || (i < iend && targets[i] < updated[j])) {
+        if (j == nupd || (i < ntargets && targets[i] < updated[j])) {
             v = targets[i++];
         } else {
             v = updated[j++];
-            if (i < iend && targets[i] == v) i++;
+            if (i < ntargets && targets[i] == v) i++;
         }
         const uint64_t *live_row = ws->bsa + v * lanes;
         uint64_t *k_row = ws->bsa_k + v * lanes;
         uint64_t any = 0;
         for (int64_t l = 0; l < lanes; l++) any |= live_row[l] ^ k_row[l];
         if (!any) continue;
-        if (write) {
-            uint64_t *d = ws->diff_next + m * lanes;
-            for (int64_t l = 0; l < lanes; l++) {
-                d[l] = live_row[l] ^ k_row[l];
-                k_row[l] = live_row[l];
-            }
-            ws->changed_next[m] = v;
-            ws->weights[m] = ws->degrees[v];
+        uint64_t *d = ws->diff_next + m * lanes;
+        for (int64_t l = 0; l < lanes; l++) {
+            d[l] = live_row[l] ^ k_row[l];
+            k_row[l] = live_row[l];
         }
+        ws->changed_next[m] = v;
+        ws->weights[m] = ws->degrees[v];
         m++;
     }
-    s[0] = m - first;
-    if (!write) return;
-    int64_t *counts = ws->tcounts + t * 2 * lanes * 64;
-    int64_t *fdeg = counts + lanes * 64;
-    memset(counts, 0, (size_t)2 * lanes * 64 * sizeof(int64_t));
-    bit_sweep(ws->changed_next + first, ws->diff_next + first * lanes,
-              m - first, lanes, ws->group_size, lr->depths, ws->group_size,
-              lr->elem_size, lr->add, counts, ws->weights + first, fdeg);
-}
-
-static void extract_count_task(void *ctx, int64_t t, int64_t nt) {
-    extract_rows(ctx, t, nt, 0);
-}
-
-static void extract_write_task(void *ctx, int64_t t, int64_t nt) {
-    extract_rows(ctx, t, nt, 1);
+    bit_sweep(ws->changed_next, ws->diff_next, m, lanes, ws->group_size,
+              lr->depths, ws->group_size, lr->elem_size, lr->add, ws->counts,
+              ws->weights, ws->fdeg);
+    return m;
 }
 
 void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
@@ -1601,7 +1461,7 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
     }
 
     int64_t loads = 0, stores = 0, load_requests = 0, store_requests = 0;
-    int64_t inspections = 0, ntargets = 0, nupd = 0, nt_probe = 0;
+    int64_t inspections = 0, ntargets = 0, nupd = 0;
     int64_t pricing[2];
 
     /* --- 2. Top-down: BSA[v] |= BSA_k[f] ---------------------------- */
@@ -1610,29 +1470,17 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
         nt = tasks_for(ws, ntd);
         run_tasks(&lr, nt, td_gather_task);
         int64_t adjacency = sum_slot(ws, nt, 0);
-        ws->prefix[0] = 0;
-        for (int64_t r = 0; r < ntd; r++) ws->prefix[r + 1] += ws->prefix[r];
-        int64_t neighbors = ws->prefix[ntd];
+        int64_t neighbors = sum_slot(ws, nt, 1);
         price_ids(&lr, fq_td, ntd, pricing);
         loads += ceil_div(ntd * 8, tb) + pricing[0] + adjacency;
         load_requests += pricing[1];
-        lr.total = neighbors;
-        nt = tasks_for(ws, neighbors);
-        lr.walkers = nt;
-        run_tasks(&lr, nt, td_walk_task);
-        int64_t lo = n, hi = -1;
-        for (int64_t t = 0; t < nt; t++) {
-            const int64_t *s = task_sums(ws, t);
-            if (s[2] < lo) lo = s[2];
-            if (s[3] > hi) hi = s[3];
-        }
-        loads += sum_slot(ws, nt, 0);
-        load_requests += sum_slot(ws, nt, 1);
-        /* The sweep splits as the walk did: its span follows the edges. */
-        lr.lo = lo;
-        lr.m = hi - lo + 1 > 0 ? hi - lo + 1 : 0;
-        run_tasks(&lr, nt, td_sweep_task);
-        ntargets = close_gaps(ws, ws->targets, lr.m, nt, 0);
+        line_map map;
+        task_map(ws, 0, &map);
+        ntargets = walk_targets(ws->offsets, ws->cols, fq_td, ntd, n, ws->bsa,
+                                ws->words, lanes, &map, ws->flags,
+                                ws->targets, pricing);
+        loads += pricing[0];
+        load_requests += pricing[1];
         price_ids(&lr, ws->targets, ntargets, pricing);
         inspections += neighbors;
         /* Shared-memory merging collapses duplicate neighbor updates; */
@@ -1660,50 +1508,26 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
             ws->inspections[j] += sum;
             edges += sum;
         }
-        /* The probe stream is priced in the background, on about half */
-        /* the threads, while the rest run the level's remaining phases; */
-        /* the post pass histograms probe counts only when it splits.   */
-        lr.total = probed;
-        nt_probe = (tasks_for(ws, probed) + 1) / 2;
-        lr.probe_tasks = nt_probe;
-        int64_t nt_post = tasks_for(ws, nbu);
-        run_tasks(&lr, nt_post, bu_post_task);
-        nupd = close_gaps(ws, ws->updated, nbu, nt_post, 0);
+        nt = tasks_for(ws, nbu);
+        run_tasks(&lr, nt, bu_post_task);
+        nupd = close_gaps(ws, ws->updated, nbu, nt, 0);
         inspections += probed;
         st[ST_BU_PROBES] = probed;
-        st[ST_EARLY] = sum_slot(ws, nt_post, 1);
-        loads += ceil_div(nbu * 8, tb) + sum_slot(ws, nt_post, 2);
-        round_cuts(&lr, nt_post, nt_probe);
-        run_background(&lr, nt_probe, probed, round_price_task);
+        st[ST_EARLY] = sum_slot(ws, nt, 1);
+        loads += ceil_div(nbu * 8, tb) + sum_slot(ws, nt, 2);
+        /* Nothing later in the level reads the probe stream. */
+        run_background(&lr, probed, round_price_task);
         price_ids(&lr, ws->updated, nupd, pricing);
         stores += pricing[0];
         store_requests += pricing[1];
     }
 
     /* --- 4. Extraction over the touched rows ------------------------ */
-    lr.ntargets = ntargets;
-    lr.nupd = nupd;
-    nt = tasks_for(ws, ntargets + nupd);
-    if (nt > 1) run_tasks(&lr, nt, extract_count_task);
-    int64_t m = 0;
-    for (int64_t t = 0; t < nt; t++) {
-        int64_t *s = task_sums(ws, t);
-        s[1] = m;
-        m += nt > 1 ? s[0] : 0;
-    }
-    run_tasks(&lr, nt, extract_write_task);
-    m = sum_slot(ws, nt, 0);
-    for (int64_t t = 0; t < nt; t++) {
-        const int64_t *c = ws->tcounts + t * 2 * lanes * 64;
-        for (int64_t j = 0; j < gs; j++) {
-            ws->counts[j] += c[j];
-            ws->fdeg[j] += c[lanes * 64 + j];
-        }
-    }
+    int64_t m = extract_rows(&lr, ntargets, nupd);
     if (lr.background) pool_join(lr.pool);
-    for (int64_t t = 0; t < nt_probe; t++) {
-        loads += task_sums(ws, ws->nthreads + t)[0];
-        load_requests += task_sums(ws, ws->nthreads + t)[1];
+    if (nbu) {
+        loads += task_sums(ws, ws->nthreads)[0];
+        load_requests += task_sums(ws, ws->nthreads)[1];
     }
     if (lr.pool) pool_release(lr.pool);
     int64_t *cn = ws->changed_next;
@@ -1743,7 +1567,7 @@ void repro_bitwise_level(level_ws *ws, void *depths, int64_t elem_size,
 """
 
 #: Bump when the C ABI changes so stale cached libraries are rebuilt.
-_ABI_VERSION = 7
+_ABI_VERSION = 8
 
 #: A new build evicts the cache's other libraries once nothing has
 #: built or loaded them for this long.
@@ -1773,10 +1597,9 @@ class LevelState(ctypes.Structure):
             ("starts", "p"), ("ends", "p"), ("probes", "p"),
             ("updated", "p"), ("weights", "p"), ("prefix", "p"),
             ("words", "p"), ("acc", "p"), ("flags", "p"), ("done", "p"),
-            ("tsum", "p"), ("tcounts", "p"), ("hist", "p"),
-            ("pending", "p"), ("live", "p"), ("rhist", "p"), ("fresh", "p"),
-            ("scan", "p"), ("seen", "p"), ("tout", "p"), ("tflags", "p"),
-            ("rstride", "i"), ("seen_words", "i"),
+            ("tsum", "p"), ("hist", "p"), ("pending", "p"), ("live", "p"),
+            ("fresh", "p"), ("scan", "p"), ("seen", "p"),
+            ("seen_words", "i"),
         )
     ]
 

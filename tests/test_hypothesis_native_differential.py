@@ -10,9 +10,9 @@ recorded plan is replayed.  Each path keeps one engine across an
 example's groups and replays, so its level buffers are reused across
 groups of one shape and rebuilt when the lane count changes.  The
 same cases run again at 1, 2 and 4 level threads with the grain forced
-to 1 and no edge floor, so every phase of every level splits into tasks
-(the graphs have at most 45 vertices, so at the real settings nothing
-would).  Skips when the library does not load.
+to 1 and no edge floor, so every threaded phase of every level splits
+into tasks (the graphs have at most 45 vertices, so at the real
+settings nothing would).  Skips when the library does not load.
 """
 
 import dataclasses

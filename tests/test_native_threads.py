@@ -1,9 +1,10 @@
 """The compiled bitwise level on several threads.
 
-``repro_bitwise_level`` splits each large phase of a level into tasks
-on a per-process thread pool.  Whatever the thread count, depths,
-counters, level records and ``GroupStats`` must equal the numpy
-level's; the pool must survive ``fork`` (the executor forks its
+``repro_bitwise_level`` splits each large threaded phase of a level
+into tasks on a per-process thread pool.  Whatever the thread count,
+depths, counters, level records and ``GroupStats`` must equal the
+numpy level's; the scratch each thread adds must not grow with the
+graph; the pool must survive ``fork`` (the executor forks its
 workers) and stay one pool per process however many engines come and
 go.  The thread budget, the grain and the edge floor below which a
 graph's levels stay on one thread are set by monkeypatching
@@ -101,6 +102,34 @@ def test_rmat12_groups_match_numpy_at_the_real_grain(
     ]
     engine = _assert_matches_numpy(rmat12, groups, planner)
     assert engine._workspace.threads == threads
+
+
+def _kernel_bytes(monkeypatch, graph, threads):
+    """Bytes a kernel for groups of up to 64 allocates, reverse CSR bound;
+    the forward CSR arrays count too, the same at every thread count."""
+    monkeypatch.setattr(native, "LEVEL_THREADS", threads)
+    kernel = native.LevelKernel(
+        graph.row_offsets, graph.col_indices, graph.out_degrees(),
+        1, 128, 32, 1, 1,
+    )
+    reverse = graph.reverse()
+    kernel.bind_reverse(reverse.row_offsets, reverse.col_indices)
+    assert kernel.threads == threads
+    arrays = list(kernel._buffers.values()) + list(kernel._reverse[1:])
+    return sum(array.nbytes for array in arrays)
+
+
+def test_per_thread_scratch_does_not_grow_with_the_graph(monkeypatch, rmat12):
+    # What each thread past the first adds (partial sums, a line map,
+    # the OR scan's tallies) must not scale with n, so raising the
+    # thread cap never multiplies n-sized buffers.
+    monkeypatch.setattr(native, "LEVEL_MIN_EDGES", 0)
+    growth = []
+    for graph in (rmat(10, edge_factor=16, seed=7), rmat12):
+        one = _kernel_bytes(monkeypatch, graph, 1)
+        growth.append((_kernel_bytes(monkeypatch, graph, 4) - one) / 3)
+    status_bytes = rmat12.num_vertices * 8
+    assert abs(growth[1] - growth[0]) < status_bytes / 8
 
 
 def test_a_forked_executor_matches_serial_after_threaded_levels(monkeypatch):
