@@ -9,7 +9,9 @@ same machinery:
   ``(graph_id, source, engine_key, max_depth)``.  A depth row fully
   determines every answer the service can give about a source (reached
   count, target depth, closeness), so every request kind is served from
-  the same entry.
+  the same entry.  The scalar answers that reduce the whole row (reached
+  count, closeness) are kept beside it once first read, and dropped with
+  it.
 * :class:`PlanCache` stores recorded :class:`~repro.plan.types.RunPlan`
   objects keyed by ``(graph_id, group_signature, engine_key,
   max_depth)``.  A repeated *batch* (same group of sources on the same
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from typing import Callable, Hashable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,11 +105,16 @@ class LRUCache:
         if key in self._entries:
             self._entries.move_to_end(key)
             self._entries[key] = value
+            self._forget(key)
             return
         self._entries[key] = value
         if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            evicted, _ = self._entries.popitem(last=False)
+            self._forget(evicted)
             self.evictions += 1
+
+    def _forget(self, key: Hashable) -> None:
+        """Hook: the value cached at ``key`` was replaced or removed."""
 
     def clear(self) -> None:
         self._entries.clear()
@@ -128,6 +135,7 @@ class LRUCache:
         doomed = [key for key in self._entries if predicate(key)]
         for key in doomed:
             del self._entries[key]
+            self._forget(key)
         self.invalidations += len(doomed)
         return len(doomed)
 
@@ -150,7 +158,12 @@ class LRUCache:
 
 
 class ResultCache(LRUCache):
-    """LRU of depth rows keyed per source."""
+    """LRU of depth rows keyed per source, each with the scalar answers
+    already computed from it."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        self._answers: Dict[Hashable, Dict[str, float]] = {}
 
     @staticmethod
     def key(
@@ -169,6 +182,26 @@ class ResultCache(LRUCache):
         if depth_row.base is not None:
             depth_row = depth_row.copy()
         super().put(key, depth_row)
+
+    def answers(self, key: Hashable) -> Dict[str, float]:
+        """Answers computed from the row cached at ``key``, by request
+        kind, for the caller to read and fill.  The dict lives as long
+        as the row: a new :meth:`put` of the key, eviction,
+        :meth:`purge` and :meth:`clear` drop it.  A key not cached gets
+        a throwaway dict."""
+        memo = self._answers.get(key)
+        if memo is None:
+            memo = {}
+            if key in self._entries:
+                self._answers[key] = memo
+        return memo
+
+    def _forget(self, key: Hashable) -> None:
+        self._answers.pop(key, None)
+
+    def clear(self) -> None:
+        super().clear()
+        self._answers.clear()
 
 
 class PlanCache(LRUCache):

@@ -298,7 +298,7 @@ class BFSServer:
                     request_id=request_id,
                     request=request,
                     status=STATUS_OK,
-                    value=self._answer(request, row),
+                    value=self._hit_answer(key, request, row),
                     completion_time=now + latency,
                     latency=latency,
                     cached=True,
@@ -376,7 +376,7 @@ class BFSServer:
         if self.batcher.size_ready():
             return max(self.clock, free)
         deadline = self.batcher.deadline_at()
-        expiry = min(p.deadline for p in self.batcher.pending)
+        expiry = self.batcher.earliest_deadline()
         return max(min(deadline, expiry), free)
 
     def _dispatch(self, now: float, draining: bool = False) -> None:
@@ -491,22 +491,20 @@ class BFSServer:
 
     def _expire(self, now: float) -> None:
         """Time out requests whose deadline passed while still queued."""
-        for item in list(self.batcher.pending):
-            if item.deadline <= now:
-                self.batcher.drop(item)
-                self.metrics.timeouts += 1
-                self._finish(
-                    Response(
-                        request_id=item.request_id,
-                        request=item.request,
-                        status=STATUS_TIMEOUT,
-                        completion_time=item.deadline,
-                        latency=item.deadline - item.arrival_time,
-                        attempts=item.attempts + 1,
-                        error="timed out in queue",
-                    ),
-                    successful=False,
-                )
+        for item in self.batcher.expire(now):
+            self.metrics.timeouts += 1
+            self._finish(
+                Response(
+                    request_id=item.request_id,
+                    request=item.request,
+                    status=STATUS_TIMEOUT,
+                    completion_time=item.deadline,
+                    latency=item.deadline - item.arrival_time,
+                    attempts=item.attempts + 1,
+                    error="timed out in queue",
+                ),
+                successful=False,
+            )
 
     # ------------------------------------------------------------------
     # Batch bookkeeping
@@ -621,6 +619,18 @@ class BFSServer:
             raise ServiceError(f"source {request.source} out of range [0, {n})")
         if request.target is not None and not 0 <= request.target < n:
             raise ServiceError(f"target {request.target} out of range [0, {n})")
+
+    def _hit_answer(self, key, request: Request, row: np.ndarray) -> float:
+        """:meth:`_answer` for a cache hit: the kinds that reduce the
+        whole row are computed on the row's first hit and kept beside
+        it in the cache."""
+        if request.kind == "reachability":
+            return self._answer(request, row)
+        memo = self.cache.answers(key)
+        value = memo.get(request.kind)
+        if value is None:
+            value = memo[request.kind] = self._answer(request, row)
+        return value
 
     def _answer(self, request: Request, row: np.ndarray) -> float:
         if request.kind == "reachability":
