@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.weighted import WeightedCSRGraph
-from repro.core.result import ConcurrentResult
+from repro.core.result import ConcurrentResult, depth_dtype
 
 
 class _ConcurrentEngine(Protocol):
@@ -30,13 +30,14 @@ class _ConcurrentEngine(Protocol):
 def apsp_unweighted(graph: CSRGraph, engine: _ConcurrentEngine) -> np.ndarray:
     """Hop-count distance matrix via concurrent BFS from every vertex.
 
-    Returns an ``(n, n)`` int32 matrix with ``-1`` for unreachable
-    pairs.  Memory scales as n^2 — intended for the laptop-scale graphs
-    this reproduction uses.
+    Returns an ``(n, n)`` matrix with ``-1`` for unreachable pairs, in
+    :func:`~repro.core.result.depth_dtype` of the longest distance
+    (int8 up to 120 hops).  Memory scales as n^2 — intended for the
+    laptop-scale graphs this reproduction uses.
     """
     n = graph.num_vertices
     if n == 0:
-        return np.zeros((0, 0), dtype=np.int32)
+        return np.zeros((0, 0), dtype=depth_dtype(0))
     result = engine.run(range(n), store_depths=True)
     return result.depths
 

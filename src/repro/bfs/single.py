@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.result import narrow_depths
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph, VERTEX_DTYPE
 from repro.gpusim.counters import LevelRecord, RunRecord
@@ -42,6 +43,8 @@ class SingleResult:
     """Outcome of one single-source traversal."""
 
     source: int
+    #: Depth per vertex (-1 unreached), in
+    #: :func:`~repro.core.result.depth_dtype` of the deepest depth.
     depths: np.ndarray
     record: RunRecord
     seconds: float
@@ -169,7 +172,9 @@ class SingleBFS:
                 break
         record.counters.kernel_launches += 1
         seconds = self.device.cost.kernel_time(record.levels)
-        return SingleResult(source, depths, record, seconds, plan=run_plan)
+        return SingleResult(
+            source, narrow_depths(depths), record, seconds, plan=run_plan
+        )
 
     # ------------------------------------------------------------------
     # Top-down: expand frontiers, inspect unvisited neighbors

@@ -61,6 +61,7 @@ import repro.native as native
 from repro.graph.csr import CSRGraph, VERTEX_DTYPE
 from repro.gpusim.counters import LevelRecord, RunRecord
 from repro.gpusim.device import Device
+from repro.core.result import INT16_DEPTH_MAX, INT8_DEPTH_MAX, narrow_depths
 from repro.core.traversal import GroupTraversal
 from repro.core.status_array import combine_masks, instance_masks, lanes_for
 from repro.kernels import (
@@ -81,27 +82,6 @@ INSTRUCTIONS_PER_INSPECTION = 6
 INSTRUCTIONS_PER_VERTEX = 6
 
 UNVISITED = -1
-
-
-def _materialize_depths(depths_vm: np.ndarray) -> np.ndarray:
-    """Transpose the vertex-major depth matrix into the (group, n) int32
-    result layout.
-
-    Done in row blocks so each block's strided reads stay cache
-    resident: a fused ``ascontiguousarray(depths_vm.T, dtype=int32)``
-    walks the int8 input one 64-byte-strided element per output cell —
-    a cache miss per element at scale — where block copies cost a
-    fraction of that.  The compiled backend runs the same tiled
-    widening transpose in C when resolved.
-    """
-    if native.available():
-        return native.materialize_depths(depths_vm)
-    num_vertices, group_size = depths_vm.shape
-    depths = np.empty((group_size, num_vertices), dtype=np.int32)
-    block = 4096
-    for i in range(0, num_vertices, block):
-        depths[:, i:i + block] = depths_vm[i:i + block].T
-    return depths
 
 
 class _Group:
@@ -196,10 +176,11 @@ class BitwiseTraversal(GroupTraversal):
         # Depths live vertex-major during the traversal so each level's
         # update is a contiguous row gather / masked fill / write-back
         # over the changed rows; one transpose at the end restores the
-        # (group_size, n) result layout.  The narrowest dtype that can
-        # hold the depths seen so far keeps the update traffic small
-        # (int8 covers diameter < 126 — almost every real input);
-        # :meth:`_level` widens it well before overflow.
+        # (group_size, n) result layout.  The narrowest rung of the
+        # depth ladder that holds the depths seen so far keeps the
+        # update traffic small (int8 covers depths up to 120 — almost
+        # every real input); :meth:`_level` widens it before a level
+        # writes past its rung.
         depths_vm = np.full((n, group_size), UNVISITED, dtype=np.int8)
         for j, s in enumerate(sources):
             bsa[s] |= masks[j]
@@ -226,7 +207,12 @@ class BitwiseTraversal(GroupTraversal):
         return _Group(masks, depths_vm, workspace)
 
     def _depths(self, group: _Group) -> np.ndarray:
-        return _materialize_depths(group.depths)
+        depths = group.depths
+        if depths.dtype != np.int8:
+            # The ladder widens when a level past the rung runs, and
+            # that level may find nothing: narrow to the deepest depth.
+            depths = narrow_depths(depths)
+        return native.materialize_depths(depths)
 
     # ------------------------------------------------------------------
     # One synchronized level
@@ -245,9 +231,10 @@ class BitwiseTraversal(GroupTraversal):
         kernels (:meth:`_level_numpy`) — and apply its
         :data:`~repro.native._csrc.LEVEL_STATS` vector to ``record``.
         """
-        if level >= 120 and group.depths.dtype == np.int8:
+        # This level writes depth level + 1.
+        if level >= INT8_DEPTH_MAX and group.depths.dtype == np.int8:
             group.depths = group.depths.astype(np.int16)
-        elif level >= 32000 and group.depths.dtype == np.int16:
+        elif level >= INT16_DEPTH_MAX and group.depths.dtype == np.int16:
             group.depths = group.depths.astype(np.int32)
         workspace = group.workspace
         if isinstance(workspace, native.LevelKernel):

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.graph.csr import VERTEX_DTYPE
 from repro.gpusim.counters import LevelRecord, RunRecord
+from repro.core.result import narrow_depths
 from repro.core.traversal import GroupTraversal
 from repro.kernels import bucketed_hit_scan, new_frontier_stats
 from repro.plan.types import LevelDecision
@@ -69,7 +70,9 @@ class JointTraversal(GroupTraversal):
         return depths, inspections
 
     def _depths(self, state) -> np.ndarray:
-        return state[0]
+        # The int32 table is the JSA kernels' working state; the result
+        # takes the ladder's dtype.
+        return narrow_depths(state[0])
 
     # ------------------------------------------------------------------
     # One synchronized level of the joint kernel

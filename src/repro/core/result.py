@@ -10,6 +10,31 @@ import numpy as np
 from repro.errors import TraversalError
 from repro.gpusim.counters import ProfilerCounters
 
+#: The depth ladder's rungs: the deepest depth int8 and int16 hold.
+#: Each stays below its dtype's maximum so the bitwise level's update
+#: (``level + 2`` added into an unvisited ``-1`` cell) never wraps.
+INT8_DEPTH_MAX = 120
+INT16_DEPTH_MAX = 32000
+
+
+def depth_dtype(deepest: int) -> np.dtype:
+    """The narrowest dtype of the depth ladder that holds every depth up
+    to ``deepest``: int8 to :data:`INT8_DEPTH_MAX`, int16 to
+    :data:`INT16_DEPTH_MAX`, else int32.  Every engine returns its depth
+    matrix in this dtype of its deepest depth."""
+    if deepest <= INT8_DEPTH_MAX:
+        return np.dtype(np.int8)
+    if deepest <= INT16_DEPTH_MAX:
+        return np.dtype(np.int16)
+    return np.dtype(np.int32)
+
+
+def narrow_depths(depths: np.ndarray) -> np.ndarray:
+    """``depths`` in :func:`depth_dtype` of its deepest depth: the array
+    itself when it is already in that dtype, else a narrowed copy."""
+    deepest = int(depths.max()) if depths.size else 0
+    return depths.astype(depth_dtype(deepest), copy=False)
+
 
 @dataclass
 class GroupStats:
@@ -45,9 +70,10 @@ class GroupStats:
 class ConcurrentResult:
     """Outcome of a concurrent multi-source traversal.
 
-    ``depths`` is an ``(i, |V|)`` int32 matrix (row order matches
-    ``sources``) or ``None`` when the caller asked not to store depths
-    (APSP-scale benchmark runs).
+    ``depths`` is an ``(i, |V|)`` matrix (row order matches
+    ``sources``, ``-1`` for unreached vertices) in :func:`depth_dtype`
+    of its deepest depth, or ``None`` when the caller asked not to store
+    depths (APSP-scale benchmark runs).
     """
 
     engine: str
@@ -75,10 +101,11 @@ class ConcurrentResult:
         sources, its ``(len(group), |V|)`` depth matrix (None when the
         caller keeps no depths), its :class:`ProfilerCounters` and its
         :class:`GroupStats`.  Counters and simulated seconds add up, as
-        groups run serially; depth rows stack in ``sources`` order, and
-        the result stores no depths when a part has none.  One group
-        equal to ``sources`` in order keeps its matrix as the result:
-        stacking its row views would copy it verbatim.
+        groups run serially; depth rows stack in ``sources`` order into
+        the widest group dtype, which is :func:`depth_dtype` of the
+        stacked matrix, and the result stores no depths when a part has
+        none.  One group equal to ``sources`` in order keeps its matrix
+        as the result: stacking its row views would copy it verbatim.
         """
         sources = list(sources)
         counters = ProfilerCounters()

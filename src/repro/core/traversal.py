@@ -12,7 +12,8 @@ new frontier, and retire the instances that found nothing.
   ``record`` and returns the level's ``(fq_td, td_vertices, fq_bu,
   bu_vertices, jfq)`` queue sizes with every instance's new-frontier
   size and out-degree sum;
-* ``_depths(state)`` — the ``(group, n)`` int32 depth matrix.
+* ``_depths(state)`` — the ``(group, n)`` depth matrix, in
+  :func:`~repro.core.result.depth_dtype` of its deepest depth.
 
 The loop owns the rest: the source checks, the planner session or a
 recorded plan's replay (one :class:`~repro.plan.types.LevelDecision`
@@ -76,8 +77,10 @@ class GroupTraversal:
         Returns
         -------
         (depths, record, stats):
-            ``depths`` is an ``(N, |V|)`` int32 matrix; ``record`` the
-            per-level cost records; ``stats`` a :class:`GroupStats`.
+            ``depths`` is an ``(N, |V|)`` matrix in
+            :func:`~repro.core.result.depth_dtype` of its deepest depth
+            (int8 up to depth 120); ``record`` the per-level cost
+            records; ``stats`` a :class:`GroupStats`.
             With ``plan=`` the recorded decisions replay verbatim and no
             heuristic runs.
         """

@@ -17,14 +17,15 @@ level runs as
    joint frontier.
 
 Depths depend only on the edge set, so the merged ``(group, |V|)``
-matrix is bit-identical to serial :meth:`repro.core.engine.IBFS.run`
-for every layout, partition count, and wire format.  What the knobs
-change is the *communication*: per-level bytes and messages are
-accounted exactly and priced by the :mod:`repro.dist.comm` cost model,
-and the per-level format choice is recorded into the run's
-:class:`~repro.plan.types.RunPlan` (via the ``exchange`` field of
-:class:`~repro.plan.types.LevelDecision`) so a replay re-sends exactly
-the recorded bytes.
+matrix, assembled in :func:`~repro.core.result.depth_dtype` of its
+deepest depth, is bit-identical to serial
+:meth:`repro.core.engine.IBFS.run` for every layout, partition count,
+and wire format.  What the knobs change is the *communication*:
+per-level bytes and messages are accounted exactly and priced by the
+:mod:`repro.dist.comm` cost model, and the per-level format choice is
+recorded into the run's :class:`~repro.plan.types.RunPlan` (via the
+``exchange`` field of :class:`~repro.plan.types.LevelDecision`) so a
+replay re-sends exactly the recorded bytes.
 
 Every partition runs in this process, one after another, so host wall
 time prices the partitioning overhead, not parallel speed-up; the
@@ -47,7 +48,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.core.engine import check_group
 from repro.core.groupby import GroupByConfig, group_sources, random_groups
-from repro.core.result import ConcurrentResult, GroupStats
+from repro.core.result import ConcurrentResult, GroupStats, depth_dtype
 from repro.plan.types import Direction, LevelDecision, RunPlan
 from repro.dist.comm import CommCostModel
 from repro.dist.exchange import (
@@ -477,6 +478,7 @@ class PartitionedEngine:
             td_sharing: List[Tuple[int, int]] = []
             seconds = 0.0
             level = 0
+            deepest = 0
             while True:
                 frontier_count = sum(
                     int(v.shape[0]) for v, _ in new_slices
@@ -522,9 +524,13 @@ class PartitionedEngine:
                     new_bits / new_total if new_total else 0.0
                 )
                 td_sharing.append((new_bits, new_total))
+                if new_total:
+                    deepest = level + 1
                 level += 1
 
-            matrix = np.full((group_size, n), UNVISITED, dtype=np.int32)
+            matrix = np.full(
+                (group_size, n), UNVISITED, dtype=depth_dtype(deepest)
+            )
             for part, state in zip(pset.parts, self._states):
                 matrix[:, part.own_start : part.own_stop] = state.collect().T
 

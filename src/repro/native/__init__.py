@@ -25,7 +25,8 @@ the probe stream is priced as one background task.  A kernel gets
 most :data:`MAX_LEVEL_THREADS`; a :class:`~repro.exec.GroupExecutor`
 worker gets its share), or one on a graph with fewer than
 :data:`LEVEL_MIN_EDGES` edges.  Results and simulated counters do not
-depend on the thread count.
+depend on the thread count.  :func:`materialize_depths`, the final
+transpose, is numpy and runs with or without the library.
 :func:`unique_targets`, :func:`scatter_or`, :func:`or_scan`,
 :func:`depth_update` and :func:`bottom_up_coalesced` have no engine
 caller any more: they are kept because the repository benchmark's
@@ -539,19 +540,20 @@ def depth_update(
 
 
 def materialize_depths(depths_vm: np.ndarray) -> np.ndarray:
-    """Widening ``(vertices, group) -> (group, vertices)`` transpose.
+    """``(vertices, group) -> (group, vertices)`` transpose in the input's
+    dtype: the final depth materialization of the bitwise engine.
 
-    The final depth materialization: returns a C-contiguous int32
-    matrix with ``out[g, v] = depths_vm[v, g]``, sign-extending
-    whatever rung of the narrow-dtype ladder ``depths_vm`` is on.
+    Numpy, with or without the library.  It copies row blocks, so each
+    block's strided reads stay cache resident: one whole-matrix
+    ``ascontiguousarray(depths_vm.T)`` takes a cache miss per element
+    once the matrix outgrows the cache.
     """
-    lib = _require()
-    src = np.ascontiguousarray(depths_vm)
-    out = np.empty((src.shape[1], src.shape[0]), dtype=np.int32)
-    lib.repro_transpose_i32(
-        _p(src), src.shape[0], src.shape[1], src.dtype.itemsize, _p(out)
-    )
-    return out
+    num_vertices, group_size = depths_vm.shape
+    depths = np.empty((group_size, num_vertices), dtype=depths_vm.dtype)
+    block = 4096
+    for i in range(0, num_vertices, block):
+        depths[:, i:i + block] = depths_vm[i:i + block].T
+    return depths
 
 
 def hit_scan_depth(
@@ -826,8 +828,6 @@ def warmup() -> float:
     offsets = np.append(starts, indices.size)
     round_major_probes(indices, starts, np.array([1, 2, 0, 2], dtype=np.int64))
     coalesced_transactions(indices, 8, 128, 2)
-    for dtype in (np.int8, np.int16, np.int32):
-        materialize_depths(np.full((4, 2), -1, dtype=dtype))
     depth_rows = np.zeros((2, 4), dtype=np.int32)
     hit_scan_depth(indices, starts, degrees, depth_rows, 0)
     hit_scan_depth(

@@ -927,36 +927,6 @@ void repro_depth_update(const int64_t *rows, const uint64_t *diff,
 }
 
 /* ------------------------------------------------------------------ */
-/* Tiled widening transpose: dst[g*n + v] = (int32)src[v*gs + g] for   */
-/* the final (vertices, group) -> (group, vertices) depth              */
-/* materialization.  elem_size selects the narrow-dtype rung; values   */
-/* are signed (UNVISITED = -1), so the casts sign-extend.              */
-/* ------------------------------------------------------------------ */
-void repro_transpose_i32(const void *src, int64_t n, int64_t gs,
-                         int elem_size, int32_t *dst) {
-    const int64_t block = 64;
-    for (int64_t v0 = 0; v0 < n; v0 += block) {
-        int64_t v1 = v0 + block < n ? v0 + block : n;
-        for (int64_t g = 0; g < gs; g++) {
-            int32_t *out = dst + g * n;
-            if (elem_size == 1) {
-                const int8_t *in = (const int8_t *)src;
-                for (int64_t v = v0; v < v1; v++)
-                    out[v] = (int32_t)in[v * gs + g];
-            } else if (elem_size == 2) {
-                const int16_t *in = (const int16_t *)src;
-                for (int64_t v = v0; v < v1; v++)
-                    out[v] = (int32_t)in[v * gs + g];
-            } else {
-                const int32_t *in = (const int32_t *)src;
-                for (int64_t v = v0; v < v1; v++)
-                    out[v] = in[v * gs + g];
-            }
-        }
-    }
-}
-
-/* ------------------------------------------------------------------ */
 /* First-hit scan over an int32 depth table: probe in-neighbors until  */
 /* one has 0 <= depth <= level (a visited parent from an earlier       */
 /* level).  inst == NULL reads the table as a single row.              */
@@ -1755,8 +1725,6 @@ def load_library() -> ctypes.CDLL:
     lib.repro_depth_update.argtypes = [
         p, p, i64, i64, i64, p, i64, ctypes.c_int, i64,
     ]
-    lib.repro_transpose_i32.restype = None
-    lib.repro_transpose_i32.argtypes = [p, i64, i64, ctypes.c_int, p]
     lib.repro_hit_scan_depth.restype = i64
     lib.repro_hit_scan_depth.argtypes = [p, p, p, i64, p, i64, p, i64, p, p]
     lib.repro_level_ws_bytes.restype = i64

@@ -5,7 +5,8 @@ concentrate edges on hubs, so an online BFS service sees heavily
 repeated sources.  Two caches exploit that, both bounded LRUs over the
 same machinery:
 
-* :class:`ResultCache` stores depth rows keyed by
+* :class:`ResultCache` stores depth rows, read-only and in the narrow
+  dtype the engine returned them in, keyed by
   ``(graph_id, source, engine_key, max_depth)``.  A depth row fully
   determines every answer the service can give about a source (reached
   count, target depth, closeness), so every request kind is served from
@@ -175,13 +176,18 @@ class ResultCache(LRUCache):
         """Depth row for ``key``, refreshing recency; ``None`` on miss."""
         return super().get(key)
 
-    def put(self, key: Hashable, depth_row: np.ndarray) -> None:
-        """Store a depth row, copying it when it is a view: a row of a
-        batch's depth matrix would otherwise keep the whole matrix
-        alive for as long as the row stays cached."""
+    def put(self, key: Hashable, depth_row: np.ndarray) -> np.ndarray:
+        """Store a depth row in its own dtype and return the row as
+        stored, which is read-only: a write through a response would
+        otherwise change every later hit.  A view is copied first (a
+        row of a batch's depth matrix would keep the whole matrix alive
+        for as long as the row stays cached); an array that owns its
+        data is taken over as it is."""
         if depth_row.base is not None:
             depth_row = depth_row.copy()
+        depth_row.flags.writeable = False
         super().put(key, depth_row)
+        return depth_row
 
     def answers(self, key: Hashable) -> Dict[str, float]:
         """Answers computed from the row cached at ``key``, by request

@@ -96,13 +96,27 @@ class Response:
     attempts: int = 1
     #: Human-readable failure detail for non-ok statuses.
     error: Optional[str] = None
-    #: Full depth row (kind ``"bfs"`` with ``return_depths`` serving
-    #: enabled); shared with the cache — treat as read-only.
-    depths: Optional[np.ndarray] = None
+    #: The served depth row as the result cache holds it (kind
+    #: ``"bfs"`` with ``return_depths`` serving enabled): read-only, in
+    #: the narrow dtype its engine returned.  :attr:`depths` widens it.
+    row: Optional[np.ndarray] = None
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
+
+    @property
+    def depths(self) -> Optional[np.ndarray]:
+        """Full depth row as int32 (``None`` when no row was served): a
+        fresh array on each read, so writing to it changes neither this
+        response nor the cache."""
+        if self.row is None:
+            return None
+        return self.row.astype(np.int32)
+
+    @depths.setter
+    def depths(self, value: Optional[np.ndarray]) -> None:
+        self.row = None if value is None else np.asarray(value)
 
 
 @dataclass

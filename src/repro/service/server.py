@@ -302,7 +302,7 @@ class BFSServer:
                     completion_time=now + latency,
                     latency=latency,
                     cached=True,
-                    depths=self._maybe_depths(request, row),
+                    row=self._maybe_depths(request, row),
                 )
             )
             return request_id
@@ -540,14 +540,16 @@ class BFSServer:
                 self._plan_key(sources, max_depth), stats.plan
             )
 
-        rows = {s: result.depths[i] for i, s in enumerate(sources)}
-        for source, row in rows.items():
-            self.cache.put(
+        # Responses carry the rows as the cache stores them.
+        rows = {
+            source: self.cache.put(
                 self.cache.key(
                     self._graph_id, source, self._engine_key, max_depth
                 ),
-                row,
+                result.depths[i],
             )
+            for i, source in enumerate(sources)
+        }
         for item in batch:
             row = rows[item.source]
             if completion > item.deadline:
@@ -576,7 +578,7 @@ class BFSServer:
                     latency=completion - item.arrival_time,
                     batch_id=batch_id,
                     attempts=item.attempts,
-                    depths=self._maybe_depths(item.request, row),
+                    row=self._maybe_depths(item.request, row),
                 )
             )
 

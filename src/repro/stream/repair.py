@@ -33,6 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.result import narrow_depths
 from repro.errors import StreamError
 from repro.graph.csr import CSRGraph
 from repro.stream.overlay import MutationBatch
@@ -155,15 +156,17 @@ def repair_depth_matrix(
     batch:
         The insert-only batch that produced ``graph``.
     depths:
-        int32 ``(k, n)`` depth matrix valid for the pre-mutation graph
-        (unvisited = -1), computed under the same ``max_depth``.
+        ``(k, n)`` integer depth matrix valid for the pre-mutation
+        graph (unvisited = -1), computed under the same ``max_depth``.
     max_depth:
         The cap the cached matrix was computed under; depths beyond it
         stay -1, exactly as the engines record them.
 
-    Returns ``(repaired, rounds)``: a fresh int32 matrix bit-identical
-    to a from-scratch run on ``graph``, and the number of relaxation
-    rounds the repair took (0 when nothing improved).
+    Returns ``(repaired, rounds)``: a fresh matrix bit-identical to a
+    from-scratch run on ``graph``, dtype included (the int64 work
+    matrix is narrowed to :func:`~repro.core.result.depth_dtype` of its
+    deepest depth), and the number of relaxation rounds the repair took
+    (0 when nothing improved).
     """
     if not batch.insert_only:
         raise StreamError(
@@ -186,13 +189,13 @@ def repair_depth_matrix(
         cap = min(cap, np.int64(max_depth))
     inf = np.int64(n + 1)
 
+    if batch.num_inserts == 0 or k == 0:
+        return narrow_depths(depths.copy()), 0
+
     # Unvisited (-1) becomes INF so min() treats it as "infinitely far";
     # int64 headroom means cand = work + 1 never wraps.
     work = depths.astype(np.int64)
     work[work < 0] = inf
-
-    if batch.num_inserts == 0 or k == 0:
-        return depths.astype(np.int32, copy=True), 0
 
     offsets = graph.row_offsets
     cols = graph.col_indices
@@ -207,7 +210,7 @@ def repair_depth_matrix(
     ok = cand <= cap
     rows, dst, cand = rows[ok], dst[ok], cand[ok]
     if rows.size == 0:
-        return depths.astype(np.int32, copy=True), 0
+        return narrow_depths(depths.copy()), 0
     frow, fcol = _scatter_relax(work, rows, dst, cand, n)
 
     rounds = 0
@@ -229,5 +232,5 @@ def repair_depth_matrix(
             break
         frow, fcol = _scatter_relax(work, rows, targets, cand, n)
 
-    repaired = np.where(work > cap, np.int64(-1), work).astype(np.int32)
-    return repaired, rounds
+    work[work > cap] = -1
+    return narrow_depths(work), rounds

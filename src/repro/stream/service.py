@@ -16,11 +16,12 @@ Cache handling per epoch swap, the part worth the subsystem:
   invalidation, not an eviction).
 * **Result cache** — for *insert-only* batches within the repair cost
   budget, cached depth rows are **repaired in place**: rows are
-  bucketed by ``max_depth``, repaired jointly as one matrix via
+  bucketed by ``max_depth``, stacked (in the widest of their dtypes)
+  and repaired jointly as one matrix via
   :func:`~repro.stream.repair.repair_depth_matrix`, and re-keyed to
   the new epoch preserving LRU order.  The repaired rows are
   bit-identical to re-traversing on the new graph, so post-mutation
-  cache hits stay exact.  Batches with deletes (or oversized insert
+  cache hits stay exact, and they come back narrow like an engine's.  Batches with deletes (or oversized insert
   wavefronts) drop the old rows instead — correct, just colder.
 
 Every swap appends an :class:`EpochRecord`; ``metrics_snapshot`` gains

@@ -10,9 +10,11 @@ batches:
 * **Repair** — for insert-only batches, patching a cached depth matrix
   with :func:`~repro.stream.repair.repair_depth_matrix` is
   bit-identical to re-running BFS from scratch on the post-mutation
-  graph, with and without a ``max_depth`` cap, and regardless of the
-  execution substrate (serial engine, partitioned engine, worker
-  pool): the deterministic cross-backend checks live at the bottom.
+  graph, dtype included, with and without a ``max_depth`` cap, also
+  when the inserts pull the deepest depth across the int8 rung, and
+  regardless of the execution substrate (serial engine, partitioned
+  engine, worker pool): the deterministic cross-backend checks live at
+  the bottom.
 """
 
 import numpy as np
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 
 from repro.graph.builders import from_edge_arrays
 from repro.graph.csr import VERTEX_DTYPE
-from repro.graph.generators import kronecker
+from repro.graph.generators import kronecker, path
 from repro.core.engine import IBFS, IBFSConfig
+from repro.core.result import INT8_DEPTH_MAX
 from repro.stream import MutationBatch, apply_batch, repair_depth_matrix
 
 SETTINGS = settings(
@@ -141,9 +144,25 @@ def repair_cases(draw, max_vertices=20, max_edges=50, max_inserts=10):
     return graph, inserts, sources, max_depth
 
 
-@SETTINGS
-@given(repair_cases())
-def test_repair_matches_scratch_traversal(case):
+@st.composite
+def rung_repair_cases(draw, max_inserts=3):
+    """A path whose deepest depth from vertex 0 sits just past the int8
+    rung, and inserts that may pull it back under."""
+    n = draw(st.integers(INT8_DEPTH_MAX + 2, INT8_DEPTH_MAX + 12))
+    ni = draw(st.integers(min_value=1, max_value=max_inserts))
+    endpoints = st.lists(st.integers(0, n - 1), min_size=ni, max_size=ni)
+    inserts = (
+        np.asarray(draw(endpoints), dtype=VERTEX_DTYPE),
+        np.asarray(draw(endpoints), dtype=VERTEX_DTYPE),
+    )
+    others = draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True))
+    max_depth = draw(
+        st.one_of(st.none(), st.integers(INT8_DEPTH_MAX - 2, n))
+    )
+    return path(n), inserts, [0] + others, max_depth
+
+
+def _check_repair(case):
     graph, inserts, sources, max_depth = case
     old = IBFS(graph, IBFSConfig(group_size=len(sources))).run_group(
         sources, max_depth=max_depth
@@ -158,6 +177,18 @@ def test_repair_matches_scratch_traversal(case):
     ).run_group(sources, max_depth=max_depth).depths
     assert repaired.dtype == scratch.dtype
     assert np.array_equal(repaired, scratch)
+
+
+@SETTINGS
+@given(repair_cases())
+def test_repair_matches_scratch_traversal(case):
+    _check_repair(case)
+
+
+@SETTINGS
+@given(rung_repair_cases())
+def test_repair_across_the_int8_rung_matches_scratch_traversal(case):
+    _check_repair(case)
 
 
 class TestRepairAcrossBackends:

@@ -1,9 +1,8 @@
 """The compiled bitwise level crosses into the library once per level.
 
 With the library loaded, :meth:`BitwiseTraversal.run_group` of L
-levels must call ``repro_bitwise_level`` exactly L times,
-``repro_transpose_i32`` once for the final depth matrix, and no per-op
-export, at any lane count.  The loaded library is wrapped in a
+levels must call ``repro_bitwise_level`` exactly L times and no other
+export (the final depth transpose is numpy), at any lane count.  The loaded library is wrapped in a
 counting proxy through ``native._cache["lib"]``, the handle every op
 resolves.  Skips when the library does not load.
 """
@@ -61,6 +60,4 @@ def test_one_library_call_per_level(counting_library, graph, group_size, lanes):
         levels = len(record.levels)
         assert levels == record.counters.levels > 1
         assert engine._workspace.lanes == lanes
-        assert counting_library.calls == Counter(
-            repro_bitwise_level=levels, repro_transpose_i32=1
-        )
+        assert counting_library.calls == Counter(repro_bitwise_level=levels)

@@ -92,6 +92,18 @@ class TestCompactRows:
         cache.put(cache.key("g", 0, "e", None), owned)
         assert cache.get(cache.key("g", 0, "e", None)) is owned
 
+    def test_put_stores_rows_read_only_in_their_dtype(self):
+        cache = ResultCache(capacity=2)
+        matrix = np.arange(8, dtype=np.int8).reshape(2, 4)
+        stored = cache.put(cache.key("g", 0, "e", None), matrix[0])
+        assert cache.get(cache.key("g", 0, "e", None)) is stored
+        assert stored.dtype == np.int8
+        with pytest.raises(ValueError):
+            stored[0] = -1
+        # The batch's matrix stays writeable and apart from the row.
+        matrix[0, 0] = 99
+        assert stored[0] == 0
+
 
 class TestFingerprints:
     def test_graph_id_is_content_stable(self):

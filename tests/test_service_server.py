@@ -233,6 +233,29 @@ class TestCachingAndAnswers:
         assert response.depths is not None
         assert np.array_equal(response.depths, reference_bfs(graph, 4))
 
+    def test_writing_a_served_row_leaves_the_cache_intact(self, graph):
+        expected = reference_bfs(graph, 3)
+        target = int(np.flatnonzero(expected > 0)[0])
+        client = InProcessClient(
+            BFSServer(graph, ServingConfig(return_depths=True))
+        )
+        miss = client.bfs(3)
+        hit = client.bfs(3)
+        assert not miss.cached and hit.cached
+        for response in (miss, hit):
+            depths = response.depths
+            assert depths.dtype == np.int32
+            depths[:] = -1
+            # Each read is a fresh int32 array...
+            assert np.array_equal(response.depths, expected)
+            # ...and the row behind it is the cache's, read-only.
+            with pytest.raises(ValueError):
+                response.row[:] = -1
+        again = client.bfs(3)
+        assert np.array_equal(again.depths, expected)
+        assert again.value == np.count_nonzero(expected >= 0)
+        assert client.reachable(3, target)
+
 
 class TestMetricsAndDevices:
     def test_snapshot_shape(self, graph):
