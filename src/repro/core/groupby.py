@@ -87,12 +87,14 @@ def group_sources(
     _check_sources(sources)
     config = config or GroupByConfig()
     sources = [int(s) for s in sources]
+    n = graph.num_vertices
     for s in sources:
-        if not 0 <= s < graph.num_vertices:
+        if not 0 <= s < n:
             raise GroupingError(f"source {s} out of range")
 
     degrees = graph.out_degrees()
-    hub_of = {s: _best_hub(graph, degrees, s, config.q) for s in sources}
+    hubs, lowest = _neighbor_summary(graph, degrees, sources, config.q)
+    hub_of = dict(zip(sources, hubs))
 
     # Phase 1: Rule 1 + Rule 2.  Ascending p admits the smallest sources
     # first, bucketed by their shared hub.
@@ -128,8 +130,9 @@ def group_sources(
     leftovers = [s for s in sources if s not in assigned]
     leftovers.extend(s for chunk in partial for s in chunk)
     if leftovers:
+        lowest_of = dict(zip(sources, lowest))
         groups.extend(
-            _fallback_groups(graph, leftovers, group_size, config.seed)
+            _fallback_groups(lowest_of, leftovers, group_size, config.seed)
         )
     return groups
 
@@ -185,23 +188,51 @@ def _check_sources(sources: Sequence[int]) -> None:
                             "i distinct source vertices)")
 
 
-def _best_hub(
-    graph: CSRGraph, degrees: np.ndarray, source: int, q: int
-) -> Optional[int]:
-    """Rule 2: the highest-outdegree neighbor above q, if any.
+def _neighbor_summary(
+    graph: CSRGraph, degrees: np.ndarray, sources: List[int], q: int
+) -> Tuple[List[Optional[int]], List[Optional[int]]]:
+    """Per source, its Rule 2 hub and its smallest neighbor (``None``
+    for either when it has no neighbors, and for the hub when no
+    neighbor's outdegree is above ``q``), from one gather over the
+    sources' adjacency slices.
 
-    The paper notes the hub need not be a direct neighbor ("as long as
-    within the first several levels"); direct neighbors already give the
-    strongest level-2 collision and keep grouping O(|E|).
+    The hub is the first neighbor, in adjacency order, of maximum
+    outdegree.  The paper notes the hub need not be a direct neighbor
+    ("as long as within the first several levels"); direct neighbors
+    already give the strongest level-2 collision and keep grouping
+    O(|E|).
     """
-    neighbors = graph.neighbors(source)
+    offsets = graph.row_offsets
+    rows = np.asarray(sources, dtype=np.int64)
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    # Slice i of the gather is source i's adjacency; empty slices hold
+    # nothing, so the non-empty ones begin at strictly rising bounds.
+    begins = np.cumsum(counts) - counts
+    slot = np.arange(int(counts.sum()), dtype=np.int64)
+    neighbors = graph.col_indices[slot + np.repeat(starts - begins, counts)]
+    hubs: List[Optional[int]] = [None] * len(sources)
+    lowest: List[Optional[int]] = [None] * len(sources)
     if neighbors.size == 0:
-        return None
+        return hubs, lowest
+    full = np.flatnonzero(counts)
+    bounds = begins[full]
     neighbor_degrees = degrees[neighbors]
-    best = int(np.argmax(neighbor_degrees))
-    if neighbor_degrees[best] > q:
-        return int(neighbors[best])
-    return None
+    top = np.maximum.reduceat(neighbor_degrees, bounds)
+    # The first slot of each slice that holds its maximum.
+    owner = np.repeat(np.arange(full.size), counts[full])
+    at_top = np.flatnonzero(neighbor_degrees == top[owner])
+    first = at_top[np.flatnonzero(np.diff(owner[at_top], prepend=-1))]
+    for i, hub, top_degree, low in zip(
+        full.tolist(),
+        neighbors[first].tolist(),
+        top.tolist(),
+        np.minimum.reduceat(neighbors, bounds).tolist(),
+    ):
+        if top_degree > q:
+            hubs[i] = hub
+        lowest[i] = low
+    return hubs, lowest
 
 
 def _merge_partials(
@@ -222,9 +253,13 @@ def _merge_partials(
 
 
 def _fallback_groups(
-    graph: CSRGraph, sources: List[int], group_size: int, seed: int
+    lowest_of: Dict[int, Optional[int]],
+    sources: List[int],
+    group_size: int,
+    seed: int,
 ) -> List[List[int]]:
-    """Group by the most frequent common neighbor, then randomly.
+    """Group by a shared smallest neighbor (``lowest_of``), then
+    randomly.
 
     This is the uniform-graph rule: "iBFS can select a group of BFS
     instances if they share some common vertices from the sources".
@@ -232,11 +267,11 @@ def _fallback_groups(
     buckets: Dict[int, List[int]] = {}
     isolated: List[int] = []
     for s in sources:
-        neighbors = graph.neighbors(s)
-        if neighbors.size == 0:
+        lowest = lowest_of[s]
+        if lowest is None:
             isolated.append(s)
         else:
-            buckets.setdefault(int(neighbors.min()), []).append(s)
+            buckets.setdefault(lowest, []).append(s)
 
     groups: List[List[int]] = []
     pending: List[int] = []

@@ -1,4 +1,4 @@
-"""Partitioned distributed traversal (ROADMAP item 2).
+"""Partitioned distributed traversal.
 
 Splits a CSR graph into 1D vertex-range or 2D edge-block partitions
 (:mod:`repro.dist.partition`), runs level-synchronous multi-source BFS

@@ -8,11 +8,12 @@ arrays (forward and reverse, plus the cached outdegree vector) into
 the segments read-only and wrap them in a :class:`~repro.graph.csr.CSRGraph`
 without copying a byte.
 
-Publication is keyed by the graph's content fingerprint
+Publication is keyed by the graph's id
 (:func:`repro.service.cache.graph_cache_id`, memoized on the graph's
-``_cache_id`` slot) and refcounted: two executors over the same graph
-share one set of segments, and the segments are unlinked when the last
-publisher releases them.
+``_cache_id`` slot: a content CRC, or an epoch's lineage id) and
+refcounted: two executors over the same graph share one set of
+segments, and the segments are unlinked when the last publisher
+releases them.
 
 A second, smaller facility ships *results* back: :func:`push_array`
 copies one ndarray into a fresh segment and returns a compact spec;

@@ -1,7 +1,7 @@
 """Declarative SLOs: rolling-window burn rates over hub signals.
 
-ROADMAP item 4 (service scale-out) needs a *control signal*: something
-that watches the serving telemetry and says "the p99 is burning" early
+Scaling a service out needs a *control signal*: something that
+watches the serving telemetry and says "the p99 is burning" early
 enough to act on.  This module is that signal path:
 
 * :class:`SLOSpec` — a declarative objective: reduce a named signal
@@ -17,7 +17,7 @@ enough to act on.  This module is that signal path:
   it comes back) so a seeded breach produces an exact, assertable
   event sequence.  Alerts and burn gauges are mirrored onto the
   :class:`~repro.obs.metrics.MetricsHub` (``slo_alerts_total``,
-  ``slo_burn_rate``) — the hub records item 4's autoscaler will read.
+  ``slo_burn_rate``) — the hub records an autoscaler would read.
 
 The serving layers feed the engine live (`BFSServer` /
 `DynamicBFSServer` observe wave latency, errors, queue depth, and

@@ -20,8 +20,10 @@ same machinery:
   the planner heuristics at every level — the traversal itself is
   bit-identical either way.
 
-``graph_id`` fingerprints the CSR arrays (so two servers on different
-graphs never alias) and ``engine_key`` fingerprints the engine
+``graph_id`` names the graph's content (so two servers on different
+graphs never alias): a CRC of the CSR arrays, or for an epoch of a
+mutating graph a lineage id derived from its parent's id and the batch
+(:mod:`repro.stream.epoch`).  ``engine_key`` fingerprints the engine
 configuration plus the planner policy, per the serving-layer contract.
 """
 
@@ -39,27 +41,39 @@ from repro.plan.types import RunPlan
 
 
 def graph_cache_id(graph: CSRGraph) -> str:
-    """Stable content fingerprint of a CSR graph.
+    """Stable id of a CSR graph, for keying caches and shm publications.
 
-    Memoized on the graph object: CSR arrays are immutable by contract,
-    so the CRC pass over both arrays runs at most once per graph no
-    matter how many servers or caches fingerprint it.  The CRC reads
-    the contiguous arrays in place, without a byte copy.
+    Memoized on the graph object.  A graph that was given no id yet
+    gets a content fingerprint, a CRC over both arrays that reads them
+    in place, without a byte copy; CSR arrays are immutable by
+    contract, so that pass runs at most once per graph no matter how
+    many servers or caches ask.  An epoch store names every epoch after
+    the base from its parent instead (a lineage id, see
+    :func:`repro.stream.epoch.lineage_id`) and memoizes that id through
+    :func:`remember_graph_id`, so no CRC ever runs over a published
+    epoch.
     """
     memo = getattr(graph, "_cache_id", None)
     if memo is not None:
         return memo
     crc = zlib.crc32(graph.row_offsets)
     crc = zlib.crc32(graph.col_indices, crc)
-    cache_id = f"csr-{graph.num_vertices}-{graph.num_edges}-{crc:08x}"
+    return remember_graph_id(
+        graph, f"csr-{graph.num_vertices}-{graph.num_edges}-{crc:08x}"
+    )
+
+
+def remember_graph_id(graph: CSRGraph, cache_id: str) -> str:
+    """Memoize ``cache_id`` as ``graph``'s :func:`graph_cache_id` and
+    freeze the graph; returns the id."""
     try:
         graph._cache_id = cache_id
     except AttributeError:
         pass
-    # The fingerprint is memoized forever, so the arrays must never
-    # change again: freeze them so an in-place mutation raises at the
-    # mutation site instead of silently serving stale cached depth rows
-    # keyed by the old content.
+    # The id is memoized forever, so the arrays must never change
+    # again: freeze them so an in-place mutation raises at the mutation
+    # site instead of silently serving stale cached depth rows keyed by
+    # the old content.
     freeze = getattr(graph, "freeze", None)
     if freeze is not None:
         freeze()
@@ -116,9 +130,6 @@ class LRUCache:
 
     def _forget(self, key: Hashable) -> None:
         """Hook: the value cached at ``key`` was replaced or removed."""
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def items(self) -> list:
         """``(key, value)`` pairs in LRU order (oldest first), without
@@ -183,18 +194,59 @@ class ResultCache(LRUCache):
         row of a batch's depth matrix would keep the whole matrix alive
         for as long as the row stays cached); an array that owns its
         data is taken over as it is."""
+        depth_row = self._read_only(depth_row)
+        super().put(key, depth_row)
+        return depth_row
+
+    @staticmethod
+    def _read_only(depth_row: np.ndarray) -> np.ndarray:
         if depth_row.base is not None:
             depth_row = depth_row.copy()
         depth_row.flags.writeable = False
-        super().put(key, depth_row)
         return depth_row
+
+    def rekey_graph(
+        self,
+        old_id: str,
+        new_id: str,
+        engine_key: str,
+        rows: Dict[Hashable, np.ndarray],
+    ) -> int:
+        """Move every row cached under ``(old_id, engine_key)`` to
+        ``new_id`` in one pass, keeping the LRU order.
+
+        A row whose old key is in ``rows`` is replaced by that row,
+        stored as :meth:`put` stores one, and loses its answers.  Every
+        other row moves as the same array with its answers.  A row of
+        ``old_id`` under another engine key is dropped and counted as an
+        invalidation; rows of other graphs keep their keys.  Returns the
+        number of rows moved.
+        """
+        entries, answers = self._entries, self._answers
+        self._entries, self._answers = OrderedDict(), {}
+        moved = 0
+        for key, row in entries.items():
+            memo = answers.get(key)
+            if key[0] == old_id:
+                if key[2] != engine_key:
+                    self.invalidations += 1
+                    continue
+                fresh = rows.get(key)
+                if fresh is not None:
+                    row, memo = self._read_only(fresh), None
+                key = (new_id,) + key[1:]
+                moved += 1
+            self._entries[key] = row
+            if memo is not None:
+                self._answers[key] = memo
+        return moved
 
     def answers(self, key: Hashable) -> Dict[str, float]:
         """Answers computed from the row cached at ``key``, by request
         kind, for the caller to read and fill.  The dict lives as long
         as the row: a new :meth:`put` of the key, eviction,
-        :meth:`purge` and :meth:`clear` drop it.  A key not cached gets
-        a throwaway dict."""
+        :meth:`purge` and a repair by :meth:`rekey_graph` drop it.  A
+        key not cached gets a throwaway dict."""
         memo = self._answers.get(key)
         if memo is None:
             memo = {}
@@ -204,10 +256,6 @@ class ResultCache(LRUCache):
 
     def _forget(self, key: Hashable) -> None:
         self._answers.pop(key, None)
-
-    def clear(self) -> None:
-        super().clear()
-        self._answers.clear()
 
 
 class PlanCache(LRUCache):

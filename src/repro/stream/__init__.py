@@ -8,8 +8,8 @@ mutates while queries run.  Four layers:
   frozen CSR, folded into a fresh CSR bit-identically to a
   from-scratch rebuild;
 * :mod:`repro.stream.epoch` — epoch-tagged immutable snapshots, each
-  with its own content fingerprint so cache invalidation falls out of
-  keying;
+  with its own graph id (derived from its parent's id and the batch)
+  so cache invalidation falls out of keying;
 * :mod:`repro.stream.repair` — incremental depth-matrix repair for
   insert-only batches, bit-identical to re-traversal;
 * :mod:`repro.stream.service` — an epoch-aware

@@ -20,6 +20,11 @@ engine from scratch on the post-mutation snapshot — including under a
 BFS parent at ``d - 1``, so capped propagation never cuts a needed
 chain.  The differential suite pins this equivalence.
 
+A row that no inserted edge improves at the seed step seeds no round
+and comes back unchanged, so the serving layer first asks
+:func:`changed_rows` which rows the batch improves, by the same seed
+rule, and relaxes only those.
+
 Deletes can raise depths, which a cached matrix cannot bound from
 above; :func:`plan_repair` routes any batch with deletes — and any
 insert batch whose estimated repair frontier exceeds the cost
@@ -29,7 +34,7 @@ threshold — to full recomputation instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,6 +121,53 @@ def plan_repair(
     )
 
 
+def _depth_cap(num_vertices: int, max_depth: Optional[int]) -> int:
+    """Deepest depth a repaired row can hold: a true shortest depth in
+    an n-vertex graph is at most n - 1, so pruning there (or at a lower
+    ``max_depth``) loses nothing."""
+    cap = max(num_vertices - 1, 0)
+    return cap if max_depth is None else min(cap, max_depth)
+
+
+def _seed_mask(
+    tail_depths: np.ndarray, head_depths: np.ndarray, cap: int
+) -> np.ndarray:
+    """The repair's seed rule, elementwise over inserted edges (u, v)
+    and rows: True where ``depth[u] + 1`` lowers ``depth[v]`` within
+    ``cap``, i.e. ``depth[u] >= 0``, ``depth[u] + 1 <= cap``, and
+    ``depth[v] < 0`` or ``depth[v] > depth[u] + 1``.  ``tail_depths``
+    must be int64, so that ``depth[u] + 1`` never wraps."""
+    step = tail_depths + 1
+    return (
+        (tail_depths >= 0)
+        & (step <= cap)
+        & ((head_depths < 0) | (head_depths > step))
+    )
+
+
+def changed_rows(
+    rows: Sequence[np.ndarray],
+    batch: MutationBatch,
+    max_depth: Optional[int] = None,
+) -> np.ndarray:
+    """Indices of the cached depth rows that the insert-only ``batch``
+    changes, by :func:`repair_depth_matrix`'s own seed rule: the rows
+    where some inserted edge (u, v) lowers ``depth[v]`` to
+    ``depth[u] + 1``.  Every other row is already exact on the new
+    graph.  One gather reads each row at the edges' endpoints; the rows
+    may differ in dtype."""
+    ends = np.concatenate([batch.insert_src, batch.insert_dst])
+    at_ends = np.array([row[ends] for row in rows])
+    m = batch.num_inserts
+    return np.flatnonzero(
+        _seed_mask(
+            at_ends[:, :m].astype(np.int64),
+            at_ends[:, m:],
+            _depth_cap(rows[0].size, max_depth),
+        ).any(axis=1)
+    )
+
+
 def _scatter_relax(
     work: np.ndarray,
     rows: np.ndarray,
@@ -179,39 +231,29 @@ def repair_depth_matrix(
             f"depth matrix shape {depths.shape} does not match "
             f"graph with {n} vertices"
         )
-    k = depths.shape[0]
-    # A true shortest depth in an n-vertex graph is at most n - 1, so
-    # pruning at n - 1 (or a lower max_depth) loses nothing and keeps
-    # the INF sentinel (n + 1) above the cap: it maps back to -1 at the
-    # end even when max_depth exceeds n.
-    cap = np.int64(max(n - 1, 0))
-    if max_depth is not None:
-        cap = min(cap, np.int64(max_depth))
-    inf = np.int64(n + 1)
-
-    if batch.num_inserts == 0 or k == 0:
+    cap = _depth_cap(n, max_depth)
+    if batch.num_inserts == 0 or depths.shape[0] == 0:
         return narrow_depths(depths.copy()), 0
 
-    # Unvisited (-1) becomes INF so min() treats it as "infinitely far";
-    # int64 headroom means cand = work + 1 never wraps.
-    work = depths.astype(np.int64)
-    work[work < 0] = inf
-
-    offsets = graph.row_offsets
-    cols = graph.col_indices
-    inst = np.arange(k, dtype=np.int64)
-
-    # Seed round: relax every inserted edge in every instance.
-    m = batch.num_inserts
-    rows = np.repeat(inst, m)
-    src = np.tile(batch.insert_src, k)
-    dst = np.tile(batch.insert_dst, k)
-    cand = work[rows, src] + 1
-    ok = cand <= cap
-    rows, dst, cand = rows[ok], dst[ok], cand[ok]
+    # Seed round: relax every inserted edge in every instance, keeping
+    # only the proposals that improve.
+    tails = depths[:, batch.insert_src].astype(np.int64)
+    rows, edges = np.nonzero(
+        _seed_mask(tails, depths[:, batch.insert_dst], cap)
+    )
     if rows.size == 0:
         return narrow_depths(depths.copy()), 0
-    frow, fcol = _scatter_relax(work, rows, dst, cand, n)
+
+    # Unvisited (-1) becomes INF (n + 1, above the cap, so it maps back
+    # to -1 at the end) and min() treats it as "infinitely far"; int64
+    # headroom means cand = work + 1 never wraps.
+    work = depths.astype(np.int64)
+    work[work < 0] = n + 1
+    frow, fcol = _scatter_relax(
+        work, rows, batch.insert_dst[edges], tails[rows, edges] + 1, n
+    )
+    offsets = graph.row_offsets
+    cols = graph.col_indices
 
     rounds = 0
     while frow.size:

@@ -2,12 +2,15 @@
 
 :class:`DynamicBFSServer` extends the discrete-event
 :class:`~repro.service.server.BFSServer` with a :meth:`mutate` verb.
-Each mutation batch is a *barrier* in simulated time: pending batches
-flush against the old epoch (queries admitted before the mutation see
-pre-mutation depths, bit-identically), then the overlay folds into a
-new epoch snapshot with its own ``graph_cache_id``, and the serving
-substrate — engine, optional partitioned engine, micro-batcher, cache
-keying — swaps onto the new graph.
+Each mutation batch is checked whole, then acts as a *barrier* in
+simulated time: pending batches flush against the old epoch (queries
+admitted before the mutation see pre-mutation depths,
+bit-identically), then the overlay folds into a new epoch snapshot
+with its own graph id (a lineage id derived from the old epoch's id
+and the batch), and the serving substrate — engine, optional
+partitioned engine, micro-batcher, cache keying — swaps onto the new
+graph.  A batch that fails the check is refused before the barrier:
+the overlay, the epoch and the clock stay as they were.
 
 Cache handling per epoch swap, the part worth the subsystem:
 
@@ -15,14 +18,21 @@ Cache handling per epoch swap, the part worth the subsystem:
   structure; every old-epoch entry is purged (counted as an
   invalidation, not an eviction).
 * **Result cache** — for *insert-only* batches within the repair cost
-  budget, cached depth rows are **repaired in place**: rows are
-  bucketed by ``max_depth``, stacked (in the widest of their dtypes)
-  and repaired jointly as one matrix via
-  :func:`~repro.stream.repair.repair_depth_matrix`, and re-keyed to
-  the new epoch preserving LRU order.  The repaired rows are
+  budget, every cached depth row moves to the new epoch, at a cost set
+  by the rows the batch changes.  Rows are bucketed by ``max_depth``;
+  per bucket, one gather at the inserted edges' endpoints and the
+  repair's own seed rule (:func:`~repro.stream.repair.changed_rows`)
+  pick the rows some inserted edge improves.  Only those are stacked
+  and repaired jointly via
+  :func:`~repro.stream.repair.repair_depth_matrix`; every other row is
+  already exact on the new graph and is carried as the same
+  read-only array, with the answers memoized beside it.  One pass
+  (:meth:`~repro.service.cache.ResultCache.rekey_graph`) re-keys the
+  cache to the new epoch in its LRU order.  Repaired rows are
   bit-identical to re-traversing on the new graph, so post-mutation
-  cache hits stay exact, and they come back narrow like an engine's.  Batches with deletes (or oversized insert
-  wavefronts) drop the old rows instead — correct, just colder.
+  cache hits stay exact, and they come back narrow like an engine's.
+  Batches with deletes (or oversized insert wavefronts) drop the old
+  rows instead — correct, just colder.
 
 Every swap appends an :class:`EpochRecord`; ``metrics_snapshot`` gains
 an ``"epochs"`` section aggregating repair/invalidation counters.
@@ -42,7 +52,6 @@ from repro.obs import tracing as obs_tracing
 from repro.obs.slo import SIGNAL_CACHE_STALENESS
 from repro.runtime import SubstrateSpec
 from repro.service.batcher import MicroBatcher
-from repro.service.cache import ResultCache
 from repro.service.server import BFSServer, ServingConfig
 from repro.stream.epoch import Snapshot
 from repro.stream.overlay import MutationBatch
@@ -51,6 +60,7 @@ from repro.stream.repair import (
     RECOMPUTE,
     REPAIR,
     RepairConfig,
+    changed_rows,
     plan_repair,
     repair_depth_matrix,
 )
@@ -144,6 +154,9 @@ class DynamicBFSServer(BFSServer):
         everything already queued executes against the old epoch first;
         requests submitted afterwards see the new one.  Returns the
         :class:`EpochRecord` describing what happened to the caches.
+        A batch with an invalid edge raises
+        :class:`~repro.errors.StreamError` before the barrier, with
+        nothing queued.
         """
         now = self.clock if arrival_time is None else float(arrival_time)
         if now < self.clock:
@@ -151,17 +164,14 @@ class DynamicBFSServer(BFSServer):
                 f"mutation arrival {now} is before the server clock "
                 f"{self.clock}"
             )
+        batch = MutationBatch.make(self.graph.num_vertices, inserts, deletes)
         with obs_tracing.get_tracer().span("stream.mutate") as mspan:
-            record = self._mutate_inner(inserts, deletes, now, mspan)
+            record = self._mutate_inner(batch, now, mspan)
         self._record_mutation(record, mspan)
         return record
 
     def _mutate_inner(
-        self,
-        inserts: Optional[Tuple],
-        deletes: Optional[Tuple],
-        now: float,
-        mspan,
+        self, batch: MutationBatch, now: float, mspan
     ) -> EpochRecord:
         self.advance_to(now)
         # Barrier: flush in-flight batches on the old epoch.  Completed
@@ -171,11 +181,10 @@ class DynamicBFSServer(BFSServer):
             self.clock = max(self.clock, free)
             self._dispatch(self.clock, draining=True)
 
-        if inserts is not None:
-            self.substrate.overlay.insert_edges(*inserts)
-        if deletes is not None:
-            self.substrate.overlay.delete_edges(*deletes)
-        batch = self.substrate.overlay.pending_batch()
+        overlay = self.substrate.overlay
+        overlay.insert_edges(batch.insert_src, batch.insert_dst)
+        overlay.delete_edges(batch.delete_src, batch.delete_dst)
+        batch = overlay.pending_batch()
         if batch.empty:
             return EpochRecord(
                 epoch=self.substrate.epochs.current_epoch,
@@ -205,12 +214,14 @@ class DynamicBFSServer(BFSServer):
                     "stream.repair",
                     inserts=batch.num_inserts,
                 ) as rspan:
-                    repaired, rounds = self._repair_result_cache(
+                    repaired, changed, rounds = self._repair_result_cache(
                         old_graph_id, snap, batch
                     )
                     if rspan is not None:
                         rspan.annotate(
-                            rows_repaired=repaired, repair_rounds=rounds
+                            rows_repaired=repaired,
+                            rows_changed=changed,
+                            repair_rounds=rounds,
                         )
                 dropped = 0
             else:
@@ -311,50 +322,42 @@ class DynamicBFSServer(BFSServer):
 
     def _repair_result_cache(
         self, old_graph_id: str, snap: Snapshot, batch: MutationBatch
-    ) -> Tuple[int, int]:
-        """Patch cached depth rows onto the new epoch, preserving LRU
-        order.  Returns ``(rows_repaired, total_rounds)``."""
-        entries = self.cache.items()
+    ) -> Tuple[int, int, int]:
+        """Move every cached depth row onto the new epoch, repairing the
+        rows the batch changes and carrying the rest with their answers,
+        in LRU order.  Returns ``(rows_repaired, rows_changed,
+        total_rounds)``: every row moved, the rows the batch improved,
+        and the relaxation rounds their repair took."""
         # Bucket old-epoch rows by the max_depth they were computed
-        # under; each bucket repairs jointly as one (k, n) matrix.
-        buckets: Dict[Optional[int], List[Tuple[int, np.ndarray]]] = {}
-        for key, row in entries:
+        # under; each bucket is tested, and its changed rows repaired,
+        # jointly.
+        buckets: Dict[Optional[int], List[Tuple[Tuple, np.ndarray]]] = {}
+        for key, row in self.cache.items():
             if key[0] == old_graph_id and key[2] == self._engine_key:
-                buckets.setdefault(key[3], []).append((key[1], row))
+                buckets.setdefault(key[3], []).append((key, row))
         if not buckets:
-            return 0, 0
-        repaired_rows: Dict[Tuple, np.ndarray] = {}
+            return 0, 0, 0
+        fixed_rows: Dict[Tuple, np.ndarray] = {}
         total_rounds = 0
-        for max_depth, rows in buckets.items():
-            matrix = np.stack([row for _, row in rows])
+        for max_depth, members in buckets.items():
+            changed = changed_rows(
+                [row for _, row in members], batch, max_depth
+            )
+            if changed.size == 0:
+                continue
             fixed, rounds = repair_depth_matrix(
-                snap.graph, batch, matrix, max_depth=max_depth
+                snap.graph,
+                batch,
+                np.stack([members[i][1] for i in changed]),
+                max_depth=max_depth,
             )
             total_rounds += rounds
-            for i, (source, _) in enumerate(rows):
-                new_key = ResultCache.key(
-                    snap.graph_id, source, self._engine_key, max_depth
-                )
-                repaired_rows[(old_graph_id, source,
-                               self._engine_key, max_depth)] = (
-                    new_key,
-                    fixed[i],
-                )
-        # Rebuild the cache in its original LRU order, swapping each
-        # old-epoch entry for its repaired, re-keyed row.
-        self.cache.clear()
-        for key, row in entries:
-            swap = repaired_rows.get(key)
-            if swap is not None:
-                self.cache.put(swap[0], swap[1])
-            elif key[0] == old_graph_id:
-                # Same graph id, different engine key (cannot happen on
-                # one server, but stay safe): drop rather than serve a
-                # row we did not repair.
-                self.cache.invalidations += 1
-            else:
-                self.cache.put(key, row)
-        return len(repaired_rows), total_rounds
+            for i, row in zip(changed.tolist(), fixed):
+                fixed_rows[members[i][0]] = row
+        repaired = self.cache.rekey_graph(
+            old_graph_id, snap.graph_id, self._engine_key, fixed_rows
+        )
+        return repaired, len(fixed_rows), total_rounds
 
     # ------------------------------------------------------------------
     # Metrics

@@ -1,9 +1,15 @@
-"""GroupBy rules: partitioning invariants and sharing improvement."""
+"""GroupBy rules: partitioning invariants and sharing improvement, and
+the batch-wide neighbor summary against a per-source rule."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.core.groupby as groupby
 from repro.errors import GroupingError
-from repro.graph.builders import from_edges
+from repro.graph.builders import from_edge_arrays, from_edges
+from repro.graph.csr import VERTEX_DTYPE
 from repro.graph.generators import kronecker, scale_free, star, uniform_random
 from repro.core.engine import IBFS, IBFSConfig
 from repro.core.groupby import (
@@ -112,3 +118,67 @@ class TestGroupSources:
             g, IBFSConfig(group_size=32, groupby=False, seed=13)
         ).run(sources, store_depths=False)
         assert grouped.sharing_degree >= randomized.sharing_degree
+
+
+def per_source_summary(graph, degrees, sources, q):
+    """Rule 2's hub and the smallest neighbor, one source at a time:
+    the first neighbor of maximum outdegree if that degree is above q,
+    and ``None`` for both on an empty row."""
+    hubs, lowest = [], []
+    for s in sources:
+        neighbors = graph.neighbors(s)
+        if neighbors.size == 0:
+            hubs.append(None)
+            lowest.append(None)
+            continue
+        neighbor_degrees = degrees[neighbors]
+        best = int(np.argmax(neighbor_degrees))
+        hubs.append(
+            int(neighbors[best]) if neighbor_degrees[best] > q else None
+        )
+        lowest.append(int(neighbors.min()))
+    return hubs, lowest
+
+
+@st.composite
+def summary_cases(draw, max_vertices=16, max_edges=40):
+    """Small multigraphs: many empty rows and tied degrees, and a q that
+    often equals some vertex's degree exactly."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    m = draw(st.integers(min_value=0, max_value=max_edges))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    graph = from_edge_arrays(
+        np.asarray(draw(ends), dtype=VERTEX_DTYPE),
+        np.asarray(draw(ends), dtype=VERTEX_DTYPE),
+        num_vertices=n,
+    )
+    degrees = sorted(set(graph.out_degrees().tolist()))
+    q = draw(st.one_of(st.sampled_from(degrees), st.integers(0, 6)))
+    sources = draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    )
+    group_size = draw(st.integers(min_value=1, max_value=5))
+    return graph, sources, q, group_size
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(summary_cases())
+def test_batch_summary_matches_per_source_rule(case):
+    graph, sources, q, group_size = case
+    degrees = graph.out_degrees()
+    want = per_source_summary(graph, degrees, sources, q)
+    assert groupby._neighbor_summary(graph, degrees, sources, q) == want
+    # The groups follow from the summary alone, so they are the same
+    # with the per-source rule in its place.
+    config = GroupByConfig(q=q, p_sequence=(1, 2, 4))
+    got = group_sources(graph, sources, group_size, config)
+    original = groupby._neighbor_summary
+    groupby._neighbor_summary = per_source_summary
+    try:
+        assert group_sources(graph, sources, group_size, config) == got
+    finally:
+        groupby._neighbor_summary = original

@@ -15,7 +15,14 @@ batches:
   regardless of the execution substrate (serial engine, partitioned
   engine, worker pool): the deterministic cross-backend checks live at
   the bottom.
+* **Serving swaps** — across insert-only batches with cache hits in
+  between, a dynamic server's cached rows equal a scratch traversal of
+  the current epoch after every swap; a row the batch did not change
+  is carried as the same array with its memoized answers, and the
+  swap's record equals that of a dense repair of every cached row.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -27,7 +34,16 @@ from repro.graph.csr import VERTEX_DTYPE
 from repro.graph.generators import kronecker, path
 from repro.core.engine import IBFS, IBFSConfig
 from repro.core.result import INT8_DEPTH_MAX
-from repro.stream import MutationBatch, apply_batch, repair_depth_matrix
+from repro.bfs.reference import reference_bfs
+from repro.service import ServingConfig
+from repro.service.request import Request
+from repro.stream import (
+    DynamicBFSServer,
+    MutationBatch,
+    apply_batch,
+    repair_depth_matrix,
+)
+from repro.stream.repair import REPAIR, RepairConfig
 
 SETTINGS = settings(
     max_examples=15,
@@ -189,6 +205,133 @@ def test_repair_matches_scratch_traversal(case):
 @given(rung_repair_cases())
 def test_repair_across_the_int8_rung_matches_scratch_traversal(case):
     _check_repair(case)
+
+
+@st.composite
+def serving_swap_cases(draw, max_vertices=20, max_edges=40, max_batches=4):
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    m = draw(st.integers(min_value=0, max_value=max_edges))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    graph = from_edge_arrays(
+        np.asarray(draw(ends), dtype=VERTEX_DTYPE),
+        np.asarray(draw(ends), dtype=VERTEX_DTYPE),
+        num_vertices=n,
+    )
+    sources = draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(6, n),
+                 unique=True)
+    )
+    # One or two depth limits: each is its own repair bucket.
+    limits = draw(
+        st.lists(st.one_of(st.none(), st.integers(1, 4)), min_size=1,
+                 max_size=2, unique=True)
+    )
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_batches))):
+        ni = draw(st.integers(min_value=1, max_value=4))
+        batch_ends = st.lists(st.integers(0, n - 1), min_size=ni,
+                              max_size=ni)
+        batches.append((draw(batch_ends), draw(batch_ends)))
+    return graph, sources, limits, batches
+
+
+def kinds(max_depth):
+    """The request kinds a depth limit admits: closeness needs a full
+    traversal."""
+    return ("bfs", "closeness") if max_depth is None else ("bfs",)
+
+
+def scratch_row(graph, source, max_depth):
+    row = reference_bfs(graph, source)
+    if max_depth is not None:
+        row[row > max_depth] = -1
+    return row
+
+
+@contextlib.contextmanager
+def counting_count_nonzero():
+    calls = []
+    original = np.count_nonzero
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    np.count_nonzero = counted
+    try:
+        yield calls
+    finally:
+        np.count_nonzero = original
+
+
+def dense_repair(graph, batch, cached):
+    """Every cached row repaired, one stacked matrix per depth limit:
+    ``({key: row}, total rounds)``."""
+    buckets = {}
+    for key in cached:
+        buckets.setdefault(key[3], []).append(key)
+    rows, total = {}, 0
+    for max_depth, keys in buckets.items():
+        fixed, rounds = repair_depth_matrix(
+            graph, batch, np.stack([cached[k] for k in keys]),
+            max_depth=max_depth,
+        )
+        rows.update(zip(keys, fixed))
+        total += rounds
+    return rows, total
+
+
+@SETTINGS
+@given(serving_swap_cases())
+def test_swaps_repair_changed_rows_and_carry_the_rest(case):
+    graph, sources, limits, batches = case
+    n = graph.num_vertices
+    server = DynamicBFSServer(
+        graph,
+        ServingConfig(batch_size=4, cache_capacity=256, return_depths=True),
+        repair_config=RepairConfig(max_seed_fraction=1.0),
+    )
+    with server:
+        for inserts in batches:
+            # Two rounds: misses fill the cache, hits memoize each row's
+            # answers beside it.
+            for _ in range(2):
+                for s in sources:
+                    for max_depth in limits:
+                        for kind in kinds(max_depth):
+                            server.submit(Request(source=s, kind=kind,
+                                                  max_depth=max_depth))
+                server.drain()
+            cached = dict(server.cache.items())
+            batch = MutationBatch.make(n, inserts=inserts)
+            dense, dense_rounds = dense_repair(
+                apply_batch(server.graph, batch), batch, cached
+            )
+            record = server.mutate(inserts=inserts)
+            if record.decision != REPAIR:
+                assert len(server.cache) == 0
+                continue
+            assert record.rows_repaired == len(cached)
+            assert record.repair_rounds == dense_rounds
+            after = dict(server.cache.items())
+            assert len(after) == len(cached)
+            for key, old_row in cached.items():
+                new_key = (server.substrate.epochs.current.graph_id,) + key[1:]
+                row = after[new_key]
+                want = scratch_row(server.graph, key[1], key[3])
+                assert np.array_equal(row, want)
+                assert np.array_equal(row, dense[key])
+                assert not row.flags.writeable
+                if not np.array_equal(old_row, want):
+                    continue
+                assert row is old_row
+                with counting_count_nonzero() as calls:
+                    for kind in kinds(key[3]):
+                        server.submit(Request(source=key[1], kind=kind,
+                                              max_depth=key[3]))
+                assert calls == []
+            for response in server.drain():
+                assert response.cached
 
 
 class TestRepairAcrossBackends:

@@ -6,7 +6,8 @@
   again.
 * A burst of queued timeouts is answered once each, in pool order.
 * The memoized answers follow their row: through eviction, and through
-  the epoch swaps of a dynamic server (repair re-puts rows, recompute
+  the epoch swaps of a dynamic server (repair carries the rows a batch
+  leaves unchanged with their answers and replaces the rest, recompute
   purges them), every ``bfs`` value equals the reached count of the
   response's own depth row and every ``closeness`` value equals the
   score of a scratch traversal on the graph it was served on.
@@ -157,8 +158,8 @@ def test_memoized_answers_follow_repaired_and_purged_rows(graph):
     with server:
         serve_round(server)
         touch_cached_rows(server)
-        # Insert-only: cached rows are repaired and re-put under the new
-        # epoch; new edges from the hot sources change their answers.
+        # Insert-only: cached rows move to the new epoch; new edges from
+        # the hot sources change their rows, and so their answers.
         far = np.flatnonzero(reference_bfs(server.graph, 0) < 0)[:3]
         record = server.mutate(inserts=([0, 1, 2][: len(far)], list(far)))
         assert record.decision == REPAIR

@@ -64,6 +64,88 @@ class TestEpochLifecycle:
         assert store.reclaimed_epochs == 1
 
 
+def feed(store, batches):
+    """Publish each ``(inserts, deletes)`` batch; returns the ids."""
+    ids = []
+    for inserts, deletes in batches:
+        store.overlay.insert_edges(*inserts)
+        store.overlay.delete_edges(*deletes)
+        ids.append(store.publish().graph_id)
+    return ids
+
+
+LINEAGE_BATCHES = [
+    (([0, 1], [5, 6]), ([], [])),
+    (([2], [3]), ([0], [5])),
+    (([], []), ([1], [6])),
+    (([0, 1], [5, 6]), ([], [])),  # epoch 1's batch on another parent
+]
+
+
+class TestLineageIds:
+    """Epochs after the base are named from their parent's id and the
+    batch, in O(batch), instead of by a CRC over the new CSR."""
+
+    def test_every_publish_gets_a_new_id(self):
+        with EpochStore(small_graph()) as store:
+            ids = [store.current.graph_id] + feed(store, LINEAGE_BATCHES)
+            assert len(set(ids)) == len(ids)
+
+    def test_stores_fed_the_same_batches_agree(self):
+        with EpochStore(small_graph()) as a, EpochStore(small_graph()) as b:
+            assert feed(a, LINEAGE_BATCHES) == feed(b, LINEAGE_BATCHES)
+
+    @pytest.mark.parametrize(
+        "batch, other",
+        [
+            pytest.param((([0], [5]), ([], [])), (([0], [6]), ([], [])),
+                         id="inserts"),
+            pytest.param((([], []), ([0], [5])), (([], []), ([0], [6])),
+                         id="deletes"),
+            pytest.param((([0], [5]), ([], [])), (([], []), ([0], [5])),
+                         id="insert-or-delete"),
+        ],
+    )
+    def test_ids_depend_on_the_batch(self, batch, other):
+        with EpochStore(small_graph()) as a, EpochStore(small_graph()) as b:
+            assert feed(a, [batch]) != feed(b, [other])
+
+    def test_ids_depend_on_the_base(self):
+        with EpochStore(small_graph(seed=3)) as a, \
+                EpochStore(small_graph(seed=4)) as b:
+            first = LINEAGE_BATCHES[:1]
+            assert feed(a, first) != feed(b, first)
+
+    def test_publish_runs_no_crc(self, monkeypatch):
+        import repro.service.cache as cache
+
+        calls = []
+        crc32 = cache.zlib.crc32
+
+        def counted(*args):
+            calls.append(args)
+            return crc32(*args)
+
+        with EpochStore(small_graph()) as store:
+            monkeypatch.setattr(cache.zlib, "crc32", counted)
+            feed(store, LINEAGE_BATCHES)
+            graph = store.current.graph
+            assert graph_cache_id(graph) == store.current.graph_id
+            monkeypatch.undo()
+        assert calls == []
+
+    def test_published_graph_is_frozen_under_its_id(self):
+        base = small_graph()
+        base.reverse()
+        with EpochStore(base) as store:
+            feed(store, LINEAGE_BATCHES[:2])
+            graph = store.current.graph
+            assert graph._cache_id == store.current.graph_id
+            assert graph.frozen and graph.cached_reverse.frozen
+            with pytest.raises(ValueError):
+                graph.row_offsets[1] = 0
+
+
 class TestFrozenSnapshots:
     """Satellite regression: a fingerprinted graph must refuse in-place
     mutation — the fingerprint is memoized forever, so silent mutation

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, StreamError
 from repro.graph.generators import kronecker
+from repro.obs import tracing
 from repro.runtime import SubstrateSpec
 from repro.service import (
     BFSServer,
@@ -92,6 +93,31 @@ class TestMutationBarrier:
             DynamicBFSServer(graph(), serving(), executor=FakeExecutor())
 
 
+class TestRefusedMutation:
+    def test_refused_batch_changes_nothing(self):
+        with DynamicBFSServer(
+            graph(), serving(flush_deadline=10.0)
+        ) as server:
+            ask(server, 0)
+            server.submit(Request(source=5, kind="bfs"))
+            clock = server.clock
+            epochs = server.substrate.epochs
+            with pytest.raises(StreamError):
+                server.mutate(
+                    inserts=([1, 2], [3, 4]),
+                    deletes=([0], [10**6]),
+                    arrival_time=clock + 1.0,
+                )
+            # Neither queued, nor flushed, nor published, nor advanced.
+            assert not server.substrate.overlay.has_pending
+            assert epochs.current_epoch == 0
+            assert server.clock == clock
+            assert len(server.batcher) == 1
+            assert server.epoch_records == []
+            record = server.mutate(inserts=([5], [6]))
+            assert (record.epoch, record.inserts, record.deletes) == (1, 1, 0)
+
+
 class TestCacheAcrossEpochs:
     def test_insert_batch_repairs_cached_rows_bit_identically(self):
         g = graph(seed=5)
@@ -110,6 +136,29 @@ class TestCacheAcrossEpochs:
             scratch = fresh.substrate.run_group(sources).depths
             for i, s in enumerate(sources):
                 assert np.array_equal(responses[s].depths, scratch[i])
+
+    def test_repair_span_counts_changed_rows(self):
+        g = graph(seed=5)
+        with DynamicBFSServer(g, serving()) as server:
+            sources = [0, 1, 2, 3]
+            before = {s: ask(server, s).depths for s in sources}
+            far = np.flatnonzero(before[0] < 0)
+            dst = int(far[0]) if far.size else 9
+            tracer = tracing.configure(process="test")
+            try:
+                record = server.mutate(inserts=([0], [dst]))
+            finally:
+                tracing.set_tracer(None)
+            assert record.decision == REPAIR
+            after = {s: ask(server, s).depths for s in sources}
+            changed = sum(
+                not np.array_equal(before[s], after[s]) for s in sources
+            )
+            assert changed >= 1
+            (span,) = [s for s in tracer.drain() if s.name == "stream.repair"]
+            assert span.attrs["rows_repaired"] == record.rows_repaired == 4
+            assert span.attrs["rows_changed"] == changed
+            assert span.attrs["repair_rounds"] == record.repair_rounds
 
     def test_delete_batch_drops_cached_rows(self):
         g = graph(seed=6)
