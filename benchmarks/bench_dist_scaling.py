@@ -84,7 +84,8 @@ def measure(args, ledger):
     sources = sorted(
         rng.choice(graph.num_vertices, size=num_sources, replace=False).tolist()
     )
-    serial = IBFS(graph, IBFSConfig(group_size=group_size))
+    config = IBFSConfig(group_size=group_size)
+    serial = IBFS(graph, config)
 
     print(
         f"graph rmat scale={scale} ef={edge_factor}: "
@@ -104,11 +105,8 @@ def measure(args, ledger):
     for num_partitions, layout in PARTITION_CONFIGS:
         engine = PartitionedEngine(
             graph,
-            DistConfig(
-                num_partitions=num_partitions,
-                layout=layout,
-                group_size=group_size,
-            ),
+            DistConfig(num_partitions=num_partitions, layout=layout),
+            config,
         )
         verify = engine.run(sources, store_depths=True)
         if not np.array_equal(verify.depths, reference.depths):
@@ -150,10 +148,7 @@ def measure(args, ledger):
     format_levels = {}
     for fmt in ("dense", "sparse", "auto"):
         engine = PartitionedEngine(
-            graph,
-            DistConfig(
-                num_partitions=2, exchange=fmt, group_size=group_size
-            ),
+            graph, DistConfig(num_partitions=2, exchange=fmt), config
         )
         run = engine.run_group(study_group)
         if not np.array_equal(
@@ -162,7 +157,7 @@ def measure(args, ledger):
             raise AssertionError(f"forced {fmt} depths diverged from serial")
         format_levels[fmt] = engine.last_stats.levels
     dense_fixed = PartitionedEngine(
-        graph, DistConfig(num_partitions=2, group_size=group_size)
+        graph, DistConfig(num_partitions=2), config
     ).partitions.dense_bytes_per_level()
     failures = []
     sparse_min = None

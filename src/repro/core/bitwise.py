@@ -61,7 +61,7 @@ import repro.native as native
 from repro.graph.csr import CSRGraph, VERTEX_DTYPE
 from repro.gpusim.counters import LevelRecord, RunRecord
 from repro.gpusim.device import Device
-from repro.core.result import INT16_DEPTH_MAX, INT8_DEPTH_MAX, narrow_depths
+from repro.core.result import ladder_depths, widen_for_level
 from repro.core.traversal import GroupTraversal
 from repro.core.status_array import combine_masks, instance_masks, lanes_for
 from repro.kernels import (
@@ -207,12 +207,7 @@ class BitwiseTraversal(GroupTraversal):
         return _Group(masks, depths_vm, workspace)
 
     def _depths(self, group: _Group) -> np.ndarray:
-        depths = group.depths
-        if depths.dtype != np.int8:
-            # The ladder widens when a level past the rung runs, and
-            # that level may find nothing: narrow to the deepest depth.
-            depths = narrow_depths(depths)
-        return native.materialize_depths(depths)
+        return ladder_depths(group.depths)
 
     # ------------------------------------------------------------------
     # One synchronized level
@@ -231,11 +226,7 @@ class BitwiseTraversal(GroupTraversal):
         kernels (:meth:`_level_numpy`) — and apply its
         :data:`~repro.native._csrc.LEVEL_STATS` vector to ``record``.
         """
-        # This level writes depth level + 1.
-        if level >= INT8_DEPTH_MAX and group.depths.dtype == np.int8:
-            group.depths = group.depths.astype(np.int16)
-        elif level >= INT16_DEPTH_MAX and group.depths.dtype == np.int16:
-            group.depths = group.depths.astype(np.int32)
+        group.depths = widen_for_level(group.depths, level)
         workspace = group.workspace
         if isinstance(workspace, native.LevelKernel):
             if bu_instances:

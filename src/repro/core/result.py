@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+import repro.native as native
 from repro.errors import TraversalError
 from repro.gpusim.counters import ProfilerCounters
 
@@ -34,6 +35,27 @@ def narrow_depths(depths: np.ndarray) -> np.ndarray:
     itself when it is already in that dtype, else a narrowed copy."""
     deepest = int(depths.max()) if depths.size else 0
     return depths.astype(depth_dtype(deepest), copy=False)
+
+
+def widen_for_level(depths: np.ndarray, level: int) -> np.ndarray:
+    """A ladder matrix that level ``level`` can write depth ``level + 1``
+    into: ``depths`` itself, or a copy one rung wider once ``level``
+    reaches the rung of its dtype."""
+    if level >= INT8_DEPTH_MAX and depths.dtype == np.int8:
+        return depths.astype(np.int16)
+    if level >= INT16_DEPTH_MAX and depths.dtype == np.int16:
+        return depths.astype(np.int32)
+    return depths
+
+
+def ladder_depths(depths_vm: np.ndarray) -> np.ndarray:
+    """The ``(group, n)`` result of a vertex-major ladder matrix, in
+    :func:`depth_dtype` of its deepest depth."""
+    if depths_vm.dtype != np.int8:
+        # The ladder widens when a level past the rung runs, and that
+        # level may find nothing: narrow to the deepest depth.
+        depths_vm = narrow_depths(depths_vm)
+    return native.materialize_depths(depths_vm)
 
 
 @dataclass

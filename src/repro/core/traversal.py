@@ -3,7 +3,9 @@
 iBFS runs a group, JSA or BSA, through one loop: take each instance's
 direction, run the joint kernel for the level, count each instance's
 new frontier, and retire the instances that found nothing.
-:class:`GroupTraversal` is that loop.  An engine supplies three hooks:
+:class:`GroupTraversal` is that loop, for the bitwise, joint and
+partitioned (:mod:`repro.dist.engine`) engines.  An engine supplies
+three hooks:
 
 * ``_begin_group(sources, inspections)`` — its state for one group
   (bottom-up inspections accumulate into the int64 ``inspections``);
@@ -14,6 +16,12 @@ new frontier, and retire the instances that found nothing.
   size and out-degree sum;
 * ``_depths(state)`` — the ``(group, n)`` depth matrix, in
   :func:`~repro.core.result.depth_dtype` of its deepest depth.
+
+Two more have defaults that the device engines keep:
+``_resolve_decision(state, decision)`` fills in what the planner left
+open before the decision runs and is recorded (the partitioned engine's
+wire format), and ``_group_seconds(state, record)`` prices the group
+(one kernel launch on the device's cost model).
 
 The loop owns the rest: the source checks, the planner session or a
 recorded plan's replay (one :class:`~repro.plan.types.LevelDecision`
@@ -39,7 +47,7 @@ from repro.obs import profile as obs_profile
 from repro.core.result import GroupStats
 from repro.core.sharing import SharingObserver
 from repro.plan.policy import HeuristicPolicy, Policy, RecordedPolicy
-from repro.plan.types import Direction, LevelStats, RunPlan
+from repro.plan.types import Direction, LevelDecision, LevelStats, RunPlan
 
 
 class GroupTraversal:
@@ -138,6 +146,7 @@ class GroupTraversal:
                     f"planner decided {decision.num_instances} instances "
                     f"for a group of {group_size}"
                 )
+            decision = self._resolve_decision(state, decision)
             run_plan.append(decision)
             directions = decision.directions
             td_instances = [
@@ -192,10 +201,9 @@ class GroupTraversal:
                 )
             level += 1
 
-        record.counters.kernel_launches += 1
         stats = GroupStats(
             sources=sources,
-            seconds=self.device.cost.kernel_time(record.levels),
+            seconds=self._group_seconds(state, record),
             sharing_degree=observer.degree(),
             sharing_ratio=observer.ratio(),
             jfq_sizes=list(observer.jfq_sizes),
@@ -206,3 +214,15 @@ class GroupTraversal:
             plan=run_plan,
         )
         return self._depths(state), record, stats
+
+    def _resolve_decision(
+        self, state, decision: LevelDecision
+    ) -> LevelDecision:
+        """The decision a level runs and records: the planner's as is."""
+        return decision
+
+    def _group_seconds(self, state, record: RunRecord) -> float:
+        """Simulated seconds of the group: one kernel launch, timed from
+        its level records by the device's cost model."""
+        record.counters.kernel_launches += 1
+        return self.device.cost.kernel_time(record.levels)

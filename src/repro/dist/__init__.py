@@ -2,7 +2,8 @@
 
 Splits a CSR graph into 1D vertex-range or 2D edge-block partitions
 (:mod:`repro.dist.partition`), runs level-synchronous multi-source BFS
-across them with a per-level frontier exchange whose wire format —
+across them on the level loop every group engine shares, with a
+per-level frontier exchange whose wire format —
 dense bitmask vs sparse list — is chosen per level and recorded into
 the run plan (:mod:`repro.dist.exchange`, :mod:`repro.dist.engine`),
 and prices the communication with the cost model of
@@ -19,6 +20,7 @@ from repro.dist.engine import (
     DistStats,
     LevelTrace,
     PartitionedEngine,
+    PartitionedTraversal,
     PartitionState,
 )
 from repro.dist.exchange import (
@@ -53,6 +55,7 @@ __all__ = [
     "PartitionSet",
     "PartitionState",
     "PartitionedEngine",
+    "PartitionedTraversal",
     "check_partition_cover",
     "encode_updates",
     "grid_shape",

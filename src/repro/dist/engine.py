@@ -2,30 +2,34 @@
 
 :class:`PartitionedEngine` traverses graphs that no single worker holds
 whole: the CSR is split by :class:`~repro.dist.partition.GraphPartitioner`,
-every partition keeps the vertex state (one ``uint64`` status word and
-one ``int32`` depth row per owned vertex) for its owner range, and each
-level runs as
+every partition keeps one ``uint64`` status word per owned vertex, and
+each group runs through the level loop every group engine shares,
+:class:`~repro.core.traversal.GroupTraversal`.
+:class:`PartitionedTraversal` supplies its hooks; each level runs as
 
-1. **expand** — every edge block scans its slice of the joint frontier
-   and aggregates ``(destination, instance-mask)`` updates;
-2. **exchange** — updates are encoded in the level's resolved wire
-   format (:mod:`repro.dist.exchange`) and routed to the destination
-   owners (plus, under the 2D layout, the new frontier is broadcast to
-   the sibling edge blocks of each owner's grid row);
-3. **apply** — owners OR the updates into their status words; bits not
+1. **route** — each owner's slice of the joint frontier goes to the
+   edge blocks of its grid row (under the 2D layout every sibling block
+   beyond the owner's own is a remote copy: the frontier broadcast);
+2. **expand** — every edge block scans its slice of the frontier and
+   aggregates ``(destination, instance-mask)`` updates;
+3. **exchange** — updates are encoded in the level's resolved wire
+   format (:mod:`repro.dist.exchange`) and sent to the destination
+   owners;
+4. **apply** — owners OR the updates into their status words; bits not
    previously visited become depth ``level + 1`` and form the next
    joint frontier.
 
-Depths depend only on the edge set, so the merged ``(group, |V|)``
-matrix, assembled in :func:`~repro.core.result.depth_dtype` of its
-deepest depth, is bit-identical to serial
-:meth:`repro.core.engine.IBFS.run` for every layout, partition count,
-and wire format.  What the knobs change is the *communication*:
-per-level bytes and messages are accounted exactly and priced by the
-:mod:`repro.dist.comm` cost model, and the per-level format choice is
-recorded into the run's :class:`~repro.plan.types.RunPlan` (via the
-``exchange`` field of :class:`~repro.plan.types.LevelDecision`) so a
-replay re-sends exactly the recorded bytes.
+Depths depend only on the edge set, so the ``(group, |V|)`` matrix,
+kept vertex-major on the depth ladder as the bitwise engine keeps it,
+is bit-identical to serial :meth:`repro.core.engine.IBFS.run` for every
+layout, partition count, and wire format.  What the knobs change is the
+*communication*: per-level bytes and messages are accounted exactly and
+priced by the :mod:`repro.dist.comm` cost model, which also gives the
+group its seconds, and the per-level format choice is recorded into the
+run's :class:`~repro.plan.types.RunPlan` (the ``exchange`` field of
+:class:`~repro.plan.types.LevelDecision`) so a replay re-sends exactly
+the recorded bytes.  Every level runs top-down: a plan with bottom-up
+levels raises :class:`~repro.errors.TraversalError`.
 
 Every partition runs in this process, one after another, so host wall
 time prices the partitioning overhead, not parallel speed-up; the
@@ -34,6 +38,7 @@ parallel cost of a level is what the comm model prices.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,14 +47,15 @@ import numpy as np
 
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.counters import ProfilerCounters
-from repro.kernels.bookkeeping import unpack_lane_bits
+from repro.gpusim.counters import RunRecord
+from repro.kernels import unpack_lane_bits
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.core.engine import check_group
-from repro.core.groupby import GroupByConfig, group_sources, random_groups
-from repro.core.result import ConcurrentResult, GroupStats, depth_dtype
-from repro.plan.types import Direction, LevelDecision, RunPlan
+from repro.core.engine import IBFS, IBFSConfig, check_group
+from repro.core.result import ConcurrentResult, ladder_depths, widen_for_level
+from repro.core.traversal import GroupTraversal
+from repro.plan.policy import FixedPolicy
+from repro.plan.types import LevelDecision, RunPlan
 from repro.dist.comm import CommCostModel
 from repro.dist.exchange import (
     SPARSE_ENTRY_BYTES,
@@ -63,7 +69,6 @@ from repro.dist.partition import (
     LAYOUTS,
     GraphPartition,
     GraphPartitioner,
-    PartitionSet,
     check_partition_cover,
 )
 
@@ -73,16 +78,15 @@ UNVISITED = -1
 #: Hard instance cap: one uint64 status word per vertex.
 MAX_GROUP_SIZE = 64
 
+#: The frontier slice of a block whose grid row found nothing.
+_NO_FRONTIER = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64))
+
 
 @dataclass(frozen=True)
 class DistConfig:
-    """Configuration of a :class:`PartitionedEngine`.
-
-    ``group_size``/``groupby``/``groupby_config``/``seed`` mirror
-    :class:`~repro.core.engine.IBFSConfig` so source grouping stays
-    identical to the serial engine; ``group_size`` is additionally
-    clamped to :data:`MAX_GROUP_SIZE` (one status word per vertex).
-    """
+    """Placement of a :class:`PartitionedEngine`: how the graph is split
+    and how levels exchange.  Grouping is the engine's
+    :class:`~repro.core.engine.IBFSConfig`."""
 
     num_partitions: int = 2
     layout: str = "1d"
@@ -91,10 +95,6 @@ class DistConfig:
     #: per level from the previous level's frontier).
     exchange: str = "auto"
     exchange_threshold: float = 1.0
-    group_size: int = MAX_GROUP_SIZE
-    groupby: bool = True
-    groupby_config: GroupByConfig = GroupByConfig()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_partitions <= 0:
@@ -108,8 +108,6 @@ class DistConfig:
                 f"balance must be one of {BALANCE_MODES}; "
                 f"got {self.balance!r}"
             )
-        if self.group_size <= 0:
-            raise TraversalError("group_size must be positive")
         # Delegate format/threshold validation.
         ExchangePolicy(self.exchange, self.exchange_threshold)
 
@@ -118,7 +116,7 @@ class DistConfig:
 # Per-partition state and compute
 # ----------------------------------------------------------------------
 class PartitionState:
-    """One partition's vertex state plus its edge-block compute."""
+    """One partition's status words plus its edge-block compute."""
 
     def __init__(self, part: GraphPartition, own_bounds: np.ndarray) -> None:
         self.part = part
@@ -126,21 +124,10 @@ class PartitionState:
         self._scratch = np.zeros(
             part.dst_stop - part.dst_start, dtype=np.uint64
         )
-        self.group_size = 0
         self.visited: Optional[np.ndarray] = None
-        self.depths: Optional[np.ndarray] = None
 
-    # -- lifecycle -----------------------------------------------------
-    def init_group(self, group_size: int) -> None:
-        if not 1 <= group_size <= MAX_GROUP_SIZE:
-            raise TraversalError(
-                f"group size must be in [1, {MAX_GROUP_SIZE}]; "
-                f"got {group_size}"
-            )
-        self.group_size = group_size
-        own = self.part.own_size
-        self.visited = np.zeros(own, dtype=np.uint64)
-        self.depths = np.full((own, group_size), UNVISITED, dtype=np.int32)
+    def init_group(self) -> None:
+        self.visited = np.zeros(self.part.own_size, dtype=np.uint64)
 
     # -- expand --------------------------------------------------------
     def expand(
@@ -200,11 +187,10 @@ class PartitionState:
 
     # -- apply ---------------------------------------------------------
     def apply(
-        self, level: int, payloads: Sequence[ExchangePayload]
+        self, payloads: Sequence[ExchangePayload]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Merge incoming updates; returns the newly discovered frontier
-        slice (global vertex ids, instance masks).  ``level == -1``
-        injects the sources (depth 0)."""
+        slice (global vertex ids, instance masks)."""
         part = self.part
         acc = np.zeros(part.own_size, dtype=np.uint64)
         for payload in payloads:
@@ -213,18 +199,7 @@ class PartitionState:
         idx = np.flatnonzero(new)
         if idx.size:
             self.visited[idx] |= new[idx]
-            bits = unpack_lane_bits(
-                new[idx].reshape(-1, 1), self.group_size
-            ).astype(bool)
-            rows = self.depths[idx]
-            rows[bits] = level + 1
-            self.depths[idx] = rows
         return idx + part.own_start, new[idx]
-
-    # -- collect -------------------------------------------------------
-    def collect(self) -> np.ndarray:
-        """The owned ``(own_size, group_size)`` int32 depth block."""
-        return self.depths
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +269,12 @@ class DistStats:
             out[t.fmt] = out.get(t.fmt, 0) + 1
         return out
 
+    def add(self, other: "DistStats") -> None:
+        """Fold another call's groups, levels and wall time into these."""
+        self.groups += other.groups
+        self.levels.extend(other.levels)
+        self.wall_seconds += other.wall_seconds
+
     def to_dict(self) -> dict:
         return {
             "layout": self.layout,
@@ -326,43 +307,269 @@ class DistStats:
 
 
 # ----------------------------------------------------------------------
+# The level loop's hooks
+# ----------------------------------------------------------------------
+@dataclass
+class _Group:
+    """One group's state between levels: the joint frontier as one
+    ``(vertices, masks)`` slice per owner, its instance-bit total and
+    out-degree sum, and the vertex-major depth matrix (replaced when it
+    widens)."""
+
+    frontier: List[Tuple[np.ndarray, np.ndarray]]
+    fq: int
+    frontier_edges: int
+    depths: np.ndarray
+
+
+class PartitionedTraversal(GroupTraversal):
+    """The partitions' joint traversal of one group, on the shared
+    level loop.  Every level runs top-down (``FixedPolicy("td")``);
+    :attr:`traces` holds the last group's per-level exchange records.
+    """
+
+    name = "partitioned"
+
+    def __init__(self, graph: CSRGraph, config: DistConfig) -> None:
+        super().__init__(graph, planner=FixedPolicy("td"))
+        self.partitions = GraphPartitioner(
+            graph,
+            config.num_partitions,
+            layout=config.layout,
+            balance=config.balance,
+        ).build()
+        check_partition_cover(graph, self.partitions)
+        self.cost_model = CommCostModel()
+        self.exchange_policy = ExchangePolicy(
+            config.exchange, config.exchange_threshold
+        )
+        self._dense_bytes = self.partitions.dense_bytes_per_level()
+        self._states = [
+            PartitionState(p, self.partitions.own_bounds)
+            for p in self.partitions.parts
+        ]
+        self.traces: List[LevelTrace] = []
+
+    def run_group(
+        self,
+        sources: Sequence[int],
+        max_depth: Optional[int] = None,
+        plan: Optional[RunPlan] = None,
+    ):
+        if plan is not None and plan.needs_bottom_up:
+            raise TraversalError(
+                "the partitioned engine runs top-down levels only; the "
+                "plan directs instances bottom-up"
+            )
+        return super().run_group(sources, max_depth=max_depth, plan=plan)
+
+    # ------------------------------------------------------------------
+    def _begin_group(
+        self, sources: List[int], inspections: np.ndarray
+    ) -> _Group:
+        group_size = len(sources)
+        if group_size > MAX_GROUP_SIZE:
+            raise TraversalError(
+                f"group size must be at most {MAX_GROUP_SIZE}; "
+                f"got {group_size}"
+            )
+        self.traces = []
+        depths = np.full(
+            (self.graph.num_vertices, group_size), UNVISITED, dtype=np.int8
+        )
+        depths[sources, np.arange(group_size)] = 0
+        # Source injection: depth 0, applied like an exchange that
+        # costs no bytes.
+        vertices = np.asarray(sources, dtype=np.int64)
+        masks = np.uint64(1) << np.arange(group_size, dtype=np.uint64)
+        order = np.argsort(vertices, kind="stable")
+        vertices, masks = vertices[order], masks[order]
+        cuts = np.searchsorted(vertices, self.partitions.own_bounds)
+        frontier = []
+        for p, state in enumerate(self._states):
+            state.init_group()
+            a, b = cuts[p], cuts[p + 1]
+            frontier.append(state.apply([encode_updates(
+                vertices[a:b], masks[a:b],
+                state.part.own_start, state.part.own_stop, "sparse",
+            )]))
+        return _Group(
+            frontier, group_size, int(self._out_degrees[vertices].sum()),
+            depths,
+        )
+
+    def _resolve_decision(
+        self, group: _Group, decision: LevelDecision
+    ) -> LevelDecision:
+        """Fill an ``"auto"`` exchange from the frontier about to be
+        expanded; a recorded format replays as it stands."""
+        if decision.exchange != "auto":
+            return decision
+        fmt = self.exchange_policy.decide(
+            group.frontier_edges, self._dense_bytes
+        )
+        return dataclasses.replace(decision, exchange=fmt)
+
+    def _level(
+        self,
+        group: _Group,
+        td_instances: List[int],
+        bu_instances: List[int],
+        level: int,
+        decision: LevelDecision,
+        record: RunRecord,
+    ):
+        """The level's exchange (:meth:`_exchange`), then the new
+        frontier's per-instance sizes and the depth rows it reaches."""
+        tracer = obs_tracing.get_tracer()
+        with tracer.span(
+            "exchange.level", level=level, fmt=decision.exchange
+        ) as span:
+            trace, new = self._exchange(level, decision.exchange, group)
+            if span is not None:
+                span.annotate(
+                    bytes=trace.nbytes,
+                    messages=trace.messages,
+                    entries=trace.entries,
+                    frontier=trace.frontier_vertices,
+                    exchange_seconds=trace.exchange_seconds,
+                )
+        self.traces.append(trace)
+
+        # One unpack of the new bits gives each instance's new-frontier
+        # size and degree sum and the depth update (the words are one
+        # lane, so this beats per_bit_counts' eight byte histograms).
+        vertices = np.concatenate([v for v, _ in new])
+        bits = unpack_lane_bits(
+            np.concatenate([m for _, m in new])[:, None],
+            group.depths.shape[1],
+        )
+        degrees = self._out_degrees[vertices]
+        counts = bits.sum(axis=0, dtype=np.int64)
+        frontier_edges = degrees @ bits
+        if vertices.size:
+            # A newly set bit's cell holds UNVISITED (-1): adding
+            # level + 2 where bits are set writes depth level + 1.
+            group.depths = widen_for_level(group.depths, level)
+            upd = bits.astype(group.depths.dtype)
+            upd *= group.depths.dtype.type(level + 2)
+            group.depths[vertices] += upd
+
+        new_bits = int(counts.sum())
+        counters = record.counters
+        counters.levels += 1
+        counters.kernel_launches += len(self._states)
+        counters.edges_traversed += sum(trace.edges_scanned)
+        counters.frontier_enqueues += new_bits
+        counters.inspections += trace.entries
+        jfq = trace.frontier_vertices
+        sizes = (group.fq, jfq, 0, 0, jfq)
+        group.frontier = new
+        group.fq = new_bits
+        group.frontier_edges = int(degrees.sum())
+        return sizes, counts, frontier_edges
+
+    def _depths(self, group: _Group) -> np.ndarray:
+        return ladder_depths(group.depths)
+
+    def _group_seconds(self, group: _Group, record: RunRecord) -> float:
+        return sum(t.compute_seconds + t.exchange_seconds for t in self.traces)
+
+    def _exchange(
+        self, level: int, fmt: str, group: _Group
+    ) -> Tuple[LevelTrace, List[Tuple[np.ndarray, np.ndarray]]]:
+        """Route → expand → exchange → apply for one level, priced by
+        the comm model; returns its trace and the new frontier."""
+        pset = self.partitions
+        # Route: owner ranges refine row bands, so an owner's frontier
+        # goes to the blocks of its own grid row, and every sibling
+        # block beyond the owner itself gets a remote copy (the 2D
+        # frontier broadcast).
+        per_row: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        for (vertices, masks), part in zip(group.frontier, pset.parts):
+            if vertices.size:
+                per_row.setdefault(part.row, []).append((vertices, masks))
+        senders = sum(len(chunks) for chunks in per_row.values())
+        frontier_vertices = sum(int(v.shape[0]) for v, _ in group.frontier)
+        remote = pset.cols - 1
+
+        update_bytes = 0
+        update_messages = 0
+        entries = 0
+        edges_scanned: List[int] = []
+        per_owner: List[List[ExchangePayload]] = [
+            [] for _ in range(pset.num_partitions)
+        ]
+        for state in self._states:
+            chunks = per_row.get(state.part.row) or [_NO_FRONTIER]
+            payloads, edges = state.expand(
+                np.concatenate([v for v, _ in chunks]),
+                np.concatenate([m for _, m in chunks]),
+                fmt,
+            )
+            edges_scanned.append(edges)
+            for owner, payload in payloads:
+                per_owner[owner].append(payload)
+                update_bytes += payload.nbytes
+                update_messages += 1
+                entries += payload.entries
+        new = [
+            state.apply(payloads)
+            for state, payloads in zip(self._states, per_owner)
+        ]
+        broadcast_bytes = SPARSE_ENTRY_BYTES * frontier_vertices * remote
+        messages = update_messages + senders * remote
+        cost = self.cost_model.price_level(
+            edges_scanned, update_bytes + broadcast_bytes, messages
+        )
+        trace = LevelTrace(
+            level=level,
+            fmt=fmt,
+            entries=entries,
+            update_bytes=update_bytes,
+            broadcast_bytes=broadcast_bytes,
+            messages=messages,
+            frontier_vertices=frontier_vertices,
+            frontier_edges=group.frontier_edges,
+            edges_scanned=tuple(edges_scanned),
+            compute_seconds=cost.compute_seconds,
+            exchange_seconds=cost.exchange_seconds,
+        )
+        return trace, new
+
+
+# ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-class PartitionedEngine:
+class PartitionedEngine(IBFS):
     """Multi-source BFS over a partitioned graph (see module docs).
 
-    Drop-in peer of :class:`~repro.core.engine.IBFS` for the serving
-    layer: same ``run_group(group, max_depth, plan)`` /
-    ``run(sources, ...)`` surface, same bit-identical depth matrices,
-    and the same recorded-plan replay contract.
+    An :class:`~repro.core.engine.IBFS` whose groups run on a
+    :class:`PartitionedTraversal`: ``config`` groups the sources as it
+    does for the serial engine (group size capped at
+    :data:`MAX_GROUP_SIZE`), ``dist_config`` places the partitions, and
+    ``run`` leaves :attr:`last_stats` merged over its groups.  Same
+    bit-identical depth matrices and recorded-plan replay as the serial
+    engine.
     """
 
     def __init__(
         self,
         graph: CSRGraph,
-        config: Optional[DistConfig] = None,
+        dist_config: Optional[DistConfig] = None,
+        config: Optional[IBFSConfig] = None,
     ) -> None:
+        # IBFS's attributes, with the partitioned traversal as the
+        # group engine (IBFS.__init__ would build a device kernel).
         self.graph = graph
-        self.config = config or DistConfig()
-        self.partitioner = GraphPartitioner(
-            graph,
-            self.config.num_partitions,
-            layout=self.config.layout,
-            balance=self.config.balance,
-        )
-        self.partitions = self.partitioner.build()
-        check_partition_cover(graph, self.partitions)
-        self.cost_model = CommCostModel()
-        self.exchange_policy = ExchangePolicy(
-            self.config.exchange, self.config.exchange_threshold
-        )
-        self._dense_bytes = self.partitions.dense_bytes_per_level()
-        self._out_degrees = graph.out_degrees()
-        self._states = [
-            PartitionState(p, self.partitions.own_bounds)
-            for p in self.partitions.parts
-        ]
+        self.config = config or IBFSConfig()
+        self.dist_config = dist_config or DistConfig()
+        self._group_engine = PartitionedTraversal(graph, self.dist_config)
+        self.planner = self._group_engine.planner
+        self.partitions = self._group_engine.partitions
+        self.exchange_policy = self._group_engine.exchange_policy
         self._closed = False
+        self._merged: Optional[DistStats] = None
         #: Stats of the most recent run/run_group call.
         self.last_stats: Optional[DistStats] = None
 
@@ -370,27 +577,18 @@ class PartitionedEngine:
     @property
     def name(self) -> str:
         suffix = "+groupby" if self.config.groupby else "+random"
-        return (
-            f"dist-{self.config.layout}x{self.config.num_partitions}{suffix}"
-        )
+        dist = self.dist_config
+        return f"dist-{dist.layout}x{dist.num_partitions}{suffix}"
 
     def effective_group_size(self) -> int:
         """Configured N clamped by the one-status-word-per-vertex rule."""
         return min(self.config.group_size, MAX_GROUP_SIZE)
 
-    def make_groups(self, sources: Sequence[int]) -> List[List[int]]:
-        group_size = self.effective_group_size()
-        if self.config.groupby:
-            return group_sources(
-                self.graph, sources, group_size, self.config.groupby_config
-            )
-        return random_groups(sources, group_size, self.config.seed)
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Drop the partition states; the engine refuses to run after."""
         self._closed = True
-        self._states = []
+        self._group_engine = None
 
     def __enter__(self) -> "PartitionedEngine":
         return self
@@ -416,329 +614,53 @@ class PartitionedEngine:
         group = check_group(
             group, self.graph.num_vertices, self.effective_group_size
         )
-        stats = DistStats(
-            layout=self.config.layout,
-            num_partitions=self.config.num_partitions,
-        )
+        traversal = self._group_engine
         wall_start = time.perf_counter()
-        result = self._run_group_once(group, max_depth, plan, stats)
-        stats.wall_seconds = time.perf_counter() - wall_start
-        stats.groups = 1
-        self.last_stats = stats
-        stats.publish()
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_group_once(
-        self,
-        group: List[int],
-        max_depth: Optional[int],
-        plan: Optional[RunPlan],
-        stats: DistStats,
-    ) -> ConcurrentResult:
-        pset = self.partitions
-        n = self.graph.num_vertices
-        group_size = len(group)
-        tracer = obs_tracing.get_tracer()
-        recorded = RunPlan(
-            policy=plan.policy if plan is not None else self.exchange_policy.name,
-            engine=self.name,
-            group_size=group_size,
-        )
-        td = (Direction.TOP_DOWN,) * group_size
-
-        with tracer.span(
+        with obs_tracing.get_tracer().span(
             "dist.run_group",
-            layout=self.config.layout,
-            partitions=pset.num_partitions,
-            group_size=group_size,
+            layout=self.dist_config.layout,
+            partitions=self.partitions.num_partitions,
+            group_size=len(group),
             replay=plan is not None,
         ):
-            for state in self._states:
-                state.init_group(group_size)
-
-            # Source injection: depth 0, not an exchange (no bytes).
-            src_vertices = np.asarray(group, dtype=np.int64)
-            src_masks = np.uint64(1) << np.arange(
-                group_size, dtype=np.uint64
+            depths, record, gstats = traversal.run_group(
+                group, max_depth=max_depth, plan=plan
             )
-            order = np.argsort(src_vertices, kind="stable")
-            inject = self._bucket_by_owner(
-                src_vertices[order], src_masks[order]
-            )
-            new_slices = [
-                state.apply(-1, payloads)
-                for state, payloads in zip(self._states, inject)
-            ]
-
-            counters = ProfilerCounters()
-            traces: List[LevelTrace] = []
-            jfq_sizes: List[int] = []
-            per_level_sharing: List[float] = []
-            td_sharing: List[Tuple[int, int]] = []
-            seconds = 0.0
-            level = 0
-            deepest = 0
-            while True:
-                frontier_count = sum(
-                    int(v.shape[0]) for v, _ in new_slices
-                )
-                if frontier_count == 0:
-                    break
-                if max_depth is not None and level >= max_depth:
-                    break
-                fmt = self._resolve_format(plan, level, new_slices)
-                with tracer.span(
-                    "exchange.level", level=level, fmt=fmt
-                ) as span:
-                    trace, new_slices = self._run_level(
-                        pset, level, fmt, new_slices
-                    )
-                    cost = self.cost_model.price_level(
-                        trace.edges_scanned, trace.nbytes, trace.messages
-                    )
-                    trace.compute_seconds = cost.compute_seconds
-                    trace.exchange_seconds = cost.exchange_seconds
-                    if span is not None:
-                        span.annotate(
-                            bytes=trace.nbytes,
-                            messages=trace.messages,
-                            entries=trace.entries,
-                            frontier=trace.frontier_vertices,
-                            exchange_seconds=trace.exchange_seconds,
-                        )
-                seconds += cost.total_seconds
-                traces.append(trace)
-                recorded.append(
-                    LevelDecision(directions=td, exchange=fmt)
-                )
-                counters.levels += 1
-                counters.kernel_launches += pset.num_partitions
-                counters.edges_traversed += sum(trace.edges_scanned)
-                new_total = sum(int(v.shape[0]) for v, _ in new_slices)
-                new_bits = self._popcount_slices(new_slices, group_size)
-                counters.frontier_enqueues += new_bits
-                counters.inspections += trace.entries
-                jfq_sizes.append(new_total)
-                per_level_sharing.append(
-                    new_bits / new_total if new_total else 0.0
-                )
-                td_sharing.append((new_bits, new_total))
-                if new_total:
-                    deepest = level + 1
-                level += 1
-
-            matrix = np.full(
-                (group_size, n), UNVISITED, dtype=depth_dtype(deepest)
-            )
-            for part, state in zip(pset.parts, self._states):
-                matrix[:, part.own_start : part.own_stop] = state.collect().T
-
-        stats.levels.extend(traces)
-        shared = [s for s in per_level_sharing if s > 0]
-        sharing_degree = (
-            sum(shared) / len(shared) if shared else 0.0
+        stats = DistStats(
+            layout=self.dist_config.layout,
+            num_partitions=self.dist_config.num_partitions,
+            groups=1,
+            levels=traversal.traces,
+            wall_seconds=time.perf_counter() - wall_start,
         )
-        gstats = GroupStats(
-            sources=group,
-            seconds=seconds,
-            sharing_degree=sharing_degree,
-            sharing_ratio=(
-                sharing_degree / group_size if group_size else 0.0
-            ),
-            jfq_sizes=jfq_sizes,
-            per_level_sharing=per_level_sharing,
-            td_sharing=td_sharing,
-            bu_sharing=[(0, 0) for _ in td_sharing],
-            bottom_up_inspections=[0] * group_size,
-            plan=recorded,
-        )
-        return ConcurrentResult(
-            engine=self.name,
-            sources=group,
-            seconds=seconds,
-            counters=counters,
-            depths=matrix,
-            num_vertices=n,
-            groups=[gstats],
+        self.last_stats = stats
+        if self._merged is not None:
+            self._merged.add(stats)
+        stats.publish()
+        return ConcurrentResult.from_groups(
+            self.name,
+            group,
+            self.graph.num_vertices,
+            [(group, depths, record.counters, gstats)],
         )
 
-    # ------------------------------------------------------------------
-    def _resolve_format(
-        self,
-        plan: Optional[RunPlan],
-        level: int,
-        new_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
-    ) -> str:
-        if plan is not None and len(plan.decisions):
-            decision = plan.decisions[min(level, len(plan.decisions) - 1)]
-            if decision.exchange != "auto":
-                return decision.exchange
-        frontier_edges = 0
-        for vertices, _ in new_slices:
-            if vertices.size:
-                frontier_edges += int(
-                    self._out_degrees[vertices].sum()
-                )
-        return self.exchange_policy.decide(frontier_edges, self._dense_bytes)
-
-    def _bucket_by_owner(
-        self, vertices: np.ndarray, masks: np.ndarray
-    ) -> List[List[ExchangePayload]]:
-        """Sparse source-injection payloads per owning partition
-        (``vertices`` must be sorted)."""
-        pset = self.partitions
-        out: List[List[ExchangePayload]] = [
-            [] for _ in range(pset.num_partitions)
-        ]
-        cuts = np.searchsorted(vertices, pset.own_bounds)
-        for p in range(pset.num_partitions):
-            a, b = int(cuts[p]), int(cuts[p + 1])
-            if a == b:
-                continue
-            part = pset.parts[p]
-            out[p].append(
-                encode_updates(
-                    vertices[a:b],
-                    masks[a:b],
-                    part.own_start,
-                    part.own_stop,
-                    "sparse",
-                )
-            )
-        return out
-
-    def _run_level(
-        self,
-        pset: PartitionSet,
-        level: int,
-        fmt: str,
-        new_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
-    ) -> Tuple[LevelTrace, List[Tuple[np.ndarray, np.ndarray]]]:
-        """Expand + exchange + apply for one level."""
-        # Route the joint frontier to the edge blocks.  Owner ranges
-        # refine row bands, so an owner's new vertices go to the blocks
-        # of its own grid row — every sibling block beyond the owner
-        # itself is a remote copy (the 2D frontier broadcast).
-        frontier_vertices = 0
-        frontier_edges = 0
-        broadcast_bytes = 0
-        broadcast_messages = 0
-        per_row: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        for p, (vertices, masks) in enumerate(new_slices):
-            if not vertices.size:
-                continue
-            count = int(vertices.shape[0])
-            frontier_vertices += count
-            frontier_edges += int(self._out_degrees[vertices].sum())
-            grid_row = pset.parts[p].row
-            per_row.setdefault(grid_row, []).append((vertices, masks))
-            remote = pset.cols - 1
-            broadcast_bytes += SPARSE_ENTRY_BYTES * count * remote
-            broadcast_messages += remote
-        frontier_slices: List[Tuple[np.ndarray, np.ndarray]] = []
-        for part in pset.parts:
-            chunks = per_row.get(part.row)
-            if not chunks:
-                frontier_slices.append(
-                    (
-                        np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=np.uint64),
-                    )
-                )
-            elif len(chunks) == 1:
-                frontier_slices.append(chunks[0])
-            else:
-                frontier_slices.append(
-                    (
-                        np.concatenate([c[0] for c in chunks]),
-                        np.concatenate([c[1] for c in chunks]),
-                    )
-                )
-
-        expanded = [
-            state.expand(vertices, masks, fmt)
-            for state, (vertices, masks) in zip(self._states, frontier_slices)
-        ]
-
-        update_bytes = 0
-        update_messages = 0
-        entries = 0
-        edges_scanned: List[int] = []
-        per_owner: List[List[ExchangePayload]] = [
-            [] for _ in range(pset.num_partitions)
-        ]
-        for payloads, edges in expanded:
-            edges_scanned.append(int(edges))
-            for owner, payload in payloads:
-                per_owner[owner].append(payload)
-                update_bytes += payload.nbytes
-                update_messages += 1
-                entries += payload.entries
-
-        new_slices = [
-            state.apply(level, payloads)
-            for state, payloads in zip(self._states, per_owner)
-        ]
-        trace = LevelTrace(
-            level=level,
-            fmt=fmt,
-            entries=entries,
-            update_bytes=update_bytes,
-            broadcast_bytes=broadcast_bytes,
-            messages=update_messages + broadcast_messages,
-            frontier_vertices=frontier_vertices,
-            frontier_edges=frontier_edges,
-            edges_scanned=tuple(edges_scanned),
-            compute_seconds=0.0,
-            exchange_seconds=0.0,
-        )
-        return trace, new_slices
-
-    @staticmethod
-    def _popcount_slices(
-        slices: Sequence[Tuple[np.ndarray, np.ndarray]], group_size: int
-    ) -> int:
-        total = 0
-        for _, masks in slices:
-            if masks.size:
-                total += int(
-                    unpack_lane_bits(
-                        masks.reshape(-1, 1), group_size
-                    ).sum()
-                )
-        return total
-
-    # ------------------------------------------------------------------
     def run(
         self,
         sources: Sequence[int],
         max_depth: Optional[int] = None,
         store_depths: bool = True,
     ) -> ConcurrentResult:
-        """Traverse from all sources; same grouping and bit-identical
-        depth matrix as :meth:`repro.core.engine.IBFS.run`."""
-        sources = [int(s) for s in sources]
-        if not sources:
-            raise TraversalError("at least one source is required")
-        parts = []
-        merged = DistStats(
-            layout=self.config.layout,
-            num_partitions=self.config.num_partitions,
+        """:meth:`IBFS.run`, leaving :attr:`last_stats` merged over
+        every group it ran."""
+        self._merged = DistStats(
+            layout=self.dist_config.layout,
+            num_partitions=self.dist_config.num_partitions,
         )
-        for group in self.make_groups(sources):
-            part = self.run_group(group, max_depth=max_depth)
-            parts.append((
-                group,
-                part.depths if store_depths else None,
-                part.counters,
-                part.groups[0],
-            ))
-            run_stats = self.last_stats
-            merged.groups += 1
-            merged.levels.extend(run_stats.levels)
-            merged.wall_seconds += run_stats.wall_seconds
-        self.last_stats = merged
-        return ConcurrentResult.from_groups(
-            self.name, sources, self.graph.num_vertices, parts
-        )
+        try:
+            result = super().run(
+                sources, max_depth=max_depth, store_depths=store_depths
+            )
+            self.last_stats = self._merged
+        finally:
+            self._merged = None
+        return result

@@ -566,7 +566,7 @@ def render_trace_report(
         for row in levels[:max_levels]:
             extra = ""
             if row.source == "exchange":
-                nbytes = row.attrs.get("nbytes")
+                nbytes = row.attrs.get("bytes")
                 fmt = row.attrs.get("fmt")
                 extra = f"  fmt={fmt} bytes={nbytes}"
             elif row.kernel_seconds:

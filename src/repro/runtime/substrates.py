@@ -353,27 +353,19 @@ class PartitionedSubstrate(Substrate):
         engine_config=None,
         planner=None,
     ) -> None:
-        from repro.core.engine import IBFSConfig
         from repro.dist.engine import DistConfig, PartitionedEngine
 
         self.graph = graph
         self.spec = spec
-        engine_config = engine_config or IBFSConfig()
         dist_config = DistConfig(
             num_partitions=spec.partitions or DistConfig().num_partitions,
             layout=spec.layout,
-            group_size=engine_config.group_size,
-            groupby=engine_config.groupby,
-            groupby_config=engine_config.groupby_config,
-            seed=engine_config.seed,
         )
-        self.engine = PartitionedEngine(graph, dist_config)
-        self._engine_config = engine_config
-        self._planner = planner
+        self.engine = PartitionedEngine(graph, dist_config, engine_config)
         # Partitioned plans carry exchange formats a whole-graph replay
         # would ignore; the suffix keeps the cache namespaces apart.
         self.engine_key = engine_key(
-            engine_config, planner, substrate_suffix=self.engine.name
+            self.engine.config, planner, substrate_suffix=self.engine.name
         )
 
     @property
@@ -397,9 +389,11 @@ class PartitionedSubstrate(Substrate):
     def on_epoch_published(self, snapshot: "Snapshot") -> None:
         from repro.dist.engine import PartitionedEngine
 
-        old_config = self.engine.config
-        self.engine.close()
-        self.engine = PartitionedEngine(snapshot.graph, old_config)
+        old = self.engine
+        old.close()
+        self.engine = PartitionedEngine(
+            snapshot.graph, old.dist_config, old.config
+        )
         self.graph = snapshot.graph
 
     def close(self) -> None:

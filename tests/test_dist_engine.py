@@ -12,8 +12,11 @@ import pytest
 from repro.errors import SimulationError, TraversalError
 from repro.graph.generators import kronecker
 from repro.core.engine import IBFS, IBFSConfig
+from repro.obs import profile as obs_profile
+from repro.obs import tracing
 from repro.obs.metrics import MetricsHub
-from repro.plan.types import LevelDecision, RunPlan
+from repro.plan import FixedPolicy
+from repro.plan.types import Direction, LevelDecision, RunPlan
 from repro.dist.comm import CommCostModel
 from repro.dist.engine import DistConfig, DistStats, PartitionedEngine
 from repro.dist.exchange import (
@@ -40,13 +43,16 @@ def group(graph, serial):
     return serial.make_groups(list(range(24)))[0]
 
 
-def dist_engine(graph, num_partitions, layout="1d", **overrides):
-    overrides.setdefault("group_size", GROUP_SIZE)
+def dist_engine(
+    graph, num_partitions, layout="1d", group_size=GROUP_SIZE,
+    groupby=True, seed=0, **overrides,
+):
     return PartitionedEngine(
         graph,
         DistConfig(
             num_partitions=num_partitions, layout=layout, **overrides
         ),
+        IBFSConfig(group_size=group_size, groupby=groupby, seed=seed),
     )
 
 
@@ -133,6 +139,54 @@ class TestReplay:
         replayed = engine.run_group(group, plan=forced)
         assert np.array_equal(replayed.depths, baseline.depths)
         assert set(engine.last_stats.formats()) == {"dense"}
+
+
+    def test_bottom_up_plan_is_refused(self, graph, group):
+        """Every partitioned level runs top-down, so a serial plan that
+        sends an instance bottom-up raises before any level runs."""
+        serial = IBFS(
+            graph, IBFSConfig(group_size=GROUP_SIZE),
+            planner=FixedPolicy(switch_level=2),
+        )
+        plan = serial.run_group(group).groups[0].plan
+        assert plan.needs_bottom_up
+        assert plan.decisions[0].bottom_up == 0
+        engine = dist_engine(graph, 2)
+        with pytest.raises(TraversalError, match="bottom-up"):
+            engine.run_group(group, plan=plan)
+        assert engine.last_stats is None
+
+
+class TestLevelLoop:
+    def test_profiled_group_emits_one_level_span_per_level(
+        self, graph, group
+    ):
+        tracer = tracing.configure(process="test")
+        obs_profile.configure(enabled=True)
+        try:
+            engine = dist_engine(graph, 2)
+            result = engine.run_group(group)
+        finally:
+            obs_profile.disable()
+            tracing.set_tracer(None)
+        levels = [s for s in tracer.finished if s.name == "profile.level"]
+        exchanges = [
+            s for s in tracer.finished if s.name == "exchange.level"
+        ]
+        assert len(levels) == result.counters.levels
+        assert len(levels) == len(engine.last_stats.levels)
+        assert sorted(s.attrs["depth"] for s in levels) == list(
+            range(len(levels))
+        )
+        # Each level's exchange runs inside that level's span.
+        parents = {s.span_id: s.attrs["depth"] for s in levels}
+        assert [parents[s.parent_id] for s in exchanges] == [
+            s.attrs["level"] for s in exchanges
+        ]
+        assert all(
+            d.directions == (Direction.TOP_DOWN,) * len(group)
+            for d in result.groups[0].plan
+        )
 
 
 class TestExchangeAccounting:

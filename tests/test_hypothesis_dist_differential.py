@@ -57,11 +57,8 @@ def test_all_partitionings_match_serial(case):
         for layout in LAYOUTS:
             engine = PartitionedEngine(
                 graph,
-                DistConfig(
-                    num_partitions=num_partitions,
-                    layout=layout,
-                    group_size=len(group),
-                ),
+                DistConfig(num_partitions=num_partitions, layout=layout),
+                IBFSConfig(group_size=len(group)),
             )
             result = engine.run_group(group)
             assert np.array_equal(result.depths, expected.depths), (
@@ -79,12 +76,8 @@ def test_wire_formats_match_serial(case, fmt):
     ).run_group(group)
     engine = PartitionedEngine(
         graph,
-        DistConfig(
-            num_partitions=2,
-            layout="2d",
-            exchange=fmt,
-            group_size=len(group),
-        ),
+        DistConfig(num_partitions=2, layout="2d", exchange=fmt),
+        IBFSConfig(group_size=len(group)),
     )
     result = engine.run_group(group)
     assert np.array_equal(result.depths, expected.depths), fmt
@@ -96,7 +89,8 @@ def test_replay_is_bit_identical(case):
     graph, group = case
     engine = PartitionedEngine(
         graph,
-        DistConfig(num_partitions=2, group_size=len(group)),
+        DistConfig(num_partitions=2),
+        IBFSConfig(group_size=len(group)),
     )
     first = engine.run_group(group)
     original = [
@@ -117,9 +111,8 @@ def test_balance_modes_match(case):
     for balance in ("edges", "vertices"):
         engine = PartitionedEngine(
             graph,
-            DistConfig(
-                num_partitions=3, balance=balance, group_size=len(group)
-            ),
+            DistConfig(num_partitions=3, balance=balance),
+            IBFSConfig(group_size=len(group)),
         )
         results.append(engine.run_group(group).depths)
     assert np.array_equal(results[0], results[1])

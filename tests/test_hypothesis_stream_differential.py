@@ -371,11 +371,8 @@ class TestRepairAcrossBackends:
         for layout in ("1d", "2d"):
             engine = PartitionedEngine(
                 new_graph,
-                DistConfig(
-                    num_partitions=2,
-                    layout=layout,
-                    group_size=len(sources),
-                ),
+                DistConfig(num_partitions=2, layout=layout),
+                IBFSConfig(group_size=len(sources)),
             )
             try:
                 scratch = engine.run_group(sources).depths

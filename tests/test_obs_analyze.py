@@ -10,6 +10,8 @@ The acceptance bar from the issue, pinned as tests:
 * critical-path step seconds telescope to exactly the root duration.
 """
 
+import re
+
 import pytest
 
 from repro import IBFSConfig
@@ -383,6 +385,22 @@ def test_partitioned_waves_carry_exchange_levels(kron_graph):
     ]
     rows = [r for w in wave_nodes for r in level_waterfall(w)]
     assert any(r.source == "exchange" for r in rows)
+
+
+def test_trace_report_shows_partitioned_level_bytes(kron_graph):
+    """Every exchange level row of the report carries the byte count
+    its ``exchange.level`` span recorded."""
+    records = _trace_partitioned(kron_graph)
+    recorded = [
+        r["attrs"]["bytes"] for r in records
+        if r.get("kind") == "span" and r["name"] == "exchange.level"
+    ]
+    report = render_trace_report(
+        records, max_waves=len(records), max_levels=len(records)
+    )
+    shown = re.findall(r"fmt=\w+ bytes=(\S+)", report)
+    assert len(shown) == len(recorded) > 0
+    assert sorted(shown) == sorted(str(b) for b in recorded)
 
 
 def test_render_trace_report_byte_identical_across_runs(kron_graph):

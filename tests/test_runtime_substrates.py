@@ -136,6 +136,27 @@ class TestBitIdentityMatrix:
         finally:
             substrate.close()
 
+    def test_partitioned_group_stats_match_serial_top_down(self, graph):
+        # Both run the same top-down traversal through one level loop,
+        # so every sharing statistic agrees; only the seconds differ
+        # (the partitioned ones price communication).
+        planner = make_policy("td-only")
+        serial = IBFS(graph, CONFIG, planner=planner)
+        substrate = build("partitioned", graph, "td-only")
+        try:
+            expected = serial.run(SOURCES).groups
+            result = substrate.run(SOURCES).groups
+        finally:
+            substrate.close()
+        assert len(result) == len(expected) > 1
+        for got, want in zip(result, expected):
+            for name in (
+                "sources", "sharing_degree", "sharing_ratio", "jfq_sizes",
+                "per_level_sharing", "td_sharing", "bu_sharing",
+                "bottom_up_inspections",
+            ):
+                assert getattr(got, name) == getattr(want, name), name
+
     @pytest.mark.parametrize("mutate", [False, True])
     @pytest.mark.parametrize("kind", SUBSTRATE_NAMES)
     def test_map_groups_matches_serial(self, graph, kind, mutate):
